@@ -37,10 +37,10 @@ from .characters import (
     chibar_lowest_exponent,
 )
 from .errors import AdmissibleError
-from .exact import poly_gcd, rat, rat_str
+from .exact import poly_gcd, rat_str
 from .fusion import FusionRing, bimodule_presentation, fusion, zhu_algebra
 from .mff import bimodule_from_mff, hw_annihilation_polynomial
-from .numeric import character_eval_numeric, qseries_eval_numeric, s_transform_residual
+from .numeric import s_transform_residual
 from .pbw import verify_operator_identities
 from .weights import (
     AdmissibleWeight,
@@ -127,8 +127,13 @@ def _tolerance(text: str) -> mp.mpf:
     return tol
 
 
-def _emit(args, subcommand: str, parameters: dict, results, checks: list[dict]) -> int:
-    doc = report.document(subcommand, parameters, results, checks)
+def _emit(args, results, checks: list[dict]) -> int:
+    """Print the report; its parameters are the parsed flags, ``format`` last."""
+    parameters = {
+        k: v for k, v in vars(args).items() if k not in ("handler", "subcommand", "format")
+    }
+    parameters["format"] = args.format
+    doc = report.document(args.subcommand, parameters, results, checks)
     text = report.dumps(doc) if args.format == "json" else report.render_text(doc)
     sys.stdout.write(text)
     return 0 if report.all_checks_pass(doc) else 1
@@ -165,8 +170,7 @@ def cmd_weights(args) -> int:
             "",
         ),
     ]
-    params = {"p": args.p, "q": args.q, "format": args.format}
-    return _emit(args, "weights", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_zhu(args) -> int:
@@ -194,8 +198,7 @@ def cmd_zhu(args) -> int:
             f"constant {rat_str(const)}",
         ),
     ]
-    params = {"p": args.p, "q": args.q, "format": args.format}
-    return _emit(args, "zhu", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_bimodule(args) -> int:
@@ -220,26 +223,9 @@ def cmd_bimodule(args) -> int:
             pres.dimension == expected,
             f"n'(p-n')(q-k'+1) = {expected}",
         ),
-        report.check(
-            "mff_dimension_agrees",
-            oracle.dimension == pres.dimension,
-            f"PBW reduction gives {oracle.dimension}",
-        ),
-        report.check(
-            "mff_tail_unit",
-            oracle.tail_unit,
-            f"degrees {oracle.tail_window[0]}..{oracle.tail_window[1]} wash out",
-        ),
+        *verify.bimodule_oracle_checks(oracle, pres),
     ]
-    params = {
-        "p": args.p,
-        "q": args.q,
-        "n": args.n,
-        "k": args.k,
-        "j": args.j,
-        "format": args.format,
-    }
-    return _emit(args, "bimodule", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_fusion(args) -> int:
@@ -269,15 +255,7 @@ def cmd_fusion(args) -> int:
                 "closed form, bimodule evaluation, PBW reduction",
             )
         )
-    params = {
-        "p": args.p,
-        "q": args.q,
-        "j1": args.j1,
-        "j2": args.j2,
-        "oracle": args.oracle,
-        "format": args.format,
-    }
-    return _emit(args, "fusion", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_fusion_table(args) -> int:
@@ -300,16 +278,10 @@ def cmd_fusion_table(args) -> int:
         report.check("associativity", axioms["associativity"], ""),
     ]
     if args.oracle == "all":
-        agree = True
-        for w1 in basis:
-            oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
-            for w2 in basis:
-                rec = fusion(level, w1, w2, oracle="all", mff_oracle=oracle)
-                agree = agree and rec.oracles_agree is True
         checks.append(
             report.check(
                 "oracles_agree",
-                agree,
+                verify.three_routes_agree(level, verify.level_oracles(level)),
                 f"{len(basis) ** 2} ordered pairs along all three routes",
             )
         )
@@ -318,8 +290,7 @@ def cmd_fusion_table(args) -> int:
         "basis": basis,
         "table": table,
     }
-    params = {"p": args.p, "q": args.q, "oracle": args.oracle, "format": args.format}
-    return _emit(args, "fusion-table", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_mff_verify(args) -> int:
@@ -345,8 +316,7 @@ def cmd_mff_verify(args) -> int:
             f"{len(rep.checks)} exact identities at m_max={rep.m_max}",
         )
     ]
-    params = {"mmax": args.mmax, "format": args.format}
-    return _emit(args, "mff-verify", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_character(args) -> int:
@@ -355,10 +325,14 @@ def cmd_character(args) -> int:
     z = _rational(args.z, "--z")
     spec = CharacterSpec(w, z)
     order = _rational(args.trunc, "--trunc")
-    series = character_qseries(spec, order, kind=args.kind)
     predicted = (
         chi_lowest_exponent(spec) if args.kind == "chi" else chibar_lowest_exponent(spec)
     )
+    if order <= predicted:
+        raise UsageError(
+            f"--trunc {args.trunc} must exceed the lowest exponent {rat_str(predicted)}"
+        )
+    series = character_qseries(spec, order, kind=args.kind)
     results = {
         "level": level,
         "weight": w,
@@ -370,38 +344,12 @@ def cmd_character(args) -> int:
         "predicted_lowest_exponent": predicted,
         "series": series,
     }
-    low = series.lowest()
-    checks = [
-        report.check(
-            "lowest_term",
-            low == (predicted, Fraction(1)),
-            f"expected coefficient 1 at exponent {rat_str(predicted)}",
-        ),
-        report.check(
-            "coefficients_nonnegative_integers",
-            all(c.denominator == 1 and c >= 0 for c in series.terms.values()),
-            f"{len(series.terms)} terms below order {rat_str(series.order)}",
-        ),
-    ]
-    params = {
-        "p": args.p,
-        "q": args.q,
-        "n": args.n,
-        "k": args.k,
-        "j": args.j,
-        "z": args.z,
-        "kind": args.kind,
-        "trunc": args.trunc,
-        "tau": args.tau,
-        "tol": args.tol,
-        "format": args.format,
-    }
+    checks = verify.character_series_checks(series, predicted)
     if args.tau is not None:
         tau = _tau(args.tau)
-        bound = _tolerance(args.tol)
-        numeric = character_eval_numeric(spec, tau, tol=bound / 100, kind=args.kind)
-        series_value = qseries_eval_numeric(series, tau)
-        diff = abs(numeric.value - series_value.value)
+        numeric, series_value, diff, agree = verify.series_numeric_agreement(
+            spec, series, tau, _tolerance(args.tol), kind=args.kind
+        )
         results["tau"] = tau
         results["numeric"] = numeric
         results["series_value"] = series_value
@@ -409,11 +357,11 @@ def cmd_character(args) -> int:
         checks.append(
             report.check(
                 "series_numeric_agreement",
-                diff <= bound + numeric.err + series_value.err,
+                agree,
                 f"|series - numeric| = {mp.nstr(diff, 6)} (tolerance {args.tol})",
             )
         )
-    return _emit(args, "character", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_stransform(args) -> int:
@@ -455,27 +403,12 @@ def cmd_stransform(args) -> int:
             f"max residual {mp.nstr(max(finals), 6)} at tolerance {args.tol}",
         ),
     ]
-    params = {
-        "p": args.p,
-        "q": args.q,
-        "z": args.z,
-        "tau": args.tau,
-        "variant": args.variant,
-        "tol": args.tol,
-        "format": args.format,
-    }
-    return _emit(args, "stransform", params, results, checks)
+    return _emit(args, results, checks)
 
 
 def cmd_verify(args) -> int:
     results, checks = verify.run_suites(args.suite, args.pmax, args.qmax)
-    params = {
-        "suite": args.suite,
-        "pmax": args.pmax,
-        "qmax": args.qmax,
-        "format": args.format,
-    }
-    return _emit(args, "verify", params, results, checks)
+    return _emit(args, results, checks)
 
 
 # -- parser ------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Everything downstream (weight enumeration, PBW rewriting, q-series) is exact,
 so this module fixes the shared conventions: rationals are `fractions.Fraction`
-(always normalized, hashable), univariate polynomials are sparse maps
-degree -> coefficient, bivariate ones are maps (x-degree, y-degree) ->
+(always normalized, hashable), polynomials are sparse maps degree ->
 coefficient.  Zero coefficients are never stored.  The degree of the zero
 polynomial is the sentinel -1.
 """
@@ -232,142 +231,3 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-class BiPoly:
-    """Sparse polynomial in x, y with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], RatLike] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (dx, dy), c in coeffs.items():
-                if dx < 0 or dy < 0:
-                    raise ValueError(f"negative degree ({dx}, {dy})")
-                cf = rat(c)
-                if cf:
-                    clean[(dx, dy)] = cf
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls()
-
-    @classmethod
-    def constant(cls, c: RatLike) -> BiPoly:
-        return cls({(0, 0): rat(c)})
-
-    @classmethod
-    def x(cls) -> BiPoly:
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> BiPoly:
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def from_uni_in_x(cls, p: UniPoly) -> BiPoly:
-        return cls({(d, 0): c for d, c in p.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __add__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = BiPoly.zero()
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other: BiPoly) -> BiPoly:
-        return self + (-other)
-
-    def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
-        if isinstance(other, BiPoly):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (x1, y1), c1 in self.coeffs.items():
-                for (x2, y2), c2 in other.coeffs.items():
-                    k = (x1 + x2, y1 + y2)
-                    s = out.get(k, Fraction(0)) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            res = BiPoly.zero()
-            res.coeffs = out
-            return res
-        return self.scale(rat(other))
-
-    def __rmul__(self, other: RatLike) -> BiPoly:
-        return self.scale(rat(other))
-
-    def scale(self, c: RatLike) -> BiPoly:
-        cf = rat(c)
-        if not cf:
-            return BiPoly.zero()
-        return BiPoly({k: cf * v for k, v in self.coeffs.items()})
-
-    def eval_x(self, value: RatLike) -> UniPoly:
-        """Substitute x = value; the result is a UniPoly in y."""
-        v = rat(value)
-        out: dict[int, Fraction] = {}
-        for (dx, dy), c in self.coeffs.items():
-            s = out.get(dy, Fraction(0)) + c * v**dx
-            if s:
-                out[dy] = s
-            else:
-                out.pop(dy, None)
-        res = UniPoly.zero()
-        res.coeffs = out
-        return res
-
-    def eval(self, x_value: RatLike, y_value: RatLike) -> Fraction:
-        return self.eval_x(x_value)(rat(y_value))
-
-    def to_pairs(self) -> list[tuple[int, int, str]]:
-        """Serialized form: [x-degree, y-degree, "a/b"] sorted lexicographically."""
-        return [(dx, dy, rat_str(self.coeffs[(dx, dy)])) for dx, dy in sorted(self.coeffs)]
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for dx, dy in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[(dx, dy)]
-            mono = "*".join(
-                s
-                for s in (
-                    "" if dx == 0 else ("x" if dx == 1 else f"x^{dx}"),
-                    "" if dy == 0 else ("y" if dy == 1 else f"y^{dy}"),
-                )
-                if s
-            )
-            if not mono:
-                parts.append(rat_str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{rat_str(c)}*{mono}")
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out

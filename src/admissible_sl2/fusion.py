@@ -24,7 +24,7 @@ from .errors import (
     NonAdmissibleEigenvalueError,
     WeightOutOfRangeError,
 )
-from .exact import BiPoly, RatLike, UniPoly, rat, rat_str
+from .exact import UniPoly, poly_from_linear_factors, rat_str
 from .mff import BimoduleOracle, bimodule_from_mff
 from .weights import (
     AdmissibleWeight,
@@ -60,13 +60,14 @@ def zhu_multiply(algebra: ZhuAlgebra, g1: UniPoly, g2: UniPoly) -> UniPoly:
 class BimodulePresentation:
     """Frenkel-Zhu bimodule of L(ell, j) as a C[x]-C[y] quotient.
 
-    generators[i] = y^i prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st)
-    for i = 0..n'-1, together with y^{n'}; the quotient has dimension
-    n' (p-n') (q-k'+1).
+    generators[i] = (i, g_i) stands for the generator y^i g_i(x), with
+    g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st)
+    for i = 0..n'-1; together with y^{n'} they present a quotient of
+    dimension n' (p-n') (q-k'+1).
     """
 
     weight: AdmissibleWeight
-    generators: tuple[BiPoly, ...]
+    generators: tuple[tuple[int, UniPoly], ...]
     y_truncation: int
     dimension: int
 
@@ -76,12 +77,8 @@ def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePre
     np_, kp = weight.n_primed, weight.k_primed
     gens = []
     for i in range(np_):
-        poly = BiPoly({(0, i): 1})
-        for r in range(p - np_):
-            for s in range(q - kp + 1):
-                root = Fraction(r + i) - s * t
-                poly = poly * BiPoly({(1, 0): 1, (0, 0): -root})
-        gens.append(poly)
+        roots = [Fraction(r + i) - s * t for r in range(p - np_) for s in range(q - kp + 1)]
+        gens.append((i, poly_from_linear_factors(roots)))
     return BimodulePresentation(
         weight=weight,
         generators=tuple(gens),
@@ -121,23 +118,28 @@ def fusion_closed_form(
     return True, outputs
 
 
+def _surviving_outputs(
+    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, polys
+) -> list[tuple[AdmissibleWeight, int]]:
+    """Output j1 + j2 - 2i, multiplicity 1, for each (i, poly) with poly(j2) = 0."""
+    return [
+        (
+            _resolve_output(level, w1.j + w2.j - 2 * i, NonAdmissibleEigenvalueError),
+            1,
+        )
+        for i, poly in polys
+        if poly(w2.j) == 0
+    ]
+
+
 def fusion_via_bimodule(
     level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight
 ) -> list[tuple[AdmissibleWeight, int]]:
-    """Outputs from the bimodule presentation: i survives iff f_{j1,i}(j2,1) = 0."""
-    pres = bimodule_presentation(level, w1)
-    outputs = []
-    for i, gen in enumerate(pres.generators):
-        if gen.eval(w2.j, 1) == 0:
-            outputs.append(
-                (
-                    _resolve_output(
-                        level, w1.j + w2.j - 2 * i, NonAdmissibleEigenvalueError
-                    ),
-                    1,
-                )
-            )
-    return outputs
+    """Outputs from the bimodule presentation: i survives iff f_{j1,i}(j2,1) = 0.
+
+    f_{j1,i} = y^i g_i(x), so f_{j1,i}(j2, 1) = g_i(j2).
+    """
+    return _surviving_outputs(level, w1, w2, bimodule_presentation(level, w1).generators)
 
 
 def fusion_via_mff(
@@ -149,18 +151,7 @@ def fusion_via_mff(
     """Outputs from the PBW reduction oracle: i survives iff gcd_i(j2) = 0."""
     if oracle is None:
         oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
-    outputs = []
-    for i, g in enumerate(oracle.gcds):
-        if g(w2.j) == 0:
-            outputs.append(
-                (
-                    _resolve_output(
-                        level, w1.j + w2.j - 2 * i, NonAdmissibleEigenvalueError
-                    ),
-                    1,
-                )
-            )
-    return outputs
+    return _surviving_outputs(level, w1, w2, enumerate(oracle.gcds))
 
 
 @dataclass

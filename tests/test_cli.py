@@ -71,6 +71,17 @@ def test_weight_flag_conflicts_exit_2(capsys):
     del base
 
 
+@pytest.mark.parametrize("trunc", ["--trunc=-5", "--trunc=0"])
+def test_character_trunc_not_above_lowest_exponent_exits_2(capsys, trunc):
+    # the predicted lowest exponent of chi at (3,2), j=1, z=1/2 is 25/96
+    code, out, err = run_cli(
+        capsys, "character", "--p", "3", "--q", "2", "--j", "1", "--z", "1/2", trunc
+    )
+    assert code == 2
+    assert out == ""
+    assert "--trunc" in err and "25/96" in err
+
+
 def test_bad_tau_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "stransform", "--p", "2", "--q", "1", "--z", "1/2", "--tau", "0,-1"
@@ -156,8 +167,11 @@ def test_fusion_rational_weight_addressing(capsys):
     assert doc["results"]["outputs"] == {}
 
 
-def test_fusion_table_3_2(capsys):
-    code, doc, _ = run_json(capsys, "fusion-table", "--p", "3", "--q", "2")
+@pytest.mark.parametrize("oracle", ["closed", "all"])
+def test_fusion_table_3_2(capsys, oracle):
+    code, doc, _ = run_json(
+        capsys, "fusion-table", "--p", "3", "--q", "2", "--oracle", oracle
+    )
     assert code == 0
     table = {(row["j1"], row["j2"]): row["outputs"] for row in doc["results"]["table"]}
     assert table[("1", "1")] == {"0": 1}
@@ -167,6 +181,7 @@ def test_fusion_table_3_2(capsys):
     assert names["unit"] == "pass"
     assert names["commutativity"] == "pass"
     assert names["associativity"] == "pass"
+    assert names.get("oracles_agree") == ("pass" if oracle == "all" else None)
 
 
 def test_mff_verify_document(capsys):

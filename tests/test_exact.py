@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from admissible_sl2.exact import (
-    BiPoly,
     UniPoly,
     poly_from_linear_factors,
     poly_gcd,
@@ -137,21 +136,3 @@ def test_unipoly_pairs_round_trip():
     pairs = p.to_pairs()
     assert pairs == [(0, "-1/2"), (3, "2")]
     assert UniPoly.from_pairs(pairs) == p
-
-
-def test_bipoly_by_evaluation():
-    rng = random.Random(RNG_SEED + 4)
-    x, y = BiPoly.x(), BiPoly.y()
-    p = (x - BiPoly.constant("1/2")) * (y + x * y)
-    for _ in range(10):
-        a, b = _random_fraction(rng), _random_fraction(rng)
-        assert p.eval(a, b) == (a - Fraction(1, 2)) * (b + a * b)
-    # eval_x leaves an exact univariate in y
-    q = p.eval_x(Fraction(2))
-    assert q(Fraction(3)) == p.eval(Fraction(2), Fraction(3))
-
-
-def test_bipoly_from_uni():
-    u = UniPoly({0: 1, 2: "3/4"})
-    b = BiPoly.from_uni_in_x(u)
-    assert b.eval(Fraction(2), Fraction(99)) == u(Fraction(2))

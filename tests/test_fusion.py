@@ -156,3 +156,8 @@ def test_bimodule_presentation_dimensions():
         assert pres.dimension == w.n_primed * (3 - w.n_primed) * (2 - w.k_primed + 1)
         assert len(pres.generators) == w.n_primed
         assert pres.y_truncation == w.n_primed
+        # generator y^i g_i(x): g_i is monic of degree (p-n')(q-k'+1), root r=s=0 at x=i
+        for idx, (i, g) in enumerate(pres.generators):
+            assert i == idx
+            assert g.degree == (3 - w.n_primed) * (2 - w.k_primed + 1)
+            assert g.leading_coefficient() == 1 and g(i) == 0

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from admissible_sl2.errors import ParamOutOfRangeError
+from admissible_sl2 import verify
+from admissible_sl2.errors import DegreeNotConcentratedError, ParamOutOfRangeError
 from admissible_sl2.verify import (
     SUITES,
     c2_expected_constant,
     coprime_levels,
     run_suites,
 )
-from admissible_sl2.weights import level_from_pq
+from admissible_sl2.weights import enumerate_admissible, level_from_pq
 
 
 def test_suite_names():
@@ -72,3 +74,49 @@ def test_run_single_suite():
     families = {"operator_identities", "annihilation", "bimodule_dims", "c2_reduction"}
     assert all(any(c["name"].startswith(f) for f in families) for c in checks)
     assert results["checks_failed"] == 0
+
+
+@pytest.mark.parametrize("suite, builds", [("fusion", 1), ("mff", 1), ("all", 2)])
+def test_each_suite_builds_each_oracle_once(monkeypatch, suite, builds):
+    calls = Counter()
+    real = verify.bimodule_from_mff
+
+    def counting(level, n_primed, k_primed, *rest):
+        calls[(level.p, level.q, n_primed, k_primed)] += 1
+        return real(level, n_primed, k_primed, *rest)
+
+    monkeypatch.setattr(verify, "bimodule_from_mff", counting)
+    run_suites(suite, 4, 3)
+    expected = {
+        (lv.p, lv.q, w.n_primed, w.k_primed)
+        for lv in coprime_levels(4, 3)
+        for w in enumerate_admissible(lv)
+    }
+    assert set(calls) == expected
+    assert set(calls.values()) == {builds}
+
+
+def test_failed_oracle_build_fails_both_suites_alike(monkeypatch):
+    real = verify.bimodule_from_mff
+
+    def failing(level, n_primed, k_primed, *rest):
+        if (level.p, level.q) == (3, 2):
+            raise DegreeNotConcentratedError("stubbed")
+        return real(level, n_primed, k_primed, *rest)
+
+    monkeypatch.setattr(verify, "bimodule_from_mff", failing)
+    results, checks = run_suites("all", 3, 2)
+    failed = {c["name"]: c["detail"] for c in checks if c["status"] != "pass"}
+    assert failed == {
+        "fusion_three_way_p3_q2": "raised DegreeNotConcentratedError: stubbed",
+        "bimodule_dims_p3_q2": "raised DegreeNotConcentratedError: stubbed",
+    }
+    assert results["checks_failed"] == 2
+    monkeypatch.undo()
+    assert [c["name"] for c in checks] == [c["name"] for c in run_suites("all", 3, 2)[1]]
+
+
+def test_all_suites_concatenate_the_single_suites():
+    _, checks = run_suites("all", 4, 3)
+    singles = [c for name in SUITES for c in run_suites(name, 4, 3)[1]]
+    assert checks == singles
