@@ -24,16 +24,7 @@ from .characters import (
     support_index_plus,
     theta_ratio_identity_check,
 )
-from .errors import (
-    AdmissibleError,
-    DenominatorNearZeroError,
-    NonConvergentError,
-    NotCoprimeError,
-    ParamOutOfRangeError,
-    TolTooSmallError,
-    WeightOutOfRangeError,
-    ZOutOfRangeError,
-)
+from .errors import AdmissibleError, InputError, InvariantError
 from .exact import UniPoly, poly_gcd, rat, rat_str
 from .fusion import (
     FusionRecord,
@@ -93,27 +84,22 @@ __all__ = [
     "AdmissibleWeight",
     "CharacterSpec",
     "ComplexVal",
-    "DenominatorNearZeroError",
     "FusionRecord",
     "FusionRing",
     "HEIS",
+    "InputError",
+    "InvariantError",
     "L0",
     "Level",
     "LieAlgebra",
-    "NonConvergentError",
-    "NotCoprimeError",
     "OperatorFactor",
-    "ParamOutOfRangeError",
     "PBWElement",
     "QSeries",
     "SL2",
     "STransformReport",
     "ThetaSpec",
-    "TolTooSmallError",
     "UniPoly",
     "VirasoroData",
-    "WeightOutOfRangeError",
-    "ZOutOfRangeError",
     "bimodule_from_mff",
     "c2_heisenberg_reduction",
     "character_eval_numeric",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientDepthError, ParamOutOfRangeError, ZOutOfRangeError
+from .errors import InputError, InvariantError
 from .exact import rat
 from .qseries import QSeries, ThetaSpec, qseries_div, theta_min_exponent, theta_qseries
 from .weights import AdmissibleWeight, conformal_weight, virasoro_data
@@ -63,7 +63,7 @@ class CharacterSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", rat(self.z))
         if not (0 < self.z < 1):
-            raise ZOutOfRangeError(f"z must satisfy 0 < z < 1, got {self.z}")
+            raise InputError(f"z must satisfy 0 < z < 1, got {self.z}")
 
     @property
     def level(self):
@@ -130,7 +130,7 @@ def _divide_to_order(
         quotient = qseries_div(num_build(o_num), den_build(o_den))
         if quotient.order >= order:
             return quotient.truncate(order)
-    raise InsufficientDepthError(
+    raise InvariantError(
         f"could not resolve quotient to order {order}; lowest terms cancelled beyond margins"
     )
 
@@ -138,7 +138,7 @@ def _divide_to_order(
 def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:
     """Exact q-expansion of chi (default) or chibar, to the given order."""
     if kind not in ("chi", "chibar"):
-        raise ParamOutOfRangeError(f"kind must be 'chi' or 'chibar', got {kind!r}")
+        raise InputError(f"kind must be 'chi' or 'chibar', got {kind!r}")
     order = rat(order)
     lvl = spec.level
     shift = lvl.ell * spec.z * spec.z / 4 if kind == "chi" else Fraction(0)

@@ -16,9 +16,12 @@ Weights are addressed as ``--n N --k K`` (or ``--j a/b``, resolved through
 the unique (n, k) box decomposition); the two-weight flags ``--j1/--j2``
 accept either an ``n,k`` pair or a rational ``a/b``.  ``--tau`` takes
 ``re,im`` with rational or decimal parts.  Reports render as text (default)
-or JSON from the same encoded document; exit status is 0 when every check
-passes, 1 when a check fails (the report is still emitted), and 2 for
-usage or parameter errors.
+or JSON from the same encoded document.  Each ``cmd_*`` handler returns
+``(results, checks)`` and :func:`main` alone emits the report.  Exit status
+is 0 when every check passes; 1 when a check fails, or when the computation
+broke an invariant (an :class:`~admissible_sl2.errors.InvariantError`; the
+report then carries one failed check); and 2 for usage or parameter errors
+(an :class:`~admissible_sl2.errors.InputError`, reported on stderr).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .characters import (
     chi_lowest_exponent,
     chibar_lowest_exponent,
 )
-from .errors import AdmissibleError
+from .errors import InputError, InvariantError
 from .exact import poly_gcd, rat_str
 from .fusion import FusionRing, bimodule_presentation, fusion, zhu_algebra
 from .mff import bimodule_from_mff, hw_annihilation_polynomial
@@ -53,10 +56,6 @@ from .weights import (
 __all__ = ["main", "build_parser"]
 
 
-class UsageError(Exception):
-    """Bad command-line parameters (exit status 2)."""
-
-
 # -- argument helpers --------------------------------------------------------
 
 
@@ -64,21 +63,21 @@ def _rational(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+        raise InputError(f"{flag}: {exc}") from exc
 
 
 def _weight_from_flags(level, args) -> AdmissibleWeight:
     if args.j is not None:
         if args.n is not None or args.k is not None:
-            raise UsageError("give either --n/--k or --j, not both")
+            raise InputError("give either --n/--k or --j, not both")
         w = weight_from_j(level, _rational(args.j, "--j"))
         if w is None:
-            raise UsageError(
+            raise InputError(
                 f"--j {args.j} is not an admissible weight at p={level.p}, q={level.q}"
             )
         return w
     if args.n is None or args.k is None:
-        raise UsageError("a weight needs --n and --k together, or --j")
+        raise InputError("a weight needs --n and --k together, or --j")
     return AdmissibleWeight(level, args.n, args.k)
 
 
@@ -86,15 +85,15 @@ def _weight_from_pair(level, text: str, flag: str) -> AdmissibleWeight:
     if "," in text:
         parts = text.split(",")
         if len(parts) != 2:
-            raise UsageError(f'{flag}: expected "n,k", got {text!r}')
+            raise InputError(f'{flag}: expected "n,k", got {text!r}')
         try:
             n, k = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise UsageError(f'{flag}: expected integers in "n,k", got {text!r}') from exc
+            raise InputError(f'{flag}: expected integers in "n,k", got {text!r}') from exc
         return AdmissibleWeight(level, n, k)
     w = weight_from_j(level, _rational(text, flag))
     if w is None:
-        raise UsageError(
+        raise InputError(
             f"{flag}: j={text} is not an admissible weight at p={level.p}, q={level.q}"
         )
     return w
@@ -103,13 +102,13 @@ def _weight_from_pair(level, text: str, flag: str) -> AdmissibleWeight:
 def _tau(text: str) -> mp.mpc:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError('--tau expects "re,im"')
+        raise InputError('--tau expects "re,im"')
     try:
         re, im = Fraction(parts[0].strip()), Fraction(parts[1].strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--tau: {exc}") from exc
+        raise InputError(f"--tau: {exc}") from exc
     if im <= 0:
-        raise UsageError("--tau needs a positive imaginary part")
+        raise InputError("--tau needs a positive imaginary part")
     with mp.workprec(256):
         return mp.mpc(
             mp.mpf(re.numerator) / re.denominator,
@@ -121,28 +120,16 @@ def _tolerance(text: str) -> mp.mpf:
     try:
         tol = mp.mpf(text)
     except ValueError as exc:
-        raise UsageError(f"--tol: {exc}") from exc
+        raise InputError(f"--tol: {exc}") from exc
     if not tol > 0 or not mp.isfinite(tol):
-        raise UsageError(f"--tol must be a positive finite number, got {text}")
+        raise InputError(f"--tol must be a positive finite number, got {text}")
     return tol
-
-
-def _emit(args, results, checks: list[dict]) -> int:
-    """Print the report; its parameters are the parsed flags, ``format`` last."""
-    parameters = {
-        k: v for k, v in vars(args).items() if k not in ("handler", "subcommand", "format")
-    }
-    parameters["format"] = args.format
-    doc = report.document(args.subcommand, parameters, results, checks)
-    text = report.dumps(doc) if args.format == "json" else report.render_text(doc)
-    sys.stdout.write(text)
-    return 0 if report.all_checks_pass(doc) else 1
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     weights = enumerate_admissible(level)
     c_ell = 3 * level.ell / (level.ell + 2)
@@ -170,10 +157,10 @@ def cmd_weights(args) -> int:
             "",
         ),
     ]
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_zhu(args) -> int:
+def cmd_zhu(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     algebra = zhu_algebra(level)
     relation = algebra.relation
@@ -198,10 +185,10 @@ def cmd_zhu(args) -> int:
             f"constant {rat_str(const)}",
         ),
     ]
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_bimodule(args) -> int:
+def cmd_bimodule(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     w = _weight_from_flags(level, args)
     pres = bimodule_presentation(level, w)
@@ -225,10 +212,10 @@ def cmd_bimodule(args) -> int:
         ),
         *verify.bimodule_oracle_checks(oracle, pres),
     ]
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_fusion(args) -> int:
+def cmd_fusion(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     w1 = _weight_from_pair(level, args.j1, "--j1")
     w2 = _weight_from_pair(level, args.j2, "--j2")
@@ -255,10 +242,10 @@ def cmd_fusion(args) -> int:
                 "closed form, bimodule evaluation, PBW reduction",
             )
         )
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_fusion_table(args) -> int:
+def cmd_fusion_table(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     ring = FusionRing.build(level)
     basis = ring.basis
@@ -290,12 +277,12 @@ def cmd_fusion_table(args) -> int:
         "basis": basis,
         "table": table,
     }
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_mff_verify(args) -> int:
+def cmd_mff_verify(args) -> tuple[dict, list[dict]]:
     if not 1 <= args.mmax <= 8:
-        raise UsageError(f"--mmax must lie in 1..8, got {args.mmax}")
+        raise InputError(f"--mmax must lie in 1..8, got {args.mmax}")
     rep = verify_operator_identities(m_max=args.mmax)
     by_name: dict[str, dict[str, int]] = {}
     for c in rep.checks:
@@ -316,10 +303,10 @@ def cmd_mff_verify(args) -> int:
             f"{len(rep.checks)} exact identities at m_max={rep.m_max}",
         )
     ]
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_character(args) -> int:
+def cmd_character(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     w = _weight_from_flags(level, args)
     z = _rational(args.z, "--z")
@@ -329,7 +316,7 @@ def cmd_character(args) -> int:
         chi_lowest_exponent(spec) if args.kind == "chi" else chibar_lowest_exponent(spec)
     )
     if order <= predicted:
-        raise UsageError(
+        raise InputError(
             f"--trunc {args.trunc} must exceed the lowest exponent {rat_str(predicted)}"
         )
     series = character_qseries(spec, order, kind=args.kind)
@@ -361,10 +348,10 @@ def cmd_character(args) -> int:
                 f"|series - numeric| = {mp.nstr(diff, 6)} (tolerance {args.tol})",
             )
         )
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_stransform(args) -> int:
+def cmd_stransform(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     z = _rational(args.z, "--z")
     tau = _tau(args.tau)
@@ -403,12 +390,11 @@ def cmd_stransform(args) -> int:
             f"max residual {mp.nstr(max(finals), 6)} at tolerance {args.tol}",
         ),
     ]
-    return _emit(args, results, checks)
+    return results, checks
 
 
-def cmd_verify(args) -> int:
-    results, checks = verify.run_suites(args.suite, args.pmax, args.qmax)
-    return _emit(args, results, checks)
+def cmd_verify(args) -> tuple[dict, list[dict]]:
+    return verify.run_suites(args.suite, args.pmax, args.qmax)
 
 
 # -- parser ------------------------------------------------------------------
@@ -483,13 +469,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        results, checks = args.handler(args)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AdmissibleError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except InvariantError as exc:
+        results, checks = {}, [report.failed(args.subcommand, exc)]
+    # the report's parameters are the parsed flags, ``format`` last
+    parameters = {
+        k: v for k, v in vars(args).items() if k not in ("handler", "subcommand", "format")
+    }
+    parameters["format"] = args.format
+    doc = report.document(args.subcommand, parameters, results, checks)
+    text = report.dumps(doc) if args.format == "json" else report.render_text(doc)
+    sys.stdout.write(text)
+    return 0 if report.all_checks_pass(doc) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """Exception types shared across the package.
 
-Every domain error derives from AdmissibleError so the CLI can translate
-bad inputs into a usage exit code without matching on messages.
+Every domain error is one of two kinds under :class:`AdmissibleError`, and
+the kind fixes the ``admsl2`` exit status:
+
+- :class:`InputError`: a bad parameter, or a tolerance the computation
+  cannot meet.  Exit status 2, with ``error: <message>`` on stderr.
+- :class:`InvariantError`: a computation broke a mathematical invariant.
+  Exit status 1, with a report whose only check is a failed one.
 """
 
 from __future__ import annotations
@@ -11,77 +16,9 @@ class AdmissibleError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NotCoprimeError(AdmissibleError):
-    """p and q are not coprime."""
+class InputError(AdmissibleError):
+    """A parameter is outside its range, or a tolerance cannot be met."""
 
 
-class POutOfRangeError(AdmissibleError):
-    """p < 2."""
-
-
-class QOutOfRangeError(AdmissibleError):
-    """q < 1."""
-
-
-class ParamOutOfRangeError(AdmissibleError):
-    """A box parameter (n, k, n', k', i, ...) is outside its admissible range."""
-
-
-class ZOutOfRangeError(AdmissibleError):
-    """The elliptic parameter z must satisfy 0 < z < 1."""
-
-
-class WeightOutOfRangeError(AdmissibleError):
-    """A classical su(2) weight is outside 0..ell."""
-
-
-class AlgebraMismatchError(AdmissibleError):
-    """Operands belong to different Lie algebras."""
-
-
-class NotMonomialError(AdmissibleError):
-    """An element expected to be a single PBW monomial is not."""
-
-
-class WrongExponentError(AdmissibleError):
-    """A reduction produced an unexpected exponent."""
-
-
-class NotProportionalError(AdmissibleError):
-    """Two polynomials expected to agree up to a scalar do not."""
-
-
-class DegreeNotConcentratedError(AdmissibleError):
-    """A reduced element spreads over several T_- degrees."""
-
-
-class InsufficientDepthError(AdmissibleError):
-    """The reduction depth d_max is too small to expose all relations."""
-
-
-class NonAdmissibleEigenvalueError(AdmissibleError):
-    """A bimodule eigenvalue is not an admissible weight."""
-
-
-class InternalNonAdmissibleOutputError(AdmissibleError):
-    """A fusion routine produced a non-admissible output weight."""
-
-
-class ZeroDivisorError(AdmissibleError):
-    """Division by a q-series that is zero to its stated order."""
-
-
-class EmptyDenominatorError(AdmissibleError):
-    """The denominator q-series has no resolved terms."""
-
-
-class NonConvergentError(AdmissibleError):
-    """A numeric theta evaluation was requested outside Im(tau) > 0."""
-
-
-class TolTooSmallError(AdmissibleError):
-    """The requested tolerance is below the working-precision floor."""
-
-
-class DenominatorNearZeroError(AdmissibleError):
-    """A numeric character denominator is too close to zero to certify."""
+class InvariantError(AdmissibleError):
+    """A computation produced a result that breaks a mathematical invariant."""

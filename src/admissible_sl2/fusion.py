@@ -19,11 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InternalNonAdmissibleOutputError,
-    NonAdmissibleEigenvalueError,
-    WeightOutOfRangeError,
-)
+from .errors import InputError, InvariantError
 from .exact import UniPoly, poly_from_linear_factors, rat_str
 from .mff import BimoduleOracle, bimodule_from_mff
 from .weights import (
@@ -87,12 +83,10 @@ def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePre
     )
 
 
-def _resolve_output(
-    level: Level, j: Fraction, error: type[Exception]
-) -> AdmissibleWeight:
+def _resolve_output(level: Level, j: Fraction) -> AdmissibleWeight:
     w = weight_from_j(level, j)
     if w is None:
-        raise error(f"fusion output j={rat_str(j)} is not admissible")
+        raise InvariantError(f"fusion output j={rat_str(j)} is not admissible")
     return w
 
 
@@ -107,12 +101,7 @@ def fusion_closed_form(
     lo = max(0, w1.n_primed + w2.n_primed - p)
     hi = min(w1.n_primed - 1, w2.n_primed - 1)
     outputs = [
-        (
-            _resolve_output(
-                level, w1.j + w2.j - 2 * i, InternalNonAdmissibleOutputError
-            ),
-            1,
-        )
+        (_resolve_output(level, w1.j + w2.j - 2 * i), 1)
         for i in range(lo, hi + 1)
     ]
     return True, outputs
@@ -123,10 +112,7 @@ def _surviving_outputs(
 ) -> list[tuple[AdmissibleWeight, int]]:
     """Output j1 + j2 - 2i, multiplicity 1, for each (i, poly) with poly(j2) = 0."""
     return [
-        (
-            _resolve_output(level, w1.j + w2.j - 2 * i, NonAdmissibleEigenvalueError),
-            1,
-        )
+        (_resolve_output(level, w1.j + w2.j - 2 * i), 1)
         for i, poly in polys
         if poly(w2.j) == 0
     ]
@@ -191,7 +177,7 @@ def fusion(
         mff_outs = fusion_via_mff(level, w1, w2, mff_oracle)
         agree = closed == bim == mff_outs
         return FusionRecord(level, w1, w2, gate, closed, oracle, oracles_agree=agree)
-    raise ValueError(f"unknown oracle {oracle!r}")
+    raise InputError(f"unknown oracle {oracle!r}")
 
 
 @dataclass
@@ -250,9 +236,9 @@ def classical_su2_fusion(ell: int, j1: int, j2: int) -> dict[int, int]:
     multiplicity 1.
     """
     if ell < 0:
-        raise WeightOutOfRangeError(f"ell={ell} must be >= 0")
+        raise InputError(f"ell={ell} must be >= 0")
     for j in (j1, j2):
         if not 0 <= j <= ell:
-            raise WeightOutOfRangeError(f"j={j} outside 0..{ell}")
+            raise InputError(f"j={j} outside 0..{ell}")
     top = min(j1 + j2, 2 * ell - j1 - j2)
     return {j: 1 for j in range(abs(j1 - j2), top + 1, 2)}

@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegreeNotConcentratedError,
-    InsufficientDepthError,
-    NotProportionalError,
-    ParamOutOfRangeError,
-    WrongExponentError,
-)
+from .errors import InputError, InvariantError
 from .exact import UniPoly, poly_gcd
 from .pbw import HEIS, L0, SL2, OperatorFactor, PBWElement, factor_product
 from .weights import Level, vacuum_polynomial
@@ -53,14 +47,14 @@ def fuchs_projection(
     P uses G in U(L0), P2 uses Hbar in the Heisenberg algebra.
     """
     if target not in _TARGETS:
-        raise ParamOutOfRangeError(f"unknown target {target!r}")
+        raise InputError(f"unknown target {target!r}")
     if family not in ("F1", "F2"):
-        raise ParamOutOfRangeError(f"unknown family {family!r}")
+        raise InputError(f"unknown family {family!r}")
     p, q, t = level.p, level.q, level.t
     if not 1 <= n_primed <= p - 1:
-        raise ParamOutOfRangeError(f"n'={n_primed} outside 1..{p - 1}")
+        raise InputError(f"n'={n_primed} outside 1..{p - 1}")
     if not 1 <= k_primed <= q:
-        raise ParamOutOfRangeError(f"k'={k_primed} outside 1..{q}")
+        raise InputError(f"k'={k_primed} outside 1..{q}")
     alg, kind, lower_gen, raise_gen = _TARGETS[target]
     if family == "F1":
         alphas = [
@@ -100,7 +94,7 @@ def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
     coeffs: dict[int, Fraction] = {}
     for (a, b, c), coeff in x.terms.items():
         if a != c:
-            raise WrongExponentError(
+            raise InvariantError(
                 f"weight-zero operator has monomial f^{a} h^{b} e^{c}"
             )
         if a == 0:
@@ -109,7 +103,7 @@ def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
     vac = vacuum_polynomial(level)
     c = poly.leading_coefficient()
     if not c or poly != vac.scale(c):
-        raise NotProportionalError(
+        raise InvariantError(
             f"eigenvalue polynomial {poly!r} is not a scalar multiple of {vac!r}"
         )
     return c, poly
@@ -157,13 +151,13 @@ def bimodule_from_mff(
     """
     p, q = level.p, level.q
     if not 1 <= n_primed <= p - 1:
-        raise ParamOutOfRangeError(f"n'={n_primed} outside 1..{p - 1}")
+        raise InputError(f"n'={n_primed} outside 1..{p - 1}")
     if not 1 <= k_primed <= q:
-        raise ParamOutOfRangeError(f"k'={k_primed} outside 1..{q}")
+        raise InputError(f"k'={k_primed} outside 1..{q}")
     if d_max is None:
         d_max = p + n_primed + 2
     if d_max < p + n_primed:
-        raise InsufficientDepthError(f"d_max={d_max} < p + n' = {p + n_primed}")
+        raise InputError(f"d_max={d_max} < p + n' = {p + n_primed}")
 
     tminus = PBWElement.generator(L0, "T-")
     per_degree: dict[int, list[UniPoly]] = {}
@@ -179,7 +173,7 @@ def bimodule_from_mff(
                 continue
             degrees = {c for (_, c) in reduced}
             if len(degrees) != 1:
-                raise DegreeNotConcentratedError(
+                raise InvariantError(
                     f"T_-^{d} P({family}) reduces to T_- degrees {sorted(degrees)}"
                 )
             i = degrees.pop()
@@ -191,7 +185,7 @@ def bimodule_from_mff(
     }
     missing = [i for i in range(n_primed) if i not in gcds_all]
     if missing:
-        raise InsufficientDepthError(
+        raise InvariantError(
             f"no relations landed in T_- degrees {missing} up to d_max={d_max}"
         )
     window_lo, window_hi = n_primed, d_max - (p - n_primed)
@@ -236,7 +230,7 @@ def c2_heisenberg_reduction(level: Level) -> tuple[Fraction, int]:
     mono, coeff = remainder.single_monomial()
     exponent = mono[1]
     if exponent != (p - 1) * q:
-        raise WrongExponentError(
+        raise InvariantError(
             f"C2 remainder hb^{exponent}, expected hb^{(p - 1) * q}"
         )
     return coeff, exponent

@@ -23,12 +23,7 @@ import mpmath
 from mpmath import mp
 
 from .characters import CharacterSpec, support_index_minus, support_index_plus
-from .errors import (
-    DenominatorNearZeroError,
-    NonConvergentError,
-    ParamOutOfRangeError,
-    TolTooSmallError,
-)
+from .errors import InputError
 from .exact import rat
 from .qseries import QSeries, ThetaSpec
 from .weights import AdmissibleWeight, Level, enumerate_admissible
@@ -82,12 +77,12 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     """
     tol = mp.mpf(tol)
     if tol <= 0:
-        raise ParamOutOfRangeError("tolerance must be positive")
+        raise InputError("tolerance must be positive")
     with mp.workprec(prec):
         tau_v = _as_mpc(tau)
         A = mp.im(tau_v)
         if A <= 0:
-            raise NonConvergentError(
+            raise InputError(
                 f"theta series requires Im(tau) > 0, got Im(tau) = {A}"
             )
         z = spec.z if not isinstance(spec.z, Fraction) else _frac_mpf(spec.z)
@@ -132,14 +127,14 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                 i += direction
                 steps += 1
                 if steps > _MAX_TERMS_PER_SIDE:
-                    raise TolTooSmallError(
+                    raise InputError(
                         "theta tail bound not reached within the term cap; "
                         "tolerance too small for this tau"
                     )
 
         rounding = sum_abs * (count + 16) * eps
         if rounding > budget:
-            raise TolTooSmallError(
+            raise InputError(
                 f"rounding budget {mpmath.nstr(rounding, 5)} exceeds tol/4 at {prec} bits"
             )
         return ComplexVal(total, tails + rounding, prec)
@@ -201,7 +196,7 @@ def _chibar_numeric(
             e_den = th_1.err + th_m1.err
             abs_den = abs(den)
             if abs_den < 10 * tol:
-                raise DenominatorNearZeroError(
+                raise InputError(
                     f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol"
                 )
             if e_den >= abs_den / 2:
@@ -212,7 +207,7 @@ def _chibar_numeric(
             if e_quot <= tol:
                 return ComplexVal(quot, e_quot, prec), theta_err
             ctol = ctol / 16
-        raise TolTooSmallError(
+        raise InputError(
             "character quotient bound did not meet the tolerance after retries"
         )
 
@@ -230,14 +225,14 @@ def character_eval_numeric(
     theta quotient.
     """
     if kind not in ("chi", "chibar"):
-        raise ParamOutOfRangeError(f"kind must be 'chi' or 'chibar', got {kind!r}")
+        raise InputError(f"kind must be 'chi' or 'chibar', got {kind!r}")
     tol = mp.mpf(tol)
     if tol <= 0:
-        raise ParamOutOfRangeError("tolerance must be positive")
+        raise InputError("tolerance must be positive")
     with mp.workprec(prec):
         tau_v = _as_mpc(tau)
         if mp.im(tau_v) <= 0:
-            raise NonConvergentError("character evaluation requires Im(tau) > 0")
+            raise InputError("character evaluation requires Im(tau) > 0")
         eps = mp.mpf(2) ** (1 - prec)
         if kind == "chibar":
             val, _ = _chibar_numeric(spec.level, spec.weight, tau_v, spec.z, tol, prec)
@@ -308,20 +303,20 @@ def s_transform_residual(
     law fails on the complex-phase rows.
     """
     if variant not in ("KW1", "KW2"):
-        raise ParamOutOfRangeError(f"variant must be 'KW1' or 'KW2', got {variant!r}")
+        raise InputError(f"variant must be 'KW1' or 'KW2', got {variant!r}")
     z = rat(z)
     weights = enumerate_admissible(level)
     specs = [CharacterSpec(w, z) for w in weights]  # validates 0 < z < 1
     a = level.p * level.q
     tol = mp.mpf(tol)
     if tol <= 0:
-        raise ParamOutOfRangeError("tolerance must be positive")
+        raise InputError("tolerance must be positive")
     n_w = len(weights)
 
     with mp.workprec(prec):
         tau_v = _as_mpc(tau)
         if mp.im(tau_v) <= 0:
-            raise NonConvergentError("S-transform requires Im(tau) > 0")
+            raise InputError("S-transform requires Im(tau) > 0")
         eps = mp.mpf(2) ** (1 - prec)
 
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)

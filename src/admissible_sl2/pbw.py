@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import AlgebraMismatchError, NotMonomialError, ParamOutOfRangeError
+from .errors import InputError, InvariantError
 from .exact import RatLike, rat, rat_str
 
 Mono = tuple[int, int, int]
@@ -155,7 +155,7 @@ class PBWElement:
             for mono, c in terms.items():
                 a, b, cdeg = mono
                 if a < 0 or b < 0 or cdeg < 0:
-                    raise ParamOutOfRangeError(f"negative exponent in {mono}")
+                    raise InputError(f"negative exponent in {mono}")
                 cf = rat(c)
                 if cf:
                     clean[mono] = cf
@@ -184,8 +184,8 @@ class PBWElement:
 
     def _check_same(self, other: PBWElement) -> None:
         if self.algebra.name != other.algebra.name:
-            raise AlgebraMismatchError(
-                f"{self.algebra.name} vs {other.algebra.name}"
+            raise InputError(
+                f"operands lie in {self.algebra.name} and {other.algebra.name}"
             )
 
     def __eq__(self, other: object) -> bool:
@@ -227,7 +227,7 @@ class PBWElement:
 
     def __pow__(self, n: int) -> PBWElement:
         if n < 0:
-            raise ParamOutOfRangeError("negative power")
+            raise InputError("negative power")
         out = PBWElement.unit(self.algebra)
         for _ in range(n):
             out = pbw_product(out, self)
@@ -244,11 +244,8 @@ class PBWElement:
 
     def single_monomial(self) -> tuple[Mono, Fraction]:
         if len(self.terms) != 1:
-            raise NotMonomialError(f"{len(self.terms)} terms, expected 1")
+            raise InvariantError(f"{len(self.terms)} terms, expected a single monomial")
         return next(iter(self.terms.items()))
-
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return sorted(self.terms.items())
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -343,7 +340,7 @@ class OperatorFactor:
 
     def __post_init__(self) -> None:
         if self.kind not in FACTOR_ALGEBRA:
-            raise ParamOutOfRangeError(f"unknown factor kind {self.kind!r}")
+            raise InputError(f"unknown factor kind {self.kind!r}")
         object.__setattr__(self, "alpha", rat(self.alpha))
 
     @property
@@ -377,11 +374,11 @@ def factor_product(
         elif tail is not None:
             alg = tail.algebra
         else:
-            raise AlgebraMismatchError("cannot infer the algebra of an empty product")
+            raise InputError("cannot infer the algebra of an empty product")
     out = PBWElement.unit(alg)
     for fac in factors:
         if fac.algebra.name != alg.name:
-            raise AlgebraMismatchError(f"factor {fac.kind} lives in {fac.algebra.name}, not {alg.name}")
+            raise InputError(f"factor {fac.kind} lives in {fac.algebra.name}, not {alg.name}")
         out = out * fac.element()
     if tail is not None:
         out = out * tail

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (
-    EmptyDenominatorError,
-    ParamOutOfRangeError,
-    ZeroDivisorError,
-)
+from .errors import InputError
 from .exact import rat
 
 __all__ = [
@@ -52,7 +48,7 @@ class QSeries:
 
     def __init__(self, denom: int, terms: dict[int, Fraction], order) -> None:
         if denom < 1:
-            raise ParamOutOfRangeError(f"lattice denominator must be >= 1, got {denom}")
+            raise InputError(f"lattice denominator must be >= 1, got {denom}")
         order = rat(order)
         kept = {
             m: rat(c)
@@ -109,7 +105,7 @@ class QSeries:
     def coefficient(self, exponent) -> Fraction:
         exponent = rat(exponent)
         if exponent >= self.order:
-            raise ValueError(
+            raise InputError(
                 f"exponent {exponent} is not resolved below truncation order {self.order}"
             )
         if self.denom % exponent.denominator:
@@ -187,7 +183,7 @@ class QSeries:
         """Substitute q -> q^factor (factor > 0): exponents and order scale."""
         factor = rat(factor)
         if factor <= 0:
-            raise ParamOutOfRangeError(f"exponent scale factor must be positive, got {factor}")
+            raise InputError(f"exponent scale factor must be positive, got {factor}")
         pairs = [(Fraction(m, self.denom) * factor, c) for m, c in self.terms.items()]
         return QSeries.from_terms(pairs, self.order * factor)
 
@@ -234,7 +230,7 @@ class ThetaSpec:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ParamOutOfRangeError(f"theta index m must be a positive integer, got {self.m}")
+            raise InputError(f"theta index m must be a positive integer, got {self.m}")
         try:
             object.__setattr__(self, "z", rat(self.z))
         except (TypeError, ValueError):
@@ -260,7 +256,7 @@ def theta_qseries(spec: ThetaSpec, order) -> QSeries:
     is finite and is enumerated outward from the vertex j = -z/2.
     """
     if not spec.has_rational_z:
-        raise ParamOutOfRangeError("exact theta expansion requires a rational z")
+        raise InputError("exact theta expansion requires a rational z")
     order = rat(order)
     off = spec.offset
     vertex = -spec.z / 2 - off  # real minimiser in the integer coordinate i
@@ -285,7 +281,7 @@ def theta_qseries(spec: ThetaSpec, order) -> QSeries:
 def theta_min_exponent(spec: ThetaSpec) -> Fraction:
     """Exact lowest exponent of theta_{n,m}(tau, z) over its lattice."""
     if not spec.has_rational_z:
-        raise ParamOutOfRangeError("exact theta expansion requires a rational z")
+        raise InputError("exact theta expansion requires a rational z")
     off = spec.offset
     vertex = -spec.z / 2 - off
     lo = math.floor(vertex)
@@ -302,12 +298,10 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     """
     low_d = den.lowest()
     if low_d is None:
-        raise EmptyDenominatorError(
+        raise InputError(
             f"denominator has no terms below its truncation order {den.order}"
         )
     e_d, c_d = low_d
-    if c_d == 0:
-        raise ZeroDivisorError("denominator lowest coefficient is zero")
     low_n = num.lowest()
     e_n = low_n[0] if low_n else num.order
     order = min(num.order, den.order + e_n - e_d) - e_d

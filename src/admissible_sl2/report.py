@@ -34,6 +34,7 @@ from .weights import AdmissibleWeight, Level, weight_from_j
 __all__ = [
     "SCHEMA_VERSION",
     "check",
+    "failed",
     "document",
     "encode",
     "dumps",
@@ -119,6 +120,11 @@ def _key_str(key: Any) -> str:
 def check(name: str, ok: bool, detail: str = "") -> dict:
     """One entry of the ``checks`` list."""
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+
+
+def failed(name: str, exc: Exception) -> dict:
+    """The failed check of a computation that raised ``exc`` instead of completing."""
+    return check(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def document(

@@ -40,7 +40,7 @@ from .characters import (
     chibar_lowest_exponent,
     theta_ratio_identity_check,
 )
-from .errors import AdmissibleError, ParamOutOfRangeError
+from .errors import AdmissibleError, InputError
 from .exact import rat_str
 from .fusion import (
     FusionRing,
@@ -52,7 +52,7 @@ from .fusion import (
 from .mff import bimodule_from_mff, c2_heisenberg_reduction, hw_annihilation_polynomial
 from .numeric import character_eval_numeric, qseries_eval_numeric
 from .pbw import verify_operator_identities
-from .report import check
+from .report import check, failed
 from .weights import Level, enumerate_admissible, level_from_pq
 
 __all__ = [
@@ -85,11 +85,11 @@ _AGREE_BOUND = mp.mpf("1e-8")
 
 def _guard(pmax: int, qmax: int) -> None:
     if not PMAX_RANGE[0] <= pmax <= PMAX_RANGE[1]:
-        raise ParamOutOfRangeError(
+        raise InputError(
             f"pmax={pmax} outside {PMAX_RANGE[0]}..{PMAX_RANGE[1]}"
         )
     if not QMAX_RANGE[0] <= qmax <= QMAX_RANGE[1]:
-        raise ParamOutOfRangeError(
+        raise InputError(
             f"qmax={qmax} outside {QMAX_RANGE[0]}..{QMAX_RANGE[1]}"
         )
 
@@ -121,10 +121,6 @@ def c2_expected_constant(level: Level) -> Fraction:
         for s in range(1, q):
             c *= s * t - r
     return c
-
-
-def _failed(name: str, exc: AdmissibleError) -> dict:
-    return check(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def _all_pass(checks: list[dict]) -> bool:
@@ -213,7 +209,7 @@ def fusion_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             agree = three_routes_agree(level, level_oracles(level))
             checks.append(check(name, agree, f"{pairs} ordered pairs"))
         except AdmissibleError as exc:
-            checks.append(_failed(name, exc))
+            checks.append(failed(name, exc))
         axioms = FusionRing.build(level).axioms()
         checks.append(
             check(
@@ -273,7 +269,7 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                 check(name, const != 0, f"constant {rat_str(const)}, degree {poly.degree}")
             )
         except AdmissibleError as exc:
-            checks.append(_failed(name, exc))
+            checks.append(failed(name, exc))
 
         name = f"c2_reduction_{tag}"
         try:
@@ -286,7 +282,7 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                 check(name, ok, f"hb^{exponent}, constant {rat_str(coeff)}")
             )
         except AdmissibleError as exc:
-            checks.append(_failed(name, exc))
+            checks.append(failed(name, exc))
 
         name = f"bimodule_dims_{tag}"
         try:
@@ -299,7 +295,7 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             row["bimodule_dimensions"] = dims
             checks.append(check(name, ok, f"dims {dims}"))
         except AdmissibleError as exc:
-            checks.append(_failed(name, exc))
+            checks.append(failed(name, exc))
 
         rows.append(row)
 
@@ -340,7 +336,7 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                     check(name, ok, f"{len(reports)} weights to order {_RATIO_ORDER}")
                 )
             except AdmissibleError as exc:
-                checks.append(_failed(name, exc))
+                checks.append(failed(name, exc))
 
             name = f"character_coefficients_{tag}"
             try:
@@ -354,7 +350,7 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                     check(name, ok, f"{len(specs)} weights to order {_SERIES_ORDER}")
                 )
             except AdmissibleError as exc:
-                checks.append(_failed(name, exc))
+                checks.append(failed(name, exc))
 
             name = f"series_numeric_{tag}"
             try:
@@ -370,7 +366,7 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                     check(name, ok, f"max |series - numeric| = {mp.nstr(worst, 6)}")
                 )
             except AdmissibleError as exc:
-                checks.append(_failed(name, exc))
+                checks.append(failed(name, exc))
 
             rows.append({"level": level, "z": z, "weights": len(weights)})
 
@@ -383,7 +379,7 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
 def run_suites(suite: str, pmax: int, qmax: int) -> tuple[dict, list[dict]]:
     """Run one named suite, or all of them, returning (results, checks)."""
     if suite != "all" and suite not in SUITES:
-        raise ParamOutOfRangeError(f"unknown suite {suite!r}")
+        raise InputError(f"unknown suite {suite!r}")
     _guard(pmax, qmax)
     selected = SUITES if suite == "all" else (suite,)
     results: dict = {"suites": list(selected), "pmax": pmax, "qmax": qmax}

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    NotCoprimeError,
-    ParamOutOfRangeError,
-    POutOfRangeError,
-    QOutOfRangeError,
-    ZOutOfRangeError,
-)
+from .errors import InputError
 from .exact import RatLike, UniPoly, poly_from_linear_factors, rat, rat_str
 
 
@@ -56,9 +50,9 @@ class AdmissibleWeight:
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= self.level.p - 2:
-            raise ParamOutOfRangeError(f"n={self.n} outside 0..{self.level.p - 2}")
+            raise InputError(f"n={self.n} outside 0..{self.level.p - 2}")
         if not 0 <= self.k <= self.level.q - 1:
-            raise ParamOutOfRangeError(f"k={self.k} outside 0..{self.level.q - 1}")
+            raise InputError(f"k={self.k} outside 0..{self.level.q - 1}")
 
     @property
     def j(self) -> Fraction:
@@ -83,11 +77,11 @@ class AdmissibleWeight:
 def level_from_pq(p: int, q: int) -> Level:
     """Validate (p, q) and build the level ell = -2 + p/q."""
     if p < 2:
-        raise POutOfRangeError(f"p={p} must be >= 2")
+        raise InputError(f"p={p} must be >= 2")
     if q < 1:
-        raise QOutOfRangeError(f"q={q} must be >= 1")
+        raise InputError(f"q={q} must be >= 1")
     if gcd(p, q) != 1:
-        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+        raise InputError(f"p={p} and q={q} are not coprime")
     return Level(p, q)
 
 
@@ -164,7 +158,7 @@ def virasoro_data(level: Level, z: RatLike) -> VirasoroData:
     """c_ell = 3*ell/(ell+2), c_{ell,z} = c_ell - 6*ell*z^2, lam = ell*z^2/2."""
     zf = rat(z)
     if not 0 < zf < 1:
-        raise ZOutOfRangeError(f"z={rat_str(zf)} outside (0, 1)")
+        raise InputError(f"z={rat_str(zf)} outside (0, 1)")
     ell = level.ell
     c_ell = 3 * ell / (ell + 2)
     return VirasoroData(

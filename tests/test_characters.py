@@ -23,7 +23,7 @@ from admissible_sl2.characters import (
     support_index_plus,
     theta_ratio_identity_check,
 )
-from admissible_sl2.errors import ParamOutOfRangeError, ZOutOfRangeError
+from admissible_sl2.errors import InputError
 from admissible_sl2.weights import (
     AdmissibleWeight,
     conformal_weight,
@@ -57,9 +57,9 @@ def test_support_indices_fixture_3_2():
 
 def test_character_spec_validates_z():
     w = AdmissibleWeight(level_from_pq(3, 2), 1, 0)
-    with pytest.raises(ZOutOfRangeError):
+    with pytest.raises(InputError, match="0 < z < 1"):
         CharacterSpec(w, Fraction(0))
-    with pytest.raises(ZOutOfRangeError):
+    with pytest.raises(InputError, match="0 < z < 1"):
         CharacterSpec(w, Fraction(3, 2))
     spec = CharacterSpec(w, "1/2")
     assert spec.z == Fraction(1, 2) and (spec.u, spec.v) == (2, 1)
@@ -67,7 +67,7 @@ def test_character_spec_validates_z():
 
 def test_kind_validation():
     spec = CharacterSpec(AdmissibleWeight(level_from_pq(3, 2), 1, 0), Fraction(1, 2))
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match="kind must be"):
         character_qseries(spec, 5, kind="x")
 
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from admissible_sl2 import cli, mff
 from admissible_sl2.cli import main
+from admissible_sl2.errors import InvariantError
+from admissible_sl2.exact import UniPoly
 from admissible_sl2.report import parse_rational
 
 
@@ -109,6 +112,37 @@ def test_failing_check_exits_1_with_report(capsys):
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses["transformation_law"] == "fail"
     assert statuses["theta_error_bounds"] == "pass"
+
+
+def _break_vacuum_polynomial(monkeypatch):
+    # the annihilation polynomial is no longer proportional to this one
+    monkeypatch.setattr(mff, "vacuum_polynomial", lambda level: UniPoly.constant(1))
+
+
+def _break_oracle_build(monkeypatch):
+    def failing(*args, **kwargs):
+        raise InvariantError("stubbed")
+
+    monkeypatch.setattr(cli, "bimodule_from_mff", failing)
+
+
+@pytest.mark.parametrize(
+    "argv, breakage",
+    [
+        (["zhu", "--p", "3", "--q", "2"], _break_vacuum_polynomial),
+        (["bimodule", "--p", "3", "--q", "2", "--n", "1", "--k", "0"], _break_oracle_build),
+    ],
+    ids=["zhu", "bimodule"],
+)
+def test_broken_invariant_exits_1_with_one_failed_check(capsys, monkeypatch, argv, breakage):
+    breakage(monkeypatch)
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 1
+    assert err == ""
+    assert doc["command"]["subcommand"] == argv[0]
+    [check] = doc["checks"]
+    assert check["name"] == argv[0] and check["status"] == "fail"
+    assert check["detail"].startswith("raised InvariantError:")
 
 
 # ------------------------------------------------------------ spec behavior

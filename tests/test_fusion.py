@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from admissible_sl2.errors import InputError
 from admissible_sl2.fusion import (
     FusionRing,
     bimodule_presentation,
@@ -87,6 +88,8 @@ def test_fusion_record_all():
     assert _as_dict(rec.outputs) == {Fraction(-3, 2): 1}
     rec_closed = fusion(level, w1, w2)
     assert rec_closed.oracle == "closed" and rec_closed.oracles_agree is None
+    with pytest.raises(InputError, match="unknown oracle 'bogus'"):
+        fusion(level, w1, w2, oracle="bogus")
 
 
 def test_classical_limit_matches_clebsch_gordan_truncation():

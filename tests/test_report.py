@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from admissible_sl2.exact import UniPoly
-from admissible_sl2.numeric import ComplexVal, theta_eval_numeric
+from admissible_sl2.numeric import theta_eval_numeric
 from admissible_sl2.qseries import QSeries, ThetaSpec
 from admissible_sl2.report import (
     SCHEMA_VERSION,
@@ -23,7 +23,7 @@ from admissible_sl2.report import (
     parse_weight,
     render_text,
 )
-from admissible_sl2.weights import AdmissibleWeight, enumerate_admissible, level_from_pq
+from admissible_sl2.weights import enumerate_admissible, level_from_pq
 
 
 def test_encode_scalars():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from admissible_sl2 import verify
-from admissible_sl2.errors import DegreeNotConcentratedError, ParamOutOfRangeError
+from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.verify import (
     SUITES,
     c2_expected_constant,
@@ -41,15 +41,15 @@ def test_c2_expected_constant_fixtures():
 
 
 def test_run_suites_guards():
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match="pmax=9 outside"):
         run_suites("all", 9, 2)
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match="pmax=1 outside"):
         run_suites("all", 1, 2)
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match="qmax=0 outside"):
         run_suites("all", 3, 0)
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match="qmax=7 outside"):
         run_suites("all", 3, 7)
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match="unknown suite"):
         run_suites("bogus", 3, 2)
 
 
@@ -101,15 +101,15 @@ def test_failed_oracle_build_fails_both_suites_alike(monkeypatch):
 
     def failing(level, n_primed, k_primed, *rest):
         if (level.p, level.q) == (3, 2):
-            raise DegreeNotConcentratedError("stubbed")
+            raise InvariantError("stubbed")
         return real(level, n_primed, k_primed, *rest)
 
     monkeypatch.setattr(verify, "bimodule_from_mff", failing)
     results, checks = run_suites("all", 3, 2)
     failed = {c["name"]: c["detail"] for c in checks if c["status"] != "pass"}
     assert failed == {
-        "fusion_three_way_p3_q2": "raised DegreeNotConcentratedError: stubbed",
-        "bimodule_dims_p3_q2": "raised DegreeNotConcentratedError: stubbed",
+        "fusion_three_way_p3_q2": "raised InvariantError: stubbed",
+        "bimodule_dims_p3_q2": "raised InvariantError: stubbed",
     }
     assert results["checks_failed"] == 2
     monkeypatch.undo()

@@ -7,13 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from admissible_sl2.errors import (
-    NotCoprimeError,
-    ParamOutOfRangeError,
-    POutOfRangeError,
-    QOutOfRangeError,
-    ZOutOfRangeError,
-)
+from admissible_sl2.errors import InputError
 from admissible_sl2.weights import (
     AdmissibleWeight,
     conformal_weight,
@@ -29,11 +23,11 @@ LEVELS = [(2, 1), (3, 1), (3, 2), (4, 3), (5, 3), (6, 5), (7, 2)]
 
 
 def test_level_validation():
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(InputError, match="not coprime"):
         level_from_pq(4, 2)
-    with pytest.raises(POutOfRangeError):
+    with pytest.raises(InputError, match="p=1 must be >= 2"):
         level_from_pq(1, 1)
-    with pytest.raises(QOutOfRangeError):
+    with pytest.raises(InputError, match="q=0 must be >= 1"):
         level_from_pq(3, 0)
     lvl = level_from_pq(3, 2)
     assert lvl.t == Fraction(3, 2) and lvl.ell == Fraction(-1, 2)
@@ -41,9 +35,9 @@ def test_level_validation():
 
 def test_weight_box_validation():
     lvl = level_from_pq(3, 2)
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match=r"n=2 outside 0\.\.1"):
         AdmissibleWeight(lvl, 2, 0)  # n must stay <= p-2
-    with pytest.raises(ParamOutOfRangeError):
+    with pytest.raises(InputError, match=r"k=2 outside 0\.\.1"):
         AdmissibleWeight(lvl, 0, 2)  # k must stay <= q-1
 
 
@@ -110,7 +104,7 @@ def test_virasoro_data_fixtures():
     assert vd.lam == Fraction(-1, 2) * Fraction(1, 4) / 2
     vd21 = virasoro_data(level_from_pq(2, 1), Fraction(1, 3))
     assert vd21.c_ell == 0 and vd21.lam == 0
-    with pytest.raises(ZOutOfRangeError):
+    with pytest.raises(InputError, match=r"z=1 outside \(0, 1\)"):
         virasoro_data(level_from_pq(3, 2), Fraction(1))
 
 
@@ -140,5 +134,5 @@ def test_coprimality_guard_matches_gcd():
             if math.gcd(p, q) == 1:
                 level_from_pq(p, q)
             else:
-                with pytest.raises(NotCoprimeError):
+                with pytest.raises(InputError, match="not coprime"):
                     level_from_pq(p, q)
