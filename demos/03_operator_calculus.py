@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from admissible_sl2 import (
     SL2,
-    OperatorFactor,
     PBWElement,
     c2_heisenberg_reduction,
     factor_product,
@@ -36,7 +35,7 @@ print(f"\nsigma(e f h)  = {sigma_antihom(x)}")
 
 # quadratic factors: fe = H_0, and e H_a = H_(a-1) e lets a whole product
 # of factors slide through powers of e
-prod = factor_product([OperatorFactor("H", 0), OperatorFactor("H", 1)])
+prod = factor_product(SL2, [0, 1])
 print(f"\nH_0 H_1       = {prod}")
 print(f"f^2 e^2       = {f * f * e * e}")
 assert prod == f * f * e * e

@@ -56,10 +56,10 @@ from .pbw import (
     L0,
     SL2,
     LieAlgebra,
-    OperatorFactor,
     PBWElement,
     factor_product,
     pbw_product,
+    quadratic_factor,
     sigma_antihom,
     verify_operator_identities,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "L0",
     "Level",
     "LieAlgebra",
-    "OperatorFactor",
     "PBWElement",
     "QSeries",
     "SL2",
@@ -122,6 +121,7 @@ __all__ = [
     "poly_gcd",
     "qseries_div",
     "qseries_eval_numeric",
+    "quadratic_factor",
     "rat",
     "rat_str",
     "s_transform_residual",

@@ -104,30 +104,34 @@ def chi_lowest_exponent(spec: CharacterSpec) -> Fraction:
     return conformal_weight(w.level, w.j) - spec.z * w.j / 2 - vd.c_ell_z / 24
 
 
-def _theta_difference(
-    plus: ThetaSpec, minus: ThetaSpec, order: Fraction, rescale: Fraction = Fraction(1)
+def _theta_quotient(
+    num: tuple[ThetaSpec, ThetaSpec],
+    den: tuple[ThetaSpec, ThetaSpec],
+    order: Fraction,
+    w_num: Fraction = 1,
+    w_den: Fraction = 1,
 ) -> QSeries:
-    """theta[plus] - theta[minus], exponents multiplied by `rescale`, to `order`."""
-    inner = order / rescale
-    diff = theta_qseries(plus, inner) - theta_qseries(minus, inner)
-    if rescale != 1:
-        diff = diff.scale_exponents(rescale)
-    return diff
+    """(theta[num+] - theta[num-]) / (theta[den+] - theta[den-]) to `order`.
 
-
-def _divide_to_order(
-    num_build, den_build, e_n: Fraction, e_d: Fraction, order: Fraction
-) -> QSeries:
-    """Divide series built by the two callables, guaranteeing the target order.
-
-    e_n, e_d are the exact lowest exponents of numerator and denominator; the
-    margins follow the division order rule, so one pass suffices.  The retry
-    loop is defensive: it only fires if a predicted lowest term cancels.
+    Each side's exponents are multiplied by its weight w.  The margins follow
+    the division order rule from the exact lowest exponents of the two sides,
+    so one pass suffices.  The retry loop is defensive: it only fires if a
+    predicted lowest term cancels.
     """
+
+    def difference(pair: tuple[ThetaSpec, ThetaSpec], o: Fraction, w: Fraction) -> QSeries:
+        plus, minus = pair
+        inner = o / w
+        diff = theta_qseries(plus, inner) - theta_qseries(minus, inner)
+        return diff.scale_exponents(w) if w != 1 else diff
+
+    e_n = min(theta_min_exponent(th) for th in num) * w_num
+    e_d = min(theta_min_exponent(th) for th in den) * w_den
     for margin in (1, 2, 4, 8):
-        o_num = order + e_d + margin
-        o_den = order + 2 * e_d - e_n + margin
-        quotient = qseries_div(num_build(o_num), den_build(o_den))
+        quotient = qseries_div(
+            difference(num, order + e_d + margin, w_num),
+            difference(den, order + 2 * e_d - e_n + margin, w_den),
+        )
         if quotient.order >= order:
             return quotient.truncate(order)
     raise InvariantError(
@@ -145,18 +149,9 @@ def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:
     target = order - shift
 
     zq = spec.z / lvl.q
-    th_p = ThetaSpec(spec.b_plus, spec.a, zq)
-    th_m = ThetaSpec(spec.b_minus, spec.a, zq)
-    th_1 = ThetaSpec(1, 2, spec.z)
-    th_m1 = ThetaSpec(-1, 2, spec.z)
-    e_n = min(theta_min_exponent(th_p), theta_min_exponent(th_m))
-    e_d = min(theta_min_exponent(th_1), theta_min_exponent(th_m1))
-
-    ratio = _divide_to_order(
-        lambda o: _theta_difference(th_p, th_m, o),
-        lambda o: _theta_difference(th_1, th_m1, o),
-        e_n,
-        e_d,
+    ratio = _theta_quotient(
+        (ThetaSpec(spec.b_plus, spec.a, zq), ThetaSpec(spec.b_minus, spec.a, zq)),
+        (ThetaSpec(1, 2, spec.z), ThetaSpec(-1, 2, spec.z)),
         target,
     )
     return ratio.shift_exponents(shift) if shift else ratio
@@ -192,21 +187,15 @@ def theta_ratio_identity_check(spec: CharacterSpec, order) -> ThetaRatioReport:
     lhs = character_qseries(spec, order, kind="chi")
 
     a, u, v, q = spec.a, spec.u, spec.v, lvl.q
-    w_num = Fraction(1, q * u)
-    w_den = Fraction(1, u)
-    np_ = ThetaSpec(q * u * spec.b_plus + a * v, a * q * u)
-    nm_ = ThetaSpec(q * u * spec.b_minus + a * v, a * q * u)
-    dp_ = ThetaSpec(u + 2 * v, 2 * u)
-    dm_ = ThetaSpec(-u + 2 * v, 2 * u)
-    e_n = min(theta_min_exponent(np_), theta_min_exponent(nm_)) * w_num
-    e_d = min(theta_min_exponent(dp_), theta_min_exponent(dm_)) * w_den
-
-    rhs = _divide_to_order(
-        lambda o: _theta_difference(np_, nm_, o, rescale=w_num),
-        lambda o: _theta_difference(dp_, dm_, o, rescale=w_den),
-        e_n,
-        e_d,
+    rhs = _theta_quotient(
+        (
+            ThetaSpec(q * u * spec.b_plus + a * v, a * q * u),
+            ThetaSpec(q * u * spec.b_minus + a * v, a * q * u),
+        ),
+        (ThetaSpec(u + 2 * v, 2 * u), ThetaSpec(-u + 2 * v, 2 * u)),
         order,
+        w_num=Fraction(1, q * u),
+        w_den=Fraction(1, u),
     )
 
     prefactor_zero = lvl.ell + 2 - Fraction(a, q * q) == 0

@@ -21,15 +21,10 @@ from fractions import Fraction
 
 from .errors import InputError, InvariantError
 from .exact import UniPoly, poly_gcd
-from .pbw import HEIS, L0, SL2, OperatorFactor, PBWElement, factor_product
+from .pbw import HEIS, L0, SL2, PBWElement, factor_product
 from .weights import Level, vacuum_polynomial
 
-# target -> (algebra, factor kind, lowering generator, raising generator)
-_TARGETS = {
-    "P1": (SL2, "H", "f", "e"),
-    "P": (L0, "G", "T-", "T+"),
-    "P2": (HEIS, "Hbar", "fb", "eb"),
-}
+_TARGETS = {"P1": SL2, "P": L0, "P2": HEIS}
 
 
 def fuchs_projection(
@@ -43,8 +38,8 @@ def fuchs_projection(
 
     Family F1 gives (prod_{r=0}^{n'-1} prod_{s=1}^{k'-1} X_{r+st}) lower^{n'},
     family F2 gives (prod_{r=1}^{p-n'} prod_{s=1}^{q-k'} X_{-r-st}) raise^{p-n'},
-    where X and the generators are chosen by the target: P1 uses H in U(sl2),
-    P uses G in U(L0), P2 uses Hbar in the Heisenberg algebra.
+    where X and the generators are those of the target's algebra: P1 uses H
+    in U(sl2), P uses G in U(L0), P2 uses Hbar in the Heisenberg algebra.
     """
     if target not in _TARGETS:
         raise InputError(f"unknown target {target!r}")
@@ -55,23 +50,22 @@ def fuchs_projection(
         raise InputError(f"n'={n_primed} outside 1..{p - 1}")
     if not 1 <= k_primed <= q:
         raise InputError(f"k'={k_primed} outside 1..{q}")
-    alg, kind, lower_gen, raise_gen = _TARGETS[target]
+    alg = _TARGETS[target]
     if family == "F1":
         alphas = [
             Fraction(r) + s * t
             for r in range(n_primed)
             for s in range(1, k_primed)
         ]
-        tail = PBWElement.generator(alg, lower_gen) ** n_primed
+        tail = PBWElement.generator(alg, alg.lowering) ** n_primed
     else:
         alphas = [
             -Fraction(r) - s * t
             for r in range(1, p - n_primed + 1)
             for s in range(1, q - k_primed + 1)
         ]
-        tail = PBWElement.generator(alg, raise_gen) ** (p - n_primed)
-    factors = [OperatorFactor(kind, a) for a in alphas]
-    return factor_product(factors, tail=tail, algebra=alg)
+        tail = PBWElement.generator(alg, alg.raising) ** (p - n_primed)
+    return factor_product(alg, alphas, tail=tail)
 
 
 def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
@@ -87,10 +81,10 @@ def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
     alphas = [
         -p + r + s * t for r in range(1, p) for s in range(1, q)
     ]
-    e = PBWElement.generator(SL2, "e")
-    f = PBWElement.generator(SL2, "f")
+    e = PBWElement.generator(SL2, SL2.raising)
+    f = PBWElement.generator(SL2, SL2.lowering)
     tail = (e ** (p - 1)) * (f ** (p - 1))
-    x = factor_product([OperatorFactor("H", a) for a in alphas], tail=tail, algebra=SL2)
+    x = factor_product(SL2, alphas, tail=tail)
     coeffs: dict[int, Fraction] = {}
     for (a, b, c), coeff in x.terms.items():
         if a != c:
@@ -159,7 +153,7 @@ def bimodule_from_mff(
     if d_max < p + n_primed:
         raise InputError(f"d_max={d_max} < p + n' = {p + n_primed}")
 
-    tminus = PBWElement.generator(L0, "T-")
+    tminus = PBWElement.generator(L0, L0.lowering)
     per_degree: dict[int, list[UniPoly]] = {}
     for family in ("F1", "F2"):
         cur = fuchs_projection(level, family, n_primed, k_primed, "P")
@@ -221,7 +215,7 @@ def c2_heisenberg_reduction(level: Level) -> tuple[Fraction, int]:
     """
     p, q = level.p, level.q
     pf2 = fuchs_projection(level, "F2", 1, 1, "P2")
-    fb = PBWElement.generator(HEIS, "fb")
+    fb = PBWElement.generator(HEIS, HEIS.lowering)
     y = (fb ** (p - 1)) * pf2
     remainder = PBWElement(
         HEIS,

@@ -7,6 +7,14 @@ Each algebra carries a fixed generator order (g0, g1, g2); a PBW monomial
   L0:   (T+, T0, T-)     [T+,T-] = T0,   [T0,T+] = -2T+, [T0,T-] = 2T-
   HEIS: (eb, hb, fb)     [eb,fb] = hb,   hb central
 
+Each has one quadratic factor X_a = x y - a g1 + sign * a(a+1), and a
+lowering and a raising generator that shift its index:
+lower^m X_a = X_{a+m} lower^m and raise^m X_a = X_{a-m} raise^m.
+
+  SL2:  H_a    = f e - a h - a(a+1)       lower f,   raise e
+  L0:   G_a    = T- T+ - a T0 + a(a+1)    lower T-,  raise T+
+  HEIS: Hbar_a = eb fb - a hb             lower fb,  raise eb
+
 All three share the triangular pattern [g1,g0] ~ g0, [g2,g1] ~ g2,
 [g2,g0] ~ g1, which keeps the rewriting recursion shallow: multiplying a
 normal monomial by g2 on the right is a plain append, and the g0/g1 cases
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InvariantError
 from .exact import RatLike, rat, rat_str
@@ -26,55 +34,71 @@ Mono = tuple[int, int, int]
 Terms = dict[Mono, Fraction]
 
 
-@dataclass(frozen=True)
+# eq=False: the bracket dict is unhashable, so algebras compare and hash by identity.
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """A 3-dimensional Lie algebra with a fixed PBW generator order."""
+    """A 3-dimensional Lie algebra with a fixed PBW generator order (g0, g1, g2).
+
+    Its quadratic factor is X_a = x y - a g1 + factor_sign * a(a+1) with
+    (x, y) = factor_pair; `factor` names X in identity-check labels.  The
+    `lowering` generator moves X_a to X_{a+1} and the `raising` one to
+    X_{a-1}: lower X_a = X_{a+1} lower and raise X_a = X_{a-1} raise.
+    """
 
     name: str
     gens: tuple[str, str, str]
-    # entries (i, j, coeff, k) encode [g_i, g_j] = coeff * g_k for i > j;
+    # (i, j) -> (coeff, k) encodes [g_i, g_j] = coeff * g_k for i > j;
     # omitted pairs commute.
-    brackets: tuple[tuple[int, int, Fraction, int], ...]
-
-    def bracket(self, i: int, j: int) -> tuple[Fraction, int] | None:
-        for bi, bj, coeff, k in self.brackets:
-            if bi == i and bj == j:
-                return coeff, k
-        return None
-
-    def gen_index(self, name: str) -> int:
-        return self.gens.index(name)
+    brackets: dict[tuple[int, int], tuple[Fraction, int]]
+    factor: str
+    lowering: str
+    raising: str
+    factor_pair: tuple[str, str]
+    factor_sign: int
 
 
 SL2 = LieAlgebra(
     name="sl2",
     gens=("f", "h", "e"),
-    brackets=(
-        (1, 0, Fraction(-2), 0),  # [h, f] = -2f
-        (2, 0, Fraction(1), 1),   # [e, f] = h
-        (2, 1, Fraction(-2), 2),  # [e, h] = -2e
-    ),
+    brackets={
+        (1, 0): (Fraction(-2), 0),  # [h, f] = -2f
+        (2, 0): (Fraction(1), 1),   # [e, f] = h
+        (2, 1): (Fraction(-2), 2),  # [e, h] = -2e
+    },
+    factor="H",
+    lowering="f",
+    raising="e",
+    factor_pair=("f", "e"),
+    factor_sign=-1,
 )
 
 L0 = LieAlgebra(
     name="l0",
     gens=("T+", "T0", "T-"),
-    brackets=(
-        (1, 0, Fraction(-2), 0),  # [T0, T+] = -2 T+
-        (2, 0, Fraction(-1), 1),  # [T-, T+] = -T0
-        (2, 1, Fraction(-2), 2),  # [T-, T0] = -2 T-
-    ),
+    brackets={
+        (1, 0): (Fraction(-2), 0),  # [T0, T+] = -2 T+
+        (2, 0): (Fraction(-1), 1),  # [T-, T+] = -T0
+        (2, 1): (Fraction(-2), 2),  # [T-, T0] = -2 T-
+    },
+    factor="G",
+    lowering="T-",
+    raising="T+",
+    factor_pair=("T-", "T+"),
+    factor_sign=1,
 )
 
 HEIS = LieAlgebra(
     name="heis",
     gens=("eb", "hb", "fb"),
-    brackets=(
-        (2, 0, Fraction(-1), 1),  # [fb, eb] = -hb
-    ),
+    brackets={
+        (2, 0): (Fraction(-1), 1),  # [fb, eb] = -hb
+    },
+    factor="Hbar",
+    lowering="fb",
+    raising="eb",
+    factor_pair=("eb", "fb"),
+    factor_sign=0,
 )
-
-ALGEBRAS = {alg.name: alg for alg in (SL2, L0, HEIS)}
 
 _GEN_CACHE: dict[tuple[str, Mono, int], tuple[tuple[Mono, Fraction], ...]] = {}
 
@@ -104,7 +128,7 @@ def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fr
             # strip one g2: m g1 = (m' g1) g2 + m' [g2, g1] with m' = (a,b,c-1)
             for (x, y, zdeg), co in _mono_times_gen(alg, (a, b, c - 1), 1):
                 _add_term(out, (x, y, zdeg + 1), co)
-            br = alg.bracket(2, 1)
+            br = alg.brackets.get((2, 1))
             if br is not None:
                 coeff, k = br
                 for m2, co in _mono_times_gen(alg, (a, b, c - 1), k):
@@ -113,7 +137,7 @@ def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fr
         if c > 0:
             for (x, y, zdeg), co in _mono_times_gen(alg, (a, b, c - 1), 0):
                 _add_term(out, (x, y, zdeg + 1), co)
-            br = alg.bracket(2, 0)
+            br = alg.brackets.get((2, 0))
             if br is not None:
                 coeff, k = br
                 for m2, co in _mono_times_gen(alg, (a, b, c - 1), k):
@@ -123,7 +147,7 @@ def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fr
             for m2, co in _mono_times_gen(alg, (a, b - 1, 0), 0):
                 for m3, co3 in _mono_times_gen(alg, m2, 1):
                     _add_term(out, m3, co * co3)
-            br = alg.bracket(1, 0)
+            br = alg.brackets.get((1, 0))
             if br is not None:
                 coeff, k = br
                 for m2, co in _mono_times_gen(alg, (a, b - 1, 0), k):
@@ -162,22 +186,14 @@ class PBWElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, algebra: LieAlgebra) -> PBWElement:
-        return cls(algebra)
-
-    @classmethod
     def unit(cls, algebra: LieAlgebra) -> PBWElement:
         return cls(algebra, {(0, 0, 0): 1})
 
     @classmethod
     def generator(cls, algebra: LieAlgebra, gen: int | str) -> PBWElement:
-        idx = algebra.gen_index(gen) if isinstance(gen, str) else gen
+        idx = algebra.gens.index(gen) if isinstance(gen, str) else gen
         mono = tuple(1 if i == idx else 0 for i in range(3))
         return cls(algebra, {mono: 1})  # type: ignore[dict-item]
-
-    @classmethod
-    def monomial(cls, algebra: LieAlgebra, mono: Mono, coeff: RatLike = 1) -> PBWElement:
-        return cls(algebra, {mono: rat(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -234,13 +250,10 @@ class PBWElement:
         return out
 
     def times_gen(self, gen: int | str) -> PBWElement:
-        idx = self.algebra.gen_index(gen) if isinstance(gen, str) else gen
+        idx = self.algebra.gens.index(gen) if isinstance(gen, str) else gen
         res = PBWElement(self.algebra)
         res.terms = _terms_times_gen(self.algebra, self.terms, idx)
         return res
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def single_monomial(self) -> tuple[Mono, Fraction]:
         if len(self.terms) != 1:
@@ -327,59 +340,21 @@ def sigma_antihom(elem: PBWElement) -> PBWElement:
     return out
 
 
-FACTOR_ALGEBRA = {"H": SL2, "G": L0, "Hbar": HEIS}
-
-
-@dataclass(frozen=True)
-class OperatorFactor:
-    """Quadratic factor H_a = f e - a h - a(a+1), G_a = T- T+ - a T0 + a(a+1),
-    or Hbar_a = eb fb - a hb, keyed by its algebra."""
-
-    kind: str  # "H" | "G" | "Hbar"
-    alpha: Fraction
-
-    def __post_init__(self) -> None:
-        if self.kind not in FACTOR_ALGEBRA:
-            raise InputError(f"unknown factor kind {self.kind!r}")
-        object.__setattr__(self, "alpha", rat(self.alpha))
-
-    @property
-    def algebra(self) -> LieAlgebra:
-        return FACTOR_ALGEBRA[self.kind]
-
-    def element(self) -> PBWElement:
-        alg = self.algebra
-        a = self.alpha
-        unit = PBWElement.unit(alg)
-        if self.kind == "H":
-            fe = PBWElement.generator(alg, "f") * PBWElement.generator(alg, "e")
-            return fe - PBWElement.generator(alg, "h").scale(a) - unit.scale(a * (a + 1))
-        if self.kind == "G":
-            tmtp = PBWElement.generator(alg, "T-") * PBWElement.generator(alg, "T+")
-            return tmtp - PBWElement.generator(alg, "T0").scale(a) + unit.scale(a * (a + 1))
-        ebfb = PBWElement.generator(alg, "eb") * PBWElement.generator(alg, "fb")
-        return ebfb - PBWElement.generator(alg, "hb").scale(a)
+def quadratic_factor(alg: LieAlgebra, a: RatLike) -> PBWElement:
+    """The quadratic factor X_a = x y - a g1 + sign * a(a+1) of `alg`."""
+    a = rat(a)
+    x, y = (PBWElement.generator(alg, g) for g in alg.factor_pair)
+    g1 = PBWElement.generator(alg, 1)
+    return x * y - g1.scale(a) + PBWElement.unit(alg).scale(alg.factor_sign * a * (a + 1))
 
 
 def factor_product(
-    factors: Sequence[OperatorFactor],
-    tail: PBWElement | None = None,
-    algebra: LieAlgebra | None = None,
+    alg: LieAlgebra, alphas: Iterable[RatLike], tail: PBWElement | None = None
 ) -> PBWElement:
-    """Left-to-right product of operator factors, then an optional tail."""
-    alg = algebra
-    if alg is None:
-        if factors:
-            alg = factors[0].algebra
-        elif tail is not None:
-            alg = tail.algebra
-        else:
-            raise InputError("cannot infer the algebra of an empty product")
+    """Left-to-right product X_{alphas[0]} X_{alphas[1]} ... in `alg`, then an optional tail."""
     out = PBWElement.unit(alg)
-    for fac in factors:
-        if fac.algebra.name != alg.name:
-            raise InputError(f"factor {fac.kind} lives in {fac.algebra.name}, not {alg.name}")
-        out = out * fac.element()
+    for a in alphas:
+        out = out * quadratic_factor(alg, a)
     if tail is not None:
         out = out * tail
     return out
@@ -439,13 +414,11 @@ def verify_operator_identities(
     def record(name: str, params: str, lhs: PBWElement, rhs: PBWElement) -> None:
         checks.append(IdentityCheck(name, params, lhs == rhs))
 
-    for kind, alg, raise_gen, lower_gen in (
-        ("H", SL2, "e", "f"),
-        ("G", L0, "T+", "T-"),
-    ):
-        fac = lambda a: OperatorFactor(kind, rat(a)).element()  # noqa: E731
-        up = PBWElement.generator(alg, raise_gen)
-        down = PBWElement.generator(alg, lower_gen)
+    for alg in (SL2, L0):
+        kind = alg.factor
+        fac = lambda a: quadratic_factor(alg, a)  # noqa: E731
+        up = PBWElement.generator(alg, alg.raising)
+        down = PBWElement.generator(alg, alg.lowering)
         for a in alphas:
             for b in betas:
                 record(
@@ -474,18 +447,18 @@ def verify_operator_identities(
                 f"{kind}_lower_raise_product",
                 f"m={m}",
                 downm * upm,
-                factor_product([OperatorFactor(kind, rat(i)) for i in range(m)], algebra=alg),
+                factor_product(alg, range(m)),
             )
             record(
                 f"{kind}_raise_lower_product",
                 f"m={m}",
                 upm * downm,
-                factor_product([OperatorFactor(kind, rat(-i)) for i in range(1, m + 1)], algebra=alg),
+                factor_product(alg, range(-1, -m - 1, -1)),
             )
 
     h = PBWElement.generator(SL2, "h")
-    e = PBWElement.generator(SL2, "e")
-    f = PBWElement.generator(SL2, "f")
+    e = PBWElement.generator(SL2, SL2.raising)
+    f = PBWElement.generator(SL2, SL2.lowering)
     unit = PBWElement.unit(SL2)
     for m in range(1, m_max + 1):
         for n in range(1, m_max + 1):

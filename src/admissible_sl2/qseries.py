@@ -92,9 +92,6 @@ class QSeries:
 
     # -- inspection --------------------------------------------------------
 
-    def exponent(self, m: int) -> Fraction:
-        return Fraction(m, self.denom)
-
     def lowest(self) -> tuple[Fraction, Fraction] | None:
         """(exponent, coefficient) of the lowest stored term, or None."""
         if not self.terms:

@@ -66,10 +66,6 @@ class AdmissibleWeight:
     def k_primed(self) -> int:
         return self.k + 1
 
-    @property
-    def label(self) -> str:
-        return f"{self.n},{self.k}"
-
     def __repr__(self) -> str:
         return f"AdmissibleWeight(n={self.n}, k={self.k}, j={rat_str(self.j)})"
 

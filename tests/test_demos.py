@@ -1,0 +1,22 @@
+"""Every script under demos/ runs to completion against the package in src/."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_0(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

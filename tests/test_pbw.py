@@ -25,9 +25,9 @@ from admissible_sl2.pbw import (
     HEIS,
     L0,
     SL2,
-    OperatorFactor,
     PBWElement,
     factor_product,
+    quadratic_factor,
     sigma_antihom,
     verify_operator_identities,
 )
@@ -179,32 +179,30 @@ def test_weight_shift_identities_small():
             assert (h**m) * (f**n) == (f**n) * ((h - (2 * n) * unit) ** m)
 
 
-def test_quadratic_factor_shift_and_product():
-    for a in (rat("1/2"), rat(-2), rat("5/3")):
-        xa = OperatorFactor("H", a).element()
-        xam1 = OperatorFactor("H", a - 1).element()
-        xap1 = OperatorFactor("H", a + 1).element()
-        e = PBWElement.generator(SL2, "e")
-        f = PBWElement.generator(SL2, "f")
-        assert e * xa == xam1 * e
-        assert f * xa == xap1 * f
-    # lowering then raising telescopes into a product of consecutive factors
-    e = PBWElement.generator(SL2, "e")
-    f = PBWElement.generator(SL2, "f")
-    x0 = OperatorFactor("H", 0).element()
-    x1 = OperatorFactor("H", 1).element()
-    assert f * e == x0
-    assert (f**2) * (e**2) == x0 * x1
+# lower^m raise^m = X_s X_{s+1} ... X_{s+m-1} and raise^m lower^m = X_{s-1} ... X_{s-m},
+# with s = 0 for H and G and s = 1 for Hbar (fb eb = eb fb - hb = Hbar_1).
+@pytest.mark.parametrize("alg, start", [(SL2, 0), (L0, 0), (HEIS, 1)], ids=["sl2", "l0", "heis"])
+def test_quadratic_factor_shift_and_product(alg, start):
+    down = PBWElement.generator(alg, alg.lowering)
+    up = PBWElement.generator(alg, alg.raising)
+    for m in (1, 2, 3):
+        downm, upm = down**m, up**m
+        for a in (rat("1/2"), rat(-2), rat("5/3")):
+            xa = quadratic_factor(alg, a)
+            assert downm * xa == quadratic_factor(alg, a + m) * downm
+            assert upm * xa == quadratic_factor(alg, a - m) * upm
+        assert downm * upm == factor_product(alg, [start + i for i in range(m)])
+        assert upm * downm == factor_product(alg, [start - 1 - i for i in range(m)])
 
 
 def test_factor_product_matches_direct_multiplication():
-    factors = [OperatorFactor("H", rat("1/2")), OperatorFactor("H", rat(-1))]
+    alphas = [rat("1/2"), rat(-1)]
     tail = PBWElement.generator(SL2, "e") * PBWElement.generator(SL2, "f")
-    via_helper = factor_product(factors, tail=tail, algebra=SL2)
-    direct = factors[0].element() * (factors[1].element() * tail)
+    via_helper = factor_product(SL2, alphas, tail=tail)
+    direct = quadratic_factor(SL2, alphas[0]) * (quadratic_factor(SL2, alphas[1]) * tail)
     assert via_helper == direct
     # empty factor list with a tail is the tail itself
-    assert factor_product([], tail=tail, algebra=SL2) == tail
+    assert factor_product(SL2, [], tail=tail) == tail
 
 
 def test_operator_identities_quick():

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from admissible_sl2.errors import InputError
 from admissible_sl2.qseries import QSeries, ThetaSpec, qseries_div, theta_min_exponent, theta_qseries
@@ -176,3 +178,60 @@ def test_qseries_div_empty_denominator():
     den = QSeries.zero(Fraction(4))
     with pytest.raises(InputError, match="denominator has no terms"):
         qseries_div(num, den)
+
+
+# -- honest truncation orders ------------------------------------------------
+#
+# A series built from random (exponent, coefficient) terms truncated at a
+# random order claims to be exact below that order.  The same terms built to
+# order 40 are one completion of it, so every coefficient an operation claims
+# below its result's order must match the same operation on the completions.
+
+REF_ORDER = Fraction(40)
+_terms = st.lists(
+    st.tuples(
+        st.fractions(min_value=-2, max_value=8, max_denominator=6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    ),
+    max_size=6,
+)
+_orders = st.fractions(min_value=-2, max_value=10, max_denominator=6)
+_honest = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+def _pair(terms, order) -> tuple[QSeries, QSeries]:
+    return QSeries.from_terms(terms, order), QSeries.from_terms(terms, REF_ORDER)
+
+
+def _assert_honest(result: QSeries, reference: QSeries) -> None:
+    assert reference.order >= result.order
+    assert result.prefix() == reference.prefix(result.order)
+
+
+@_honest
+@given(_terms, _orders, _terms, _orders)
+def test_product_order_is_honest(ta, oa, tb, ob):
+    (a, a_ref), (b, b_ref) = _pair(ta, oa), _pair(tb, ob)
+    _assert_honest(a * b, a_ref * b_ref)
+
+
+@_honest
+@given(_terms, _orders, _terms, _orders)
+def test_quotient_order_is_honest(tn, on, td, od):
+    (num, num_ref), (den, den_ref) = _pair(tn, on), _pair(td, od)
+    assume(den.lowest() is not None)
+    _assert_honest(qseries_div(num, den), qseries_div(num_ref, den_ref))
+
+
+@_honest
+@given(_terms, _orders, st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_shift_order_is_honest(terms, order, delta):
+    s, s_ref = _pair(terms, order)
+    _assert_honest(s.shift_exponents(delta), s_ref.shift_exponents(delta))
+
+
+@_honest
+@given(_terms, _orders, st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+def test_scale_order_is_honest(terms, order, factor):
+    s, s_ref = _pair(terms, order)
+    _assert_honest(s.scale_exponents(factor), s_ref.scale_exponents(factor))
