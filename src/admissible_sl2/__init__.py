@@ -20,6 +20,7 @@ from .characters import (
     character_qseries,
     chi_lowest_exponent,
     chibar_lowest_exponent,
+    chibar_thetas,
     support_index_minus,
     support_index_plus,
     theta_ratio_identity_check,
@@ -105,6 +106,7 @@ __all__ = [
     "character_qseries",
     "chi_lowest_exponent",
     "chibar_lowest_exponent",
+    "chibar_thetas",
     "classical_su2_fusion",
     "conformal_weight",
     "enumerate_admissible",

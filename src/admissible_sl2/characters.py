@@ -10,6 +10,11 @@ and chi_j = q^(l z^2 / 4) * chibar_j absorbs the modular anomaly: its lowest
 exponent is Delta_j - z j/2 - c_{l,z}/24 with the anomalous central charge
 c_{l,z} = c_l - 6 l z^2, while chibar's uses the plain c_l.
 
+Each fact is written once: :func:`chibar_thetas` gives the four thetas of the
+quotient (``z`` may be complex, so the certified evaluator in ``numeric`` takes
+its thetas from here too), and :attr:`CharacterSpec.anomaly` is the exponent
+l z^2 / 4, which :meth:`CharacterSpec.shift` adds for chi and not for chibar.
+
 The one-variable form rewrites chi_j as a ratio of Theta series at rescaled
 arguments; `theta_ratio_identity_check` verifies that identity coefficient by
 coefficient, together with the exponent cancellation l + 2 - a/q^2 = 0 that
@@ -32,10 +37,13 @@ __all__ = [
     "character_qseries",
     "chi_lowest_exponent",
     "chibar_lowest_exponent",
+    "chibar_thetas",
     "support_index_minus",
     "support_index_plus",
     "theta_ratio_identity_check",
 ]
+
+ThetaPair = tuple[ThetaSpec, ThetaSpec]
 
 
 def support_index_plus(level, weight) -> int:
@@ -89,6 +97,33 @@ class CharacterSpec:
     def v(self) -> int:
         return self.z.numerator
 
+    @property
+    def anomaly(self) -> Fraction:
+        """The modular anomaly l z^2 / 4: chi = q^anomaly * chibar."""
+        return self.level.ell * self.z * self.z / 4
+
+    def shift(self, kind: str) -> Fraction:
+        """Exponent shift of ``kind`` over chibar: the anomaly for chi, 0 for chibar."""
+        if kind not in ("chi", "chibar"):
+            raise InputError(f"kind must be 'chi' or 'chibar', got {kind!r}")
+        return self.anomaly if kind == "chi" else Fraction(0)
+
+
+def chibar_thetas(level, weight, z) -> tuple[ThetaPair, ThetaPair]:
+    """The numerator and denominator theta pairs of chibar_j(tau, z).
+
+    Numerator (theta_{b+,a}, theta_{b-,a}) at z/q, denominator
+    (theta_{1,2}, theta_{-1,2}) at z; ``z`` may be complex.
+    """
+    a, zq = level.p * level.q, z / level.q
+    return (
+        (
+            ThetaSpec(support_index_plus(level, weight), a, zq),
+            ThetaSpec(support_index_minus(level, weight), a, zq),
+        ),
+        (ThetaSpec(1, 2, z), ThetaSpec(-1, 2, z)),
+    )
+
 
 def chibar_lowest_exponent(spec: CharacterSpec) -> Fraction:
     """Predicted lowest exponent of chibar: Delta_j - z j/2 - c_l/24."""
@@ -98,15 +133,16 @@ def chibar_lowest_exponent(spec: CharacterSpec) -> Fraction:
 
 
 def chi_lowest_exponent(spec: CharacterSpec) -> Fraction:
-    """Predicted lowest exponent of chi: Delta_j - z j/2 - c_{l,z}/24."""
-    w = spec.weight
-    vd = virasoro_data(w.level, spec.z)
-    return conformal_weight(w.level, w.j) - spec.z * w.j / 2 - vd.c_ell_z / 24
+    """Predicted lowest exponent of chi: Delta_j - z j/2 - c_{l,z}/24.
+
+    Since c_{l,z}/24 = c_l/24 - l z^2/4, this is chibar's plus the anomaly.
+    """
+    return chibar_lowest_exponent(spec) + spec.anomaly
 
 
 def _theta_quotient(
-    num: tuple[ThetaSpec, ThetaSpec],
-    den: tuple[ThetaSpec, ThetaSpec],
+    num: ThetaPair,
+    den: ThetaPair,
     order: Fraction,
     w_num: Fraction = 1,
     w_den: Fraction = 1,
@@ -119,7 +155,7 @@ def _theta_quotient(
     predicted lowest term cancels.
     """
 
-    def difference(pair: tuple[ThetaSpec, ThetaSpec], o: Fraction, w: Fraction) -> QSeries:
+    def difference(pair: ThetaPair, o: Fraction, w: Fraction) -> QSeries:
         plus, minus = pair
         inner = o / w
         diff = theta_qseries(plus, inner) - theta_qseries(minus, inner)
@@ -141,19 +177,9 @@ def _theta_quotient(
 
 def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:
     """Exact q-expansion of chi (default) or chibar, to the given order."""
-    if kind not in ("chi", "chibar"):
-        raise InputError(f"kind must be 'chi' or 'chibar', got {kind!r}")
-    order = rat(order)
-    lvl = spec.level
-    shift = lvl.ell * spec.z * spec.z / 4 if kind == "chi" else Fraction(0)
-    target = order - shift
-
-    zq = spec.z / lvl.q
-    ratio = _theta_quotient(
-        (ThetaSpec(spec.b_plus, spec.a, zq), ThetaSpec(spec.b_minus, spec.a, zq)),
-        (ThetaSpec(1, 2, spec.z), ThetaSpec(-1, 2, spec.z)),
-        target,
-    )
+    shift = spec.shift(kind)
+    num, den = chibar_thetas(spec.level, spec.weight, spec.z)
+    ratio = _theta_quotient(num, den, rat(order) - shift)
     return ratio.shift_exponents(shift) if shift else ratio
 
 

@@ -33,12 +33,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import report, verify
-from .characters import (
-    CharacterSpec,
-    character_qseries,
-    chi_lowest_exponent,
-    chibar_lowest_exponent,
-)
+from .characters import CharacterSpec, character_qseries, chibar_lowest_exponent
 from .errors import InputError, InvariantError
 from .exact import poly_gcd, rat_str
 from .fusion import FusionRing, bimodule_presentation, fusion, zhu_algebra
@@ -312,9 +307,7 @@ def cmd_character(args) -> tuple[dict, list[dict]]:
     z = _rational(args.z, "--z")
     spec = CharacterSpec(w, z)
     order = _rational(args.trunc, "--trunc")
-    predicted = (
-        chi_lowest_exponent(spec) if args.kind == "chi" else chibar_lowest_exponent(spec)
-    )
+    predicted = chibar_lowest_exponent(spec) + spec.shift(args.kind)
     if order <= predicted:
         raise InputError(
             f"--trunc {args.trunc} must exceed the lowest exponent {rat_str(predicted)}"
@@ -357,27 +350,11 @@ def cmd_stransform(args) -> tuple[dict, list[dict]]:
     tau = _tau(args.tau)
     tol = _tolerance(args.tol)
     rep = s_transform_residual(level, z, tau, variant=args.variant, tol=tol)
-    finals = [row[-1] for row in rep.residuals]
+    # the fields in report order, copied shallowly: dataclasses.asdict would
+    # turn the Level and the weights into dicts
+    results = dict(vars(rep))
+    finals = rep.final_residuals
     final_errors = [row[-1] for row in rep.residual_errors]
-    results = {
-        "level": level,
-        "z": z,
-        "tau": rep.tau,
-        "variant": rep.variant,
-        "weights": rep.weights,
-        "factor": rep.factor,
-        "s_matrix": rep.s_matrix,
-        "chibar": rep.chibar,
-        "lhs": rep.lhs,
-        "residual_partial_sums": rep.residuals,
-        "residual_errors": rep.residual_errors,
-        "final_residuals": finals,
-        "theta_error_max": rep.theta_error_max,
-        "as_printed_s_matrix": rep.as_printed_s_matrix,
-        "as_printed_final_residuals": rep.as_printed_residuals,
-        "alt_factor": rep.alt_factor,
-        "alt_final_residuals": rep.alt_residuals,
-    }
     checks = [
         report.check(
             "theta_error_bounds",

@@ -202,30 +202,23 @@ class FusionRing:
                     tensor[a, b, index[(w3.n, w3.k)]] += mult
         return cls(level=level, basis=basis, tensor=tensor, index=index)
 
-    def check_unit(self) -> bool:
-        """The vacuum weight (n,k) = (0,0) is a two-sided identity."""
-        v = self.index[(0, 0)]
-        d = len(self.basis)
-        eye = np.eye(d, dtype=np.int64)
-        return bool(
-            np.array_equal(self.tensor[v, :, :], eye)
-            and np.array_equal(self.tensor[:, v, :], eye)
-        )
-
-    def check_commutativity(self) -> bool:
-        return bool(np.array_equal(self.tensor, self.tensor.transpose(1, 0, 2)))
-
-    def check_associativity(self) -> bool:
-        """sum_m N[a,b,m] N[m,c,d] == sum_m N[b,c,m] N[a,m,d] for all a,b,c,d."""
-        left = np.einsum("abm,mcd->abcd", self.tensor, self.tensor)
-        right = np.einsum("bcm,amd->abcd", self.tensor, self.tensor)
-        return bool(np.array_equal(left, right))
-
     def axioms(self) -> dict[str, bool]:
+        """The ring axioms.
+
+        unit: the vacuum weight (n,k) = (0,0) is a two-sided identity;
+        associativity: sum_m N[a,b,m] N[m,c,d] == sum_m N[b,c,m] N[a,m,d].
+        """
+        t = self.tensor
+        v = self.index[(0, 0)]
+        eye = np.eye(len(self.basis), dtype=np.int64)
         return {
-            "unit": self.check_unit(),
-            "commutativity": self.check_commutativity(),
-            "associativity": self.check_associativity(),
+            "unit": bool(np.array_equal(t[v, :, :], eye) and np.array_equal(t[:, v, :], eye)),
+            "commutativity": bool(np.array_equal(t, t.transpose(1, 0, 2))),
+            "associativity": bool(
+                np.array_equal(
+                    np.einsum("abm,mcd->abcd", t, t), np.einsum("bcm,amd->abcd", t, t)
+                )
+            ),
         }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import InputError, InvariantError
 from .exact import UniPoly, poly_gcd
@@ -128,30 +129,23 @@ class BimoduleOracle:
         return sum(self.dims)
 
 
-def bimodule_from_mff(
-    level: Level,
-    n_primed: int,
-    k_primed: int,
-    d_max: int | None = None,
-) -> BimoduleOracle:
+def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOracle:
     """Recover bimodule dimensions from the projections alone.
 
-    For d = 0..d_max, normal-order T_-^d P(F1) and T_-^d P(F2), discard
-    monomials with positive T_+ power (reduction mod T_+ U(L0)) and check the
-    remainder sits in a single T_- degree.  Collecting the T0-coefficient
-    polynomials per degree and taking monic gcds yields the degree-i component
-    of the quotient; degrees >= n' must wash out to unit gcd once both
-    families contribute, which requires d_max >= p + n'.
+    For d = 0..d_max with d_max = p + n' + 2, normal-order T_-^d P(F1) and
+    T_-^d P(F2), discard monomials with positive T_+ power (reduction mod
+    T_+ U(L0)) and check the remainder sits in a single T_- degree.
+    Collecting the T0-coefficient polynomials per degree and taking monic gcds
+    yields the degree-i component of the quotient; degrees >= n' must wash
+    out to unit gcd once both families contribute, which requires
+    d_max >= p + n'.
     """
     p, q = level.p, level.q
     if not 1 <= n_primed <= p - 1:
         raise InputError(f"n'={n_primed} outside 1..{p - 1}")
     if not 1 <= k_primed <= q:
         raise InputError(f"k'={k_primed} outside 1..{q}")
-    if d_max is None:
-        d_max = p + n_primed + 2
-    if d_max < p + n_primed:
-        raise InputError(f"d_max={d_max} < p + n' = {p + n_primed}")
+    d_max = p + n_primed + 2
 
     tminus = PBWElement.generator(L0, L0.lowering)
     per_degree: dict[int, list[UniPoly]] = {}
@@ -175,7 +169,7 @@ def bimodule_from_mff(
             per_degree.setdefault(i, []).append(poly)
 
     gcds_all = {
-        i: _gcd_list(polys) for i, polys in per_degree.items()
+        i: reduce(poly_gcd, polys, UniPoly.zero()) for i, polys in per_degree.items()
     }
     missing = [i for i in range(n_primed) if i not in gcds_all]
     if missing:
@@ -199,13 +193,6 @@ def bimodule_from_mff(
         tail_window=(window_lo, window_hi),
         tail_unit=tail_unit,
     )
-
-
-def _gcd_list(polys: list[UniPoly]) -> UniPoly:
-    out = UniPoly.zero()
-    for p in polys:
-        out = poly_gcd(out, p)
-    return out
 
 
 def c2_heisenberg_reduction(level: Level) -> tuple[Fraction, int]:

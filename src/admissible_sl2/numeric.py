@@ -10,8 +10,16 @@ is budgeted from the working precision.  The second theta argument may be
 complex, which is what the S-transformation needs on its left-hand side,
 where the character is evaluated at (-1/tau, tau z).
 
-Precision is passed explicitly (bits); there is no ambient global state --
-evaluation happens inside ``mp.workprec``.
+This module evaluates what ``characters`` describes: the four thetas of the
+quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
+anomaly exponent from :attr:`~admissible_sl2.characters.CharacterSpec.anomaly`;
+every power of q is built by :func:`_q_power`.  The theta, character and
+S-transform evaluators check ``tol > 0`` and ``Im(tau) > 0`` up front, with
+one helper each.
+
+Precision is fixed per evaluator (``theta_eval_numeric`` alone takes it as an
+argument); there is no ambient global state -- evaluation happens inside
+``mp.workprec``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .characters import CharacterSpec, support_index_minus, support_index_plus
+from .characters import CharacterSpec, chibar_thetas
 from .errors import InputError
 from .exact import rat
 from .qseries import QSeries, ThetaSpec
@@ -38,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 128
+_S_TRANSFORM_PREC = 192
 
 _MAX_TERMS_PER_SIDE = 200_000
 _QUOTIENT_RETRIES = 7
@@ -59,12 +68,32 @@ def _as_mpc(x) -> mpmath.mpc:
     if isinstance(x, ComplexVal):
         return x.value
     if isinstance(x, Fraction):
-        return mp.mpc(mp.mpf(x.numerator) / x.denominator)
+        return mp.mpc(_frac_mpf(x))
     return mp.mpc(x)
 
 
 def _frac_mpf(x: Fraction) -> mpmath.mpf:
     return mp.mpf(x.numerator) / x.denominator
+
+
+def _q_power(e: Fraction, tau) -> mpmath.mpc:
+    """q^e = e^{2 pi i e tau} for an exact exponent e."""
+    return mp.expjpi(_frac_mpf(2 * e) * tau)
+
+
+def _positive_tol(tol) -> mpmath.mpf:
+    tol = mp.mpf(tol)
+    if tol <= 0:
+        raise InputError("tolerance must be positive")
+    return tol
+
+
+def _upper_half_plane(tau, what: str) -> mpmath.mpc:
+    """``tau`` at the working precision; ``what`` requires Im(tau) > 0."""
+    tau_v = _as_mpc(tau)
+    if tau_v.imag <= 0:
+        raise InputError(f"{what} requires Im(tau) > 0, got Im(tau) = {tau_v.imag}")
+    return tau_v
 
 
 def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> ComplexVal:
@@ -75,18 +104,11 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     rounding budget accounts for the remaining tol/4.  ``spec.z`` may be
     complex.
     """
-    tol = mp.mpf(tol)
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    tol = _positive_tol(tol)
     with mp.workprec(prec):
-        tau_v = _as_mpc(tau)
-        A = mp.im(tau_v)
-        if A <= 0:
-            raise InputError(
-                f"theta series requires Im(tau) > 0, got Im(tau) = {A}"
-            )
-        z = spec.z if not isinstance(spec.z, Fraction) else _frac_mpf(spec.z)
-        z = mp.mpc(z)
+        tau_v = _upper_half_plane(tau, "theta series")
+        A = tau_v.imag
+        z = _as_mpc(spec.z)
         m = spec.m
         B = mp.im(tau_v * z)
         off = mp.mpf(spec.n) / (2 * m)
@@ -140,13 +162,14 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         return ComplexVal(total, tails + rounding, prec)
 
 
-def qseries_eval_numeric(series: QSeries, tau, prec: int = DEFAULT_PREC) -> ComplexVal:
+def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
     """Evaluate a truncated exact series at q = e^{2 pi i tau}.
 
     The error bound covers floating-point rounding only; the series'
     truncation tail is the caller's budget (the series is exact below its
     stated order).
     """
+    prec = DEFAULT_PREC
     with mp.workprec(prec):
         tau_v = _as_mpc(tau)
         eps = mp.mpf(2) ** (1 - prec)
@@ -154,7 +177,7 @@ def qseries_eval_numeric(series: QSeries, tau, prec: int = DEFAULT_PREC) -> Comp
         sum_abs = mp.mpf(0)
         pairs = series.prefix()
         for e, c in pairs:
-            term = _frac_mpf(c) * mp.expjpi(2 * _frac_mpf(e) * tau_v)
+            term = _frac_mpf(c) * _q_power(e, tau_v)
             total += term
             sum_abs += abs(term)
         rounding = sum_abs * (len(pairs) + 16) * eps
@@ -176,19 +199,16 @@ def _chibar_numeric(
     the propagated quotient bound meets ``tol``.
     """
     tol = mp.mpf(tol)
-    a = level.p * level.q
-    bp = support_index_plus(level, weight)
-    bm = support_index_minus(level, weight)
-    zq = zval / level.q
+    (num_p, num_m), (den_p, den_m) = chibar_thetas(level, weight, zval)
     with mp.workprec(prec):
         eps = mp.mpf(2) ** (1 - prec)
         ctol = tol / 8
         theta_err = mp.mpf(0)
         for _ in range(_QUOTIENT_RETRIES):
-            th_p = theta_eval_numeric(ThetaSpec(bp, a, zq), tau, ctol, prec)
-            th_m = theta_eval_numeric(ThetaSpec(bm, a, zq), tau, ctol, prec)
-            th_1 = theta_eval_numeric(ThetaSpec(1, 2, zval), tau, ctol, prec)
-            th_m1 = theta_eval_numeric(ThetaSpec(-1, 2, zval), tau, ctol, prec)
+            th_p = theta_eval_numeric(num_p, tau, ctol, prec)
+            th_m = theta_eval_numeric(num_m, tau, ctol, prec)
+            th_1 = theta_eval_numeric(den_p, tau, ctol, prec)
+            th_m1 = theta_eval_numeric(den_m, tau, ctol, prec)
             theta_err = max(th_p.err, th_m.err, th_1.err, th_m1.err)
             num = th_p.value - th_m.value
             den = th_1.value - th_m1.value
@@ -212,32 +232,22 @@ def _chibar_numeric(
         )
 
 
-def character_eval_numeric(
-    spec: CharacterSpec,
-    tau,
-    tol,
-    prec: int = DEFAULT_PREC,
-    kind: str = "chi",
-) -> ComplexVal:
+def character_eval_numeric(spec: CharacterSpec, tau, tol, kind: str = "chi") -> ComplexVal:
     """Numeric character value with certified bound; kind selects chi vs chibar.
 
-    chi carries the anomaly prefactor e^{(1/2) ell z^2 pi i tau} on top of the
-    theta quotient.
+    chi carries the anomaly prefactor q^(l z^2 / 4) on top of the theta
+    quotient.
     """
-    if kind not in ("chi", "chibar"):
-        raise InputError(f"kind must be 'chi' or 'chibar', got {kind!r}")
-    tol = mp.mpf(tol)
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    shift = spec.shift(kind)
+    tol = _positive_tol(tol)
+    prec = DEFAULT_PREC
     with mp.workprec(prec):
-        tau_v = _as_mpc(tau)
-        if mp.im(tau_v) <= 0:
-            raise InputError("character evaluation requires Im(tau) > 0")
+        tau_v = _upper_half_plane(tau, "character evaluation")
         eps = mp.mpf(2) ** (1 - prec)
         if kind == "chibar":
             val, _ = _chibar_numeric(spec.level, spec.weight, tau_v, spec.z, tol, prec)
             return val
-        pref = mp.expjpi(_frac_mpf(spec.level.ell * spec.z * spec.z / 2) * tau_v)
+        pref = _q_power(shift, tau_v)
         abs_pref = abs(pref)
         quot_tol = tol / (2 * max(abs_pref, mp.mpf(1)))
         quot, _ = _chibar_numeric(spec.level, spec.weight, tau_v, spec.z, quot_tol, prec)
@@ -250,13 +260,15 @@ def character_eval_numeric(
 class STransformReport:
     """Certified residuals of the S-transformation law for one (level, z, tau).
 
-    ``residuals[i][m]`` is |chibar_i(-1/tau, tau z) - factor * sum_{j <= m}
-    S[i][j] chibar_j(tau, z)|: partial sums across the row, so the last
-    column holds the residual of the full law.  ``alt_residuals`` (present
-    for the factor-bearing variant) re-tests the full sum under the other
-    plausible reading of the factor's exponent, with tau replaced by -1/tau.
-    ``as_printed_residuals`` re-tests it with the conjugate-phase S-matrix
-    variant (see ``s_transform_residual``).
+    The fields are the ``stransform`` report's results, in report order.
+    ``residual_partial_sums[i][m]`` is |chibar_i(-1/tau, tau z) - factor *
+    sum_{j <= m} S[i][j] chibar_j(tau, z)|: partial sums across the row, so
+    the last column, ``final_residuals[i]``, holds the residual of the full
+    law.  ``alt_final_residuals`` (present for the factor-bearing variant)
+    re-tests the full sum under the other plausible reading of the factor's
+    exponent, with tau replaced by -1/tau.  ``as_printed_final_residuals``
+    re-tests it with the conjugate-phase S-matrix variant (see
+    ``s_transform_residual``).
     """
 
     level: Level
@@ -264,17 +276,18 @@ class STransformReport:
     tau: mpmath.mpc
     variant: str
     weights: list[AdmissibleWeight]
-    s_matrix: list[list[mpmath.mpc]]
     factor: mpmath.mpc
+    s_matrix: list[list[mpmath.mpc]]
     chibar: list[ComplexVal]
     lhs: list[ComplexVal]
-    residuals: list[list[mpmath.mpf]]
+    residual_partial_sums: list[list[mpmath.mpf]]
     residual_errors: list[list[mpmath.mpf]]
+    final_residuals: list[mpmath.mpf]
     theta_error_max: mpmath.mpf
-    alt_factor: mpmath.mpc | None
-    alt_residuals: list[mpmath.mpf] | None
     as_printed_s_matrix: list[list[mpmath.mpc]]
-    as_printed_residuals: list[mpmath.mpf]
+    as_printed_final_residuals: list[mpmath.mpf]
+    alt_factor: mpmath.mpc | None
+    alt_final_residuals: list[mpmath.mpf] | None
 
 
 def s_transform_residual(
@@ -283,14 +296,13 @@ def s_transform_residual(
     tau,
     variant: str = "KW2",
     tol=mp.mpf("1e-10"),
-    prec: int = 192,
 ) -> STransformReport:
     """Residuals of chibar_j(-1/tau, tau z) against the S-matrix sum.
 
-    variant KW1 omits, and KW2 includes, the factor e^{(1/2) ell z^2 pi i tau}
-    multiplying the right-hand side.  The left side is evaluated through the
-    theta quotient at (-1/tau, tau z) -- a genuinely complex second argument
-    -- so no series identity is assumed anywhere.
+    variant KW1 omits, and KW2 includes, the factor q^(l z^2 / 4) -- the
+    character's anomaly -- multiplying the right-hand side.  The left side is
+    evaluated through the theta quotient at (-1/tau, tau z) -- a genuinely
+    complex second argument -- so no series identity is assumed anywhere.
 
     The primary matrix is S_{jj'} = (1/2i) sqrt(2/a) (e^{i pi b+ b+'/a}
     - e^{i pi b+ b-'/a}), obtained by Poisson summation of the theta
@@ -308,15 +320,14 @@ def s_transform_residual(
     weights = enumerate_admissible(level)
     specs = [CharacterSpec(w, z) for w in weights]  # validates 0 < z < 1
     a = level.p * level.q
-    tol = mp.mpf(tol)
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    tol = _positive_tol(tol)
     n_w = len(weights)
+    prec = _S_TRANSFORM_PREC
 
     with mp.workprec(prec):
-        tau_v = _as_mpc(tau)
-        if mp.im(tau_v) <= 0:
-            raise InputError("S-transform requires Im(tau) > 0")
+        tau_v = _upper_half_plane(tau, "S-transform")
+        tau2 = -1 / tau_v
+        z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
@@ -339,8 +350,9 @@ def s_transform_residual(
             max_row_abs = max(max_row_abs, row_abs)
 
         if variant == "KW2":
-            factor = mp.expjpi(_frac_mpf(level.ell * z * z / 2) * tau_v)
-            alt_factor = mp.expjpi(_frac_mpf(level.ell * z * z / 2) * (-1 / tau_v))
+            anomaly = specs[0].anomaly  # the same for every weight
+            factor = _q_power(anomaly, tau_v)
+            alt_factor = _q_power(anomaly, tau2)
         else:
             factor = mp.mpc(1)
             alt_factor = None
@@ -354,8 +366,6 @@ def s_transform_residual(
             chibar_vals.append(val)
             theta_err_max = max(theta_err_max, terr)
 
-        tau2 = -1 / tau_v
-        z2 = tau_v * _frac_mpf(z)
         lhs_vals: list[ComplexVal] = []
         for w in weights:
             val, terr = _chibar_numeric(level, w, tau2, z2, tol / 8, prec)
@@ -395,15 +405,16 @@ def s_transform_residual(
             tau=tau_v,
             variant=variant,
             weights=weights,
-            s_matrix=s_matrix,
             factor=factor,
+            s_matrix=s_matrix,
             chibar=chibar_vals,
             lhs=lhs_vals,
-            residuals=residuals,
+            residual_partial_sums=residuals,
             residual_errors=residual_errors,
+            final_residuals=[row[-1] for row in residuals],
             theta_error_max=theta_err_max,
-            alt_factor=alt_factor,
-            alt_residuals=alt_residuals,
             as_printed_s_matrix=printed_matrix,
-            as_printed_residuals=printed_residuals,
+            as_printed_final_residuals=printed_residuals,
+            alt_factor=alt_factor,
+            alt_final_residuals=alt_residuals,
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantError
 from .exact import RatLike, rat, rat_str
@@ -381,22 +381,15 @@ class IdentityReport:
         return [c for c in self.checks if not c.passed]
 
 
-def default_identity_samples() -> list[tuple[Fraction, Fraction]]:
-    """Seven (alpha, beta) pairs with 7 distinct values per slot.
-
-    The identities are polynomial of degree <= 2 in each parameter, so 7
-    distinct samples per parameter (checked on the full grid for the
-    two-parameter identities) prove them as polynomial identities.
-    """
-    alphas = ["-3", "-3/2", "-2/3", "0", "1/2", "4/3", "5/2"]
-    betas = ["1/2", "5/3", "-7/4", "2", "-1/3", "3", "-5/2"]
-    return [(rat(a), rat(b)) for a, b in zip(alphas, betas)]
+# Seven distinct values per parameter, in increasing order.  The identities
+# are polynomial of degree <= 2 in each parameter, so 7 distinct samples per
+# parameter (checked on the full grid for the two-parameter identities) prove
+# them as polynomial identities.
+_ALPHAS = tuple(rat(a) for a in ("-3", "-3/2", "-2/3", "0", "1/2", "4/3", "5/2"))
+_BETAS = tuple(rat(b) for b in ("-5/2", "-7/4", "-1/3", "1/2", "5/3", "2", "3"))
 
 
-def verify_operator_identities(
-    m_max: int = 5,
-    samples: Sequence[tuple[RatLike, RatLike]] | None = None,
-) -> IdentityReport:
+def verify_operator_identities(m_max: int = 5) -> IdentityReport:
     """Exact PBW verification of the quadratic-factor calculus.
 
     Checks, in U(sl2) with H and in U(L0) with G:
@@ -406,9 +399,6 @@ def verify_operator_identities(
       raise^m lower^m = X_{-1} ... X_{-m}, and in sl2 also
       h^m e^n = e^n (h+2n)^m and h^m f^n = f^n (h-2n)^m.
     """
-    pairs = [(rat(a), rat(b)) for a, b in (samples or default_identity_samples())]
-    alphas = sorted({a for a, _ in pairs})
-    betas = sorted({b for _, b in pairs})
     checks: list[IdentityCheck] = []
 
     def record(name: str, params: str, lhs: PBWElement, rhs: PBWElement) -> None:
@@ -419,8 +409,8 @@ def verify_operator_identities(
         fac = lambda a: quadratic_factor(alg, a)  # noqa: E731
         up = PBWElement.generator(alg, alg.raising)
         down = PBWElement.generator(alg, alg.lowering)
-        for a in alphas:
-            for b in betas:
+        for a in _ALPHAS:
+            for b in _BETAS:
                 record(
                     f"{kind}_commute",
                     f"alpha={rat_str(a)},beta={rat_str(b)}",
@@ -430,7 +420,7 @@ def verify_operator_identities(
         for m in range(1, m_max + 1):
             upm = up**m
             downm = down**m
-            for a in alphas:
+            for a in _ALPHAS:
                 record(
                     f"{kind}_raise_shift",
                     f"m={m},alpha={rat_str(a)}",
@@ -475,4 +465,4 @@ def verify_operator_identities(
                 (f**n) * ((h - unit.scale(2 * n)) ** m),
             )
 
-    return IdentityReport(m_max=m_max, n_samples=len(pairs), checks=checks)
+    return IdentityReport(m_max=m_max, n_samples=len(_ALPHAS), checks=checks)

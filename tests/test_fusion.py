@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,25 @@ def test_ring_axioms(p, q):
     ring = FusionRing.build(level_from_pq(p, q))
     axioms = ring.axioms()
     assert axioms == {"unit": True, "commutativity": True, "associativity": True}
+
+
+def test_ring_axioms_can_fail():
+    # at (3,2) the ring is Z[g, x]/(g^2 - 1, x^2) on the basis (1, x, g, xg)
+    ring = FusionRing.build(level_from_pq(3, 2))
+    x, g, xg = (ring.index[nk] for nk in ((0, 1), (1, 0), (1, 1)))
+    # every coefficient doubled: the vacuum acts as 2, still commutative and associative
+    doubled = 2 * ring.tensor
+    # g x = -x g: a skew ring, associative but not commutative
+    skew = ring.tensor.copy()
+    skew[g, x, xg] = skew[g, xg, x] = -1
+    # x^2 = 1 while x (x g) = 0 stays: commutative but not associative
+    nilpotent_lost = ring.tensor.copy()
+    nilpotent_lost[x, x, ring.index[(0, 0)]] = 1
+    assert [replace(ring, tensor=t).axioms() for t in (doubled, skew, nilpotent_lost)] == [
+        {"unit": False, "commutativity": True, "associativity": True},
+        {"unit": True, "commutativity": False, "associativity": True},
+        {"unit": True, "commutativity": True, "associativity": False},
+    ]
 
 
 def test_ring_tensor_is_zero_one():

@@ -98,7 +98,7 @@ def test_qseries_eval_hand_value():
     series = QSeries.from_terms(
         [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(-3))], Fraction(10)
     )
-    val = qseries_eval_numeric(series, mp.mpc(0, 1), prec=128)
+    val = qseries_eval_numeric(series, mp.mpc(0, 1))
     with mp.workprec(128):
         expected = 1 - 3 * mp.exp(-mp.pi)
         assert abs(val.value - expected) <= val.err + mp.mpf("1e-35")
@@ -151,6 +151,19 @@ def test_s_transform_variant_guards():
         s_transform_residual(level, Fraction(1, 2), mp.mpc(0, -1))
 
 
+@pytest.mark.parametrize("tau", [0, mp.mpf(2), mp.mpc(-1, 0)], ids=["0", "2", "-1"])
+def test_real_tau_is_rejected_up_front(tau):
+    # at tau = 0 the S-transform's -1/tau would otherwise divide by zero
+    level = level_from_pq(3, 2)
+    spec = CharacterSpec(AdmissibleWeight(level, 1, 0), Fraction(1, 2))
+    with pytest.raises(InputError, match="requires Im"):
+        theta_eval_numeric(ThetaSpec(1, 2, Fraction(1, 2)), tau, tol=mp.mpf("1e-10"))
+    with pytest.raises(InputError, match="requires Im"):
+        character_eval_numeric(spec, tau, tol=mp.mpf("1e-10"))
+    with pytest.raises(InputError, match="requires Im"):
+        s_transform_residual(level, Fraction(1, 2), tau)
+
+
 def test_s_transform_trivial_theory():
     # one weight; S = (1), factor = 1 at ell = 0 ... ell = -1/2 here, so the
     # factor is a genuine phase yet the single residual still vanishes
@@ -160,7 +173,10 @@ def test_s_transform_trivial_theory():
     assert len(report.weights) == 1
     with mp.workprec(192):
         assert abs(report.s_matrix[0][0] - 1) < mp.mpf("1e-40")
-        assert report.residuals[0][-1] <= mp.mpf("1e-10") + report.residual_errors[0][-1]
+        assert (
+            report.residual_partial_sums[0][-1]
+            <= mp.mpf("1e-10") + report.residual_errors[0][-1]
+        )
 
 
 def test_s_transform_classical_matrix_at_q_1():
@@ -175,9 +191,12 @@ def test_s_transform_classical_matrix_at_q_1():
                 )
                 assert abs(report.s_matrix[i][j] - classical) < mp.mpf("1e-40")
         for i in range(3):
-            assert report.residuals[i][-1] <= mp.mpf("1e-10") + report.residual_errors[i][-1]
+            assert (
+                report.residual_partial_sums[i][-1]
+                <= mp.mpf("1e-10") + report.residual_errors[i][-1]
+            )
         # conjugation is invisible at q = 1: both spellings give the same law
-        for r in report.as_printed_residuals:
+        for r in report.as_printed_final_residuals:
             assert r <= mp.mpf("1e-9")
 
 
@@ -192,7 +211,7 @@ def test_s_transform_fixture_3_2():
     with mp.workprec(192):
         # the law holds with the Poisson-summation matrix and the tau factor
         for i in range(n_w):
-            assert report.residuals[i][-1] <= tol + report.residual_errors[i][-1], i
+            assert report.residual_partial_sums[i][-1] <= tol + report.residual_errors[i][-1], i
         # S is symmetric
         for i in range(n_w):
             for j in range(n_w):
@@ -200,18 +219,18 @@ def test_s_transform_fixture_3_2():
         # rows with k = 0 have real phases: conjugation changes nothing there
         for i, w in enumerate(report.weights):
             if w.k == 0:
-                assert report.as_printed_residuals[i] <= tol + report.residual_errors[i][-1]
+                assert report.as_printed_final_residuals[i] <= tol + report.residual_errors[i][-1]
             else:
                 # conjugate-phase spelling breaks the law on k != 0 rows
-                assert report.as_printed_residuals[i] > mp.mpf("0.5")
+                assert report.as_printed_final_residuals[i] > mp.mpf("0.5")
         # moving the factor to -1/tau breaks the law outright
         assert report.alt_factor is not None
-        assert max(report.alt_residuals) > mp.mpf("0.05")
+        assert max(report.alt_final_residuals) > mp.mpf("0.05")
 
     kw1 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW1", tol=tol)
-    assert kw1.alt_residuals is None
+    assert kw1.alt_final_residuals is None
     with mp.workprec(192):
         # without the factor the law fails on every row with nonvanishing lhs
-        finals = [kw1.residuals[i][-1] for i in range(n_w)]
+        finals = [kw1.residual_partial_sums[i][-1] for i in range(n_w)]
         assert finals[0] > mp.mpf("0.2") and finals[0] < mp.mpf("0.22")
         assert finals[1] > mp.mpf("0.17") and finals[1] < mp.mpf("0.19")
