@@ -13,7 +13,8 @@ c_{l,z} = c_l - 6 l z^2, while chibar's uses the plain c_l.
 Each fact is written once: :func:`chibar_thetas` gives the four thetas of the
 quotient (``z`` may be complex, so the certified evaluator in ``numeric`` takes
 its thetas from here too), and :attr:`CharacterSpec.anomaly` is the exponent
-l z^2 / 4, which :meth:`CharacterSpec.shift` adds for chi and not for chibar.
+l z^2 / 4 (:meth:`~admissible_sl2.weights.Level.anomaly`), which
+:meth:`CharacterSpec.shift` adds for chi and not for chibar.
 
 The one-variable form rewrites chi_j as a ratio of Theta series at rescaled
 arguments; `theta_ratio_identity_check` verifies that identity coefficient by
@@ -100,7 +101,7 @@ class CharacterSpec:
     @property
     def anomaly(self) -> Fraction:
         """The modular anomaly l z^2 / 4: chi = q^anomaly * chibar."""
-        return self.level.ell * self.z * self.z / 4
+        return self.level.anomaly(self.z)
 
     def shift(self, kind: str) -> Fraction:
         """Exponent shift of ``kind`` over chibar: the anomaly for chi, 0 for chibar."""

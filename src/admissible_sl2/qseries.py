@@ -6,17 +6,26 @@ below the order, and silent about everything above it.  All arithmetic tracks
 truncation orders pessimistically so a reported coefficient is never
 contaminated by an unseen tail term.
 
+Exponents are compared on the lattice itself: an order O on the lattice
+(1/D)Z becomes the integer key cap ceil(O D), and a term m/D is kept exactly
+when m < cap, so no per-term ``Fraction`` is built to decide truncation.
+
 The module also provides the theta-function expansions
 
     theta_{n,m}(tau, z) = sum over j in Z + n/2m of q^(m(j^2 + j z)),
 
 with ``q = e^(2 pi i tau)``; at ``z = 0`` this is the one-variable series
 ``Theta_{n,m}``.  Division of series (needed for characters written as theta
-ratios) eliminates leading terms on the common lattice.
+ratios) eliminates leading terms on the integer lattice, with the
+remainder's keys in a heap and integral coefficients held as Python ints.
+The characters' denominator theta_{1,2} - theta_{-1,2} (the affine A1
+Weyl-Kac denominator) has leading coefficient +-1 and integral numerators
+over it, so their division runs on ints alone.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +41,15 @@ __all__ = [
     "theta_min_exponent",
     "theta_qseries",
 ]
+
+
+def _key_cap(order: Fraction, denom: int) -> int:
+    """The least integer key at or above ``order * denom``.
+
+    A lattice key m lies below the order, m / denom < order, exactly when
+    m < _key_cap(order, denom).
+    """
+    return -(-order.numerator * denom // order.denominator)
 
 
 class QSeries:
@@ -50,11 +68,8 @@ class QSeries:
         if denom < 1:
             raise InputError(f"lattice denominator must be >= 1, got {denom}")
         order = rat(order)
-        kept = {
-            m: rat(c)
-            for m, c in terms.items()
-            if c != 0 and Fraction(m, denom) < order
-        }
+        cap = _key_cap(order, denom)
+        kept = {m: rat(c) for m, c in terms.items() if c and m < cap}
         if kept:
             g = denom
             for m in kept:
@@ -113,10 +128,11 @@ class QSeries:
     def prefix(self, order=None) -> list[tuple[Fraction, Fraction]]:
         """Sorted (exponent, coefficient) pairs with exponent < order."""
         cap = self.order if order is None else min(self.order, rat(order))
+        cap = _key_cap(cap, self.denom)
         return [
             (Fraction(m, self.denom), self.terms[m])
             for m in sorted(self.terms)
-            if Fraction(m, self.denom) < cap
+            if m < cap
         ]
 
     def is_zero(self) -> bool:
@@ -158,11 +174,12 @@ class QSeries:
         eb = low_b[0] if low_b else other.order
         order = min(self.order + eb, other.order + ea)
         denom, a, b = self._aligned(other)
+        cap = _key_cap(order, denom)
         out: dict[int, Fraction] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = ma + mb
-                if Fraction(m, denom) < order:
+                if m < cap:
                     out[m] = out.get(m, Fraction(0)) + ca * cb
         return QSeries(denom, out, order)
 
@@ -286,12 +303,22 @@ def theta_min_exponent(spec: ThetaSpec) -> Fraction:
 
 
 def qseries_div(num: QSeries, den: QSeries) -> QSeries:
-    """Divide truncated series by leading-term elimination.
+    """Divide truncated series by leading-term elimination on the lattice.
 
     With numerator order O_n, denominator order O_d and lowest exponents e_n,
     e_d, the quotient is exact below ``min(O_n, O_d + e_n - e_d) - e_d``: the
     first unseen numerator term enters at O_n - e_d, and the first unseen
     denominator term corrupts the quotient at (O_d - e_d) + (e_n - e_d).
+
+    Both series are put on one lattice (1/D)Z whose D also carries the
+    denominators of that order and of e_d, so the remainder cutoff
+    ``cap = (order + e_d) D`` is an exact integer key: a remainder term at or
+    above it cannot reach the quotient.  The remainder's keys sit in a heap,
+    so each step takes its lowest term without a scan.  Integral input
+    coefficients enter as ints, and 1/c_d is an int when the leading
+    denominator coefficient c_d is +-1, so integral series over such a
+    denominator divide without building a Fraction; mixed int/Fraction
+    arithmetic is exact, so the same loop serves rational inputs.
     """
     low_d = den.lowest()
     if low_d is None:
@@ -311,24 +338,42 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     for f in (order, e_d):
         denom2 = denom2 * f.denominator // math.gcd(denom2, f.denominator)
     s = denom2 // denom
-    rem = {m * s: c for m, c in a.items()}
-    dterms = sorted((m * s, c) for m, c in b.items())
-    m_d = dterms[0][0]
-    cap = order + e_d  # remainder terms at/above this exponent cannot matter
+    cap = _key_cap(order + e_d, denom2)
+    m_d = min(b) * s
+    rem = {m * s: _exact(c) for m, c in a.items()}
+    # Denominator terms after the leading one, as ascending offsets from it.
+    tail = sorted((m * s - m_d, _exact(c)) for m, c in b.items() if m * s != m_d)
+    inv = c_d.numerator if c_d in (1, -1) else 1 / c_d
+    heap = list(rem)
+    heapq.heapify(heap)
     quo: dict[int, Fraction] = {}
-    while rem:
-        m_r = min(rem)
-        if Fraction(m_r, denom2) >= cap:
+    while heap:
+        m_r = heapq.heappop(heap)
+        if m_r >= cap:
             break
-        c = rem[m_r] / c_d
+        r = rem.pop(m_r, 0)
+        if not r:  # stale: the key cancelled or was eliminated since its push
+            continue
+        c = r * inv
         quo[m_r - m_d] = c
-        for m_i, c_i in dterms:
-            m = m_r - m_d + m_i
-            if Fraction(m, denom2) >= cap:
+        room = cap - m_r
+        for off, c_i in tail:
+            if off >= room:
                 break
-            v = rem.get(m, Fraction(0)) - c * c_i
-            if v:
-                rem[m] = v
-            elif m in rem:
-                del rem[m]
+            m = m_r + off
+            v = rem.get(m)
+            if v is None:
+                rem[m] = -c * c_i
+                heapq.heappush(heap, m)
+            else:
+                v -= c * c_i
+                if v:
+                    rem[m] = v
+                else:
+                    del rem[m]
     return QSeries(denom2, quo, order)
+
+
+def _exact(c: Fraction) -> int | Fraction:
+    """``c`` as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c

@@ -36,6 +36,11 @@ class Level:
     def n_weights(self) -> int:
         return (self.p - 1) * self.q
 
+    def anomaly(self, z: RatLike) -> Fraction:
+        """The modular anomaly exponent ell z^2 / 4 at flavour z."""
+        zf = rat(z)
+        return self.ell * zf * zf / 4
+
     def __repr__(self) -> str:
         return f"Level(p={self.p}, q={self.q}, ell={rat_str(self.ell)})"
 
@@ -151,17 +156,17 @@ class VirasoroData:
 
 
 def virasoro_data(level: Level, z: RatLike) -> VirasoroData:
-    """c_ell = 3*ell/(ell+2), c_{ell,z} = c_ell - 6*ell*z^2, lam = ell*z^2/2."""
+    """c_ell = 3*ell/(ell+2), c_{ell,z} = c_ell - 24*anomaly, lam = 2*anomaly.
+
+    The anomaly is :meth:`Level.anomaly`, ell z^2 / 4.
+    """
     zf = rat(z)
     if not 0 < zf < 1:
         raise InputError(f"z={rat_str(zf)} outside (0, 1)")
     ell = level.ell
     c_ell = 3 * ell / (ell + 2)
-    return VirasoroData(
-        c_ell=c_ell,
-        c_ell_z=c_ell - 6 * ell * zf**2,
-        lam=ell * zf**2 / 2,
-    )
+    anomaly = level.anomaly(zf)
+    return VirasoroData(c_ell=c_ell, c_ell_z=c_ell - 24 * anomaly, lam=2 * anomaly)
 
 
 def conformal_weight(level: Level, j: RatLike) -> Fraction:

@@ -24,6 +24,7 @@ from admissible_sl2.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 
 AT_5_3 = ("--p", "5", "--q", "3")
+AT_8_5 = ("--p", "8", "--q", "5")
 STRANSFORM = ("stransform", "--p", "3", "--q", "2", "--z", "1/3", "--tau=-0.5,0.8")
 ARGVS = [
     ("weights", *AT_5_3),
@@ -35,6 +36,9 @@ ARGVS = [
     ("character", *AT_5_3, "--n", "1", "--k", "1", "--z", "1/3"),
     ("character", *AT_5_3, "--n", "1", "--k", "1", "--z", "1/3",
      "--kind", "chibar", "--tau", "0.1,1.2"),
+    ("character", *AT_8_5, "--n", "6", "--k", "4", "--z", "3/7", "--trunc", "160"),
+    ("character", *AT_8_5, "--n", "6", "--k", "4", "--z", "3/7",
+     "--kind", "chibar", "--trunc", "301/2"),
     STRANSFORM,
     (*STRANSFORM, "--variant", "KW1"),
     (*STRANSFORM, "--tol", "0"),

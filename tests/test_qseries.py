@@ -4,6 +4,10 @@ The theta oracle is a brute-force scan of a wide symmetric window of the
 lattice Z + n/2m, collecting q^(m(j^2+jz)) for every exponent below the
 truncation order; the production code enumerates outward from the parabola
 vertex, so window agreement over asymmetric z pins the support logic.
+
+The division oracle (``tests/_division_oracle.py``) is leading-term
+elimination over Fractions; ``qseries_div`` must return the very same series
+on random inputs, on its integer path and on its rational one.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from admissible_sl2.errors import InputError
 from admissible_sl2.qseries import QSeries, ThetaSpec, qseries_div, theta_min_exponent, theta_qseries
+from _division_oracle import leading_term_division
 
 RNG_SEED = 91
 
@@ -235,3 +240,49 @@ def test_shift_order_is_honest(terms, order, delta):
 def test_scale_order_is_honest(terms, order, factor):
     s, s_ref = _pair(terms, order)
     _assert_honest(s.scale_exponents(factor), s_ref.scale_exponents(factor))
+
+
+# -- division against the leading-term oracle ---------------------------------
+#
+# Integral inputs over a +-1 leading denominator term keep every coefficient
+# of the lattice kernel an int; a non-unit leading term takes it through
+# Fractions.  Negative exponents and orders just above the leading exponents
+# reach the edges of the remainder cap.
+
+_exponents = st.fractions(min_value=-4, max_value=8, max_denominator=6)
+_gaps = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12)
+_units = st.sampled_from([Fraction(1), Fraction(-1)])
+_non_units = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
+    lambda c: c not in (0, 1, -1)
+)
+_divisions = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def _division_inputs(draw, integral: bool) -> tuple[QSeries, QSeries]:
+    coeffs = st.integers(-5, 5) if integral else st.fractions(-5, 5, max_denominator=4)
+    lead = draw(_units if integral else _non_units)
+    e_d = draw(_exponents)
+    tail = draw(st.lists(st.tuples(_gaps, coeffs), max_size=8))
+    den = QSeries.from_terms([(e_d, lead)] + [(e_d + g, c) for g, c in tail], e_d + draw(_gaps))
+    terms = draw(st.lists(st.tuples(_exponents, coeffs), max_size=12))
+    e_n = min((e for e, _ in terms), default=draw(_exponents))
+    reach = draw(st.fractions(min_value=-1, max_value=10, max_denominator=12))
+    return QSeries.from_terms(terms, e_n + reach), den
+
+
+def _assert_same_division(num: QSeries, den: QSeries) -> None:
+    ours, ref = qseries_div(num, den), leading_term_division(num, den)
+    assert (ours.denom, ours.terms, ours.order) == (ref.denom, ref.terms, ref.order)
+
+
+@_divisions
+@given(_division_inputs(integral=True))
+def test_division_matches_oracle_on_integral_series(case):
+    _assert_same_division(*case)
+
+
+@_divisions
+@given(_division_inputs(integral=False))
+def test_division_matches_oracle_on_rational_series(case):
+    _assert_same_division(*case)

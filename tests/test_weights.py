@@ -102,6 +102,8 @@ def test_virasoro_data_fixtures():
     assert vd.c_ell == Fraction(-1)
     assert vd.c_ell_z == Fraction(-1) - 6 * Fraction(-1, 2) * Fraction(1, 4)
     assert vd.lam == Fraction(-1, 2) * Fraction(1, 4) / 2
+    # the anomaly ell z^2 / 4 is the one exponent both are written from
+    assert level_from_pq(3, 2).anomaly("1/2") == Fraction(-1, 2) * Fraction(1, 4) / 4
     vd21 = virasoro_data(level_from_pq(2, 1), Fraction(1, 3))
     assert vd21.c_ell == 0 and vd21.lam == 0
     with pytest.raises(InputError, match=r"z=1 outside \(0, 1\)"):
