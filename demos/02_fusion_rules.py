@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from admissible_sl2 import (
     FusionRing,
-    bimodule_from_mff,
     classical_su2_fusion,
     enumerate_admissible,
     fusion,
@@ -33,8 +32,7 @@ print(f"Zhu algebra: dim = {algebra.dimension}, relation = {algebra.relation}")
 # one fusion product, all three routes at once (`oracle="all"` cross-checks)
 w1 = weight_from_j(level, Fraction(1))
 w2 = weight_from_j(level, Fraction(-3, 2))
-oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
-rec = fusion(level, w1, w2, oracle="all", mff_oracle=oracle)
+rec = fusion(level, w1, w2, oracle="all")
 print(f"\nL({w1.j}) x L({w2.j}) = {{{', '.join(f'L({w.j}): {m}' for w, m in rec.outputs)}}}")
 print(f"three routes agree: {rec.oracles_agree}")
 

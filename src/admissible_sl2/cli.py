@@ -4,7 +4,7 @@ Subcommands::
 
     weights       enumerate admissible weights with conformal weights
     zhu           vacuum Zhu algebra: dimension, relation, annihilation constant
-    bimodule      bimodule dimensions for one weight, presentation vs. PBW oracle
+    bimodule      bimodule dimensions for one weight, presentation vs. projection oracle
     fusion        fusion rule for one ordered pair, along any of three routes
     fusion-table  full fusion table and ring axioms for one level
     mff-verify    exact operator-calculus identity sweep
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("weights", cmd_weights, "enumerate admissible weights with conformal weights")
     add("zhu", cmd_zhu, "vacuum Zhu algebra: dimension, relation, annihilation constant")
 
-    sp = add("bimodule", cmd_bimodule, "bimodule dimensions: presentation vs. PBW oracle")
+    sp = add("bimodule", cmd_bimodule, "bimodule dimensions: presentation vs. projection oracle")
     add_weight_flags(sp)
 
     sp = add("fusion", cmd_fusion, "fusion rule for one ordered pair of weights")

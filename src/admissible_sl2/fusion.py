@@ -6,7 +6,8 @@ Fusion multiplicities are computed along three independent routes:
     max(0, n1'+n2'-p) <= i <= min(n1'-1, n2'-1), output j1 + j2 - 2i;
   * the bimodule presentation: generator f_{j1,i} survives at j2 iff
     f_{j1,i}(j2, 1) = 0;
-  * the PBW oracle of bimodule_from_mff: gcd_i(j2) = 0.
+  * the bimodule oracle of bimodule_from_mff, which reads per-degree gcds
+    off the singular-vector projections: gcd_i(j2) = 0.
 
 All three must agree; the table they induce is a commutative, associative
 unital ring on the admissible weights.
@@ -107,7 +108,7 @@ def fusion_closed_form(
     return True, outputs
 
 
-def _surviving_outputs(
+def surviving_outputs(
     level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, polys
 ) -> list[tuple[AdmissibleWeight, int]]:
     """Output j1 + j2 - 2i, multiplicity 1, for each (i, poly) with poly(j2) = 0."""
@@ -125,19 +126,14 @@ def fusion_via_bimodule(
 
     f_{j1,i} = y^i g_i(x), so f_{j1,i}(j2, 1) = g_i(j2).
     """
-    return _surviving_outputs(level, w1, w2, bimodule_presentation(level, w1).generators)
+    return surviving_outputs(level, w1, w2, bimodule_presentation(level, w1).generators)
 
 
 def fusion_via_mff(
-    level: Level,
-    w1: AdmissibleWeight,
-    w2: AdmissibleWeight,
-    oracle: BimoduleOracle | None = None,
+    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: BimoduleOracle
 ) -> list[tuple[AdmissibleWeight, int]]:
-    """Outputs from the PBW reduction oracle: i survives iff gcd_i(j2) = 0."""
-    if oracle is None:
-        oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
-    return _surviving_outputs(level, w1, w2, enumerate(oracle.gcds))
+    """Outputs from w1's bimodule oracle: i survives iff gcd_i(j2) = 0."""
+    return surviving_outputs(level, w1, w2, enumerate(oracle.gcds))
 
 
 @dataclass
@@ -156,12 +152,11 @@ def fusion(
     w1: AdmissibleWeight,
     w2: AdmissibleWeight,
     oracle: str = "closed",
-    mff_oracle: BimoduleOracle | None = None,
 ) -> FusionRecord:
     """Fusion rule for L(ell,j1) x L(ell,j2) along the requested oracle.
 
-    oracle = "all" runs the closed form, the bimodule evaluation and the PBW
-    reduction and records whether the three output lists agree.
+    oracle = "all" runs the closed form, the bimodule evaluation and w1's
+    bimodule oracle and records whether the three output lists agree.
     """
     gate, closed = fusion_closed_form(level, w1, w2)
     if oracle == "closed":
@@ -170,11 +165,13 @@ def fusion(
         outs = fusion_via_bimodule(level, w1, w2)
         return FusionRecord(level, w1, w2, gate, outs, oracle)
     if oracle == "mff":
-        outs = fusion_via_mff(level, w1, w2, mff_oracle)
+        built = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
+        outs = fusion_via_mff(level, w1, w2, built)
         return FusionRecord(level, w1, w2, gate, outs, oracle)
     if oracle == "all":
         bim = fusion_via_bimodule(level, w1, w2)
-        mff_outs = fusion_via_mff(level, w1, w2, mff_oracle)
+        built = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
+        mff_outs = fusion_via_mff(level, w1, w2, built)
         agree = closed == bim == mff_outs
         return FusionRecord(level, w1, w2, gate, closed, oracle, oracles_agree=agree)
     raise InputError(f"unknown oracle {oracle!r}")

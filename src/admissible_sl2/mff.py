@@ -2,30 +2,51 @@
 
 The projections of the two singular-vector families are finite products of
 the quadratic factors, with a power of the lowering (family 1) or raising
-(family 2) generator as tail.  Everything downstream is a normal-ordering
-computation:
+(family 2) generator as tail.  Their consequences are read off as follows:
 
-  * the vacuum annihilation operator acts on a highest-weight line through a
-    polynomial in j that must be proportional to the vacuum polynomial;
-  * reducing T_-^d times the projections mod T_+ U(L0) exposes the Frenkel-Zhu
-    bimodule degree by degree (per-degree gcds of T0-coefficient polynomials);
-  * the same family-2 projection in the Heisenberg algebra reduces, mod left
-    multiples of eb and right multiples of fb, to a single power of hb, which
-    pins the C2 quotient.
+  * the vacuum annihilation operator, normal-ordered, acts on a
+    highest-weight line through a polynomial in j that must be proportional
+    to the vacuum polynomial;
+  * T_-^d times the projections, mod T_+ U(L0), exposes the Frenkel-Zhu
+    bimodule degree by degree: each lands in one T_- degree with a product
+    of linear factors in T0 as coefficient (the Harish-Chandra projection),
+    and the per-degree gcds are intersections of their root multisets;
+  * the same family-2 projection in the Heisenberg algebra, normal-ordered
+    mod left multiples of eb and right multiples of fb, reduces to a single
+    power of hb, which pins the C2 quotient.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import InputError, InvariantError
-from .exact import UniPoly, poly_gcd
+from .exact import UniPoly, poly_from_linear_factors
 from .pbw import HEIS, L0, SL2, PBWElement, factor_product
 from .weights import Level, vacuum_polynomial
 
 _TARGETS = {"P1": SL2, "P": L0, "P2": HEIS}
+
+
+def _check_primed(level: Level, n_primed: int, k_primed: int) -> None:
+    if not 1 <= n_primed <= level.p - 1:
+        raise InputError(f"n'={n_primed} outside 1..{level.p - 1}")
+    if not 1 <= k_primed <= level.q:
+        raise InputError(f"k'={k_primed} outside 1..{level.q}")
+
+
+def _family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> list[Fraction]:
+    """Indices a of the quadratic factors X_a in the projection of family F1 or F2."""
+    p, q, t = level.p, level.q, level.t
+    if family == "F1":
+        return [Fraction(r) + s * t for r in range(n_primed) for s in range(1, k_primed)]
+    return [
+        -Fraction(r) - s * t
+        for r in range(1, p - n_primed + 1)
+        for s in range(1, q - k_primed + 1)
+    ]
 
 
 def fuchs_projection(
@@ -46,27 +67,13 @@ def fuchs_projection(
         raise InputError(f"unknown target {target!r}")
     if family not in ("F1", "F2"):
         raise InputError(f"unknown family {family!r}")
-    p, q, t = level.p, level.q, level.t
-    if not 1 <= n_primed <= p - 1:
-        raise InputError(f"n'={n_primed} outside 1..{p - 1}")
-    if not 1 <= k_primed <= q:
-        raise InputError(f"k'={k_primed} outside 1..{q}")
+    _check_primed(level, n_primed, k_primed)
     alg = _TARGETS[target]
     if family == "F1":
-        alphas = [
-            Fraction(r) + s * t
-            for r in range(n_primed)
-            for s in range(1, k_primed)
-        ]
         tail = PBWElement.generator(alg, alg.lowering) ** n_primed
     else:
-        alphas = [
-            -Fraction(r) - s * t
-            for r in range(1, p - n_primed + 1)
-            for s in range(1, q - k_primed + 1)
-        ]
-        tail = PBWElement.generator(alg, alg.raising) ** (p - n_primed)
-    return factor_product(alg, alphas, tail=tail)
+        tail = PBWElement.generator(alg, alg.raising) ** (level.p - n_primed)
+    return factor_product(alg, _family_alphas(level, family, n_primed, k_primed), tail=tail)
 
 
 def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
@@ -132,57 +139,39 @@ class BimoduleOracle:
 def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOracle:
     """Recover bimodule dimensions from the projections alone.
 
-    For d = 0..d_max with d_max = p + n' + 2, normal-order T_-^d P(F1) and
-    T_-^d P(F2), discard monomials with positive T_+ power (reduction mod
-    T_+ U(L0)) and check the remainder sits in a single T_- degree.
-    Collecting the T0-coefficient polynomials per degree and taking monic gcds
-    yields the degree-i component of the quotient; degrees >= n' must wash
-    out to unit gcd once both families contribute, which requires
-    d_max >= p + n'.
+    Reduce T_-^d P(F1) and T_-^d P(F2) mod T_+ U(L0) for d = 0..d_max, with
+    d_max = p + n' + 2 and m = p - n'.  The shift T_-^d G_a = G_{a+d} T_-^d and
+    T_-^d T_+^m = G_{d-1} ... G_{d-m} T_-^{d-m} (zero in the quotient for d < m)
+    leave a product of G's, which lie in the weight-zero subalgebra, times one
+    power of T_-.  On that subalgebra the reduction is the Harish-Chandra
+    projection, a ring homomorphism sending G_a to (a+1)(a - T0), so each
+    T0-coefficient is a nonzero constant times prod (T0 - root):
+
+      F1: T_- degree d + n', roots alphas(F1) + d;
+      F2: T_- degree d - m for d >= m, roots alphas(F2) + d and d-m, ..., d-1.
+
+    A degree's monic gcd is the product over the intersection of its root
+    multisets.  gcds[i] for i < n' is the degree-i part of the quotient;
+    degrees n'..d_max - m, reached by both families, must have unit gcd.
     """
-    p, q = level.p, level.q
-    if not 1 <= n_primed <= p - 1:
-        raise InputError(f"n'={n_primed} outside 1..{p - 1}")
-    if not 1 <= k_primed <= q:
-        raise InputError(f"k'={k_primed} outside 1..{q}")
-    d_max = p + n_primed + 2
+    _check_primed(level, n_primed, k_primed)
+    d_max = level.p + n_primed + 2
+    m = level.p - n_primed
+    f1 = _family_alphas(level, "F1", n_primed, k_primed)
+    f2 = _family_alphas(level, "F2", n_primed, k_primed)
+    # No root a is -1, so no constant a + 1 vanishes: the F1 and G roots are
+    # >= 0, and an F2 root -r - st + d is never an integer since 0 < s < q and
+    # gcd(p, q) = 1.  F2 reaches every degree i < n' at d = m + i <= p - 1.
+    landings = [(d + n_primed, [a + d for a in f1]) for d in range(d_max + 1)]
+    landings += [
+        (d - m, [a + d for a in f2] + list(range(d - m, d))) for d in range(m, d_max + 1)
+    ]
+    common: dict[int, Counter] = {}
+    for i, roots in landings:
+        common[i] = common[i] & Counter(roots) if i in common else Counter(roots)
 
-    tminus = PBWElement.generator(L0, L0.lowering)
-    per_degree: dict[int, list[UniPoly]] = {}
-    for family in ("F1", "F2"):
-        cur = fuchs_projection(level, family, n_primed, k_primed, "P")
-        for d in range(d_max + 1):
-            if d > 0:
-                cur = tminus * cur
-            reduced = {
-                (b, c): coeff for (a, b, c), coeff in cur.terms.items() if a == 0
-            }
-            if not reduced:
-                continue
-            degrees = {c for (_, c) in reduced}
-            if len(degrees) != 1:
-                raise InvariantError(
-                    f"T_-^{d} P({family}) reduces to T_- degrees {sorted(degrees)}"
-                )
-            i = degrees.pop()
-            poly = UniPoly({b: coeff for (b, _), coeff in reduced.items()})
-            per_degree.setdefault(i, []).append(poly)
-
-    gcds_all = {
-        i: reduce(poly_gcd, polys, UniPoly.zero()) for i, polys in per_degree.items()
-    }
-    missing = [i for i in range(n_primed) if i not in gcds_all]
-    if missing:
-        raise InvariantError(
-            f"no relations landed in T_- degrees {missing} up to d_max={d_max}"
-        )
-    window_lo, window_hi = n_primed, d_max - (p - n_primed)
-    tail_unit = all(
-        gcds_all[i] == UniPoly.constant(1)
-        for i in range(window_lo, window_hi + 1)
-        if i in gcds_all
-    )
-    gcds = [gcds_all[i] for i in range(n_primed)]
+    window_lo, window_hi = n_primed, d_max - m
+    gcds = [poly_from_linear_factors(common[i].elements()) for i in range(n_primed)]
     return BimoduleOracle(
         level=level,
         n_primed=n_primed,
@@ -191,7 +180,7 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
         gcds=gcds,
         dims=[g.degree for g in gcds],
         tail_window=(window_lo, window_hi),
-        tail_unit=tail_unit,
+        tail_unit=not any(common[i] for i in range(window_lo, window_hi + 1)),
     )
 
 

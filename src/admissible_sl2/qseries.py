@@ -55,21 +55,22 @@ def _key_cap(order: Fraction, denom: int) -> int:
 class QSeries:
     """Truncated series ``sum c_m q^(m/denom)`` exact below ``order``.
 
-    ``terms`` maps integer numerators ``m`` to nonzero rational coefficients;
-    the represented exponent is ``m / denom``.  ``order`` is the truncation
-    order: constructing the series drops any term with exponent >= order, and
-    the lattice denominator is reduced to the smallest one that carries all
+    ``terms`` maps integer numerators ``m`` to nonzero exact coefficients,
+    each an ``int`` or a ``Fraction``, stored as given; the represented
+    exponent is ``m / denom``.  ``order`` is the truncation order:
+    constructing the series drops any term with exponent >= order, and the
+    lattice denominator is reduced to the smallest one that carries all
     remaining exponents.
     """
 
     __slots__ = ("denom", "terms", "order")
 
-    def __init__(self, denom: int, terms: dict[int, Fraction], order) -> None:
+    def __init__(self, denom: int, terms: dict[int, int | Fraction], order) -> None:
         if denom < 1:
             raise InputError(f"lattice denominator must be >= 1, got {denom}")
         order = rat(order)
         cap = _key_cap(order, denom)
-        kept = {m: rat(c) for m, c in terms.items() if c and m < cap}
+        kept = {m: c for m, c in terms.items() if c and m < cap}
         if kept:
             g = denom
             for m in kept:

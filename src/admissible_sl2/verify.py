@@ -4,14 +4,16 @@ Each suite returns a ``(results, checks)`` pair ready for
 :func:`admissible_sl2.report.document`:
 
 - ``fusion``: replays the three fusion routes (closed form, bimodule
-  evaluation, PBW reduction) against each other over every ordered pair of
-  weights of every coprime level in range, checks the ring axioms per level,
-  and compares the q = 1 column against the classical su(2) fusion rule.
+  presentation, bimodule oracle from the projections) against each other
+  over every ordered pair of weights of every coprime level in range, checks
+  the ring axioms per level, and compares the q = 1 column against the
+  classical su(2) fusion rule.
 - ``mff``: verifies the operator-calculus identities once, then per level
   re-derives the annihilation polynomial (proportional to the vacuum
   polynomial with nonzero constant), the C2 reduction (exponent and the
   product closed form of its constant), and the bimodule dimensions from the
-  projections alone.
+  projections alone (Harish-Chandra projection of T_-^d times each
+  projection, per-degree gcds as root-multiset intersections).
 - ``characters``: on the fixture levels in range, checks the theta-ratio
   identity to order 20, character coefficients to order 30 (nonnegative
   integers, unit lowest term at the predicted exponent), and series-vs-
@@ -19,7 +21,8 @@ Each suite returns a ``(results, checks)`` pair ready for
 
 The fusion and mff suites each build a level's bimodule oracles once with
 :func:`level_oracles`; ``--suite all`` therefore builds them twice, a
-figure the benchmark's traced verify run still asserts.  The predicates
+figure the benchmark's traced verify run still asserts.  The fusion suite
+also builds each weight's bimodule presentation once per level.  The predicates
 below that judge one level, one weight or one series are the ones the
 ``admsl2`` subcommands report, so the CLI and the sweeps check alike.
 
@@ -46,8 +49,9 @@ from .fusion import (
     FusionRing,
     bimodule_presentation,
     classical_su2_fusion,
-    fusion,
     fusion_closed_form,
+    fusion_via_mff,
+    surviving_outputs,
 )
 from .mff import bimodule_from_mff, c2_heisenberg_reduction, hw_annihilation_polynomial
 from .numeric import character_eval_numeric, qseries_eval_numeric
@@ -131,7 +135,12 @@ def _all_pass(checks: list[dict]) -> bool:
 
 
 def level_oracles(level: Level) -> dict:
-    """The PBW bimodule oracle of every admissible weight, in enumeration order."""
+    """The bimodule oracle of every admissible weight, in enumeration order.
+
+    Each is read off the singular-vector projections by
+    :func:`admissible_sl2.mff.bimodule_from_mff`, a product of linear factors
+    per T_- degree.
+    """
     return {
         w: bimodule_from_mff(level, w.n_primed, w.k_primed)
         for w in enumerate_admissible(level)
@@ -141,18 +150,23 @@ def level_oracles(level: Level) -> dict:
 def three_routes_agree(level: Level, oracles: dict) -> bool:
     """Whether all three fusion routes agree on every ordered pair of weights.
 
-    ``oracles`` maps each weight of the level to its PBW oracle, as
-    :func:`level_oracles` builds it.
+    ``oracles`` maps each weight of the level to its bimodule oracle, as
+    :func:`level_oracles` builds it (route 3).  Route 2 builds each weight's
+    bimodule presentation once from its own root formula; route 1 is the
+    closed form.
     """
+    generators = {w: bimodule_presentation(level, w).generators for w in oracles}
     return all(
-        fusion(level, w1, w2, oracle="all", mff_oracle=oracle).oracles_agree
+        fusion_closed_form(level, w1, w2)[1]
+        == surviving_outputs(level, w1, w2, generators[w1])
+        == fusion_via_mff(level, w1, w2, oracle)
         for w1, oracle in oracles.items()
         for w2 in oracles
     )
 
 
 def bimodule_oracle_checks(oracle, presentation) -> list[dict]:
-    """The PBW oracle against the presentation: same dimension, unit tail gcds."""
+    """The bimodule oracle against the presentation: same dimension, unit tail gcds."""
     lo, hi = oracle.tail_window
     return [
         check(

@@ -22,7 +22,6 @@ from mpmath import mp
 from admissible_sl2 import (
     CharacterSpec,
     FusionRing,
-    bimodule_from_mff,
     c2_heisenberg_reduction,
     character_eval_numeric,
     character_qseries,
@@ -75,12 +74,9 @@ def test_primary_01_three_way_fusion_agreement():
     started = time.monotonic()
     for level in _sweep_levels():
         weights = enumerate_admissible(level)
-        oracles = {
-            w: bimodule_from_mff(level, w.n_primed, w.k_primed) for w in weights
-        }
         for w1 in weights:
             for w2 in weights:
-                rec = fusion(level, w1, w2, oracle="all", mff_oracle=oracles[w1])
+                rec = fusion(level, w1, w2, oracle="all")
                 pairs += 1
                 if not rec.oracles_agree:
                     failures.append(f"(p,q)=({level.p},{level.q}) {w1.j}x{w2.j}")

@@ -45,6 +45,8 @@ ARGVS = [
     ("verify", "--suite", "characters", "--pmax", "6", "--qmax", "4"),
     ("verify", "--suite", "mff", "--pmax", "4", "--qmax", "3"),
     ("verify", "--suite", "fusion", "--pmax", "4", "--qmax", "3"),
+    ("verify", "--suite", "all", "--pmax", "6", "--qmax", "4"),
+    ("bimodule", *AT_8_5, "--n", "3", "--k", "2"),
 ]
 CASES = [(*argv, "--format", fmt) for argv in ARGVS for fmt in ("json", "text")]
 

@@ -3,7 +3,9 @@
 Hand-checked fixtures pin the small levels; sweeps compare the PBW-derived
 quantities against independent closed forms (the vacuum polynomial for the
 annihilation operator, the factorial product for the C2 constant, and the
-n'(p-n')(q-k'+1) count for bimodule dimensions).
+n'(p-n')(q-k'+1) count for bimodule dimensions).  The bimodule oracle, read
+off the Harish-Chandra projection as products of linear factors, must equal
+the PBW reduction of ``_pbw_bimodule_oracle`` field by field.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import admissible_sl2.pbw
 from admissible_sl2.exact import UniPoly
 from admissible_sl2.fusion import bimodule_presentation
 from admissible_sl2.mff import (
@@ -22,8 +25,10 @@ from admissible_sl2.mff import (
     hw_annihilation_polynomial,
 )
 from admissible_sl2.weights import enumerate_admissible, level_from_pq, vacuum_polynomial
+from _pbw_bimodule_oracle import pbw_bimodule_oracle
 
 SWEEP = [(p, q) for p in range(2, 5) for q in range(1, 4) if math.gcd(p, q) == 1]
+BOX_6_4 = [(p, q) for p in range(2, 7) for q in range(1, 5) if math.gcd(p, q) == 1]
 
 
 def _c2_constant_closed_form(p: int, q: int) -> Fraction:
@@ -86,6 +91,31 @@ def test_bimodule_oracle_matches_presentation(p, q):
         assert len(oracle.dims) == w.n_primed
         # per-degree contributions are positive below the truncation degree
         assert all(d >= 1 for d in oracle.dims)
+
+
+@pytest.mark.parametrize("p,q", BOX_6_4)
+def test_bimodule_oracle_matches_pbw_reduction(p, q):
+    level = level_from_pq(p, q)
+    for w in enumerate_admissible(level):
+        oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
+        reference = pbw_bimodule_oracle(level, w.n_primed, w.k_primed)
+        assert oracle.gcds == reference.gcds
+        assert oracle.dims == reference.dims
+        assert oracle.d_max == reference.d_max
+        assert oracle.tail_window == reference.tail_window
+        assert oracle.tail_unit == reference.tail_unit
+
+
+def test_bimodule_oracle_multiplies_no_pbw_elements(monkeypatch):
+    def refuse(left, right):
+        raise AssertionError("pbw_product called")
+
+    monkeypatch.setattr(admissible_sl2.pbw, "pbw_product", refuse)
+    level = level_from_pq(5, 3)
+    for w in enumerate_admissible(level):
+        assert bimodule_from_mff(level, w.n_primed, w.k_primed).tail_unit
+    with pytest.raises(AssertionError, match="pbw_product called"):
+        pbw_bimodule_oracle(level, 1, 1)
 
 
 def test_bimodule_vacuum_is_zhu_relation_sized():
