@@ -10,6 +10,21 @@ is budgeted from the working precision.  The second theta argument may be
 complex, which is what the S-transformation needs on its left-hand side,
 where the character is evaluated at (-1/tau, tau z).
 
+The term moduli are carried outward by a two-step recurrence (M(x+d) = M(x)
+rho(x), rho(x+d) = rho(x) e^{-4 pi m A}) rather than one exp each; the
+recurrence's own rounding, quadratic in the step count, is added to the tail
+and rounding bounds (derivation in :func:`theta_eval_numeric`).  The rounding
+budget (count + 16) eps sum|term| does not yet cover the rounding of each
+term's exponent argument, which grows with that argument; where the tails are
+far below it the bound can fall short by a small factor (a strict xfail in
+``tests/test_numeric.py`` pins one such case).
+
+``s_transform_residual`` computes each distinct quantity once per call: one
+theta memo per side of the law (every weight's quotient shares the
+denominator pair theta_{+-1,2}), one e^{i pi x} per distinct exact phase x
+(the conjugate-phase matrix reuses them through ``mp.conj``), and one product
+S_ij chibar_j per cell of the residual table.
+
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
 anomaly exponent from :attr:`~admissible_sl2.characters.CharacterSpec.anomaly`;
@@ -103,6 +118,42 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     each side until the certified geometric tail drops below tol/4; the
     rounding budget accounts for the remaining tol/4.  ``spec.z`` may be
     complex.
+
+    Each term is a direct ``expjpi``.  Its modulus M(x) = e^{-2 pi m (A x^2 +
+    B x)} and the ratio rho(x) = M(x+d)/M(x) = e^{-s(x)} to the next term
+    outward (direction d = +-1, slope s(x) = 2 pi m (A (2 d x + 1) + d B))
+    are not: since s(x+d) = s(x) + 4 pi m A, going outward
+
+        M(x+d) = M(x) rho(x),    rho(x+d) = rho(x) gamma,    gamma = e^{-4 pi m A},
+
+    so ``mp.exp`` runs twice per side (M and rho at the first point) and once
+    for gamma, not three times per term.  From the first point on, s(x) >= 2 pi m A > 0, so every
+    rho is below 1 and the tail past x is at most M(x) / (1 - rho(x)).
+
+    Rounding of the recurrence: every multiplication, and every exp taken at
+    its computed argument, is within 1 ulp <= eps = 2^(1-prec) relative, that
+    is at most two roundings of u = eps/2.  After k steps rho_k = rho_0
+    gamma^k carries 2 + 2k + k such roundings and M_k = M_0 rho_0^k
+    gamma^(k(k-1)/2), formed by k products, carries 2 + 2k + k(k-1) +
+    k(k+1)/2.  As (1 + u)^N <= 1 + 1.01 N u while N u <= 0.01 (true for k
+    up to the term cap at prec >= 53), the moduli the recurrence stands for
+    satisfy
+
+        M*(x_k) <= M_k (1 + (k^2 + k + 2) eps),    rho*(x_k) <= rho_k + (2k + 2) eps.
+
+    The tail test therefore uses M_k (1 + (k^2 + k + 8) eps) / (1 - rho_k -
+    (2k + 2) eps), the extra 6 eps covering the handful of roundings in that
+    expression, and the rounding sum takes each side's moduli times the same
+    factor at the side's last step, which bounds every earlier step's.  The
+    allowance is quadratic in k because the error of gamma is raised to the
+    power k(k-1)/2; the direct exponent -2 pi m (A x^2 + B x) carries an
+    argument rounding of that same order.
+
+    Before any term is summed, the parabola gives a lower bound on the terms
+    per side: every point with M(x) >= tol/4 is summed, and those lie within
+    R = sqrt((pi m B^2 / 2A - log(tol/4)) / (2 pi m A)) of the vertex, so
+    each side sums at least floor(R) terms.  Past the term cap the
+    ``InputError`` is raised at once.
     """
     tol = _positive_tol(tol)
     with mp.workprec(prec):
@@ -122,7 +173,16 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         def log_modulus(x):
             return -two_pi_m * (A * x * x + B * x)
 
+        reach = (mp.pi * m * B * B / (2 * A) - mp.log(budget)) / (two_pi_m * A)
+        if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2:
+            raise InputError(
+                "theta tail bound not reached within the term cap; "
+                f"tolerance too small for this tau (at least {int(mp.sqrt(reach))} "
+                f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
+            )
+
         vertex = -B / (2 * A) - off  # integer-coordinate vertex
+        gamma = mp.exp(-2 * two_pi_m * A)
         total = mp.mpc(0)
         sum_abs = mp.mpf(0)
         count = 0
@@ -130,21 +190,21 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
 
         for direction in (+1, -1):
             i = int(mp.ceil(vertex)) if direction == +1 else int(mp.ceil(vertex)) - 1
+            x = i + off
+            modulus = mp.exp(log_modulus(x))
+            rho = mp.exp(-two_pi_m * (A * (2 * direction * x + 1) + direction * B))
+            side_abs = mp.mpf(0)
             steps = 0
             while True:
-                x = i + off
-                # Geometric-tail stopping test: the ratio of consecutive term
-                # moduli going outward from x is e^{-slope}, valid once the
-                # slope is positive (i.e. past the vertex).
-                slope = two_pi_m * (A * (2 * direction * x + 1) + direction * B)
-                if slope > 0:
-                    rho = mp.exp(-slope)
-                    tail = mp.exp(log_modulus(x)) / (1 - rho)
+                inflate = 1 + (steps * steps + steps + 8) * eps
+                gap = 1 - rho - (2 * steps + 2) * eps
+                if gap > 0:
+                    tail = modulus * inflate / gap
                     if tail < budget:
                         tails += tail
                         break
                 total += term_at(x)
-                sum_abs += mp.exp(log_modulus(x))
+                side_abs += modulus
                 count += 1
                 i += direction
                 steps += 1
@@ -153,6 +213,10 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                         "theta tail bound not reached within the term cap; "
                         "tolerance too small for this tau"
                     )
+                x = i + off
+                modulus *= rho
+                rho *= gamma
+            sum_abs += side_abs * inflate
 
         rounding = sum_abs * (count + 16) * eps
         if rounding > budget:
@@ -191,12 +255,18 @@ def _chibar_numeric(
     zval,
     tol,
     prec: int,
+    thetas: dict[tuple[ThetaSpec, mpmath.mpf], ComplexVal] | None = None,
 ) -> tuple[ComplexVal, mpmath.mpf]:
     """Normalized character as a certified theta quotient; zval may be complex.
 
     Returns the quotient together with the largest component theta error
     bound (for reporting).  Component tolerances tighten geometrically until
     the propagated quotient bound meets ``tol``.
+
+    ``thetas``, when given, memoises the theta evaluations by ``(ThetaSpec,
+    component tolerance)``; the caller keeps one dict per (tau, prec), so
+    quotients at the same tau share their common denominator pair.  A retry
+    at a tighter tolerance misses the memo and evaluates afresh.
     """
     tol = mp.mpf(tol)
     (num_p, num_m), (den_p, den_m) = chibar_thetas(level, weight, zval)
@@ -204,11 +274,17 @@ def _chibar_numeric(
         eps = mp.mpf(2) ** (1 - prec)
         ctol = tol / 8
         theta_err = mp.mpf(0)
+
+        def theta(spec):
+            if thetas is None:
+                return theta_eval_numeric(spec, tau, ctol, prec)
+            key = (spec, ctol)
+            if key not in thetas:
+                thetas[key] = theta_eval_numeric(spec, tau, ctol, prec)
+            return thetas[key]
+
         for _ in range(_QUOTIENT_RETRIES):
-            th_p = theta_eval_numeric(num_p, tau, ctol, prec)
-            th_m = theta_eval_numeric(num_m, tau, ctol, prec)
-            th_1 = theta_eval_numeric(den_p, tau, ctol, prec)
-            th_m1 = theta_eval_numeric(den_m, tau, ctol, prec)
+            th_p, th_m, th_1, th_m1 = map(theta, (num_p, num_m, den_p, den_m))
             theta_err = max(th_p.err, th_m.err, th_1.err, th_m1.err)
             num = th_p.value - th_m.value
             den = th_1.value - th_m1.value
@@ -330,24 +406,35 @@ def s_transform_residual(
         z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
+        # e^{i pi x} once per distinct exact x; expjpi(-x) is bitwise
+        # conj(expjpi(x)), so the conjugate-phase spelling reuses the phases.
+        phases: dict[Fraction, mpmath.mpc] = {}
+
+        def phase(x: Fraction) -> mpmath.mpc:
+            if x not in phases:
+                phases[x] = mp.expjpi(_frac_mpf(x))
+            return phases[x]
+
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
         s_matrix: list[list[mpmath.mpc]] = []
+        s_abs: list[list[mpmath.mpf]] = []
         printed_matrix: list[list[mpmath.mpc]] = []
         max_row_abs = mp.mpf(0)
         for si in specs:
             row = []
+            abs_row = []
             printed_row = []
-            row_abs = mp.mpf(0)
             for sj in specs:
-                x_pp = _frac_mpf(Fraction(si.b_plus * sj.b_plus, a))
-                x_pm = _frac_mpf(Fraction(si.b_plus * sj.b_minus, a))
-                entry = pref * (mp.expjpi(x_pp) - mp.expjpi(x_pm))
-                printed_row.append(pref * (mp.expjpi(-x_pm) - mp.expjpi(-x_pp)))
+                e_pp = phase(Fraction(si.b_plus * sj.b_plus, a))
+                e_pm = phase(Fraction(si.b_plus * sj.b_minus, a))
+                entry = pref * (e_pp - e_pm)
+                printed_row.append(pref * (mp.conj(e_pm) - mp.conj(e_pp)))
                 row.append(entry)
-                row_abs += abs(entry)
+                abs_row.append(abs(entry))
             s_matrix.append(row)
+            s_abs.append(abs_row)
             printed_matrix.append(printed_row)
-            max_row_abs = max(max_row_abs, row_abs)
+            max_row_abs = max(max_row_abs, sum(abs_row, mp.mpf(0)))
 
         if variant == "KW2":
             anomaly = specs[0].anomaly  # the same for every weight
@@ -360,15 +447,18 @@ def s_transform_residual(
 
         theta_err_max = mp.mpf(0)
         rhs_tol = tol / (8 * max(mp.mpf(1), abs_factor) * max(mp.mpf(1), max_row_abs))
+        # one theta memo per side: the denominator pair is shared by every weight
+        rhs_thetas: dict = {}
         chibar_vals: list[ComplexVal] = []
         for w in weights:
-            val, terr = _chibar_numeric(level, w, tau_v, z, rhs_tol, prec)
+            val, terr = _chibar_numeric(level, w, tau_v, z, rhs_tol, prec, rhs_thetas)
             chibar_vals.append(val)
             theta_err_max = max(theta_err_max, terr)
 
+        lhs_thetas: dict = {}
         lhs_vals: list[ComplexVal] = []
         for w in weights:
-            val, terr = _chibar_numeric(level, w, tau2, z2, tol / 8, prec)
+            val, terr = _chibar_numeric(level, w, tau2, z2, tol / 8, prec, lhs_thetas)
             lhs_vals.append(val)
             theta_err_max = max(theta_err_max, terr)
 
@@ -377,27 +467,30 @@ def s_transform_residual(
         printed_residuals: list[mpmath.mpf] = []
         alt_residuals: list[mpmath.mpf] | None = [] if variant == "KW2" else None
         for i in range(n_w):
+            lhs = lhs_vals[i].value
+            abs_lhs = abs(lhs)
             running = mp.mpc(0)
             running_err = mp.mpf(0)
             running_abs = mp.mpf(0)
             row_res = []
             row_err = []
             for j in range(n_w):
-                running += s_matrix[i][j] * chibar_vals[j].value
-                running_err += abs(s_matrix[i][j]) * chibar_vals[j].err
-                running_abs += abs(s_matrix[i][j] * chibar_vals[j].value)
-                res = abs(lhs_vals[i].value - factor * running)
-                slop = 16 * eps * (abs(lhs_vals[i].value) + abs_factor * running_abs)
+                cell = s_matrix[i][j] * chibar_vals[j].value
+                running += cell
+                running_err += s_abs[i][j] * chibar_vals[j].err
+                running_abs += abs(cell)
+                res = abs(lhs - factor * running)
+                slop = 16 * eps * (abs_lhs + abs_factor * running_abs)
                 row_res.append(res)
                 row_err.append(lhs_vals[i].err + abs_factor * running_err + slop)
             residuals.append(row_res)
             residual_errors.append(row_err)
             if alt_residuals is not None:
-                alt_residuals.append(abs(lhs_vals[i].value - alt_factor * running))
+                alt_residuals.append(abs(lhs - alt_factor * running))
             printed_sum = mp.fsum(
                 [printed_matrix[i][j] * chibar_vals[j].value for j in range(n_w)]
             )
-            printed_residuals.append(abs(lhs_vals[i].value - factor * printed_sum))
+            printed_residuals.append(abs(lhs - factor * printed_sum))
 
         return STransformReport(
             level=level,

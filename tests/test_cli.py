@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,19 @@ def test_bad_tau_exits_2(capsys):
         "--tau", "i",
     )
     assert code == 2
+
+
+def test_theta_term_cap_exits_2_before_summing(capsys):
+    # Im(tau) = 1e-11 needs ~7.7e5 theta terms per side at 1e-30; the cap is 2e5
+    start = time.process_time()
+    code, out, err = run_cli(
+        capsys, "stransform", "--p", "2", "--q", "1", "--z", "1/2",
+        "--tau", "0,1/100000000000", "--tol", "1e-30",
+    )
+    assert code == 2
+    assert out == ""
+    assert "term cap" in err
+    assert time.process_time() - start < 1
 
 
 def test_unknown_subcommand_exits_2(capsys):

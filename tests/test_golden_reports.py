@@ -47,6 +47,7 @@ ARGVS = [
     ("verify", "--suite", "fusion", "--pmax", "4", "--qmax", "3"),
     ("verify", "--suite", "all", "--pmax", "6", "--qmax", "4"),
     ("bimodule", *AT_8_5, "--n", "3", "--k", "2"),
+    ("stransform", *AT_8_5, "--z", "3/7", "--tau=1.2,0.2", "--tol", "1e-30"),
 ]
 CASES = [(*argv, "--format", fmt) for argv in ARGVS for fmt in ("json", "text")]
 

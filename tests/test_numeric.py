@@ -5,15 +5,26 @@ the definition (no shared code with the adaptive evaluator), plus the
 classical theta constant theta_3(e^{-pi}) = pi^{1/4} / Gamma(3/4) as an
 external fixed point.  Error bounds are tested for honesty by comparing
 evaluations at different working precisions.
+
+The recurrence for the term moduli is checked against the direct per-term
+evaluator kept in ``tests/_theta_oracle.py``: equal values bit for bit, error
+bounds equal up to the recurrence's rounding allowance.  ``stransform``'s
+sharing of thetas and S-matrix phases is checked against unshared
+evaluations, bit for bit.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
+import _theta_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from admissible_sl2 import numeric
 from admissible_sl2.characters import CharacterSpec, character_qseries
 from admissible_sl2.errors import InputError
 from admissible_sl2.numeric import (
@@ -92,6 +103,77 @@ def test_theta_eval_guards():
     with pytest.raises(InputError, match="rounding budget"):
         # 53-bit rounding floor sits far above the requested 1e-40
         theta_eval_numeric(spec, mp.mpc(0, 1), tol=mp.mpf("1e-40"), prec=53)
+
+
+def test_theta_term_cap_raises_before_summing():
+    # R ~ 7.5e5 terms per side would be needed; the cap is 2e5
+    start = time.process_time()
+    with pytest.raises(InputError, match="term cap.*at least [0-9]+ terms per side"):
+        theta_eval_numeric(
+            ThetaSpec(1, 2, Fraction(1, 3)), mp.mpc(0, "1e-11"), tol=mp.mpf("1e-30"), prec=192
+        )
+    assert time.process_time() - start < 1
+
+
+# -- the recurrence against the direct per-term evaluator ----------------------
+
+_complex_z = st.builds(
+    lambda re, im: mp.mpc(re, im),
+    st.floats(min_value=-1, max_value=1),
+    st.floats(min_value=-1, max_value=1),
+)
+_rational_z = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=-40, max_value=40),
+    z=st.one_of(_rational_z, _complex_z),
+    re_tau=st.fractions(min_value=-3 / 2, max_value=3 / 2, max_denominator=1000),
+    im_tau=st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=1000),
+    tol_exp=st.integers(min_value=10, max_value=40),
+    prec=st.sampled_from([128, 192]),
+)
+def test_theta_recurrence_matches_direct_evaluator(m, n, z, re_tau, im_tau, tol_exp, prec):
+    spec = ThetaSpec(n, m, z)
+    tol = mp.mpf(10) ** -tol_exp
+    with mp.workprec(prec):
+        tau = mp.mpc(re_tau.numerator, 0) / re_tau.denominator + mp.mpc(
+            0, im_tau.numerator
+        ) / im_tau.denominator
+    try:
+        oracle = _theta_oracle.theta_eval_numeric(spec, tau, tol, prec)
+    except InputError:
+        # the rounding floor (count + 16) eps sum|term| is above tol/4 at this prec
+        with pytest.raises(InputError, match="rounding budget"):
+            theta_eval_numeric(spec, tau, tol, prec)
+        return
+    val = theta_eval_numeric(spec, tau, tol, prec)
+    assert val.value == oracle.value
+    assert val.prec == oracle.prec
+    with mp.workprec(320):
+        assert abs(val.err - oracle.err) <= mp.mpf("1e-30") * val.err
+        miss = abs(val.value - _brute_theta(spec, tau))
+        # honest wherever the direct evaluator is honest; where it is not, see
+        # test_theta_bound_covers_term_argument_rounding
+        assert miss <= val.err or miss > oracle.err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the rounding term (count + 16) eps sum|term| leaves out the rounding "
+    "of each term's exponent argument 2m(x^2 + xz)tau, which grows with its size",
+)
+def test_theta_bound_covers_term_argument_rounding():
+    # tails are ~1e-62 here, so the rounding term is the whole bound, and the
+    # brute-force sum sits ~7x further away than it allows
+    spec = ThetaSpec(-13, 40, Fraction(-5, 7))
+    with mp.workprec(192):
+        tau = mp.mpc(-3, 0) / 2 + mp.mpc(0, 1) / 2
+    val = theta_eval_numeric(spec, tau, tol=mp.mpf(10) ** -10, prec=192)
+    with mp.workprec(400):
+        assert abs(val.value - _brute_theta(spec, tau, prec=400, window=150)) <= val.err
 
 
 def test_qseries_eval_hand_value():
@@ -234,3 +316,60 @@ def test_s_transform_fixture_3_2():
         finals = [kw1.residual_partial_sums[i][-1] for i in range(n_w)]
         assert finals[0] > mp.mpf("0.2") and finals[0] < mp.mpf("0.22")
         assert finals[1] > mp.mpf("0.17") and finals[1] < mp.mpf("0.19")
+
+
+def test_stransform_shares_thetas_and_phases(monkeypatch):
+    level = level_from_pq(5, 3)
+    n_w = len(enumerate_admissible(level))
+    theta_calls = []
+    quotient_calls = []
+    direct_theta = numeric.theta_eval_numeric
+    direct_quotient = numeric._chibar_numeric
+
+    def counting_theta(*args):
+        theta_calls.append(args)
+        return direct_theta(*args)
+
+    def recording_quotient(*args):
+        quotient_calls.append(args)
+        return direct_quotient(*args)
+
+    monkeypatch.setattr(numeric, "theta_eval_numeric", counting_theta)
+    monkeypatch.setattr(numeric, "_chibar_numeric", recording_quotient)
+    report = s_transform_residual(
+        level, Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
+    )
+    monkeypatch.undo()
+    # no quotient retried: two numerators per weight plus the shared
+    # denominator pair, on each side
+    assert len(quotient_calls) == 2 * n_w
+    assert len(theta_calls) == 2 * (2 * n_w + 2)
+
+    # each quotient again without a memo, at the report's precision (a
+    # complex z is divided by q at the caller's precision): the same bits
+    with mp.workprec(192):
+        unshared = [direct_quotient(*args[:6])[0] for args in quotient_calls]
+    assert unshared == report.chibar + report.lhs
+
+    # both S-matrix spellings against the direct phase formula
+    specs = [CharacterSpec(w, Fraction(2, 7)) for w in report.weights]
+    a = level.p * level.q
+    with mp.workprec(192):
+        pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
+
+        def x(b1, b2):
+            f = Fraction(b1 * b2, a)
+            return mp.mpf(f.numerator) / f.denominator
+
+        s_matrix = [
+            [pref * (mp.expjpi(x(si.b_plus, sj.b_plus)) - mp.expjpi(x(si.b_plus, sj.b_minus)))
+             for sj in specs]
+            for si in specs
+        ]
+        printed = [
+            [pref * (mp.expjpi(-x(si.b_plus, sj.b_minus)) - mp.expjpi(-x(si.b_plus, sj.b_plus)))
+             for sj in specs]
+            for si in specs
+        ]
+    assert report.s_matrix == s_matrix
+    assert report.as_printed_s_matrix == printed
