@@ -19,7 +19,6 @@ from admissible_sl2 import (
     character_eval_numeric,
     character_qseries,
     chibar_lowest_exponent,
-    enumerate_admissible,
     level_from_pq,
     qseries_eval_numeric,
     s_transform_residual,

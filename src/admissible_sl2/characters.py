@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import InputError, InvariantError
 from .exact import rat
 from .qseries import QSeries, ThetaSpec, qseries_div, theta_min_exponent, theta_qseries
-from .weights import AdmissibleWeight, conformal_weight, virasoro_data
+from .weights import AdmissibleWeight, conformal_weight
 
 __all__ = [
     "CharacterSpec",
@@ -129,8 +129,7 @@ def chibar_thetas(level, weight, z) -> tuple[ThetaPair, ThetaPair]:
 def chibar_lowest_exponent(spec: CharacterSpec) -> Fraction:
     """Predicted lowest exponent of chibar: Delta_j - z j/2 - c_l/24."""
     w = spec.weight
-    vd = virasoro_data(w.level, spec.z)
-    return conformal_weight(w.level, w.j) - spec.z * w.j / 2 - vd.c_ell / 24
+    return conformal_weight(w.level, w.j) - spec.z * w.j / 2 - w.level.c_ell / 24
 
 
 def chi_lowest_exponent(spec: CharacterSpec) -> Fraction:

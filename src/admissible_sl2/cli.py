@@ -127,10 +127,9 @@ def _tolerance(text: str) -> mp.mpf:
 def cmd_weights(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     weights = enumerate_admissible(level)
-    c_ell = 3 * level.ell / (level.ell + 2)
     results = {
         "level": level,
-        "c_ell": c_ell,
+        "c_ell": level.c_ell,
         "count": len(weights),
         "weights": [
             {"n": w.n, "k": w.k, "j": w.j, "delta": conformal_weight(level, w.j)}
@@ -140,8 +139,8 @@ def cmd_weights(args) -> tuple[dict, list[dict]]:
     checks = [
         report.check(
             "weight_count",
-            len(weights) == (level.p - 1) * level.q,
-            f"(p-1)q = {(level.p - 1) * level.q}",
+            len(weights) == level.n_weights,
+            f"(p-1)q = {level.n_weights}",
         ),
         report.check(
             "weights_distinct", len({w.j for w in weights}) == len(weights), ""
@@ -170,8 +169,8 @@ def cmd_zhu(args) -> tuple[dict, list[dict]]:
     checks = [
         report.check(
             "dimension",
-            algebra.dimension == (level.p - 1) * level.q,
-            f"(p-1)q = {(level.p - 1) * level.q}",
+            algebra.dimension == level.n_weights,
+            f"(p-1)q = {level.n_weights}",
         ),
         report.check("relation_squarefree", squarefree, ""),
         report.check(

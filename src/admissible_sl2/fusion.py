@@ -9,7 +9,11 @@ Fusion multiplicities are computed along three independent routes:
   * the bimodule oracle of bimodule_from_mff, which reads per-degree gcds
     off the singular-vector projections: gcd_i(j2) = 0.
 
-All three must agree; the table they induce is a commutative, associative
+Generators and gcds are products of linear factors, held as their roots, so
+routes 2 and 3 test j2 for membership in a root list and expand no
+polynomial.  Route 2 takes its roots from the presentation's own formula and
+route 3 from the projections, so the routes stay independent.  All three
+must agree; the table they induce is a commutative, associative
 unital ring on the admissible weights.
 """
 
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .exact import UniPoly, poly_from_linear_factors, rat_str
+from .exact import UniPoly, rat_str
 from .mff import BimoduleOracle, bimodule_from_mff
 from .weights import (
     AdmissibleWeight,
@@ -57,14 +61,14 @@ def zhu_multiply(algebra: ZhuAlgebra, g1: UniPoly, g2: UniPoly) -> UniPoly:
 class BimodulePresentation:
     """Frenkel-Zhu bimodule of L(ell, j) as a C[x]-C[y] quotient.
 
-    generators[i] = (i, g_i) stands for the generator y^i g_i(x), with
+    generators[i] = (i, roots_i) stands for the generator y^i g_i(x), with
     g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st)
-    for i = 0..n'-1; together with y^{n'} they present a quotient of
-    dimension n' (p-n') (q-k'+1).
+    for i = 0..n'-1 held as its roots r + i - st; together with y^{n'} they
+    present a quotient of dimension n' (p-n') (q-k'+1).
     """
 
     weight: AdmissibleWeight
-    generators: tuple[tuple[int, UniPoly], ...]
+    generators: tuple[tuple[int, tuple[Fraction, ...]], ...]
     y_truncation: int
     dimension: int
 
@@ -72,13 +76,13 @@ class BimodulePresentation:
 def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePresentation:
     p, q, t = level.p, level.q, level.t
     np_, kp = weight.n_primed, weight.k_primed
-    gens = []
-    for i in range(np_):
-        roots = [Fraction(r + i) - s * t for r in range(p - np_) for s in range(q - kp + 1)]
-        gens.append((i, poly_from_linear_factors(roots)))
+    gens = tuple(
+        (i, tuple(r + i - s * t for r in range(p - np_) for s in range(q - kp + 1)))
+        for i in range(np_)
+    )
     return BimodulePresentation(
         weight=weight,
-        generators=tuple(gens),
+        generators=gens,
         y_truncation=np_,
         dimension=np_ * (p - np_) * (q - kp + 1),
     )
@@ -109,13 +113,13 @@ def fusion_closed_form(
 
 
 def surviving_outputs(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, polys
+    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, root_lists
 ) -> list[tuple[AdmissibleWeight, int]]:
-    """Output j1 + j2 - 2i, multiplicity 1, for each (i, poly) with poly(j2) = 0."""
+    """Output j1 + j2 - 2i, multiplicity 1, for each (i, roots) with j2 in roots."""
     return [
         (_resolve_output(level, w1.j + w2.j - 2 * i), 1)
-        for i, poly in polys
-        if poly(w2.j) == 0
+        for i, roots in root_lists
+        if w2.j in roots
     ]
 
 
@@ -124,7 +128,8 @@ def fusion_via_bimodule(
 ) -> list[tuple[AdmissibleWeight, int]]:
     """Outputs from the bimodule presentation: i survives iff f_{j1,i}(j2,1) = 0.
 
-    f_{j1,i} = y^i g_i(x), so f_{j1,i}(j2, 1) = g_i(j2).
+    f_{j1,i} = y^i g_i(x), so f_{j1,i}(j2, 1) = g_i(j2), which vanishes iff
+    j2 is a root of g_i.
     """
     return surviving_outputs(level, w1, w2, bimodule_presentation(level, w1).generators)
 
@@ -132,7 +137,7 @@ def fusion_via_bimodule(
 def fusion_via_mff(
     level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: BimoduleOracle
 ) -> list[tuple[AdmissibleWeight, int]]:
-    """Outputs from w1's bimodule oracle: i survives iff gcd_i(j2) = 0."""
+    """Outputs from w1's bimodule oracle: i survives iff j2 is a root of gcd_i."""
     return surviving_outputs(level, w1, w2, enumerate(oracle.gcds))
 
 

@@ -2,22 +2,24 @@
 
 The projections of the two singular-vector families are finite products of
 the quadratic factors, with a power of the lowering (family 1) or raising
-(family 2) generator as tail.  Their consequences are read off as follows:
+(family 2) generator as tail.  Each consequence below that is a product of
+linear factors is held as its root multiset, never normal-ordered:
 
-  * the vacuum annihilation operator, normal-ordered, acts on a
-    highest-weight line through a polynomial in j that must be proportional
-    to the vacuum polynomial;
+  * the vacuum annihilation operator acts on a highest-weight line through
+    the Harish-Chandra image of its factors, a constant times a product of
+    linear factors in j that must be proportional to the vacuum polynomial;
   * T_-^d times the projections, mod T_+ U(L0), exposes the Frenkel-Zhu
     bimodule degree by degree: each lands in one T_- degree with a product
     of linear factors in T0 as coefficient (the Harish-Chandra projection),
     and the per-degree gcds are intersections of their root multisets;
   * the same family-2 projection in the Heisenberg algebra, normal-ordered
-    mod left multiples of eb and right multiples of fb, reduces to a single
-    power of hb, which pins the C2 quotient.
+    in PBW mod left multiples of eb and right multiples of fb, reduces to a
+    single power of hb, which pins the C2 quotient.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,30 +82,20 @@ def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
     """Eigenvalue polynomial of the vacuum annihilation operator.
 
     X = (prod_{r=1}^{p-1} prod_{s=1}^{q-1} H_{-p+r+st}) e^{p-1} f^{p-1} has
-    weight zero, so every PBW monomial of X has equal f- and e-powers; on a
-    highest-weight vector of weight j only the pure h^b monomials act, through
-    sum_b coeff(h^b) j^b.  That polynomial must be a nonzero scalar multiple c
-    of the vacuum polynomial; returns (c, polynomial).
+    weight zero, so on a highest-weight vector v_j it acts by a scalar
+    polynomial in j: e^{p-1} f^{p-1} v_j = (p-1)! j (j-1) ... (j-p+2) v_j, and
+    H_a = f e - a h - a(a+1) acts as -a (j + a + 1).  So the polynomial is
+    c prod (j - root) with c = (p-1)! prod (-a) and roots 0..p-2 together
+    with -a-1 over the alphas.  It must be a nonzero scalar multiple c of the
+    vacuum polynomial; returns (c, polynomial).
     """
     p, q, t = level.p, level.q, level.t
-    alphas = [
-        -p + r + s * t for r in range(1, p) for s in range(1, q)
-    ]
-    e = PBWElement.generator(SL2, SL2.raising)
-    f = PBWElement.generator(SL2, SL2.lowering)
-    tail = (e ** (p - 1)) * (f ** (p - 1))
-    x = factor_product(SL2, alphas, tail=tail)
-    coeffs: dict[int, Fraction] = {}
-    for (a, b, c), coeff in x.terms.items():
-        if a != c:
-            raise InvariantError(
-                f"weight-zero operator has monomial f^{a} h^{b} e^{c}"
-            )
-        if a == 0:
-            coeffs[b] = coeff
-    poly = UniPoly(coeffs)
+    alphas = [-p + r + s * t for r in range(1, p) for s in range(1, q)]
+    c = Fraction(math.factorial(p - 1))
+    for a in alphas:
+        c *= -a
+    poly = poly_from_linear_factors([*range(p - 1), *(-a - 1 for a in alphas)]).scale(c)
     vac = vacuum_polynomial(level)
-    c = poly.leading_coefficient()
     if not c or poly != vac.scale(c):
         raise InvariantError(
             f"eigenvalue polynomial {poly!r} is not a scalar multiple of {vac!r}"
@@ -115,18 +107,18 @@ def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
 class BimoduleOracle:
     """Per-degree output of the T_+ U(L0) reduction of the projections.
 
-    gcds[i] is the monic gcd of all T0-coefficient polynomials that landed in
-    T_- degree i for i < n'; dims[i] = deg gcds[i] is the quotient dimension
-    contributed at that degree.  tail_unit records that every inspected degree
-    in tail_window (all >= n') had unit gcd, i.e. the quotient is supported in
-    degrees < n'.
+    gcds[i] is the sorted root tuple of the monic gcd of all T0-coefficient
+    polynomials that landed in T_- degree i for i < n'; dims[i] = len(gcds[i])
+    is the quotient dimension contributed at that degree.  tail_unit records
+    that every inspected degree in tail_window (all >= n') had unit gcd, i.e.
+    the quotient is supported in degrees < n'.
     """
 
     level: Level
     n_primed: int
     k_primed: int
     d_max: int
-    gcds: list[UniPoly]
+    gcds: list[tuple[Fraction, ...]]
     dims: list[int]
     tail_window: tuple[int, int]
     tail_unit: bool
@@ -151,8 +143,9 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
       F2: T_- degree d - m for d >= m, roots alphas(F2) + d and d-m, ..., d-1.
 
     A degree's monic gcd is the product over the intersection of its root
-    multisets.  gcds[i] for i < n' is the degree-i part of the quotient;
-    degrees n'..d_max - m, reached by both families, must have unit gcd.
+    multisets, kept as that sorted multiset.  gcds[i] for i < n' is the
+    degree-i part of the quotient; degrees n'..d_max - m, reached by both
+    families, must have unit gcd.
     """
     _check_primed(level, n_primed, k_primed)
     d_max = level.p + n_primed + 2
@@ -171,14 +164,14 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
         common[i] = common[i] & Counter(roots) if i in common else Counter(roots)
 
     window_lo, window_hi = n_primed, d_max - m
-    gcds = [poly_from_linear_factors(common[i].elements()) for i in range(n_primed)]
+    gcds = [tuple(sorted(common[i].elements())) for i in range(n_primed)]
     return BimoduleOracle(
         level=level,
         n_primed=n_primed,
         k_primed=k_primed,
         d_max=d_max,
         gcds=gcds,
-        dims=[g.degree for g in gcds],
+        dims=[len(g) for g in gcds],
         tail_window=(window_lo, window_hi),
         tail_unit=not any(common[i] for i in range(window_lo, window_hi + 1)),
     )
@@ -189,18 +182,17 @@ def c2_heisenberg_reduction(level: Level) -> tuple[Fraction, int]:
 
     The remainder must be a single monomial c * hb^((p-1) q); returns (c, exponent).
     """
-    p, q = level.p, level.q
     pf2 = fuchs_projection(level, "F2", 1, 1, "P2")
     fb = PBWElement.generator(HEIS, HEIS.lowering)
-    y = (fb ** (p - 1)) * pf2
+    y = (fb ** (level.p - 1)) * pf2
     remainder = PBWElement(
         HEIS,
         {m: c for m, c in y.terms.items() if m[0] == 0 and m[2] == 0},
     )
     mono, coeff = remainder.single_monomial()
     exponent = mono[1]
-    if exponent != (p - 1) * q:
+    if exponent != level.n_weights:
         raise InvariantError(
-            f"C2 remainder hb^{exponent}, expected hb^{(p - 1) * q}"
+            f"C2 remainder hb^{exponent}, expected hb^{level.n_weights}"
         )
     return coeff, exponent

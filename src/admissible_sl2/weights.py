@@ -36,6 +36,11 @@ class Level:
     def n_weights(self) -> int:
         return (self.p - 1) * self.q
 
+    @property
+    def c_ell(self) -> Fraction:
+        """The Sugawara central charge 3 ell / (ell + 2)."""
+        return 3 * self.ell / (self.ell + 2)
+
     def anomaly(self, z: RatLike) -> Fraction:
         """The modular anomaly exponent ell z^2 / 4 at flavour z."""
         zf = rat(z)
@@ -156,16 +161,14 @@ class VirasoroData:
 
 
 def virasoro_data(level: Level, z: RatLike) -> VirasoroData:
-    """c_ell = 3*ell/(ell+2), c_{ell,z} = c_ell - 24*anomaly, lam = 2*anomaly.
+    """c_ell = :attr:`Level.c_ell`, c_{ell,z} = c_ell - 24*anomaly, lam = 2*anomaly.
 
     The anomaly is :meth:`Level.anomaly`, ell z^2 / 4.
     """
     zf = rat(z)
     if not 0 < zf < 1:
         raise InputError(f"z={rat_str(zf)} outside (0, 1)")
-    ell = level.ell
-    c_ell = 3 * ell / (ell + 2)
-    anomaly = level.anomaly(zf)
+    c_ell, anomaly = level.c_ell, level.anomaly(zf)
     return VirasoroData(c_ell=c_ell, c_ell_z=c_ell - 24 * anomaly, lam=2 * anomaly)
 
 

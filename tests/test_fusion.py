@@ -8,8 +8,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissible_sl2.errors import InputError
+from admissible_sl2.exact import UniPoly
 from admissible_sl2.fusion import (
     FusionRing,
     bimodule_presentation,
@@ -22,6 +25,7 @@ from admissible_sl2.fusion import (
     zhu_multiply,
 )
 from admissible_sl2.mff import bimodule_from_mff
+from admissible_sl2.verify import level_oracles, three_routes_agree
 from admissible_sl2.weights import (
     AdmissibleWeight,
     enumerate_admissible,
@@ -78,6 +82,32 @@ def test_three_routes_agree(p, q):
             via_bim = fusion_via_bimodule(level, w1, w2)
             via_mff = fusion_via_mff(level, w1, w2, oracle)
             assert _as_dict(closed) == _as_dict(via_bim) == _as_dict(via_mff)
+
+
+_coprime_levels = st.tuples(st.integers(2, 9), st.integers(1, 6)).filter(
+    lambda pq: math.gcd(*pq) == 1
+)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(_coprime_levels)
+def test_routes_and_axioms_beyond_fixtures(pq):
+    level = level_from_pq(*pq)
+    assert three_routes_agree(level, level_oracles(level))
+    assert all(FusionRing.build(level).axioms().values())
+
+
+def test_fusion_routes_build_no_polynomials(monkeypatch):
+    # generators and gcds stay root lists: the oracle, the presentation and
+    # both root-membership routes never construct a UniPoly
+    def refuse(self, coeffs=None):
+        raise AssertionError("UniPoly built")
+
+    monkeypatch.setattr(UniPoly, "__init__", refuse)
+    level = level_from_pq(5, 3)
+    assert three_routes_agree(level, level_oracles(level))
+    with pytest.raises(AssertionError, match="UniPoly built"):
+        vacuum_polynomial(level)
 
 
 def test_fusion_record_all():
@@ -155,7 +185,6 @@ def test_zhu_algebra_structure(p, q):
     assert algebra.dimension == (p - 1) * q
     assert algebra.relation == vacuum_polynomial(level)
     rng = random.Random(4242 + p * 10 + q)
-    from admissible_sl2.exact import UniPoly
 
     def rand_poly():
         return UniPoly(
@@ -179,8 +208,8 @@ def test_bimodule_presentation_dimensions():
         assert pres.dimension == w.n_primed * (3 - w.n_primed) * (2 - w.k_primed + 1)
         assert len(pres.generators) == w.n_primed
         assert pres.y_truncation == w.n_primed
-        # generator y^i g_i(x): g_i is monic of degree (p-n')(q-k'+1), root r=s=0 at x=i
-        for idx, (i, g) in enumerate(pres.generators):
+        # generator y^i g_i(x): g_i has (p-n')(q-k'+1) roots, root r=s=0 at x=i
+        for idx, (i, roots) in enumerate(pres.generators):
             assert i == idx
-            assert g.degree == (3 - w.n_primed) * (2 - w.k_primed + 1)
-            assert g.leading_coefficient() == 1 and g(i) == 0
+            assert len(roots) == (3 - w.n_primed) * (2 - w.k_primed + 1)
+            assert i in roots

@@ -1,4 +1,4 @@
-"""Every name a module imports is used: an AST scan of the package and the tests.
+"""Every name a module imports is used: an AST scan of the package, tests and demos.
 
 ``__init__.py`` is skipped because it only re-exports.  A name counts as used
 when it appears as an identifier anywhere in the module or in its ``__all__``.
@@ -10,7 +10,11 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/admissible_sl2/*.py")) + sorted(ROOT.glob("tests/*.py"))
+FILES = (
+    sorted(ROOT.glob("src/admissible_sl2/*.py"))
+    + sorted(ROOT.glob("tests/*.py"))
+    + sorted(ROOT.glob("demos/*.py"))
+)
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,11 +1,12 @@
 """Annihilation polynomial, C2 reduction, and bimodule dimensions.
 
-Hand-checked fixtures pin the small levels; sweeps compare the PBW-derived
+Hand-checked fixtures pin the small levels; sweeps compare the derived
 quantities against independent closed forms (the vacuum polynomial for the
 annihilation operator, the factorial product for the C2 constant, and the
-n'(p-n')(q-k'+1) count for bimodule dimensions).  The bimodule oracle, read
-off the Harish-Chandra projection as products of linear factors, must equal
-the PBW reduction of ``_pbw_bimodule_oracle`` field by field.
+n'(p-n')(q-k'+1) count for bimodule dimensions).  The annihilation polynomial
+and the bimodule oracle, both read off the Harish-Chandra projection as
+products of linear factors, must equal the PBW normal-ordering references of
+``_pbw_annihilation_oracle`` and ``_pbw_bimodule_oracle``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import admissible_sl2.pbw
-from admissible_sl2.exact import UniPoly
+from admissible_sl2.exact import UniPoly, poly_from_linear_factors
 from admissible_sl2.fusion import bimodule_presentation
 from admissible_sl2.mff import (
     bimodule_from_mff,
@@ -24,7 +25,9 @@ from admissible_sl2.mff import (
     fuchs_projection,
     hw_annihilation_polynomial,
 )
+from admissible_sl2.verify import level_oracles, three_routes_agree
 from admissible_sl2.weights import enumerate_admissible, level_from_pq, vacuum_polynomial
+from _pbw_annihilation_oracle import pbw_annihilation_polynomial
 from _pbw_bimodule_oracle import pbw_bimodule_oracle
 
 SWEEP = [(p, q) for p in range(2, 5) for q in range(1, 4) if math.gcd(p, q) == 1]
@@ -64,6 +67,12 @@ def test_annihilation_proportional_to_vacuum(p, q):
     assert poly == vacuum_polynomial(level).scale(const)
 
 
+@pytest.mark.parametrize("p,q", BOX_6_4)
+def test_annihilation_matches_pbw_reduction(p, q):
+    level = level_from_pq(p, q)
+    assert hw_annihilation_polynomial(level) == pbw_annihilation_polynomial(level)
+
+
 def test_c2_fixtures():
     assert c2_heisenberg_reduction(level_from_pq(2, 1)) == (Fraction(-1), 1)
     assert c2_heisenberg_reduction(level_from_pq(3, 1)) == (Fraction(2), 2)
@@ -99,7 +108,7 @@ def test_bimodule_oracle_matches_pbw_reduction(p, q):
     for w in enumerate_admissible(level):
         oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
         reference = pbw_bimodule_oracle(level, w.n_primed, w.k_primed)
-        assert oracle.gcds == reference.gcds
+        assert [poly_from_linear_factors(g) for g in oracle.gcds] == reference.gcds
         assert oracle.dims == reference.dims
         assert oracle.d_max == reference.d_max
         assert oracle.tail_window == reference.tail_window
@@ -114,8 +123,12 @@ def test_bimodule_oracle_multiplies_no_pbw_elements(monkeypatch):
     level = level_from_pq(5, 3)
     for w in enumerate_admissible(level):
         assert bimodule_from_mff(level, w.n_primed, w.k_primed).tail_unit
+    assert hw_annihilation_polynomial(level)[0] != 0
+    assert three_routes_agree(level, level_oracles(level))
     with pytest.raises(AssertionError, match="pbw_product called"):
         pbw_bimodule_oracle(level, 1, 1)
+    with pytest.raises(AssertionError, match="pbw_product called"):
+        pbw_annihilation_polynomial(level)
 
 
 def test_bimodule_vacuum_is_zhu_relation_sized():
