@@ -5,8 +5,8 @@ the kind fixes the ``admsl2`` exit status:
 
 - :class:`InputError`: a bad parameter, or a tolerance the computation
   cannot meet.  Exit status 2, with ``error: <message>`` on stderr.
-- :class:`InvariantError`: a computation broke a mathematical invariant.
-  Exit status 1, with a report whose only check is a failed one.
+- :class:`InvariantError`: a computation could not complete.  Exit status
+  1, with a report whose only check is a failed one.
 """
 
 from __future__ import annotations
@@ -21,4 +21,4 @@ class InputError(AdmissibleError):
 
 
 class InvariantError(AdmissibleError):
-    """A computation produced a result that breaks a mathematical invariant."""
+    """An intermediate result broke an invariant, so the computation could not complete."""

@@ -64,13 +64,18 @@ class BimodulePresentation:
     generators[i] = (i, roots_i) stands for the generator y^i g_i(x), with
     g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st)
     for i = 0..n'-1 held as its roots r + i - st; together with y^{n'} they
-    present a quotient of dimension n' (p-n') (q-k'+1).
+    present a quotient to which degree i contributes deg g_i.  The dimension
+    is counted from the roots; :func:`admissible_sl2.verify.bimodule_oracle_checks`
+    judges it against Frenkel-Zhu's closed form.
     """
 
     weight: AdmissibleWeight
     generators: tuple[tuple[int, tuple[Fraction, ...]], ...]
     y_truncation: int
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return sum(len(roots) for _, roots in self.generators)
 
 
 def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePresentation:
@@ -84,7 +89,6 @@ def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePre
         weight=weight,
         generators=gens,
         y_truncation=np_,
-        dimension=np_ * (p - np_) * (q - kp + 1),
     )
 
 
@@ -160,7 +164,7 @@ def fusion(
 ) -> FusionRecord:
     """Fusion rule for L(ell,j1) x L(ell,j2) along the requested oracle.
 
-    oracle = "all" runs the closed form, the bimodule evaluation and w1's
+    oracle = "all" runs the closed form, the bimodule presentation and w1's
     bimodule oracle and records whether the three output lists agree.
     """
     gate, closed = fusion_closed_form(level, w1, w2)

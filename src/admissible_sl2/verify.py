@@ -15,7 +15,8 @@ Each suite returns a ``(results, checks)`` pair ready for
   the C2 reduction by PBW normal ordering (exponent and the product closed
   form of its constant), and the bimodule dimensions from the projections
   alone (Harish-Chandra projection of T_-^d times each projection,
-  per-degree gcds as root-multiset intersections).
+  per-degree gcds as root-multiset intersections), each weight's against
+  the presentation and Frenkel-Zhu's closed form.
 - ``characters``: on the fixture levels in range, checks the theta-ratio
   identity to order 20, character coefficients to order 30 (nonnegative
   integers, unit lowest term at the predicted exponent), and series-vs-
@@ -59,7 +60,7 @@ from .mff import bimodule_from_mff, c2_heisenberg_reduction, hw_annihilation_pol
 from .numeric import character_eval_numeric, qseries_eval_numeric
 from .pbw import verify_operator_identities
 from .report import check, failed
-from .weights import Level, enumerate_admissible, level_from_pq
+from .weights import Level, enumerate_admissible, level_from_pq, vacuum_polynomial
 
 __all__ = [
     "SUITES",
@@ -69,6 +70,7 @@ __all__ = [
     "c2_expected_constant",
     "level_oracles",
     "three_routes_agree",
+    "annihilation_proportional",
     "bimodule_oracle_checks",
     "character_series_checks",
     "series_numeric_agreement",
@@ -168,14 +170,27 @@ def three_routes_agree(level: Level, oracles: dict) -> bool:
     )
 
 
+def annihilation_proportional(const: Fraction, poly, relation) -> bool:
+    """Whether the annihilation polynomial is ``const`` != 0 times the vacuum relation."""
+    return const != 0 and poly == relation.scale(const)
+
+
 def bimodule_oracle_checks(oracle, presentation) -> list[dict]:
-    """The bimodule oracle against the presentation: same dimension, unit tail gcds."""
+    """Frenkel-Zhu's closed form, the presentation and the oracle agree; unit tail gcds."""
+    w = presentation.weight
+    p, q, n_primed, k_primed = w.level.p, w.level.q, w.n_primed, w.k_primed
+    expected = n_primed * (p - n_primed) * (q - k_primed + 1)
     lo, hi = oracle.tail_window
     return [
         check(
+            "dimension_formula",
+            presentation.dimension == expected,
+            f"n'(p-n')(q-k'+1) = {expected}",
+        ),
+        check(
             "mff_dimension_agrees",
             oracle.dimension == presentation.dimension,
-            f"PBW reduction gives {oracle.dimension}",
+            f"projection oracle gives {oracle.dimension}",
         ),
         check("mff_tail_unit", oracle.tail_unit, f"degrees {lo}..{hi} wash out"),
     ]
@@ -281,9 +296,8 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
         try:
             const, poly = hw_annihilation_polynomial(level)
             row["annihilation_constant"] = const
-            checks.append(
-                check(name, const != 0, f"constant {rat_str(const)}, degree {poly.degree}")
-            )
+            ok = annihilation_proportional(const, poly, vacuum_polynomial(level))
+            checks.append(check(name, ok, f"constant {rat_str(const)}, degree {poly.degree}"))
         except AdmissibleError as exc:
             checks.append(failed(name, exc))
 
@@ -294,9 +308,7 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             ok = exponent == level.n_weights and coeff == expected and coeff != 0
             row["c2_constant"] = coeff
             row["c2_exponent"] = exponent
-            checks.append(
-                check(name, ok, f"hb^{exponent}, constant {rat_str(coeff)}")
-            )
+            checks.append(check(name, ok, f"hb^{exponent}, constant {rat_str(coeff)}"))
         except AdmissibleError as exc:
             checks.append(failed(name, exc))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -10,11 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from admissible_sl2 import cli, mff
+from admissible_sl2 import cli, mff, verify
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InvariantError
-from admissible_sl2.exact import UniPoly
+from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.report import parse_rational
+from admissible_sl2.weights import vacuum_polynomial
+
+# the package exports the function ``fusion`` under the module's name
+fusion_module = importlib.import_module("admissible_sl2.fusion")
 
 
 def run_cli(capsys, *argv):
@@ -128,11 +134,6 @@ def test_failing_check_exits_1_with_report(capsys):
     assert statuses["theta_error_bounds"] == "pass"
 
 
-def _break_vacuum_polynomial(monkeypatch):
-    # the annihilation polynomial is no longer proportional to this one
-    monkeypatch.setattr(mff, "vacuum_polynomial", lambda level: UniPoly.constant(1))
-
-
 def _break_oracle_build(monkeypatch):
     def failing(*args, **kwargs):
         raise InvariantError("stubbed")
@@ -143,10 +144,9 @@ def _break_oracle_build(monkeypatch):
 @pytest.mark.parametrize(
     "argv, breakage",
     [
-        (["zhu", "--p", "3", "--q", "2"], _break_vacuum_polynomial),
         (["bimodule", "--p", "3", "--q", "2", "--n", "1", "--k", "0"], _break_oracle_build),
     ],
-    ids=["zhu", "bimodule"],
+    ids=["bimodule"],
 )
 def test_broken_invariant_exits_1_with_one_failed_check(capsys, monkeypatch, argv, breakage):
     breakage(monkeypatch)
@@ -157,6 +157,64 @@ def test_broken_invariant_exits_1_with_one_failed_check(capsys, monkeypatch, arg
     [check] = doc["checks"]
     assert check["name"] == argv[0] and check["status"] == "fail"
     assert check["detail"].startswith("raised InvariantError:")
+
+
+def _failed_checks(doc) -> dict[str, str]:
+    return {c["name"]: c["detail"] for c in doc["checks"] if c["status"] != "pass"}
+
+
+def test_wrong_vacuum_polynomial_fails_the_annihilation_checks_by_name(capsys, monkeypatch):
+    # twice the vacuum polynomial: same roots and degree, wrong constant
+    for module in (fusion_module, verify):
+        monkeypatch.setattr(
+            module, "vacuum_polynomial", lambda level: vacuum_polynomial(level).scale(2)
+        )
+    code, doc, _ = run_json(capsys, "zhu", "--p", "3", "--q", "2")
+    assert code == 1
+    assert _failed_checks(doc) == {"annihilation_proportional": "constant -1/2"}
+    code, doc, _ = run_json(capsys, "verify", "--suite", "mff", "--pmax", "3", "--qmax", "2")
+    assert code == 1
+    assert _failed_checks(doc) == {
+        "annihilation_p2_q1": "constant 1, degree 1",
+        "annihilation_p3_q1": "constant 2, degree 2",
+        "annihilation_p3_q2": "constant -1/2, degree 4",
+    }
+
+
+def test_wrong_c2_exponent_fails_c2_reduction_with_the_exponent(capsys, monkeypatch):
+    # an extra central hb raises every exponent of the C2 remainder by one
+    real = mff.fuchs_projection
+    hb = PBWElement.generator(HEIS, "hb")
+    monkeypatch.setattr(mff, "fuchs_projection", lambda *args: real(*args) * hb)
+    code, doc, _ = run_json(capsys, "verify", "--suite", "mff", "--pmax", "3", "--qmax", "2")
+    assert code == 1
+    assert _failed_checks(doc) == {
+        "c2_reduction_p2_q1": "hb^2, constant -1",
+        "c2_reduction_p3_q1": "hb^3, constant 2",
+        "c2_reduction_p3_q2": "hb^5, constant 3/2",
+    }
+
+
+def test_presentation_that_loses_a_root_fails_dimension_formula(capsys, monkeypatch):
+    real = fusion_module.bimodule_presentation
+
+    def losing(level, weight):
+        pres = real(level, weight)
+        (i, roots), *rest = pres.generators
+        return dataclasses.replace(pres, generators=((i, roots[1:]), *rest))
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "bimodule_presentation", losing)
+    code, doc, _ = run_json(capsys, "bimodule", "--p", "5", "--q", "3", "--n", "1", "--k", "1")
+    assert code == 1
+    assert _failed_checks(doc) == {
+        "dimension_formula": "n'(p-n')(q-k'+1) = 12",
+        "mff_dimension_agrees": "projection oracle gives 12",
+    }
+    _, checks = verify.run_suites("mff", 4, 3)
+    failed = {c["name"] for c in checks if c["status"] != "pass"}
+    levels = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)]
+    assert failed == {f"bimodule_dims_p{p}_q{q}" for p, q in levels}
 
 
 # ------------------------------------------------------------ spec behavior

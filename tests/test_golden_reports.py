@@ -7,6 +7,10 @@ every entry.  Regenerate the file only at a commit whose reports are known to
 be right::
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+Regeneration prints each argv whose exit status or stdout hash differs from
+the file it replaces, with the fields that moved, so a change can show that
+only the entries it meant to move did.
 """
 
 from __future__ import annotations
@@ -66,5 +70,11 @@ def test_report_bytes_match_golden(argv):
 
 
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     table = {" ".join(argv): _run(argv) for argv in CASES}
+    for key, entry in table.items():
+        old = previous.get(key, {})
+        moved = [field for field, value in entry.items() if old.get(field) != value]
+        if moved:
+            print(f"{key}: {', '.join(moved)}")
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
