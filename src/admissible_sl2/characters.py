@@ -151,8 +151,11 @@ def _theta_quotient(
 
     Each side's exponents are multiplied by its weight w.  The margins follow
     the division order rule from the exact lowest exponents of the two sides,
-    so one pass suffices.  The retry loop is defensive: it only fires if a
-    predicted lowest term cancels.
+    so one division at margin 1 suffices unless the denominator's lowest term
+    cancels, and neither denominator's can: the two lowest exponents of
+    theta_{1,2}(z) - theta_{-1,2}(z) are 1/8 + z/2 and 1/8 - z/2, distinct for
+    0 < z < 1, and the lattices of Theta_{u+2v,2u} - Theta_{-u+2v,2u} are
+    equally close to 0 only when v/u is an integer.
     """
 
     def difference(pair: ThetaPair, o: Fraction, w: Fraction) -> QSeries:
@@ -163,16 +166,13 @@ def _theta_quotient(
 
     e_n = min(theta_min_exponent(th) for th in num) * w_num
     e_d = min(theta_min_exponent(th) for th in den) * w_den
-    for margin in (1, 2, 4, 8):
-        quotient = qseries_div(
-            difference(num, order + e_d + margin, w_num),
-            difference(den, order + 2 * e_d - e_n + margin, w_den),
-        )
-        if quotient.order >= order:
-            return quotient.truncate(order)
-    raise InvariantError(
-        f"could not resolve quotient to order {order}; lowest terms cancelled beyond margins"
+    quotient = qseries_div(
+        difference(num, order + e_d + 1, w_num),
+        difference(den, order + 2 * e_d - e_n + 1, w_den),
     )
+    if quotient.order < order:
+        raise InvariantError(f"quotient falls short of order {order}; a lowest term cancelled")
+    return quotient.truncate(order)
 
 
 def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:

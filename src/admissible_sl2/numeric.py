@@ -13,11 +13,7 @@ where the character is evaluated at (-1/tau, tau z).
 The term moduli are carried outward by a two-step recurrence (M(x+d) = M(x)
 rho(x), rho(x+d) = rho(x) e^{-4 pi m A}) rather than one exp each; the
 recurrence's own rounding, quadratic in the step count, is added to the tail
-and rounding bounds (derivation in :func:`theta_eval_numeric`).  The rounding
-budget (count + 16) eps sum|term| does not yet cover the rounding of each
-term's exponent argument, which grows with that argument; where the tails are
-far below it the bound can fall short by a small factor (a strict xfail in
-``tests/test_numeric.py`` pins one such case).
+and rounding bounds (derivation in :func:`theta_eval_numeric`).
 
 ``s_transform_residual`` computes each distinct quantity once per call: one
 theta memo per side of the law (every weight's quotient shares the
@@ -141,13 +137,30 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
 
         M*(x_k) <= M_k (1 + (k^2 + k + 2) eps),    rho*(x_k) <= rho_k + (2k + 2) eps.
 
-    The tail test therefore uses M_k (1 + (k^2 + k + 8) eps) / (1 - rho_k -
-    (2k + 2) eps), the extra 6 eps covering the handful of roundings in that
-    expression, and the rounding sum takes each side's moduli times the same
-    factor at the side's last step, which bounds every earlier step's.  The
-    allowance is quadratic in k because the error of gamma is raised to the
-    power k(k-1)/2; the direct exponent -2 pi m (A x^2 + B x) carries an
-    argument rounding of that same order.
+    The tail test therefore uses M_k (1 + (k^2 + k + 10) eps) / (1 - rho_k -
+    (2k + 2) eps), the extra 8 eps covering the handful of roundings in that
+    expression and in the e^Y below, and the rounding sum takes each side's
+    moduli times the same factor at the side's last step, which bounds every
+    earlier step's.  The allowance is quadratic in k because the error of
+    gamma is raised to the power k(k-1)/2.
+
+    Rounding of the arguments: every exponential is taken at a computed
+    argument.  With X = |x| + |n/2m| and U = 2 pi m |tau| eps, one rounding
+    each of n/2m, x = i + n/2m, a rational z, x x, x z, their sum and the
+    products by 2m and tau (a complex product within eps of its modulus)
+    puts a term's argument w = 2m(x^2 + xz) tau within pi |w' - w| <= U
+    [(2|x| + |z|) X + x^2 + 2|x||z| + 3|x^2 + xz|] <= 6 U X (X + |z|) of
+    exact, to first order, and the term within M (e^y - 1) <= M y e^y, y = pi
+    |w' - w|.  The same count (A <= |tau|, |B| <= |tau| |z|) puts the
+    arguments of M_k (L_0 - k s_0 - g k(k-1)/2) and of rho_k (s_0 + k g)
+    within 8 U q (q + |z|), q = |x_0| + |n/2m| + k + 1 <= |B/2A| + |n/2m| + k
+    + 2.  With Y = 9 U q (q + |z|) at the term cap, which bounds
+    every y too, each side's first modulus is scaled by e^Y, and the gap 1 -
+    (rho_k + (2k + 2) eps) e^Y is at least 2 - e^Y - rho_k - (2k + 2) eps
+    wherever that is positive.  The rounding term adds 7 U e^Y sum M X (X +
+    |z|), each side's sum scaled like its moduli; 7 and 9 cover the higher
+    orders and the rounding of the bounds themselves, and |Re| + |Im| stands
+    in for |z| and |tau|.
 
     Before any term is summed, the parabola gives a lower bound on the terms
     per side: every point with M(x) >= tol/4 is summed, and those lie within
@@ -165,6 +178,8 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         off = mp.mpf(spec.n) / (2 * m)
         two_pi_m = 2 * mp.pi * m
         eps = mp.mpf(2) ** (1 - prec)
+        abs_off, abs_z = abs(off), abs(z.real) + abs(z.imag)
+        u_scale = two_pi_m * (abs(tau_v.real) + A) * eps
         budget = tol / 4
 
         def term_at(x):
@@ -183,21 +198,24 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
 
         vertex = -B / (2 * A) - off  # integer-coordinate vertex
         gamma = mp.exp(-2 * two_pi_m * A)
+        q_cap = abs(vertex + off) + abs_off + _MAX_TERMS_PER_SIDE + 2
+        grow = mp.exp(9 * u_scale * q_cap * (q_cap + abs_z))  # e^Y
+        headroom = 2 - grow
         total = mp.mpc(0)
-        sum_abs = mp.mpf(0)
+        sum_abs = arg_sum = mp.mpf(0)  # arg_sum: of M X (X + |z|)
         count = 0
         tails = mp.mpf(0)
 
         for direction in (+1, -1):
             i = int(mp.ceil(vertex)) if direction == +1 else int(mp.ceil(vertex)) - 1
             x = i + off
-            modulus = mp.exp(log_modulus(x))
+            modulus = mp.exp(log_modulus(x)) * grow
             rho = mp.exp(-two_pi_m * (A * (2 * direction * x + 1) + direction * B))
-            side_abs = mp.mpf(0)
+            side_abs = side_arg = mp.mpf(0)
             steps = 0
             while True:
-                inflate = 1 + (steps * steps + steps + 8) * eps
-                gap = 1 - rho - (2 * steps + 2) * eps
+                inflate = 1 + (steps * steps + steps + 10) * eps
+                gap = headroom - rho - (2 * steps + 2) * eps
                 if gap > 0:
                     tail = modulus * inflate / gap
                     if tail < budget:
@@ -205,6 +223,8 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                         break
                 total += term_at(x)
                 side_abs += modulus
+                size = abs(x) + abs_off
+                side_arg += modulus * size * (size + abs_z)
                 count += 1
                 i += direction
                 steps += 1
@@ -217,8 +237,9 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                 modulus *= rho
                 rho *= gamma
             sum_abs += side_abs * inflate
+            arg_sum += side_arg * inflate
 
-        rounding = sum_abs * (count + 16) * eps
+        rounding = sum_abs * (count + 16) * eps + 7 * u_scale * grow * arg_sum
         if rounding > budget:
             raise InputError(
                 f"rounding budget {mpmath.nstr(rounding, 5)} exceeds tol/4 at {prec} bits"

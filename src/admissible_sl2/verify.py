@@ -29,8 +29,11 @@ also builds each weight's bimodule presentation once per level.  The predicates
 below that judge one level, one weight or one series are the ones the
 ``admsl2`` subcommands report, so the CLI and the sweeps check alike.
 
-A computation that raises instead of completing is recorded as a failed
-check; the sweep always runs to the end so the report covers every item.
+Every check goes through one guard, ``_judge``, the ring-axiom,
+classical-limit and operator-identity checks included: a computation that
+raises an ``AdmissibleError`` fails its own named check (both checks, for
+the chibar division that serves two), and the sweep runs to the end so the
+report covers every item.
 """
 
 from __future__ import annotations
@@ -225,95 +228,99 @@ def series_numeric_agreement(spec: CharacterSpec, series, tau, bound, kind: str 
     return numeric, series_value, diff, diff <= bound + numeric.err + series_value.err
 
 
-# -- fusion suite ------------------------------------------------------------
+# -- the sweeps ---------------------------------------------------------------
+
+
+def _outcome(run):
+    """``(run(), None)``, or ``(None, exc)`` when ``run`` raises an ``AdmissibleError``."""
+    try:
+        return run(), None
+    except AdmissibleError as exc:
+        return None, exc
+
+
+def _judge(checks: list[dict], name: str, run, raised: AdmissibleError | None = None) -> None:
+    """Append the check ``name`` that ``run() -> (ok, detail)`` judges.
+
+    This is the one guard of every sweep check: a computation that raises
+    fails its own check, with the error as the detail, and the sweep goes
+    on.  ``raised``, the error of a computation the check rests on, fails
+    it without running ``run``.
+    """
+    if raised is None:
+        verdict, raised = _outcome(run)
+    checks.append(check(name, *verdict) if raised is None else failed(name, raised))
+
+
+def _axioms(ring: FusionRing) -> tuple[bool, str]:
+    axioms = ring.axioms()
+    detail = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in axioms.items())
+    return all(axioms.values()), detail
+
+
+def _classical_limit(ell: int) -> tuple[bool, str]:
+    """Whether the q = 1 closed form at level ell is classical su(2) fusion."""
+    level = level_from_pq(ell + 2, 1)
+    weights = enumerate_admissible(level)
+    ok = all(
+        {w.j: m for w, m in fusion_closed_form(level, w1, w2)[1]}
+        == {Fraction(j): m for j, m in classical_su2_fusion(ell, w1.n, w2.n).items()}
+        for w1 in weights
+        for w2 in weights
+    )
+    return ok, f"{len(weights) ** 2} pairs"
 
 
 def fusion_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
-    levels = coprime_levels(pmax, qmax)
     checks: list[dict] = []
     rows = []
-    total_pairs = 0
-    for level in levels:
-        name = f"fusion_three_way_p{level.p}_q{level.q}"
+    for level in coprime_levels(pmax, qmax):
+        tag = f"p{level.p}_q{level.q}"
         weights = enumerate_admissible(level)
         pairs = len(weights) ** 2
-        try:
-            agree = three_routes_agree(level, level_oracles(level))
-            checks.append(check(name, agree, f"{pairs} ordered pairs"))
-        except AdmissibleError as exc:
-            checks.append(failed(name, exc))
-        axioms = FusionRing.build(level).axioms()
-        checks.append(
-            check(
-                f"fusion_axioms_p{level.p}_q{level.q}",
-                all(axioms.values()),
-                ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in axioms.items()),
-            )
+        _judge(
+            checks,
+            f"fusion_three_way_{tag}",
+            lambda: (three_routes_agree(level, level_oracles(level)), f"{pairs} ordered pairs"),
         )
+        _judge(checks, f"fusion_axioms_{tag}", lambda: _axioms(FusionRing.build(level)))
         rows.append({"level": level, "weights": len(weights), "ordered_pairs": pairs})
-        total_pairs += pairs
 
     for ell in range(0, 7):
-        level = level_from_pq(ell + 2, 1)
-        weights = enumerate_admissible(level)
-        ok = True
-        for w1 in weights:
-            for w2 in weights:
-                closed = {w.j: m for w, m in fusion_closed_form(level, w1, w2)[1]}
-                classical = {
-                    Fraction(j): m for j, m in classical_su2_fusion(ell, w1.n, w2.n).items()
-                }
-                ok = ok and closed == classical
-        checks.append(check(f"classical_limit_ell{ell}", ok, f"{len(weights) ** 2} pairs"))
+        _judge(checks, f"classical_limit_ell{ell}", lambda: _classical_limit(ell))
 
-    results = {"levels": rows, "ordered_pairs": total_pairs}
-    return results, checks
+    return {"levels": rows, "ordered_pairs": sum(r["ordered_pairs"] for r in rows)}, checks
 
 
-# -- mff suite ---------------------------------------------------------------
+def _operator_identities() -> tuple[bool, str]:
+    report = verify_operator_identities(m_max=5)
+    failures = len(report.failures())
+    return report.all_pass, f"{len(report.checks)} identities, {failures} failures"
 
 
 def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
-    levels = coprime_levels(pmax, qmax)
     checks: list[dict] = []
-
-    identity_report = verify_operator_identities(m_max=5)
-    checks.append(
-        check(
-            "operator_identities_m5",
-            identity_report.all_pass,
-            f"{len(identity_report.checks)} identities, "
-            f"{len(identity_report.failures())} failures",
-        )
-    )
+    _judge(checks, "operator_identities_m5", _operator_identities)
 
     rows = []
-    for level in levels:
+    for level in coprime_levels(pmax, qmax):
         tag = f"p{level.p}_q{level.q}"
         row: dict = {"level": level}
 
-        name = f"annihilation_{tag}"
-        try:
+        def annihilation():
             const, poly = hw_annihilation_polynomial(level)
             row["annihilation_constant"] = const
             ok = annihilation_proportional(const, poly, vacuum_polynomial(level))
-            checks.append(check(name, ok, f"constant {rat_str(const)}, degree {poly.degree}"))
-        except AdmissibleError as exc:
-            checks.append(failed(name, exc))
+            return ok, f"constant {rat_str(const)}, degree {poly.degree}"
 
-        name = f"c2_reduction_{tag}"
-        try:
+        def c2_reduction():
             coeff, exponent = c2_heisenberg_reduction(level)
             expected = c2_expected_constant(level)
             ok = exponent == level.n_weights and coeff == expected and coeff != 0
-            row["c2_constant"] = coeff
-            row["c2_exponent"] = exponent
-            checks.append(check(name, ok, f"hb^{exponent}, constant {rat_str(coeff)}"))
-        except AdmissibleError as exc:
-            checks.append(failed(name, exc))
+            row.update(c2_constant=coeff, c2_exponent=exponent)
+            return ok, f"hb^{exponent}, constant {rat_str(coeff)}"
 
-        name = f"bimodule_dims_{tag}"
-        try:
+        def bimodule_dims():
             found = level_oracles(level)
             dims = [oracle.dimension for oracle in found.values()]
             ok = all(
@@ -321,16 +328,14 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                 for w, oracle in found.items()
             )
             row["bimodule_dimensions"] = dims
-            checks.append(check(name, ok, f"dims {dims}"))
-        except AdmissibleError as exc:
-            checks.append(failed(name, exc))
+            return ok, f"dims {dims}"
 
+        _judge(checks, f"annihilation_{tag}", annihilation)
+        _judge(checks, f"c2_reduction_{tag}", c2_reduction)
+        _judge(checks, f"bimodule_dims_{tag}", bimodule_dims)
         rows.append(row)
 
     return {"levels": rows}, checks
-
-
-# -- characters suite --------------------------------------------------------
 
 
 def _sample_taus() -> list[tuple[str, mp.mpc]]:
@@ -357,46 +362,28 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             specs = [CharacterSpec(w, z) for w in weights]
             rows.append({"level": level, "z": z, "weights": len(weights)})
 
-            name = f"theta_ratio_{tag}"
-            try:
+            def theta_ratios():
                 reports = [theta_ratio_identity_check(s, _RATIO_ORDER) for s in specs]
                 ok = all(r.agree and r.prefactor_zero for r in reports)
-                checks.append(
-                    check(name, ok, f"{len(reports)} weights to order {_RATIO_ORDER}")
-                )
-            except AdmissibleError as exc:
-                checks.append(failed(name, exc))
+                return ok, f"{len(reports)} weights to order {_RATIO_ORDER}"
 
+            _judge(checks, f"theta_ratio_{tag}", theta_ratios)
             # One division per weight serves the two checks below: chi to order
-            # N is chibar to order N - anomaly, shifted by the anomaly.
-            try:
-                chibars = [
-                    character_qseries(
-                        s, max(_SERIES_ORDER, _SERIES_ORDER - s.anomaly), kind="chibar"
-                    )
-                    for s in specs
-                ]
-            except AdmissibleError as exc:
-                checks.append(failed(f"character_coefficients_{tag}", exc))
-                checks.append(failed(f"series_numeric_{tag}", exc))
-                continue
+            # N is chibar to order N - anomaly, shifted by the anomaly.  If it
+            # raises, both fail with its error.
+            chibars, raised = _outcome(lambda: [
+                character_qseries(s, max(_SERIES_ORDER, _SERIES_ORDER - s.anomaly), kind="chibar")
+                for s in specs
+            ])
 
-            name = f"character_coefficients_{tag}"
-            try:
-                ok = True
-                for s, full in zip(specs, chibars):
-                    ser = full.truncate(_SERIES_ORDER)
-                    ok = ok and _all_pass(
-                        character_series_checks(ser, chibar_lowest_exponent(s))
-                    )
-                checks.append(
-                    check(name, ok, f"{len(specs)} weights to order {_SERIES_ORDER}")
+            def coefficients():
+                ok = all(
+                    _all_pass(character_series_checks(ser.truncate(_SERIES_ORDER), low))
+                    for ser, low in zip(chibars, map(chibar_lowest_exponent, specs))
                 )
-            except AdmissibleError as exc:
-                checks.append(failed(name, exc))
+                return ok, f"{len(specs)} weights to order {_SERIES_ORDER}"
 
-            name = f"series_numeric_{tag}"
-            try:
+            def agreement():
                 worst = mp.mpf(0)
                 ok = True
                 for s, full in zip(specs, chibars):
@@ -405,11 +392,10 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                         *_, diff, agree = series_numeric_agreement(s, ser, tau, _AGREE_BOUND)
                         worst = max(worst, diff)
                         ok = ok and agree
-                checks.append(
-                    check(name, ok, f"max |series - numeric| = {mp.nstr(worst, 6)}")
-                )
-            except AdmissibleError as exc:
-                checks.append(failed(name, exc))
+                return ok, f"max |series - numeric| = {mp.nstr(worst, 6)}"
+
+            _judge(checks, f"character_coefficients_{tag}", coefficients, raised)
+            _judge(checks, f"series_numeric_{tag}", agreement, raised)
 
     return {"fixtures": rows}, checks
 

@@ -6,9 +6,10 @@ term-ratio bound e^{-slope}, once for the modulus in the tail test, and once
 for the modulus added to the rounding sum.  ``numeric.theta_eval_numeric``
 carries the modulus M(x) and the ratio rho(x) = M(x+d)/M(x) from one step
 to the next instead, and sums the same terms in the same order, so the two
-must return bitwise equal values and error bounds that differ only in the
-recurrence's rounding allowance; ``tests/test_numeric.py`` checks that on
-random inputs.
+must return bitwise equal values.  Its error bound also allows for the
+recurrence's rounding and for the rounding of every exponential's argument,
+which this evaluator leaves out, so it is never smaller than the one here;
+``tests/test_numeric.py`` checks both on random inputs.
 """
 
 from __future__ import annotations

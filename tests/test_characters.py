@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from admissible_sl2 import characters
 from admissible_sl2.characters import (
     CharacterSpec,
     character_qseries,
@@ -23,7 +24,7 @@ from admissible_sl2.characters import (
     support_index_plus,
     theta_ratio_identity_check,
 )
-from admissible_sl2.errors import InputError
+from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.weights import (
     AdmissibleWeight,
     conformal_weight,
@@ -168,3 +169,15 @@ def test_character_orders_are_honest():
     long = character_qseries(spec, Fraction(12), kind="chibar")
     assert long.truncate(short.order) == short
     assert math.isfinite(float(short.order))
+
+
+def test_quotient_short_of_the_order_raises(monkeypatch):
+    # one division at margin 1 is enough for every admissible denominator; a
+    # quotient that still falls short cannot be returned as exact
+    real = characters.qseries_div
+    monkeypatch.setattr(
+        characters, "qseries_div", lambda num, den: real(num, den).truncate(Fraction(3))
+    )
+    spec = CharacterSpec(AdmissibleWeight(level_from_pq(3, 2), 0, 1), Fraction(1, 2))
+    with pytest.raises(InvariantError, match="quotient falls short of order 6"):
+        character_qseries(spec, Fraction(6), kind="chibar")

@@ -7,10 +7,10 @@ external fixed point.  Error bounds are tested for honesty by comparing
 evaluations at different working precisions.
 
 The recurrence for the term moduli is checked against the direct per-term
-evaluator kept in ``tests/_theta_oracle.py``: equal values bit for bit, error
-bounds equal up to the recurrence's rounding allowance.  ``stransform``'s
-sharing of thetas and S-matrix phases is checked against unshared
-evaluations, bit for bit.
+evaluator kept in ``tests/_theta_oracle.py``: equal values bit for bit, and
+error bounds no smaller than the oracle's, which leaves out the rounding of
+each term's argument.  ``stransform``'s sharing of thetas and S-matrix phases
+is checked against unshared evaluations, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import _theta_oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -149,25 +149,23 @@ def test_theta_recurrence_matches_direct_evaluator(m, n, z, re_tau, im_tau, tol_
         with pytest.raises(InputError, match="rounding budget"):
             theta_eval_numeric(spec, tau, tol, prec)
         return
-    val = theta_eval_numeric(spec, tau, tol, prec)
+    try:
+        val = theta_eval_numeric(spec, tau, tol, prec)
+    except InputError as exc:
+        # the argument-rounding allowance alone lifts the budget past tol/4
+        assert "rounding budget" in str(exc)
+        event("only the recurrence evaluator exceeds the rounding budget")
+        return
     assert val.value == oracle.value
     assert val.prec == oracle.prec
     with mp.workprec(320):
-        assert abs(val.err - oracle.err) <= mp.mpf("1e-30") * val.err
-        miss = abs(val.value - _brute_theta(spec, tau))
-        # honest wherever the direct evaluator is honest; where it is not, see
-        # test_theta_bound_covers_term_argument_rounding
-        assert miss <= val.err or miss > oracle.err
+        assert val.err >= oracle.err
+        assert abs(val.value - _brute_theta(spec, tau)) <= val.err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the rounding term (count + 16) eps sum|term| leaves out the rounding "
-    "of each term's exponent argument 2m(x^2 + xz)tau, which grows with its size",
-)
 def test_theta_bound_covers_term_argument_rounding():
-    # tails are ~1e-62 here, so the rounding term is the whole bound, and the
-    # brute-force sum sits ~7x further away than it allows
+    # tails are ~1e-62 here, so the rounding term is the whole bound; without
+    # the rounding of each term's argument the brute-force sum sat ~7x outside it
     spec = ThetaSpec(-13, 40, Fraction(-5, 7))
     with mp.workprec(192):
         tau = mp.mpc(-3, 0) / 2 + mp.mpc(0, 1) / 2

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from admissible_sl2 import verify
+from admissible_sl2.cli import main
 from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.verify import (
     SUITES,
@@ -120,3 +122,56 @@ def test_all_suites_concatenate_the_single_suites():
     _, checks = run_suites("all", 4, 3)
     singles = [c for name in SUITES for c in run_suites(name, 4, 3)[1]]
     assert checks == singles
+
+
+# -- a raise fails its own check ------------------------------------------------
+
+_AT_P3_Q2 = {
+    "FusionRing.build": ["fusion_axioms_p3_q2"],
+    "classical_su2_fusion": ["classical_limit_ell2"],
+    "verify_operator_identities": ["operator_identities_m5"],
+    "hw_annihilation_polynomial": ["annihilation_p3_q2"],
+    "c2_heisenberg_reduction": ["c2_reduction_p3_q2"],
+    "bimodule_from_mff": ["fusion_three_way_p3_q2", "bimodule_dims_p3_q2"],
+    "theta_ratio_identity_check": ["theta_ratio_p3_q2_z1_3", "theta_ratio_p3_q2_z1_2"],
+    "character_qseries": [
+        f"{family}_p3_q2_{z}"
+        for z in ("z1_3", "z1_2")
+        for family in ("character_coefficients", "series_numeric")
+    ],
+    "series_numeric_agreement": ["series_numeric_p3_q2_z1_3", "series_numeric_p3_q2_z1_2"],
+}
+
+
+def _raising_at_p3_q2(real):
+    """``real``, raising instead at level (3, 2), at ell = 2, or when given no argument."""
+
+    def stubbed(*args, **kwargs):
+        head = getattr(args[0], "level", args[0]) if args else None
+        if head is None or head == 2 or (getattr(head, "p", 0), getattr(head, "q", 0)) == (3, 2):
+            raise InvariantError("stubbed")
+        return real(*args, **kwargs)
+
+    return stubbed
+
+
+@pytest.fixture(scope="module")
+def small_sweep_names():
+    return [c["name"] for c in run_suites("all", 4, 3)[1]]
+
+
+@pytest.mark.parametrize("target", list(_AT_P3_Q2))
+def test_every_check_family_survives_a_raise(monkeypatch, capsys, small_sweep_names, target):
+    if target == "FusionRing.build":
+        stub = staticmethod(_raising_at_p3_q2(verify.FusionRing.build))
+        monkeypatch.setattr(verify.FusionRing, "build", stub)
+    else:
+        monkeypatch.setattr(verify, target, _raising_at_p3_q2(getattr(verify, target)))
+    results, checks = run_suites("all", 4, 3)
+    assert [c["name"] for c in checks] == small_sweep_names
+    failed = {c["name"]: c["detail"] for c in checks if c["status"] != "pass"}
+    assert failed == dict.fromkeys(_AT_P3_Q2[target], "raised InvariantError: stubbed")
+    assert results["checks_failed"] == len(failed)
+    code = main(["verify", "--suite", "all", "--pmax", "4", "--qmax", "3", "--format", "json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == checks
