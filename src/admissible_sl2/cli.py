@@ -22,6 +22,11 @@ is 0 when every check passes; 1 when a check fails, or when a computation
 could not complete (an :class:`~admissible_sl2.errors.InvariantError`; the
 report then carries one failed check); and 2 for usage or parameter errors
 (an :class:`~admissible_sl2.errors.InputError`, reported on stderr).
+
+One table defines the subcommands and their flags.  :func:`main` builds the
+parser of the subcommand that ``argv[0]`` names alone, which costs a fraction
+of building all nine; help, an empty argv and unknown names get the full
+parser, and either prints the same usage and error text.
 """
 
 from __future__ import annotations
@@ -367,70 +372,112 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="admsl2",
-        description="Exact invariants of admissible-level sl2 vacuum vertex algebras.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _weight_flags(sp) -> None:
+    sp.add_argument("--n", type=int, default=None, help="box coordinate 0..p-2")
+    sp.add_argument("--k", type=int, default=None, help="box coordinate 0..q-1")
+    sp.add_argument("--j", default=None, help='weight as a rational "a/b"')
 
-    def add(name: str, handler, help_text: str, pq: bool = True):
-        sp = sub.add_parser(name, help=help_text, description=help_text)
-        if pq:
-            sp.add_argument("--p", type=int, required=True, help="numerator of t = p/q")
-            sp.add_argument("--q", type=int, required=True, help="denominator of t = p/q")
-        sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.set_defaults(handler=handler)
-        return sp
 
-    def add_weight_flags(sp):
-        sp.add_argument("--n", type=int, default=None, help="box coordinate 0..p-2")
-        sp.add_argument("--k", type=int, default=None, help="box coordinate 0..q-1")
-        sp.add_argument("--j", default=None, help='weight as a rational "a/b"')
-
-    add("weights", cmd_weights, "enumerate admissible weights with conformal weights")
-    add("zhu", cmd_zhu, "vacuum Zhu algebra: dimension, relation, annihilation constant")
-
-    sp = add("bimodule", cmd_bimodule, "bimodule dimensions: presentation vs. projection oracle")
-    add_weight_flags(sp)
-
-    sp = add("fusion", cmd_fusion, "fusion rule for one ordered pair of weights")
+def _fusion_flags(sp) -> None:
     sp.add_argument("--j1", required=True, help='first weight, "n,k" or rational "a/b"')
     sp.add_argument("--j2", required=True, help='second weight, "n,k" or rational "a/b"')
     sp.add_argument(
         "--oracle", choices=("closed", "bimodule", "mff", "all"), default="closed"
     )
 
-    sp = add("fusion-table", cmd_fusion_table, "full fusion table and ring axioms")
+
+def _fusion_table_flags(sp) -> None:
     sp.add_argument("--oracle", choices=("closed", "all"), default="closed")
 
-    sp = add("mff-verify", cmd_mff_verify, "exact operator-calculus identity sweep", pq=False)
+
+def _mff_verify_flags(sp) -> None:
     sp.add_argument("--mmax", type=int, default=5, help="largest power in the identities")
 
-    sp = add("character", cmd_character, "exact character q-expansion for one weight")
-    add_weight_flags(sp)
+
+def _character_flags(sp) -> None:
+    _weight_flags(sp)
     sp.add_argument("--z", required=True, help='flavour parameter, rational in (0,1)')
     sp.add_argument("--kind", choices=("chi", "chibar"), default="chi")
     sp.add_argument("--trunc", default="30", help="truncation order (rational)")
     sp.add_argument("--tau", default=None, help='numeric cross-check point "re,im"')
     sp.add_argument("--tol", default="1e-8", help="agreement tolerance for --tau")
 
-    sp = add("stransform", cmd_stransform, "certified S-transformation residual report")
+
+def _stransform_flags(sp) -> None:
     sp.add_argument("--z", required=True, help='flavour parameter, rational in (0,1)')
     sp.add_argument("--tau", required=True, help='upper-half-plane point "re,im"')
     sp.add_argument("--variant", choices=("KW1", "KW2"), default="KW2")
     sp.add_argument("--tol", default="1e-10", help="certification tolerance")
 
-    sp = add("verify", cmd_verify, "invariant suites over a (p, q) box", pq=False)
+
+def _verify_flags(sp) -> None:
     sp.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
     sp.add_argument("--pmax", type=int, default=6)
     sp.add_argument("--qmax", type=int, default=5)
 
+
+# name, handler, help text, whether it takes --p/--q, its own flags
+_SUBCOMMANDS = (
+    ("weights", cmd_weights, "enumerate admissible weights with conformal weights",
+     True, None),
+    ("zhu", cmd_zhu, "vacuum Zhu algebra: dimension, relation, annihilation constant",
+     True, None),
+    ("bimodule", cmd_bimodule, "bimodule dimensions: presentation vs. projection oracle",
+     True, _weight_flags),
+    ("fusion", cmd_fusion, "fusion rule for one ordered pair of weights",
+     True, _fusion_flags),
+    ("fusion-table", cmd_fusion_table, "full fusion table and ring axioms",
+     True, _fusion_table_flags),
+    ("mff-verify", cmd_mff_verify, "exact operator-calculus identity sweep",
+     False, _mff_verify_flags),
+    ("character", cmd_character, "exact character q-expansion for one weight",
+     True, _character_flags),
+    ("stransform", cmd_stransform, "certified S-transformation residual report",
+     True, _stransform_flags),
+    ("verify", cmd_verify, "invariant suites over a (p, q) box",
+     False, _verify_flags),
+)
+_SUBCOMMAND_NAMES = tuple(entry[0] for entry in _SUBCOMMANDS)
+
+
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given ``name``, of that one alone.
+
+    Both parse that subcommand's argv to the same namespace.  The narrow
+    parser shows the full subcommand list as its usage metavar, so that an
+    error the top level reports (an unrecognized flag) prints the same usage
+    line as the full parser.
+    """
+    if name is not None and name not in _SUBCOMMAND_NAMES:
+        raise ValueError(f"unknown subcommand {name!r}")
+    parser = argparse.ArgumentParser(
+        prog="admsl2",
+        description="Exact invariants of admissible-level sl2 vacuum vertex algebras.",
+    )
+    sub = parser.add_subparsers(
+        dest="subcommand",
+        required=True,
+        metavar=None if name is None else "{" + ",".join(_SUBCOMMAND_NAMES) + "}",
+    )
+    for sub_name, handler, help_text, pq, add_flags in _SUBCOMMANDS:
+        if name is not None and sub_name != name:
+            continue
+        sp = sub.add_parser(sub_name, help=help_text, description=help_text)
+        if pq:
+            sp.add_argument("--p", type=int, required=True, help="numerator of t = p/q")
+            sp.add_argument("--q", type=int, required=True, help="denominator of t = p/q")
+        sp.add_argument("--format", choices=("json", "text"), default="text")
+        sp.set_defaults(handler=handler)
+        if add_flags is not None:
+            add_flags(sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one subparser when argv names a subcommand; the full parser for help,
+    # an empty argv and unknown names, so their text is the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMAND_NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

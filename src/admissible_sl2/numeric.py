@@ -17,9 +17,9 @@ and rounding bounds (derivation in :func:`theta_eval_numeric`).
 
 ``s_transform_residual`` computes each distinct quantity once per call: one
 theta memo per side of the law (every weight's quotient shares the
-denominator pair theta_{+-1,2}), one e^{i pi x} per distinct exact phase x
-(the conjugate-phase matrix reuses them through ``mp.conj``), and one product
-S_ij chibar_j per cell of the residual table.
+denominator pair theta_{+-1,2}), one e^{i pi N/a} per distinct integer
+phase numerator N = b b' (the conjugate-phase matrix reuses them through
+``mp.conj``), and one product S_ij chibar_j per cell of the residual table.
 
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
@@ -427,14 +427,16 @@ def s_transform_residual(
         z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
-        # e^{i pi x} once per distinct exact x; expjpi(-x) is bitwise
-        # conj(expjpi(x)), so the conjugate-phase spelling reuses the phases.
-        phases: dict[Fraction, mpmath.mpc] = {}
+        # e^{i pi N/a} once per distinct integer N = b b'; a is fixed, and
+        # mpf(N) / a is the same correctly rounded quotient as the reduced
+        # fraction's.  expjpi(-x) is bitwise conj(expjpi(x)), so the
+        # conjugate-phase spelling reuses the phases.
+        phases: dict[int, mpmath.mpc] = {}
 
-        def phase(x: Fraction) -> mpmath.mpc:
-            if x not in phases:
-                phases[x] = mp.expjpi(_frac_mpf(x))
-            return phases[x]
+        def phase(num: int) -> mpmath.mpc:
+            if num not in phases:
+                phases[num] = mp.expjpi(mp.mpf(num) / a)
+            return phases[num]
 
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
         s_matrix: list[list[mpmath.mpc]] = []
@@ -446,8 +448,8 @@ def s_transform_residual(
             abs_row = []
             printed_row = []
             for sj in specs:
-                e_pp = phase(Fraction(si.b_plus * sj.b_plus, a))
-                e_pm = phase(Fraction(si.b_plus * sj.b_minus, a))
+                e_pp = phase(si.b_plus * sj.b_plus)
+                e_pm = phase(si.b_plus * sj.b_minus)
                 entry = pref * (e_pp - e_pm)
                 printed_row.append(pref * (mp.conj(e_pm) - mp.conj(e_pp)))
                 row.append(entry)

@@ -15,12 +15,15 @@ The module also provides the theta-function expansions
     theta_{n,m}(tau, z) = sum over j in Z + n/2m of q^(m(j^2 + j z)),
 
 with ``q = e^(2 pi i tau)``; at ``z = 0`` this is the one-variable series
-``Theta_{n,m}``.  Division of series (needed for characters written as theta
-ratios) eliminates leading terms on the integer lattice, with the
-remainder's keys in a heap and integral coefficients held as Python ints.
-The characters' denominator theta_{1,2} - theta_{-1,2} (the affine A1
-Weyl-Kac denominator) has leading coefficient +-1 and integral numerators
-over it, so their division runs on ints alone.
+``Theta_{n,m}``.  The expansion works on integer keys as well: with
+j = x/2m and z = v/u, every exponent is an integer over 4mu, so the points
+below the order are counted without building a ``Fraction``.  Division of
+series (needed for characters written as theta ratios) eliminates leading
+terms on the integer lattice, with the remainder's keys in a heap and
+integral coefficients held as Python ints.  The characters' denominator
+theta_{1,2} - theta_{-1,2} (the affine A1 Weyl-Kac denominator) has leading
+coefficient +-1 and integral numerators over it, so their division runs on
+ints alone.
 """
 
 from __future__ import annotations
@@ -267,30 +270,32 @@ def theta_qseries(spec: ThetaSpec, order) -> QSeries:
     """Expand theta_{n,m}(tau, z) as an exact QSeries to the given order.
 
     Sums q^(m(j^2 + j z)) over all lattice points j in Z + n/2m whose exponent
-    lies below the order; the exponent is an upward parabola in j, so the set
-    is finite and is enumerated outward from the vertex j = -z/2.
+    lies below the order.  With x = 2m i + n, so that j = x/2m, and z = v/u
+    in lowest terms, that exponent is (u x^2 + 2m v x) / 4mu: each point
+    contributes the integer key x (u x + 2m v) on the lattice (1/4mu)Z, kept
+    when it lies below the order's key cap.  The key is an upward parabola in
+    x, so the points are enumerated outward from its vertex, i = -z/2 - n/2m.
+    Two points j and -z - j share a key, so the keys count their points.
     """
     if not spec.has_rational_z:
         raise InputError("exact theta expansion requires a rational z")
     order = rat(order)
-    off = spec.offset
-    vertex = -spec.z / 2 - off  # real minimiser in the integer coordinate i
-    pairs: list[tuple[Fraction, Fraction]] = []
-    i = math.ceil(vertex)
-    while True:
-        e = spec.exponent_at(i + off)
-        if e >= order:
-            break
-        pairs.append((e, Fraction(1)))
-        i += 1
-    i = math.ceil(vertex) - 1
-    while True:
-        e = spec.exponent_at(i + off)
-        if e >= order:
-            break
-        pairs.append((e, Fraction(1)))
-        i -= 1
-    return QSeries.from_terms(pairs, order)
+    n, m = spec.n, spec.m
+    v, u = spec.z.numerator, spec.z.denominator
+    denom = 4 * m * u
+    cap = _key_cap(order, denom)
+    step, lin = 2 * m, 2 * m * v
+    start = -((m * v + n * u) // (2 * m * u))  # ceil of the vertex in i
+    counts: dict[int, int] = {}
+    x = step * start + n
+    while (key := x * (u * x + lin)) < cap:
+        counts[key] = counts.get(key, 0) + 1
+        x += step
+    x = step * (start - 1) + n
+    while (key := x * (u * x + lin)) < cap:
+        counts[key] = counts.get(key, 0) + 1
+        x -= step
+    return QSeries(denom, counts, order)
 
 
 def theta_min_exponent(spec: ThetaSpec) -> Fraction:

@@ -16,15 +16,22 @@ objects, and certified complex values become {"value": ["re", "im"],
 the same encoded document, never by a second rendering path, and the JSON
 is emitted with stable insertion ordering so identical inputs are
 byte-identical.
+
+``dumps`` writes the indented JSON itself: ``json.dumps`` with an indent
+falls back to the standard library's pure-Python encoder, which took longer
+than the rest of a short report.  Its output is held to be exactly
+``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a newline; the tests
+compare the two on random documents and on every golden report.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 import mpmath as mp
+from mpmath.libmp import to_str
 
 from .exact import UniPoly, rat, rat_str
 from .numeric import ComplexVal
@@ -58,12 +65,12 @@ def _real_str(x, digits: int = _VALUE_DIGITS) -> str:
     precision, which would truncate high-precision certified bounds).
     """
     xf = x if isinstance(x, mp.mpf) else mp.mpf(x)
-    return mp.nstr(xf, digits, strip_zeros=True)
+    return to_str(xf._mpf_, digits, strip_zeros=True)
 
 
 def _complex_pair(x) -> list[str]:
     xc = x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpc(x)
-    return [_real_str(mp.re(xc)), _real_str(mp.im(xc))]
+    return [_real_str(xc.real), _real_str(xc.imag)]
 
 
 def encode(value: Any) -> Any:
@@ -146,7 +153,59 @@ def all_checks_pass(doc: Mapping[str, Any]) -> bool:
 
 
 def dumps(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, written directly.
+
+    The standard library takes its pure-Python encoder whenever an indent is
+    given; this writer emits the same bytes for the primitives ``encode``
+    produces (dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
+    ``None``), with strings escaped by the C ``encode_basestring`` that
+    ``json.dumps`` itself uses.  Anything else, a ``float`` or a non-``str``
+    key included, raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, out: list[str], pad: str) -> None:
+    """Append the indent-2 JSON of ``value``; ``pad`` is a newline and its indent."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            out.append(sep + encode_basestring(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as report JSON")
 
 
 # -- round-trip parsing ------------------------------------------------------

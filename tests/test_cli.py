@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from admissible_sl2.errors import InvariantError
 from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.report import parse_rational
 from admissible_sl2.weights import vacuum_polynomial
+from test_golden_reports import CASES as GOLDEN_ARGVS
 
 # the package exports the function ``fusion`` under the module's name
 fusion_module = importlib.import_module("admissible_sl2.fusion")
@@ -381,3 +383,44 @@ def test_text_format_renders_checks(capsys):
     assert code == 0
     assert out.startswith("weights (p=3, q=2")
     assert "checks: " in out and "[pass]" in out
+
+
+# ------------------------------------------------------------------ parser
+#
+# ``main`` builds only the subparser that argv[0] names, and the full parser
+# for help, an empty argv and unknown names.  ``usage_golden.json`` holds what
+# the full parser alone printed for these argv, recorded under the Python it
+# names at COLUMNS=80 (argparse wraps to the terminal width, and its wording
+# moves between Python versions); the narrow parser must print the same.
+
+USAGE_GOLDEN = json.loads((Path(__file__).resolve().parent / "usage_golden.json").read_text())
+
+
+def test_usage_and_errors_are_unchanged(capsys, monkeypatch):
+    python = "%d.%d" % sys.version_info[:2]
+    if python != USAGE_GOLDEN["python"]:
+        pytest.skip(f"argparse text recorded under Python {USAGE_GOLDEN['python']}, not {python}")
+    monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
+    for case in USAGE_GOLDEN["cases"]:
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["out"], case["err"]), case["argv"]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_narrow_parser_prints_what_the_full_one_prints(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    for case in USAGE_GOLDEN["cases"]:
+        argv = case["argv"]
+        with pytest.raises(SystemExit) as full_exit:
+            cli.build_parser().parse_args(argv)
+        full = full_exit.value.code, capsys.readouterr()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (full[0], full[1].out, full[1].err), argv
+
+
+def test_narrow_and_full_parsers_parse_alike():
+    for argv in GOLDEN_ARGVS:
+        full = cli.build_parser().parse_args(list(argv))
+        assert cli.build_parser(argv[0]).parse_args(list(argv)) == full, argv
+    with pytest.raises(ValueError, match="unknown subcommand"):
+        cli.build_parser("bogus")

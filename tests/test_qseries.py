@@ -7,7 +7,10 @@ vertex, so window agreement over asymmetric z pins the support logic.
 
 The division oracle (``tests/_division_oracle.py``) is leading-term
 elimination over Fractions; ``qseries_div`` must return the very same series
-on random inputs, on its integer path and on its rational one.
+on random inputs, on its integer path and on its rational one.  The theta
+series oracle (``tests/_theta_series_oracle.py``) is the expansion over
+Fraction exponents that ``theta_qseries`` replaced with integer keys; the
+two must agree on random indices, flavours and orders.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from admissible_sl2.errors import InputError
 from admissible_sl2.qseries import QSeries, ThetaSpec, qseries_div, theta_min_exponent, theta_qseries
 from _division_oracle import leading_term_division
+from _theta_series_oracle import theta_qseries as fraction_theta_qseries
 
 RNG_SEED = 91
 
@@ -148,6 +152,42 @@ def test_theta_z_zero_coefficients_count_lattice_points():
         (Fraction(9), Fraction(2)),
         (Fraction(16), Fraction(2)),
     ]
+
+
+# -- theta expansion against the Fraction oracle --------------------------------
+#
+# Two lattice points j and -z - j share an exponent.  Both lie on Z + n/2m,
+# with z = v/u in lowest terms, exactly when u | m and n = -mv/u (mod m), so
+# half the draws pick n that way and must then show keys counted twice.
+
+
+@st.composite
+def _theta_draws(draw) -> tuple[ThetaSpec, Fraction, bool]:
+    u = draw(st.integers(1, 12))
+    v = draw(st.integers(-3 * u, 3 * u))
+    paired = draw(st.booleans())
+    if paired:
+        m = u * draw(st.integers(1, 60 // u))
+        n0 = -(m // u) * v % m
+        n = draw(st.sampled_from([n for n in range(-60, 61) if n % m == n0]))
+    else:
+        m, n = draw(st.integers(1, 60)), draw(st.integers(-60, 60))
+    spec = ThetaSpec(n, m, Fraction(v, u))
+    # orders from below the lowest exponent to far above it
+    reach = draw(st.fractions(min_value=-4, max_value=40, max_denominator=12))
+    return spec, theta_min_exponent(spec) + reach, paired
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_theta_draws())
+def test_theta_expansion_matches_fraction_oracle(case):
+    spec, order, paired = case
+    ours, ref = theta_qseries(spec, order), fraction_theta_qseries(spec, order)
+    assert (ours.denom, ours.terms, ours.order) == (ref.denom, ref.terms, ref.order)
+    event("empty" if not ours.terms else "repeated keys" if 2 in ours.terms.values() else "single keys")
+    if paired and sum(ours.terms.values()) >= 2:
+        # every point pairs with its mirror but the vertex, if it is on the lattice
+        assert 2 in ours.terms.values()
 
 
 def test_theta_requires_rational_z():

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from admissible_sl2 import report
+from admissible_sl2.cli import main
 from admissible_sl2.exact import UniPoly
 from admissible_sl2.numeric import theta_eval_numeric
 from admissible_sl2.qseries import QSeries, ThetaSpec
@@ -24,6 +30,7 @@ from admissible_sl2.report import (
     render_text,
 )
 from admissible_sl2.weights import enumerate_admissible, level_from_pq
+from test_golden_reports import ARGVS as GOLDEN_ARGVS
 
 
 def test_encode_scalars():
@@ -113,6 +120,62 @@ def test_dumps_is_valid_deterministic_json():
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed["results"]["xs"] == ["1/3", 2]
+
+
+# -- the JSON writer against json.dumps ----------------------------------------
+#
+# ``dumps`` writes the indented JSON itself; on every tree of the primitives
+# ``encode`` emits it must give exactly the standard library's bytes.
+
+_strings = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028é€😀'), st.characters()),
+    max_size=12,
+)
+_ints = st.one_of(st.integers(), st.integers(min_value=-(10**300), max_value=10**300))
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _strings)
+_pairs = st.lists(st.tuples(_ints, _strings).map(list), max_size=6)
+
+
+def _nest(value, shape: list[bool]):
+    for in_dict in shape:
+        value = {"k": value} if in_dict else [value]
+    return value
+
+
+_trees = st.recursive(
+    st.one_of(_scalars, _pairs, st.just([]), st.just({})),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.dictionaries(_strings, kids, max_size=5),
+    ),
+    max_leaves=30,
+)
+_deep = st.builds(_nest, _trees, st.lists(st.booleans(), min_size=20, max_size=60))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_trees, _deep))
+def test_dumps_equals_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dumps_equals_json_dumps_on_every_golden_report(monkeypatch):
+    docs = []
+    write = report.dumps
+    monkeypatch.setattr(report, "dumps", lambda doc: docs.append(doc) or write(doc))
+    reports = 0
+    for argv in GOLDEN_ARGVS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            reports += main([*argv, "--format", "json"]) != 2  # 2: usage error, no report
+    assert len(docs) == reports >= len(GOLDEN_ARGVS) - 1
+    for doc in docs:
+        assert write(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [0.25]}, {1: "a"}, [{"x": {None: 1}}], {(1, 2): 3}])
+def test_dumps_rejects_floats_and_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
 
 
 def test_render_text_walks_the_encoded_document():
