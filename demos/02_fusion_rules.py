@@ -17,11 +17,11 @@ from admissible_sl2 import (
     FusionRing,
     classical_su2_fusion,
     enumerate_admissible,
-    fusion,
     level_from_pq,
     weight_from_j,
     zhu_algebra,
 )
+from admissible_sl2.fusion import fusion
 
 level = level_from_pq(3, 2)
 
@@ -41,8 +41,8 @@ w3 = weight_from_j(level, Fraction(-1, 2))
 rec0 = fusion(level, w3, w3)
 print(f"L({w3.j}) x L({w3.j}) = {dict(rec0.outputs) or '0'}  (gate closed)")
 
-# the full ring, with unit / commutativity / associativity checked on the
-# structure-constant tensor
+# the full ring, with unit / commutativity / associativity checked on its
+# sparse table of nonzero structure constants
 ring = FusionRing.build(level)
 print(f"\nfusion ring axioms: {ring.axioms()}")
 print("full table:")

@@ -31,7 +31,6 @@ from .fusion import (
     FusionRecord,
     FusionRing,
     classical_su2_fusion,
-    fusion,
     fusion_closed_form,
     fusion_via_bimodule,
     fusion_via_mff,
@@ -112,7 +111,6 @@ __all__ = [
     "enumerate_admissible",
     "factor_product",
     "fuchs_projection",
-    "fusion",
     "fusion_closed_form",
     "fusion_via_bimodule",
     "fusion_via_mff",

@@ -162,7 +162,7 @@ def _theta_quotient(
         plus, minus = pair
         inner = o / w
         diff = theta_qseries(plus, inner) - theta_qseries(minus, inner)
-        return diff.scale_exponents(w) if w != 1 else diff
+        return diff.scale_exponents(w)
 
     e_n = min(theta_min_exponent(th) for th in num) * w_num
     e_d = min(theta_min_exponent(th) for th in den) * w_den

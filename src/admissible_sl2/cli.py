@@ -242,11 +242,7 @@ def cmd_fusion_table(args) -> tuple[dict, list[dict]]:
     table = []
     for a, w1 in enumerate(basis):
         for b, w2 in enumerate(basis):
-            outs = {
-                basis[c].j: int(ring.tensor[a, b, c])
-                for c in range(len(basis))
-                if ring.tensor[a, b, c]
-            }
+            outs = {basis[c].j: n for c, n in sorted(ring.table[a][b].items())}
             table.append({"j1": w1.j, "j2": w2.j, "outputs": outs})
     axioms = ring.axioms()
     checks = [

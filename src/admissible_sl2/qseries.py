@@ -156,7 +156,7 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         denom, a, b = self._aligned(other)
         for m, c in b.items():
-            a[m] = a.get(m, Fraction(0)) + c
+            a[m] = a.get(m, 0) + c
         return QSeries(denom, a, min(self.order, other.order))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
@@ -184,7 +184,7 @@ class QSeries:
             for mb, cb in b.items():
                 m = ma + mb
                 if m < cap:
-                    out[m] = out.get(m, Fraction(0)) + ca * cb
+                    out[m] = out.get(m, 0) + ca * cb
         return QSeries(denom, out, order)
 
     def shift_exponents(self, delta) -> "QSeries":
@@ -202,8 +202,8 @@ class QSeries:
         factor = rat(factor)
         if factor <= 0:
             raise InputError(f"exponent scale factor must be positive, got {factor}")
-        pairs = [(Fraction(m, self.denom) * factor, c) for m, c in self.terms.items()]
-        return QSeries.from_terms(pairs, self.order * factor)
+        terms = {m * factor.numerator: c for m, c in self.terms.items()}
+        return QSeries(self.denom * factor.denominator, terms, self.order * factor)
 
     def truncate(self, order) -> "QSeries":
         order = rat(order)
@@ -320,11 +320,12 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     denominators of that order and of e_d, so the remainder cutoff
     ``cap = (order + e_d) D`` is an exact integer key: a remainder term at or
     above it cannot reach the quotient.  The remainder's keys sit in a heap,
-    so each step takes its lowest term without a scan.  Integral input
-    coefficients enter as ints, and 1/c_d is an int when the leading
-    denominator coefficient c_d is +-1, so integral series over such a
-    denominator divide without building a Fraction; mixed int/Fraction
-    arithmetic is exact, so the same loop serves rational inputs.
+    so each step takes its lowest term without a scan.  Coefficients enter
+    as given, and 1/c_d is an int when the leading denominator coefficient
+    c_d is +-1, so int series over such a denominator divide without
+    building a Fraction; otherwise 1/c_d is the exact ``Fraction(1, c_d)``.
+    Mixed int/Fraction arithmetic is exact, so the same loop serves rational
+    inputs.
     """
     low_d = den.lowest()
     if low_d is None:
@@ -346,10 +347,10 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     s = denom2 // denom
     cap = _key_cap(order + e_d, denom2)
     m_d = min(b) * s
-    rem = {m * s: _exact(c) for m, c in a.items()}
+    rem = {m * s: c for m, c in a.items()}
     # Denominator terms after the leading one, as ascending offsets from it.
-    tail = sorted((m * s - m_d, _exact(c)) for m, c in b.items() if m * s != m_d)
-    inv = c_d.numerator if c_d in (1, -1) else 1 / c_d
+    tail = sorted((m * s - m_d, c) for m, c in b.items() if m * s != m_d)
+    inv = c_d.numerator if c_d in (1, -1) else Fraction(1, c_d)
     heap = list(rem)
     heapq.heapify(heap)
     quo: dict[int, Fraction] = {}
@@ -378,8 +379,3 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
                 else:
                     del rem[m]
     return QSeries(denom2, quo, order)
-
-
-def _exact(c: Fraction) -> int | Fraction:
-    """``c`` as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c

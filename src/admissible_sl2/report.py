@@ -74,11 +74,9 @@ def _complex_pair(x) -> list[str]:
 
 
 def encode(value: Any) -> Any:
-    """Recursively rewrite ``value`` into JSON-serializable primitives."""
+    """Rewrite ``value`` into JSON primitives; a float, which has no error bound, raises."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, UniPoly):
@@ -243,7 +241,7 @@ def _inline(value: Any) -> str | None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
         return value

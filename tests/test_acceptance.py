@@ -29,7 +29,6 @@ from admissible_sl2 import (
     classical_su2_fusion,
     conformal_weight,
     enumerate_admissible,
-    fusion,
     fusion_closed_form,
     hw_annihilation_polynomial,
     level_from_pq,
@@ -43,6 +42,7 @@ from admissible_sl2 import (
     weight_from_j,
     zhu_algebra,
 )
+from admissible_sl2.fusion import fusion
 from admissible_sl2.verify import coprime_levels
 
 SWEEP_PMAX, SWEEP_QMAX = 6, 5

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import json
 import subprocess
 import sys
@@ -14,15 +13,13 @@ from pathlib import Path
 import pytest
 
 from admissible_sl2 import cli, mff, verify
+from admissible_sl2 import fusion as fusion_module
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InvariantError
 from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.report import parse_rational
 from admissible_sl2.weights import vacuum_polynomial
 from test_golden_reports import CASES as GOLDEN_ARGVS
-
-# the package exports the function ``fusion`` under the module's name
-fusion_module = importlib.import_module("admissible_sl2.fusion")
 
 
 def run_cli(capsys, *argv):

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible_sl2 import fusion as fusion_module
 from admissible_sl2.errors import InputError
 from admissible_sl2.exact import UniPoly
 from admissible_sl2.fusion import (
@@ -152,30 +157,138 @@ def test_ring_axioms(p, q):
     assert axioms == {"unit": True, "commutativity": True, "associativity": True}
 
 
+def _copy_table(ring: FusionRing) -> list[list[dict[int, int]]]:
+    return [[dict(cell) for cell in row] for row in ring.table]
+
+
 def test_ring_axioms_can_fail():
     # at (3,2) the ring is Z[g, x]/(g^2 - 1, x^2) on the basis (1, x, g, xg)
     ring = FusionRing.build(level_from_pq(3, 2))
     x, g, xg = (ring.index[nk] for nk in ((0, 1), (1, 0), (1, 1)))
     # every coefficient doubled: the vacuum acts as 2, still commutative and associative
-    doubled = 2 * ring.tensor
+    doubled = [[{c: 2 * n for c, n in cell.items()} for cell in row] for row in ring.table]
     # g x = -x g: a skew ring, associative but not commutative
-    skew = ring.tensor.copy()
-    skew[g, x, xg] = skew[g, xg, x] = -1
+    skew = _copy_table(ring)
+    skew[g][x][xg] = skew[g][xg][x] = -1
     # x^2 = 1 while x (x g) = 0 stays: commutative but not associative
-    nilpotent_lost = ring.tensor.copy()
-    nilpotent_lost[x, x, ring.index[(0, 0)]] = 1
-    assert [replace(ring, tensor=t).axioms() for t in (doubled, skew, nilpotent_lost)] == [
+    nilpotent_lost = _copy_table(ring)
+    nilpotent_lost[x][x][ring.index[(0, 0)]] = 1
+    assert [replace(ring, table=t).axioms() for t in (doubled, skew, nilpotent_lost)] == [
         {"unit": False, "commutativity": True, "associativity": True},
         {"unit": True, "commutativity": False, "associativity": True},
         {"unit": True, "commutativity": True, "associativity": False},
     ]
 
 
-def test_ring_tensor_is_zero_one():
-    # multiplicities in the admissible range are all 0 or 1
+def test_ring_table_is_zero_one():
+    # multiplicities in the admissible range are all 0 or 1, and the table
+    # stores only the nonzero ones
     for p, q in SWEEP:
         ring = FusionRing.build(level_from_pq(p, q))
-        assert set(ring.tensor.ravel().tolist()) <= {0, 1}
+        assert {n for row in ring.table for cell in row for n in cell.values()} == {1}
+
+
+def test_ring_build_counts_a_repeated_output_twice(monkeypatch):
+    # a closed form that lists every output twice must show up as N = 2
+    real = fusion_module.fusion_closed_form
+
+    def doubled(*args):
+        gate, outs = real(*args)
+        return gate, outs * 2
+
+    monkeypatch.setattr(fusion_module, "fusion_closed_form", doubled)
+    ring = FusionRing.build(level_from_pq(3, 2))
+    assert {n for row in ring.table for cell in row for n in cell.values()} == {2}
+    assert not ring.axioms()["unit"]
+
+
+def _dense_axioms(table: list[list[dict[int, int]]], v: int) -> dict[str, bool]:
+    """The ring axioms as sums over every index of the dense tensor N[a][b][c]."""
+    span = range(len(table))
+    N = [[[cell.get(c, 0) for c in span] for cell in row] for row in table]
+    return {
+        "unit": all(
+            N[v][b][c] == N[b][v][c] == (b == c) for b in span for c in span
+        ),
+        "commutativity": all(N[a][b] == N[b][a] for a in span for b in span),
+        "associativity": all(
+            sum(N[a][b][m] * N[m][c][d] for m in span)
+            == sum(N[b][c][m] * N[a][m][d] for m in span)
+            for a in span for b in span for c in span for d in span
+        ),
+    }
+
+
+_small_levels = st.sampled_from(
+    [(p, q) for p in range(2, 14) for q in range(1, 13)
+     if math.gcd(p, q) == 1 and (p - 1) * q <= 12]
+)
+
+
+def _sheared(
+    table: list[list[dict[int, int]]], i: int, j: int, s: int
+) -> list[list[dict[int, int]]]:
+    """The same ring on the basis e_i + s e_j and e_k (k != i), with i != j.
+
+    An isomorphic ring keeps every law but the unit when i is the vacuum,
+    while its products now cancel: e_i = e'_i - s e'_j.
+    """
+    def element(a: int) -> dict[int, int]:
+        return {a: 1, j: s} if a == i else {a: 1}
+
+    def product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for k, xk in x.items():
+            for l, yl in y.items():
+                for m, n in table[k][l].items():
+                    out[m] = out.get(m, 0) + xk * yl * n
+        out[j] = out.get(j, 0) - s * out.get(i, 0)
+        return {m: c for m, c in out.items() if c}
+
+    span = range(len(table))
+    return [[product(element(a), element(b)) for b in span] for a in span]
+
+
+@st.composite
+def _edited_rings(draw) -> tuple[FusionRing, list[list[dict[int, int]]]]:
+    ring = FusionRing.build(level_from_pq(*draw(_small_levels)))
+    table, cells = _copy_table(ring), st.integers(0, len(ring.basis) - 1)
+    if len(table) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(table))))[:2]
+        table = _sheared(table, i, j, draw(st.sampled_from([1, -1])))
+    for _ in range(draw(st.integers(0 if table != ring.table else 1, 3))):
+        a, b, c, n = draw(cells), draw(cells), draw(cells), draw(st.integers(-2, 2))
+        # mirrored edits keep commutativity and probe associativity alone
+        for x, y in {(a, b), (b, a)} if draw(st.booleans()) else {(a, b)}:
+            if n:
+                table[x][y][c] = n
+            else:
+                table[x][y].pop(c, None)
+    return ring, table
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_edited_rings())
+def test_sparse_axioms_equal_dense_sums(case):
+    # dropping zero coefficients and zero sums hides no failure, and keeping a
+    # zero sum would fail a sheared ring whose products cancel: the sparse
+    # verdicts equal sums over every index, whichever laws the edits break
+    ring, table = case
+    assert replace(ring, table=table).axioms() == _dense_axioms(table, ring.index[(0, 0)])
+
+
+def test_fusion_table_loads_no_numpy():
+    code = (
+        "import sys, admissible_sl2\n"
+        "from admissible_sl2 import cli\n"
+        "assert cli.main(['fusion-table', '--p', '5', '--q', '3', '--format', 'json']) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stderr == "False\n"
 
 
 @pytest.mark.parametrize("p,q", SWEEP)

@@ -218,6 +218,23 @@ def test_qseries_div_inverts_multiplication():
         assert quotient.order >= Fraction(4)  # never silently empty
 
 
+def test_qseries_div_by_a_non_unit_int_lead_is_exact():
+    # the leading denominator coefficient is the int 2: its reciprocal is
+    # Fraction(1, 2), never the float 0.5
+    quotient = qseries_div(theta_qseries(ThetaSpec(0, 2), 6), theta_qseries(ThetaSpec(2, 2), 6))
+    assert (quotient.denom, quotient.terms, quotient.order) == (
+        2, {-1: Fraction(1, 2), 3: 1, 7: Fraction(-1, 2)}, 5
+    )
+    assert all(type(c) in (int, Fraction) for c in quotient.terms.values())
+
+
+def test_integral_series_stay_int_valued():
+    # a key only one operand holds must not come out as a Fraction
+    a, b = (theta_qseries(ThetaSpec(n, 2, Fraction(1, 3)), 40) for n in (1, -1))
+    for series in (a - b, a + b, a * b, (a - b).scale_exponents(Fraction(3, 2))):
+        assert series.terms and all(type(c) is int for c in series.terms.values())
+
+
 def test_qseries_div_empty_denominator():
     num = QSeries.from_terms([(Fraction(0), Fraction(1))], Fraction(4))
     den = QSeries.zero(Fraction(4))
@@ -284,45 +301,61 @@ def test_scale_order_is_honest(terms, order, factor):
 
 # -- division against the leading-term oracle ---------------------------------
 #
-# Integral inputs over a +-1 leading denominator term keep every coefficient
-# of the lattice kernel an int; a non-unit leading term takes it through
-# Fractions.  Negative exponents and orders just above the leading exponents
-# reach the edges of the remainder cap.
+# Int series over a +-1 leading denominator term keep every coefficient of
+# the lattice kernel an int; a non-unit leading term, int or rational, takes
+# it through Fractions.  The oracle divides with ``/``, so it gets Fraction
+# copies of the inputs.  Negative exponents and orders just above the leading
+# exponents reach the edges of the remainder cap.
 
 _exponents = st.fractions(min_value=-4, max_value=8, max_denominator=6)
 _gaps = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12)
-_units = st.sampled_from([Fraction(1), Fraction(-1)])
+_units = st.sampled_from([1, -1])
+_int_non_units = st.integers(-5, 5).filter(lambda c: c not in (0, 1, -1))
 _non_units = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
     lambda c: c not in (0, 1, -1)
 )
+_ints = st.integers(-5, 5)
 _divisions = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
+def _with(series: QSeries, kind: type) -> QSeries:
+    """``series`` with every coefficient converted to ``kind`` (int only when integral)."""
+    return QSeries(series.denom, {m: kind(c) for m, c in series.terms.items()}, series.order)
+
+
 @st.composite
-def _division_inputs(draw, integral: bool) -> tuple[QSeries, QSeries]:
-    coeffs = st.integers(-5, 5) if integral else st.fractions(-5, 5, max_denominator=4)
-    lead = draw(_units if integral else _non_units)
+def _division_inputs(draw, leads, coeffs, kind: type) -> tuple[QSeries, QSeries]:
+    lead = draw(leads)
     e_d = draw(_exponents)
     tail = draw(st.lists(st.tuples(_gaps, coeffs), max_size=8))
     den = QSeries.from_terms([(e_d, lead)] + [(e_d + g, c) for g, c in tail], e_d + draw(_gaps))
     terms = draw(st.lists(st.tuples(_exponents, coeffs), max_size=12))
     e_n = min((e for e, _ in terms), default=draw(_exponents))
     reach = draw(st.fractions(min_value=-1, max_value=10, max_denominator=12))
-    return QSeries.from_terms(terms, e_n + reach), den
+    num = QSeries.from_terms(terms, e_n + reach)
+    return _with(num, kind), _with(den, kind)
 
 
-def _assert_same_division(num: QSeries, den: QSeries) -> None:
-    ours, ref = qseries_div(num, den), leading_term_division(num, den)
+def _assert_same_division(num: QSeries, den: QSeries, kinds: tuple[type, ...]) -> None:
+    ours = qseries_div(num, den)
+    ref = leading_term_division(_with(num, Fraction), _with(den, Fraction))
     assert (ours.denom, ours.terms, ours.order) == (ref.denom, ref.terms, ref.order)
+    assert all(type(c) in kinds for c in ours.terms.values())
 
 
 @_divisions
-@given(_division_inputs(integral=True))
+@given(_division_inputs(_units, _ints, int))
 def test_division_matches_oracle_on_integral_series(case):
-    _assert_same_division(*case)
+    _assert_same_division(*case, kinds=(int,))
 
 
 @_divisions
-@given(_division_inputs(integral=False))
+@given(_division_inputs(_int_non_units, _ints, int))
+def test_division_matches_oracle_on_int_series_with_non_unit_lead(case):
+    _assert_same_division(*case, kinds=(int, Fraction))
+
+
+@_divisions
+@given(_division_inputs(_non_units, st.fractions(-5, 5, max_denominator=4), Fraction))
 def test_division_matches_oracle_on_rational_series(case):
-    _assert_same_division(*case)
+    _assert_same_division(*case, kinds=(int, Fraction))

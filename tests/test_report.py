@@ -40,7 +40,6 @@ def test_encode_scalars():
     assert encode("x") == "x"
     assert encode(Fraction(4)) == "4"
     assert encode(Fraction(-3, 2)) == "-3/2"
-    assert encode(0.25) == "0.25"
 
 
 def test_encode_poly_sorted_pairs():
@@ -93,9 +92,13 @@ def test_encode_mappings_with_fraction_keys():
     assert obj == {"-1/2": 1, "3": 0}
 
 
-def test_encode_rejects_unknown_types():
+@pytest.mark.parametrize("value", [object(), 0.25, {"x": [1, Fraction(1, 2), 0.5]}])
+def test_encode_rejects_unknown_types(value):
+    # a float carries no error bound, so no report may hold one, however deep
     with pytest.raises(TypeError):
-        encode(object())
+        encode(value)
+    with pytest.raises(TypeError):
+        document("x", {}, {"results": value}, [])
 
 
 def test_document_and_checks():
