@@ -32,8 +32,8 @@ from .fusion import (
     FusionRing,
     classical_su2_fusion,
     fusion_closed_form,
-    fusion_via_bimodule,
-    fusion_via_mff,
+    fusion_degrees,
+    surviving_degrees,
     zhu_algebra,
     zhu_multiply,
 )
@@ -112,8 +112,7 @@ __all__ = [
     "factor_product",
     "fuchs_projection",
     "fusion_closed_form",
-    "fusion_via_bimodule",
-    "fusion_via_mff",
+    "fusion_degrees",
     "hw_annihilation_polynomial",
     "kac_kazhdan_witness",
     "level_from_pq",
@@ -128,6 +127,7 @@ __all__ = [
     "sigma_antihom",
     "support_index_minus",
     "support_index_plus",
+    "surviving_degrees",
     "theta_eval_numeric",
     "theta_qseries",
     "theta_ratio_identity_check",

@@ -62,8 +62,10 @@ __all__ = ["main", "build_parser"]
 def _rational(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"{flag}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InputError(f"{flag}: zero denominator in {text.strip()!r}") from exc
 
 
 def _weight_from_flags(level, args) -> AdmissibleWeight:
@@ -103,10 +105,7 @@ def _tau(text: str) -> mp.mpc:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError('--tau expects "re,im"')
-    try:
-        re, im = Fraction(parts[0].strip()), Fraction(parts[1].strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"--tau: {exc}") from exc
+    re, im = (_rational(part, "--tau") for part in parts)
     if im <= 0:
         raise InputError("--tau needs a positive imaginary part")
     with mp.workprec(256):

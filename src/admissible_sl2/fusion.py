@@ -1,20 +1,21 @@
 """Zhu algebra, Frenkel-Zhu bimodules and fusion rules at an admissible level.
 
-Fusion multiplicities are computed along three independent routes:
+Fusion keeps the output j1 + j2 - 2i, multiplicity 1, for each surviving
+degree i.  Three independent routes decide which degrees survive:
 
-  * a closed form: the gate k1' + k2' <= q + 1 and the window
-    max(0, n1'+n2'-p) <= i <= min(n1'-1, n2'-1), output j1 + j2 - 2i;
-  * the bimodule presentation: generator f_{j1,i} survives at j2 iff
-    f_{j1,i}(j2, 1) = 0;
+  * the closed form: the gate k1' + k2' <= q + 1 and the window
+    max(0, n1'+n2'-p) <= i <= min(n1'-1, n2'-1);
+  * the bimodule presentation: f_{j1,i} = y^i g_i(x) survives at j2 iff
+    f_{j1,i}(j2, 1) = g_i(j2) = 0;
   * the bimodule oracle of bimodule_from_mff, which reads per-degree gcds
     off the singular-vector projections: gcd_i(j2) = 0.
 
-Generators and gcds are products of linear factors, held as their roots, so
-routes 2 and 3 test j2 for membership in a root list and expand no
-polynomial.  Route 2 takes its roots from the presentation's own formula and
-route 3 from the projections, so the routes stay independent.  All three
-must agree; the table they induce is a commutative, associative unital ring
-on the admissible weights, which :class:`FusionRing` holds as sparse dicts.
+Generators and gcds are held as their roots, so routes 2 and 3 test j2 for
+membership and expand no polynomial; route 2 takes its roots from the
+presentation's own formula and route 3 from the projections.  The routes
+must give the same degrees, and :func:`fusion_outputs` is the one resolver
+of degrees to weights.  The outputs form a commutative, associative unital
+ring on the admissible weights, which :class:`FusionRing` holds as sparse dicts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .errors import InputError, InvariantError
 from .exact import UniPoly, rat_str
-from .mff import BimoduleOracle, bimodule_from_mff
+from .mff import bimodule_from_mff
 from .weights import (
     AdmissibleWeight,
     Level,
@@ -59,88 +60,69 @@ def zhu_multiply(algebra: ZhuAlgebra, g1: UniPoly, g2: UniPoly) -> UniPoly:
 class BimodulePresentation:
     """Frenkel-Zhu bimodule of L(ell, j) as a C[x]-C[y] quotient.
 
-    generators[i] = (i, roots_i) stands for the generator y^i g_i(x), with
-    g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st)
-    for i = 0..n'-1 held as its roots r + i - st; together with y^{n'} they
+    generators[i], like the oracle's gcds[i], is the root tuple r + i - st of
+    g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st), i = 0..n'-1,
+    and stands for the generator y^i g_i(x); together with y^{n'} they
     present a quotient to which degree i contributes deg g_i.  The dimension
     is counted from the roots; :func:`admissible_sl2.verify.bimodule_oracle_checks`
     judges it against Frenkel-Zhu's closed form.
     """
 
     weight: AdmissibleWeight
-    generators: tuple[tuple[int, tuple[Fraction, ...]], ...]
-    y_truncation: int
+    generators: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def y_truncation(self) -> int:
+        return len(self.generators)
 
     @property
     def dimension(self) -> int:
-        return sum(len(roots) for _, roots in self.generators)
+        return sum(len(roots) for roots in self.generators)
 
 
 def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePresentation:
     p, q, t = level.p, level.q, level.t
     np_, kp = weight.n_primed, weight.k_primed
     gens = tuple(
-        (i, tuple(r + i - s * t for r in range(p - np_) for s in range(q - kp + 1)))
+        tuple(r + i - s * t for r in range(p - np_) for s in range(q - kp + 1))
         for i in range(np_)
     )
-    return BimodulePresentation(
-        weight=weight,
-        generators=gens,
-        y_truncation=np_,
-    )
+    return BimodulePresentation(weight=weight, generators=gens)
 
 
-def _resolve_output(level: Level, j: Fraction) -> AdmissibleWeight:
-    w = weight_from_j(level, j)
-    if w is None:
-        raise InvariantError(f"fusion output j={rat_str(j)} is not admissible")
-    return w
+def fusion_degrees(level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight) -> list[int]:
+    """Route 1's degrees.  The window is never empty (n' <= p - 1) once the gate is passed."""
+    if w1.k_primed + w2.k_primed > level.q + 1:
+        return []
+    n1, n2 = w1.n_primed, w2.n_primed
+    return list(range(max(0, n1 + n2 - level.p), min(n1, n2)))
+
+
+def surviving_degrees(j2: Fraction, roots_by_degree) -> list[int]:
+    """Routes 2 and 3: each degree i whose roots, of g_i or of gcd_i, contain j2."""
+    return [i for i, roots in enumerate(roots_by_degree) if j2 in roots]
+
+
+def fusion_outputs(
+    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, degrees
+) -> list[tuple[AdmissibleWeight, int]]:
+    """The one resolver: output j1 + j2 - 2i, multiplicity 1, for each degree i."""
+    j12 = w1.j + w2.j
+    outputs = []
+    for i in degrees:
+        w = weight_from_j(level, j12 - 2 * i)
+        if w is None:
+            raise InvariantError(f"fusion output j={rat_str(j12 - 2 * i)} is not admissible")
+        outputs.append((w, 1))
+    return outputs
 
 
 def fusion_closed_form(
     level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight
 ) -> tuple[bool, list[tuple[AdmissibleWeight, int]]]:
     """Gate and output list from the closed form; multiplicities are all 1."""
-    p, q = level.p, level.q
-    gate = w1.k_primed + w2.k_primed <= q + 1
-    if not gate:
-        return False, []
-    lo = max(0, w1.n_primed + w2.n_primed - p)
-    hi = min(w1.n_primed - 1, w2.n_primed - 1)
-    outputs = [
-        (_resolve_output(level, w1.j + w2.j - 2 * i), 1)
-        for i in range(lo, hi + 1)
-    ]
-    return True, outputs
-
-
-def surviving_outputs(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, root_lists
-) -> list[tuple[AdmissibleWeight, int]]:
-    """Output j1 + j2 - 2i, multiplicity 1, for each (i, roots) with j2 in roots."""
-    return [
-        (_resolve_output(level, w1.j + w2.j - 2 * i), 1)
-        for i, roots in root_lists
-        if w2.j in roots
-    ]
-
-
-def fusion_via_bimodule(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight
-) -> list[tuple[AdmissibleWeight, int]]:
-    """Outputs from the bimodule presentation: i survives iff f_{j1,i}(j2,1) = 0.
-
-    f_{j1,i} = y^i g_i(x), so f_{j1,i}(j2, 1) = g_i(j2), which vanishes iff
-    j2 is a root of g_i.
-    """
-    return surviving_outputs(level, w1, w2, bimodule_presentation(level, w1).generators)
-
-
-def fusion_via_mff(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: BimoduleOracle
-) -> list[tuple[AdmissibleWeight, int]]:
-    """Outputs from w1's bimodule oracle: i survives iff j2 is a root of gcd_i."""
-    return surviving_outputs(level, w1, w2, enumerate(oracle.gcds))
+    degrees = fusion_degrees(level, w1, w2)
+    return bool(degrees), fusion_outputs(level, w1, w2, degrees)
 
 
 @dataclass
@@ -155,33 +137,32 @@ class FusionRecord:
 
 
 def fusion(
-    level: Level,
-    w1: AdmissibleWeight,
-    w2: AdmissibleWeight,
-    oracle: str = "closed",
+    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: str = "closed"
 ) -> FusionRecord:
     """Fusion rule for L(ell,j1) x L(ell,j2) along the requested oracle.
 
-    oracle = "all" runs the closed form, the bimodule presentation and w1's
-    bimodule oracle and records whether the three output lists agree.
+    The gate is the closed form's.  oracle = "all" runs all three routes and
+    records whether their degree lists agree.
     """
-    gate, closed = fusion_closed_form(level, w1, w2)
-    if oracle == "closed":
-        return FusionRecord(level, w1, w2, gate, closed, oracle)
-    if oracle == "bimodule":
-        outs = fusion_via_bimodule(level, w1, w2)
-        return FusionRecord(level, w1, w2, gate, outs, oracle)
-    if oracle == "mff":
-        built = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
-        outs = fusion_via_mff(level, w1, w2, built)
-        return FusionRecord(level, w1, w2, gate, outs, oracle)
+    closed = fusion_degrees(level, w1, w2)
+    routes = {
+        "closed": lambda: closed,
+        "bimodule": lambda: surviving_degrees(w2.j, bimodule_presentation(level, w1).generators),
+        "mff": lambda: surviving_degrees(
+            w2.j, bimodule_from_mff(level, w1.n_primed, w1.k_primed).gcds
+        ),
+    }
+    agree = None
     if oracle == "all":
-        bim = fusion_via_bimodule(level, w1, w2)
-        built = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
-        mff_outs = fusion_via_mff(level, w1, w2, built)
-        agree = closed == bim == mff_outs
-        return FusionRecord(level, w1, w2, gate, closed, oracle, oracles_agree=agree)
-    raise InputError(f"unknown oracle {oracle!r}")
+        via_bim, via_mff = routes["bimodule"](), routes["mff"]()
+        agree = closed == via_bim == via_mff
+        degrees = closed
+    elif oracle in routes:
+        degrees = routes[oracle]()
+    else:
+        raise InputError(f"unknown oracle {oracle!r}")
+    outputs = fusion_outputs(level, w1, w2, degrees)
+    return FusionRecord(level, w1, w2, bool(closed), outputs, oracle, oracles_agree=agree)
 
 
 @dataclass

@@ -103,6 +103,25 @@ def test_bad_tau_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--z", ("character", "--p", "3", "--q", "2", "--j", "1", "--z", "1/0")),
+        ("--j", ("character", "--p", "3", "--q", "2", "--j", "1/0", "--z", "1/2")),
+        ("--j1", ("fusion", "--p", "3", "--q", "2", "--j1", "1/0", "--j2", "0,0")),
+        ("--trunc", ("character", "--p", "3", "--q", "2", "--j", "1", "--z", "1/2",
+                     "--trunc", "1/0")),
+        ("--tau", ("stransform", "--p", "3", "--q", "2", "--z", "1/2", "--tau", "1/0,1")),
+    ],
+    ids=["z", "j", "j1", "trunc", "tau"],
+)
+def test_zero_denominator_names_the_flag_and_the_fault(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag}: zero denominator in '1/0'\n"
+
+
 def test_theta_term_cap_exits_2_before_summing(capsys):
     # Im(tau) = 1e-11 needs ~7.7e5 theta terms per side at 1e-30; the cap is 2e5
     start = time.process_time()
@@ -158,6 +177,21 @@ def test_broken_invariant_exits_1_with_one_failed_check(capsys, monkeypatch, arg
     assert check["detail"].startswith("raised InvariantError:")
 
 
+def test_non_admissible_fusion_output_is_a_failed_check(capsys, monkeypatch):
+    # at (3,2), w1 = w2 = (1,0) keeps degree 1; degree 3 would give j = -4
+    real = fusion_module.fusion_degrees
+    monkeypatch.setattr(fusion_module, "fusion_degrees", lambda *args: real(*args) + [3])
+    code, doc, err = run_json(
+        capsys, "fusion", "--p", "3", "--q", "2", "--j1", "1,0", "--j2", "1,0",
+        "--oracle", "closed",
+    )
+    assert code == 1
+    assert err == ""
+    [check] = doc["checks"]
+    assert check["name"] == "fusion" and check["status"] == "fail"
+    assert check["detail"].startswith("raised InvariantError: fusion output j=-4")
+
+
 def _failed_checks(doc) -> dict[str, str]:
     return {c["name"]: c["detail"] for c in doc["checks"] if c["status"] != "pass"}
 
@@ -194,16 +228,21 @@ def test_wrong_c2_exponent_fails_c2_reduction_with_the_exponent(capsys, monkeypa
     }
 
 
-def test_presentation_that_loses_a_root_fails_dimension_formula(capsys, monkeypatch):
+def _lose_first_root(monkeypatch, *modules):
+    """Bind in ``modules`` a presentation whose g_0 lacks its first root, j = 0."""
     real = fusion_module.bimodule_presentation
 
     def losing(level, weight):
         pres = real(level, weight)
-        (i, roots), *rest = pres.generators
-        return dataclasses.replace(pres, generators=((i, roots[1:]), *rest))
+        roots, *rest = pres.generators
+        return dataclasses.replace(pres, generators=(roots[1:], *rest))
 
-    for module in (cli, verify):
+    for module in modules:
         monkeypatch.setattr(module, "bimodule_presentation", losing)
+
+
+def test_presentation_that_loses_a_root_fails_dimension_formula(capsys, monkeypatch):
+    _lose_first_root(monkeypatch, cli, verify)
     code, doc, _ = run_json(capsys, "bimodule", "--p", "5", "--q", "3", "--n", "1", "--k", "1")
     assert code == 1
     assert _failed_checks(doc) == {
@@ -214,6 +253,24 @@ def test_presentation_that_loses_a_root_fails_dimension_formula(capsys, monkeypa
     failed = {c["name"] for c in checks if c["status"] != "pass"}
     levels = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)]
     assert failed == {f"bimodule_dims_p{p}_q{q}" for p, q in levels}
+
+
+def test_presentation_that_loses_a_vacuum_root_fails_the_three_way_check(capsys, monkeypatch):
+    # every (w1, vacuum) pair loses degree 0
+    _lose_first_root(monkeypatch, fusion_module, cli, verify)
+    _, checks = verify.run_suites("fusion", 4, 3)
+    levels = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3)]
+    assert {c["name"]: c["detail"] for c in checks if c["status"] != "pass"} == {
+        f"fusion_three_way_p{p}_q{q}": f"{((p - 1) * q) ** 2} ordered pairs" for p, q in levels
+    }
+    code, doc, _ = run_json(
+        capsys, "fusion", "--p", "3", "--q", "2", "--j1", "1,0", "--j2", "0,0",
+        "--oracle", "all",
+    )
+    assert code == 1
+    assert _failed_checks(doc) == {
+        "oracles_agree": "closed form, bimodule presentation, projection oracle"
+    }
 
 
 # ------------------------------------------------------------ spec behavior

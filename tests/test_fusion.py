@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissible_sl2 import fusion as fusion_module
-from admissible_sl2.errors import InputError
+from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.exact import UniPoly
 from admissible_sl2.fusion import (
     FusionRing,
@@ -24,8 +24,9 @@ from admissible_sl2.fusion import (
     classical_su2_fusion,
     fusion,
     fusion_closed_form,
-    fusion_via_bimodule,
-    fusion_via_mff,
+    fusion_degrees,
+    fusion_outputs,
+    surviving_degrees,
     zhu_algebra,
     zhu_multiply,
 )
@@ -81,12 +82,13 @@ def test_three_routes_agree(p, q):
     level = level_from_pq(p, q)
     weights = enumerate_admissible(level)
     for w1 in weights:
+        generators = bimodule_presentation(level, w1).generators
         oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
         for w2 in weights:
-            closed = fusion_closed_form(level, w1, w2)[1]
-            via_bim = fusion_via_bimodule(level, w1, w2)
-            via_mff = fusion_via_mff(level, w1, w2, oracle)
-            assert _as_dict(closed) == _as_dict(via_bim) == _as_dict(via_mff)
+            closed = fusion_degrees(level, w1, w2)
+            via_bim = surviving_degrees(w2.j, generators)
+            via_mff = surviving_degrees(w2.j, oracle.gcds)
+            assert closed == via_bim == via_mff
 
 
 _coprime_levels = st.tuples(st.integers(2, 9), st.integers(1, 6)).filter(
@@ -104,15 +106,27 @@ def test_routes_and_axioms_beyond_fixtures(pq):
 
 def test_fusion_routes_build_no_polynomials(monkeypatch):
     # generators and gcds stay root lists: the oracle, the presentation and
-    # both root-membership routes never construct a UniPoly
+    # both root-membership routes never construct a UniPoly; and the routes
+    # are compared as degree lists, so no output is resolved to a weight
     def refuse(self, coeffs=None):
         raise AssertionError("UniPoly built")
 
+    def unresolved(level, j):
+        raise AssertionError("weight resolved")
+
     monkeypatch.setattr(UniPoly, "__init__", refuse)
+    monkeypatch.setattr(fusion_module, "weight_from_j", unresolved)
     level = level_from_pq(5, 3)
     assert three_routes_agree(level, level_oracles(level))
     with pytest.raises(AssertionError, match="UniPoly built"):
         vacuum_polynomial(level)
+
+
+def test_non_admissible_output_raises():
+    level = level_from_pq(3, 2)
+    w = AdmissibleWeight(level, 1, 0)
+    with pytest.raises(InvariantError, match="fusion output j=-4 is not admissible"):
+        fusion_outputs(level, w, w, [3])
 
 
 def test_fusion_record_all():
@@ -322,7 +336,6 @@ def test_bimodule_presentation_dimensions():
         assert len(pres.generators) == w.n_primed
         assert pres.y_truncation == w.n_primed
         # generator y^i g_i(x): g_i has (p-n')(q-k'+1) roots, root r=s=0 at x=i
-        for idx, (i, roots) in enumerate(pres.generators):
-            assert i == idx
+        for i, roots in enumerate(pres.generators):
             assert len(roots) == (3 - w.n_primed) * (2 - w.k_primed + 1)
             assert i in roots

@@ -35,7 +35,10 @@ ARGVS = [
     ("zhu", *AT_5_3),
     ("bimodule", *AT_5_3, "--n", "1", "--k", "1"),
     ("fusion", *AT_5_3, "--j1", "1,0", "--j2", "2,1", "--oracle", "all"),
+    ("fusion", *AT_5_3, "--j1", "1,0", "--j2", "2,1", "--oracle", "bimodule"),
+    ("fusion", *AT_5_3, "--j1", "1,0", "--j2", "2,1", "--oracle", "mff"),
     ("fusion-table", *AT_5_3, "--oracle", "all"),
+    ("fusion-table", *AT_5_3),
     ("mff-verify",),
     ("character", *AT_5_3, "--n", "1", "--k", "1", "--z", "1/3"),
     ("character", *AT_5_3, "--n", "1", "--k", "1", "--z", "1/3",

@@ -1,20 +1,25 @@
-"""Every name a module imports is used: an AST scan of the package, tests and demos.
+"""Nothing dead: AST scans of the package, tests, demos and benchmark.
 
-``__init__.py`` is skipped because it only re-exports.  A name counts as used
-when it appears as an identifier anywhere in the module or in its ``__all__``.
+Every name a module imports is used.  ``__init__.py`` is skipped because it
+only re-exports.  A name counts as used when it appears as an identifier
+anywhere in the module or in its ``__all__``.
+
+Every top-level function and class of the package is referenced by name, as
+an identifier or an attribute, somewhere outside its own definition.  An
+import or an ``__all__`` string is not a reference, so a wrapper that only
+the re-exports still name shows up here.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = (
-    sorted(ROOT.glob("src/admissible_sl2/*.py"))
-    + sorted(ROOT.glob("tests/*.py"))
-    + sorted(ROOT.glob("demos/*.py"))
-)
+PACKAGE = sorted(ROOT.glob("src/admissible_sl2/*.py"))
+FILES = PACKAGE + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+REFERRERS = FILES + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -46,3 +51,28 @@ def test_every_imported_name_is_used():
         for entry in _unused_imports(path)
     ]
     assert unused == []
+
+
+def test_every_package_definition_is_referenced():
+    # sites[name] holds (file, top-level statement) for each reference to name
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in REFERRERS}
+    sites: dict[str, set] = defaultdict(set)
+    for path, tree in trees.items():
+        for index, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    sites[node.id].add((path, index))
+                elif isinstance(node, ast.Attribute):
+                    sites[node.attr].add((path, index))
+    definitions = [
+        (path, index, stmt.name)
+        for path in PACKAGE
+        for index, stmt in enumerate(trees[path].body)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    dead = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path, index, name in definitions
+        if not sites[name] - {(path, index)}
+    ]
+    assert definitions and dead == []
