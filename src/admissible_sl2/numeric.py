@@ -427,16 +427,17 @@ def s_transform_residual(
         z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
-        # e^{i pi N/a} once per distinct integer N = b b'; a is fixed, and
+        # e^{i pi N/a} once per distinct |N|, N = b b'; a is fixed, and
         # mpf(N) / a is the same correctly rounded quotient as the reduced
-        # fraction's.  expjpi(-x) is bitwise conj(expjpi(x)), so the
-        # conjugate-phase spelling reuses the phases.
+        # fraction's.  expjpi(-x) is bitwise conj(expjpi(x)), so a negative N
+        # takes the conjugate of the phase at -N.
         phases: dict[int, mpmath.mpc] = {}
 
         def phase(num: int) -> mpmath.mpc:
-            if num not in phases:
-                phases[num] = mp.expjpi(mp.mpf(num) / a)
-            return phases[num]
+            key = abs(num)
+            if key not in phases:
+                phases[key] = mp.expjpi(mp.mpf(key) / a)
+            return phases[key] if num >= 0 else mp.conj(phases[key])
 
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
         s_matrix: list[list[mpmath.mpc]] = []
@@ -451,7 +452,8 @@ def s_transform_residual(
                 e_pp = phase(si.b_plus * sj.b_plus)
                 e_pm = phase(si.b_plus * sj.b_minus)
                 entry = pref * (e_pp - e_pm)
-                printed_row.append(pref * (mp.conj(e_pm) - mp.conj(e_pp)))
+                # pref (conj(e_pm) - conj(e_pp)), bitwise: pref is -i times a positive real
+                printed_row.append(mp.conj(entry))
                 row.append(entry)
                 abs_row.append(abs(entry))
             s_matrix.append(row)

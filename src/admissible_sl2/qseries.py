@@ -19,16 +19,15 @@ with ``q = e^(2 pi i tau)``; at ``z = 0`` this is the one-variable series
 j = x/2m and z = v/u, every exponent is an integer over 4mu, so the points
 below the order are counted without building a ``Fraction``.  Division of
 series (needed for characters written as theta ratios) eliminates leading
-terms on the integer lattice, with the remainder's keys in a heap and
-integral coefficients held as Python ints.  The characters' denominator
-theta_{1,2} - theta_{-1,2} (the affine A1 Weyl-Kac denominator) has leading
-coefficient +-1 and integral numerators over it, so their division runs on
-ints alone.
+terms on the integer lattice in one pass over a list indexed by lattice
+position, with integral coefficients held as Python ints.  The characters'
+denominator theta_{1,2} - theta_{-1,2} (the affine A1 Weyl-Kac denominator)
+has leading coefficient +-1 and integral numerators over it, so their
+division runs on ints alone.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,12 +318,18 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     Both series are put on one lattice (1/D)Z whose D also carries the
     denominators of that order and of e_d, so the remainder cutoff
     ``cap = (order + e_d) D`` is an exact integer key: a remainder term at or
-    above it cannot reach the quotient.  The remainder's keys sit in a heap,
-    so each step takes its lowest term without a scan.  Coefficients enter
-    as given, and 1/c_d is an int when the leading denominator coefficient
-    c_d is +-1, so int series over such a denominator divide without
-    building a Fraction; otherwise 1/c_d is the exact ``Fraction(1, c_d)``.
-    Mixed int/Fraction arithmetic is exact, so the same loop serves rational
+    above it cannot reach the quotient.  The remainder is a list over the
+    lattice that the numerator keys and the denominator offsets span, from the
+    lowest numerator key up to the cap: L slots, eliminated in one upward
+    pass that skips the zero ones, so the work is O(L + terms x tail) and the
+    memory O(L).  A theta quotient fills its lattice almost completely: over
+    the benchmark's character catalogue, L is at most 6% above the term count
+    for every quotient with more than one term, and the one-term quotients
+    of the (2,1) level scan up to 1 127 slots.  Coefficients enter as given,
+    and 1/c_d is an int when the leading denominator coefficient c_d is +-1,
+    so int series over such a denominator divide without building a
+    Fraction; otherwise 1/c_d is the exact ``Fraction(1, c_d)``.  Mixed
+    int/Fraction arithmetic is exact, so the same loop serves rational
     inputs.
     """
     low_d = den.lowest()
@@ -351,31 +356,27 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     # Denominator terms after the leading one, as ascending offsets from it.
     tail = sorted((m * s - m_d, c) for m, c in b.items() if m * s != m_d)
     inv = c_d.numerator if c_d in (1, -1) else Fraction(1, c_d)
-    heap = list(rem)
-    heapq.heapify(heap)
+    # The remainder as a list over its lattice: slot i holds key base + g i.
+    base = min(rem)
+    g = math.gcd(*(m - base for m in rem), *(off for off, _ in tail)) or 1
+    r = [0] * -((base - cap) // g)
+    n = len(r)
+    for m, c in rem.items():
+        i = (m - base) // g
+        if i < n:
+            r[i] = c
+    tail = [(off // g, c_i) for off, c_i in tail]
+    lo = base - m_d
     quo: dict[int, Fraction] = {}
-    while heap:
-        m_r = heapq.heappop(heap)
-        if m_r >= cap:
-            break
-        r = rem.pop(m_r, 0)
-        if not r:  # stale: the key cancelled or was eliminated since its push
+    for i in range(n):
+        v = r[i]
+        if not v:
             continue
-        c = r * inv
-        quo[m_r - m_d] = c
-        room = cap - m_r
-        for off, c_i in tail:
-            if off >= room:
+        c = v * inv
+        quo[lo + g * i] = c
+        for o, c_i in tail:
+            j = i + o
+            if j >= n:
                 break
-            m = m_r + off
-            v = rem.get(m)
-            if v is None:
-                rem[m] = -c * c_i
-                heapq.heappush(heap, m)
-            else:
-                v -= c * c_i
-                if v:
-                    rem[m] = v
-                else:
-                    del rem[m]
+            r[j] -= c * c_i
     return QSeries(denom2, quo, order)

@@ -3,7 +3,7 @@
 This is the q-series division written the direct way.  Every exponent is
 compared as a ``Fraction``, every coefficient is a ``Fraction``, and each step
 scans the whole remainder for its lowest key.  ``qseries.qseries_div`` works
-on the same lattice with an integer cap, a heap of keys and int coefficients
+on the same lattice with an integer cap, a list of slots and int coefficients
 where they are exact, so the two must return equal series (same ``denom``,
 ``terms`` and ``order``) on every input; ``tests/test_qseries.py`` checks
 that on random series.

@@ -332,8 +332,21 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
         quotient_calls.append(args)
         return direct_quotient(*args)
 
+    class PhaseCountingMp:
+        """``mp`` for ``numeric``, recording each real argument of ``expjpi``."""
+
+        def __getattr__(self, name):
+            return getattr(mp, name)
+
+        def expjpi(self, x):
+            if isinstance(x, mp.mpf):
+                phase_args.append(x)
+            return mp.expjpi(x)
+
+    phase_args = []
     monkeypatch.setattr(numeric, "theta_eval_numeric", counting_theta)
     monkeypatch.setattr(numeric, "_chibar_numeric", recording_quotient)
+    monkeypatch.setattr(numeric, "mp", PhaseCountingMp())
     report = s_transform_residual(
         level, Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
     )
@@ -371,3 +384,11 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
         ]
     assert report.s_matrix == s_matrix
     assert report.as_printed_s_matrix == printed
+
+    # one phase per distinct |b+_i b+-_j|: a negative product, which (5,3)
+    # has with the same modulus as a positive one, reuses its conjugate
+    products = {si.b_plus * b for si in specs for sj in specs for b in (sj.b_plus, sj.b_minus)}
+    distinct = {abs(n) for n in products}
+    assert len(distinct) < len(products)
+    with mp.workprec(192):
+        assert sorted(phase_args) == sorted(mp.mpf(n) / a for n in distinct)

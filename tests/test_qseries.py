@@ -359,3 +359,45 @@ def test_division_matches_oracle_on_int_series_with_non_unit_lead(case):
 @given(_division_inputs(_non_units, st.fractions(-5, 5, max_denominator=4), Fraction))
 def test_division_matches_oracle_on_rational_series(case):
     _assert_same_division(*case, kinds=(int, Fraction))
+
+
+# -- edges of the division's remainder list ------------------------------------
+#
+# ``qseries_div`` keeps its remainder in a list over the lattice that the
+# numerator keys and denominator offsets span from the lowest numerator key.
+
+DIVISION_EDGES = {
+    # keys 0 and 2 over denominator 3 with a tail offset of 4: the remainder
+    # steps by 2 on the lattice (1/3)Z, and its last slot, key 10, lies one
+    # step below the odd cap 11
+    "lattice coarser than the denominator": (
+        QSeries(3, {0: 1, 2: -1}, Fraction(11, 3)), QSeries(3, {0: 1, 4: 1}, 5), (int,),
+    ),
+    # (1 + q^2) / (1 + q + q^2): slot 2 cancels to zero at the first step and
+    # is filled again by the second; slot 3 cancels at the third for good
+    "zero slots in the middle": (
+        QSeries(1, {0: 1, 2: 1}, 9), QSeries(1, {0: 1, 1: 1, 2: 1}, 9), (int,),
+    ),
+    "zero slots in the middle, rational": (
+        QSeries(1, {0: Fraction(1), 2: Fraction(1)}, 9),
+        QSeries(1, {0: Fraction(2), 1: Fraction(2), 2: Fraction(2)}, 9),
+        (Fraction,),
+    ),
+    # the denominator's order 0 caps the remainder at 0 + 5/12 + 1/6 = 7/12,
+    # two slots above the lowest numerator term 5/12, so the numerator keys
+    # 7 and 30, at and above the cap, never enter the list
+    "lowest term just below the cap": (
+        QSeries(12, {5: -1, 7: 3, 30: 1}, 3), QSeries(12, {-2: 1, -1: 2}, 0), (int,),
+    ),
+    "non-unit Fraction lead": (
+        QSeries(6, {-2: Fraction(1, 3), 1: Fraction(-2), 5: Fraction(5, 4)}, 4),
+        QSeries(6, {1: Fraction(3, 2), 4: Fraction(-1), 7: Fraction(2, 3)}, 5),
+        (Fraction,),
+    ),
+}
+
+
+@pytest.mark.parametrize("num, den, kinds", DIVISION_EDGES.values(), ids=DIVISION_EDGES)
+def test_division_edges_match_oracle(num, den, kinds):
+    _assert_same_division(num, den, kinds)
+    assert qseries_div(num, den).terms
