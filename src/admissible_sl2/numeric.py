@@ -427,17 +427,15 @@ def s_transform_residual(
         z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
-        # e^{i pi N/a} once per distinct |N|, N = b b'; a is fixed, and
+        # e^{i pi N/a} once per distinct integer N = b b'; a is fixed, and
         # mpf(N) / a is the same correctly rounded quotient as the reduced
-        # fraction's.  expjpi(-x) is bitwise conj(expjpi(x)), so a negative N
-        # takes the conjugate of the phase at -N.
+        # fraction's.
         phases: dict[int, mpmath.mpc] = {}
 
         def phase(num: int) -> mpmath.mpc:
-            key = abs(num)
-            if key not in phases:
-                phases[key] = mp.expjpi(mp.mpf(key) / a)
-            return phases[key] if num >= 0 else mp.conj(phases[key])
+            if num not in phases:
+                phases[num] = mp.expjpi(mp.mpf(num) / a)
+            return phases[num]
 
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
         s_matrix: list[list[mpmath.mpc]] = []

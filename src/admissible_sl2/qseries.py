@@ -19,19 +19,21 @@ with ``q = e^(2 pi i tau)``; at ``z = 0`` this is the one-variable series
 j = x/2m and z = v/u, every exponent is an integer over 4mu, so the points
 below the order are counted without building a ``Fraction``.  Division of
 series (needed for characters written as theta ratios) eliminates leading
-terms on the integer lattice in one pass over a list indexed by lattice
-position, with integral coefficients held as Python ints.  The characters'
-denominator theta_{1,2} - theta_{-1,2} (the affine A1 Weyl-Kac denominator)
-has leading coefficient +-1 and integral numerators over it, so their
-division runs on ints alone.
+terms on the integer lattice, over a list of lattice slots when the quotient
+can fill it and over a heap of keys when it cannot, with integral
+coefficients held as Python ints.  The characters' denominator
+theta_{1,2} - theta_{-1,2} (the affine A1 Weyl-Kac denominator) has leading
+coefficient +-1 and integral numerators over it, so their division runs on
+ints alone.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import InputError
 from .exact import rat
@@ -318,19 +320,24 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     Both series are put on one lattice (1/D)Z whose D also carries the
     denominators of that order and of e_d, so the remainder cutoff
     ``cap = (order + e_d) D`` is an exact integer key: a remainder term at or
-    above it cannot reach the quotient.  The remainder is a list over the
-    lattice that the numerator keys and the denominator offsets span, from the
-    lowest numerator key up to the cap: L slots, eliminated in one upward
-    pass that skips the zero ones, so the work is O(L + terms x tail) and the
-    memory O(L).  A theta quotient fills its lattice almost completely: over
-    the benchmark's character catalogue, L is at most 6% above the term count
-    for every quotient with more than one term, and the one-term quotients
-    of the (2,1) level scan up to 1 127 slots.  Coefficients enter as given,
-    and 1/c_d is an int when the leading denominator coefficient c_d is +-1,
-    so int series over such a denominator divide without building a
-    Fraction; otherwise 1/c_d is the exact ``Fraction(1, c_d)``.  Mixed
-    int/Fraction arithmetic is exact, so the same loop serves rational
-    inputs.
+    above it cannot reach the quotient.  The remainder's keys lie on the
+    lattice that the numerator keys and the denominator offsets span, and L
+    of its points run from the lowest numerator key up to the cap.  A dense
+    quotient fills most of them (over the benchmark's character catalogue, L
+    is at most 6% above the term count for every quotient with more than one
+    term), so when L is at most ``_SLOTS_PER_PRODUCT_TERM`` times the size of
+    the numerator-denominator product the remainder is a list of L slots,
+    eliminated in one upward pass that skips the zero ones: O(L + terms x
+    tail) work and O(L) memory.  A sparse quotient can leave nearly every
+    slot empty, because L grows with the denominator u of a theta function's
+    z = v/u and not with the number of terms: at level (2,1) the quotient is
+    exactly 1 whatever u is.  Past the bound the remainder's keys sit in a
+    heap, so each step takes its lowest term without a scan and an empty
+    lattice point costs nothing.  Coefficients enter as given, and 1/c_d is
+    an int when the leading denominator coefficient c_d is +-1, so int
+    series over such a denominator divide without building a Fraction;
+    otherwise 1/c_d is the exact ``Fraction(1, c_d)``.  Mixed int/Fraction
+    arithmetic is exact, so the same loops serve rational inputs.
     """
     low_d = den.lowest()
     if low_d is None:
@@ -356,27 +363,79 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
     # Denominator terms after the leading one, as ascending offsets from it.
     tail = sorted((m * s - m_d, c) for m, c in b.items() if m * s != m_d)
     inv = c_d.numerator if c_d in (1, -1) else Fraction(1, c_d)
-    # The remainder as a list over its lattice: slot i holds key base + g i.
+    # Slot i of the remainder's lattice holds key base + g i; keys at or above
+    # the cap lie in slots n and up.
     base = min(rem)
     g = math.gcd(*(m - base for m in rem), *(off for off, _ in tail)) or 1
-    r = [0] * -((base - cap) // g)
-    n = len(r)
-    for m, c in rem.items():
-        i = (m - base) // g
+    n = -((base - cap) // g)
+    slots = {(m - base) // g: c for m, c in rem.items()}
+    steps = [(off // g, c_i) for off, c_i in tail]
+    if n <= _SLOTS_PER_PRODUCT_TERM * len(rem) * (len(tail) + 1):
+        found = _eliminate_list(slots, steps, inv, n)
+    else:
+        found = _eliminate_heap(slots, steps, inv, n)
+    lo = base - m_d
+    quo = {lo + g * i: c for i, c in found}
+    return QSeries(denom2, quo, order)
+
+
+# The list elimination allocates one slot per lattice point below the cap;
+# past this many slots per term of the numerator-denominator product, the
+# heap takes over.  The benchmark's character catalogue stays below 4.4.
+_SLOTS_PER_PRODUCT_TERM = 8
+
+
+def _eliminate_list(
+    slots: dict[int, Any], steps: list[tuple[int, Any]], inv: Any, n: int
+) -> list[tuple[int, Any]]:
+    """Quotient slots and coefficients, by one upward pass over a list of n slots."""
+    r = [0] * n
+    for i, c in slots.items():
         if i < n:
             r[i] = c
-    tail = [(off // g, c_i) for off, c_i in tail]
-    lo = base - m_d
-    quo: dict[int, Fraction] = {}
+    found = []
     for i in range(n):
         v = r[i]
         if not v:
             continue
         c = v * inv
-        quo[lo + g * i] = c
-        for o, c_i in tail:
+        found.append((i, c))
+        for o, c_i in steps:
             j = i + o
             if j >= n:
                 break
             r[j] -= c * c_i
-    return QSeries(denom2, quo, order)
+    return found
+
+
+def _eliminate_heap(
+    slots: dict[int, Any], steps: list[tuple[int, Any]], inv: Any, n: int
+) -> list[tuple[int, Any]]:
+    """Quotient slots and coefficients, popping the lowest live slot below n."""
+    heap = list(slots)
+    heapq.heapify(heap)
+    found = []
+    while heap:
+        i = heapq.heappop(heap)
+        if i >= n:
+            break
+        v = slots.pop(i, 0)
+        if not v:  # stale: the slot cancelled or was eliminated since its push
+            continue
+        c = v * inv
+        found.append((i, c))
+        for o, c_i in steps:
+            j = i + o
+            if j >= n:
+                break
+            w = slots.get(j)
+            if w is None:
+                slots[j] = -c * c_i
+                heapq.heappush(heap, j)
+            else:
+                w -= c * c_i
+                if w:
+                    slots[j] = w
+                else:
+                    del slots[j]
+    return found

@@ -167,11 +167,7 @@ def dumps(doc: Mapping[str, Any]) -> str:
 
 
 def _write(value: Any, out: list[str], pad: str) -> None:
-    """Append the indent-2 JSON of ``value``; ``pad`` is a newline and its indent.
-
-    List items and dict values of exact type ``str`` or ``int`` are written
-    inline by the loop that meets them; a ``bool`` or any other value recurses.
-    """
+    """Append the indent-2 JSON of ``value``; ``pad`` is a newline and its indent."""
     if isinstance(value, str):
         out.append(encode_basestring(value))
     elif isinstance(value, list):
@@ -181,13 +177,8 @@ def _write(value: Any, out: list[str], pad: str) -> None:
         inner = pad + "  "
         sep = "[" + inner
         for item in value:
-            if type(item) is str:
-                out.append(sep + encode_basestring(item))
-            elif type(item) is int:
-                out.append(sep + int.__repr__(item))
-            else:
-                out.append(sep)
-                _write(item, out, inner)
+            out.append(sep)
+            _write(item, out, inner)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, dict):
@@ -199,14 +190,8 @@ def _write(value: Any, out: list[str], pad: str) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, got {type(key).__name__}")
-            head = sep + encode_basestring(key) + ": "
-            if type(item) is str:
-                out.append(head + encode_basestring(item))
-            elif type(item) is int:
-                out.append(head + int.__repr__(item))
-            else:
-                out.append(head)
-                _write(item, out, inner)
+            out.append(sep + encode_basestring(key) + ": ")
+            _write(item, out, inner)
             sep = "," + inner
         out.append(pad + "}")
     elif value is None:

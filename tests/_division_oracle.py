@@ -3,10 +3,10 @@
 This is the q-series division written the direct way.  Every exponent is
 compared as a ``Fraction``, every coefficient is a ``Fraction``, and each step
 scans the whole remainder for its lowest key.  ``qseries.qseries_div`` works
-on the same lattice with an integer cap, a list of slots and int coefficients
-where they are exact, so the two must return equal series (same ``denom``,
-``terms`` and ``order``) on every input; ``tests/test_qseries.py`` checks
-that on random series.
+on the same lattice with an integer cap, a list of slots or a heap of keys,
+and int coefficients where they are exact, so the two must return equal
+series (same ``denom``, ``terms`` and ``order``) on every input;
+``tests/test_qseries.py`` checks that on random series.
 
 The truncation order is the division rule stated in ``qseries_div``: with
 numerator order O_n, denominator order O_d and lowest exponents e_n, e_d,

@@ -385,10 +385,7 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     assert report.s_matrix == s_matrix
     assert report.as_printed_s_matrix == printed
 
-    # one phase per distinct |b+_i b+-_j|: a negative product, which (5,3)
-    # has with the same modulus as a positive one, reuses its conjugate
+    # one phase per distinct product b+_i b+-_j, shared by both spellings
     products = {si.b_plus * b for si in specs for sj in specs for b in (sj.b_plus, sj.b_minus)}
-    distinct = {abs(n) for n in products}
-    assert len(distinct) < len(products)
     with mp.workprec(192):
-        assert sorted(phase_args) == sorted(mp.mpf(n) / a for n in distinct)
+        assert sorted(phase_args) == sorted(mp.mpf(n) / a for n in products)

@@ -16,6 +16,7 @@ two must agree on random indices, flavours and orders.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -364,7 +365,9 @@ def test_division_matches_oracle_on_rational_series(case):
 # -- edges of the division's remainder list ------------------------------------
 #
 # ``qseries_div`` keeps its remainder in a list over the lattice that the
-# numerator keys and denominator offsets span from the lowest numerator key.
+# numerator keys and denominator offsets span from the lowest numerator key,
+# or, when that lattice has far more points below the cap than the product of
+# the two series has terms, in a heap of keys.
 
 DIVISION_EDGES = {
     # keys 0 and 2 over denominator 3 with a tail offset of 4: the remainder
@@ -394,6 +397,16 @@ DIVISION_EDGES = {
         QSeries(6, {1: Fraction(3, 2), 4: Fraction(-1), 7: Fraction(2, 3)}, 5),
         (Fraction,),
     ),
+    # (1 + q^(500/1009)) (1 - q^(3/1009)) over 1 - q^(3/1009): about 4 000
+    # lattice points below the cap for a product of 8 terms, so the heap runs
+    "sparse quotient on a fine lattice": (
+        QSeries(1009, {0: 1, 3: -1, 500: 1, 503: -1}, 4), QSeries(1009, {0: 1, 3: -1}, 4), (int,),
+    ),
+    "sparse quotient on a fine lattice, rational": (
+        QSeries(1009, {0: Fraction(2), 3: Fraction(-1, 2), 1700: Fraction(3)}, 4),
+        QSeries(1009, {0: Fraction(2), 3: Fraction(-1, 2)}, 4),
+        (Fraction,),
+    ),
 }
 
 
@@ -401,3 +414,20 @@ DIVISION_EDGES = {
 def test_division_edges_match_oracle(num, den, kinds):
     _assert_same_division(num, den, kinds)
     assert qseries_div(num, den).terms
+
+
+def test_sparse_quotient_takes_no_slot_per_lattice_point():
+    # At level (2,1) a character's numerator and denominator are both
+    # theta_{1,2}(z) - theta_{-1,2}(z), so the quotient is 1 whatever z is.  At
+    # z = 1/10007 its lattice has about 1.6 million points below the cap, and
+    # a list slot for each would take about 13 MB.
+    z = Fraction(1, 10007)
+    den = theta_qseries(ThetaSpec(1, 2, z), 161) - theta_qseries(ThetaSpec(-1, 2, z), 161)
+    tracemalloc.start()
+    try:
+        quotient = qseries_div(den, den)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quotient.terms == {0: 1}
+    assert peak < 1 << 20
