@@ -33,6 +33,29 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, monomial text) pairs as "2*x^2 - x + 1/2".
+
+    An empty monomial text is a constant term; no pairs give "0".
+    """
+    parts = []
+    for c, mono in terms:
+        if not mono:
+            parts.append(rat_str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{rat_str(c)}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
 class UniPoly:
     """Sparse univariate polynomial with exact rational coefficients."""
 
@@ -197,25 +220,10 @@ class UniPoly:
         return cls({int(d): rat(c) for d, c in pairs})
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
-            mono = "1" if d == 0 else ("x" if d == 1 else f"x^{d}")
-            if d == 0:
-                term = rat_str(c)
-            elif c == 1:
-                term = mono
-            elif c == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{rat_str(c)}*{mono}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return signed_sum(
+            (self.coeffs[d], "" if d == 0 else "x" if d == 1 else f"x^{d}")
+            for d in sorted(self.coeffs, reverse=True)
+        )
 
 
 def poly_from_linear_factors(roots: Iterable[RatLike]) -> UniPoly:

@@ -12,9 +12,11 @@ linear factors is held as its root multiset, never normal-ordered:
     bimodule degree by degree: each lands in one T_- degree with a product
     of linear factors in T0 as coefficient (the Harish-Chandra projection),
     and the per-degree gcds are intersections of their root multisets;
-  * the same family-2 projection in the Heisenberg algebra, normal-ordered
-    in PBW mod left multiples of eb and right multiples of fb, reduces to a
-    single power of hb, which pins the C2 quotient.
+  * the same family-2 projection in the Heisenberg algebra, after
+    fb^{p-1}, reduces mod left multiples of eb and right multiples of fb to
+    a single power of hb, which pins the C2 quotient.  It is normal-ordered
+    in PBW factor by factor, and the left multiples of eb, a right ideal,
+    are dropped after every product.
 
 These functions return what they compute and judge nothing: the checks in
 :mod:`admissible_sl2.verify` compare the annihilation polynomial with the
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .exact import UniPoly, poly_from_linear_factors
-from .pbw import HEIS, L0, SL2, PBWElement, factor_product
+from .pbw import HEIS, L0, SL2, PBWElement, quadratic_factor
 from .weights import Level
 
 _TARGETS = {"P1": SL2, "P": L0, "P2": HEIS}
@@ -55,6 +57,24 @@ def _family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> l
     ]
 
 
+def _projection_factors(
+    level: Level, family: str, n_primed: int, k_primed: int, target: str
+) -> list[PBWElement]:
+    """A projection's factors, left to right: its X_a, then its tail one generator at a time."""
+    if target not in _TARGETS:
+        raise InputError(f"unknown target {target!r}")
+    if family not in ("F1", "F2"):
+        raise InputError(f"unknown family {family!r}")
+    _check_primed(level, n_primed, k_primed)
+    alg = _TARGETS[target]
+    if family == "F1":
+        tail = [PBWElement.generator(alg, alg.lowering)] * n_primed
+    else:
+        tail = [PBWElement.generator(alg, alg.raising)] * (level.p - n_primed)
+    alphas = _family_alphas(level, family, n_primed, k_primed)
+    return [quadratic_factor(alg, a) for a in alphas] + tail
+
+
 def fuchs_projection(
     level: Level,
     family: str,
@@ -69,17 +89,7 @@ def fuchs_projection(
     where X and the generators are those of the target's algebra: P1 uses H
     in U(sl2), P uses G in U(L0), P2 uses Hbar in the Heisenberg algebra.
     """
-    if target not in _TARGETS:
-        raise InputError(f"unknown target {target!r}")
-    if family not in ("F1", "F2"):
-        raise InputError(f"unknown family {family!r}")
-    _check_primed(level, n_primed, k_primed)
-    alg = _TARGETS[target]
-    if family == "F1":
-        tail = PBWElement.generator(alg, alg.lowering) ** n_primed
-    else:
-        tail = PBWElement.generator(alg, alg.raising) ** (level.p - n_primed)
-    return factor_product(alg, _family_alphas(level, family, n_primed, k_primed), tail=tail)
+    return math.prod(_projection_factors(level, family, n_primed, k_primed, target))
 
 
 def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
@@ -179,16 +189,19 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
 def c2_heisenberg_reduction(level: Level) -> tuple[Fraction, int]:
     """Reduce fb^{p-1} P2(F2(1,1)) mod (eb U + U fb) in the Heisenberg algebra.
 
-    The remainder must be a single monomial c * hb^e (otherwise
-    :meth:`PBWElement.single_monomial` raises); returns (c, e).  The caller
-    judges e against (p-1) q.
+    The product is formed left to right: fb^{p-1}, each Hbar factor of the
+    projection, then each eb of its tail eb^{p-1}.  After each step the
+    terms with a leading eb are dropped.  That is exact: eb U is a right
+    ideal, and in the PBW order (eb, hb, fb) it is the span of the monomials
+    with a positive eb exponent, so the eb-free part of a product depends
+    only on the eb-free part of its left factor.  The fb-free terms of the
+    last eb-free part are the remainder, which must be a single monomial
+    c * hb^e (otherwise :meth:`PBWElement.single_monomial` raises); returns
+    (c, e).  The caller judges e against (p-1) q.
     """
-    pf2 = fuchs_projection(level, "F2", 1, 1, "P2")
-    fb = PBWElement.generator(HEIS, HEIS.lowering)
-    y = (fb ** (level.p - 1)) * pf2
-    remainder = PBWElement(
-        HEIS,
-        {m: c for m, c in y.terms.items() if m[0] == 0 and m[2] == 0},
-    )
+    y = PBWElement.generator(HEIS, HEIS.lowering) ** (level.p - 1)
+    for factor in _projection_factors(level, "F2", 1, 1, "P2"):
+        y = PBWElement(HEIS, {m: c for m, c in (y * factor).terms.items() if m[0] == 0})
+    remainder = PBWElement(HEIS, {m: c for m, c in y.terms.items() if m[2] == 0})
     mono, coeff = remainder.single_monomial()
     return coeff, mono[1]

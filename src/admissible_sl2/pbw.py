@@ -16,9 +16,10 @@ lower^m X_a = X_{a+m} lower^m and raise^m X_a = X_{a-m} raise^m.
   HEIS: Hbar_a = eb fb - a hb             lower fb,  raise eb
 
 All three share the triangular pattern [g1,g0] ~ g0, [g2,g1] ~ g2,
-[g2,g0] ~ g1, which keeps the rewriting recursion shallow: multiplying a
-normal monomial by g2 on the right is a plain append, and the g0/g1 cases
-reduce along strictly smaller exponents.  Products are memoized per algebra.
+[g2,g0] ~ g1.  One rewriting rule normal-orders a monomial times a
+generator: strip the monomial's last generator g_k with k > g, so
+m g = (m' g) g_k + m' [g_k, g], along strictly smaller exponents; with no
+such g_k the product is a plain append.  Products are memoized per algebra.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantError
-from .exact import RatLike, rat, rat_str
+from .exact import RatLike, rat, rat_str, signed_sum
 
 Mono = tuple[int, int, int]
 Terms = dict[Mono, Fraction]
@@ -104,11 +105,13 @@ _GEN_CACHE: dict[tuple[str, Mono, int], tuple[tuple[Mono, Fraction], ...]] = {}
 
 
 def _add_term(dst: Terms, mono: Mono, coeff: Fraction) -> None:
-    s = dst.get(mono, Fraction(0)) + coeff
-    if s:
+    """Add a nonzero term, dropping the monomial if its coefficient cancels."""
+    if mono not in dst:
+        dst[mono] = coeff
+    elif s := dst[mono] + coeff:
         dst[mono] = s
     else:
-        dst.pop(mono, None)
+        del dst[mono]
 
 
 def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fraction], ...]:
@@ -118,43 +121,23 @@ def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fr
     if hit is not None:
         return hit
     a, b, c = mono
+    k = 2 if c else 1 if b else 0
+    if k <= g:
+        frozen = (((a + (g == 0), b + (g == 1), c + (g == 2)), Fraction(1)),)
+        _GEN_CACHE[key] = frozen
+        return frozen
+    # strip the last generator: m g = (m' g) g_k + m' [g_k, g] with m = m' g_k
+    rest = (a, b, c - 1) if k == 2 else (a, b - 1, 0)
     out: Terms = {}
-    if g == 2:
-        out[(a, b, c + 1)] = Fraction(1)
-    elif g == 1:
-        if c == 0:
-            out[(a, b + 1, 0)] = Fraction(1)
-        else:
-            # strip one g2: m g1 = (m' g1) g2 + m' [g2, g1] with m' = (a,b,c-1)
-            for (x, y, zdeg), co in _mono_times_gen(alg, (a, b, c - 1), 1):
-                _add_term(out, (x, y, zdeg + 1), co)
-            br = alg.brackets.get((2, 1))
-            if br is not None:
-                coeff, k = br
-                for m2, co in _mono_times_gen(alg, (a, b, c - 1), k):
-                    _add_term(out, m2, coeff * co)
-    else:
-        if c > 0:
-            for (x, y, zdeg), co in _mono_times_gen(alg, (a, b, c - 1), 0):
-                _add_term(out, (x, y, zdeg + 1), co)
-            br = alg.brackets.get((2, 0))
-            if br is not None:
-                coeff, k = br
-                for m2, co in _mono_times_gen(alg, (a, b, c - 1), k):
-                    _add_term(out, m2, coeff * co)
-        elif b > 0:
-            # strip one g1: m g0 = (m' g0) g1 + m' [g1, g0] with m' = (a,b-1,0)
-            for m2, co in _mono_times_gen(alg, (a, b - 1, 0), 0):
-                for m3, co3 in _mono_times_gen(alg, m2, 1):
-                    _add_term(out, m3, co * co3)
-            br = alg.brackets.get((1, 0))
-            if br is not None:
-                coeff, k = br
-                for m2, co in _mono_times_gen(alg, (a, b - 1, 0), k):
-                    _add_term(out, m2, coeff * co)
-        else:
-            out[(a + 1, 0, 0)] = Fraction(1)
-    frozen = tuple(sorted(out.items()))
+    for m2, co in _mono_times_gen(alg, rest, g):
+        for m3, co3 in _mono_times_gen(alg, m2, k):
+            _add_term(out, m3, co * co3)
+    br = alg.brackets.get((k, g))
+    if br is not None:
+        coeff, j = br
+        for m2, co in _mono_times_gen(alg, rest, j):
+            _add_term(out, m2, coeff * co)
+    frozen = tuple(out.items())
     _GEN_CACHE[key] = frozen
     return frozen
 
@@ -249,70 +232,39 @@ class PBWElement:
             out = pbw_product(out, self)
         return out
 
-    def times_gen(self, gen: int | str) -> PBWElement:
-        idx = self.algebra.gens.index(gen) if isinstance(gen, str) else gen
-        res = PBWElement(self.algebra)
-        res.terms = _terms_times_gen(self.algebra, self.terms, idx)
-        return res
-
     def single_monomial(self) -> tuple[Mono, Fraction]:
         if len(self.terms) != 1:
             raise InvariantError(f"{len(self.terms)} terms, expected a single monomial")
         return next(iter(self.terms.items()))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.algebra.gens
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, mono)
-                if e
-            ]
-            body = "*".join(factors)
-            if not body:
-                parts.append(rat_str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{rat_str(c)}*{body}")
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return signed_sum(
+            (
+                self.terms[mono],
+                "*".join(
+                    name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(self.algebra.gens, mono)
+                    if e
+                ),
+            )
+            for mono in sorted(self.terms, reverse=True)
+        )
 
 
 def pbw_product(left: PBWElement, right: PBWElement) -> PBWElement:
-    """Normal-ordered product, reusing shared monomial prefixes of `right`."""
+    """Normal-ordered product: `left` times each monomial g0^a g1^b g2^c of `right`.
+
+    Each monomial is applied one generator at a time, left to right.
+    """
     left._check_same(right)
     alg = left.algebra
     acc: Terms = {}
-    a0 = b0 = c0 = 0
-    cur0 = dict(left.terms)
-    cur1 = cur0
-    cur2 = cur0
-    for (a, b, c), coeff in sorted(right.terms.items()):
-        if a != a0:
-            for _ in range(a - a0):
-                cur0 = _terms_times_gen(alg, cur0, 0)
-            a0, b0, c0 = a, 0, 0
-            cur1 = cur0
-            cur2 = cur0
-        if b != b0:
-            for _ in range(b - b0):
-                cur1 = _terms_times_gen(alg, cur1, 1)
-            b0, c0 = b, 0
-            cur2 = cur1
-        if c != c0:
-            for _ in range(c - c0):
-                cur2 = _terms_times_gen(alg, cur2, 2)
-            c0 = c
-        for m, co in cur2.items():
+    for mono, coeff in right.terms.items():
+        cur = left.terms
+        for g, e in enumerate(mono):
+            for _ in range(e):
+                cur = _terms_times_gen(alg, cur, g)
+        for m, co in cur.items():
             _add_term(acc, m, co * coeff)
     res = PBWElement(alg)
     res.terms = acc
@@ -326,17 +278,11 @@ def sigma_antihom(elem: PBWElement) -> PBWElement:
     re-normal-ordered.
     """
     alg = elem.algebra
+    g0, g1, g2 = (PBWElement.generator(alg, i) for i in range(3))
     out = PBWElement(alg)
-    for (a, b, c), coeff in sorted(elem.terms.items()):
-        cur = PBWElement.unit(alg)
-        for _ in range(c):
-            cur = cur.times_gen(2)
-        for _ in range(b):
-            cur = cur.times_gen(1)
-        for _ in range(a):
-            cur = cur.times_gen(0)
+    for (a, b, c), coeff in elem.terms.items():
         sign = -1 if (a + b + c) % 2 else 1
-        out = out + cur.scale(sign * coeff)
+        out = out + (g2**c * g1**b * g0**a).scale(sign * coeff)
     return out
 
 

@@ -11,8 +11,8 @@ Each suite returns a ``(results, checks)`` pair ready for
 - ``mff``: verifies the operator-calculus identities once in PBW, then per
   level re-derives the annihilation polynomial by the Harish-Chandra
   projection (proportional to the vacuum polynomial with nonzero constant),
-  the C2 reduction by PBW normal ordering (exponent and the product closed
-  form of its constant), and the bimodule dimensions from the projections
+  the C2 reduction by PBW normal ordering inside the eb-free part (exponent
+  and the product closed form of its constant), and the bimodule dimensions from the projections
   alone (Harish-Chandra projection of T_-^d times each projection,
   per-degree gcds as root-multiset intersections), each weight's against
   the presentation and Frenkel-Zhu's closed form.

@@ -215,10 +215,10 @@ def test_wrong_vacuum_polynomial_fails_the_annihilation_checks_by_name(capsys, m
 
 
 def test_wrong_c2_exponent_fails_c2_reduction_with_the_exponent(capsys, monkeypatch):
-    # an extra central hb raises every exponent of the C2 remainder by one
-    real = mff.fuchs_projection
+    # an extra central hb factor raises every exponent of the C2 remainder by one
+    real = mff._projection_factors
     hb = PBWElement.generator(HEIS, "hb")
-    monkeypatch.setattr(mff, "fuchs_projection", lambda *args: real(*args) * hb)
+    monkeypatch.setattr(mff, "_projection_factors", lambda *args: real(*args) + [hb])
     code, doc, _ = run_json(capsys, "verify", "--suite", "mff", "--pmax", "3", "--qmax", "2")
     assert code == 1
     assert _failed_checks(doc) == {

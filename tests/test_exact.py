@@ -20,6 +20,7 @@ from admissible_sl2.exact import (
     rat,
     rat_str,
 )
+from admissible_sl2.pbw import SL2, PBWElement
 
 RNG_SEED = 20260815
 
@@ -136,3 +137,14 @@ def test_unipoly_pairs_round_trip():
     pairs = p.to_pairs()
     assert pairs == [(0, "-1/2"), (3, "2")]
     assert UniPoly.from_pairs(pairs) == p
+
+
+def test_signed_sum_renderings():
+    # the demos print these strings; PBWElement renders through the same helper
+    assert repr(UniPoly()) == "0"
+    assert repr(UniPoly({0: -3})) == "-3"
+    assert repr(UniPoly({2: 2, 1: -1, 0: Fraction(1, 2)})) == "2*x^2 - x + 1/2"
+    assert repr(UniPoly({3: Fraction(-2, 3), 1: 1, 0: -1})) == "-2/3*x^3 + x - 1"
+    assert repr(PBWElement(SL2)) == "0"
+    elem = PBWElement(SL2, {(1, 1, 0): 1, (0, 0, 2): Fraction(-1, 2), (0, 2, 1): -1, (0, 0, 0): 3})
+    assert repr(elem) == "f*h - h^2*e - 1/2*e^2 + 3"

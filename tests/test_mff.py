@@ -6,7 +6,9 @@ annihilation operator, the factorial product for the C2 constant, and the
 n'(p-n')(q-k'+1) count for bimodule dimensions).  The annihilation polynomial
 and the bimodule oracle, both read off the Harish-Chandra projection as
 products of linear factors, must equal the PBW normal-ordering references of
-``_pbw_annihilation_oracle`` and ``_pbw_bimodule_oracle``.
+``_pbw_annihilation_oracle`` and ``_pbw_bimodule_oracle``.  The C2 reduction,
+which drops the left multiples of eb after every product, must equal the
+remainder of the whole product it replaces.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from admissible_sl2.mff import (
     fuchs_projection,
     hw_annihilation_polynomial,
 )
+from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.verify import level_oracles, three_routes_agree
 from admissible_sl2.weights import enumerate_admissible, level_from_pq, vacuum_polynomial
 from _pbw_annihilation_oracle import pbw_annihilation_polynomial
@@ -32,6 +35,8 @@ from _pbw_bimodule_oracle import pbw_bimodule_oracle
 
 SWEEP = [(p, q) for p in range(2, 5) for q in range(1, 4) if math.gcd(p, q) == 1]
 BOX_6_4 = [(p, q) for p in range(2, 7) for q in range(1, 5) if math.gcd(p, q) == 1]
+BOX_8_6 = [(p, q) for p in range(2, 9) for q in range(1, 7) if math.gcd(p, q) == 1]
+BOX_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd(p, q) == 1]
 
 
 def _c2_constant_closed_form(p: int, q: int) -> Fraction:
@@ -86,6 +91,29 @@ def test_c2_exponent_and_constant(p, q):
     assert exponent == (p - 1) * q
     assert coeff == _c2_constant_closed_form(p, q)
     assert coeff != 0
+
+
+def _c2_full_product(level) -> tuple[Fraction, int]:
+    """The C2 remainder read off the whole product fb^{p-1} P2(F2(1,1))."""
+    fb = PBWElement.generator(HEIS, HEIS.lowering)
+    y = (fb ** (level.p - 1)) * fuchs_projection(level, "F2", 1, 1, "P2")
+    remainder = PBWElement(HEIS, {m: c for m, c in y.terms.items() if m[0] == 0 and m[2] == 0})
+    mono, coeff = remainder.single_monomial()
+    return coeff, mono[1]
+
+
+@pytest.mark.parametrize("p,q", BOX_8_6)
+def test_pruned_c2_reduction_matches_the_full_product(p, q):
+    level = level_from_pq(p, q)
+    assert c2_heisenberg_reduction(level) == _c2_full_product(level)
+
+
+def test_c2_reductions_stay_in_the_eb_free_part(monkeypatch):
+    # the full products of the (12,8) box leave 198 778 memoized rewritings
+    monkeypatch.setattr(admissible_sl2.pbw, "_GEN_CACHE", {})
+    for p, q in BOX_12_8:
+        assert c2_heisenberg_reduction(level_from_pq(p, q))[1] == (p - 1) * q
+    assert len(admissible_sl2.pbw._GEN_CACHE) < 10_000
 
 
 @pytest.mark.parametrize("p,q", SWEEP)

@@ -19,6 +19,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissible_sl2.exact import rat
 from admissible_sl2.pbw import (
@@ -123,6 +125,25 @@ def test_product_matches_module_action(alg):
             direct = _apply(xy, vec0, mu)
             staged = _apply(x, _apply(y, vec0, mu), mu)
             assert direct == staged
+
+
+def _elements(alg):
+    """Up to five terms with exponents up to 4 and small rational coefficients."""
+    monos = st.tuples(*[st.integers(0, 4)] * 3)
+    coeffs = st.fractions(-9, 9, max_denominator=5)
+    return st.dictionaries(monos, coeffs, max_size=5).map(lambda t: PBWElement(alg, t))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_product_is_associative_and_matches_module_action(data):
+    alg = data.draw(st.sampled_from([SL2, L0, HEIS]), label="algebra")
+    x, y, z = (data.draw(_elements(alg)) for _ in range(3))
+    xy = x * y
+    assert xy * z == x * (y * z)
+    param = data.draw(st.fractions(-5, 5, max_denominator=3), label="module parameter")
+    vec: Vec = {0: Fraction(1), 2: Fraction(-1, 2), 5: Fraction(3)}
+    assert _apply(xy, vec, param) == _apply(x, _apply(y, vec, param), param)
 
 
 def test_defining_relations():
