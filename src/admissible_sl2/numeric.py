@@ -15,6 +15,14 @@ rho(x), rho(x+d) = rho(x) e^{-4 pi m A}) rather than one exp each; the
 recurrence's own rounding, quadratic in the step count, is added to the tail
 and rounding bounds (derivation in :func:`theta_eval_numeric`).
 
+An exact q-series is evaluated by a walk along its sorted lattice keys:
+q^{e_0} once for the lowest exponent, then one q^{g/D} per distinct gap g,
+with the inner sum carried in Python-int fixed point at prec + 8 +
+bitlength(sum_k (k + 1) |c_k|) fraction bits, so int coefficients multiply
+exactly.  Its bound counts, per step, the rounding of each gap power (its
+argument included) and of the fixed-point product, in whole units of the
+scale (derivation in :func:`qseries_eval_numeric`).
+
 ``s_transform_residual`` computes each distinct quantity once per call: one
 theta memo per side of the law (every weight's quotient shares the
 denominator pair theta_{+-1,2}), one e^{i pi N/a} per distinct integer
@@ -24,8 +32,8 @@ phase numerator N = b b' (the conjugate-phase matrix reuses them through
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
 anomaly exponent from :attr:`~admissible_sl2.characters.CharacterSpec.anomaly`;
-every power of q is built by :func:`_q_power`.  The theta, character and
-S-transform evaluators check ``tol > 0`` and ``Im(tau) > 0`` up front, with
+every power of q is built by :func:`_q_power`.  Every evaluator checks
+``Im(tau) > 0`` up front, and those with a tolerance check ``tol > 0``, with
 one helper each.
 
 Precision is fixed per evaluator (``theta_eval_numeric`` alone takes it as an
@@ -35,11 +43,13 @@ argument); there is no ambient global state -- evaluation happens inside
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .characters import CharacterSpec, chibar_thetas
 from .errors import InputError
@@ -247,26 +257,127 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         return ComplexVal(total, tails + rounding, prec)
 
 
-def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
-    """Evaluate a truncated exact series at q = e^{2 pi i tau}.
+def _q_power_error(e: Fraction, tau_l1, eps) -> mpmath.mpf:
+    """Relative error r of ``_q_power(e, tau)`` against the exact q^e.
 
-    The error bound covers floating-point rounding only; the series'
-    truncation tail is the caller's budget (the series is exact below its
-    stated order).
+    The argument x tau, x = 2e, is formed with one rounding of x and one of
+    each component of the product, so it lies within 2u |x| |tau|_1 (1 + u)
+    of exact, |tau|_1 = |Re tau| + Im tau; 9 eps / 8 |x| |tau|_1 covers that
+    and the rounding of this bound.  An argument off by dw moves e^{i pi w}
+    by at most pi dw e^{pi dw} of its modulus, and the exponential itself is
+    within 1 ulp <= eps, so |q^e - computed| <= r |computed| with r = (y e^y
+    + eps) (1 + 8 eps), y = pi dw: the factor covers 1/(1 - eps) and the
+    roundings of r itself.
+    """
+    y = mp.pi * (9 * eps / 8) * abs(_frac_mpf(2 * e)) * tau_l1
+    return (y * mp.exp(y) + eps) * (1 + 8 * eps)
+
+
+def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
+    """Evaluate a truncated exact series at q = e^{2 pi i tau}, Im(tau) > 0.
+
+    The error bound covers rounding only; the series' truncation tail is the
+    caller's budget (the series is exact below its stated order).
+
+    The walk.  With sorted keys m_0 < m_1 < ... on the lattice (1/D)Z, the
+    value is L * sum_k c_k W_k, L = q^{m_0/D}, W_0 = 1 and W_k = W_{k-1}
+    q^{g_k/D}, g_k = m_k - m_{k-1} > 0.  ``_q_power`` runs once for L and once
+    per distinct gap; the inner sum is summed in F-bit fixed point, complex
+    numbers held as pairs of Python ints in units u = 2^-F:
+
+    - each gap power z is stored as Z = floor of its computed value per
+      component, and every walk product is floored per component back to F
+      bits, an error t with |t| < 2u;
+    - an int coefficient multiplies exactly, and a ``Fraction`` n/d by
+      floor division, which loses under 2u per term;
+    - F = prec + 8 + bitlength(sum_k (k + 1) ceil|c_k|), so that the units
+      below, a few per step and weighted by |c_k|, stay under 2^-prec.
+
+    The bound, all of it counted in whole units, rounded up.  For a gap,
+    |z - Z| <= delta = 2u + |computed z| r_g (r_g from ``_q_power_error``),
+    and |z| <= min(1, |Z| + delta) since Im(tau) > 0.  The walk's value w_k
+    differs from W_k by E_k, where E_0 = 0 and
+
+        E_k <= E_{k-1} |z| + |w_{k-1}| delta + |t|,
+
+    carried as (E_{k-1} Z_abs + |w_{k-1}|_1 Delta) >> F plus 3 units (1 for
+    the floor of the shift, 2 for t), Z_abs and Delta the bounds above in
+    units.  So the drift is relative where the walk's terms are large and a
+    few units where they have decayed; no modulus is ever a float, so
+    nothing underflows.  The inner sum S is then within E = sum_k |c_k| E_k
+    (plus 2 units per ``Fraction``) of exact.
+
+    The close.  S becomes an ``mpc`` I with one rounding per component, and
+    the value is L I with one more, eps |I| each, L being within r_L |L| of
+    q^{m_0/D}.  So the error is at most
+
+        |L| (E + r_L (|I| + E) + 4 eps |I|) (1 + 8 eps),
+
+    the last factor covering the roundings of the bound itself and of |I|
+    and |L|.  A one-term series with coefficient 1 walks nothing: I is
+    exactly 1 and the value is exactly L.
     """
     prec = DEFAULT_PREC
     with mp.workprec(prec):
-        tau_v = _as_mpc(tau)
+        tau_v = _upper_half_plane(tau, "series evaluation")
+        terms, denom = series.terms, series.denom
+        keys = sorted(terms)
+        if not keys:
+            return ComplexVal(mp.mpc(0), mp.mpf(0), prec)
         eps = mp.mpf(2) ** (1 - prec)
-        total = mp.mpc(0)
-        sum_abs = mp.mpf(0)
-        pairs = series.prefix()
-        for e, c in pairs:
-            term = _frac_mpf(c) * _q_power(e, tau_v)
-            total += term
-            sum_abs += abs(term)
-        rounding = sum_abs * (len(pairs) + 16) * eps
-        return ComplexVal(total, rounding, prec)
+        tau_l1 = abs(tau_v.real) + tau_v.imag
+        weight = sum(
+            (k + 1) * -(-abs(terms[m].numerator) // terms[m].denominator)
+            for k, m in enumerate(keys)
+        )
+        frac_bits = prec + 8 + weight.bit_length()
+        one = 1 << frac_bits
+
+        gaps: dict[int, tuple[int, int, int, int]] = {}
+
+        def gap_step(g: int) -> tuple[int, int, int, int]:
+            e = Fraction(g, denom)
+            z = _q_power(e, tau_v)
+            zr = to_fixed(z.real._mpf_, frac_bits)
+            zi = to_fixed(z.imag._mpf_, frac_bits)
+            z_abs = math.isqrt(zr * zr + zi * zi) + 1
+            delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_l1, eps))) + 3
+            return zr, zi, min(one, z_abs + delta), delta
+
+        lead = _q_power(Fraction(keys[0], denom), tau_v)
+        wr, wi = one, 0
+        sr = si = 0
+        drift = 0  # E_k in units
+        err_units = 0
+        prev = keys[0]
+        for m in keys:
+            if m != prev:
+                g = m - prev
+                if g not in gaps:
+                    gaps[g] = gap_step(g)
+                zr, zi, z_abs, delta = gaps[g]
+                drift = ((drift * z_abs + (abs(wr) + abs(wi)) * delta) >> frac_bits) + 3
+                wr, wi = (wr * zr - wi * zi) >> frac_bits, (wr * zi + wi * zr) >> frac_bits
+                prev = m
+            c = terms[m]
+            if isinstance(c, int):
+                sr += c * wr
+                si += c * wi
+                err_units += abs(c) * drift
+            else:
+                n, d = c.numerator, c.denominator
+                sr += n * wr // d
+                si += n * wi // d
+                err_units += -(-abs(n) * drift // d) + 2
+
+        inner = mp.mpc(mp.ldexp(sr, -frac_bits), mp.ldexp(si, -frac_bits))
+        walk_err = mp.ldexp(err_units, -frac_bits)
+        abs_inner = abs(inner)
+        lead_err = _q_power_error(Fraction(keys[0], denom), tau_l1, eps)
+        err = abs(lead) * (
+            walk_err + lead_err * (abs_inner + walk_err) + 4 * eps * abs_inner
+        ) * (1 + 8 * eps)
+        return ComplexVal(lead * inner, err, prec)
 
 
 def _chibar_numeric(

@@ -11,13 +11,20 @@ evaluator kept in ``tests/_theta_oracle.py``: equal values bit for bit, and
 error bounds no smaller than the oracle's, which leaves out the rounding of
 each term's argument.  ``stransform``'s sharing of thetas and S-matrix phases
 is checked against unshared evaluations, bit for bit.
+
+The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
+character series by a 600-bit per-term sum and by the per-term evaluator kept
+in ``tests/_series_eval_oracle.py``: every value lies within its bound of
+both, and its bound stays within 16 times the per-term one.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
+import _series_eval_oracle
 import _theta_oracle
 import pytest
 from hypothesis import event, given, settings
@@ -25,7 +32,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from admissible_sl2 import numeric
-from admissible_sl2.characters import CharacterSpec, character_qseries
+from admissible_sl2.characters import (
+    CharacterSpec,
+    character_qseries,
+    chibar_lowest_exponent,
+)
 from admissible_sl2.errors import InputError
 from admissible_sl2.numeric import (
     character_eval_numeric,
@@ -35,6 +46,8 @@ from admissible_sl2.numeric import (
 )
 from admissible_sl2.qseries import QSeries, ThetaSpec
 from admissible_sl2.weights import AdmissibleWeight, enumerate_admissible, level_from_pq
+
+LEVELS_TO_8_5 = [(p, q) for p in range(2, 9) for q in range(1, 6) if math.gcd(p, q) == 1]
 
 
 def _brute_theta(spec: ThetaSpec, tau, prec=320, window=120):
@@ -184,6 +197,107 @@ def test_qseries_eval_hand_value():
         assert abs(val.value - expected) <= val.err + mp.mpf("1e-35")
 
 
+def _ref_series(series: QSeries, tau, prec=600):
+    """Per-term sum at ``prec`` bits and a bound on its own rounding.
+
+    Term m is c_m e^{i pi m x} with x = 2 tau / D.  Its argument m x takes
+    two roundings, so it is within |m| |x| eps of exact, and the term is
+    within (1 + pi |m| |x|) eps of its modulus (the exponential and its
+    argument, to first order); the sum adds one rounding per term.  The
+    factors 2 and 16 leave room for the higher orders, and |Re| + |Im| stands
+    in for every modulus.
+    """
+    with mp.workprec(prec):
+        eps = mp.mpf(2) ** (1 - prec)
+        x = 2 * tau / series.denom
+        sum_abs = weighted = mp.mpf(0)
+        total = mp.mpc(0)
+        for m, c in series.terms.items():
+            term = mp.mpf(c.numerator) / c.denominator * mp.expjpi(m * x)
+            total += term
+            size = abs(term.real) + abs(term.imag)
+            sum_abs += size
+            weighted += size * abs(m)
+        x_l1 = abs(x.real) + abs(x.imag)
+        n = len(series.terms)
+        return total, ((n + 16) * sum_abs + 2 * mp.pi * x_l1 * weighted) * eps
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    level_at=st.sampled_from(LEVELS_TO_8_5),
+    pick=st.integers(min_value=0, max_value=10**6),
+    u=st.integers(min_value=2, max_value=7),
+    v_pick=st.integers(min_value=0, max_value=10**6),
+    trunc=st.integers(min_value=1, max_value=160),
+    kind=st.sampled_from(["chi", "chibar"]),
+    scale=st.one_of(
+        st.just(Fraction(1)), st.fractions(min_value=-50, max_value=50, max_denominator=97)
+    ),
+    shift=st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-5, max_value=0, max_denominator=12)
+    ),
+    re_tau=st.fractions(min_value=-3 / 2, max_value=3 / 2, max_denominator=1000),
+    im_tau=st.fractions(min_value=Fraction(1, 40), max_value=3, max_denominator=1000),
+)
+def test_series_walk_within_bounds_of_reference_and_per_term_sum(
+    level_at, pick, u, v_pick, trunc, kind, scale, shift, re_tau, im_tau
+):
+    level = level_from_pq(*level_at)
+    weights = enumerate_admissible(level)
+    vs = [v for v in range(1, u) if math.gcd(v, u) == 1]
+    spec = CharacterSpec(weights[pick % len(weights)], Fraction(vs[v_pick % len(vs)], u))
+    # the order must pass the lowest exponent, as ``character --trunc`` requires
+    order = max(Fraction(trunc), chibar_lowest_exponent(spec) + spec.shift(kind) + 1)
+    series = character_qseries(spec, order, kind=kind)
+    if scale:
+        series = series.scale(scale)
+    series = series.shift_exponents(shift)
+    low = series.lowest()
+    if low is None:
+        event("empty series")
+    else:
+        event(f"lowest exponent {'< 0' if low[0] < 0 else '>= 0'}")
+        event("Fraction coefficients" if low[1].denominator > 1 else "int coefficients")
+    with mp.workprec(128):
+        tau = mp.mpc(re_tau.numerator, 0) / re_tau.denominator + mp.mpc(
+            0, im_tau.numerator
+        ) / im_tau.denominator
+    new = qseries_eval_numeric(series, tau)
+    old = _series_eval_oracle.qseries_eval_numeric(series, tau)
+    ref, ref_err = _ref_series(series, tau)
+    with mp.workprec(600):
+        assert abs(new.value - ref) <= new.err + ref_err
+        assert abs(new.value - old.value) <= new.err + old.err
+        assert new.err <= 16 * old.err
+
+
+def test_series_walk_takes_one_exponential_per_gap(monkeypatch):
+    calls = []
+    direct = numeric._q_power
+
+    def counting(e, tau):
+        calls.append(e)
+        return direct(e, tau)
+
+    monkeypatch.setattr(numeric, "_q_power", counting)
+    spec = CharacterSpec(enumerate_admissible(level_from_pq(5, 3))[3], Fraction(2, 7))
+    series = character_qseries(spec, Fraction(30), kind="chi")
+    keys = sorted(series.terms)
+    gaps = {b - a for a, b in zip(keys, keys[1:])}
+    assert len(keys) > 2 * len(gaps) + 2  # the walk does reuse its gaps
+    qseries_eval_numeric(series, mp.mpc("0.3", "0.5"))
+    assert len(calls) == 1 + len(gaps)
+
+    # the (2,1) vacuum is exactly 1: no step and no rounding
+    vacuum = CharacterSpec(AdmissibleWeight(level_from_pq(2, 1), 0, 0), Fraction(1, 2))
+    calls.clear()
+    series = character_qseries(vacuum, Fraction(30), kind="chibar")
+    val = qseries_eval_numeric(series, mp.mpc(0, 1))
+    assert val.value == mp.mpc(1)
+    assert len(calls) == 1
+
+
 def test_character_eval_guards():
     spec = CharacterSpec(AdmissibleWeight(level_from_pq(3, 2), 1, 0), Fraction(1, 2))
     with pytest.raises(InputError, match="kind must be"):
@@ -240,6 +354,8 @@ def test_real_tau_is_rejected_up_front(tau):
         theta_eval_numeric(ThetaSpec(1, 2, Fraction(1, 2)), tau, tol=mp.mpf("1e-10"))
     with pytest.raises(InputError, match="requires Im"):
         character_eval_numeric(spec, tau, tol=mp.mpf("1e-10"))
+    with pytest.raises(InputError, match="requires Im"):
+        qseries_eval_numeric(character_qseries(spec, Fraction(10)), tau)
     with pytest.raises(InputError, match="requires Im"):
         s_transform_residual(level, Fraction(1, 2), tau)
 
