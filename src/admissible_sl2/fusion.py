@@ -10,9 +10,9 @@ degree i.  Three independent routes decide which degrees survive:
   * the bimodule oracle of bimodule_from_mff, which reads per-degree gcds
     off the singular-vector projections: gcd_i(j2) = 0.
 
-Generators and gcds are held as their roots, so routes 2 and 3 test j2 for
-membership and expand no polynomial; route 2 takes its roots from the
-presentation's own formula and route 3 from the projections.  The routes
+Generators and gcds hold their roots r as integer labels q*r, so routes 2 and 3
+test q*j2 among ints and expand no polynomial; route 2 takes its labels from
+the presentation's own formula and route 3 from the projections.  The routes
 must give the same degrees, and :func:`fusion_outputs` is the one resolver
 of degrees to weights.  The outputs form a commutative, associative unital
 ring on the admissible weights, which :class:`FusionRing` holds as sparse dicts.
@@ -21,7 +21,6 @@ ring on the admissible weights, which :class:`FusionRing` holds as sparse dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InvariantError
 from .exact import UniPoly, rat_str
@@ -60,16 +59,16 @@ def zhu_multiply(algebra: ZhuAlgebra, g1: UniPoly, g2: UniPoly) -> UniPoly:
 class BimodulePresentation:
     """Frenkel-Zhu bimodule of L(ell, j) as a C[x]-C[y] quotient.
 
-    generators[i], like the oracle's gcds[i], is the root tuple r + i - st of
-    g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st), i = 0..n'-1,
-    and stands for the generator y^i g_i(x); together with y^{n'} they
+    generators[i], like the oracle's gcds[i], holds the labels q(r + i) - sp
+    of the roots of g_i = prod_{r=0}^{p-n'-1} prod_{s=0}^{q-k'} (x - r - i + st),
+    i = 0..n'-1, and stands for the generator y^i g_i(x); with y^{n'} they
     present a quotient to which degree i contributes deg g_i.  The dimension
     is counted from the roots; :func:`admissible_sl2.verify.bimodule_oracle_checks`
     judges it against Frenkel-Zhu's closed form.
     """
 
     weight: AdmissibleWeight
-    generators: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
 
     @property
     def y_truncation(self) -> int:
@@ -81,10 +80,10 @@ class BimodulePresentation:
 
 
 def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePresentation:
-    p, q, t = level.p, level.q, level.t
+    p, q = level.p, level.q
     np_, kp = weight.n_primed, weight.k_primed
     gens = tuple(
-        tuple(r + i - s * t for r in range(p - np_) for s in range(q - kp + 1))
+        tuple(q * (r + i) - s * p for r in range(p - np_) for s in range(q - kp + 1))
         for i in range(np_)
     )
     return BimodulePresentation(weight=weight, generators=gens)
@@ -98,9 +97,9 @@ def fusion_degrees(level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight) -> 
     return list(range(max(0, n1 + n2 - level.p), min(n1, n2)))
 
 
-def surviving_degrees(j2: Fraction, roots_by_degree) -> list[int]:
-    """Routes 2 and 3: each degree i whose roots, of g_i or of gcd_i, contain j2."""
-    return [i for i, roots in enumerate(roots_by_degree) if j2 in roots]
+def surviving_degrees(label2: int, roots_by_degree) -> list[int]:
+    """Routes 2 and 3: each degree i whose root labels, of g_i or of gcd_i, contain q*j2."""
+    return [i for i, roots in enumerate(roots_by_degree) if label2 in roots]
 
 
 def fusion_outputs(
@@ -147,9 +146,9 @@ def fusion(
     closed = fusion_degrees(level, w1, w2)
     routes = {
         "closed": lambda: closed,
-        "bimodule": lambda: surviving_degrees(w2.j, bimodule_presentation(level, w1).generators),
+        "bimodule": lambda: surviving_degrees(w2.J, bimodule_presentation(level, w1).generators),
         "mff": lambda: surviving_degrees(
-            w2.j, bimodule_from_mff(level, w1.n_primed, w1.k_primed).gcds
+            w2.J, bimodule_from_mff(level, w1.n_primed, w1.k_primed).gcds
         ),
     }
     agree = None

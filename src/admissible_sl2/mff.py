@@ -11,7 +11,7 @@ linear factors is held as its root multiset, never normal-ordered:
   * T_-^d times the projections, mod T_+ U(L0), exposes the Frenkel-Zhu
     bimodule degree by degree: each lands in one T_- degree with a product
     of linear factors in T0 as coefficient (the Harish-Chandra projection),
-    and the per-degree gcds are intersections of their root multisets;
+    and the per-degree gcds intersect their multisets of root labels q*r;
   * the same family-2 projection in the Heisenberg algebra, after
     fb^{p-1}, reduces mod left multiples of eb and right multiples of fb to
     a single power of hb, which pins the C2 quotient.  It is normal-ordered
@@ -45,13 +45,13 @@ def _check_primed(level: Level, n_primed: int, k_primed: int) -> None:
         raise InputError(f"k'={k_primed} outside 1..{level.q}")
 
 
-def _family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> list[Fraction]:
-    """Indices a of the quadratic factors X_a in the projection of family F1 or F2."""
-    p, q, t = level.p, level.q, level.t
+def _family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> list[int]:
+    """Labels q*a of the indices a of the quadratic factors X_a in the projection of F1 or F2."""
+    p, q = level.p, level.q
     if family == "F1":
-        return [Fraction(r) + s * t for r in range(n_primed) for s in range(1, k_primed)]
+        return [q * r + s * p for r in range(n_primed) for s in range(1, k_primed)]
     return [
-        -Fraction(r) - s * t
+        -q * r - s * p
         for r in range(1, p - n_primed + 1)
         for s in range(1, q - k_primed + 1)
     ]
@@ -72,7 +72,7 @@ def _projection_factors(
     else:
         tail = [PBWElement.generator(alg, alg.raising)] * (level.p - n_primed)
     alphas = _family_alphas(level, family, n_primed, k_primed)
-    return [quadratic_factor(alg, a) for a in alphas] + tail
+    return [quadratic_factor(alg, Fraction(a, level.q)) for a in alphas] + tail
 
 
 def fuchs_projection(
@@ -116,18 +116,18 @@ def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
 class BimoduleOracle:
     """Per-degree output of the T_+ U(L0) reduction of the projections.
 
-    gcds[i] is the sorted root tuple of the monic gcd of all T0-coefficient
-    polynomials that landed in T_- degree i for i < n'; dims[i] = len(gcds[i])
-    is the quotient dimension contributed at that degree.  tail_unit records
-    that every inspected degree in tail_window (all >= n') had unit gcd, i.e.
-    the quotient is supported in degrees < n'.
+    gcds[i] is the sorted tuple of root labels q*r of the monic gcd of all
+    T0-coefficient polynomials that landed in T_- degree i for i < n';
+    dims[i] = len(gcds[i]) is the quotient dimension contributed at that
+    degree.  tail_unit records that every inspected degree in tail_window
+    (all >= n') had unit gcd, i.e. the quotient is supported in degrees < n'.
     """
 
     level: Level
     n_primed: int
     k_primed: int
     d_max: int
-    gcds: list[tuple[Fraction, ...]]
+    gcds: list[tuple[int, ...]]
     dims: list[int]
     tail_window: tuple[int, int]
     tail_unit: bool
@@ -152,21 +152,22 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
       F2: T_- degree d - m for d >= m, roots alphas(F2) + d and d-m, ..., d-1.
 
     A degree's monic gcd is the product over the intersection of its root
-    multisets, kept as that sorted multiset.  gcds[i] for i < n' is the
-    degree-i part of the quotient; degrees n'..d_max - m, reached by both
-    families, must have unit gcd.
+    multisets, kept as that sorted multiset of labels q*r.  gcds[i] for i < n'
+    is the degree-i part of the quotient; degrees n'..d_max - m, reached by
+    both families, must have unit gcd.
     """
     _check_primed(level, n_primed, k_primed)
     d_max = level.p + n_primed + 2
-    m = level.p - n_primed
+    m, q = level.p - n_primed, level.q
     f1 = _family_alphas(level, "F1", n_primed, k_primed)
     f2 = _family_alphas(level, "F2", n_primed, k_primed)
-    # No root a is -1, so no constant a + 1 vanishes: the F1 and G roots are
-    # >= 0, and an F2 root -r - st + d is never an integer since 0 < s < q and
+    # No label is -q, so no constant a + 1 vanishes: the F1 and G labels are >= 0,
+    # and an F2 label q(d - r) - sp is never a multiple of q since 0 < s < q and
     # gcd(p, q) = 1.  F2 reaches every degree i < n' at d = m + i <= p - 1.
-    landings = [(d + n_primed, [a + d for a in f1]) for d in range(d_max + 1)]
+    landings = [(d + n_primed, [a + q * d for a in f1]) for d in range(d_max + 1)]
     landings += [
-        (d - m, [a + d for a in f2] + list(range(d - m, d))) for d in range(m, d_max + 1)
+        (d - m, [a + q * d for a in f2] + list(range(q * (d - m), q * d, q)))
+        for d in range(m, d_max + 1)
     ]
     common: dict[int, Counter] = {}
     for i, roots in landings:

@@ -5,6 +5,8 @@ t = p/q = ell + 2.  The admissible highest weights at that level are
 j = n - k*t for 0 <= n <= p-2, 0 <= k <= q-1, so there are (p-1)*q of them.
 The primed parametrization n' = n+1, k' = k+1 (so j = n'-1-(k'-1)t) is the
 one the operator calculus uses.
+Each weight has the integer label J = q*j = n q - k p, which splits back into
+(n, k) with 0 <= k < q by one modular inverse: k = -J p^{-1} mod q.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class AdmissibleWeight:
         return self.n - self.k * self.level.t
 
     @property
+    def J(self) -> int:
+        """The integer label q*j = n q - k p."""
+        return self.n * self.level.q - self.k * self.level.p
+
+    @property
     def n_primed(self) -> int:
         return self.n + 1
 
@@ -100,14 +107,20 @@ def enumerate_admissible(level: Level) -> list[AdmissibleWeight]:
     ]
 
 
+def _split_label(level: Level, j: RatLike) -> tuple[int, int] | None:
+    """The (n, k) with q*j = n q - k p and 0 <= k < q, or None if q*j is not an integer."""
+    label, p, q = rat(j) * level.q, level.p, level.q
+    if label.denominator != 1:
+        return None
+    k = -label.numerator * pow(p, -1, q) % q
+    return (label.numerator + k * p) // q, k
+
+
 def weight_from_j(level: Level, j: RatLike) -> AdmissibleWeight | None:
     """Resolve a rational j to its (n, k) box coordinates, or None."""
-    jf = rat(j)
-    for k in range(level.q):
-        n = jf + k * level.t
-        if n.denominator == 1 and 0 <= n <= level.p - 2:
-            return AdmissibleWeight(level, int(n), k)
-    return None
+    if (split := _split_label(level, j)) is None or not 0 <= split[0] <= level.p - 2:
+        return None
+    return AdmissibleWeight(level, *split)
 
 
 def vacuum_polynomial(level: Level) -> UniPoly:
@@ -127,28 +140,16 @@ def kac_kazhdan_witness(
 ) -> tuple[str, int, int] | None:
     """Reducibility witness for the Verma module of highest weight j.
 
-    Case I looks for positive integers (n, k) with j = n - 1 - (k-1)*t,
-    case II for j = -n + k*t.  Integrality of n is periodic in k with period
-    q, so k is searched in 1..q and then shifted by multiples of q (which
-    raises n by p each time) until n >= 1.  Case I is tried first; None
-    means the Verma module is irreducible.
+    Case I asks for positive integers (n, k) with q*j = (n-1) q - (k-1) p: the
+    split of q*j gives k in 1..q, and q-shifts of k (each raising n by p) make
+    n >= 1.  Case II, j = -n + k*t, needs q*j integral too, so it never answers
+    first.  None means q*j is not an integer: the Verma module is irreducible.
     """
-    jf = rat(j)
-    t = level.t
-    for case, n_of_k in (
-        ("I", lambda k: jf + 1 + (k - 1) * t),
-        ("II", lambda k: k * t - jf),
-    ):
-        for k in range(1, level.q + 1):
-            n = n_of_k(k)
-            if n.denominator != 1:
-                continue
-            shifts = 0
-            if n < 1:
-                # ceil((1 - n)/p) many q-shifts push n into the positives
-                shifts = -((n - 1) // level.p)
-            return case, int(n + shifts * level.p), k + shifts * level.q
-    return None
+    if (split := _split_label(level, j)) is None:
+        return None
+    n, k = split
+    shifts = max(0, -(n // level.p))  # ceil(-n/p) q-shifts make n + 1 >= 1
+    return "I", n + 1 + shifts * level.p, k + 1 + shifts * level.q
 
 
 @dataclass(frozen=True)

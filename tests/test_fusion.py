@@ -86,8 +86,8 @@ def test_three_routes_agree(p, q):
         oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
         for w2 in weights:
             closed = fusion_degrees(level, w1, w2)
-            via_bim = surviving_degrees(w2.j, generators)
-            via_mff = surviving_degrees(w2.j, oracle.gcds)
+            via_bim = surviving_degrees(w2.J, generators)
+            via_mff = surviving_degrees(w2.J, oracle.gcds)
             assert closed == via_bim == via_mff
 
 
@@ -335,7 +335,8 @@ def test_bimodule_presentation_dimensions():
         assert pres.dimension == w.n_primed * (3 - w.n_primed) * (2 - w.k_primed + 1)
         assert len(pres.generators) == w.n_primed
         assert pres.y_truncation == w.n_primed
-        # generator y^i g_i(x): g_i has (p-n')(q-k'+1) roots, root r=s=0 at x=i
+        # generator y^i g_i(x): g_i has (p-n')(q-k'+1) roots, root r=s=0 at
+        # x=i, held as its label q*i
         for i, roots in enumerate(pres.generators):
             assert len(roots) == (3 - w.n_primed) * (2 - w.k_primed + 1)
-            assert i in roots
+            assert level.q * i in roots

@@ -136,7 +136,9 @@ def test_bimodule_oracle_matches_pbw_reduction(p, q):
     for w in enumerate_admissible(level):
         oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
         reference = pbw_bimodule_oracle(level, w.n_primed, w.k_primed)
-        assert [poly_from_linear_factors(g) for g in oracle.gcds] == reference.gcds
+        assert [
+            poly_from_linear_factors(Fraction(r, q) for r in g) for g in oracle.gcds
+        ] == reference.gcds
         assert oracle.dims == reference.dims
         assert oracle.d_max == reference.d_max
         assert oracle.tail_window == reference.tail_window

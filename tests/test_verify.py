@@ -6,9 +6,11 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from admissible_sl2 import verify
+from admissible_sl2.characters import CharacterSpec, character_qseries
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.verify import (
@@ -16,8 +18,9 @@ from admissible_sl2.verify import (
     c2_expected_constant,
     coprime_levels,
     run_suites,
+    series_numeric_agreement,
 )
-from admissible_sl2.weights import enumerate_admissible, level_from_pq
+from admissible_sl2.weights import AdmissibleWeight, enumerate_admissible, level_from_pq
 
 
 def test_suite_names():
@@ -175,3 +178,19 @@ def test_every_check_family_survives_a_raise(monkeypatch, capsys, small_sweep_na
     code = main(["verify", "--suite", "all", "--pmax", "4", "--qmax", "3", "--format", "json"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["checks"] == checks
+
+
+def test_series_numeric_difference_is_taken_at_the_evaluators_precision():
+    # ``character --tau`` prints the difference to 30 digits, so it is taken
+    # at the 128 bits of the two values, not at the ambient 53
+    spec = CharacterSpec(AdmissibleWeight(level_from_pq(5, 3), 1, 1), Fraction(1, 3))
+    series = character_qseries(spec, Fraction(30), kind="chibar")
+    with mp.workprec(256):  # tau as ``--tau 0.1,1.2`` parses it
+        tau = mp.mpc(mp.mpf(1) / 10, mp.mpf(12) / 10)
+    numeric, series_value, diff, agree = series_numeric_agreement(
+        spec, series, tau, mp.mpf("1e-8"), kind="chibar"
+    )
+    assert agree and numeric.prec == series_value.prec == 128
+    with mp.workprec(128):
+        assert diff == abs(numeric.value - series_value.value)
+        assert mp.nstr(diff, 30) == "9.33422610726173402116657831539e-14"

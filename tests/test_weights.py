@@ -115,14 +115,10 @@ def test_kac_kazhdan_witness_on_admissible_weights(p, q):
     lvl = level_from_pq(p, q)
     t = lvl.t
     for w in enumerate_admissible(lvl):
-        witness = kac_kazhdan_witness(lvl, w.j)
-        assert witness is not None
-        case, n, k = witness
+        case, n, k = kac_kazhdan_witness(lvl, w.j)
+        assert case == "I"
         assert n >= 1 and k >= 1
-        if case == "I":
-            assert w.j == n - 1 - (k - 1) * t
-        else:
-            assert w.j == -n + k * t
+        assert w.j == n - 1 - (k - 1) * t
 
 
 def test_kac_kazhdan_witness_none_for_generic_weight():
