@@ -72,12 +72,7 @@ def _weight_from_flags(level, args) -> AdmissibleWeight:
     if args.j is not None:
         if args.n is not None or args.k is not None:
             raise InputError("give either --n/--k or --j, not both")
-        w = weight_from_j(level, _rational(args.j, "--j"))
-        if w is None:
-            raise InputError(
-                f"--j {args.j} is not an admissible weight at p={level.p}, q={level.q}"
-            )
-        return w
+        return _weight_from_j(level, args.j, "--j")
     if args.n is None or args.k is None:
         raise InputError("a weight needs --n and --k together, or --j")
     return AdmissibleWeight(level, args.n, args.k)
@@ -93,8 +88,11 @@ def _weight_from_pair(level, text: str, flag: str) -> AdmissibleWeight:
         except ValueError as exc:
             raise InputError(f'{flag}: expected integers in "n,k", got {text!r}') from exc
         return AdmissibleWeight(level, n, k)
-    w = weight_from_j(level, _rational(text, flag))
-    if w is None:
+    return _weight_from_j(level, text, flag)
+
+
+def _weight_from_j(level, text: str, flag: str) -> AdmissibleWeight:
+    if (w := weight_from_j(level, _rational(text, flag))) is None:
         raise InputError(
             f"{flag}: j={text} is not an admissible weight at p={level.p}, q={level.q}"
         )

@@ -14,8 +14,9 @@ Generators and gcds hold their roots r as integer labels q*r, so routes 2 and 3
 test q*j2 among ints and expand no polynomial; route 2 takes its labels from
 the presentation's own formula and route 3 from the projections.  The routes
 must give the same degrees, and :func:`fusion_outputs` is the one resolver
-of degrees to weights.  The outputs form a commutative, associative unital
-ring on the admissible weights, which :class:`FusionRing` holds as sparse dicts.
+of degrees to weights, by the output's label J1 + J2 - 2qi.  The outputs
+form a commutative, associative unital ring on the admissible weights, which
+:class:`FusionRing` holds as sparse dicts indexed by label.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .exact import UniPoly, rat_str
+from .exact import UniPoly, rat, rat_str
 from .mff import bimodule_from_mff
 from .weights import (
     AdmissibleWeight,
     Level,
     enumerate_admissible,
     vacuum_polynomial,
-    weight_from_j,
+    weight_from_label,
 )
 
 
@@ -105,13 +106,13 @@ def surviving_degrees(label2: int, roots_by_degree) -> list[int]:
 def fusion_outputs(
     level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, degrees
 ) -> list[tuple[AdmissibleWeight, int]]:
-    """The one resolver: output j1 + j2 - 2i, multiplicity 1, for each degree i."""
-    j12 = w1.j + w2.j
+    """The one resolver: output J1 + J2 - 2qi (j1 + j2 - 2i), multiplicity 1, per degree i."""
     outputs = []
     for i in degrees:
-        w = weight_from_j(level, j12 - 2 * i)
-        if w is None:
-            raise InvariantError(f"fusion output j={rat_str(j12 - 2 * i)} is not admissible")
+        label = w1.J + w2.J - 2 * level.q * i
+        if (w := weight_from_label(level, label)) is None:
+            j = rat_str(rat(label) / level.q)
+            raise InvariantError(f"fusion output j={j} is not admissible")
         outputs.append((w, 1))
     return outputs
 
@@ -126,9 +127,6 @@ def fusion_closed_form(
 
 @dataclass
 class FusionRecord:
-    level: Level
-    w1: AdmissibleWeight
-    w2: AdmissibleWeight
     gate_passed: bool
     outputs: list[tuple[AdmissibleWeight, int]]
     oracle: str
@@ -161,47 +159,52 @@ def fusion(
     else:
         raise InputError(f"unknown oracle {oracle!r}")
     outputs = fusion_outputs(level, w1, w2, degrees)
-    return FusionRecord(level, w1, w2, bool(closed), outputs, oracle, oracles_agree=agree)
+    return FusionRecord(bool(closed), outputs, oracle, oracles_agree=agree)
 
 
 @dataclass
 class FusionRing:
-    """Fusion coefficients: ``table[a][b]`` maps each c with N_ab^c != 0 to N_ab^c."""
+    """``table[a][b]`` maps each c with N_ab^c != 0 to N_ab^c; ``index`` maps J to position."""
 
     level: Level
     basis: list[AdmissibleWeight]
     table: list[list[dict[int, int]]]
-    index: dict[tuple[int, int], int]
+    index: dict[int, int]
 
     @classmethod
     def build(cls, level: Level) -> FusionRing:
         basis = enumerate_admissible(level)
-        index = {(w.n, w.k): i for i, w in enumerate(basis)}
+        index = {w.J: i for i, w in enumerate(basis)}
         table: list[list[dict[int, int]]] = [[{} for _ in basis] for _ in basis]
         for a, w1 in enumerate(basis):
             for b, w2 in enumerate(basis):
                 for w3, mult in fusion_closed_form(level, w1, w2)[1]:
-                    c = index[(w3.n, w3.k)]
+                    c = index[w3.J]
                     table[a][b][c] = table[a][b].get(c, 0) + mult
         return cls(level=level, basis=basis, table=table, index=index)
 
     def axioms(self) -> dict[str, bool]:
         """The ring axioms, on the nonzero coefficients.
 
-        unit: the vacuum weight (n,k) = (0,0) is a two-sided identity;
-        associativity: sum_m N_ab^m N_mc^d == sum_m N_bc^m N_am^d, with zero
-        sums dropped, in n^3 k^2 steps for k outputs per product.
+        unit: the vacuum, ``index[0]`` (gcd(p, q) = 1 and 0 <= k < q make J = 0
+        force n = k = 0), is a two-sided identity.  associativity: sum_m N_ab^m
+        N_mc^d == sum_m N_bc^m N_am^d, zero sums dropped, for every a and, on a
+        commutative table, only b <= c.  That suffices: for c < b, if b <= a then
+        (ab)c = c(ba) = (cb)a = a(bc) by the triple (c, b, a); if a < b then
+        (ab)c = c(ab) = (ca)b = (ac)b = a(cb) = a(bc) by (c, a, b) and (a, c, b).
         """
         t = self.table
-        v = self.index[(0, 0)]
+        v = self.index[0]
         span = range(len(t))
         cols = list(zip(*t))  # cols[c][m] = t[m][c]
+        commutative = all(t[a][b] == t[b][a] for a in span for b in range(a))
         return {
             "unit": all(t[v][b] == {b: 1} == t[b][v] for b in span),
-            "commutativity": all(t[a][b] == t[b][a] for a in span for b in span),
+            "commutativity": commutative,
             "associativity": all(
                 _combine(t[a][b], cols[c]) == _combine(t[b][c], t[a])
-                for a in span for b in span for c in span
+                for a in span for b in span
+                for c in (range(b, len(t)) if commutative else span)
             ),
         }
 

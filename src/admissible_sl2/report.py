@@ -226,8 +226,7 @@ def parse_qseries(obj: Mapping[str, Any]) -> QSeries:
 def parse_weight(level: Level, obj: Mapping[str, Any]) -> AdmissibleWeight:
     """Inverse of the {"n", "k", "j"} encoding, validated against ``level``."""
     w = AdmissibleWeight(level, int(obj["n"]), int(obj["k"]))
-    recovered = weight_from_j(level, rat(obj["j"]))
-    if recovered != w:
+    if weight_from_j(level, obj["j"]) != w:
         raise ValueError(f"inconsistent weight object {obj!r}")
     return w
 

@@ -6,7 +6,9 @@ j = n - k*t for 0 <= n <= p-2, 0 <= k <= q-1, so there are (p-1)*q of them.
 The primed parametrization n' = n+1, k' = k+1 (so j = n'-1-(k'-1)t) is the
 one the operator calculus uses.
 Each weight has the integer label J = q*j = n q - k p, which splits back into
-(n, k) with 0 <= k < q by one modular inverse: k = -J p^{-1} mod q.
+(n, k) with 0 <= k < q by one modular inverse: k = -J p^{-1} mod q.  That one
+split resolves weights (:func:`weight_from_label`, with :func:`weight_from_j`
+as its rational front end) and Kac-Kazhdan witnesses.
 """
 
 from __future__ import annotations
@@ -107,20 +109,22 @@ def enumerate_admissible(level: Level) -> list[AdmissibleWeight]:
     ]
 
 
-def _split_label(level: Level, j: RatLike) -> tuple[int, int] | None:
-    """The (n, k) with q*j = n q - k p and 0 <= k < q, or None if q*j is not an integer."""
-    label, p, q = rat(j) * level.q, level.p, level.q
-    if label.denominator != 1:
-        return None
-    k = -label.numerator * pow(p, -1, q) % q
-    return (label.numerator + k * p) // q, k
+def _split_label(level: Level, label: int) -> tuple[int, int]:
+    """The (n, k) with label = n q - k p and 0 <= k < q: k = -label p^{-1} mod q."""
+    k = -label * pow(level.p, -1, level.q) % level.q
+    return (label + k * level.p) // level.q, k
+
+
+def weight_from_label(level: Level, label: int) -> AdmissibleWeight | None:
+    """The weight whose label J is ``label``, or None if its n is outside 0..p-2."""
+    n, k = _split_label(level, label)
+    return AdmissibleWeight(level, n, k) if 0 <= n <= level.p - 2 else None
 
 
 def weight_from_j(level: Level, j: RatLike) -> AdmissibleWeight | None:
-    """Resolve a rational j to its (n, k) box coordinates, or None."""
-    if (split := _split_label(level, j)) is None or not 0 <= split[0] <= level.p - 2:
-        return None
-    return AdmissibleWeight(level, *split)
+    """The rational front end of :func:`weight_from_label`: None unless q*j is an integer."""
+    label = rat(j) * level.q
+    return weight_from_label(level, label.numerator) if label.denominator == 1 else None
 
 
 def vacuum_polynomial(level: Level) -> UniPoly:
@@ -145,9 +149,9 @@ def kac_kazhdan_witness(
     n >= 1.  Case II, j = -n + k*t, needs q*j integral too, so it never answers
     first.  None means q*j is not an integer: the Verma module is irreducible.
     """
-    if (split := _split_label(level, j)) is None:
+    if (label := rat(j) * level.q).denominator != 1:
         return None
-    n, k = split
+    n, k = _split_label(level, label.numerator)
     shifts = max(0, -(n // level.p))  # ceil(-n/p) q-shifts make n + 1 >= 1
     return "I", n + 1 + shifts * level.p, k + 1 + shifts * level.q
 

@@ -111,15 +111,30 @@ def test_fusion_routes_build_no_polynomials(monkeypatch):
     def refuse(self, coeffs=None):
         raise AssertionError("UniPoly built")
 
-    def unresolved(level, j):
+    def unresolved(level, label):
         raise AssertionError("weight resolved")
 
     monkeypatch.setattr(UniPoly, "__init__", refuse)
-    monkeypatch.setattr(fusion_module, "weight_from_j", unresolved)
+    monkeypatch.setattr(fusion_module, "weight_from_label", unresolved)
     level = level_from_pq(5, 3)
     assert three_routes_agree(level, level_oracles(level))
     with pytest.raises(AssertionError, match="UniPoly built"):
         vacuum_polynomial(level)
+
+
+def test_ring_and_resolver_run_on_labels_alone(monkeypatch):
+    # the ring is built, indexed and checked, and outputs are resolved, from
+    # the integer labels J = q*j: no rational j is ever formed
+    def rational(self):
+        raise AssertionError("rational j formed")
+
+    monkeypatch.setattr(AdmissibleWeight, "j", property(rational))
+    level = level_from_pq(5, 3)
+    ring = FusionRing.build(level)
+    assert ring.axioms() == {"unit": True, "commutativity": True, "associativity": True}
+    w1, w2 = AdmissibleWeight(level, 2, 1), AdmissibleWeight(level, 1, 0)
+    outputs = fusion_outputs(level, w1, w2, fusion_degrees(level, w1, w2))
+    assert [(w.n, w.k, m) for w, m in outputs] == [(3, 1, 1), (1, 1, 1)]
 
 
 def test_non_admissible_output_raises():
@@ -178,7 +193,8 @@ def _copy_table(ring: FusionRing) -> list[list[dict[int, int]]]:
 def test_ring_axioms_can_fail():
     # at (3,2) the ring is Z[g, x]/(g^2 - 1, x^2) on the basis (1, x, g, xg)
     ring = FusionRing.build(level_from_pq(3, 2))
-    x, g, xg = (ring.index[nk] for nk in ((0, 1), (1, 0), (1, 1)))
+    # labels J = 2n - 3k: x = (0,1), g = (1,0), xg = (1,1) and the vacuum (0,0)
+    x, g, xg = (ring.index[J] for J in (-3, 2, -1))
     # every coefficient doubled: the vacuum acts as 2, still commutative and associative
     doubled = [[{c: 2 * n for c, n in cell.items()} for cell in row] for row in ring.table]
     # g x = -x g: a skew ring, associative but not commutative
@@ -186,12 +202,32 @@ def test_ring_axioms_can_fail():
     skew[g][x][xg] = skew[g][xg][x] = -1
     # x^2 = 1 while x (x g) = 0 stays: commutative but not associative
     nilpotent_lost = _copy_table(ring)
-    nilpotent_lost[x][x][ring.index[(0, 0)]] = 1
+    nilpotent_lost[x][x][ring.index[0]] = 1
     assert [replace(ring, table=t).axioms() for t in (doubled, skew, nilpotent_lost)] == [
         {"unit": False, "commutativity": True, "associativity": True},
         {"unit": True, "commutativity": False, "associativity": True},
         {"unit": True, "commutativity": True, "associativity": False},
     ]
+
+
+def test_associativity_halves_the_triples_only_when_commutative(monkeypatch):
+    # a commutative table is checked on b <= c, n^2 (n+1) / 2 triples; any
+    # other on all n^3, two products per triple
+    real, calls = fusion_module._combine, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fusion_module, "_combine", counted)
+    ring = FusionRing.build(level_from_pq(3, 2))
+    x, g, xg = (ring.index[J] for J in (-3, 2, -1))
+    skew = _copy_table(ring)
+    skew[g][x][xg] = skew[g][xg][x] = -1
+    for table, triples in ((ring.table, 4 * 4 * 5 // 2), (skew, 4**3)):
+        calls.clear()
+        assert replace(ring, table=table).axioms()["associativity"]
+        assert len(calls) == 2 * triples
 
 
 def test_ring_table_is_zero_one():
@@ -288,7 +324,7 @@ def test_sparse_axioms_equal_dense_sums(case):
     # zero sum would fail a sheared ring whose products cancel: the sparse
     # verdicts equal sums over every index, whichever laws the edits break
     ring, table = case
-    assert replace(ring, table=table).axioms() == _dense_axioms(table, ring.index[(0, 0)])
+    assert replace(ring, table=table).axioms() == _dense_axioms(table, ring.index[0])
 
 
 def test_fusion_table_loads_no_numpy():

@@ -23,6 +23,7 @@ from admissible_sl2.weights import (
     kac_kazhdan_witness,
     level_from_pq,
     weight_from_j,
+    weight_from_label,
 )
 
 BOX_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd(p, q) == 1]
@@ -73,4 +74,6 @@ def _level_and_j(draw):
 def test_resolver_and_witness_equal_the_k_search(case):
     level, j = case
     assert weight_from_j(level, j) == oracle.weight_from_j(level, j)
+    if (level.q * j).denominator == 1:
+        assert weight_from_label(level, int(level.q * j)) == oracle.weight_from_j(level, j)
     assert kac_kazhdan_witness(level, j) == oracle.kac_kazhdan_witness(level, j)
