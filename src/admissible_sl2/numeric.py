@@ -10,10 +10,12 @@ is budgeted from the working precision.  The second theta argument may be
 complex, which is what the S-transformation needs on its left-hand side,
 where the character is evaluated at (-1/tau, tau z).
 
-The term moduli are carried outward by a two-step recurrence (M(x+d) = M(x)
-rho(x), rho(x+d) = rho(x) e^{-4 pi m A}) rather than one exp each; the
-recurrence's own rounding, quadratic in the step count, is added to the tail
-and rounding bounds (derivation in :func:`theta_eval_numeric`).
+A theta's terms and their sum are taken at the working precision; its bound
+only certifies them, so it is kept in Python floats as natural logs: the log
+of each term modulus, evaluated directly, the tail test and the rounding sums,
+each raised by a stated relative margin (derivation in
+:func:`theta_eval_numeric`).  One ``mp.exp`` turns the final log into the
+bound.
 
 An exact q-series is evaluated by a walk along its sorted lattice keys:
 q^{e_0} once for the lowest exponent, then one q^{g/D} per distinct gap g,
@@ -71,6 +73,9 @@ _S_TRANSFORM_PREC = 192
 
 _MAX_TERMS_PER_SIDE = 200_000
 _QUOTIENT_RETRIES = 7
+# Relative allowance of the float bookkeeping in ``theta_eval_numeric``: 2^13
+# times the unit roundoff 2^-53 of a double.
+_FLOAT_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,19 @@ def _upper_half_plane(tau, what: str) -> mpmath.mpc:
     return tau_v
 
 
+def _up(*logs: float) -> float:
+    """The float sum of ``logs``, raised by 2^-40 (1 + sum |v|), past its rounding."""
+    return sum(logs) + _FLOAT_MARGIN * (1 + sum(map(abs, logs)))
+
+
+def _log_sum(logs: list[float]) -> float:
+    """An upper bound on log(sum e^v) over a few float logs; -inf for none."""
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return _up(top, math.log(math.fsum(math.exp(v - top) for v in logs)))
+
+
 def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> ComplexVal:
     """Evaluate theta_{n,m}(tau, z) = sum over Z + n/2m of e^{2 pi i m tau (j^2 + j z)}.
 
@@ -125,58 +143,52 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     rounding budget accounts for the remaining tol/4.  ``spec.z`` may be
     complex.
 
-    Each term is a direct ``expjpi``.  Its modulus M(x) = e^{-2 pi m (A x^2 +
-    B x)} and the ratio rho(x) = M(x+d)/M(x) = e^{-s(x)} to the next term
-    outward (direction d = +-1, slope s(x) = 2 pi m (A (2 d x + 1) + d B))
-    are not: since s(x+d) = s(x) + 4 pi m A, going outward
+    Two precisions.  Each term is a direct ``expjpi`` at the working
+    precision, summed there in a fixed order; that is the value.  The bound
+    only certifies it, so it is kept in Python floats as natural logs: eps =
+    2^(1 - prec), tol/4 and each modulus enter only through their logs, and
+    each side's sums of moduli are taken relative to its first modulus, its
+    largest, so nothing over- or underflows.  At x = i + n/2m, going outward
+    (d = +-1),
 
-        M(x+d) = M(x) rho(x),    rho(x+d) = rho(x) gamma,    gamma = e^{-4 pi m A},
+        L(x) = -2 pi m (A x^2 + B x),    s(x) = 2 pi m (A (2 d x + 1) + d B),
 
-    so ``mp.exp`` runs twice per side (M and rho at the first point) and once
-    for gamma, not three times per term.  From the first point on, s(x) >= 2 pi m A > 0, so every
-    rho is below 1 and the tail past x is at most M(x) / (1 - rho(x)).
+    A = Im tau, B = Im(tau z), are the log-modulus and the slope: the ratio
+    to the next term outward is e^{-s(x)}, and from the first point on s
+    grows by 4 pi m A > 0 per step, so the tail past x is at most M(x) / (1 -
+    e^{-s(x)}).
 
-    Rounding of the recurrence: every multiplication, and every exp taken at
-    its computed argument, is within 1 ulp <= eps = 2^(1-prec) relative, that
-    is at most two roundings of u = eps/2.  After k steps rho_k = rho_0
-    gamma^k carries 2 + 2k + k such roundings and M_k = M_0 rho_0^k
-    gamma^(k(k-1)/2), formed by k products, carries 2 + 2k + k(k-1) +
-    k(k+1)/2.  As (1 + u)^N <= 1 + 1.01 N u while N u <= 0.01 (true for k
-    up to the term cap at prec >= 53), the moduli the recurrence stands for
-    satisfy
+    Float rounding.  L and s are evaluated directly at every step from A, B
+    and x rounded to doubles: about ten roundings of u = 2^-53 in the
+    magnitudes P + |Q| (P = 2 pi m A x^2, Q = 2 pi m B x) and S = 2 pi m (A
+    (2|x| + 1) + |B|), far inside the margins 2^-40 (P + |Q| + 1) added to L
+    and 2^-40 (S + 1) taken off s.  ``_up`` and ``_log_sum`` raise every
+    later float sum of logs by 2^-40 (1 + its addends' magnitudes), again
+    past its rounding, and the sums of moduli are raised by 2^-40 count.
 
-        M*(x_k) <= M_k (1 + (k^2 + k + 2) eps),    rho*(x_k) <= rho_k + (2k + 2) eps.
+    Rounding of the arguments, at the working precision: x, B, n/2m and a
+    rational z are rounded.  With X = |x| + |n/2m| and U = 2 pi m |tau| eps,
+    that moves L by at most 4 U X (X + |z|) and s by 3 U (X + |z|); a term's
+    own argument w = 2m(x^2 + xz) tau is within pi |w' - w| <= 6 U X (X +
+    |z|) of exact, so the term is within M y e^y, y = pi |w' - w|.  All of
+    this is below Y = 9 U q (q + |z|), q = |B/2A| + |n/2m| + cap + 2 bounding
+    every X up to the term cap; |Re| + |Im| stands in for |z| and |tau|.
 
-    The tail test therefore uses M_k (1 + (k^2 + k + 10) eps) / (1 - rho_k -
-    (2k + 2) eps), the extra 8 eps covering the handful of roundings in that
-    expression and in the e^Y below, and the rounding sum takes each side's
-    moduli times the same factor at the side's last step, which bounds every
-    earlier step's.  The allowance is quadratic in k because the error of
-    gamma is raised to the power k(k-1)/2.
+    So with l = L + 2^-40 (P + |Q| + 1), e^{l + Y} bounds each exact
+    modulus, and s_lo = s - 2^-40 (S + 1) - Y each exact slope.  A side
+    stops at the first x with s_lo > 0 and
 
-    Rounding of the arguments: every exponential is taken at a computed
-    argument.  With X = |x| + |n/2m| and U = 2 pi m |tau| eps, one rounding
-    each of n/2m, x = i + n/2m, a rational z, x x, x z, their sum and the
-    products by 2m and tau (a complex product within eps of its modulus)
-    puts a term's argument w = 2m(x^2 + xz) tau within pi |w' - w| <= U
-    [(2|x| + |z|) X + x^2 + 2|x||z| + 3|x^2 + xz|] <= 6 U X (X + |z|) of
-    exact, to first order, and the term within M (e^y - 1) <= M y e^y, y = pi
-    |w' - w|.  The same count (A <= |tau|, |B| <= |tau| |z|) puts the
-    arguments of M_k (L_0 - k s_0 - g k(k-1)/2) and of rho_k (s_0 + k g)
-    within 8 U q (q + |z|), q = |x_0| + |n/2m| + k + 1 <= |B/2A| + |n/2m| + k
-    + 2.  With Y = 9 U q (q + |z|) at the term cap, which bounds
-    every y too, each side's first modulus is scaled by e^Y, and the gap 1 -
-    (rho_k + (2k + 2) eps) e^Y is at least 2 - e^Y - rho_k - (2k + 2) eps
-    wherever that is positive.  The rounding term adds 7 U e^Y sum M X (X +
-    |z|), each side's sum scaled like its moduli; 7 and 9 cover the higher
-    orders and the rounding of the bounds themselves, and |Re| + |Im| stands
-    in for |z| and |tau|.
+        l + Y - log(-expm1(-s_lo)) < log(tol/4),
+
+    and the rounding term over the summed terms is (count + 16) eps e^Y sum
+    e^l + 7 U e^{2Y} sum e^l X (X + |z|).  The bound is one ``mp.exp`` of the
+    log of the tails plus the rounding term.
 
     Before any term is summed, the parabola gives a lower bound on the terms
     per side: every point with M(x) >= tol/4 is summed, and those lie within
     R = sqrt((pi m B^2 / 2A - log(tol/4)) / (2 pi m A)) of the vertex, so
-    each side sums at least floor(R) terms.  Past the term cap the
-    ``InputError`` is raised at once.
+    each side sums at least floor(R) terms.  Past the term cap, by more than
+    the float margin, the ``InputError`` is raised at once.
     """
     tol = _positive_tol(tol)
     with mp.workprec(prec):
@@ -186,55 +198,60 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         m = spec.m
         B = mp.im(tau_v * z)
         off = mp.mpf(spec.n) / (2 * m)
-        two_pi_m = 2 * mp.pi * m
-        eps = mp.mpf(2) ** (1 - prec)
-        abs_off, abs_z = abs(off), abs(z.real) + abs(z.imag)
-        u_scale = two_pi_m * (abs(tau_v.real) + A) * eps
-        budget = tol / 4
+        a, b = float(A), float(B)
+        if a == math.inf:
+            raise InputError("theta series requires Im(tau) within the double range")
+        two_pi_m = 2 * math.pi * m
+        tau_l1 = abs(float(tau_v.real)) + a
+        abs_off, abs_z = abs(float(off)), abs(float(z.real)) + abs(float(z.imag))
+        log_eps = (1 - prec) * math.log(2)
+        log_budget = float(mp.log(tol)) - math.log(4)
 
         def term_at(x):
             return mp.expjpi(2 * m * (x * x + x * z) * tau_v)
 
-        def log_modulus(x):
-            return -two_pi_m * (A * x * x + B * x)
-
-        reach = (mp.pi * m * B * B / (2 * A) - mp.log(budget)) / (two_pi_m * A)
-        if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2:
+        reach = (b * b / (4 * a) - log_budget / two_pi_m) / a if a else math.inf
+        if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2 * (1 + _FLOAT_MARGIN):
             raise InputError(
                 "theta tail bound not reached within the term cap; "
-                f"tolerance too small for this tau (at least {int(mp.sqrt(reach))} "
+                f"tolerance too small for this tau (at least {int(math.sqrt(min(reach, 1e300)))} "
                 f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
             )
 
-        vertex = -B / (2 * A) - off  # integer-coordinate vertex
-        gamma = mp.exp(-2 * two_pi_m * A)
-        q_cap = abs(vertex + off) + abs_off + _MAX_TERMS_PER_SIDE + 2
-        grow = mp.exp(9 * u_scale * q_cap * (q_cap + abs_z))  # e^Y
-        headroom = 2 - grow
+        start = int(mp.ceil(-B / (2 * A) - off))  # the integer-coordinate vertex, rounded up
+        q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
+        y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
+        log_c7 = math.log(7 * two_pi_m * tau_l1)  # log(7 U / eps)
         total = mp.mpc(0)
-        sum_abs = arg_sum = mp.mpf(0)  # arg_sum: of M X (X + |z|)
         count = 0
-        tails = mp.mpf(0)
+        sides = []  # per side: its first l, sum e^{l - first}, sum e^{l - first} X (X + |z|)
+        tails = []
 
         for direction in (+1, -1):
-            i = int(mp.ceil(vertex)) if direction == +1 else int(mp.ceil(vertex)) - 1
-            x = i + off
-            modulus = mp.exp(log_modulus(x)) * grow
-            rho = mp.exp(-two_pi_m * (A * (2 * direction * x + 1) + direction * B))
-            side_abs = side_arg = mp.mpf(0)
+            i = start if direction == +1 else start - 1
+            first = None
+            side_abs = side_arg = 0.0
             steps = 0
             while True:
-                inflate = 1 + (steps * steps + steps + 10) * eps
-                gap = headroom - rho - (2 * steps + 2) * eps
-                if gap > 0:
-                    tail = modulus * inflate / gap
-                    if tail < budget:
-                        tails += tail
+                x = i + off
+                xf = float(x)
+                p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
+                log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
+                if first is None:
+                    first = log_m
+                slope = two_pi_m * (a * (2 * direction * xf + 1) + direction * b)
+                slope_size = two_pi_m * (a * (2 * abs(xf) + 1) + abs(b))
+                s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y
+                if s_lo > 0:
+                    tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))
+                    if tail < log_budget:
+                        tails.append(tail)
                         break
                 total += term_at(x)
-                side_abs += modulus
-                size = abs(x) + abs_off
-                side_arg += modulus * size * (size + abs_z)
+                weight = math.exp(log_m - first)
+                size = abs(xf) + abs_off
+                side_abs += weight
+                side_arg += weight * size * (size + abs_z)
                 count += 1
                 i += direction
                 steps += 1
@@ -243,18 +260,17 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                         "theta tail bound not reached within the term cap; "
                         "tolerance too small for this tau"
                     )
-                x = i + off
-                modulus *= rho
-                rho *= gamma
-            sum_abs += side_abs * inflate
-            arg_sum += side_arg * inflate
+            sides.append((first, side_abs, side_arg))
 
-        rounding = sum_abs * (count + 16) * eps + 7 * u_scale * grow * arg_sum
-        if rounding > budget:
+        terms = [_up(log_eps, y, l0, math.log(count + 16), math.log(s)) for l0, s, _ in sides if s]
+        terms += [_up(log_eps, 2 * y, l0, log_c7, math.log(s)) for l0, _, s in sides if s]
+        log_round = _log_sum(terms) + _FLOAT_MARGIN * count
+        if log_round > log_budget:
             raise InputError(
-                f"rounding budget {mpmath.nstr(rounding, 5)} exceeds tol/4 at {prec} bits"
+                f"rounding budget {mpmath.nstr(mp.exp(log_round), 5)} exceeds tol/4 at {prec} bits"
             )
-        return ComplexVal(total, tails + rounding, prec)
+        err = mp.exp(_log_sum(terms + tails) + _FLOAT_MARGIN * count)
+        return ComplexVal(total, err, prec)
 
 
 def _q_power_error(e: Fraction, tau_l1, eps) -> mpmath.mpf:

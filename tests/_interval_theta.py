@@ -1,0 +1,83 @@
+"""Interval referee for ``numeric.theta_eval_numeric``: an enclosure of the exact theta.
+
+``theta_enclosure`` encloses theta_{n,m}(tau, z) = sum over j in Z + n/2m of
+e^{2 pi i m tau (j^2 + j z)} in ``mpmath.iv`` arithmetic at prec + 64 bits,
+taking tau, a complex z and every lattice point exactly and a rational z as
+the interval of its quotient.  It shares no code with the evaluator.
+
+From the integer point next to the vertex -B/2A - n/2m of the modulus parabola
+(A = Im tau, B = Im(tau z)) it sums outward on each side, in intervals, until
+the geometric tail M(x) / (1 - e^{-s(x)}) past the next point x is below
+2^-(prec + 32) times the side's first modulus, the slope s(x) = 2 pi m (A (2
+d x + 1) + d B) taken by its lower endpoint, which must be positive; that tail
+is added as a box [-T, T] + [-T, T] i.  Every ``theta_eval_numeric`` bound is
+at least 16 eps times the first modulus of a side it sums on, or a tail at
+least that modulus where it sums nothing, so the referee's own tail is far
+below it.
+
+The enclosure is returned as a center and a radius with |theta - center| <=
+radius; ``tests/test_numeric.py`` requires |value - center| + radius <= err.
+``iv`` has no ``expjpi``, so each term is ``iv.exp`` of 2 pi i m tau (j^2 + j
+z); ``iv.exp`` of a complex interval encloses its exponential.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import mpmath
+from mpmath import iv, mp
+
+from admissible_sl2.qseries import ThetaSpec
+
+MAX_STEPS = 10_000
+
+
+def _interval(v):
+    """A rational, real or complex value as an ``iv`` interval (exact unless a quotient)."""
+    if isinstance(v, Fraction):
+        return iv.mpf(v.numerator) / v.denominator
+    v = mp.mpc(v)
+    return iv.mpc(v.real, v.imag)
+
+
+def theta_enclosure(spec: ThetaSpec, tau, prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """(center, radius) with |theta_{n,m}(tau, z) - center| <= radius; Im(tau) > 0."""
+    saved = iv.prec
+    iv.prec = prec + 64
+    try:
+        with mp.workprec(prec + 64):  # every endpoint converts to mpf exactly
+            t = _interval(mp.mpc(tau))
+            z = _interval(spec.z)
+            m = spec.m
+            off = iv.mpf(spec.n) / (2 * m)
+            A, B = t.imag, (t * z).imag
+            two_pi_m = 2 * iv.pi * m
+            arg = iv.mpc(0, 1) * two_pi_m * t
+            start = int(mp.ceil(mp.mpf((-B / (2 * A) - off).mid)))
+            total = iv.mpc(0)
+            for direction in (+1, -1):
+                i = start if direction == +1 else start - 1
+                first = None
+                for _ in range(MAX_STEPS):
+                    x = i + off
+                    modulus = iv.exp(-two_pi_m * (A * x * x + B * x))
+                    if first is None:
+                        first = mp.mpf(modulus.b)
+                    slope = two_pi_m * (A * (2 * direction * x + 1) + direction * B)
+                    if slope.a > 0:
+                        tail = mp.mpf((modulus / (1 - iv.exp(-slope))).b)
+                        if tail < mp.ldexp(first, -prec - 32):
+                            box = iv.mpf([-tail, tail])
+                            total += iv.mpc(box, box)
+                            break
+                    total += iv.exp(arg * (x * x + x * z))
+                    i += direction
+                else:
+                    raise AssertionError("interval referee: tail not reached within MAX_STEPS")
+            center = mp.mpc(mp.mpf(total.real.mid), mp.mpf(total.imag.mid))
+            # |d| <= |Re d| + |Im d|, each taken by its upper endpoint
+            spread = abs(iv.mpf(center.real) - total.real) + abs(iv.mpf(center.imag) - total.imag)
+            return center, mp.mpf(spread.b)
+    finally:
+        iv.prec = saved

@@ -1,15 +1,16 @@
-"""Independent theta oracle: the direct per-term evaluator of the moduli.
+"""Independent theta oracle: every step of the certificate in mpf.
 
-This is ``numeric.theta_eval_numeric`` as it was written before the moduli
-went to a recurrence.  Every step calls ``mp.exp`` three times: once for the
+This is ``numeric.theta_eval_numeric`` as it was first written.  Every step
+calls ``mp.exp`` three times at the working precision: once for the
 term-ratio bound e^{-slope}, once for the modulus in the tail test, and once
 for the modulus added to the rounding sum.  ``numeric.theta_eval_numeric``
-carries the modulus M(x) and the ratio rho(x) = M(x+d)/M(x) from one step
-to the next instead, and sums the same terms in the same order, so the two
-must return bitwise equal values.  Its error bound also allows for the
-recurrence's rounding and for the rounding of every exponential's argument,
-which this evaluator leaves out, so it is never smaller than the one here;
-``tests/test_numeric.py`` checks both on random inputs.
+keeps the terms and their sum at the working precision too, and sums the
+same terms in the same order, so the two must return bitwise equal values;
+its bound, though, is kept in Python floats as logs, each log raised by a
+stated margin.  That bound also allows for the rounding of the floats and of
+every exponential's argument, which this evaluator leaves out, so it is never
+smaller than the one here; ``tests/test_numeric.py`` checks both on random
+inputs.
 """
 
 from __future__ import annotations

@@ -6,11 +6,14 @@ classical theta constant theta_3(e^{-pi}) = pi^{1/4} / Gamma(3/4) as an
 external fixed point.  Error bounds are tested for honesty by comparing
 evaluations at different working precisions.
 
-The recurrence for the term moduli is checked against the direct per-term
-evaluator kept in ``tests/_theta_oracle.py``: equal values bit for bit, and
-error bounds no smaller than the oracle's, which leaves out the rounding of
-each term's argument.  ``stransform``'s sharing of thetas and S-matrix phases
-is checked against unshared evaluations, bit for bit.
+The theta evaluator, whose bound is kept in Python floats as logs, is checked
+against the all-mpf per-term evaluator kept in ``tests/_theta_oracle.py``:
+equal values bit for bit, and error bounds no smaller than the oracle's, which
+leaves out the rounding of each term's argument.  The interval enclosure of
+``tests/_interval_theta.py`` referees the bound itself: |value - center| +
+radius <= err on every draw, at edges of the double range too.
+``stransform``'s sharing of thetas and S-matrix phases is checked against
+unshared evaluations, bit for bit.
 
 The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
 character series by a 600-bit per-term sum and by the per-term evaluator kept
@@ -24,10 +27,11 @@ import math
 import time
 from fractions import Fraction
 
+import _interval_theta
 import _series_eval_oracle
 import _theta_oracle
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -113,6 +117,8 @@ def test_theta_eval_guards():
         theta_eval_numeric(spec, mp.mpc(0, -1), tol=mp.mpf("1e-10"))
     with pytest.raises(InputError, match="tolerance must be positive"):
         theta_eval_numeric(spec, mp.mpc(0, 1), tol=0)
+    with pytest.raises(InputError, match="double range"):
+        theta_eval_numeric(spec, mp.mpc(0, "1e400"), tol=mp.mpf("1e-10"))
     with pytest.raises(InputError, match="rounding budget"):
         # 53-bit rounding floor sits far above the requested 1e-40
         theta_eval_numeric(spec, mp.mpc(0, 1), tol=mp.mpf("1e-40"), prec=53)
@@ -128,7 +134,7 @@ def test_theta_term_cap_raises_before_summing():
     assert time.process_time() - start < 1
 
 
-# -- the recurrence against the direct per-term evaluator ----------------------
+# -- the float bookkeeping against the all-mpf per-term evaluator --------------
 
 _complex_z = st.builds(
     lambda re, im: mp.mpc(re, im),
@@ -136,10 +142,7 @@ _complex_z = st.builds(
     st.floats(min_value=-1, max_value=1),
 )
 _rational_z = st.fractions(min_value=-2, max_value=2, max_denominator=12)
-
-
-@settings(max_examples=250, derandomize=True, database=None, deadline=None)
-@given(
+_THETA_DRAWS = dict(
     m=st.integers(min_value=1, max_value=40),
     n=st.integers(min_value=-40, max_value=40),
     z=st.one_of(_rational_z, _complex_z),
@@ -148,13 +151,21 @@ _rational_z = st.fractions(min_value=-2, max_value=2, max_denominator=12)
     tol_exp=st.integers(min_value=10, max_value=40),
     prec=st.sampled_from([128, 192]),
 )
+
+
+def _tau_from(re_tau: Fraction, im_tau: Fraction, prec: int):
+    with mp.workprec(prec):
+        return mp.mpc(re_tau.numerator, 0) / re_tau.denominator + mp.mpc(
+            0, im_tau.numerator
+        ) / im_tau.denominator
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(**_THETA_DRAWS)
 def test_theta_recurrence_matches_direct_evaluator(m, n, z, re_tau, im_tau, tol_exp, prec):
     spec = ThetaSpec(n, m, z)
     tol = mp.mpf(10) ** -tol_exp
-    with mp.workprec(prec):
-        tau = mp.mpc(re_tau.numerator, 0) / re_tau.denominator + mp.mpc(
-            0, im_tau.numerator
-        ) / im_tau.denominator
+    tau = _tau_from(re_tau, im_tau, prec)
     try:
         oracle = _theta_oracle.theta_eval_numeric(spec, tau, tol, prec)
     except InputError:
@@ -167,7 +178,7 @@ def test_theta_recurrence_matches_direct_evaluator(m, n, z, re_tau, im_tau, tol_
     except InputError as exc:
         # the argument-rounding allowance alone lifts the budget past tol/4
         assert "rounding budget" in str(exc)
-        event("only the recurrence evaluator exceeds the rounding budget")
+        event("only the float-bookkeeping evaluator exceeds the rounding budget")
         return
     assert val.value == oracle.value
     assert val.prec == oracle.prec
@@ -185,6 +196,98 @@ def test_theta_bound_covers_term_argument_rounding():
     val = theta_eval_numeric(spec, tau, tol=mp.mpf(10) ** -10, prec=192)
     with mp.workprec(400):
         assert abs(val.value - _brute_theta(spec, tau, prec=400, window=150)) <= val.err
+
+
+# the left side of the law at (5,3), z = 2/7, tau = 0.3 + 0.8i: (-1/tau, tau z)
+_LHS_Z = mp.mpc("0.3", "0.8") * 2 / 7
+
+
+# about a fifth of the draws ask for a tol below the rounding floor at their
+# precision, so 640 leave over 500 checked
+@settings(max_examples=640, derandomize=True, database=None, deadline=None)
+@given(**_THETA_DRAWS)
+@example(m=16, n=22, z=Fraction(0), re_tau=Fraction(0), im_tau=Fraction(163, 60),
+         tol_exp=10, prec=128)  # every term is in the tail
+@example(m=15, n=3, z=_LHS_Z, re_tau=Fraction(-30, 73), im_tau=Fraction(80, 73),
+         tol_exp=20, prec=192)
+def test_theta_bound_encloses_interval_referee(m, n, z, re_tau, im_tau, tol_exp, prec):
+    spec = ThetaSpec(n, m, z)
+    tau = _tau_from(re_tau, im_tau, prec)
+    try:
+        val = theta_eval_numeric(spec, tau, mp.mpf(10) ** -tol_exp, prec)
+    except InputError as exc:
+        assert "rounding budget" in str(exc)
+        event("rounding budget above tol/4")
+        return
+    center, radius = _interval_theta.theta_enclosure(spec, tau, prec)
+    with mp.workprec(prec + 64):
+        assert abs(val.value - center) + radius <= val.err
+
+
+def test_theta_bound_below_the_double_range():
+    # 2^(1 - prec) and tol/4 both underflow a double here
+    spec = ThetaSpec(3, 4, Fraction(2, 5))
+    tau = mp.mpc("0.125", "0.75")
+    tol = mp.mpf("1e-320")
+    val = theta_eval_numeric(spec, tau, tol, prec=1200)
+    assert 0 < val.err < tol
+    center, radius = _interval_theta.theta_enclosure(spec, tau, 1200)
+    with mp.workprec(1300):
+        assert abs(val.value - _brute_theta(spec, tau, prec=1300, window=40)) <= val.err
+        assert abs(val.value - center) + radius <= val.err
+
+
+def test_theta_bound_above_the_double_range():
+    # the largest term is about e^1885, past the largest double
+    spec = ThetaSpec(-400, 400, Fraction(1))
+    tau = mp.mpc(0, 3)
+    with pytest.raises(InputError, match="rounding budget"):
+        theta_eval_numeric(spec, tau, mp.mpf("1e-30"))
+    val = theta_eval_numeric(spec, tau, mp.mpf("1e800"))
+    with mp.workprec(400):
+        brute = _brute_theta(spec, tau, prec=400, window=20)
+        assert abs(brute) > mp.mpf("1e818")
+        assert abs(val.value - brute) <= val.err < mp.mpf("1e800")
+
+
+def test_theta_takes_one_exp_and_one_log_per_call(monkeypatch):
+    class CountingMp:
+        """``mp`` for one module, counting its ``exp``, ``log`` and ``expjpi`` calls."""
+
+        def __init__(self):
+            self.calls = {"exp": 0, "log": 0, "expjpi": 0}
+
+        def __getattr__(self, name):
+            attr = getattr(mp, name)
+            if name not in self.calls:
+                return attr
+
+            def counted(*args):
+                self.calls[name] += 1
+                return attr(*args)
+
+            return counted
+
+    cases = [
+        (ThetaSpec(22, 16, Fraction(0)), mp.mpc(0, 1) * 163 / 60, 10, 128),  # no term
+        (ThetaSpec(1, 2, Fraction(1, 2)), mp.mpc(0, 1), 30, 128),
+        (ThetaSpec(2, 6, mp.mpc("0.3", "0.2")), mp.mpc(0, 2), 40, 192),
+        (ThetaSpec(1, 1, Fraction(1, 3)), mp.mpc("0.4", "0.05"), 30, 192),  # dozens of terms
+    ]
+    summed = []
+    for spec, tau, tol_exp, prec in cases:
+        ours, oracle = CountingMp(), CountingMp()
+        monkeypatch.setattr(numeric, "mp", ours)
+        monkeypatch.setattr(_theta_oracle, "mp", oracle)
+        val = theta_eval_numeric(spec, tau, mp.mpf(10) ** -tol_exp, prec)
+        ref = _theta_oracle.theta_eval_numeric(spec, tau, mp.mpf(10) ** -tol_exp, prec)
+        monkeypatch.undo()
+        assert val.value == ref.value
+        assert ours.calls["exp"] <= 1 and ours.calls["log"] <= 1
+        # the oracle takes one expjpi per summed term, on the same terms
+        assert ours.calls["expjpi"] == oracle.calls["expjpi"]
+        summed.append(ours.calls["expjpi"])
+    assert summed[0] == 0 and summed[-1] > 20
 
 
 def test_qseries_eval_hand_value():
