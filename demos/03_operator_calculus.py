@@ -10,6 +10,8 @@ singular-vector computations.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from admissible_sl2 import (
     SL2,
     PBWElement,
@@ -49,8 +51,9 @@ print(f"\nidentities to m_max=3: {len(report.checks)} checks, "
 # what the calculus buys: the polynomial by which the singular vector acts
 # on a highest-weight vector, and the leading term of its C2 symbol
 level = level_from_pq(3, 2)
-const, poly = hw_annihilation_polynomial(level)
-print(f"\nannihilation polynomial at (p,q)=(3,2): {const} * vacuum = {poly}")
+const, labels = hw_annihilation_polynomial(level)
+roots = ", ".join(str(Fraction(J, level.q)) for J in labels)  # root labels are q * r
+print(f"\nannihilation polynomial at (p,q)=(3,2): {const} * prod (x - r), r in {roots}")
 coeff, exponent = c2_heisenberg_reduction(level)
 print(f"C2 symbol: coefficient {coeff} on power {exponent} "
       f"(dimension bound (p-1)q = {(level.p - 1) * level.q})")

@@ -31,7 +31,6 @@ from .fusion import (
     FusionRecord,
     FusionRing,
     classical_su2_fusion,
-    fusion_closed_form,
     fusion_degrees,
     surviving_degrees,
     zhu_algebra,
@@ -111,7 +110,6 @@ __all__ = [
     "enumerate_admissible",
     "factor_product",
     "fuchs_projection",
-    "fusion_closed_form",
     "fusion_degrees",
     "hw_annihilation_polynomial",
     "kac_kazhdan_witness",

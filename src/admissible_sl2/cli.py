@@ -161,7 +161,7 @@ def cmd_zhu(args) -> tuple[dict, list[dict]]:
     algebra = zhu_algebra(level)
     relation = algebra.relation
     squarefree = poly_gcd(relation, relation.derivative()).degree == 0
-    const, poly = hw_annihilation_polynomial(level)
+    const, labels = hw_annihilation_polynomial(level)
     results = {
         "level": level,
         "dimension": algebra.dimension,
@@ -177,7 +177,7 @@ def cmd_zhu(args) -> tuple[dict, list[dict]]:
         report.check("relation_squarefree", squarefree, ""),
         report.check(
             "annihilation_proportional",
-            verify.annihilation_proportional(const, poly, relation),
+            verify.annihilation_proportional(level, const, labels),
             f"constant {rat_str(const)}",
         ),
     ]

@@ -14,9 +14,9 @@ Generators and gcds hold their roots r as integer labels q*r, so routes 2 and 3
 test q*j2 among ints and expand no polynomial; route 2 takes its labels from
 the presentation's own formula and route 3 from the projections.  The routes
 must give the same degrees, and :func:`fusion_outputs` is the one resolver
-of degrees to weights, by the output's label J1 + J2 - 2qi.  The outputs
-form a commutative, associative unital ring on the admissible weights, which
-:class:`FusionRing` holds as sparse dicts indexed by label.
+of degrees to weights, or to basis indices, by the output's label J1 + J2 - 2qi.
+The outputs form a commutative, associative unital ring on the admissible
+weights, which :class:`FusionRing` builds from labels and holds as sparse dicts.
 """
 
 from __future__ import annotations
@@ -104,25 +104,22 @@ def surviving_degrees(label2: int, roots_by_degree) -> list[int]:
 
 
 def fusion_outputs(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, degrees
-) -> list[tuple[AdmissibleWeight, int]]:
-    """The one resolver: output J1 + J2 - 2qi (j1 + j2 - 2i), multiplicity 1, per degree i."""
+    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, degrees, resolve=None
+) -> list[tuple]:
+    """The one resolver: output J1 + J2 - 2qi (j1 + j2 - 2i), multiplicity 1, per degree i.
+
+    ``resolve`` maps a label to its weight (the default) or basis index; None raises.
+    """
+    if resolve is None:
+        resolve = lambda label: weight_from_label(level, label)  # noqa: E731
     outputs = []
     for i in degrees:
         label = w1.J + w2.J - 2 * level.q * i
-        if (w := weight_from_label(level, label)) is None:
+        if (out := resolve(label)) is None:
             j = rat_str(rat(label) / level.q)
             raise InvariantError(f"fusion output j={j} is not admissible")
-        outputs.append((w, 1))
+        outputs.append((out, 1))
     return outputs
-
-
-def fusion_closed_form(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight
-) -> tuple[bool, list[tuple[AdmissibleWeight, int]]]:
-    """Gate and output list from the closed form; multiplicities are all 1."""
-    degrees = fusion_degrees(level, w1, w2)
-    return bool(degrees), fusion_outputs(level, w1, w2, degrees)
 
 
 @dataclass
@@ -178,8 +175,8 @@ class FusionRing:
         table: list[list[dict[int, int]]] = [[{} for _ in basis] for _ in basis]
         for a, w1 in enumerate(basis):
             for b, w2 in enumerate(basis):
-                for w3, mult in fusion_closed_form(level, w1, w2)[1]:
-                    c = index[w3.J]
+                degrees = fusion_degrees(level, w1, w2)
+                for c, mult in fusion_outputs(level, w1, w2, degrees, index.get):
                     table[a][b][c] = table[a][b].get(c, 0) + mult
         return cls(level=level, basis=basis, table=table, index=index)
 

@@ -19,8 +19,8 @@ linear factors is held as its root multiset, never normal-ordered:
     are dropped after every product.
 
 These functions return what they compute and judge nothing: the checks in
-:mod:`admissible_sl2.verify` compare the annihilation polynomial with the
-vacuum polynomial and the C2 exponent with (p-1) q.
+:mod:`admissible_sl2.verify` compare the annihilation polynomial's root labels
+with the vacuum polynomial's, and the C2 exponent with (p-1) q.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import UniPoly, poly_from_linear_factors
 from .pbw import HEIS, L0, SL2, PBWElement, quadratic_factor
 from .weights import Level
 
@@ -92,24 +91,24 @@ def fuchs_projection(
     return math.prod(_projection_factors(level, family, n_primed, k_primed, target))
 
 
-def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
-    """Eigenvalue polynomial of the vacuum annihilation operator.
+def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, tuple[int, ...]]:
+    """Eigenvalue polynomial of the vacuum annihilation operator, as constant and root labels.
 
     X = (prod_{r=1}^{p-1} prod_{s=1}^{q-1} H_{-p+r+st}) e^{p-1} f^{p-1} has
     weight zero, so on a highest-weight vector v_j it acts by a scalar
     polynomial in j: e^{p-1} f^{p-1} v_j = (p-1)! j (j-1) ... (j-p+2) v_j, and
     H_a = f e - a h - a(a+1) acts as -a (j + a + 1).  So the polynomial is
     c prod (j - root) with c = (p-1)! prod (-a) and roots 0..p-2 together
-    with -a-1 over the alphas.  Returns (c, polynomial); the caller judges
-    whether it is c times the vacuum polynomial.
+    with -a-1 over the alphas.  Returns c and the sorted root labels q*root,
+    q r and q(p-r-1) - s p; the caller judges whether they are c times the
+    vacuum polynomial.
     """
     p, q, t = level.p, level.q, level.t
-    alphas = [-p + r + s * t for r in range(1, p) for s in range(1, q)]
-    c = Fraction(math.factorial(p - 1))
-    for a in alphas:
-        c *= -a
-    poly = poly_from_linear_factors([*range(p - 1), *(-a - 1 for a in alphas)]).scale(c)
-    return c, poly
+    minus_alphas = (p - r - s * t for r in range(1, p) for s in range(1, q))
+    c = math.prod(minus_alphas, start=Fraction(math.factorial(p - 1)))
+    labels = [q * r for r in range(p - 1)]
+    labels += [q * (p - r - 1) - s * p for r in range(1, p) for s in range(1, q)]
+    return c, tuple(sorted(labels))
 
 
 @dataclass

@@ -127,16 +127,19 @@ def weight_from_j(level: Level, j: RatLike) -> AdmissibleWeight | None:
     return weight_from_label(level, label.numerator) if label.denominator == 1 else None
 
 
+def vacuum_labels(level: Level) -> tuple[int, ...]:
+    """The vacuum roots r - s*t (0 <= r <= p-2, 0 <= s < q) as sorted labels q r - s p."""
+    p, q = level.p, level.q
+    return tuple(sorted(q * r - s * p for r in range(p - 1) for s in range(q)))
+
+
 def vacuum_polynomial(level: Level) -> UniPoly:
     """Monic polynomial whose roots are exactly the admissible weights.
 
-    f(x) = prod_{r=0}^{p-2} prod_{s=0}^{q-1} (x - r + s*t); it is squarefree
+    f(x) = prod (x - J/q) over the :func:`vacuum_labels` J; it is squarefree
     of degree (p-1)*q.
     """
-    t = level.t
-    return poly_from_linear_factors(
-        r - s * t for r in range(level.p - 1) for s in range(level.q)
-    )
+    return poly_from_linear_factors(Fraction(J, level.q) for J in vacuum_labels(level))
 
 
 def kac_kazhdan_witness(

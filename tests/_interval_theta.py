@@ -17,6 +17,10 @@ below it.
 
 The enclosure is returned as a center and a radius with |theta - center| <=
 radius; ``tests/test_numeric.py`` requires |value - center| + radius <= err.
+``quotient_enclosure`` does the same for the theta quotient of
+``numeric._chibar_numeric``: it encloses its four thetas, takes each as the
+box center + [-radius, radius](1 + i), and divides the boxes in ``iv`` at
+prec + 64.
 ``iv`` has no ``expjpi``, so each term is ``iv.exp`` of 2 pi i m tau (j^2 + j
 z); ``iv.exp`` of a complex interval encloses its exponential.
 """
@@ -28,6 +32,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv, mp
 
+from admissible_sl2.characters import chibar_thetas
 from admissible_sl2.qseries import ThetaSpec
 
 MAX_STEPS = 10_000
@@ -75,9 +80,36 @@ def theta_enclosure(spec: ThetaSpec, tau, prec: int) -> tuple[mpmath.mpc, mpmath
                     i += direction
                 else:
                     raise AssertionError("interval referee: tail not reached within MAX_STEPS")
-            center = mp.mpc(mp.mpf(total.real.mid), mp.mpf(total.imag.mid))
-            # |d| <= |Re d| + |Im d|, each taken by its upper endpoint
-            spread = abs(iv.mpf(center.real) - total.real) + abs(iv.mpf(center.imag) - total.imag)
-            return center, mp.mpf(spread.b)
+            return _center_radius(total)
+    finally:
+        iv.prec = saved
+
+
+def _center_radius(box) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """The midpoint of a complex ``iv`` box and a radius about it that covers the box."""
+    center = mp.mpc(mp.mpf(box.real.mid), mp.mpf(box.imag.mid))
+    # |d| <= |Re d| + |Im d|, each taken by its upper endpoint
+    spread = abs(iv.mpf(center.real) - box.real) + abs(iv.mpf(center.imag) - box.imag)
+    return center, mp.mpf(spread.b)
+
+
+def quotient_enclosure(level, weight, tau, zval, prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """(center, radius) about (theta_p - theta_m) / (theta_1 - theta_-1) of ``chibar_thetas``.
+
+    ``zval`` is taken as ``_chibar_numeric`` takes it: a complex z is divided
+    by q at the caller's precision.
+    """
+    specs = [spec for pair in chibar_thetas(level, weight, zval) for spec in pair]
+    enclosures = [theta_enclosure(spec, tau, prec) for spec in specs]
+    saved = iv.prec
+    iv.prec = prec + 64
+    try:
+        with mp.workprec(prec + 64):
+            boxes = []
+            for center, radius in enclosures:
+                r = iv.mpf([-radius, radius])
+                boxes.append(iv.mpc(iv.mpf(center.real) + r, iv.mpf(center.imag) + r))
+            th_p, th_m, th_1, th_m1 = boxes
+            return _center_radius((th_p - th_m) / (th_1 - th_m1))
     finally:
         iv.prec = saved

@@ -5,9 +5,10 @@ multiplies the (p-1)(q-1) quadratic factors H_a and the tail
 e^{p-1} f^{p-1} out in U(sl2) and reads the pure h-power terms, which are
 the only monomials that act on a highest-weight vector.
 ``hw_annihilation_polynomial`` reads the same polynomial off the
-Harish-Chandra images of the factors as a product of linear factors, so the
-two must return an equal ``(constant, polynomial)``; ``tests/test_mff.py``
-checks that over a box of levels.
+Harish-Chandra images of the factors, and returns it as its constant c and
+its root labels q*r.  ``tests/test_mff.py`` and ``tests/test_acceptance.py``
+expand c prod (x - r) over those labels and require the ``(constant,
+polynomial)`` returned here, over a box of levels.
 
 The weight-zero ``InvariantError`` below is the premise of the closed form:
 every PBW monomial of the operator has equal f- and e-powers.  Here it is

@@ -29,7 +29,6 @@ from admissible_sl2 import (
     classical_su2_fusion,
     conformal_weight,
     enumerate_admissible,
-    fusion_closed_form,
     hw_annihilation_polynomial,
     level_from_pq,
     poly_gcd,
@@ -42,8 +41,10 @@ from admissible_sl2 import (
     weight_from_j,
     zhu_algebra,
 )
+from admissible_sl2.exact import poly_from_linear_factors
 from admissible_sl2.fusion import fusion
 from admissible_sl2.verify import coprime_levels
+from _pbw_annihilation_oracle import pbw_annihilation_polynomial
 
 SWEEP_PMAX, SWEEP_QMAX = 6, 5
 CHARACTER_FIXTURES = ((2, 1), (3, 1), (3, 2), (5, 3))
@@ -98,7 +99,7 @@ def test_primary_02_classical_limit():
         level = level_from_pq(ell + 2, 1)
         for w1 in enumerate_admissible(level):
             for w2 in enumerate_admissible(level):
-                closed = {w.j: m for w, m in fusion_closed_form(level, w1, w2)[1]}
+                closed = {w.j: m for w, m in fusion(level, w1, w2).outputs}
                 classical = {
                     Fraction(j): m
                     for j, m in classical_su2_fusion(ell, w1.n, w2.n).items()
@@ -124,7 +125,7 @@ def test_primary_03_fusion_ring_axioms_and_fixture_rows():
     }
     for (j1, j2), expected in rows.items():
         w1, w2 = weight_from_j(level, j1), weight_from_j(level, j2)
-        outputs = {w.j: m for w, m in fusion_closed_form(level, w1, w2)[1]}
+        outputs = {w.j: m for w, m in fusion(level, w1, w2).outputs}
         if outputs != expected:
             failures.append(f"fixture {j1}x{j2}: {outputs}")
     _report(
@@ -158,24 +159,33 @@ def test_primary_04_zhu_and_c2_dimensions():
     )
 
 
+def _annihilation_polynomial(level):
+    """The constant and the expanded product const prod (x - J/q) over the root labels J."""
+    const, labels = hw_annihilation_polynomial(level)
+    return const, poly_from_linear_factors(Fraction(J, level.q) for J in labels).scale(const)
+
+
 def test_primary_05_annihilation_polynomial():
     failures: list[str] = []
-    const, poly = hw_annihilation_polynomial(level_from_pq(2, 1))
+    const, poly = _annihilation_polynomial(level_from_pq(2, 1))
     if (const, poly.to_pairs()) != (Fraction(1), [(1, "1")]):
         failures.append(f"(2,1) fixture: ({const}, {poly})")
-    const, poly = hw_annihilation_polynomial(level_from_pq(3, 1))
+    const, poly = _annihilation_polynomial(level_from_pq(3, 1))
     expected = vacuum_polynomial(level_from_pq(3, 1)).scale(Fraction(2))
     if const != 2 or poly != expected:
         failures.append(f"(3,1) fixture: ({const}, {poly})")
     for level in _sweep_levels():
-        const, poly = hw_annihilation_polynomial(level)
+        const, poly = _annihilation_polynomial(level)
         if const == 0 or poly != vacuum_polynomial(level).scale(const):
             failures.append(f"({level.p},{level.q}) not a nonzero multiple")
+        if (const, poly) != pbw_annihilation_polynomial(level):
+            failures.append(f"({level.p},{level.q}) differs from the PBW normal ordering")
     _report(
         5,
         "annihilation polynomial is a nonzero multiple of the vacuum polynomial",
         failures,
-        f"fixtures (2,1)->(1, x), (3,1)->(2, 2x^2-2x); sweep of {len(_sweep_levels())} levels",
+        f"fixtures (2,1)->(1, x), (3,1)->(2, 2x^2-2x); sweep of {len(_sweep_levels())} levels, "
+        "each also against PBW normal ordering",
     )
 
 

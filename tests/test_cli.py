@@ -18,7 +18,7 @@ from admissible_sl2.cli import main
 from admissible_sl2.errors import InvariantError
 from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.report import parse_rational
-from admissible_sl2.weights import vacuum_polynomial
+from admissible_sl2.weights import vacuum_labels
 from test_golden_reports import CASES as GOLDEN_ARGVS
 
 
@@ -197,11 +197,12 @@ def _failed_checks(doc) -> dict[str, str]:
 
 
 def test_wrong_vacuum_polynomial_fails_the_annihilation_checks_by_name(capsys, monkeypatch):
-    # twice the vacuum polynomial: same roots and degree, wrong constant
-    for module in (fusion_module, verify):
-        monkeypatch.setattr(
-            module, "vacuum_polynomial", lambda level: vacuum_polynomial(level).scale(2)
-        )
+    # one vacuum root moved by 1: same degree, one label off
+    def moved(level):
+        *rest, last = vacuum_labels(level)
+        return (*rest, last + level.q)
+
+    monkeypatch.setattr(verify, "vacuum_labels", moved)
     code, doc, _ = run_json(capsys, "zhu", "--p", "3", "--q", "2")
     assert code == 1
     assert _failed_checks(doc) == {"annihilation_proportional": "constant -1/2"}
@@ -212,6 +213,28 @@ def test_wrong_vacuum_polynomial_fails_the_annihilation_checks_by_name(capsys, m
         "annihilation_p3_q1": "constant 2, degree 2",
         "annihilation_p3_q2": "constant -1/2, degree 4",
     }
+
+
+def test_ring_build_off_the_basis_fails_every_axioms_check(capsys, monkeypatch):
+    # degree 3 sends every pair of the (3,2) box off the basis; the ring build
+    # raises the resolver's error, which fails each axioms check by name
+    real = fusion_module.fusion_degrees
+    monkeypatch.setattr(fusion_module, "fusion_degrees", lambda *args: real(*args) + [3])
+    code, doc, err = run_json(capsys, "verify", "--suite", "fusion", "--pmax", "3", "--qmax", "2")
+    assert code == 1
+    assert err == ""
+    # verify binds its own fusion_degrees, so the three-way and classical checks pass
+    failed = _failed_checks(doc)
+    assert sorted(failed) == ["fusion_axioms_p2_q1", "fusion_axioms_p3_q1", "fusion_axioms_p3_q2"]
+    assert all(
+        detail.startswith("raised InvariantError: fusion output j=") for detail in failed.values()
+    )
+    code, doc, err = run_json(capsys, "fusion-table", "--p", "3", "--q", "2")
+    assert code == 1
+    assert err == ""
+    [check] = doc["checks"]
+    assert check["name"] == "fusion-table" and check["status"] == "fail"
+    assert check["detail"].startswith("raised InvariantError: fusion output j=")
 
 
 def test_wrong_c2_exponent_fails_c2_reduction_with_the_exponent(capsys, monkeypatch):

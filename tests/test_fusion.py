@@ -23,7 +23,6 @@ from admissible_sl2.fusion import (
     bimodule_presentation,
     classical_su2_fusion,
     fusion,
-    fusion_closed_form,
     fusion_degrees,
     fusion_outputs,
     surviving_degrees,
@@ -31,7 +30,7 @@ from admissible_sl2.fusion import (
     zhu_multiply,
 )
 from admissible_sl2.mff import bimodule_from_mff
-from admissible_sl2.verify import level_oracles, three_routes_agree
+from admissible_sl2.verify import _classical_limit, level_oracles, three_routes_agree
 from admissible_sl2.weights import (
     AdmissibleWeight,
     enumerate_admissible,
@@ -52,9 +51,9 @@ def test_fixture_table_3_2():
     one = w[Fraction(1)]
     mhalf = w[Fraction(-1, 2)]
     m3half = w[Fraction(-3, 2)]
-    assert _as_dict(fusion_closed_form(level, one, one)[1]) == {Fraction(0): 1}
-    assert _as_dict(fusion_closed_form(level, mhalf, mhalf)[1]) == {}
-    assert _as_dict(fusion_closed_form(level, m3half, one)[1]) == {Fraction(-1, 2): 1}
+    assert _as_dict(fusion(level, one, one).outputs) == {Fraction(0): 1}
+    assert _as_dict(fusion(level, mhalf, mhalf).outputs) == {}
+    assert _as_dict(fusion(level, m3half, one).outputs) == {Fraction(-1, 2): 1}
 
 
 def test_gate_condition_3_2():
@@ -62,7 +61,8 @@ def test_gate_condition_3_2():
     level = level_from_pq(3, 2)
     for w1 in enumerate_admissible(level):
         for w2 in enumerate_admissible(level):
-            gate, outs = fusion_closed_form(level, w1, w2)
+            rec = fusion(level, w1, w2)
+            gate, outs = rec.gate_passed, rec.outputs
             assert gate == (w1.k_primed + w2.k_primed <= level.q + 1)
             if not gate:
                 assert outs == []
@@ -73,8 +73,8 @@ def test_vacuum_is_unit():
         level = level_from_pq(p, q)
         vac = AdmissibleWeight(level, 0, 0)
         for w in enumerate_admissible(level):
-            assert _as_dict(fusion_closed_form(level, vac, w)[1]) == {w.j: 1}
-            assert _as_dict(fusion_closed_form(level, w, vac)[1]) == {w.j: 1}
+            assert _as_dict(fusion(level, vac, w).outputs) == {w.j: 1}
+            assert _as_dict(fusion(level, w, vac).outputs) == {w.j: 1}
 
 
 @pytest.mark.parametrize("p,q", SWEEP)
@@ -120,6 +120,26 @@ def test_fusion_routes_build_no_polynomials(monkeypatch):
     assert three_routes_agree(level, level_oracles(level))
     with pytest.raises(AssertionError, match="UniPoly built"):
         vacuum_polynomial(level)
+
+
+def test_ring_build_and_classical_limit_resolve_no_weight(monkeypatch):
+    # both index the output label J1 + J2 - 2qi straight into the basis: the
+    # ring builds no weight beyond the basis that enumerate_admissible makes
+    def unresolved(level, label):
+        raise AssertionError("weight resolved")
+
+    real, built = AdmissibleWeight.__post_init__, []
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(fusion_module, "weight_from_label", unresolved)
+    monkeypatch.setattr(AdmissibleWeight, "__post_init__", counted)
+    level = level_from_pq(5, 3)
+    assert all(FusionRing.build(level).axioms().values())
+    assert len(built) == level.n_weights
+    assert _classical_limit(6) == (True, "49 pairs")
 
 
 def test_ring_and_resolver_run_on_labels_alone(monkeypatch):
@@ -170,7 +190,7 @@ def test_classical_limit_matches_clebsch_gordan_truncation():
                 for j in range(abs(j1 - j2), top + 1, 2):
                     expected[j] = 1
                 assert classical_su2_fusion(ell, j1, j2) == expected
-                closed = _as_dict(fusion_closed_form(level, w1, w2)[1])
+                closed = _as_dict(fusion(level, w1, w2).outputs)
                 assert closed == {Fraction(j): m for j, m in expected.items()}
 
 
@@ -239,14 +259,9 @@ def test_ring_table_is_zero_one():
 
 
 def test_ring_build_counts_a_repeated_output_twice(monkeypatch):
-    # a closed form that lists every output twice must show up as N = 2
-    real = fusion_module.fusion_closed_form
-
-    def doubled(*args):
-        gate, outs = real(*args)
-        return gate, outs * 2
-
-    monkeypatch.setattr(fusion_module, "fusion_closed_form", doubled)
+    # a closed form that lists every degree, so every output, twice must show up as N = 2
+    real = fusion_module.fusion_degrees
+    monkeypatch.setattr(fusion_module, "fusion_degrees", lambda *args: real(*args) * 2)
     ring = FusionRing.build(level_from_pq(3, 2))
     assert {n for row in ring.table for cell in row for n in cell.values()} == {2}
     assert not ring.axioms()["unit"]

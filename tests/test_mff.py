@@ -5,8 +5,11 @@ quantities against independent closed forms (the vacuum polynomial for the
 annihilation operator, the factorial product for the C2 constant, and the
 n'(p-n')(q-k'+1) count for bimodule dimensions).  The annihilation polynomial
 and the bimodule oracle, both read off the Harish-Chandra projection as
-products of linear factors, must equal the PBW normal-ordering references of
-``_pbw_annihilation_oracle`` and ``_pbw_bimodule_oracle``.  The C2 reduction,
+products of linear factors held as root labels, must equal, once expanded,
+the PBW normal-ordering references of ``_pbw_annihilation_oracle`` and
+``_pbw_bimodule_oracle``.  The check that compares root labels with the
+vacuum's gives the verdict of the expanded-polynomial comparison, on every
+level of the (12,8) box.  The C2 reduction,
 which drops the left multiples of eb after every product, must equal the
 remainder of the whole product it replaces.
 """
@@ -28,7 +31,7 @@ from admissible_sl2.mff import (
     hw_annihilation_polynomial,
 )
 from admissible_sl2.pbw import HEIS, PBWElement
-from admissible_sl2.verify import level_oracles, three_routes_agree
+from admissible_sl2.verify import annihilation_proportional, level_oracles, three_routes_agree
 from admissible_sl2.weights import enumerate_admissible, level_from_pq, vacuum_polynomial
 from _pbw_annihilation_oracle import pbw_annihilation_polynomial
 from _pbw_bimodule_oracle import pbw_bimodule_oracle
@@ -51,14 +54,24 @@ def _c2_constant_closed_form(p: int, q: int) -> Fraction:
     return c
 
 
+def _expanded(const: Fraction, labels, level) -> UniPoly:
+    """const prod (x - J/q) over the root labels J."""
+    return poly_from_linear_factors(Fraction(J, level.q) for J in labels).scale(const)
+
+
+def _annihilation_polynomial(level) -> tuple[Fraction, UniPoly]:
+    const, labels = hw_annihilation_polynomial(level)
+    return const, _expanded(const, labels, level)
+
+
 def test_annihilation_fixture_2_1():
-    const, poly = hw_annihilation_polynomial(level_from_pq(2, 1))
+    const, poly = _annihilation_polynomial(level_from_pq(2, 1))
     assert const == 1
     assert poly == UniPoly({1: 1})  # x
 
 
 def test_annihilation_fixture_3_1():
-    const, poly = hw_annihilation_polynomial(level_from_pq(3, 1))
+    const, poly = _annihilation_polynomial(level_from_pq(3, 1))
     assert const == 2
     assert poly == UniPoly({2: 2, 1: -2})  # 2 (x^2 - x)
     assert poly == vacuum_polynomial(level_from_pq(3, 1)).scale(2)
@@ -67,7 +80,7 @@ def test_annihilation_fixture_3_1():
 @pytest.mark.parametrize("p,q", SWEEP)
 def test_annihilation_proportional_to_vacuum(p, q):
     level = level_from_pq(p, q)
-    const, poly = hw_annihilation_polynomial(level)
+    const, poly = _annihilation_polynomial(level)
     assert const != 0
     assert poly == vacuum_polynomial(level).scale(const)
 
@@ -75,7 +88,25 @@ def test_annihilation_proportional_to_vacuum(p, q):
 @pytest.mark.parametrize("p,q", BOX_6_4)
 def test_annihilation_matches_pbw_reduction(p, q):
     level = level_from_pq(p, q)
-    assert hw_annihilation_polynomial(level) == pbw_annihilation_polynomial(level)
+    assert _annihilation_polynomial(level) == pbw_annihilation_polynomial(level)
+
+
+def _moved(labels, by: int) -> tuple[int, ...]:
+    """The labels with the last one moved by ``by``."""
+    return tuple(sorted((*labels[:-1], labels[-1] + by)))
+
+
+def test_label_verdict_equals_the_polynomial_comparison():
+    # the polynomial form stays the referee: const != 0 and the expanded
+    # product equal to const times the vacuum polynomial
+    for p, q in BOX_12_8:
+        level = level_from_pq(p, q)
+        const, labels = hw_annihilation_polynomial(level)
+        vacuum = vacuum_polynomial(level)
+        for c, roots in ((const, labels), (0, labels), (const, _moved(labels, q))):
+            expected = c != 0 and _expanded(c, roots, level) == vacuum.scale(c)
+            assert annihilation_proportional(level, c, roots) == expected
+        assert annihilation_proportional(level, const, labels)
 
 
 def test_c2_fixtures():

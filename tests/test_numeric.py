@@ -11,7 +11,9 @@ against the all-mpf per-term evaluator kept in ``tests/_theta_oracle.py``:
 equal values bit for bit, and error bounds no smaller than the oracle's, which
 leaves out the rounding of each term's argument.  The interval enclosure of
 ``tests/_interval_theta.py`` referees the bound itself: |value - center| +
-radius <= err on every draw, at edges of the double range too.
+radius <= err on every draw, at edges of the double range too.  It referees
+the quotient bound of ``_chibar_numeric`` the same way, on quotients at tau
+with a rational z and at the law's left side (-1/tau, tau z).
 ``stransform``'s sharing of thetas and S-matrix phases is checked against
 unshared evaluations, bit for bit.
 
@@ -220,6 +222,43 @@ def test_theta_bound_encloses_interval_referee(m, n, z, re_tau, im_tau, tol_exp,
         event("rounding budget above tol/4")
         return
     center, radius = _interval_theta.theta_enclosure(spec, tau, prec)
+    with mp.workprec(prec + 64):
+        assert abs(val.value - center) + radius <= val.err
+
+
+_LEVELS_TO_7_4 = [(p, q) for p in range(2, 8) for q in range(1, 5) if math.gcd(p, q) == 1]
+
+
+@st.composite
+def _weights_to_7_4(draw):
+    p, q = draw(st.sampled_from(_LEVELS_TO_7_4))
+    return AdmissibleWeight(level_from_pq(p, q), draw(st.integers(0, p - 2)), draw(st.integers(0, q - 1)))
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(
+    weight=_weights_to_7_4(),
+    z=st.integers(2, 7).flatmap(lambda u: st.integers(1, u - 1).map(lambda v: Fraction(v, u))),
+    lhs=st.booleans(),
+    re_tau=st.fractions(min_value=-3 / 2, max_value=3 / 2, max_denominator=1000),
+    im_tau=st.fractions(min_value=Fraction(1, 5), max_value=2, max_denominator=1000),
+    tol_exp=st.integers(min_value=10, max_value=30),
+    prec=st.sampled_from([128, 192]),
+)
+def test_quotient_bound_encloses_interval_referee(weight, z, lhs, re_tau, im_tau, tol_exp, prec):
+    # lhs: the law's left side, at (-1/tau, tau z) with a complex z
+    tau = _tau_from(re_tau, im_tau, prec)
+    with mp.workprec(prec):
+        if lhs:
+            tau, z = -1 / tau, tau * mp.mpf(z.numerator) / z.denominator
+        level = weight.level
+        try:
+            val, _ = numeric._chibar_numeric(level, weight, tau, z, mp.mpf(10) ** -tol_exp, prec)
+        except InputError as exc:
+            assert "rounding budget" in str(exc)
+            event("rounding budget above tol/4")
+            return
+        center, radius = _interval_theta.quotient_enclosure(level, weight, tau, z, prec)
     with mp.workprec(prec + 64):
         assert abs(val.value - center) + radius <= val.err
 

@@ -13,6 +13,7 @@ from admissible_sl2 import verify
 from admissible_sl2.characters import CharacterSpec, character_qseries
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InputError, InvariantError
+from admissible_sl2.exact import UniPoly
 from admissible_sl2.verify import (
     SUITES,
     c2_expected_constant,
@@ -119,6 +120,18 @@ def test_failed_oracle_build_fails_both_suites_alike(monkeypatch):
     assert results["checks_failed"] == 2
     monkeypatch.undo()
     assert [c["name"] for c in checks] == [c["name"] for c in run_suites("all", 3, 2)[1]]
+
+
+def test_mff_suite_builds_no_polynomial(monkeypatch):
+    # the annihilation check compares root labels, and the C2 reduction and
+    # the bimodule oracles never leave PBW terms and root labels
+    def refuse(self, coeffs=None):
+        raise AssertionError("UniPoly built")
+
+    monkeypatch.setattr(UniPoly, "__init__", refuse)
+    results, checks = run_suites("mff", 4, 3)
+    assert results["checks_total"] == len(checks) == 1 + 3 * 6
+    assert results["checks_failed"] == 0
 
 
 def test_all_suites_concatenate_the_single_suites():
