@@ -47,14 +47,14 @@ __all__ = [
 ThetaPair = tuple[ThetaSpec, ThetaSpec]
 
 
-def support_index_plus(level, weight) -> int:
+def support_index_plus(weight) -> int:
     """Theta index b+ of the weight j = n - k t: q(n+1) + k p."""
-    return level.q * (weight.n + 1) + weight.k * level.p
+    return weight.level.q * (weight.n + 1) + weight.k * weight.level.p
 
 
-def support_index_minus(level, weight) -> int:
+def support_index_minus(weight) -> int:
     """Theta index b- of the weight j = n - k t: -q(n+1) + k p."""
-    return -level.q * (weight.n + 1) + weight.k * level.p
+    return -weight.level.q * (weight.n + 1) + weight.k * weight.level.p
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,11 @@ class CharacterSpec:
 
     @property
     def b_plus(self) -> int:
-        return support_index_plus(self.level, self.weight)
+        return support_index_plus(self.weight)
 
     @property
     def b_minus(self) -> int:
-        return support_index_minus(self.level, self.weight)
+        return support_index_minus(self.weight)
 
     @property
     def u(self) -> int:
@@ -110,17 +110,17 @@ class CharacterSpec:
         return self.anomaly if kind == "chi" else Fraction(0)
 
 
-def chibar_thetas(level, weight, z) -> tuple[ThetaPair, ThetaPair]:
-    """The numerator and denominator theta pairs of chibar_j(tau, z).
+def chibar_thetas(weight, z) -> tuple[ThetaPair, ThetaPair]:
+    """The numerator and denominator theta pairs of chibar_j(tau, z) at the weight's level.
 
     Numerator (theta_{b+,a}, theta_{b-,a}) at z/q, denominator
     (theta_{1,2}, theta_{-1,2}) at z; ``z`` may be complex.
     """
-    a, zq = level.p * level.q, z / level.q
+    a, zq = weight.level.p * weight.level.q, z / weight.level.q
     return (
         (
-            ThetaSpec(support_index_plus(level, weight), a, zq),
-            ThetaSpec(support_index_minus(level, weight), a, zq),
+            ThetaSpec(support_index_plus(weight), a, zq),
+            ThetaSpec(support_index_minus(weight), a, zq),
         ),
         (ThetaSpec(1, 2, z), ThetaSpec(-1, 2, z)),
     )
@@ -178,7 +178,7 @@ def _theta_quotient(
 def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:
     """Exact q-expansion of chi (default) or chibar, to the given order."""
     shift = spec.shift(kind)
-    num, den = chibar_thetas(spec.level, spec.weight, spec.z)
+    num, den = chibar_thetas(spec.weight, spec.z)
     ratio = _theta_quotient(num, den, rat(order) - shift)
     return ratio.shift_exponents(shift) if shift else ratio
 

@@ -187,7 +187,7 @@ def cmd_zhu(args) -> tuple[dict, list[dict]]:
 def cmd_bimodule(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     w = _weight_from_flags(level, args)
-    pres = bimodule_presentation(level, w)
+    pres = bimodule_presentation(w)
     oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
     results = {
         "level": level,
@@ -206,7 +206,7 @@ def cmd_fusion(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     w1 = _weight_from_pair(level, args.j1, "--j1")
     w2 = _weight_from_pair(level, args.j2, "--j2")
-    record = fusion(level, w1, w2, oracle=args.oracle)
+    record = fusion(w1, w2, oracle=args.oracle)
     results = {
         "level": level,
         "j1": w1,
@@ -251,7 +251,7 @@ def cmd_fusion_table(args) -> tuple[dict, list[dict]]:
         checks.append(
             report.check(
                 "oracles_agree",
-                verify.three_routes_agree(level, verify.level_oracles(level)),
+                verify.three_routes_agree(verify.level_oracles(level)),
                 f"{len(basis) ** 2} ordered pairs along all three routes",
             )
         )

@@ -80,8 +80,8 @@ class BimodulePresentation:
         return sum(len(roots) for roots in self.generators)
 
 
-def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePresentation:
-    p, q = level.p, level.q
+def bimodule_presentation(weight: AdmissibleWeight) -> BimodulePresentation:
+    p, q = weight.level.p, weight.level.q
     np_, kp = weight.n_primed, weight.k_primed
     gens = tuple(
         tuple(q * (r + i) - s * p for r in range(p - np_) for s in range(q - kp + 1))
@@ -90,8 +90,16 @@ def bimodule_presentation(level: Level, weight: AdmissibleWeight) -> BimodulePre
     return BimodulePresentation(weight=weight, generators=gens)
 
 
-def fusion_degrees(level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight) -> list[int]:
+def _pair_level(w1: AdmissibleWeight, w2: AdmissibleWeight) -> Level:
+    """The level both weights belong to; weights of two levels have no fusion product."""
+    if w1.level != w2.level:
+        raise InputError(f"weights of two levels: {w1.level!r} and {w2.level!r}")
+    return w1.level
+
+
+def fusion_degrees(w1: AdmissibleWeight, w2: AdmissibleWeight) -> list[int]:
     """Route 1's degrees.  The window is never empty (n' <= p - 1) once the gate is passed."""
+    level = _pair_level(w1, w2)
     if w1.k_primed + w2.k_primed > level.q + 1:
         return []
     n1, n2 = w1.n_primed, w2.n_primed
@@ -104,12 +112,13 @@ def surviving_degrees(label2: int, roots_by_degree) -> list[int]:
 
 
 def fusion_outputs(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, degrees, resolve=None
+    w1: AdmissibleWeight, w2: AdmissibleWeight, degrees, resolve=None
 ) -> list[tuple]:
     """The one resolver: output J1 + J2 - 2qi (j1 + j2 - 2i), multiplicity 1, per degree i.
 
     ``resolve`` maps a label to its weight (the default) or basis index; None raises.
     """
+    level = _pair_level(w1, w2)
     if resolve is None:
         resolve = lambda label: weight_from_label(level, label)  # noqa: E731
     outputs = []
@@ -130,20 +139,18 @@ class FusionRecord:
     oracles_agree: bool | None = None
 
 
-def fusion(
-    level: Level, w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: str = "closed"
-) -> FusionRecord:
-    """Fusion rule for L(ell,j1) x L(ell,j2) along the requested oracle.
+def fusion(w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: str = "closed") -> FusionRecord:
+    """Fusion rule for L(ell,j1) x L(ell,j2) at the weights' common level, along ``oracle``.
 
     The gate is the closed form's.  oracle = "all" runs all three routes and
     records whether their degree lists agree.
     """
-    closed = fusion_degrees(level, w1, w2)
+    closed = fusion_degrees(w1, w2)
     routes = {
         "closed": lambda: closed,
-        "bimodule": lambda: surviving_degrees(w2.J, bimodule_presentation(level, w1).generators),
+        "bimodule": lambda: surviving_degrees(w2.J, bimodule_presentation(w1).generators),
         "mff": lambda: surviving_degrees(
-            w2.J, bimodule_from_mff(level, w1.n_primed, w1.k_primed).gcds
+            w2.J, bimodule_from_mff(w1.level, w1.n_primed, w1.k_primed).gcds
         ),
     }
     agree = None
@@ -155,7 +162,7 @@ def fusion(
         degrees = routes[oracle]()
     else:
         raise InputError(f"unknown oracle {oracle!r}")
-    outputs = fusion_outputs(level, w1, w2, degrees)
+    outputs = fusion_outputs(w1, w2, degrees)
     return FusionRecord(bool(closed), outputs, oracle, oracles_agree=agree)
 
 
@@ -175,8 +182,7 @@ class FusionRing:
         table: list[list[dict[int, int]]] = [[{} for _ in basis] for _ in basis]
         for a, w1 in enumerate(basis):
             for b, w2 in enumerate(basis):
-                degrees = fusion_degrees(level, w1, w2)
-                for c, mult in fusion_outputs(level, w1, w2, degrees, index.get):
+                for c, mult in fusion_outputs(w1, w2, fusion_degrees(w1, w2), index.get):
                     table[a][b][c] = table[a][b].get(c, 0) + mult
         return cls(level=level, basis=basis, table=table, index=index)
 

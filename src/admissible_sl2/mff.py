@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .pbw import HEIS, L0, SL2, PBWElement, quadratic_factor
+from .pbw import HEIS, L0, PBWElement, quadratic_factor
 from .weights import Level
 
-_TARGETS = {"P1": SL2, "P": L0, "P2": HEIS}
+_TARGETS = {"P": L0, "P2": HEIS}
 
 
 def _check_primed(level: Level, n_primed: int, k_primed: int) -> None:
@@ -81,12 +81,12 @@ def fuchs_projection(
     k_primed: int,
     target: str,
 ) -> PBWElement:
-    """Projection of a singular-vector family to one of the three algebras.
+    """Projection of a singular-vector family to one of the two algebras.
 
     Family F1 gives (prod_{r=0}^{n'-1} prod_{s=1}^{k'-1} X_{r+st}) lower^{n'},
     family F2 gives (prod_{r=1}^{p-n'} prod_{s=1}^{q-k'} X_{-r-st}) raise^{p-n'},
-    where X and the generators are those of the target's algebra: P1 uses H
-    in U(sl2), P uses G in U(L0), P2 uses Hbar in the Heisenberg algebra.
+    where X and the generators are those of the target's algebra: P uses G
+    in U(L0), P2 uses Hbar in the Heisenberg algebra.
     """
     return math.prod(_projection_factors(level, family, n_primed, k_primed, target))
 

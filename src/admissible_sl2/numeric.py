@@ -397,7 +397,6 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
 
 
 def _chibar_numeric(
-    level: Level,
     weight: AdmissibleWeight,
     tau,
     zval,
@@ -417,7 +416,7 @@ def _chibar_numeric(
     at a tighter tolerance misses the memo and evaluates afresh.
     """
     tol = mp.mpf(tol)
-    (num_p, num_m), (den_p, den_m) = chibar_thetas(level, weight, zval)
+    (num_p, num_m), (den_p, den_m) = chibar_thetas(weight, zval)
     with mp.workprec(prec):
         eps = mp.mpf(2) ** (1 - prec)
         ctol = tol / 8
@@ -469,12 +468,12 @@ def character_eval_numeric(spec: CharacterSpec, tau, tol, kind: str = "chi") -> 
         tau_v = _upper_half_plane(tau, "character evaluation")
         eps = mp.mpf(2) ** (1 - prec)
         if kind == "chibar":
-            val, _ = _chibar_numeric(spec.level, spec.weight, tau_v, spec.z, tol, prec)
+            val, _ = _chibar_numeric(spec.weight, tau_v, spec.z, tol, prec)
             return val
         pref = _q_power(shift, tau_v)
         abs_pref = abs(pref)
         quot_tol = tol / (2 * max(abs_pref, mp.mpf(1)))
-        quot, _ = _chibar_numeric(spec.level, spec.weight, tau_v, spec.z, quot_tol, prec)
+        quot, _ = _chibar_numeric(spec.weight, tau_v, spec.z, quot_tol, prec)
         value = pref * quot.value
         err = abs_pref * quot.err + 8 * eps * abs(value)
         return ComplexVal(value, err, prec)
@@ -601,14 +600,14 @@ def s_transform_residual(
         rhs_thetas: dict = {}
         chibar_vals: list[ComplexVal] = []
         for w in weights:
-            val, terr = _chibar_numeric(level, w, tau_v, z, rhs_tol, prec, rhs_thetas)
+            val, terr = _chibar_numeric(w, tau_v, z, rhs_tol, prec, rhs_thetas)
             chibar_vals.append(val)
             theta_err_max = max(theta_err_max, terr)
 
         lhs_thetas: dict = {}
         lhs_vals: list[ComplexVal] = []
         for w in weights:
-            val, terr = _chibar_numeric(level, w, tau2, z2, tol / 8, prec, lhs_thetas)
+            val, terr = _chibar_numeric(w, tau2, z2, tol / 8, prec, lhs_thetas)
             lhs_vals.append(val)
             theta_err_max = max(theta_err_max, terr)
 

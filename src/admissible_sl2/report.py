@@ -47,7 +47,6 @@ __all__ = [
     "dumps",
     "render_text",
     "all_checks_pass",
-    "parse_rational",
     "parse_qseries",
     "parse_weight",
 ]
@@ -207,11 +206,6 @@ def _write(value: Any, out: list[str], pad: str) -> None:
 
 
 # -- round-trip parsing ------------------------------------------------------
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of the "a/b" encoding."""
-    return rat(text)
 
 
 def parse_qseries(obj: Mapping[str, Any]) -> QSeries:

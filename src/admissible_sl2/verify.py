@@ -153,19 +153,19 @@ def level_oracles(level: Level) -> dict:
     }
 
 
-def three_routes_agree(level: Level, oracles: dict) -> bool:
+def three_routes_agree(oracles: dict) -> bool:
     """Whether all three fusion routes keep the same degrees on every ordered pair.
 
-    ``oracles`` maps each weight of the level to its bimodule oracle, as
+    ``oracles`` maps each weight of one level to its bimodule oracle, as
     :func:`level_oracles` builds it (route 3).  Route 2 builds each weight's
     bimodule presentation once from its own root formula; route 1 is the
     closed form.  The routes are compared as degree lists, which resolves no
     weight and expands no polynomial: i -> j1 + j2 - 2i is injective, so equal
     degrees are equal outputs.
     """
-    generators = {w: bimodule_presentation(level, w).generators for w in oracles}
+    generators = {w: bimodule_presentation(w).generators for w in oracles}
     return all(
-        fusion_degrees(level, w1, w2)
+        fusion_degrees(w1, w2)
         == surviving_degrees(w2.J, generators[w1])
         == surviving_degrees(w2.J, oracle.gcds)
         for w1, oracle in oracles.items()
@@ -262,11 +262,10 @@ def _axioms(ring: FusionRing) -> tuple[bool, str]:
 
 def _classical_limit(ell: int) -> tuple[bool, str]:
     """Whether the q = 1 closed form at level ell is classical su(2) fusion."""
-    level = level_from_pq(ell + 2, 1)
-    weights = enumerate_admissible(level)
+    weights = enumerate_admissible(level_from_pq(ell + 2, 1))
     basis = {w.J: w.J for w in weights}  # J = j at q = 1
     ok = all(
-        dict(fusion_outputs(level, w1, w2, fusion_degrees(level, w1, w2), basis.get))
+        dict(fusion_outputs(w1, w2, fusion_degrees(w1, w2), basis.get))
         == classical_su2_fusion(ell, w1.n, w2.n)
         for w1 in weights
         for w2 in weights
@@ -283,7 +282,7 @@ def fusion_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
         _judge(
             checks,
             f"fusion_three_way_{tag}",
-            lambda: (three_routes_agree(level, level_oracles(level)), f"{pairs} ordered pairs"),
+            lambda: (three_routes_agree(level_oracles(level)), f"{pairs} ordered pairs"),
         )
         _judge(checks, f"fusion_axioms_{tag}", lambda: _axioms(FusionRing.build(level)))
         rows.append({"level": level, "weights": level.n_weights, "ordered_pairs": pairs})
@@ -326,7 +325,7 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             found = level_oracles(level)
             dims = [oracle.dimension for oracle in found.values()]
             ok = all(
-                _all_pass(bimodule_oracle_checks(oracle, bimodule_presentation(level, w)))
+                _all_pass(bimodule_oracle_checks(oracle, bimodule_presentation(w)))
                 for w, oracle in found.items()
             )
             row["bimodule_dimensions"] = dims

@@ -93,13 +93,13 @@ def _center_radius(box) -> tuple[mpmath.mpc, mpmath.mpf]:
     return center, mp.mpf(spread.b)
 
 
-def quotient_enclosure(level, weight, tau, zval, prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+def quotient_enclosure(weight, tau, zval, prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     """(center, radius) about (theta_p - theta_m) / (theta_1 - theta_-1) of ``chibar_thetas``.
 
     ``zval`` is taken as ``_chibar_numeric`` takes it: a complex z is divided
     by q at the caller's precision.
     """
-    specs = [spec for pair in chibar_thetas(level, weight, zval) for spec in pair]
+    specs = [spec for pair in chibar_thetas(weight, zval) for spec in pair]
     enclosures = [theta_enclosure(spec, tau, prec) for spec in specs]
     saved = iv.prec
     iv.prec = prec + 64

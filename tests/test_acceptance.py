@@ -77,7 +77,7 @@ def test_primary_01_three_way_fusion_agreement():
         weights = enumerate_admissible(level)
         for w1 in weights:
             for w2 in weights:
-                rec = fusion(level, w1, w2, oracle="all")
+                rec = fusion(w1, w2, oracle="all")
                 pairs += 1
                 if not rec.oracles_agree:
                     failures.append(f"(p,q)=({level.p},{level.q}) {w1.j}x{w2.j}")
@@ -99,7 +99,7 @@ def test_primary_02_classical_limit():
         level = level_from_pq(ell + 2, 1)
         for w1 in enumerate_admissible(level):
             for w2 in enumerate_admissible(level):
-                closed = {w.j: m for w, m in fusion(level, w1, w2).outputs}
+                closed = {w.j: m for w, m in fusion(w1, w2).outputs}
                 classical = {
                     Fraction(j): m
                     for j, m in classical_su2_fusion(ell, w1.n, w2.n).items()
@@ -125,7 +125,7 @@ def test_primary_03_fusion_ring_axioms_and_fixture_rows():
     }
     for (j1, j2), expected in rows.items():
         w1, w2 = weight_from_j(level, j1), weight_from_j(level, j2)
-        outputs = {w.j: m for w, m in fusion(level, w1, w2).outputs}
+        outputs = {w.j: m for w, m in fusion(w1, w2).outputs}
         if outputs != expected:
             failures.append(f"fixture {j1}x{j2}: {outputs}")
     _report(

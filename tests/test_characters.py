@@ -48,12 +48,10 @@ def test_support_indices_fixture_3_2():
         (1, 1): (7, -1),
     }
     for w in enumerate_admissible(level):
-        assert (support_index_plus(level, w), support_index_minus(level, w)) == expected[
-            (w.n, w.k)
-        ]
+        assert (support_index_plus(w), support_index_minus(w)) == expected[(w.n, w.k)]
         # the two indices are distinct mod 2a, so the numerator never cancels
         a = level.p * level.q
-        assert (support_index_plus(level, w) - support_index_minus(level, w)) % (2 * a) != 0
+        assert (support_index_plus(w) - support_index_minus(w)) % (2 * a) != 0
 
 
 def test_character_spec_validates_z():
@@ -158,8 +156,8 @@ def test_support_indices_reduce_to_classical_at_q_1():
     for p in (2, 3, 5, 7):
         level = level_from_pq(p, 1)
         for w in enumerate_admissible(level):
-            assert support_index_plus(level, w) == w.n + 1
-            assert support_index_minus(level, w) == -(w.n + 1)
+            assert support_index_plus(w) == w.n + 1
+            assert support_index_minus(w) == -(w.n + 1)
 
 
 def test_character_orders_are_honest():

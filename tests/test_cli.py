@@ -16,8 +16,8 @@ from admissible_sl2 import cli, mff, verify
 from admissible_sl2 import fusion as fusion_module
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InvariantError
+from admissible_sl2.exact import rat
 from admissible_sl2.pbw import HEIS, PBWElement
-from admissible_sl2.report import parse_rational
 from admissible_sl2.weights import vacuum_labels
 from test_golden_reports import CASES as GOLDEN_ARGVS
 
@@ -255,8 +255,8 @@ def _lose_first_root(monkeypatch, *modules):
     """Bind in ``modules`` a presentation whose g_0 lacks its first root, j = 0."""
     real = fusion_module.bimodule_presentation
 
-    def losing(level, weight):
-        pres = real(level, weight)
+    def losing(weight):
+        pres = real(weight)
         roots, *rest = pres.generators
         return dataclasses.replace(pres, generators=(roots[1:], *rest))
 
@@ -386,7 +386,7 @@ def test_character_fixture_3_2(capsys):
     )
     assert code == 0
     series = doc["results"]["series"]
-    assert parse_rational(doc["results"]["predicted_lowest_exponent"]) == Fraction(25, 96)
+    assert rat(doc["results"]["predicted_lowest_exponent"]) == Fraction(25, 96)
     assert series["D"] == 96
     assert series["terms"][0] == [25, "1"]
     assert series["terms"][1] == [73, "2"]
@@ -398,7 +398,7 @@ def test_character_chibar_with_numeric_check(capsys):
         "--kind", "chibar", "--tau", "0,1",
     )
     assert code == 0
-    assert parse_rational(doc["results"]["predicted_lowest_exponent"]) == Fraction(7, 24)
+    assert rat(doc["results"]["predicted_lowest_exponent"]) == Fraction(7, 24)
     names = {c["name"]: c["status"] for c in doc["checks"]}
     assert names["series_numeric_agreement"] == "pass"
 

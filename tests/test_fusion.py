@@ -51,9 +51,9 @@ def test_fixture_table_3_2():
     one = w[Fraction(1)]
     mhalf = w[Fraction(-1, 2)]
     m3half = w[Fraction(-3, 2)]
-    assert _as_dict(fusion(level, one, one).outputs) == {Fraction(0): 1}
-    assert _as_dict(fusion(level, mhalf, mhalf).outputs) == {}
-    assert _as_dict(fusion(level, m3half, one).outputs) == {Fraction(-1, 2): 1}
+    assert _as_dict(fusion(one, one).outputs) == {Fraction(0): 1}
+    assert _as_dict(fusion(mhalf, mhalf).outputs) == {}
+    assert _as_dict(fusion(m3half, one).outputs) == {Fraction(-1, 2): 1}
 
 
 def test_gate_condition_3_2():
@@ -61,7 +61,7 @@ def test_gate_condition_3_2():
     level = level_from_pq(3, 2)
     for w1 in enumerate_admissible(level):
         for w2 in enumerate_admissible(level):
-            rec = fusion(level, w1, w2)
+            rec = fusion(w1, w2)
             gate, outs = rec.gate_passed, rec.outputs
             assert gate == (w1.k_primed + w2.k_primed <= level.q + 1)
             if not gate:
@@ -73,8 +73,8 @@ def test_vacuum_is_unit():
         level = level_from_pq(p, q)
         vac = AdmissibleWeight(level, 0, 0)
         for w in enumerate_admissible(level):
-            assert _as_dict(fusion(level, vac, w).outputs) == {w.j: 1}
-            assert _as_dict(fusion(level, w, vac).outputs) == {w.j: 1}
+            assert _as_dict(fusion(vac, w).outputs) == {w.j: 1}
+            assert _as_dict(fusion(w, vac).outputs) == {w.j: 1}
 
 
 @pytest.mark.parametrize("p,q", SWEEP)
@@ -82,10 +82,10 @@ def test_three_routes_agree(p, q):
     level = level_from_pq(p, q)
     weights = enumerate_admissible(level)
     for w1 in weights:
-        generators = bimodule_presentation(level, w1).generators
+        generators = bimodule_presentation(w1).generators
         oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
         for w2 in weights:
-            closed = fusion_degrees(level, w1, w2)
+            closed = fusion_degrees(w1, w2)
             via_bim = surviving_degrees(w2.J, generators)
             via_mff = surviving_degrees(w2.J, oracle.gcds)
             assert closed == via_bim == via_mff
@@ -100,7 +100,7 @@ _coprime_levels = st.tuples(st.integers(2, 9), st.integers(1, 6)).filter(
 @given(_coprime_levels)
 def test_routes_and_axioms_beyond_fixtures(pq):
     level = level_from_pq(*pq)
-    assert three_routes_agree(level, level_oracles(level))
+    assert three_routes_agree(level_oracles(level))
     assert all(FusionRing.build(level).axioms().values())
 
 
@@ -117,7 +117,7 @@ def test_fusion_routes_build_no_polynomials(monkeypatch):
     monkeypatch.setattr(UniPoly, "__init__", refuse)
     monkeypatch.setattr(fusion_module, "weight_from_label", unresolved)
     level = level_from_pq(5, 3)
-    assert three_routes_agree(level, level_oracles(level))
+    assert three_routes_agree(level_oracles(level))
     with pytest.raises(AssertionError, match="UniPoly built"):
         vacuum_polynomial(level)
 
@@ -153,7 +153,7 @@ def test_ring_and_resolver_run_on_labels_alone(monkeypatch):
     ring = FusionRing.build(level)
     assert ring.axioms() == {"unit": True, "commutativity": True, "associativity": True}
     w1, w2 = AdmissibleWeight(level, 2, 1), AdmissibleWeight(level, 1, 0)
-    outputs = fusion_outputs(level, w1, w2, fusion_degrees(level, w1, w2))
+    outputs = fusion_outputs(w1, w2, fusion_degrees(w1, w2))
     assert [(w.n, w.k, m) for w, m in outputs] == [(3, 1, 1), (1, 1, 1)]
 
 
@@ -161,20 +161,48 @@ def test_non_admissible_output_raises():
     level = level_from_pq(3, 2)
     w = AdmissibleWeight(level, 1, 0)
     with pytest.raises(InvariantError, match="fusion output j=-4 is not admissible"):
-        fusion_outputs(level, w, w, [3])
+        fusion_outputs(w, w, [3])
+
+
+def test_weights_of_two_levels_raise_naming_both():
+    # the (3,2) pair (1,1), (0,1) has its gate closed; beside a (5,3) weight
+    # every entry point refuses rather than answering for one of the levels
+    level = level_from_pq(3, 2)
+    w, w_other = AdmissibleWeight(level, 1, 1), AdmissibleWeight(level, 0, 1)
+    foreign = AdmissibleWeight(level_from_pq(5, 3), 1, 1)
+    for pair in ((foreign, w_other), (w, foreign)):
+        for call in (
+            lambda: fusion(*pair),
+            lambda: fusion(*pair, oracle="all"),
+            lambda: fusion_degrees(*pair),
+            lambda: fusion_outputs(*pair, []),
+        ):
+            with pytest.raises(InputError) as info:
+                call()
+            assert "p=5, q=3" in str(info.value) and "p=3, q=2" in str(info.value)
+
+
+def test_weights_from_two_equal_levels_fuse():
+    # equality, not identity: two level_from_pq(3, 2) calls give one level
+    w1 = AdmissibleWeight(level_from_pq(3, 2), 1, 1)
+    w2 = AdmissibleWeight(level_from_pq(3, 2), 0, 1)
+    assert w1.level is not w2.level
+    rec = fusion(w1, w2, oracle="all")
+    assert (rec.gate_passed, rec.outputs, rec.oracles_agree) == (False, [], True)
+    assert fusion_degrees(w1, w2) == [] and fusion_outputs(w1, w2, []) == []
 
 
 def test_fusion_record_all():
     level = level_from_pq(3, 2)
     w1 = AdmissibleWeight(level, 1, 0)
     w2 = AdmissibleWeight(level, 1, 1)
-    rec = fusion(level, w1, w2, oracle="all")
+    rec = fusion(w1, w2, oracle="all")
     assert rec.oracles_agree is True
     assert _as_dict(rec.outputs) == {Fraction(-3, 2): 1}
-    rec_closed = fusion(level, w1, w2)
+    rec_closed = fusion(w1, w2)
     assert rec_closed.oracle == "closed" and rec_closed.oracles_agree is None
     with pytest.raises(InputError, match="unknown oracle 'bogus'"):
-        fusion(level, w1, w2, oracle="bogus")
+        fusion(w1, w2, oracle="bogus")
 
 
 def test_classical_limit_matches_clebsch_gordan_truncation():
@@ -190,7 +218,7 @@ def test_classical_limit_matches_clebsch_gordan_truncation():
                 for j in range(abs(j1 - j2), top + 1, 2):
                     expected[j] = 1
                 assert classical_su2_fusion(ell, j1, j2) == expected
-                closed = _as_dict(fusion(level, w1, w2).outputs)
+                closed = _as_dict(fusion(w1, w2).outputs)
                 assert closed == {Fraction(j): m for j, m in expected.items()}
 
 
@@ -382,7 +410,7 @@ def test_zhu_algebra_structure(p, q):
 def test_bimodule_presentation_dimensions():
     level = level_from_pq(3, 2)
     for w in enumerate_admissible(level):
-        pres = bimodule_presentation(level, w)
+        pres = bimodule_presentation(w)
         assert pres.dimension == w.n_primed * (3 - w.n_primed) * (2 - w.k_primed + 1)
         assert len(pres.generators) == w.n_primed
         assert pres.y_truncation == w.n_primed

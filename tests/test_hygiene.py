@@ -8,6 +8,9 @@ Every top-level function and class of the package is referenced by name, as
 an identifier or an attribute, somewhere outside its own definition.  An
 import or an ``__all__`` string is not a reference, so a wrapper that only
 the re-exports still name shows up here.
+
+No package function takes a ``level`` beside a weight: a weight carries its
+level, and a second one could disagree with it.
 """
 
 from __future__ import annotations
@@ -76,3 +79,18 @@ def test_every_package_definition_is_referenced():
         if not sites[name] - {(path, index)}
     ]
     assert definitions and dead == []
+
+
+_WEIGHT_PARAMS = {"weight", "w", "w1", "w2"}
+
+
+def test_no_function_takes_a_level_beside_a_weight():
+    doubled = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "level" in names and names & _WEIGHT_PARAMS:
+                    doubled.append(f"{path.relative_to(ROOT)}: {node.name}")
+    assert doubled == []

@@ -43,7 +43,7 @@ def test_labels_equal_fraction_roots_on_12_8_box():
             assert w.J == q * w.j
             assert weight_from_j(level, w.j) == w
             # route 2: the presentation's own root formula
-            generators = bimodule_presentation(level, w).generators
+            generators = bimodule_presentation(w).generators
             expected = oracle.presentation_roots(level, w)
             assert tuple(_scaled(g, q) for g in generators) == expected
             # route 3: the projections' alphas, then the per-degree gcds

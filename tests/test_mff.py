@@ -152,7 +152,7 @@ def test_bimodule_oracle_matches_presentation(p, q):
     level = level_from_pq(p, q)
     for w in enumerate_admissible(level):
         oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
-        pres = bimodule_presentation(level, w)
+        pres = bimodule_presentation(w)
         assert oracle.dimension == pres.dimension
         assert oracle.dimension == w.n_primed * (p - w.n_primed) * (q - w.k_primed + 1)
         assert oracle.tail_unit
@@ -185,7 +185,7 @@ def test_bimodule_oracle_multiplies_no_pbw_elements(monkeypatch):
     for w in enumerate_admissible(level):
         assert bimodule_from_mff(level, w.n_primed, w.k_primed).tail_unit
     assert hw_annihilation_polynomial(level)[0] != 0
-    assert three_routes_agree(level, level_oracles(level))
+    assert three_routes_agree(level_oracles(level))
     with pytest.raises(AssertionError, match="pbw_product called"):
         pbw_bimodule_oracle(level, 1, 1)
     with pytest.raises(AssertionError, match="pbw_product called"):

@@ -251,14 +251,13 @@ def test_quotient_bound_encloses_interval_referee(weight, z, lhs, re_tau, im_tau
     with mp.workprec(prec):
         if lhs:
             tau, z = -1 / tau, tau * mp.mpf(z.numerator) / z.denominator
-        level = weight.level
         try:
-            val, _ = numeric._chibar_numeric(level, weight, tau, z, mp.mpf(10) ** -tol_exp, prec)
+            val, _ = numeric._chibar_numeric(weight, tau, z, mp.mpf(10) ** -tol_exp, prec)
         except InputError as exc:
             assert "rounding budget" in str(exc)
             event("rounding budget above tol/4")
             return
-        center, radius = _interval_theta.quotient_enclosure(level, weight, tau, z, prec)
+        center, radius = _interval_theta.quotient_enclosure(weight, tau, z, prec)
     with mp.workprec(prec + 64):
         assert abs(val.value - center) + radius <= val.err
 
@@ -617,7 +616,7 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     # each quotient again without a memo, at the report's precision (a
     # complex z is divided by q at the caller's precision): the same bits
     with mp.workprec(192):
-        unshared = [direct_quotient(*args[:6])[0] for args in quotient_calls]
+        unshared = [direct_quotient(*args[:5])[0] for args in quotient_calls]
     assert unshared == report.chibar + report.lhs
 
     # both S-matrix spellings against the direct phase formula

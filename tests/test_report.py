@@ -14,7 +14,7 @@ from mpmath import mp
 
 from admissible_sl2 import report
 from admissible_sl2.cli import main
-from admissible_sl2.exact import UniPoly
+from admissible_sl2.exact import UniPoly, rat
 from admissible_sl2.numeric import theta_eval_numeric
 from admissible_sl2.qseries import QSeries, ThetaSpec
 from admissible_sl2.report import (
@@ -25,7 +25,6 @@ from admissible_sl2.report import (
     dumps,
     encode,
     parse_qseries,
-    parse_rational,
     parse_weight,
     render_text,
 )
@@ -65,10 +64,11 @@ def test_encode_level_and_weight_round_trip():
 
 
 def test_parse_rational():
-    assert parse_rational("-3/2") == Fraction(-3, 2)
-    assert parse_rational("4") == Fraction(4)
+    # the "a/b" encoding reads back with exact.rat
+    assert rat("-3/2") == Fraction(-3, 2)
+    assert rat("4") == Fraction(4)
     with pytest.raises(ValueError):
-        parse_rational("x/y")
+        rat("x/y")
 
 
 def test_encode_complexval_preserves_precision():
