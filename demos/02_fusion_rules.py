@@ -18,16 +18,17 @@ from admissible_sl2 import (
     classical_su2_fusion,
     enumerate_admissible,
     level_from_pq,
+    vacuum_polynomial,
     weight_from_j,
-    zhu_algebra,
 )
 from admissible_sl2.fusion import fusion
 
 level = level_from_pq(3, 2)
 
-# the vacuum Zhu algebra: C[x] modulo the vacuum polynomial
-algebra = zhu_algebra(level)
-print(f"Zhu algebra: dim = {algebra.dimension}, relation = {algebra.relation}")
+# the vacuum Zhu algebra is C[x] modulo the vacuum polynomial, whose roots
+# are exactly the admissible weights
+relation = vacuum_polynomial(level)
+print(f"Zhu algebra: dim = {relation.degree}, relation = {relation}")
 
 # one fusion product, all three routes at once (`oracle="all"` cross-checks);
 # the weights carry their level

@@ -8,7 +8,7 @@ The package computes, with exact rational arithmetic throughout:
   (:mod:`~admissible_sl2.pbw`) and the three-dimensional projections used to
   extract annihilation polynomials, the C2 quotient, and bimodule dimensions
   (:mod:`~admissible_sl2.mff`);
-- Zhu-algebra and Frenkel-Zhu bimodule presentations with fusion rules along
+- Frenkel-Zhu bimodule presentations with fusion rules along
   three independent routes (:mod:`~admissible_sl2.fusion`);
 - exact theta q-series and characters (:mod:`~admissible_sl2.qseries`,
   :mod:`~admissible_sl2.characters`) with certified numeric evaluation and
@@ -18,7 +18,6 @@ The package computes, with exact rational arithmetic throughout:
 from .characters import (
     CharacterSpec,
     character_qseries,
-    chi_lowest_exponent,
     chibar_lowest_exponent,
     chibar_thetas,
     support_index_minus,
@@ -33,8 +32,6 @@ from .fusion import (
     classical_su2_fusion,
     fusion_degrees,
     surviving_degrees,
-    zhu_algebra,
-    zhu_multiply,
 )
 from .mff import (
     bimodule_from_mff,
@@ -102,7 +99,6 @@ __all__ = [
     "c2_heisenberg_reduction",
     "character_eval_numeric",
     "character_qseries",
-    "chi_lowest_exponent",
     "chibar_lowest_exponent",
     "chibar_thetas",
     "classical_su2_fusion",
@@ -133,6 +129,4 @@ __all__ = [
     "verify_operator_identities",
     "virasoro_data",
     "weight_from_j",
-    "zhu_algebra",
-    "zhu_multiply",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "CharacterSpec",
     "ThetaRatioReport",
     "character_qseries",
-    "chi_lowest_exponent",
     "chibar_lowest_exponent",
     "chibar_thetas",
     "support_index_minus",
@@ -130,14 +129,6 @@ def chibar_lowest_exponent(spec: CharacterSpec) -> Fraction:
     """Predicted lowest exponent of chibar: Delta_j - z j/2 - c_l/24."""
     w = spec.weight
     return conformal_weight(w.level, w.j) - spec.z * w.j / 2 - w.level.c_ell / 24
-
-
-def chi_lowest_exponent(spec: CharacterSpec) -> Fraction:
-    """Predicted lowest exponent of chi: Delta_j - z j/2 - c_{l,z}/24.
-
-    Since c_{l,z}/24 = c_l/24 - l z^2/4, this is chibar's plus the anomaly.
-    """
-    return chibar_lowest_exponent(spec) + spec.anomaly
 
 
 def _theta_quotient(

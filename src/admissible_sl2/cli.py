@@ -41,7 +41,7 @@ from . import report, verify
 from .characters import CharacterSpec, character_qseries, chibar_lowest_exponent
 from .errors import InputError, InvariantError
 from .exact import poly_gcd, rat_str
-from .fusion import FusionRing, bimodule_presentation, fusion, zhu_algebra
+from .fusion import FusionRing, bimodule_presentation, fusion
 from .mff import bimodule_from_mff, hw_annihilation_polynomial
 from .numeric import s_transform_residual
 from .pbw import verify_operator_identities
@@ -50,6 +50,7 @@ from .weights import (
     conformal_weight,
     enumerate_admissible,
     level_from_pq,
+    vacuum_polynomial,
     weight_from_j,
 )
 
@@ -158,20 +159,19 @@ def cmd_weights(args) -> tuple[dict, list[dict]]:
 
 def cmd_zhu(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
-    algebra = zhu_algebra(level)
-    relation = algebra.relation
+    relation = vacuum_polynomial(level)
     squarefree = poly_gcd(relation, relation.derivative()).degree == 0
     const, labels = hw_annihilation_polynomial(level)
     results = {
         "level": level,
-        "dimension": algebra.dimension,
+        "dimension": relation.degree,
         "relation": relation,
         "annihilation_constant": const,
     }
     checks = [
         report.check(
             "dimension",
-            algebra.dimension == level.n_weights,
+            relation.degree == level.n_weights,
             f"(p-1)q = {level.n_weights}",
         ),
         report.check("relation_squarefree", squarefree, ""),
@@ -188,7 +188,7 @@ def cmd_bimodule(args) -> tuple[dict, list[dict]]:
     level = level_from_pq(args.p, args.q)
     w = _weight_from_flags(level, args)
     pres = bimodule_presentation(w)
-    oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
+    oracle = bimodule_from_mff(w)
     results = {
         "level": level,
         "weight": w,
@@ -490,7 +490,7 @@ def main(argv=None) -> int:
     doc = report.document(args.subcommand, parameters, results, checks)
     text = report.dumps(doc) if args.format == "json" else report.render_text(doc)
     sys.stdout.write(text)
-    return 0 if report.all_checks_pass(doc) else 1
+    return 0 if report.all_checks_pass(checks) else 1
 
 
 if __name__ == "__main__":

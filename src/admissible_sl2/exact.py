@@ -211,14 +211,6 @@ class UniPoly:
     def derivative(self) -> UniPoly:
         return UniPoly({d - 1: d * c for d, c in self.coeffs.items() if d >= 1})
 
-    def to_pairs(self) -> list[tuple[int, str]]:
-        """Serialized form: [degree, "a/b"] pairs sorted by degree."""
-        return [(d, rat_str(self.coeffs[d])) for d in sorted(self.coeffs)]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, RatLike]]) -> UniPoly:
-        return cls({int(d): rat(c) for d, c in pairs})
-
     def __repr__(self) -> str:
         return signed_sum(
             (self.coeffs[d], "" if d == 0 else "x" if d == 1 else f"x^{d}")

@@ -1,4 +1,4 @@
-"""Zhu algebra, Frenkel-Zhu bimodules and fusion rules at an admissible level.
+"""Frenkel-Zhu bimodules and fusion rules at an admissible level.
 
 Fusion keeps the output j1 + j2 - 2i, multiplicity 1, for each surviving
 degree i.  Three independent routes decide which degrees survive:
@@ -24,36 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .exact import UniPoly, rat, rat_str
+from .exact import rat, rat_str
 from .mff import bimodule_from_mff
-from .weights import (
-    AdmissibleWeight,
-    Level,
-    enumerate_admissible,
-    vacuum_polynomial,
-    weight_from_label,
-)
-
-
-@dataclass(frozen=True)
-class ZhuAlgebra:
-    """The commutative quotient C[x] / (vacuum polynomial)."""
-
-    level: Level
-    relation: UniPoly
-
-    @property
-    def dimension(self) -> int:
-        return self.relation.degree
-
-
-def zhu_algebra(level: Level) -> ZhuAlgebra:
-    return ZhuAlgebra(level=level, relation=vacuum_polynomial(level))
-
-
-def zhu_multiply(algebra: ZhuAlgebra, g1: UniPoly, g2: UniPoly) -> UniPoly:
-    """Product in the Zhu algebra: polynomial product reduced mod the relation."""
-    return (g1 * g2) % algebra.relation
+from .weights import AdmissibleWeight, Level, enumerate_admissible, weight_from_label
 
 
 @dataclass(frozen=True)
@@ -149,9 +122,7 @@ def fusion(w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: str = "closed") -
     routes = {
         "closed": lambda: closed,
         "bimodule": lambda: surviving_degrees(w2.J, bimodule_presentation(w1).generators),
-        "mff": lambda: surviving_degrees(
-            w2.J, bimodule_from_mff(w1.level, w1.n_primed, w1.k_primed).gcds
-        ),
+        "mff": lambda: surviving_degrees(w2.J, bimodule_from_mff(w1).gcds),
     }
     agree = None
     if oracle == "all":

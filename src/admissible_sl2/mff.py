@@ -32,63 +32,49 @@ from fractions import Fraction
 
 from .errors import InputError
 from .pbw import HEIS, L0, PBWElement, quadratic_factor
-from .weights import Level
+from .weights import AdmissibleWeight, Level
 
 _TARGETS = {"P": L0, "P2": HEIS}
 
 
-def _check_primed(level: Level, n_primed: int, k_primed: int) -> None:
-    if not 1 <= n_primed <= level.p - 1:
-        raise InputError(f"n'={n_primed} outside 1..{level.p - 1}")
-    if not 1 <= k_primed <= level.q:
-        raise InputError(f"k'={k_primed} outside 1..{level.q}")
-
-
-def _family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> list[int]:
+def _family_alphas(weight: AdmissibleWeight, family: str) -> list[int]:
     """Labels q*a of the indices a of the quadratic factors X_a in the projection of F1 or F2."""
-    p, q = level.p, level.q
+    p, q = weight.level.p, weight.level.q
+    np_, kp = weight.n_primed, weight.k_primed
     if family == "F1":
-        return [q * r + s * p for r in range(n_primed) for s in range(1, k_primed)]
+        return [q * r + s * p for r in range(np_) for s in range(1, kp)]
     return [
         -q * r - s * p
-        for r in range(1, p - n_primed + 1)
-        for s in range(1, q - k_primed + 1)
+        for r in range(1, p - np_ + 1)
+        for s in range(1, q - kp + 1)
     ]
 
 
-def _projection_factors(
-    level: Level, family: str, n_primed: int, k_primed: int, target: str
-) -> list[PBWElement]:
+def _projection_factors(weight: AdmissibleWeight, family: str, target: str) -> list[PBWElement]:
     """A projection's factors, left to right: its X_a, then its tail one generator at a time."""
     if target not in _TARGETS:
         raise InputError(f"unknown target {target!r}")
     if family not in ("F1", "F2"):
         raise InputError(f"unknown family {family!r}")
-    _check_primed(level, n_primed, k_primed)
     alg = _TARGETS[target]
     if family == "F1":
-        tail = [PBWElement.generator(alg, alg.lowering)] * n_primed
+        tail = [PBWElement.generator(alg, alg.lowering)] * weight.n_primed
     else:
-        tail = [PBWElement.generator(alg, alg.raising)] * (level.p - n_primed)
-    alphas = _family_alphas(level, family, n_primed, k_primed)
-    return [quadratic_factor(alg, Fraction(a, level.q)) for a in alphas] + tail
+        tail = [PBWElement.generator(alg, alg.raising)] * (weight.level.p - weight.n_primed)
+    alphas = _family_alphas(weight, family)
+    return [quadratic_factor(alg, Fraction(a, weight.level.q)) for a in alphas] + tail
 
 
-def fuchs_projection(
-    level: Level,
-    family: str,
-    n_primed: int,
-    k_primed: int,
-    target: str,
-) -> PBWElement:
-    """Projection of a singular-vector family to one of the two algebras.
+def fuchs_projection(weight: AdmissibleWeight, family: str, target: str) -> PBWElement:
+    """Projection of a singular-vector family of L(ell, j) to one of the two algebras.
 
-    Family F1 gives (prod_{r=0}^{n'-1} prod_{s=1}^{k'-1} X_{r+st}) lower^{n'},
-    family F2 gives (prod_{r=1}^{p-n'} prod_{s=1}^{q-k'} X_{-r-st}) raise^{p-n'},
+    With n' = n + 1 and k' = k + 1 read off the weight, family F1 gives
+    (prod_{r=0}^{n'-1} prod_{s=1}^{k'-1} X_{r+st}) lower^{n'} and family F2
+    gives (prod_{r=1}^{p-n'} prod_{s=1}^{q-k'} X_{-r-st}) raise^{p-n'},
     where X and the generators are those of the target's algebra: P uses G
     in U(L0), P2 uses Hbar in the Heisenberg algebra.
     """
-    return math.prod(_projection_factors(level, family, n_primed, k_primed, target))
+    return math.prod(_projection_factors(weight, family, target))
 
 
 def hw_annihilation_polynomial(level: Level) -> tuple[Fraction, tuple[int, ...]]:
@@ -136,16 +122,17 @@ class BimoduleOracle:
         return sum(self.dims)
 
 
-def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOracle:
-    """Recover bimodule dimensions from the projections alone.
+def bimodule_from_mff(weight: AdmissibleWeight) -> BimoduleOracle:
+    """Recover the bimodule dimensions of L(ell, j) from its projections alone.
 
-    Reduce T_-^d P(F1) and T_-^d P(F2) mod T_+ U(L0) for d = 0..d_max, with
-    d_max = p + n' + 2 and m = p - n'.  The shift T_-^d G_a = G_{a+d} T_-^d and
-    T_-^d T_+^m = G_{d-1} ... G_{d-m} T_-^{d-m} (zero in the quotient for d < m)
-    leave a product of G's, which lie in the weight-zero subalgebra, times one
-    power of T_-.  On that subalgebra the reduction is the Harish-Chandra
-    projection, a ring homomorphism sending G_a to (a+1)(a - T0), so each
-    T0-coefficient is a nonzero constant times prod (T0 - root):
+    With n' = n + 1 read off the weight, reduce T_-^d P(F1) and T_-^d P(F2)
+    mod T_+ U(L0) for d = 0..d_max, with d_max = p + n' + 2 and m = p - n'.
+    The shift T_-^d G_a = G_{a+d} T_-^d and T_-^d T_+^m = G_{d-1} ... G_{d-m}
+    T_-^{d-m} (zero in the quotient for d < m) leave a product of G's, which
+    lie in the weight-zero subalgebra, times one power of T_-.  On that
+    subalgebra the reduction is the Harish-Chandra projection, a ring
+    homomorphism sending G_a to (a+1)(a - T0), so each T0-coefficient is a
+    nonzero constant times prod (T0 - root):
 
       F1: T_- degree d + n', roots alphas(F1) + d;
       F2: T_- degree d - m for d >= m, roots alphas(F2) + d and d-m, ..., d-1.
@@ -155,11 +142,11 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
     is the degree-i part of the quotient; degrees n'..d_max - m, reached by
     both families, must have unit gcd.
     """
-    _check_primed(level, n_primed, k_primed)
+    level, n_primed = weight.level, weight.n_primed
     d_max = level.p + n_primed + 2
     m, q = level.p - n_primed, level.q
-    f1 = _family_alphas(level, "F1", n_primed, k_primed)
-    f2 = _family_alphas(level, "F2", n_primed, k_primed)
+    f1 = _family_alphas(weight, "F1")
+    f2 = _family_alphas(weight, "F2")
     # No label is -q, so no constant a + 1 vanishes: the F1 and G labels are >= 0,
     # and an F2 label q(d - r) - sp is never a multiple of q since 0 < s < q and
     # gcd(p, q) = 1.  F2 reaches every degree i < n' at d = m + i <= p - 1.
@@ -177,7 +164,7 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
     return BimoduleOracle(
         level=level,
         n_primed=n_primed,
-        k_primed=k_primed,
+        k_primed=weight.k_primed,
         d_max=d_max,
         gcds=gcds,
         dims=[len(g) for g in gcds],
@@ -200,7 +187,7 @@ def c2_heisenberg_reduction(level: Level) -> tuple[Fraction, int]:
     (c, e).  The caller judges e against (p-1) q.
     """
     y = PBWElement.generator(HEIS, HEIS.lowering) ** (level.p - 1)
-    for factor in _projection_factors(level, "F2", 1, 1, "P2"):
+    for factor in _projection_factors(AdmissibleWeight(level, 0, 0), "F2", "P2"):
         y = PBWElement(HEIS, {m: c for m, c in (y * factor).terms.items() if m[0] == 0})
     remainder = PBWElement(HEIS, {m: c for m, c in y.terms.items() if m[2] == 0})
     mono, coeff = remainder.single_monomial()

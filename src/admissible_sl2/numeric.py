@@ -109,15 +109,15 @@ def _q_power(e: Fraction, tau) -> mpmath.mpc:
 
 def _positive_tol(tol) -> mpmath.mpf:
     tol = mp.mpf(tol)
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if not tol > 0:  # NaN fails every comparison
+        raise InputError(f"tolerance must be positive, got {tol}")
     return tol
 
 
 def _upper_half_plane(tau, what: str) -> mpmath.mpc:
     """``tau`` at the working precision; ``what`` requires Im(tau) > 0."""
     tau_v = _as_mpc(tau)
-    if tau_v.imag <= 0:
+    if not tau_v.imag > 0:
         raise InputError(f"{what} requires Im(tau) > 0, got Im(tau) = {tau_v.imag}")
     return tau_v
 

@@ -145,8 +145,8 @@ def document(
     }
 
 
-def all_checks_pass(doc: Mapping[str, Any]) -> bool:
-    return all(c["status"] == "pass" for c in doc["checks"])
+def all_checks_pass(checks: list[dict]) -> bool:
+    return all(c["status"] == "pass" for c in checks)
 
 
 def dumps(doc: Mapping[str, Any]) -> str:

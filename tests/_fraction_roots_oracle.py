@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 
 from admissible_sl2.exact import RatLike, rat
-from admissible_sl2.mff import BimoduleOracle, _check_primed
+from admissible_sl2.mff import BimoduleOracle
 from admissible_sl2.weights import AdmissibleWeight, Level
 
 
@@ -38,9 +38,10 @@ def presentation_roots(level: Level, weight: AdmissibleWeight) -> tuple[tuple[Fr
     )
 
 
-def family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> list[Fraction]:
+def family_alphas(weight: AdmissibleWeight, family: str) -> list[Fraction]:
     """Indices a of the quadratic factors X_a in the projection of family F1 or F2."""
-    p, q, t = level.p, level.q, level.t
+    p, q, t = weight.level.p, weight.level.q, weight.level.t
+    n_primed, k_primed = weight.n_primed, weight.k_primed
     if family == "F1":
         return [Fraction(r) + s * t for r in range(n_primed) for s in range(1, k_primed)]
     return [
@@ -50,13 +51,13 @@ def family_alphas(level: Level, family: str, n_primed: int, k_primed: int) -> li
     ]
 
 
-def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOracle:
+def bimodule_from_mff(weight: AdmissibleWeight) -> BimoduleOracle:
     """Route 3: the per-degree gcds as sorted ``Fraction`` root multisets."""
-    _check_primed(level, n_primed, k_primed)
+    level, n_primed = weight.level, weight.n_primed
     d_max = level.p + n_primed + 2
     m = level.p - n_primed
-    f1 = family_alphas(level, "F1", n_primed, k_primed)
-    f2 = family_alphas(level, "F2", n_primed, k_primed)
+    f1 = family_alphas(weight, "F1")
+    f2 = family_alphas(weight, "F2")
     landings = [(d + n_primed, [a + d for a in f1]) for d in range(d_max + 1)]
     landings += [
         (d - m, [a + d for a in f2] + list(range(d - m, d))) for d in range(m, d_max + 1)
@@ -70,7 +71,7 @@ def bimodule_from_mff(level: Level, n_primed: int, k_primed: int) -> BimoduleOra
     return BimoduleOracle(
         level=level,
         n_primed=n_primed,
-        k_primed=k_primed,
+        k_primed=weight.k_primed,
         d_max=d_max,
         gcds=gcds,
         dims=[len(g) for g in gcds],

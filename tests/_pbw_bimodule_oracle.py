@@ -19,26 +19,22 @@ from __future__ import annotations
 
 from functools import reduce
 
-from admissible_sl2.errors import InputError, InvariantError
+from admissible_sl2.errors import InvariantError
 from admissible_sl2.exact import UniPoly, poly_gcd
 from admissible_sl2.mff import BimoduleOracle, fuchs_projection
 from admissible_sl2.pbw import L0, PBWElement
-from admissible_sl2.weights import Level
+from admissible_sl2.weights import AdmissibleWeight
 
 
-def pbw_bimodule_oracle(level: Level, n_primed: int, k_primed: int) -> BimoduleOracle:
+def pbw_bimodule_oracle(weight: AdmissibleWeight) -> BimoduleOracle:
     """Per-degree gcds of the T_+ U(L0) reduction of T_-^d P(F1) and T_-^d P(F2)."""
-    p, q = level.p, level.q
-    if not 1 <= n_primed <= p - 1:
-        raise InputError(f"n'={n_primed} outside 1..{p - 1}")
-    if not 1 <= k_primed <= q:
-        raise InputError(f"k'={k_primed} outside 1..{q}")
+    p, n_primed = weight.level.p, weight.n_primed
     d_max = p + n_primed + 2
 
     tminus = PBWElement.generator(L0, L0.lowering)
     per_degree: dict[int, list[UniPoly]] = {}
     for family in ("F1", "F2"):
-        cur = fuchs_projection(level, family, n_primed, k_primed, "P")
+        cur = fuchs_projection(weight, family, "P")
         for d in range(d_max + 1):
             if d > 0:
                 cur = tminus * cur
@@ -72,9 +68,9 @@ def pbw_bimodule_oracle(level: Level, n_primed: int, k_primed: int) -> BimoduleO
     )
     gcds = [gcds_all[i] for i in range(n_primed)]
     return BimoduleOracle(
-        level=level,
+        level=weight.level,
         n_primed=n_primed,
-        k_primed=k_primed,
+        k_primed=weight.k_primed,
         d_max=d_max,
         gcds=gcds,
         dims=[g.degree for g in gcds],

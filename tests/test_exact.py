@@ -132,13 +132,6 @@ def test_poly_from_linear_factors():
     assert p(Fraction(5)) != 0
 
 
-def test_unipoly_pairs_round_trip():
-    p = UniPoly({0: "-1/2", 3: 2})
-    pairs = p.to_pairs()
-    assert pairs == [(0, "-1/2"), (3, "2")]
-    assert UniPoly.from_pairs(pairs) == p
-
-
 def test_signed_sum_renderings():
     # the demos print these strings; PBWElement renders through the same helper
     assert repr(UniPoly()) == "0"

@@ -1,10 +1,9 @@
-"""Fusion rules along three routes, ring axioms, Zhu algebra."""
+"""Fusion rules along three routes, ring axioms, bimodule presentations."""
 
 from __future__ import annotations
 
 import math
 import os
-import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,8 +25,6 @@ from admissible_sl2.fusion import (
     fusion_degrees,
     fusion_outputs,
     surviving_degrees,
-    zhu_algebra,
-    zhu_multiply,
 )
 from admissible_sl2.mff import bimodule_from_mff
 from admissible_sl2.verify import _classical_limit, level_oracles, three_routes_agree
@@ -83,7 +80,7 @@ def test_three_routes_agree(p, q):
     weights = enumerate_admissible(level)
     for w1 in weights:
         generators = bimodule_presentation(w1).generators
-        oracle = bimodule_from_mff(level, w1.n_primed, w1.k_primed)
+        oracle = bimodule_from_mff(w1)
         for w2 in weights:
             closed = fusion_degrees(w1, w2)
             via_bim = surviving_degrees(w2.J, generators)
@@ -382,29 +379,6 @@ def test_fusion_table_loads_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stderr == "False\n"
-
-
-@pytest.mark.parametrize("p,q", SWEEP)
-def test_zhu_algebra_structure(p, q):
-    level = level_from_pq(p, q)
-    algebra = zhu_algebra(level)
-    assert algebra.dimension == (p - 1) * q
-    assert algebra.relation == vacuum_polynomial(level)
-    rng = random.Random(4242 + p * 10 + q)
-
-    def rand_poly():
-        return UniPoly(
-            {d: Fraction(rng.randint(-5, 5)) for d in range(algebra.dimension)}
-        )
-
-    one = UniPoly.constant(1)
-    for _ in range(5):
-        g1, g2, g3 = rand_poly(), rand_poly(), rand_poly()
-        assert zhu_multiply(algebra, one, g1) == g1 % algebra.relation
-        assert zhu_multiply(algebra, g1, g2) == zhu_multiply(algebra, g2, g1)
-        assert zhu_multiply(algebra, zhu_multiply(algebra, g1, g2), g3) == zhu_multiply(
-            algebra, g1, zhu_multiply(algebra, g2, g3)
-        )
 
 
 def test_bimodule_presentation_dimensions():

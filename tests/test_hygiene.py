@@ -9,8 +9,9 @@ an identifier or an attribute, somewhere outside its own definition.  An
 import or an ``__all__`` string is not a reference, so a wrapper that only
 the re-exports still name shows up here.
 
-No package function takes a ``level`` beside a weight: a weight carries its
-level, and a second one could disagree with it.
+No package function takes a ``level`` beside a weight, whether the weight is
+an ``AdmissibleWeight`` or its primed ints ``n_primed``/``k_primed``: a weight
+carries its level and its box check, and a second level could disagree with it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def test_every_package_definition_is_referenced():
     assert definitions and dead == []
 
 
-_WEIGHT_PARAMS = {"weight", "w", "w1", "w2"}
+_WEIGHT_PARAMS = {"weight", "w", "w1", "w2", "n_primed", "k_primed"}
 
 
 def test_no_function_takes_a_level_beside_a_weight():

@@ -47,11 +47,10 @@ def test_labels_equal_fraction_roots_on_12_8_box():
             expected = oracle.presentation_roots(level, w)
             assert tuple(_scaled(g, q) for g in generators) == expected
             # route 3: the projections' alphas, then the per-degree gcds
-            np_, kp = w.n_primed, w.k_primed
             for family in ("F1", "F2"):
-                alphas = _family_alphas(level, family, np_, kp)
-                assert list(_scaled(alphas, q)) == oracle.family_alphas(level, family, np_, kp)
-            got, ref = bimodule_from_mff(level, np_, kp), oracle.bimodule_from_mff(level, np_, kp)
+                alphas = _family_alphas(w, family)
+                assert list(_scaled(alphas, q)) == oracle.family_alphas(w, family)
+            got, ref = bimodule_from_mff(w), oracle.bimodule_from_mff(w)
             assert [_scaled(g, q) for g in got.gcds] == ref.gcds
             assert (got.d_max, got.dims, got.tail_window, got.tail_unit) == (
                 ref.d_max,

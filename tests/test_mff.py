@@ -32,7 +32,12 @@ from admissible_sl2.mff import (
 )
 from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.verify import annihilation_proportional, level_oracles, three_routes_agree
-from admissible_sl2.weights import enumerate_admissible, level_from_pq, vacuum_polynomial
+from admissible_sl2.weights import (
+    AdmissibleWeight,
+    enumerate_admissible,
+    level_from_pq,
+    vacuum_polynomial,
+)
 from _pbw_annihilation_oracle import pbw_annihilation_polynomial
 from _pbw_bimodule_oracle import pbw_bimodule_oracle
 
@@ -127,7 +132,7 @@ def test_c2_exponent_and_constant(p, q):
 def _c2_full_product(level) -> tuple[Fraction, int]:
     """The C2 remainder read off the whole product fb^{p-1} P2(F2(1,1))."""
     fb = PBWElement.generator(HEIS, HEIS.lowering)
-    y = (fb ** (level.p - 1)) * fuchs_projection(level, "F2", 1, 1, "P2")
+    y = (fb ** (level.p - 1)) * fuchs_projection(AdmissibleWeight(level, 0, 0), "F2", "P2")
     remainder = PBWElement(HEIS, {m: c for m, c in y.terms.items() if m[0] == 0 and m[2] == 0})
     mono, coeff = remainder.single_monomial()
     return coeff, mono[1]
@@ -151,7 +156,7 @@ def test_c2_reductions_stay_in_the_eb_free_part(monkeypatch):
 def test_bimodule_oracle_matches_presentation(p, q):
     level = level_from_pq(p, q)
     for w in enumerate_admissible(level):
-        oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
+        oracle = bimodule_from_mff(w)
         pres = bimodule_presentation(w)
         assert oracle.dimension == pres.dimension
         assert oracle.dimension == w.n_primed * (p - w.n_primed) * (q - w.k_primed + 1)
@@ -165,8 +170,8 @@ def test_bimodule_oracle_matches_presentation(p, q):
 def test_bimodule_oracle_matches_pbw_reduction(p, q):
     level = level_from_pq(p, q)
     for w in enumerate_admissible(level):
-        oracle = bimodule_from_mff(level, w.n_primed, w.k_primed)
-        reference = pbw_bimodule_oracle(level, w.n_primed, w.k_primed)
+        oracle = bimodule_from_mff(w)
+        reference = pbw_bimodule_oracle(w)
         assert [
             poly_from_linear_factors(Fraction(r, q) for r in g) for g in oracle.gcds
         ] == reference.gcds
@@ -183,11 +188,11 @@ def test_bimodule_oracle_multiplies_no_pbw_elements(monkeypatch):
     monkeypatch.setattr(admissible_sl2.pbw, "pbw_product", refuse)
     level = level_from_pq(5, 3)
     for w in enumerate_admissible(level):
-        assert bimodule_from_mff(level, w.n_primed, w.k_primed).tail_unit
+        assert bimodule_from_mff(w).tail_unit
     assert hw_annihilation_polynomial(level)[0] != 0
     assert three_routes_agree(level_oracles(level))
     with pytest.raises(AssertionError, match="pbw_product called"):
-        pbw_bimodule_oracle(level, 1, 1)
+        pbw_bimodule_oracle(AdmissibleWeight(level, 0, 0))
     with pytest.raises(AssertionError, match="pbw_product called"):
         pbw_annihilation_polynomial(level)
 
@@ -196,7 +201,7 @@ def test_bimodule_vacuum_is_zhu_relation_sized():
     # the vacuum weight's bimodule is the Zhu algebra itself: dim (p-1) q
     for p, q in SWEEP:
         level = level_from_pq(p, q)
-        oracle = bimodule_from_mff(level, 1, 1)
+        oracle = bimodule_from_mff(AdmissibleWeight(level, 0, 0))
         assert oracle.dimension == (p - 1) * q
 
 
@@ -204,6 +209,6 @@ def test_fuchs_projection_weight_zero_structure():
     # the two projection families used by the reduction exist and live in the
     # expected algebras; smoke the vacuum case used everywhere downstream
     level = level_from_pq(3, 2)
-    pf2 = fuchs_projection(level, "F2", 1, 1, "P2")
+    pf2 = fuchs_projection(AdmissibleWeight(level, 0, 0), "F2", "P2")
     assert pf2.algebra.name == "heis"
     assert not pf2.is_zero()

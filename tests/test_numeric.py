@@ -501,6 +501,29 @@ def test_real_tau_is_rejected_up_front(tau):
         s_transform_residual(level, Fraction(1, 2), tau)
 
 
+@pytest.mark.parametrize("bad", ["tol", "im_tau"])
+def test_nan_input_is_refused_at_once(bad):
+    # NaN fails every comparison, so a guard written as `tol <= 0` or
+    # `Im(tau) <= 0` lets it through to the term cap or to an int conversion
+    level = level_from_pq(3, 2)
+    spec = CharacterSpec(AdmissibleWeight(level, 1, 0), Fraction(1, 2))
+    nan = mp.mpf("nan")
+    tol, tau = (nan, mp.mpc(0, 1)) if bad == "tol" else (mp.mpf("1e-10"), mp.mpc(0, nan))
+    series = character_qseries(spec, Fraction(10))
+    evaluators = {
+        "theta": lambda: theta_eval_numeric(ThetaSpec(1, 2, Fraction(1, 2)), tau, tol=tol),
+        "character": lambda: character_eval_numeric(spec, tau, tol=tol),
+        "stransform": lambda: s_transform_residual(level, Fraction(1, 2), tau, tol=tol),
+    }
+    if bad == "im_tau":  # the series walk takes no tolerance
+        evaluators["series"] = lambda: qseries_eval_numeric(series, tau)
+    for name, evaluate in evaluators.items():
+        start = time.process_time()
+        with pytest.raises(InputError, match="nan"):
+            evaluate()
+        assert time.process_time() - start < 0.5, name
+
+
 def test_s_transform_trivial_theory():
     # one weight; S = (1), factor = 1 at ell = 0 ... ell = -1/2 here, so the
     # factor is a genuine phase yet the single residual still vanishes

@@ -110,10 +110,8 @@ def test_document_and_checks():
     )
     assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["command"] == {"subcommand": "weights", "parameters": {"p": 3, "q": 2}}
-    assert not all_checks_pass(doc)
-    assert all_checks_pass(
-        document("weights", {}, {}, [check("a", True)])
-    )
+    assert not all_checks_pass(doc["checks"])
+    assert all_checks_pass(document("weights", {}, {}, [check("a", True)])["checks"])
 
 
 def test_dumps_is_valid_deterministic_json():

@@ -87,9 +87,9 @@ def test_each_suite_builds_each_oracle_once(monkeypatch, suite, builds):
     calls = Counter()
     real = verify.bimodule_from_mff
 
-    def counting(level, n_primed, k_primed, *rest):
-        calls[(level.p, level.q, n_primed, k_primed)] += 1
-        return real(level, n_primed, k_primed, *rest)
+    def counting(weight):
+        calls[(weight.level.p, weight.level.q, weight.n_primed, weight.k_primed)] += 1
+        return real(weight)
 
     monkeypatch.setattr(verify, "bimodule_from_mff", counting)
     run_suites(suite, 4, 3)
@@ -105,10 +105,10 @@ def test_each_suite_builds_each_oracle_once(monkeypatch, suite, builds):
 def test_failed_oracle_build_fails_both_suites_alike(monkeypatch):
     real = verify.bimodule_from_mff
 
-    def failing(level, n_primed, k_primed, *rest):
-        if (level.p, level.q) == (3, 2):
+    def failing(weight):
+        if (weight.level.p, weight.level.q) == (3, 2):
             raise InvariantError("stubbed")
-        return real(level, n_primed, k_primed, *rest)
+        return real(weight)
 
     monkeypatch.setattr(verify, "bimodule_from_mff", failing)
     results, checks = run_suites("all", 3, 2)
