@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -379,6 +380,32 @@ def test_fusion_table_loads_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stderr == "False\n"
+
+
+@pytest.mark.parametrize("p,q", SWEEP)
+def test_zhu_algebra_structure(p, q):
+    # Zhu's algebra of L(k,0) is C[x] modulo the vacuum polynomial: its degree
+    # is the number of admissible weights, each weight is a root, and the
+    # quotient product is unital, commutative and associative.
+    level = level_from_pq(p, q)
+    relation = vacuum_polynomial(level)
+    weights = enumerate_admissible(level)
+    assert relation.degree == (p - 1) * q == len(weights)
+    assert all(relation(w.j) == 0 for w in weights)
+    rng = random.Random(4242 + p * 10 + q)
+
+    def rand_poly():
+        return UniPoly({d: Fraction(rng.randint(-5, 5)) for d in range(relation.degree)})
+
+    def mul(a, b):
+        return (a * b) % relation
+
+    one = UniPoly.constant(1)
+    for _ in range(5):
+        g1, g2, g3 = rand_poly(), rand_poly(), rand_poly()
+        assert mul(one, g1) == g1 % relation
+        assert mul(g1, g2) == mul(g2, g1)
+        assert mul(mul(g1, g2), g3) == mul(g1, mul(g2, g3))
 
 
 def test_bimodule_presentation_dimensions():
