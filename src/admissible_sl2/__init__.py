@@ -20,8 +20,6 @@ from .characters import (
     character_qseries,
     chibar_lowest_exponent,
     chibar_thetas,
-    support_index_minus,
-    support_index_plus,
     theta_ratio_identity_check,
 )
 from .errors import AdmissibleError, InputError, InvariantError
@@ -119,8 +117,6 @@ __all__ = [
     "rat_str",
     "s_transform_residual",
     "sigma_antihom",
-    "support_index_minus",
-    "support_index_plus",
     "surviving_degrees",
     "theta_eval_numeric",
     "theta_qseries",

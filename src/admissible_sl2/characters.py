@@ -1,7 +1,9 @@
 """Characters of admissible-level modules as exact theta-quotient q-series.
 
-For an admissible weight j = n - k t at level l = -2 + p/q, with a = p q and
-integer indices b± = q(±(n+1) - k t), the normalized character is the ratio
+For an admissible weight j = n - k t at level l = -2 + p/q, with a = p q
+(:attr:`~admissible_sl2.weights.Level.a`) and the weight's integer indices
+b± = ±q(n+1) + k p (``AdmissibleWeight.b_plus``, ``b_minus``), the
+normalized character is the ratio
 
     chibar_j = [theta_{b+,a}(tau, z/q) - theta_{b-,a}(tau, z/q)]
              / [theta_{1,2}(tau, z) - theta_{-1,2}(tau, z)],
@@ -38,32 +40,15 @@ __all__ = [
     "character_qseries",
     "chibar_lowest_exponent",
     "chibar_thetas",
-    "support_index_minus",
-    "support_index_plus",
     "theta_ratio_identity_check",
 ]
 
 ThetaPair = tuple[ThetaSpec, ThetaSpec]
 
 
-def support_index_plus(weight) -> int:
-    """Theta index b+ of the weight j = n - k t: q(n+1) + k p."""
-    return weight.level.q * (weight.n + 1) + weight.k * weight.level.p
-
-
-def support_index_minus(weight) -> int:
-    """Theta index b- of the weight j = n - k t: -q(n+1) + k p."""
-    return -weight.level.q * (weight.n + 1) + weight.k * weight.level.p
-
-
 @dataclass(frozen=True)
 class CharacterSpec:
-    """An admissible weight together with the rational flavour parameter z.
-
-    Derived quantities: a = p q; the theta support indices b± = ±q(n+1) + k p
-    (see support_index_plus/support_index_minus); z = v/u in lowest terms
-    with 0 < z < 1.
-    """
+    """An admissible weight together with the rational flavour parameter z, 0 < z < 1."""
 
     weight: AdmissibleWeight
     z: Fraction
@@ -74,33 +59,9 @@ class CharacterSpec:
             raise InputError(f"z must satisfy 0 < z < 1, got {self.z}")
 
     @property
-    def level(self):
-        return self.weight.level
-
-    @property
-    def a(self) -> int:
-        return self.level.p * self.level.q
-
-    @property
-    def b_plus(self) -> int:
-        return support_index_plus(self.weight)
-
-    @property
-    def b_minus(self) -> int:
-        return support_index_minus(self.weight)
-
-    @property
-    def u(self) -> int:
-        return self.z.denominator
-
-    @property
-    def v(self) -> int:
-        return self.z.numerator
-
-    @property
     def anomaly(self) -> Fraction:
         """The modular anomaly l z^2 / 4: chi = q^anomaly * chibar."""
-        return self.level.anomaly(self.z)
+        return self.weight.level.anomaly(self.z)
 
     def shift(self, kind: str) -> Fraction:
         """Exponent shift of ``kind`` over chibar: the anomaly for chi, 0 for chibar."""
@@ -115,12 +76,9 @@ def chibar_thetas(weight, z) -> tuple[ThetaPair, ThetaPair]:
     Numerator (theta_{b+,a}, theta_{b-,a}) at z/q, denominator
     (theta_{1,2}, theta_{-1,2}) at z; ``z`` may be complex.
     """
-    a, zq = weight.level.p * weight.level.q, z / weight.level.q
+    a, zq = weight.level.a, z / weight.level.q
     return (
-        (
-            ThetaSpec(support_index_plus(weight), a, zq),
-            ThetaSpec(support_index_minus(weight), a, zq),
-        ),
+        (ThetaSpec(weight.b_plus, a, zq), ThetaSpec(weight.b_minus, a, zq)),
         (ThetaSpec(1, 2, z), ThetaSpec(-1, 2, z)),
     )
 
@@ -178,8 +136,6 @@ def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:
 class ThetaRatioReport:
     """Outcome of comparing chi against its one-variable Theta-ratio form."""
 
-    spec: CharacterSpec
-    order: Fraction
     agree: bool
     first_mismatch: Fraction | None
     prefactor_zero: bool
@@ -200,14 +156,14 @@ def theta_ratio_identity_check(spec: CharacterSpec, order) -> ThetaRatioReport:
     rewriting relies on.
     """
     order = rat(order)
-    lvl = spec.level
+    w, lvl = spec.weight, spec.weight.level
     lhs = character_qseries(spec, order, kind="chi")
 
-    a, u, v, q = spec.a, spec.u, spec.v, lvl.q
+    a, u, v, q = lvl.a, spec.z.denominator, spec.z.numerator, lvl.q
     rhs = _theta_quotient(
         (
-            ThetaSpec(q * u * spec.b_plus + a * v, a * q * u),
-            ThetaSpec(q * u * spec.b_minus + a * v, a * q * u),
+            ThetaSpec(q * u * w.b_plus + a * v, a * q * u),
+            ThetaSpec(q * u * w.b_minus + a * v, a * q * u),
         ),
         (ThetaSpec(u + 2 * v, 2 * u), ThetaSpec(-u + 2 * v, 2 * u)),
         order,
@@ -224,4 +180,4 @@ def theta_ratio_identity_check(spec: CharacterSpec, order) -> ThetaRatioReport:
             mismatch = exp
             break
     agree = mismatch is None and prefactor_zero
-    return ThetaRatioReport(spec, order, agree, mismatch, prefactor_zero, lhs, rhs)
+    return ThetaRatioReport(agree, mismatch, prefactor_zero, lhs, rhs)

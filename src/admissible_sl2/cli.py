@@ -211,7 +211,7 @@ def cmd_fusion(args) -> tuple[dict, list[dict]]:
         "level": level,
         "j1": w1,
         "j2": w2,
-        "oracle": record.oracle,
+        "oracle": args.oracle,
         "gate_passed": record.gate_passed,
         "outputs": {w.j: m for w, m in record.outputs},
         "outputs_detail": [
@@ -273,7 +273,7 @@ def cmd_mff_verify(args) -> tuple[dict, list[dict]]:
         row["total"] += 1
         row["passed"] += 1 if c.passed else 0
     results = {
-        "m_max": rep.m_max,
+        "m_max": args.mmax,
         "n_samples": rep.n_samples,
         "identities_total": len(rep.checks),
         "by_identity": by_name,
@@ -283,7 +283,7 @@ def cmd_mff_verify(args) -> tuple[dict, list[dict]]:
         report.check(
             "operator_identities",
             rep.all_pass,
-            f"{len(rep.checks)} exact identities at m_max={rep.m_max}",
+            f"{len(rep.checks)} exact identities at m_max={args.mmax}",
         )
     ]
     return results, checks
@@ -306,9 +306,9 @@ def cmd_character(args) -> tuple[dict, list[dict]]:
         "weight": w,
         "z": z,
         "kind": args.kind,
-        "a": spec.a,
-        "b_plus": spec.b_plus,
-        "b_minus": spec.b_minus,
+        "a": level.a,
+        "b_plus": w.b_plus,
+        "b_minus": w.b_minus,
         "predicted_lowest_exponent": predicted,
         "series": series,
     }

@@ -16,7 +16,8 @@ the presentation's own formula and route 3 from the projections.  The routes
 must give the same degrees, and :func:`fusion_outputs` is the one resolver
 of degrees to weights, or to basis indices, by the output's label J1 + J2 - 2qi.
 The outputs form a commutative, associative unital ring on the admissible
-weights, which :class:`FusionRing` builds from labels and holds as sparse dicts.
+weights, which :class:`FusionRing` builds from labels and holds as sparse dicts;
+it is su(2)_{p-2} ⊗ Z[x]/(x^q), and its associativity is judged on the factors.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def fusion_outputs(
 class FusionRecord:
     gate_passed: bool
     outputs: list[tuple[AdmissibleWeight, int]]
-    oracle: str
     oracles_agree: bool | None = None
 
 
@@ -134,7 +134,7 @@ def fusion(w1: AdmissibleWeight, w2: AdmissibleWeight, oracle: str = "closed") -
     else:
         raise InputError(f"unknown oracle {oracle!r}")
     outputs = fusion_outputs(w1, w2, degrees)
-    return FusionRecord(bool(closed), outputs, oracle, oracles_agree=agree)
+    return FusionRecord(bool(closed), outputs, oracles_agree=agree)
 
 
 @dataclass
@@ -161,26 +161,50 @@ class FusionRing:
         """The ring axioms, on the nonzero coefficients.
 
         unit: the vacuum, ``index[0]`` (gcd(p, q) = 1 and 0 <= k < q make J = 0
-        force n = k = 0), is a two-sided identity.  associativity: sum_m N_ab^m
-        N_mc^d == sum_m N_bc^m N_am^d, zero sums dropped, for every a and, on a
-        commutative table, only b <= c.  That suffices: for c < b, if b <= a then
-        (ab)c = c(ba) = (cb)a = a(bc) by the triple (c, b, a); if a < b then
-        (ab)c = c(ab) = (ca)b = (ac)b = a(cb) = a(bc) by (c, a, b) and (a, c, b).
+        force n = k = 0), is a two-sided identity.  associativity is judged on
+        the factors of su(2)_{p-2} ⊗ Z[x]/(x^q) on the position n q + k, A the
+        k = 0 slice indexed by n and B the n = 0 slice, when the vacuum is a
+        two-sided unit at 0, B's outputs are below q and the table is A ⊗ B
+        entry by entry; otherwise on the whole table.  The verdicts agree: ⇐ a
+        tensor product of associative rings is associative; ⇒ with the unit,
+        A ⊗ 1 and 1 ⊗ B are subrings.
         """
-        t = self.table
+        t, q, ns = self.table, self.level.q, range(self.level.p - 1)
         v = self.index[0]
         span = range(len(t))
-        cols = list(zip(*t))  # cols[c][m] = t[m][c]
+        unit = all(t[v][b] == {b: 1} == t[b][v] for b in span)
         commutative = all(t[a][b] == t[b][a] for a in span for b in range(a))
+        A = [[{c // q: m for c, m in t[a * q][b * q].items()} for b in ns] for a in ns]
+        B = [row[:q] for row in t[:q]]
+        product = unit and v == 0 and all(c < q for row in B for cell in row for c in cell)
+        product = product and all(
+            t[a * q + i][b * q + j]
+            == {c * q + d: m * n for c, m in A[a][b].items() for d, n in B[i][j].items()}
+            for a in ns for b in ns for i in range(q) for j in range(q)
+        )
+        factors = (A, B) if product else (t,)
         return {
-            "unit": all(t[v][b] == {b: 1} == t[b][v] for b in span),
+            "unit": unit,
             "commutativity": commutative,
-            "associativity": all(
-                _combine(t[a][b], cols[c]) == _combine(t[b][c], t[a])
-                for a in span for b in span
-                for c in (range(b, len(t)) if commutative else span)
-            ),
+            "associativity": all(_associative(f, commutative) for f in factors),
         }
+
+
+def _associative(t: list[list[dict[int, int]]], commutative: bool) -> bool:
+    """Whether sum_m N_ab^m N_mc^d == sum_m N_bc^m N_am^d, zero sums dropped.
+
+    It is checked for every a and, on a commutative table, only b <= c.  That
+    suffices: for c < b, if b <= a then (ab)c = c(ba) = (cb)a = a(bc) by
+    the triple (c, b, a); if a < b then (ab)c = c(ab) = (ca)b = (ac)b = a(cb) =
+    a(bc) by (c, a, b) and (a, c, b).
+    """
+    span = range(len(t))
+    cols = list(zip(*t))  # cols[c][m] = t[m][c]
+    return all(
+        _combine(t[a][b], cols[c]) == _combine(t[b][c], t[a])
+        for a in span for b in span
+        for c in (range(b, len(t)) if commutative else span)
+    )
 
 
 def _combine(coeffs: dict[int, int], cells) -> dict[int, int]:

@@ -34,9 +34,9 @@ phase numerator N = b b' (the conjugate-phase matrix reuses them through
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
 anomaly exponent from :attr:`~admissible_sl2.characters.CharacterSpec.anomaly`;
-every power of q is built by :func:`_q_power`.  Every evaluator checks
-``Im(tau) > 0`` up front, and those with a tolerance check ``tol > 0``, with
-one helper each.
+every power of q is built by :func:`_q_power`.  Every evaluator checks for a
+finite tau with ``Im(tau) > 0`` up front, and those with a tolerance check
+``tol > 0``, with one helper each.
 
 Precision is fixed per evaluator (``theta_eval_numeric`` alone takes it as an
 argument); there is no ambient global state -- evaluation happens inside
@@ -76,6 +76,7 @@ _QUOTIENT_RETRIES = 7
 # Relative allowance of the float bookkeeping in ``theta_eval_numeric``: 2^13
 # times the unit roundoff 2^-53 of a double.
 _FLOAT_MARGIN = 2.0**-40
+_TERM_CAP = "theta tail bound not reached within the term cap; tolerance too small for this tau"
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,12 @@ def _positive_tol(tol) -> mpmath.mpf:
 
 
 def _upper_half_plane(tau, what: str) -> mpmath.mpc:
-    """``tau`` at the working precision; ``what`` requires Im(tau) > 0."""
+    """``tau`` at the working precision; ``what`` requires it finite with Im(tau) > 0."""
     tau_v = _as_mpc(tau)
     if not tau_v.imag > 0:
         raise InputError(f"{what} requires Im(tau) > 0, got Im(tau) = {tau_v.imag}")
+    if not mp.isfinite(tau_v):
+        raise InputError(f"{what} requires a finite tau, got tau = {tau_v}")
     return tau_v
 
 
@@ -188,7 +191,9 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     per side: every point with M(x) >= tol/4 is summed, and those lie within
     R = sqrt((pi m B^2 / 2A - log(tol/4)) / (2 pi m A)) of the vertex, so
     each side sums at least floor(R) terms.  Past the term cap, by more than
-    the float margin, the ``InputError`` is raised at once.
+    the float margin, the ``InputError`` is raised at once; so it is when Y +
+    2^-40 is at least twice 2 pi m (A (2 q + 1) + |B|), which bounds every
+    slope up to the cap (|x| <= q there), as no s_lo can then be positive.
     """
     tol = _positive_tol(tol)
     with mp.workprec(prec):
@@ -213,14 +218,15 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         reach = (b * b / (4 * a) - log_budget / two_pi_m) / a if a else math.inf
         if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2 * (1 + _FLOAT_MARGIN):
             raise InputError(
-                "theta tail bound not reached within the term cap; "
-                f"tolerance too small for this tau (at least {int(math.sqrt(min(reach, 1e300)))} "
+                f"{_TERM_CAP} (at least {int(math.sqrt(min(reach, 1e300)))} "
                 f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
             )
 
         start = int(mp.ceil(-B / (2 * A) - off))  # the integer-coordinate vertex, rounded up
         q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
         y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
+        if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
+            raise InputError(_TERM_CAP)  # every s_lo up to the cap is negative
         log_c7 = math.log(7 * two_pi_m * tau_l1)  # log(7 U / eps)
         total = mp.mpc(0)
         count = 0
@@ -256,10 +262,7 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                 i += direction
                 steps += 1
                 if steps > _MAX_TERMS_PER_SIDE:
-                    raise InputError(
-                        "theta tail bound not reached within the term cap; "
-                        "tolerance too small for this tau"
-                    )
+                    raise InputError(_TERM_CAP)
             sides.append((first, side_abs, side_arg))
 
         terms = [_up(log_eps, y, l0, math.log(count + 16), math.log(s)) for l0, s, _ in sides if s]
@@ -541,8 +544,9 @@ def s_transform_residual(
         raise InputError(f"variant must be 'KW1' or 'KW2', got {variant!r}")
     z = rat(z)
     weights = enumerate_admissible(level)
-    specs = [CharacterSpec(w, z) for w in weights]  # validates 0 < z < 1
-    a = level.p * level.q
+    anomaly = CharacterSpec(weights[0], z).anomaly  # validates 0 < z < 1
+    a = level.a
+    b_plus, b_minus = [w.b_plus for w in weights], [w.b_minus for w in weights]
     tol = _positive_tol(tol)
     n_w = len(weights)
     prec = _S_TRANSFORM_PREC
@@ -568,13 +572,13 @@ def s_transform_residual(
         s_abs: list[list[mpmath.mpf]] = []
         printed_matrix: list[list[mpmath.mpc]] = []
         max_row_abs = mp.mpf(0)
-        for si in specs:
+        for bi in b_plus:
             row = []
             abs_row = []
             printed_row = []
-            for sj in specs:
-                e_pp = phase(si.b_plus * sj.b_plus)
-                e_pm = phase(si.b_plus * sj.b_minus)
+            for bj_plus, bj_minus in zip(b_plus, b_minus):
+                e_pp = phase(bi * bj_plus)
+                e_pm = phase(bi * bj_minus)
                 entry = pref * (e_pp - e_pm)
                 # pref (conj(e_pm) - conj(e_pp)), bitwise: pref is -i times a positive real
                 printed_row.append(mp.conj(entry))
@@ -586,7 +590,6 @@ def s_transform_residual(
             max_row_abs = max(max_row_abs, sum(abs_row, mp.mpf(0)))
 
         if variant == "KW2":
-            anomaly = specs[0].anomaly  # the same for every weight
             factor = _q_power(anomaly, tau_v)
             alt_factor = _q_power(anomaly, tau2)
         else:

@@ -315,7 +315,6 @@ class IdentityCheck:
 
 @dataclass
 class IdentityReport:
-    m_max: int
     n_samples: int
     checks: list[IdentityCheck]
 
@@ -411,4 +410,4 @@ def verify_operator_identities(m_max: int = 5) -> IdentityReport:
                 (f**n) * ((h - unit.scale(2 * n)) ** m),
             )
 
-    return IdentityReport(m_max=m_max, n_samples=len(_ALPHAS), checks=checks)
+    return IdentityReport(n_samples=len(_ALPHAS), checks=checks)

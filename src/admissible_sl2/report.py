@@ -33,10 +33,10 @@ from typing import Any, Mapping
 import mpmath as mp
 from mpmath.libmp import to_str
 
-from .exact import UniPoly, rat, rat_str
+from .exact import UniPoly, rat_str
 from .numeric import ComplexVal
 from .qseries import QSeries
-from .weights import AdmissibleWeight, Level, weight_from_j
+from .weights import AdmissibleWeight, Level
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -47,8 +47,6 @@ __all__ = [
     "dumps",
     "render_text",
     "all_checks_pass",
-    "parse_qseries",
-    "parse_weight",
 ]
 
 SCHEMA_VERSION = "1"
@@ -203,26 +201,6 @@ def _write(value: Any, out: list[str], pad: str) -> None:
         out.append(int.__repr__(value))
     else:
         raise TypeError(f"cannot write {type(value).__name__} as report JSON")
-
-
-# -- round-trip parsing ------------------------------------------------------
-
-
-def parse_qseries(obj: Mapping[str, Any]) -> QSeries:
-    """Inverse of the {"D", "terms", "order"} encoding."""
-    return QSeries(
-        int(obj["D"]),
-        {int(m): rat(c) for m, c in obj["terms"]},
-        rat(obj["order"]),
-    )
-
-
-def parse_weight(level: Level, obj: Mapping[str, Any]) -> AdmissibleWeight:
-    """Inverse of the {"n", "k", "j"} encoding, validated against ``level``."""
-    w = AdmissibleWeight(level, int(obj["n"]), int(obj["k"]))
-    if weight_from_j(level, obj["j"]) != w:
-        raise ValueError(f"inconsistent weight object {obj!r}")
-    return w
 
 
 # -- text rendering ----------------------------------------------------------

@@ -37,6 +37,11 @@ class Level:
         return self.t - 2
 
     @property
+    def a(self) -> int:
+        """The theta modulus a = p q of the characters' numerators."""
+        return self.p * self.q
+
+    @property
     def n_weights(self) -> int:
         return (self.p - 1) * self.q
 
@@ -76,6 +81,16 @@ class AdmissibleWeight:
     def J(self) -> int:
         """The integer label q*j = n q - k p."""
         return self.n * self.level.q - self.k * self.level.p
+
+    @property
+    def b_plus(self) -> int:
+        """The character's theta index b+ = q(n+1) + k p."""
+        return self.level.q * (self.n + 1) + self.k * self.level.p
+
+    @property
+    def b_minus(self) -> int:
+        """The character's theta index b- = -q(n+1) + k p."""
+        return -self.level.q * (self.n + 1) + self.k * self.level.p
 
     @property
     def n_primed(self) -> int:

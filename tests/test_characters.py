@@ -19,8 +19,6 @@ from admissible_sl2.characters import (
     CharacterSpec,
     character_qseries,
     chibar_lowest_exponent,
-    support_index_minus,
-    support_index_plus,
     theta_ratio_identity_check,
 )
 from admissible_sl2.errors import InputError, InvariantError
@@ -47,10 +45,10 @@ def test_support_indices_fixture_3_2():
         (1, 1): (7, -1),
     }
     for w in enumerate_admissible(level):
-        assert (support_index_plus(w), support_index_minus(w)) == expected[(w.n, w.k)]
+        assert (w.b_plus, w.b_minus) == expected[(w.n, w.k)]
         # the two indices are distinct mod 2a, so the numerator never cancels
         a = level.p * level.q
-        assert (support_index_plus(w) - support_index_minus(w)) % (2 * a) != 0
+        assert (w.b_plus - w.b_minus) % (2 * a) != 0
 
 
 def test_character_spec_validates_z():
@@ -60,7 +58,7 @@ def test_character_spec_validates_z():
     with pytest.raises(InputError, match="0 < z < 1"):
         CharacterSpec(w, Fraction(3, 2))
     spec = CharacterSpec(w, "1/2")
-    assert spec.z == Fraction(1, 2) and (spec.u, spec.v) == (2, 1)
+    assert spec.z == Fraction(1, 2)
 
 
 def test_kind_validation():
@@ -142,12 +140,13 @@ def test_chibar_lowest_uses_sugawara_weight():
 @pytest.mark.parametrize("z", FIXTURE_ZS)
 def test_theta_ratio_identity(p, q, z):
     level = level_from_pq(p, q)
+    order = Fraction(20)
     for w in enumerate_admissible(level):
-        report = theta_ratio_identity_check(CharacterSpec(w, z), Fraction(20))
+        report = theta_ratio_identity_check(CharacterSpec(w, z), order)
         assert report.agree, (w.n, w.k)
         assert report.first_mismatch is None
         assert report.prefactor_zero
-        assert report.lhs.truncate(report.order) == report.rhs.truncate(report.order)
+        assert report.lhs.truncate(order) == report.rhs.truncate(order)
 
 
 def test_support_indices_reduce_to_classical_at_q_1():
@@ -155,8 +154,8 @@ def test_support_indices_reduce_to_classical_at_q_1():
     for p in (2, 3, 5, 7):
         level = level_from_pq(p, 1)
         for w in enumerate_admissible(level):
-            assert support_index_plus(w) == w.n + 1
-            assert support_index_minus(w) == -(w.n + 1)
+            assert w.b_plus == w.n + 1
+            assert w.b_minus == -(w.n + 1)
 
 
 def test_character_orders_are_honest():

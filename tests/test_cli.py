@@ -133,6 +133,21 @@ def test_theta_term_cap_exits_2_before_summing(capsys):
     assert out == ""
     assert "term cap" in err
     assert time.process_time() - start < 1
+    # the argument-rounding term Y swamps every slope up to the cap: a huge
+    # Re(tau), or Im(tau) so small that a huge tolerance passes the parabola
+    for argv in (
+        ["character", "--p", "3", "--q", "2", "--n", "0", "--k", "0", "--z", "1/3",
+         "--kind", "chibar", "--trunc", "3", "--tau=1e36,1"],
+        ["stransform", "--p", "5", "--q", "2", "--z", "2/3", "--tau=1e308,1",
+         "--tol", "1e-30", "--variant", "KW1"],
+        ["stransform", "--p", "7", "--q", "4", "--z", "3/7", "--tau=0,1e-300", "--tol", "1e400"],
+    ):
+        start = time.process_time()
+        assert run_cli(capsys, *argv) == (2, "", (
+            "error: theta tail bound not reached within the term cap; "
+            "tolerance too small for this tau\n"
+        ))
+        assert time.process_time() - start < 0.5, argv
 
 
 def test_unknown_subcommand_exits_2(capsys):

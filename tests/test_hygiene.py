@@ -57,12 +57,13 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def test_every_package_definition_is_referenced():
+def _unreferenced(referrers: list[Path], named: frozenset[str] = frozenset()) -> list[str]:
+    """Top-level package definitions that no file in ``referrers`` names, bar ``named``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + referrers}
     # sites[name] holds (file, top-level statement) for each reference to name
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in REFERRERS}
     sites: dict[str, set] = defaultdict(set)
-    for path, tree in trees.items():
-        for index, stmt in enumerate(tree.body):
+    for path in referrers:
+        for index, stmt in enumerate(trees[path].body):
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     sites[node.id].add((path, index))
@@ -74,12 +75,31 @@ def test_every_package_definition_is_referenced():
         for index, stmt in enumerate(trees[path].body)
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
-    dead = [
+    assert definitions
+    return [
         f"{path.relative_to(ROOT)}: {name}"
         for path, index, name in definitions
-        if not sites[name] - {(path, index)}
+        if name not in named and not sites[name] - {(path, index)}
     ]
-    assert definitions and dead == []
+
+
+def test_every_package_definition_is_referenced():
+    assert _unreferenced(REFERRERS) == []
+
+
+def _traced_names() -> frozenset[str]:
+    """The names in ``perfbench/tracing.py``'s ``TRACED`` table, which binds by name."""
+    tree = ast.parse((ROOT / "perfbench/tracing.py").read_text(encoding="utf-8"))
+    (table,) = [
+        stmt.value for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["TRACED"]
+    ]
+    return frozenset(part for _, attr, _ in ast.literal_eval(table) for part in attr.split("."))
+
+
+def test_no_package_definition_is_named_only_by_tests():
+    shipped = PACKAGE + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    assert _unreferenced(shipped, _traced_names()) == []
 
 
 _WEIGHT_PARAMS = {"weight", "w", "w1", "w2", "n_primed", "k_primed"}

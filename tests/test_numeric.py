@@ -26,6 +26,7 @@ both, and its bound stays within 16 times the per-term one.
 from __future__ import annotations
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -501,25 +502,33 @@ def test_real_tau_is_rejected_up_front(tau):
         s_transform_residual(level, Fraction(1, 2), tau)
 
 
-@pytest.mark.parametrize("bad", ["tol", "im_tau"])
+@pytest.mark.parametrize("bad", ["tol", "im_tau", "re_tau=nan", "re_tau=inf", "re_tau=-inf"])
 def test_nan_input_is_refused_at_once(bad):
     # NaN fails every comparison, so a guard written as `tol <= 0` or
-    # `Im(tau) <= 0` lets it through to the term cap or to an int conversion
+    # `Im(tau) <= 0` lets it through to the term cap or to an int conversion;
+    # a non-finite Re(tau) passes `Im(tau) > 0` and must be refused as tau
     level = level_from_pq(3, 2)
     spec = CharacterSpec(AdmissibleWeight(level, 1, 0), Fraction(1, 2))
     nan = mp.mpf("nan")
-    tol, tau = (nan, mp.mpc(0, 1)) if bad == "tol" else (mp.mpf("1e-10"), mp.mpc(0, nan))
+    tol, tau, named = mp.mpf("1e-10"), mp.mpc(0, 1), "nan"
+    if bad == "tol":
+        tol = nan
+    elif bad == "im_tau":
+        tau = mp.mpc(0, nan)
+    else:
+        value = bad.split("=")[1]
+        tau, named = mp.mpc(value, 1), re.escape(f"finite tau, got tau = ({mp.mpf(value)}")
     series = character_qseries(spec, Fraction(10))
     evaluators = {
         "theta": lambda: theta_eval_numeric(ThetaSpec(1, 2, Fraction(1, 2)), tau, tol=tol),
         "character": lambda: character_eval_numeric(spec, tau, tol=tol),
         "stransform": lambda: s_transform_residual(level, Fraction(1, 2), tau, tol=tol),
     }
-    if bad == "im_tau":  # the series walk takes no tolerance
+    if bad != "tol":  # the series walk takes no tolerance
         evaluators["series"] = lambda: qseries_eval_numeric(series, tau)
     for name, evaluate in evaluators.items():
         start = time.process_time()
-        with pytest.raises(InputError, match="nan"):
+        with pytest.raises(InputError, match=named):
             evaluate()
         assert time.process_time() - start < 0.5, name
 
@@ -643,7 +652,7 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     assert unshared == report.chibar + report.lhs
 
     # both S-matrix spellings against the direct phase formula
-    specs = [CharacterSpec(w, Fraction(2, 7)) for w in report.weights]
+    weights = report.weights
     a = level.p * level.q
     with mp.workprec(192):
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
@@ -653,19 +662,21 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
             return mp.mpf(f.numerator) / f.denominator
 
         s_matrix = [
-            [pref * (mp.expjpi(x(si.b_plus, sj.b_plus)) - mp.expjpi(x(si.b_plus, sj.b_minus)))
-             for sj in specs]
-            for si in specs
+            [pref * (mp.expjpi(x(wi.b_plus, wj.b_plus)) - mp.expjpi(x(wi.b_plus, wj.b_minus)))
+             for wj in weights]
+            for wi in weights
         ]
         printed = [
-            [pref * (mp.expjpi(-x(si.b_plus, sj.b_minus)) - mp.expjpi(-x(si.b_plus, sj.b_plus)))
-             for sj in specs]
-            for si in specs
+            [pref * (mp.expjpi(-x(wi.b_plus, wj.b_minus)) - mp.expjpi(-x(wi.b_plus, wj.b_plus)))
+             for wj in weights]
+            for wi in weights
         ]
     assert report.s_matrix == s_matrix
     assert report.as_printed_s_matrix == printed
 
     # one phase per distinct product b+_i b+-_j, shared by both spellings
-    products = {si.b_plus * b for si in specs for sj in specs for b in (sj.b_plus, sj.b_minus)}
+    products = {
+        wi.b_plus * b for wi in weights for wj in weights for b in (wj.b_plus, wj.b_minus)
+    }
     with mp.workprec(192):
         assert sorted(phase_args) == sorted(mp.mpf(n) / a for n in products)

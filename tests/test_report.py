@@ -1,4 +1,4 @@
-"""Report documents: deterministic encoding, round trips, text rendering."""
+"""Report documents: deterministic encoding and text rendering."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from mpmath import mp
 
 from admissible_sl2 import report
 from admissible_sl2.cli import main
-from admissible_sl2.exact import UniPoly, rat
+from admissible_sl2.exact import UniPoly, rat, rat_str
 from admissible_sl2.numeric import theta_eval_numeric
 from admissible_sl2.qseries import QSeries, ThetaSpec
 from admissible_sl2.report import (
@@ -24,8 +24,6 @@ from admissible_sl2.report import (
     document,
     dumps,
     encode,
-    parse_qseries,
-    parse_weight,
     render_text,
 )
 from admissible_sl2.weights import enumerate_admissible, level_from_pq
@@ -50,17 +48,14 @@ def test_encode_qseries_round_trip():
     series = QSeries.from_terms(
         [(Fraction(7, 24), Fraction(1)), (Fraction(31, 24), Fraction(2))], Fraction(2)
     )
-    obj = encode(series)
-    assert obj["D"] == series.denom
-    assert obj["order"] == "2"
-    assert parse_qseries(obj) == series
+    assert encode(series) == {"D": 24, "terms": [[7, "1"], [31, "2"]], "order": "2"}
 
 
 def test_encode_level_and_weight_round_trip():
     level = level_from_pq(3, 2)
     assert encode(level) == {"p": 3, "q": 2, "ell": "-1/2", "t": "3/2"}
     for w in enumerate_admissible(level):
-        assert parse_weight(level, encode(w)) == w
+        assert encode(w) == {"n": w.n, "k": w.k, "j": rat_str(w.j)}
 
 
 def test_parse_rational():

@@ -163,7 +163,8 @@ def _raising_at_p3_q2(real):
     """``real``, raising instead at level (3, 2), at ell = 2, or when given no argument."""
 
     def stubbed(*args, **kwargs):
-        head = getattr(args[0], "level", args[0]) if args else None
+        head = getattr(args[0], "weight", args[0]) if args else None  # a CharacterSpec's
+        head = getattr(head, "level", head)
         if head is None or head == 2 or (getattr(head, "p", 0), getattr(head, "q", 0)) == (3, 2):
             raise InvariantError("stubbed")
         return real(*args, **kwargs)
