@@ -27,9 +27,19 @@ scale (derivation in :func:`qseries_eval_numeric`).
 
 ``s_transform_residual`` computes each distinct quantity once per call: one
 theta memo per side of the law (every weight's quotient shares the
-denominator pair theta_{+-1,2}), one e^{i pi N/a} per distinct integer
-phase numerator N = b b' (the conjugate-phase matrix reuses them through
-``mp.conj``), and one product S_ij chibar_j per cell of the residual table.
+denominator pair theta_{+-1,2}); one e^{i pi N/a} per phase class of the
+integer numerators N = b b', the pair (|N| mod 2a, binade of |N|/a) on which
+``expjpi`` gives the same bits (proof in :func:`s_transform_residual`),
+conjugated for N < 0; one S entry, its conjugate (the conjugate-phase
+matrix) and its modulus per distinct pair of signed classes; and one product
+S_ij chibar_j per cell of the residual table.
+
+The bounds that only certify, the theta quotient's and the residual
+table's, are kept in Python floats too.  Each mpf that enters is split
+exactly into a double and a power of two (``_split``), and a set of them is
+shifted onto one power of two (``_aligned``), so no magnitude over- or
+underflows a double; a stated relative margin covers the float roundings
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3-4).
 
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
@@ -51,7 +61,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_float
 
 from .characters import CharacterSpec, chibar_thetas
 from .errors import InputError
@@ -73,9 +83,12 @@ _S_TRANSFORM_PREC = 192
 
 _MAX_TERMS_PER_SIDE = 200_000
 _QUOTIENT_RETRIES = 7
-# Relative allowance of the float bookkeeping in ``theta_eval_numeric``: 2^13
-# times the unit roundoff 2^-53 of a double.
+# Relative allowance of the float bookkeeping of a bound (theta, quotient and
+# residual table): 2^13 times the unit roundoff 2^-53 of a double.
 _FLOAT_MARGIN = 2.0**-40
+# A split value more than 2^600 below the largest of its set is raised to that:
+# floats and their products then stay far inside the normal double range.
+_FLOAT_FLOOR = -600
 _TERM_CAP = "theta tail bound not reached within the term cap; tolerance too small for this tau"
 
 
@@ -136,6 +149,28 @@ def _log_sum(logs: list[float]) -> float:
         return -math.inf
     top = max(logs)
     return _up(top, math.log(math.fsum(math.exp(v - top) for v in logs)))
+
+
+def _split(x: mpmath.mpf) -> tuple[float, int]:
+    """(f, k) with 0 <= x < 2^k and f = x 2^-k truncated to a double; (0.0, 0) for 0.
+
+    The scaling by 2^-k is exact, so f is within 2^-52 of x 2^-k, below it,
+    whatever the size of x: 1/2 <= f < 1.
+    """
+    _, man, exp, bc = x._mpf_
+    if not man:
+        return 0.0, 0
+    return to_float((0, man, -bc, bc)), exp + bc
+
+
+def _aligned(pairs: list[tuple[float, int]]) -> tuple[list[float], int]:
+    """Values f 2^k as floats f 2^(k - g) over one exponent g, the largest k.
+
+    The shift is exact; a value whose k - g is below -600 is raised to f
+    2^-600, which only raises a bound built from it and keeps it nonzero.
+    """
+    g = max((k for f, k in pairs if f), default=0)
+    return [math.ldexp(f, max(k - g, _FLOAT_FLOOR)) for f, k in pairs], g
 
 
 def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> ComplexVal:
@@ -417,11 +452,20 @@ def _chibar_numeric(
     component tolerance)``; the caller keeps one dict per (tau, prec), so
     quotients at the same tau share their common denominator pair.  A retry
     at a tighter tolerance misses the memo and evaluates afresh.
+
+    The quotient's bound (e_num + |quot| e_den) / (|den| - e_den) + 8 eps
+    |quot|, e_num and e_den the sums of the theta errors, is kept in floats.
+    The retry test e_den < |den| / 2 is taken in mpf first, so rho = e_den /
+    |den| < 1/2 and the bound is at most (X + Y + Z) / (1 - rho), X = e_num /
+    |den|, Y = |quot| rho, Z = 8 eps |quot|.  Each of X, Y, Z and rho is a
+    product or quotient of split values (``_split``), a double times a power
+    of two; X, Y and Z are aligned (``_aligned``) and summed.  The splits'
+    truncation (2^-52 each) and a dozen float roundings are far inside the
+    margin 2^-40, and ``mp.ldexp`` scales the result back exactly.
     """
     tol = mp.mpf(tol)
     (num_p, num_m), (den_p, den_m) = chibar_thetas(weight, zval)
     with mp.workprec(prec):
-        eps = mp.mpf(2) ** (1 - prec)
         ctol = tol / 8
         theta_err = mp.mpf(0)
 
@@ -449,7 +493,15 @@ def _chibar_numeric(
                 ctol = ctol / 16
                 continue
             quot = num / den
-            e_quot = (e_num + abs(quot) * e_den) / (abs_den - e_den) + 8 * eps * abs(quot)
+            # (X + Y + Z) / (1 - rho), as the docstring derives
+            (f_n, k_n), (f_e, k_e), (f_d, k_d), (f_q, k_q) = map(
+                _split, (e_num, e_den, abs_den, abs(quot))
+            )
+            terms, g = _aligned(
+                [(f_n / f_d, k_n - k_d), (f_q * f_e / f_d, k_q + k_e - k_d), (f_q, k_q + 4 - prec)]
+            )
+            rho = math.ldexp(f_e / f_d, k_e - k_d)
+            e_quot = mp.ldexp(sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN), g)
             if e_quot <= tol:
                 return ComplexVal(quot, e_quot, prec), theta_err
             ctol = ctol / 16
@@ -516,6 +568,60 @@ class STransformReport:
     alt_final_residuals: list[mpmath.mpf] | None
 
 
+def _phase_class(num: int, a: int) -> tuple[int, int]:
+    """(|N| mod 2a, floor(log2(|N|/a))), from integers; e^{i pi N/a} is alike across a class."""
+    n = abs(num)
+    e = n.bit_length() - a.bit_length()  # floor(log2(n/a)) is e or e - 1
+    if (n << max(-e, 0)) < (a << max(e, 0)):
+        e -= 1
+    return n % (2 * a), e
+
+
+def _s_matrices(
+    weights: list[AdmissibleWeight],
+) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[float]], mpmath.mpf]:
+    """Both S-matrix spellings, |S_ij| as floats, and the largest row sum of |S_ij|.
+
+    One ``expjpi`` per phase class (see ``s_transform_residual``), conjugated
+    for N < 0, and one entry, conjugate and modulus per distinct pair of
+    signed classes.  The row sums are taken in mpf, in column order.
+    """
+    a = weights[0].level.a
+    phases: dict[tuple[int, int], mpmath.mpc] = {}
+
+    def phase(num: int) -> mpmath.mpc:
+        key = _phase_class(num, a)
+        if key not in phases:
+            phases[key] = mp.expjpi(mp.mpf(abs(num)) / a)
+        return mp.conj(phases[key]) if num < 0 else phases[key]
+
+    pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
+    entries: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf, float]] = {}
+    s_matrix, printed_matrix, s_abs = [], [], []
+    max_row_abs = mp.mpf(0)
+    for wi in weights:
+        row, printed_row, abs_row = [], [], []
+        row_abs = mp.mpf(0)
+        for wj in weights:
+            n_pp, n_pm = wi.b_plus * wj.b_plus, wi.b_plus * wj.b_minus
+            key = (_phase_class(n_pp, a), n_pp < 0, _phase_class(n_pm, a), n_pm < 0)
+            if key not in entries:
+                entry = pref * (phase(n_pp) - phase(n_pm))
+                # pref (conj(e_pm) - conj(e_pp)), bitwise: pref is -i times a positive real
+                size = abs(entry)
+                entries[key] = (entry, mp.conj(entry), size, float(size))
+            entry, printed, size, size_f = entries[key]
+            row.append(entry)
+            printed_row.append(printed)
+            abs_row.append(size_f)
+            row_abs += size
+        s_matrix.append(row)
+        printed_matrix.append(printed_row)
+        s_abs.append(abs_row)
+        max_row_abs = max(max_row_abs, row_abs)
+    return s_matrix, printed_matrix, s_abs, max_row_abs
+
+
 def s_transform_residual(
     level: Level,
     z,
@@ -539,14 +645,51 @@ def s_transform_residual(
     whose phase e^{i pi k k' p / q} is real -- in particular everywhere when
     q = 1 -- and the conjugate variant's full-sum residuals document how the
     law fails on the complex-phase rows.
+
+    Phase classes.  e^{i pi N/a} is ``expjpi`` of x = N/a rounded to the
+    working precision, and mpmath 1.3 (``mpf_cos_sin`` with pi=True)
+    computes it from the mantissa and exponent of |x| alone: it takes the
+    nearest half-integer n/2 off exactly, evaluates cos and sin of pi times
+    the remainder, rotates by n mod 4, and negates the sine when x < 0.  Let
+    N' = N + 2ak have the sign of N, with |N|/a and |N'|/a in one binade
+    [2^e, 2^(e+1)).  The rounding grid there has spacing 2^(e+1-prec), which
+    divides 2 (|N|/a is far below 2^prec), so |x'| = |x| + 2k exactly; N/a
+    is never a rounding tie (it is exact when a is a power of two).  Where
+    |x| is not a multiple of 1/2, its exponent is below -1, so adding 2k
+    keeps the odd mantissa odd and the exponent, leaves the remainder alone
+    and moves n by 4k; a multiple of 1/2 stays one, with the same parity
+    and the same exact value.  So the class (|N| mod 2a, e), computed from
+    integers, keys one ``expjpi`` of |N|/a, and N < 0 takes ``mp.conj`` of
+    it, bit for bit.  An entry depends only on its two phases, so it is
+    keyed by their signed classes.
+
+    Bounds in floats.  The bound on cell (i, j) of ``residual_errors`` is
+
+        c_i + sum_{j' <= j} |S_ij'| w_j',
+        c_i = err(lhs_i) + 16 eps |lhs_i|,
+        w_j = |factor| (err(chibar_j) + 16 eps |chibar_j|),
+
+    the left side's error, the propagated quotient errors and the rounding
+    allowance 16 eps (|lhs_i| + |factor| sum |S_ij'| |chibar_j'|), eps =
+    2^(1 - prec).  The 2n values c_i and w_j are formed in mpf, split and
+    aligned onto one 2^g: each is then within 2^-52 of its float (a value
+    more than 2^600 below the largest is raised to 2^-600 of it, which only
+    raises the bound and keeps it nonzero).  |S_ij| <= 1 is rounded to a
+    double, and a nonzero one is far above 2^-400, so every product stays
+    normal.  Each row's running bound is a float sum of at most n + 1
+    nonnegative products, within gamma_(2n+2) of the exact sum of its
+    inputs; with the 2^-52 of each input and the mpf roundings of c_i and
+    w_j, all of it is far inside (n + 2) 2^-40, by which each cell is raised
+    before ``mp.ldexp`` scales it back, exactly.  The referee in the tests
+    encloses every partial residual in intervals and holds each bound to it.
+    ``max_row_abs``, which sets the quotients' tolerance, stays a sum of mpf
+    moduli in column order.
     """
     if variant not in ("KW1", "KW2"):
         raise InputError(f"variant must be 'KW1' or 'KW2', got {variant!r}")
     z = rat(z)
     weights = enumerate_admissible(level)
     anomaly = CharacterSpec(weights[0], z).anomaly  # validates 0 < z < 1
-    a = level.a
-    b_plus, b_minus = [w.b_plus for w in weights], [w.b_minus for w in weights]
     tol = _positive_tol(tol)
     n_w = len(weights)
     prec = _S_TRANSFORM_PREC
@@ -557,37 +700,7 @@ def s_transform_residual(
         z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
-        # e^{i pi N/a} once per distinct integer N = b b'; a is fixed, and
-        # mpf(N) / a is the same correctly rounded quotient as the reduced
-        # fraction's.
-        phases: dict[int, mpmath.mpc] = {}
-
-        def phase(num: int) -> mpmath.mpc:
-            if num not in phases:
-                phases[num] = mp.expjpi(mp.mpf(num) / a)
-            return phases[num]
-
-        pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
-        s_matrix: list[list[mpmath.mpc]] = []
-        s_abs: list[list[mpmath.mpf]] = []
-        printed_matrix: list[list[mpmath.mpc]] = []
-        max_row_abs = mp.mpf(0)
-        for bi in b_plus:
-            row = []
-            abs_row = []
-            printed_row = []
-            for bj_plus, bj_minus in zip(b_plus, b_minus):
-                e_pp = phase(bi * bj_plus)
-                e_pm = phase(bi * bj_minus)
-                entry = pref * (e_pp - e_pm)
-                # pref (conj(e_pm) - conj(e_pp)), bitwise: pref is -i times a positive real
-                printed_row.append(mp.conj(entry))
-                row.append(entry)
-                abs_row.append(abs(entry))
-            s_matrix.append(row)
-            s_abs.append(abs_row)
-            printed_matrix.append(printed_row)
-            max_row_abs = max(max_row_abs, sum(abs_row, mp.mpf(0)))
+        s_matrix, printed_matrix, s_abs, max_row_abs = _s_matrices(weights)
 
         if variant == "KW2":
             factor = _q_power(anomaly, tau_v)
@@ -614,34 +727,34 @@ def s_transform_residual(
             lhs_vals.append(val)
             theta_err_max = max(theta_err_max, terr)
 
+        # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in floats, over one 2^g
+        c_w = [v.err + 16 * eps * abs(v.value) for v in lhs_vals]
+        c_w += [abs_factor * (v.err + 16 * eps * abs(v.value)) for v in chibar_vals]
+        scaled, g = _aligned([_split(v) for v in c_w])
+        c_rows, w_cols = scaled[:n_w], scaled[n_w:]
+        up = 1 + _FLOAT_MARGIN * (n_w + 2)
+        chi = [v.value for v in chibar_vals]
+
         residuals: list[list[mpmath.mpf]] = []
         residual_errors: list[list[mpmath.mpf]] = []
         printed_residuals: list[mpmath.mpf] = []
         alt_residuals: list[mpmath.mpf] | None = [] if variant == "KW2" else None
         for i in range(n_w):
             lhs = lhs_vals[i].value
-            abs_lhs = abs(lhs)
             running = mp.mpc(0)
-            running_err = mp.mpf(0)
-            running_abs = mp.mpf(0)
+            bound = c_rows[i]
             row_res = []
             row_err = []
-            for j in range(n_w):
-                cell = s_matrix[i][j] * chibar_vals[j].value
-                running += cell
-                running_err += s_abs[i][j] * chibar_vals[j].err
-                running_abs += abs(cell)
-                res = abs(lhs - factor * running)
-                slop = 16 * eps * (abs_lhs + abs_factor * running_abs)
-                row_res.append(res)
-                row_err.append(lhs_vals[i].err + abs_factor * running_err + slop)
+            for s_ij, s_ij_abs, chi_j, w_j in zip(s_matrix[i], s_abs[i], chi, w_cols):
+                running += s_ij * chi_j
+                bound += s_ij_abs * w_j
+                row_res.append(abs(lhs - factor * running))
+                row_err.append(mp.ldexp(bound * up, g))
             residuals.append(row_res)
             residual_errors.append(row_err)
             if alt_residuals is not None:
                 alt_residuals.append(abs(lhs - alt_factor * running))
-            printed_sum = mp.fsum(
-                [printed_matrix[i][j] * chibar_vals[j].value for j in range(n_w)]
-            )
+            printed_sum = mp.fsum([p_ij * chi_j for p_ij, chi_j in zip(printed_matrix[i], chi)])
             printed_residuals.append(abs(lhs - factor * printed_sum))
 
         return STransformReport(

@@ -17,6 +17,12 @@ the same encoded document, never by a second rendering path, and the JSON
 is emitted with stable insertion ordering so identical inputs are
 byte-identical.
 
+``document`` formats each distinct unsigned value once per digit count: it
+passes ``encode`` one dict of decimal strings for the whole document, and
+``mpmath``'s ``to_str`` formats |x| and then prefixes "-", so a negation,
+the conjugate-phase S-matrix and every repeated entry cost a lookup.  The
+dict lives for that one call; no state outlives it.
+
 ``dumps`` writes the indented JSON itself: ``json.dumps`` with an indent
 falls back to the standard library's pure-Python encoder, which took longer
 than the rest of a short report.  Its output is held to be exactly
@@ -55,23 +61,41 @@ _VALUE_DIGITS = 30
 _ERR_DIGITS = 8
 
 
-def _real_str(x, digits: int = _VALUE_DIGITS) -> str:
+def _real_str(x, digits: int, strings: dict) -> str:
     """Decimal string of an mpmath real, deterministic for a given value.
 
     The value is formatted as-is (no re-rounding to the ambient working
     precision, which would truncate high-precision certified bounds).
+    ``strings`` holds one string per unsigned value and digit count:
+    ``to_str`` formats |x| and prefixes "-", so x and -x share an entry.
+    Zero, the infinities and NaN are keyed whole, as their strings carry
+    their own sign.
     """
-    xf = x if isinstance(x, mp.mpf) else mp.mpf(x)
-    return to_str(xf._mpf_, digits, strip_zeros=True)
+    raw = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    sign, man, exp, bc = raw
+    if man:
+        raw, key = (0, man, exp, bc), (man, exp, digits)
+    else:
+        sign, key = 0, (raw, digits)
+    text = strings.get(key)
+    if text is None:
+        text = strings[key] = to_str(raw, digits)
+    return "-" + text if sign else text
 
 
-def _complex_pair(x) -> list[str]:
+def _complex_pair(x, strings: dict) -> list[str]:
     xc = x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpc(x)
-    return [_real_str(xc.real), _real_str(xc.imag)]
+    return [_real_str(part, _VALUE_DIGITS, strings) for part in (xc.real, xc.imag)]
 
 
-def encode(value: Any) -> Any:
-    """Rewrite ``value`` into JSON primitives; a float, which has no error bound, raises."""
+def encode(value: Any, strings: dict | None = None) -> Any:
+    """Rewrite ``value`` into JSON primitives; a float, which has no error bound, raises.
+
+    ``strings`` memoises decimal strings (see ``_real_str``); ``document``
+    passes one dict for its whole document, and a call without one starts afresh.
+    """
+    if strings is None:
+        strings = {}
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Fraction):
@@ -95,17 +119,17 @@ def encode(value: Any) -> Any:
         return {"n": value.n, "k": value.k, "j": rat_str(value.j)}
     if isinstance(value, ComplexVal):
         return {
-            "value": _complex_pair(value.value),
-            "err": _real_str(value.err, _ERR_DIGITS),
+            "value": _complex_pair(value.value, strings),
+            "err": _real_str(value.err, _ERR_DIGITS, strings),
         }
     if isinstance(value, mp.mpc):
-        return _complex_pair(value)
+        return _complex_pair(value, strings)
     if isinstance(value, mp.mpf):
-        return _real_str(value)
+        return _real_str(value, _VALUE_DIGITS, strings)
     if isinstance(value, Mapping):
-        return {_key_str(k): encode(v) for k, v in value.items()}
+        return {_key_str(k): encode(v, strings) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
+        return [encode(v, strings) for v in value]
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
@@ -135,11 +159,12 @@ def document(
     results: Any,
     checks: list[dict],
 ) -> dict:
+    strings: dict = {}
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": {"subcommand": subcommand, "parameters": encode(dict(parameters))},
-        "results": encode(results),
-        "checks": encode(checks),
+        "command": {"subcommand": subcommand, "parameters": encode(dict(parameters), strings)},
+        "results": encode(results, strings),
+        "checks": encode(checks, strings),
     }
 
 

@@ -12,6 +12,12 @@ the re-exports still name shows up here.
 No package function takes a ``level`` beside a weight, whether the weight is
 an ``AdmissibleWeight`` or its primed ints ``n_primed``/``k_primed``: a weight
 carries its level and its box check, and a second level could disagree with it.
+
+No package function mutates a module-level name, by item assignment or
+deletion, a mutating method or a ``global`` statement, save the one listed:
+state shared by every caller in the process lets one call, or one test,
+change the next.  A name the function binds itself, or a parameter, shadows
+the module's and is not counted.
 """
 
 from __future__ import annotations
@@ -115,3 +121,97 @@ def test_no_function_takes_a_level_beside_a_weight():
                 if "level" in names and names & _WEIGHT_PARAMS:
                     doubled.append(f"{path.relative_to(ROOT)}: {node.name}")
     assert doubled == []
+
+
+_MUTATORS = frozenset({
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+    "remove", "reverse", "setdefault", "sort", "update",
+})
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn: ast.AST) -> list[ast.AST]:
+    """The nodes of ``fn``, its nested functions and classes themselves but not their insides."""
+    nodes, stack = [], list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def _mutated_globals(tree: ast.Module) -> set[str]:
+    """Module-level names of ``tree`` that one of its functions mutates."""
+    module = set()
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        module |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found: set[str] = set()
+
+    def visit(fn, outer: set[str]) -> None:
+        nodes = _own_nodes(fn)
+        declared = {name for n in nodes if isinstance(n, ast.Global) for name in n.names}
+        args = fn.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        params |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        stored = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local = (outer | params | stored) - declared
+        found.update(declared)
+        for n in nodes:
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                target = n.value
+            elif isinstance(n, ast.Call) and getattr(n.func, "attr", None) in _MUTATORS:
+                target = n.func.value
+            else:
+                target = None
+            if isinstance(target, ast.Name) and target.id in module and target.id not in local:
+                found.add(target.id)
+            if isinstance(n, _SCOPES):
+                visit(n, local)
+
+    for stmt in tree.body:
+        for fn in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+            if isinstance(fn, _SCOPES):
+                visit(fn, set())
+    return found
+
+
+def test_only_the_listed_module_state_is_mutated():
+    mutated = sorted(
+        f"{path.name}: {name}"
+        for path in PACKAGE
+        for name in _mutated_globals(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    # the PBW generator memo, which a benchmark change is to delete
+    assert mutated == ["pbw.py: _GEN_CACHE"]
+
+
+def test_module_state_rule_catches_a_string_memo():
+    source = """
+_STRINGS = {}
+_LOG = []
+_COUNT = 0
+
+def encode(x):
+    if x not in _STRINGS:
+        _STRINGS[x] = str(x)
+    return _STRINGS[x]
+
+def shadowed(x, _LOG):
+    _STRINGS = {}
+    _STRINGS[x] = _LOG.append(x)
+
+class Tally:
+    def bump(self):
+        global _COUNT
+        _COUNT += 1
+
+def nested():
+    return lambda y: _LOG.append(y)
+"""
+    assert _mutated_globals(ast.parse(source)) == {"_STRINGS", "_COUNT", "_LOG"}
+    # the parameter _LOG of shadowed is its own
+    without_lambda = source.replace("_LOG.append(y)", "y")
+    assert _mutated_globals(ast.parse(without_lambda)) == {"_STRINGS", "_COUNT"}
+

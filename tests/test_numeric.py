@@ -13,9 +13,12 @@ leaves out the rounding of each term's argument.  The interval enclosure of
 ``tests/_interval_theta.py`` referees the bound itself: |value - center| +
 radius <= err on every draw, at edges of the double range too.  It referees
 the quotient bound of ``_chibar_numeric`` the same way, on quotients at tau
-with a rational z and at the law's left side (-1/tau, tau z).
-``stransform``'s sharing of thetas and S-matrix phases is checked against
-unshared evaluations, bit for bit.
+with a rational z and at the law's left side (-1/tau, tau z), and the
+``residual_errors`` of ``s_transform_residual``: each partial residual,
+enclosed from the quotient boxes and exact S entries, lies within its bound.
+``stransform``'s sharing of thetas, S-matrix phase classes and entries is
+checked against unshared evaluations and the direct phase formula, bit for
+bit, and its float-kept bounds against their mpf sums past the double range.
 
 The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
 character series by a 600-bit per-term sum and by the per-term evaluator kept
@@ -46,6 +49,7 @@ from admissible_sl2.characters import (
 )
 from admissible_sl2.errors import InputError
 from admissible_sl2.numeric import (
+    ComplexVal,
     character_eval_numeric,
     qseries_eval_numeric,
     s_transform_residual,
@@ -260,6 +264,77 @@ def test_quotient_bound_encloses_interval_referee(weight, z, lhs, re_tau, im_tau
             return
         center, radius = _interval_theta.quotient_enclosure(weight, tau, z, prec)
     with mp.workprec(prec + 64):
+        assert abs(val.value - center) + radius <= val.err
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(
+    level=st.sampled_from(_LEVELS_TO_7_4),
+    z=st.integers(2, 7).flatmap(lambda u: st.integers(1, u - 1).map(lambda v: Fraction(v, u))),
+    re_tau=st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+    im_tau=st.fractions(min_value=Fraction(2, 5), max_value=2, max_denominator=1000),
+    tol_exp=st.integers(min_value=10, max_value=30),
+)
+def test_residual_errors_enclose_interval_referee(level, z, re_tau, im_tau, tol_exp):
+    # the law is a theorem, so each final residual is within its bound of 0;
+    # each partial residual lies within its bound of the exact one
+    report = s_transform_residual(
+        level_from_pq(*level), z, _tau_from(re_tau, im_tau, 192), tol=mp.mpf(10) ** -tol_exp
+    )
+    enclosures = _interval_theta.residual_enclosures(report)
+    with mp.workprec(256):
+        for i, row in enumerate(enclosures):
+            assert report.final_residuals[i] <= report.residual_errors[i][-1]
+            for m, (lo, hi) in enumerate(row):
+                res, err = report.residual_partial_sums[i][m], report.residual_errors[i][m]
+                assert res - err <= lo and hi <= res + err, (i, m)
+
+
+@pytest.mark.parametrize(
+    "rhs_shift, lhs_shift, errs_only",
+    [
+        (-1200, -1200, False),  # every |chibar|, |lhs| and err below the double range
+        (1300, 1300, False),  # every one above it
+        (-1100, 0, False),  # the chibar side below it, the left side in it
+        (0, 1300, False),  # the left side above it
+        (-1200, -1200, True),  # the errs alone below it
+    ],
+)
+def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shift, errs_only):
+    # each quotient scaled by a power of two past the double range: every
+    # bound stays at least the mpf sum it stands for, and within 1e-9 of it
+    direct = numeric._chibar_numeric
+
+    def scaled(weight, tau, zval, tol, prec, thetas):
+        val, terr = direct(weight, tau, zval, tol, prec, thetas)
+        shift = rhs_shift if isinstance(zval, Fraction) else lhs_shift
+        value = val.value if errs_only else val.value * mp.mpf(2) ** shift
+        return ComplexVal(value, val.err * mp.mpf(2) ** shift, val.prec), terr
+
+    monkeypatch.setattr(numeric, "_chibar_numeric", scaled)
+    report = s_transform_residual(
+        level_from_pq(5, 3), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
+    )
+    with mp.workprec(400):
+        eps, f = mp.mpf(2) ** -191, abs(report.factor)
+        for lhs, s_row, err_row in zip(report.lhs, report.s_matrix, report.residual_errors):
+            r_err = r_abs = mp.mpf(0)
+            for chi, s_ij, got in zip(report.chibar, s_row, err_row):
+                r_err += abs(s_ij) * chi.err
+                r_abs += abs(s_ij) * abs(chi.value)
+                want = lhs.err + f * r_err + 16 * eps * (abs(lhs.value) + f * r_abs)
+                assert want <= got <= want * (1 + mp.mpf("1e-9"))
+
+
+def test_quotient_bound_below_the_double_range():
+    # the theta errs are near 1e-332, below the smallest double
+    weight = AdmissibleWeight(level_from_pq(3, 2), 1, 1)
+    tau = mp.mpc("0.125", "0.75")
+    tol = mp.mpf("1e-320")
+    val, _ = numeric._chibar_numeric(weight, tau, Fraction(1, 3), tol, 1200)
+    assert 0 < val.err <= tol
+    center, radius = _interval_theta.quotient_enclosure(weight, tau, Fraction(1, 3), 1200)
+    with mp.workprec(1264):
         assert abs(val.value - center) + radius <= val.err
 
 
@@ -674,9 +749,52 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     assert report.s_matrix == s_matrix
     assert report.as_printed_s_matrix == printed
 
-    # one phase per distinct product b+_i b+-_j, shared by both spellings
+    # one expjpi per class (|N| mod 2a, floor(log2(|N|/a))) of the products
+    # N = b+_i b+-_j, shared by both spellings, at |N|/a for one N of the class
+    def phase_class(n):
+        e = 0
+        while Fraction(abs(n), a) >= 2 ** (e + 1):
+            e += 1
+        while Fraction(abs(n), a) < Fraction(2) ** e:
+            e -= 1
+        return abs(n) % (2 * a), e
+
     products = {
         wi.b_plus * b for wi in weights for wj in weights for b in (wj.b_plus, wj.b_minus)
     }
     with mp.workprec(192):
-        assert sorted(phase_args) == sorted(mp.mpf(n) / a for n in products)
+        numerators = [int(mp.nint(x * a)) for x in phase_args]
+        assert phase_args == [mp.mpf(n) / a for n in numerators]
+    assert all(n > 0 for n in numerators)
+    assert sorted(map(phase_class, numerators)) == sorted({phase_class(n) for n in products})
+    assert len(phase_args) < len(products)
+
+
+_LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd(p, q) == 1]
+
+
+def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
+    # e^{i pi N/a} is taken once per (|N| mod 2a, binade of |N|/a) class and
+    # conjugated for N < 0; the direct formula takes expjpi of every N/a
+    for p, q in _LEVELS_TO_12_8:
+        weights = enumerate_admissible(level_from_pq(p, q))
+        a = p * q
+        with mp.workprec(192):
+            s_matrix, printed, s_abs, _ = numeric._s_matrices(weights)
+            # the float bound's premise: a nonzero |S_ij| keeps its products normal
+            assert all(x == 0 or 2.0**-400 < x <= 1 for row in s_abs for x in row)
+            pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
+            direct: dict[Fraction, mp.mpc] = {}
+
+            def phase(x: Fraction):
+                if x not in direct:
+                    direct[x] = mp.expjpi(mp.mpf(x.numerator) / x.denominator)
+                return direct[x]
+
+            for wi, s_row, printed_row in zip(weights, s_matrix, printed):
+                for wj, s_ij, printed_ij in zip(weights, s_row, printed_row):
+                    x_pp = Fraction(wi.b_plus * wj.b_plus, a)
+                    x_pm = Fraction(wi.b_plus * wj.b_minus, a)
+                    assert s_ij == pref * (phase(x_pp) - phase(x_pm)), (p, q)
+                    assert printed_ij == pref * (phase(-x_pm) - phase(-x_pp)), (p, q)
+

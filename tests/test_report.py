@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, to_str
 
 from admissible_sl2 import report
 from admissible_sl2.cli import main
 from admissible_sl2.exact import UniPoly, rat, rat_str
-from admissible_sl2.numeric import theta_eval_numeric
+from admissible_sl2.numeric import ComplexVal, theta_eval_numeric
 from admissible_sl2.qseries import QSeries, ThetaSpec
 from admissible_sl2.report import (
     SCHEMA_VERSION,
@@ -80,6 +81,47 @@ def test_encode_complexval_preserves_precision():
     # 30 significant digits survive the string round trip
     digits = obj["value"][0].replace(".", "").lstrip("-0")
     assert len(digits) >= 25
+
+
+_MPF = st.one_of(
+    st.just(mp.mpf(0)),
+    st.builds(
+        lambda sign, man, exp: mp.make_mpf(from_man_exp(sign * man, exp)),  # exact
+        st.sampled_from([1, -1]),
+        st.integers(1, 2**200),
+        st.integers(-1200, 1200),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=_MPF, y=_MPF, err=_MPF)
+def test_memoised_strings_equal_fresh_to_str(x, y, err):
+    # one document holds a value, its negation and its conjugate, so they
+    # share memo entries; each string must still be to_str's own.  At 400
+    # bits every negation and the complex pair are exact.
+    with mp.workprec(400):
+        z = mp.mpc(x, y)
+        doc = document(
+            "demo",
+            {},
+            {
+                "reals": [x, -x, y, -y],
+                "complex": [z, mp.conj(z), -z],
+                "val": ComplexVal(z, abs(err), 192),
+            },
+            [],
+        )["results"]
+
+        def fresh(v, digits=30):
+            return to_str(v._mpf_, digits, strip_zeros=True)
+
+        assert doc["reals"] == [fresh(x), fresh(-x), fresh(y), fresh(-y)]
+        assert doc["complex"] == [
+            [fresh(x), fresh(y)], [fresh(x), fresh(-y)], [fresh(-x), fresh(-y)]
+        ]
+        assert doc["val"] == {"value": [fresh(x), fresh(y)], "err": fresh(abs(err), 8)}
+        assert encode(x) == fresh(x) and encode(-x) == fresh(-x)
 
 
 def test_encode_mappings_with_fraction_keys():
