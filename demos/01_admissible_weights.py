@@ -12,18 +12,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from admissible_sl2 import (
+    InputError,
+    Level,
     conformal_weight,
     enumerate_admissible,
     kac_kazhdan_witness,
-    level_from_pq,
     vacuum_polynomial,
     virasoro_data,
     weight_from_j,
 )
 
 # the running example: p = 3, q = 2, so ell = -1/2 and t = ell + 2 = 3/2
-level = level_from_pq(3, 2)
+level = Level(3, 2)
 print(f"level: ell = {level.ell}, t = {level.t}  (p = {level.p}, q = {level.q})")
+
+# a level checks itself: p >= 2, q >= 1 and gcd(p, q) = 1, or no level at all
+try:
+    Level(4, 2)
+except InputError as exc:
+    print(f"Level(4, 2) is refused: {exc}")
 
 # central charge of the associated Virasoro structure
 vd = virasoro_data(level, Fraction(1, 2))

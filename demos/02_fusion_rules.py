@@ -15,15 +15,15 @@ from fractions import Fraction
 
 from admissible_sl2 import (
     FusionRing,
+    Level,
     classical_su2_fusion,
     enumerate_admissible,
-    level_from_pq,
     vacuum_polynomial,
     weight_from_j,
 )
 from admissible_sl2.fusion import fusion
 
-level = level_from_pq(3, 2)
+level = Level(3, 2)
 
 # the vacuum Zhu algebra is C[x] modulo the vacuum polynomial, whose roots
 # are exactly the admissible weights
@@ -56,7 +56,7 @@ for w1 in enumerate_admissible(level):
 # at q = 1 and integer level the rule is the classical truncated
 # Clebsch-Gordan product
 ell = 2
-lvl = level_from_pq(ell + 2, 1)
+lvl = Level(ell + 2, 1)
 w1, w2 = enumerate_admissible(lvl)[1], enumerate_admissible(lvl)[2]
 closed = {str(w.j): m for w, m in fusion(w1, w2).outputs}
 classical = classical_su2_fusion(ell, w1.n, w2.n)

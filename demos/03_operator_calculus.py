@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from admissible_sl2 import (
     SL2,
+    Level,
     PBWElement,
     c2_heisenberg_reduction,
     factor_product,
     hw_annihilation_polynomial,
-    level_from_pq,
     sigma_antihom,
     verify_operator_identities,
 )
@@ -50,7 +50,7 @@ print(f"\nidentities to m_max=3: {len(report.checks)} checks, "
 
 # what the calculus buys: the polynomial by which the singular vector acts
 # on a highest-weight vector, and the leading term of its C2 symbol
-level = level_from_pq(3, 2)
+level = Level(3, 2)
 const, labels = hw_annihilation_polynomial(level)
 roots = ", ".join(str(Fraction(J, level.q)) for J in labels)  # root labels are q * r
 print(f"\nannihilation polynomial at (p,q)=(3,2): {const} * prod (x - r), r in {roots}")

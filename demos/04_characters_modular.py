@@ -16,17 +16,17 @@ from mpmath import mp, nstr
 
 from admissible_sl2 import (
     CharacterSpec,
+    Level,
     character_eval_numeric,
     character_qseries,
     chibar_lowest_exponent,
-    level_from_pq,
     qseries_eval_numeric,
     s_transform_residual,
     theta_ratio_identity_check,
     weight_from_j,
 )
 
-level = level_from_pq(3, 2)
+level = Level(3, 2)
 z = Fraction(1, 2)
 
 # the character of L(1) specialized along z, as an exact q-series; the
@@ -38,8 +38,9 @@ print(f"chibar(L(1)) lowest exponent: {chibar_lowest_exponent(spec)}")
 print(f"chibar(L(1)) = {series}")
 
 # the one-variable rewriting as a ratio of two-index theta functions agrees
-# coefficient-by-coefficient, and its prefactor exponent cancels exactly
-report = theta_ratio_identity_check(spec, Fraction(12))
+# coefficient-by-coefficient with the character chi it is given, to that
+# series' order, and its prefactor exponent cancels exactly
+report = theta_ratio_identity_check(spec, character_qseries(spec, Fraction(12)))
 print(f"\ntheta-ratio identity to order 12: agree = {report.agree}, "
       f"prefactor exponent zero = {report.prefactor_zero}")
 

@@ -65,7 +65,6 @@ from .weights import (
     conformal_weight,
     enumerate_admissible,
     kac_kazhdan_witness,
-    level_from_pq,
     vacuum_polynomial,
     virasoro_data,
     weight_from_j,
@@ -107,7 +106,6 @@ __all__ = [
     "fusion_degrees",
     "hw_annihilation_polynomial",
     "kac_kazhdan_witness",
-    "level_from_pq",
     "pbw_product",
     "poly_gcd",
     "qseries_div",

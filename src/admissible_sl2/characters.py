@@ -19,9 +19,11 @@ l z^2 / 4 (:meth:`~admissible_sl2.weights.Level.anomaly`), which
 :meth:`CharacterSpec.shift` adds for chi and not for chibar.
 
 The one-variable form rewrites chi_j as a ratio of Theta series at rescaled
-arguments; `theta_ratio_identity_check` verifies that identity coefficient by
-coefficient, together with the exponent cancellation l + 2 - a/q^2 = 0 that
-makes the rewriting exact.
+arguments; `theta_ratio_identity_check` judges a chi series it is given
+against that rewriting coefficient by coefficient, up to the series' order,
+together with the exponent cancellation l + 2 - a/q^2 = 0 that makes the
+rewriting exact.  It divides only the right-hand side, so a caller that
+already holds chi (``verify`` derives it from chibar) does not divide twice.
 """
 
 from __future__ import annotations
@@ -134,17 +136,17 @@ def character_qseries(spec: CharacterSpec, order, kind: str = "chi") -> QSeries:
 
 @dataclass(frozen=True)
 class ThetaRatioReport:
-    """Outcome of comparing chi against its one-variable Theta-ratio form."""
+    """Outcome of comparing a chi series against its one-variable Theta-ratio form."""
 
     agree: bool
     first_mismatch: Fraction | None
     prefactor_zero: bool
-    lhs: QSeries
     rhs: QSeries
 
 
-def theta_ratio_identity_check(spec: CharacterSpec, order) -> ThetaRatioReport:
-    """Verify chi_j equals its Theta-quotient rewriting, term by term.
+def theta_ratio_identity_check(spec: CharacterSpec, chi: QSeries) -> ThetaRatioReport:
+    """Verify that ``chi``, the character chi_j of ``spec``, equals its
+    Theta-quotient rewriting term by term, up to ``chi.order``.
 
     The right-hand side is
 
@@ -153,12 +155,10 @@ def theta_ratio_identity_check(spec: CharacterSpec, order) -> ThetaRatioReport:
 
     with z = v/u; a Theta at argument tau/w contributes exponents divided
     by w.  Also checks the exponent identity l + 2 - a/q^2 = 0 that the
-    rewriting relies on.
+    rewriting relies on.  ``chi`` is taken as given, for instance from
+    :func:`character_qseries`.
     """
-    order = rat(order)
     w, lvl = spec.weight, spec.weight.level
-    lhs = character_qseries(spec, order, kind="chi")
-
     a, u, v, q = lvl.a, spec.z.denominator, spec.z.numerator, lvl.q
     rhs = _theta_quotient(
         (
@@ -166,18 +166,14 @@ def theta_ratio_identity_check(spec: CharacterSpec, order) -> ThetaRatioReport:
             ThetaSpec(q * u * w.b_minus + a * v, a * q * u),
         ),
         (ThetaSpec(u + 2 * v, 2 * u), ThetaSpec(-u + 2 * v, 2 * u)),
-        order,
+        chi.order,
         w_num=Fraction(1, q * u),
         w_den=Fraction(1, u),
     )
 
     prefactor_zero = lvl.ell + 2 - Fraction(a, q * q) == 0
-    cap = min(order, lhs.order, rhs.order)
-    diff = lhs - rhs
-    mismatch = None
-    for exp, coeff in diff.prefix(cap):
-        if coeff != 0:
-            mismatch = exp
-            break
+    # both sides are exact below chi.order, and a series stores no zero term
+    low = (chi - rhs).lowest()
+    mismatch = None if low is None else low[0]
     agree = mismatch is None and prefactor_zero
-    return ThetaRatioReport(agree, mismatch, prefactor_zero, lhs, rhs)
+    return ThetaRatioReport(agree, mismatch, prefactor_zero, rhs)

@@ -47,9 +47,9 @@ from .numeric import s_transform_residual
 from .pbw import verify_operator_identities
 from .weights import (
     AdmissibleWeight,
+    Level,
     conformal_weight,
     enumerate_admissible,
-    level_from_pq,
     vacuum_polynomial,
     weight_from_j,
 )
@@ -128,7 +128,7 @@ def _tolerance(text: str) -> mp.mpf:
 
 
 def cmd_weights(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     weights = enumerate_admissible(level)
     results = {
         "level": level,
@@ -158,7 +158,7 @@ def cmd_weights(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_zhu(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     relation = vacuum_polynomial(level)
     squarefree = poly_gcd(relation, relation.derivative()).degree == 0
     const, labels = hw_annihilation_polynomial(level)
@@ -185,7 +185,7 @@ def cmd_zhu(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_bimodule(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     w = _weight_from_flags(level, args)
     pres = bimodule_presentation(w)
     oracle = bimodule_from_mff(w)
@@ -203,7 +203,7 @@ def cmd_bimodule(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_fusion(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     w1 = _weight_from_pair(level, args.j1, "--j1")
     w2 = _weight_from_pair(level, args.j2, "--j2")
     record = fusion(w1, w2, oracle=args.oracle)
@@ -233,7 +233,7 @@ def cmd_fusion(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_fusion_table(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     ring = FusionRing.build(level)
     basis = ring.basis
     table = []
@@ -290,7 +290,7 @@ def cmd_mff_verify(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_character(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     w = _weight_from_flags(level, args)
     z = _rational(args.z, "--z")
     spec = CharacterSpec(w, z)
@@ -333,7 +333,7 @@ def cmd_character(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_stransform(args) -> tuple[dict, list[dict]]:
-    level = level_from_pq(args.p, args.q)
+    level = Level(args.p, args.q)
     z = _rational(args.z, "--z")
     tau = _tau(args.tau)
     tol = _tolerance(args.tol)

@@ -56,6 +56,20 @@ def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
     return out
 
 
+def add_term(dst: dict, key, coeff) -> None:
+    """Add a nonzero term to a sparse map, dropping the key if its coefficient cancels.
+
+    The one sparse update of the exact layer: :class:`UniPoly` keys by degree,
+    the PBW elements of ``pbw`` by monomial.
+    """
+    if key not in dst:
+        dst[key] = coeff
+    elif s := dst[key] + coeff:
+        dst[key] = s
+    else:
+        del dst[key]
+
+
 class UniPoly:
     """Sparse univariate polynomial with exact rational coefficients."""
 
@@ -114,11 +128,7 @@ class UniPoly:
     def __add__(self, other: UniPoly) -> UniPoly:
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            s = out.get(d, Fraction(0)) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
+            add_term(out, d, c)
         res = UniPoly.zero()
         res.coeffs = out
         return res
@@ -131,12 +141,7 @@ class UniPoly:
             out: dict[int, Fraction] = {}
             for d1, c1 in self.coeffs.items():
                 for d2, c2 in other.coeffs.items():
-                    d = d1 + d2
-                    s = out.get(d, Fraction(0)) + c1 * c2
-                    if s:
-                        out[d] = s
-                    else:
-                        out.pop(d, None)
+                    add_term(out, d1 + d2, c1 * c2)
             res = UniPoly.zero()
             res.coeffs = out
             return res
@@ -193,12 +198,7 @@ class UniPoly:
             factor = r[dr] / clead
             q[dr - dlead] = factor
             for d2, c2 in other.coeffs.items():
-                d = dr - dlead + d2
-                s = r.get(d, Fraction(0)) - factor * c2
-                if s:
-                    r[d] = s
-                else:
-                    r.pop(d, None)
+                add_term(r, dr - dlead + d2, -factor * c2)
         qq = UniPoly.zero()
         qq.coeffs = q
         rr = UniPoly.zero()

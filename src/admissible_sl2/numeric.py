@@ -105,8 +105,6 @@ class ComplexVal:
 
 
 def _as_mpc(x) -> mpmath.mpc:
-    if isinstance(x, ComplexVal):
-        return x.value
     if isinstance(x, Fraction):
         return mp.mpc(_frac_mpf(x))
     return mp.mpc(x)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantError
-from .exact import RatLike, rat, rat_str, signed_sum
+from .exact import RatLike, add_term, rat, rat_str, signed_sum
 
 Mono = tuple[int, int, int]
 Terms = dict[Mono, Fraction]
@@ -104,16 +104,6 @@ HEIS = LieAlgebra(
 _GEN_CACHE: dict[tuple[str, Mono, int], tuple[tuple[Mono, Fraction], ...]] = {}
 
 
-def _add_term(dst: Terms, mono: Mono, coeff: Fraction) -> None:
-    """Add a nonzero term, dropping the monomial if its coefficient cancels."""
-    if mono not in dst:
-        dst[mono] = coeff
-    elif s := dst[mono] + coeff:
-        dst[mono] = s
-    else:
-        del dst[mono]
-
-
 def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fraction], ...]:
     """Normal form of (g0^a g1^b g2^c) * g_g, memoized."""
     key = (alg.name, mono, g)
@@ -131,12 +121,12 @@ def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fr
     out: Terms = {}
     for m2, co in _mono_times_gen(alg, rest, g):
         for m3, co3 in _mono_times_gen(alg, m2, k):
-            _add_term(out, m3, co * co3)
+            add_term(out, m3, co * co3)
     br = alg.brackets.get((k, g))
     if br is not None:
         coeff, j = br
         for m2, co in _mono_times_gen(alg, rest, j):
-            _add_term(out, m2, coeff * co)
+            add_term(out, m2, coeff * co)
     frozen = tuple(out.items())
     _GEN_CACHE[key] = frozen
     return frozen
@@ -146,7 +136,7 @@ def _terms_times_gen(alg: LieAlgebra, terms: Terms, g: int) -> Terms:
     out: Terms = {}
     for mono, coeff in terms.items():
         for m2, co in _mono_times_gen(alg, mono, g):
-            _add_term(out, m2, coeff * co)
+            add_term(out, m2, coeff * co)
     return out
 
 
@@ -202,7 +192,7 @@ class PBWElement:
         self._check_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            _add_term(out, m, c)
+            add_term(out, m, c)
         res = PBWElement(self.algebra)
         res.terms = out
         return res
@@ -265,7 +255,7 @@ def pbw_product(left: PBWElement, right: PBWElement) -> PBWElement:
             for _ in range(e):
                 cur = _terms_times_gen(alg, cur, g)
         for m, co in cur.items():
-            _add_term(acc, m, co * coeff)
+            add_term(acc, m, co * coeff)
     res = PBWElement(alg)
     res.terms = acc
     return res
@@ -294,15 +284,11 @@ def quadratic_factor(alg: LieAlgebra, a: RatLike) -> PBWElement:
     return x * y - g1.scale(a) + PBWElement.unit(alg).scale(alg.factor_sign * a * (a + 1))
 
 
-def factor_product(
-    alg: LieAlgebra, alphas: Iterable[RatLike], tail: PBWElement | None = None
-) -> PBWElement:
-    """Left-to-right product X_{alphas[0]} X_{alphas[1]} ... in `alg`, then an optional tail."""
+def factor_product(alg: LieAlgebra, alphas: Iterable[RatLike]) -> PBWElement:
+    """Left-to-right product X_{alphas[0]} X_{alphas[1]} ... in `alg`."""
     out = PBWElement.unit(alg)
     for a in alphas:
         out = out * quadratic_factor(alg, a)
-    if tail is not None:
-        out = out * tail
     return out
 
 

@@ -17,7 +17,9 @@ The module also provides the theta-function expansions
 with ``q = e^(2 pi i tau)``; at ``z = 0`` this is the one-variable series
 ``Theta_{n,m}``.  The expansion works on integer keys as well: with
 j = x/2m and z = v/u, every exponent is an integer over 4mu, so the points
-below the order are counted without building a ``Fraction``.  Division of
+below the order are counted without building a ``Fraction``.  One helper,
+``_theta_lattice``, gives that lattice and the point at its vertex, for both
+the expansion and the exact lowest exponent.  Division of
 series (needed for characters written as theta ratios) eliminates leading
 terms on the integer lattice, over a list of lattice slots when the quotient
 can fill it and over a heap of keys when it cannot, with integral
@@ -33,7 +35,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import InputError
 from .exact import rat
@@ -76,9 +78,7 @@ class QSeries:
         cap = _key_cap(order, denom)
         kept = {m: c for m, c in terms.items() if c and m < cap}
         if kept:
-            g = denom
-            for m in kept:
-                g = math.gcd(g, m)
+            g = math.gcd(denom, *kept)
             if g > 1:
                 kept = {m // g: c for m, c in kept.items()}
                 denom //= g
@@ -101,9 +101,7 @@ class QSeries:
     def from_terms(cls, pairs: Iterable[tuple[Fraction, Fraction]], order) -> "QSeries":
         """Build from (exponent, coefficient) pairs; exponents may repeat."""
         pairs = [(rat(e), rat(c)) for e, c in pairs]
-        denom = 1
-        for e, _ in pairs:
-            denom = denom * e.denominator // math.gcd(denom, e.denominator)
+        denom = math.lcm(*(e.denominator for e, _ in pairs))
         terms: dict[int, Fraction] = {}
         for e, c in pairs:
             m = e.numerator * (denom // e.denominator)
@@ -146,7 +144,7 @@ class QSeries:
     # -- arithmetic --------------------------------------------------------
 
     def _aligned(self, other: "QSeries") -> tuple[int, dict[int, Fraction], dict[int, Fraction]]:
-        denom = self.denom * other.denom // math.gcd(self.denom, other.denom)
+        denom = math.lcm(self.denom, other.denom)
         sa, sb = denom // self.denom, denom // other.denom
         return (
             denom,
@@ -191,7 +189,7 @@ class QSeries:
     def shift_exponents(self, delta) -> "QSeries":
         """Multiply by q^delta: exponents and order all shift by delta."""
         delta = rat(delta)
-        denom = self.denom * delta.denominator // math.gcd(self.denom, delta.denominator)
+        denom = math.lcm(self.denom, delta.denominator)
         s = denom // self.denom
         d = delta.numerator * (denom // delta.denominator)
         return QSeries(
@@ -259,54 +257,51 @@ class ThetaSpec:
     def has_rational_z(self) -> bool:
         return isinstance(self.z, Fraction)
 
-    @property
-    def offset(self) -> Fraction:
-        return Fraction(self.n, 2 * self.m)
 
-    def exponent_at(self, j: Fraction) -> Fraction:
-        return self.m * (j * j + j * self.z)
+def _theta_lattice(spec: ThetaSpec) -> tuple[int, int, Callable[[int], int], int]:
+    """The integer lattice of theta_{n,m}(tau, z): ``(4mu, 2m, key, x0)``.
+
+    A point j in Z + n/2m is j = x/2m with x in 2mZ + n; with z = v/u in
+    lowest terms its exponent m(j^2 + j z) is key(x) / 4mu, where
+    key(x) = x (u x + 2m v).  The key is an upward parabola in x with vertex
+    -mv/u, and x0 is the lattice point at the ceiling of that vertex, so x0
+    and x0 - 2m are the two points nearest it.
+    """
+    if not spec.has_rational_z:
+        raise InputError("exact theta expansion requires a rational z")
+    n, m = spec.n, spec.m
+    v, u = spec.z.numerator, spec.z.denominator
+    step, lin = 2 * m, 2 * m * v
+    x0 = step * -((m * v + n * u) // (2 * m * u)) + n  # x = 2m i + n, i = ceil of the vertex
+    return 4 * m * u, step, lambda x: x * (u * x + lin), x0
 
 
 def theta_qseries(spec: ThetaSpec, order) -> QSeries:
     """Expand theta_{n,m}(tau, z) as an exact QSeries to the given order.
 
     Sums q^(m(j^2 + j z)) over all lattice points j in Z + n/2m whose exponent
-    lies below the order.  With x = 2m i + n, so that j = x/2m, and z = v/u
-    in lowest terms, that exponent is (u x^2 + 2m v x) / 4mu: each point
-    contributes the integer key x (u x + 2m v) on the lattice (1/4mu)Z, kept
-    when it lies below the order's key cap.  The key is an upward parabola in
-    x, so the points are enumerated outward from its vertex, i = -z/2 - n/2m.
-    Two points j and -z - j share a key, so the keys count their points.
+    lies below the order: each point contributes the integer key of
+    :func:`_theta_lattice` on the lattice (1/4mu)Z, kept when it lies below
+    the order's key cap.  The key is an upward parabola, so the points are
+    enumerated outward from its vertex.  Two points j and -z - j share a key,
+    so the keys count their points.
     """
-    if not spec.has_rational_z:
-        raise InputError("exact theta expansion requires a rational z")
+    denom, step, key, x0 = _theta_lattice(spec)
     order = rat(order)
-    n, m = spec.n, spec.m
-    v, u = spec.z.numerator, spec.z.denominator
-    denom = 4 * m * u
     cap = _key_cap(order, denom)
-    step, lin = 2 * m, 2 * m * v
-    start = -((m * v + n * u) // (2 * m * u))  # ceil of the vertex in i
     counts: dict[int, int] = {}
-    x = step * start + n
-    while (key := x * (u * x + lin)) < cap:
-        counts[key] = counts.get(key, 0) + 1
-        x += step
-    x = step * (start - 1) + n
-    while (key := x * (u * x + lin)) < cap:
-        counts[key] = counts.get(key, 0) + 1
-        x -= step
+    for x, dx in ((x0, step), (x0 - step, -step)):
+        while (k := key(x)) < cap:
+            counts[k] = counts.get(k, 0) + 1
+            x += dx
     return QSeries(denom, counts, order)
 
 
 def theta_min_exponent(spec: ThetaSpec) -> Fraction:
-    """Exact lowest exponent of theta_{n,m}(tau, z) over its lattice."""
-    if not spec.has_rational_z:
-        raise InputError("exact theta expansion requires a rational z")
-    off = spec.offset
-    vertex = -spec.z / 2 - off
-    lo = math.floor(vertex)
-    return min(spec.exponent_at(i + off) for i in (lo, lo + 1))
+    """Exact lowest exponent of theta_{n,m}(tau, z): the smaller key of the two
+    lattice points nearest the vertex of :func:`_theta_lattice`, over 4mu."""
+    denom, step, key, x0 = _theta_lattice(spec)
+    return Fraction(min(key(x0), key(x0 - step)), denom)
 
 
 def qseries_div(num: QSeries, den: QSeries) -> QSeries:
@@ -353,9 +348,7 @@ def qseries_div(num: QSeries, den: QSeries) -> QSeries:
 
     denom, a, b = num._aligned(den)
     # Bring the order and e_d onto the lattice so all keys stay integral.
-    denom2 = denom
-    for f in (order, e_d):
-        denom2 = denom2 * f.denominator // math.gcd(denom2, f.denominator)
+    denom2 = math.lcm(denom, order.denominator, e_d.denominator)
     s = denom2 // denom
     cap = _key_cap(order + e_d, denom2)
     m_d = min(b) * s

@@ -19,7 +19,9 @@ Each suite returns a ``(results, checks)`` pair ready for
 - ``characters``: on the fixture levels in range, checks the theta-ratio
   identity to order 20, character coefficients to order 30 (nonnegative
   integers, unit lowest term at the predicted exponent), and series-vs-
-  numeric agreement at three sample points of the upper half plane.
+  numeric agreement at three sample points of the upper half plane.  One
+  chibar division per weight and z serves all three checks: chi to any
+  order up to 30 is that series truncated and shifted by the anomaly.
 
 The fusion and mff suites each build a level's bimodule oracles once with
 :func:`level_oracles`; ``--suite all`` therefore builds them twice, a
@@ -30,9 +32,9 @@ below that judge one level, one weight or one series are the ones the
 
 Every check goes through one guard, ``_judge``, the ring-axiom,
 classical-limit and operator-identity checks included: a computation that
-raises an ``AdmissibleError`` fails its own named check (both checks, for
-the chibar division that serves two), and the sweep runs to the end so the
-report covers every item.
+raises an ``AdmissibleError`` fails its own named check (all three checks,
+for the chibar division that serves three), and the sweep runs to the end so
+the report covers every item.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .mff import bimodule_from_mff, c2_heisenberg_reduction, hw_annihilation_pol
 from .numeric import character_eval_numeric, qseries_eval_numeric
 from .pbw import verify_operator_identities
 from .report import all_checks_pass, check, failed
-from .weights import Level, enumerate_admissible, level_from_pq, vacuum_labels
+from .weights import Level, enumerate_admissible, vacuum_labels
 
 __all__ = [
     "SUITES",
@@ -108,7 +110,7 @@ def coprime_levels(pmax: int, qmax: int) -> list[Level]:
     """All admissible levels with 2 <= p <= pmax, 1 <= q <= qmax."""
     _guard(pmax, qmax)
     return [
-        level_from_pq(p, q)
+        Level(p, q)
         for p in range(2, pmax + 1)
         for q in range(1, qmax + 1)
         if math.gcd(p, q) == 1
@@ -255,7 +257,7 @@ def _axioms(ring: FusionRing) -> tuple[bool, str]:
 
 def _classical_limit(ell: int) -> tuple[bool, str]:
     """Whether the q = 1 closed form at level ell is classical su(2) fusion."""
-    weights = enumerate_admissible(level_from_pq(ell + 2, 1))
+    weights = enumerate_admissible(Level(ell + 2, 1))
     basis = {w.J: w.J for w in weights}  # J = j at q = 1
     ok = all(
         dict(fusion_outputs(w1, w2, fusion_degrees(w1, w2), basis.get))
@@ -332,21 +334,17 @@ def mff_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
     return {"levels": rows}, checks
 
 
-def _sample_taus() -> list[tuple[str, mp.mpc]]:
-    with mp.workprec(256):
-        return [
-            ("i", mp.mpc(0, 1)),
-            ("2i", mp.mpc(0, 2)),
-            ("1/3+3i/2", mp.mpc(mp.mpf(1) / 3, mp.mpf(3) / 2)),
-        ]
+def _chi(spec: CharacterSpec, chibar, order: Fraction):
+    """chi to ``order`` from a chibar series exact below ``order - anomaly``:
+    the same exact series as ``character_qseries(spec, order)``."""
+    return chibar.truncate(order - spec.anomaly).shift_exponents(spec.anomaly)
 
 
 def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
     _guard(pmax, qmax)
-    fixtures = [
-        level_from_pq(p, q) for p, q in _CHARACTER_FIXTURES if p <= pmax and q <= qmax
-    ]
-    taus = _sample_taus()
+    fixtures = [Level(p, q) for p, q in _CHARACTER_FIXTURES if p <= pmax and q <= qmax]
+    with mp.workprec(256):  # the sample points i, 2i and 1/3 + 3i/2
+        taus = [mp.mpc(0, 1), mp.mpc(0, 2), mp.mpc(mp.mpf(1) / 3, mp.mpf(3) / 2)]
     checks: list[dict] = []
     rows = []
     for level in fixtures:
@@ -355,20 +353,21 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
             tag = f"p{level.p}_q{level.q}_z{z.numerator}_{z.denominator}"
             specs = [CharacterSpec(w, z) for w in weights]
             rows.append({"level": level, "z": z, "weights": len(weights)})
-
-            def theta_ratios():
-                reports = [theta_ratio_identity_check(s, _RATIO_ORDER) for s in specs]
-                ok = all(r.agree for r in reports)
-                return ok, f"{len(reports)} weights to order {_RATIO_ORDER}"
-
-            _judge(checks, f"theta_ratio_{tag}", theta_ratios)
-            # One division per weight serves the two checks below: chi to order
-            # N is chibar to order N - anomaly, shifted by the anomaly.  If it
-            # raises, both fail with its error.
+            # One division per weight serves the three checks below: chi to order
+            # N is chibar to order N - anomaly, shifted by the anomaly (``_chi``).
+            # If it raises, all three fail with its error.
             chibars, raised = _outcome(lambda: [
                 character_qseries(s, max(_SERIES_ORDER, _SERIES_ORDER - s.anomaly), kind="chibar")
                 for s in specs
             ])
+
+            def theta_ratios():
+                reports = [
+                    theta_ratio_identity_check(s, _chi(s, full, _RATIO_ORDER))
+                    for s, full in zip(specs, chibars)
+                ]
+                ok = all(r.agree for r in reports)
+                return ok, f"{len(reports)} weights to order {_RATIO_ORDER}"
 
             def coefficients():
                 ok = all(
@@ -381,13 +380,14 @@ def characters_suite(pmax: int, qmax: int) -> tuple[dict, list[dict]]:
                 worst = mp.mpf(0)
                 ok = True
                 for s, full in zip(specs, chibars):
-                    ser = full.truncate(_SERIES_ORDER - s.anomaly).shift_exponents(s.anomaly)
-                    for _, tau in taus:
+                    ser = _chi(s, full, _SERIES_ORDER)
+                    for tau in taus:
                         *_, diff, agree = series_numeric_agreement(s, ser, tau, _AGREE_BOUND)
                         worst = max(worst, diff)
                         ok = ok and agree
                 return ok, f"max |series - numeric| = {mp.nstr(worst, 6)}"
 
+            _judge(checks, f"theta_ratio_{tag}", theta_ratios, raised)
             _judge(checks, f"character_coefficients_{tag}", coefficients, raised)
             _judge(checks, f"series_numeric_{tag}", agreement, raised)
 
@@ -405,6 +405,9 @@ def run_suites(suite: str, pmax: int, qmax: int) -> tuple[dict, list[dict]]:
     selected = SUITES if suite == "all" else (suite,)
     results: dict = {"suites": list(selected), "pmax": pmax, "qmax": qmax}
     checks: list[dict] = []
+    # Built on each call, not at module level: the benchmark's tracer wraps the
+    # suites by rebinding this module's attributes, and a table built at import
+    # would keep the unwrapped functions, so their spans would read 0.
     runners = {
         "fusion": fusion_suite,
         "mff": mff_suite,

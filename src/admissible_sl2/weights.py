@@ -1,8 +1,10 @@
 """Admissible levels and weights for affine sl2.
 
 A level is ell = -2 + p/q with p >= 2, q >= 1 and gcd(p, q) = 1; we write
-t = p/q = ell + 2.  The admissible highest weights at that level are
-j = n - k*t for 0 <= n <= p-2, 0 <= k <= q-1, so there are (p-1)*q of them.
+t = p/q = ell + 2.  ``Level(p, q)`` checks those three conditions itself, as
+``AdmissibleWeight`` checks its (n, k) box, so no unchecked level exists.
+The admissible highest weights at that level are j = n - k*t for
+0 <= n <= p-2, 0 <= k <= q-1, so there are (p-1)*q of them.
 The primed parametrization n' = n+1, k' = k+1 (so j = n'-1-(k'-1)t) is the
 one the operator calculus uses.
 Each weight has the integer label J = q*j = n q - k p, which splits back into
@@ -23,10 +25,18 @@ from .exact import RatLike, UniPoly, poly_from_linear_factors, rat, rat_str
 
 @dataclass(frozen=True)
 class Level:
-    """Admissible level ell = -2 + p/q."""
+    """Admissible level ell = -2 + p/q; the constructor checks p >= 2, q >= 1, gcd 1."""
 
     p: int
     q: int
+
+    def __post_init__(self) -> None:
+        if self.p < 2:
+            raise InputError(f"p={self.p} must be >= 2")
+        if self.q < 1:
+            raise InputError(f"q={self.q} must be >= 1")
+        if gcd(self.p, self.q) != 1:
+            raise InputError(f"p={self.p} and q={self.q} are not coprime")
 
     @property
     def t(self) -> Fraction:
@@ -102,17 +112,6 @@ class AdmissibleWeight:
 
     def __repr__(self) -> str:
         return f"AdmissibleWeight(n={self.n}, k={self.k}, j={rat_str(self.j)})"
-
-
-def level_from_pq(p: int, q: int) -> Level:
-    """Validate (p, q) and build the level ell = -2 + p/q."""
-    if p < 2:
-        raise InputError(f"p={p} must be >= 2")
-    if q < 1:
-        raise InputError(f"q={q} must be >= 1")
-    if gcd(p, q) != 1:
-        raise InputError(f"p={p} and q={q} are not coprime")
-    return Level(p, q)
 
 
 def enumerate_admissible(level: Level) -> list[AdmissibleWeight]:

@@ -34,7 +34,7 @@ def pbw_annihilation_polynomial(level: Level) -> tuple[Fraction, UniPoly]:
     e = PBWElement.generator(SL2, SL2.raising)
     f = PBWElement.generator(SL2, SL2.lowering)
     tail = (e ** (p - 1)) * (f ** (p - 1))
-    x = factor_product(SL2, alphas, tail=tail)
+    x = factor_product(SL2, alphas) * tail
     coeffs: dict[int, Fraction] = {}
     for (a, b, c), coeff in x.terms.items():
         if a != c:

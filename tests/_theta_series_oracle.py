@@ -1,8 +1,9 @@
 """Independent theta-series oracle: the exact expansion over Fractions.
 
 This is ``qseries.theta_qseries`` as it was written before it moved to
-integer lattice keys.  Every exponent m(j^2 + j z) is built as a
-``Fraction`` through ``ThetaSpec.exponent_at`` and every coefficient is
+integer lattice keys.  Every lattice point j = i + n/2m and its exponent
+m(j^2 + j z) are built here as ``Fraction``s, with nothing taken from the
+module under test but the series container, and every coefficient is
 ``Fraction(1)``; ``QSeries.from_terms`` puts them on a lattice and adds the
 coefficients of repeated exponents.  ``qseries.theta_qseries`` computes the
 integer numerators u x^2 + 2m v x over 4mu directly (x = 2m i + n, z = v/u)
@@ -31,19 +32,24 @@ def theta_qseries(spec: ThetaSpec, order) -> QSeries:
     if not spec.has_rational_z:
         raise InputError("exact theta expansion requires a rational z")
     order = rat(order)
-    off = spec.offset
-    vertex = -spec.z / 2 - off  # real minimiser in the integer coordinate i
+    m, z = spec.m, spec.z
+    off = Fraction(spec.n, 2 * m)
+    vertex = -z / 2 - off  # real minimiser in the integer coordinate i
+
+    def exponent_at(j: Fraction) -> Fraction:
+        return m * (j * j + j * z)
+
     pairs: list[tuple[Fraction, Fraction]] = []
     i = math.ceil(vertex)
     while True:
-        e = spec.exponent_at(i + off)
+        e = exponent_at(i + off)
         if e >= order:
             break
         pairs.append((e, Fraction(1)))
         i += 1
     i = math.ceil(vertex) - 1
     while True:
-        e = spec.exponent_at(i + off)
+        e = exponent_at(i + off)
         if e >= order:
             break
         pairs.append((e, Fraction(1)))

@@ -22,6 +22,7 @@ from mpmath import mp
 from admissible_sl2 import (
     CharacterSpec,
     FusionRing,
+    Level,
     c2_heisenberg_reduction,
     character_eval_numeric,
     character_qseries,
@@ -30,7 +31,6 @@ from admissible_sl2 import (
     conformal_weight,
     enumerate_admissible,
     hw_annihilation_polynomial,
-    level_from_pq,
     poly_gcd,
     qseries_eval_numeric,
     s_transform_residual,
@@ -66,7 +66,7 @@ def _sweep_levels():
 
 @lru_cache(maxsize=None)
 def _ring(p: int, q: int) -> FusionRing:
-    return FusionRing.build(level_from_pq(p, q))
+    return FusionRing.build(Level(p, q))
 
 
 def test_primary_01_three_way_fusion_agreement():
@@ -96,7 +96,7 @@ def test_primary_02_classical_limit():
     failures: list[str] = []
     pairs = 0
     for ell in range(0, 7):
-        level = level_from_pq(ell + 2, 1)
+        level = Level(ell + 2, 1)
         for w1 in enumerate_admissible(level):
             for w2 in enumerate_admissible(level):
                 closed = {w.j: m for w, m in fusion(w1, w2).outputs}
@@ -117,7 +117,7 @@ def test_primary_03_fusion_ring_axioms_and_fixture_rows():
         for name, ok in axioms.items():
             if not ok:
                 failures.append(f"(p,q)=({level.p},{level.q}) {name}")
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     rows = {
         (Fraction(1), Fraction(1)): {Fraction(0): 1},
         (Fraction(-1, 2), Fraction(-1, 2)): {},
@@ -164,11 +164,11 @@ def _annihilation_polynomial(level):
 
 def test_primary_05_annihilation_polynomial():
     failures: list[str] = []
-    const, poly = _annihilation_polynomial(level_from_pq(2, 1))
+    const, poly = _annihilation_polynomial(Level(2, 1))
     if (const, encode(poly)) != (Fraction(1), [[1, "1"]]):
         failures.append(f"(2,1) fixture: ({const}, {poly})")
-    const, poly = _annihilation_polynomial(level_from_pq(3, 1))
-    expected = vacuum_polynomial(level_from_pq(3, 1)).scale(Fraction(2))
+    const, poly = _annihilation_polynomial(Level(3, 1))
+    expected = vacuum_polynomial(Level(3, 1)).scale(Fraction(2))
     if const != 2 or poly != expected:
         failures.append(f"(3,1) fixture: ({const}, {poly})")
     for level in _sweep_levels():
@@ -203,10 +203,11 @@ def test_primary_07_theta_ratio_identity():
     failures: list[str] = []
     count = 0
     for p, q in CHARACTER_FIXTURES:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         for z in FIXTURE_ZS:
             for w in enumerate_admissible(level):
-                rep = theta_ratio_identity_check(CharacterSpec(w, z), Fraction(20))
+                spec = CharacterSpec(w, z)
+                rep = theta_ratio_identity_check(spec, character_qseries(spec, Fraction(20)))
                 count += 1
                 if not rep.agree:
                     failures.append(f"({p},{q}) j={w.j} z={z}: {rep.first_mismatch}")
@@ -224,7 +225,7 @@ def test_primary_08_character_structure():
     failures: list[str] = []
     count = 0
     for p, q in CHARACTER_FIXTURES:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         for z in FIXTURE_ZS:
             for w in enumerate_admissible(level):
                 spec = CharacterSpec(w, z)
@@ -241,7 +242,7 @@ def test_primary_08_character_structure():
                 ):
                     failures.append(f"({p},{q}) j={w.j} z={z} coefficients")
     fixture = CharacterSpec(
-        weight_from_j(level_from_pq(3, 2), Fraction(1)), Fraction(1, 2)
+        weight_from_j(Level(3, 2), Fraction(1)), Fraction(1, 2)
     )
     if chibar_lowest_exponent(fixture) != Fraction(7, 24):
         failures.append("worked fixture lowest exponent != 7/24")
@@ -258,7 +259,7 @@ def test_primary_09_series_numeric_agreement():
     bound = mp.mpf("1e-8")
     count = 0
     for p, q in CHARACTER_FIXTURES:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         for w in enumerate_admissible(level):
             spec = CharacterSpec(w, Fraction(1, 2))
             for kind in ("chi", "chibar"):
@@ -279,7 +280,7 @@ def test_primary_09_series_numeric_agreement():
 
 def test_primary_10_s_transform_report():
     failures: list[str] = []
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     tau = mp.mpc(0, "1.5")
     kw2 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW2", tol=mp.mpf("1e-10"))
     kw1 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW1", tol=mp.mpf("1e-10"))

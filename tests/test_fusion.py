@@ -31,8 +31,8 @@ from admissible_sl2.mff import bimodule_from_mff
 from admissible_sl2.verify import _classical_limit, level_oracles, three_routes_agree
 from admissible_sl2.weights import (
     AdmissibleWeight,
+    Level,
     enumerate_admissible,
-    level_from_pq,
     vacuum_polynomial,
 )
 
@@ -44,7 +44,7 @@ def _as_dict(outputs):
 
 
 def test_fixture_table_3_2():
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     w = {x.j: x for x in enumerate_admissible(level)}
     one = w[Fraction(1)]
     mhalf = w[Fraction(-1, 2)]
@@ -56,7 +56,7 @@ def test_fixture_table_3_2():
 
 def test_gate_condition_3_2():
     # outputs are empty exactly when k1' + k2' > q + 1
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     for w1 in enumerate_admissible(level):
         for w2 in enumerate_admissible(level):
             rec = fusion(w1, w2)
@@ -68,7 +68,7 @@ def test_gate_condition_3_2():
 
 def test_vacuum_is_unit():
     for p, q in SWEEP:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         vac = AdmissibleWeight(level, 0, 0)
         for w in enumerate_admissible(level):
             assert _as_dict(fusion(vac, w).outputs) == {w.j: 1}
@@ -77,7 +77,7 @@ def test_vacuum_is_unit():
 
 @pytest.mark.parametrize("p,q", SWEEP)
 def test_three_routes_agree(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     weights = enumerate_admissible(level)
     for w1 in weights:
         generators = bimodule_presentation(w1).generators
@@ -97,7 +97,7 @@ _coprime_levels = st.tuples(st.integers(2, 9), st.integers(1, 6)).filter(
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(_coprime_levels)
 def test_routes_and_axioms_beyond_fixtures(pq):
-    level = level_from_pq(*pq)
+    level = Level(*pq)
     assert three_routes_agree(level_oracles(level))
     assert all(FusionRing.build(level).axioms().values())
 
@@ -114,7 +114,7 @@ def test_fusion_routes_build_no_polynomials(monkeypatch):
 
     monkeypatch.setattr(UniPoly, "__init__", refuse)
     monkeypatch.setattr(fusion_module, "weight_from_label", unresolved)
-    level = level_from_pq(5, 3)
+    level = Level(5, 3)
     assert three_routes_agree(level_oracles(level))
     with pytest.raises(AssertionError, match="UniPoly built"):
         vacuum_polynomial(level)
@@ -134,7 +134,7 @@ def test_ring_build_and_classical_limit_resolve_no_weight(monkeypatch):
 
     monkeypatch.setattr(fusion_module, "weight_from_label", unresolved)
     monkeypatch.setattr(AdmissibleWeight, "__post_init__", counted)
-    level = level_from_pq(5, 3)
+    level = Level(5, 3)
     assert all(FusionRing.build(level).axioms().values())
     assert len(built) == level.n_weights
     assert _classical_limit(6) == (True, "49 pairs")
@@ -147,7 +147,7 @@ def test_ring_and_resolver_run_on_labels_alone(monkeypatch):
         raise AssertionError("rational j formed")
 
     monkeypatch.setattr(AdmissibleWeight, "j", property(rational))
-    level = level_from_pq(5, 3)
+    level = Level(5, 3)
     ring = FusionRing.build(level)
     assert ring.axioms() == {"unit": True, "commutativity": True, "associativity": True}
     w1, w2 = AdmissibleWeight(level, 2, 1), AdmissibleWeight(level, 1, 0)
@@ -156,7 +156,7 @@ def test_ring_and_resolver_run_on_labels_alone(monkeypatch):
 
 
 def test_non_admissible_output_raises():
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     w = AdmissibleWeight(level, 1, 0)
     with pytest.raises(InvariantError, match="fusion output j=-4 is not admissible"):
         fusion_outputs(w, w, [3])
@@ -165,9 +165,9 @@ def test_non_admissible_output_raises():
 def test_weights_of_two_levels_raise_naming_both():
     # the (3,2) pair (1,1), (0,1) has its gate closed; beside a (5,3) weight
     # every entry point refuses rather than answering for one of the levels
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     w, w_other = AdmissibleWeight(level, 1, 1), AdmissibleWeight(level, 0, 1)
-    foreign = AdmissibleWeight(level_from_pq(5, 3), 1, 1)
+    foreign = AdmissibleWeight(Level(5, 3), 1, 1)
     for pair in ((foreign, w_other), (w, foreign)):
         for call in (
             lambda: fusion(*pair),
@@ -181,9 +181,9 @@ def test_weights_of_two_levels_raise_naming_both():
 
 
 def test_weights_from_two_equal_levels_fuse():
-    # equality, not identity: two level_from_pq(3, 2) calls give one level
-    w1 = AdmissibleWeight(level_from_pq(3, 2), 1, 1)
-    w2 = AdmissibleWeight(level_from_pq(3, 2), 0, 1)
+    # equality, not identity: two Level(3, 2) calls give one level
+    w1 = AdmissibleWeight(Level(3, 2), 1, 1)
+    w2 = AdmissibleWeight(Level(3, 2), 0, 1)
     assert w1.level is not w2.level
     rec = fusion(w1, w2, oracle="all")
     assert (rec.gate_passed, rec.outputs, rec.oracles_agree) == (False, [], True)
@@ -191,7 +191,7 @@ def test_weights_from_two_equal_levels_fuse():
 
 
 def test_fusion_record_all():
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     w1 = AdmissibleWeight(level, 1, 0)
     w2 = AdmissibleWeight(level, 1, 1)
     rec = fusion(w1, w2, oracle="all")
@@ -207,7 +207,7 @@ def test_classical_limit_matches_clebsch_gordan_truncation():
     # q = 1: outputs run from |j1-j2| to min(j1+j2, 2 ell - j1 - j2) in steps
     # of 2, each with multiplicity one
     for ell in range(0, 7):
-        level = level_from_pq(ell + 2, 1)
+        level = Level(ell + 2, 1)
         for w1 in enumerate_admissible(level):
             for w2 in enumerate_admissible(level):
                 expected = {}
@@ -227,7 +227,7 @@ def test_su2_level_one_is_group_ring_of_z2():
 
 @pytest.mark.parametrize("p,q", SWEEP)
 def test_ring_axioms(p, q):
-    ring = FusionRing.build(level_from_pq(p, q))
+    ring = FusionRing.build(Level(p, q))
     axioms = ring.axioms()
     assert axioms == {"unit": True, "commutativity": True, "associativity": True}
 
@@ -238,7 +238,7 @@ def _copy_table(ring: FusionRing) -> list[list[dict[int, int]]]:
 
 def test_ring_axioms_can_fail():
     # at (3,2) the ring is Z[g, x]/(g^2 - 1, x^2) on the basis (1, x, g, xg)
-    ring = FusionRing.build(level_from_pq(3, 2))
+    ring = FusionRing.build(Level(3, 2))
     # labels J = 2n - 3k: x = (0,1), g = (1,0), xg = (1,1) and the vacuum (0,0)
     x, g, xg = (ring.index[J] for J in (-3, 2, -1))
     # every coefficient doubled: the vacuum acts as 2, still commutative and associative
@@ -268,14 +268,14 @@ def test_associativity_halves_the_triples_only_when_commutative(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(fusion_module, "_combine", counted)
-    ring = FusionRing.build(level_from_pq(3, 2))
+    ring = FusionRing.build(Level(3, 2))
     x, g, xg = (ring.index[J] for J in (-3, 2, -1))
     skew = _copy_table(ring)
     skew[g][x][xg] = skew[g][xg][x] = -1
     for table_ring, triples in (
         (ring, 2 * 2 * 3 // 2 + 2 * 2 * 3 // 2),
         (replace(ring, table=skew), 4**3),
-        (FusionRing.build(level_from_pq(8, 5)), 7 * 7 * 8 // 2 + 5 * 5 * 6 // 2),
+        (FusionRing.build(Level(8, 5)), 7 * 7 * 8 // 2 + 5 * 5 * 6 // 2),
     ):
         calls.clear()
         assert table_ring.axioms()["associativity"]
@@ -286,7 +286,7 @@ def test_ring_table_is_zero_one():
     # multiplicities in the admissible range are all 0 or 1, and the table
     # stores only the nonzero ones
     for p, q in SWEEP:
-        ring = FusionRing.build(level_from_pq(p, q))
+        ring = FusionRing.build(Level(p, q))
         assert {n for row in ring.table for cell in row for n in cell.values()} == {1}
 
 
@@ -294,7 +294,7 @@ def test_ring_build_counts_a_repeated_output_twice(monkeypatch):
     # a closed form that lists every degree, so every output, twice must show up as N = 2
     real = fusion_module.fusion_degrees
     monkeypatch.setattr(fusion_module, "fusion_degrees", lambda *args: real(*args) * 2)
-    ring = FusionRing.build(level_from_pq(3, 2))
+    ring = FusionRing.build(Level(3, 2))
     assert {n for row in ring.table for cell in row for n in cell.values()} == {2}
     assert not ring.axioms()["unit"]
 
@@ -348,7 +348,7 @@ def _sheared(
 
 @st.composite
 def _edited_rings(draw) -> tuple[FusionRing, list[list[dict[int, int]]]]:
-    ring = FusionRing.build(level_from_pq(*draw(_small_levels)))
+    ring = FusionRing.build(Level(*draw(_small_levels)))
     table, cells = _copy_table(ring), st.integers(0, len(ring.basis) - 1)
     if len(table) > 1 and draw(st.booleans()):
         i, j = draw(st.permutations(range(len(table))))[:2]
@@ -393,7 +393,7 @@ def test_zhu_algebra_structure(p, q):
     # Zhu's algebra of L(k,0) is C[x] modulo the vacuum polynomial: its degree
     # is the number of admissible weights, each weight is a root, and the
     # quotient product is unital, commutative and associative.
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     relation = vacuum_polynomial(level)
     weights = enumerate_admissible(level)
     assert relation.degree == (p - 1) * q == len(weights)
@@ -415,7 +415,7 @@ def test_zhu_algebra_structure(p, q):
 
 
 def test_bimodule_presentation_dimensions():
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     for w in enumerate_admissible(level):
         pres = bimodule_presentation(w)
         assert pres.dimension == w.n_primed * (3 - w.n_primed) * (2 - w.k_primed + 1)

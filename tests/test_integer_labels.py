@@ -19,9 +19,9 @@ import _fraction_roots_oracle as oracle
 from admissible_sl2.fusion import bimodule_presentation
 from admissible_sl2.mff import _family_alphas, bimodule_from_mff
 from admissible_sl2.weights import (
+    Level,
     enumerate_admissible,
     kac_kazhdan_witness,
-    level_from_pq,
     weight_from_j,
     weight_from_label,
 )
@@ -37,7 +37,7 @@ def _scaled(labels, q):
 def test_labels_equal_fraction_roots_on_12_8_box():
     weights = 0
     for p, q in BOX_12_8:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         for w in enumerate_admissible(level):
             weights += 1
             assert w.J == q * w.j
@@ -65,7 +65,7 @@ def test_labels_equal_fraction_roots_on_12_8_box():
 def _level_and_j(draw):
     p, q = draw(st.sampled_from(GRID_LEVELS))
     b = draw(st.sampled_from((1, 2, 3, 7, q, 2 * q, q * q)))
-    return level_from_pq(p, q), Fraction(draw(st.integers(-150, 149)), b)
+    return Level(p, q), Fraction(draw(st.integers(-150, 149)), b)
 
 
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)

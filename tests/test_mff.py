@@ -34,8 +34,8 @@ from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.verify import annihilation_proportional, level_oracles, three_routes_agree
 from admissible_sl2.weights import (
     AdmissibleWeight,
+    Level,
     enumerate_admissible,
-    level_from_pq,
     vacuum_polynomial,
 )
 from _pbw_annihilation_oracle import pbw_annihilation_polynomial
@@ -70,21 +70,21 @@ def _annihilation_polynomial(level) -> tuple[Fraction, UniPoly]:
 
 
 def test_annihilation_fixture_2_1():
-    const, poly = _annihilation_polynomial(level_from_pq(2, 1))
+    const, poly = _annihilation_polynomial(Level(2, 1))
     assert const == 1
     assert poly == UniPoly({1: 1})  # x
 
 
 def test_annihilation_fixture_3_1():
-    const, poly = _annihilation_polynomial(level_from_pq(3, 1))
+    const, poly = _annihilation_polynomial(Level(3, 1))
     assert const == 2
     assert poly == UniPoly({2: 2, 1: -2})  # 2 (x^2 - x)
-    assert poly == vacuum_polynomial(level_from_pq(3, 1)).scale(2)
+    assert poly == vacuum_polynomial(Level(3, 1)).scale(2)
 
 
 @pytest.mark.parametrize("p,q", SWEEP)
 def test_annihilation_proportional_to_vacuum(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     const, poly = _annihilation_polynomial(level)
     assert const != 0
     assert poly == vacuum_polynomial(level).scale(const)
@@ -92,7 +92,7 @@ def test_annihilation_proportional_to_vacuum(p, q):
 
 @pytest.mark.parametrize("p,q", BOX_6_4)
 def test_annihilation_matches_pbw_reduction(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     assert _annihilation_polynomial(level) == pbw_annihilation_polynomial(level)
 
 
@@ -105,7 +105,7 @@ def test_label_verdict_equals_the_polynomial_comparison():
     # the polynomial form stays the referee: const != 0 and the expanded
     # product equal to const times the vacuum polynomial
     for p, q in BOX_12_8:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         const, labels = hw_annihilation_polynomial(level)
         vacuum = vacuum_polynomial(level)
         for c, roots in ((const, labels), (0, labels), (const, _moved(labels, q))):
@@ -115,14 +115,14 @@ def test_label_verdict_equals_the_polynomial_comparison():
 
 
 def test_c2_fixtures():
-    assert c2_heisenberg_reduction(level_from_pq(2, 1)) == (Fraction(-1), 1)
-    assert c2_heisenberg_reduction(level_from_pq(3, 1)) == (Fraction(2), 2)
-    assert c2_heisenberg_reduction(level_from_pq(3, 2)) == (Fraction(3, 2), 4)
+    assert c2_heisenberg_reduction(Level(2, 1)) == (Fraction(-1), 1)
+    assert c2_heisenberg_reduction(Level(3, 1)) == (Fraction(2), 2)
+    assert c2_heisenberg_reduction(Level(3, 2)) == (Fraction(3, 2), 4)
 
 
 @pytest.mark.parametrize("p,q", SWEEP)
 def test_c2_exponent_and_constant(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     coeff, exponent = c2_heisenberg_reduction(level)
     assert exponent == (p - 1) * q
     assert coeff == _c2_constant_closed_form(p, q)
@@ -140,7 +140,7 @@ def _c2_full_product(level) -> tuple[Fraction, int]:
 
 @pytest.mark.parametrize("p,q", BOX_8_6)
 def test_pruned_c2_reduction_matches_the_full_product(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     assert c2_heisenberg_reduction(level) == _c2_full_product(level)
 
 
@@ -148,13 +148,13 @@ def test_c2_reductions_stay_in_the_eb_free_part(monkeypatch):
     # the full products of the (12,8) box leave 198 778 memoized rewritings
     monkeypatch.setattr(admissible_sl2.pbw, "_GEN_CACHE", {})
     for p, q in BOX_12_8:
-        assert c2_heisenberg_reduction(level_from_pq(p, q))[1] == (p - 1) * q
+        assert c2_heisenberg_reduction(Level(p, q))[1] == (p - 1) * q
     assert len(admissible_sl2.pbw._GEN_CACHE) < 10_000
 
 
 @pytest.mark.parametrize("p,q", SWEEP)
 def test_bimodule_oracle_matches_presentation(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     for w in enumerate_admissible(level):
         oracle = bimodule_from_mff(w)
         pres = bimodule_presentation(w)
@@ -168,7 +168,7 @@ def test_bimodule_oracle_matches_presentation(p, q):
 
 @pytest.mark.parametrize("p,q", BOX_6_4)
 def test_bimodule_oracle_matches_pbw_reduction(p, q):
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     for w in enumerate_admissible(level):
         oracle = bimodule_from_mff(w)
         reference = pbw_bimodule_oracle(w)
@@ -186,7 +186,7 @@ def test_bimodule_oracle_multiplies_no_pbw_elements(monkeypatch):
         raise AssertionError("pbw_product called")
 
     monkeypatch.setattr(admissible_sl2.pbw, "pbw_product", refuse)
-    level = level_from_pq(5, 3)
+    level = Level(5, 3)
     for w in enumerate_admissible(level):
         assert bimodule_from_mff(w).tail_unit
     assert hw_annihilation_polynomial(level)[0] != 0
@@ -200,7 +200,7 @@ def test_bimodule_oracle_multiplies_no_pbw_elements(monkeypatch):
 def test_bimodule_vacuum_is_zhu_relation_sized():
     # the vacuum weight's bimodule is the Zhu algebra itself: dim (p-1) q
     for p, q in SWEEP:
-        level = level_from_pq(p, q)
+        level = Level(p, q)
         oracle = bimodule_from_mff(AdmissibleWeight(level, 0, 0))
         assert oracle.dimension == (p - 1) * q
 
@@ -208,7 +208,7 @@ def test_bimodule_vacuum_is_zhu_relation_sized():
 def test_fuchs_projection_weight_zero_structure():
     # the two projection families used by the reduction exist and live in the
     # expected algebras; smoke the vacuum case used everywhere downstream
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     pf2 = fuchs_projection(AdmissibleWeight(level, 0, 0), "F2", "P2")
     assert pf2.algebra.name == "heis"
     assert not pf2.is_zero()

@@ -56,7 +56,7 @@ from admissible_sl2.numeric import (
     theta_eval_numeric,
 )
 from admissible_sl2.qseries import QSeries, ThetaSpec
-from admissible_sl2.weights import AdmissibleWeight, enumerate_admissible, level_from_pq
+from admissible_sl2.weights import AdmissibleWeight, Level, enumerate_admissible
 
 LEVELS_TO_8_5 = [(p, q) for p in range(2, 9) for q in range(1, 6) if math.gcd(p, q) == 1]
 
@@ -237,7 +237,7 @@ _LEVELS_TO_7_4 = [(p, q) for p in range(2, 8) for q in range(1, 5) if math.gcd(p
 @st.composite
 def _weights_to_7_4(draw):
     p, q = draw(st.sampled_from(_LEVELS_TO_7_4))
-    return AdmissibleWeight(level_from_pq(p, q), draw(st.integers(0, p - 2)), draw(st.integers(0, q - 1)))
+    return AdmissibleWeight(Level(p, q), draw(st.integers(0, p - 2)), draw(st.integers(0, q - 1)))
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
@@ -279,7 +279,7 @@ def test_residual_errors_enclose_interval_referee(level, z, re_tau, im_tau, tol_
     # the law is a theorem, so each final residual is within its bound of 0;
     # each partial residual lies within its bound of the exact one
     report = s_transform_residual(
-        level_from_pq(*level), z, _tau_from(re_tau, im_tau, 192), tol=mp.mpf(10) ** -tol_exp
+        Level(*level), z, _tau_from(re_tau, im_tau, 192), tol=mp.mpf(10) ** -tol_exp
     )
     enclosures = _interval_theta.residual_enclosures(report)
     with mp.workprec(256):
@@ -313,7 +313,7 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
 
     monkeypatch.setattr(numeric, "_chibar_numeric", scaled)
     report = s_transform_residual(
-        level_from_pq(5, 3), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
+        Level(5, 3), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
     )
     with mp.workprec(400):
         eps, f = mp.mpf(2) ** -191, abs(report.factor)
@@ -328,7 +328,7 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
 
 def test_quotient_bound_below_the_double_range():
     # the theta errs are near 1e-332, below the smallest double
-    weight = AdmissibleWeight(level_from_pq(3, 2), 1, 1)
+    weight = AdmissibleWeight(Level(3, 2), 1, 1)
     tau = mp.mpc("0.125", "0.75")
     tol = mp.mpf("1e-320")
     val, _ = numeric._chibar_numeric(weight, tau, Fraction(1, 3), tol, 1200)
@@ -460,7 +460,7 @@ def _ref_series(series: QSeries, tau, prec=600):
 def test_series_walk_within_bounds_of_reference_and_per_term_sum(
     level_at, pick, u, v_pick, trunc, kind, scale, shift, re_tau, im_tau
 ):
-    level = level_from_pq(*level_at)
+    level = Level(*level_at)
     weights = enumerate_admissible(level)
     vs = [v for v in range(1, u) if math.gcd(v, u) == 1]
     spec = CharacterSpec(weights[pick % len(weights)], Fraction(vs[v_pick % len(vs)], u))
@@ -498,7 +498,7 @@ def test_series_walk_takes_one_exponential_per_gap(monkeypatch):
         return direct(e, tau)
 
     monkeypatch.setattr(numeric, "_q_power", counting)
-    spec = CharacterSpec(enumerate_admissible(level_from_pq(5, 3))[3], Fraction(2, 7))
+    spec = CharacterSpec(enumerate_admissible(Level(5, 3))[3], Fraction(2, 7))
     series = character_qseries(spec, Fraction(30), kind="chi")
     keys = sorted(series.terms)
     gaps = {b - a for a, b in zip(keys, keys[1:])}
@@ -507,7 +507,7 @@ def test_series_walk_takes_one_exponential_per_gap(monkeypatch):
     assert len(calls) == 1 + len(gaps)
 
     # the (2,1) vacuum is exactly 1: no step and no rounding
-    vacuum = CharacterSpec(AdmissibleWeight(level_from_pq(2, 1), 0, 0), Fraction(1, 2))
+    vacuum = CharacterSpec(AdmissibleWeight(Level(2, 1), 0, 0), Fraction(1, 2))
     calls.clear()
     series = character_qseries(vacuum, Fraction(30), kind="chibar")
     val = qseries_eval_numeric(series, mp.mpc(0, 1))
@@ -516,7 +516,7 @@ def test_series_walk_takes_one_exponential_per_gap(monkeypatch):
 
 
 def test_character_eval_guards():
-    spec = CharacterSpec(AdmissibleWeight(level_from_pq(3, 2), 1, 0), Fraction(1, 2))
+    spec = CharacterSpec(AdmissibleWeight(Level(3, 2), 1, 0), Fraction(1, 2))
     with pytest.raises(InputError, match="kind must be"):
         character_eval_numeric(spec, mp.mpc(0, 1), tol=mp.mpf("1e-8"), kind="nope")
     with pytest.raises(InputError, match="tolerance must be positive"):
@@ -530,7 +530,7 @@ def test_character_eval_guards():
 
 def test_trivial_theory_character_is_one():
     # (p, q) = (2, 1) vacuum: the normalized character is identically 1
-    spec = CharacterSpec(AdmissibleWeight(level_from_pq(2, 1), 0, 0), Fraction(1, 2))
+    spec = CharacterSpec(AdmissibleWeight(Level(2, 1), 0, 0), Fraction(1, 2))
     for tau in (mp.mpc(0, 1), mp.mpc("0.3333", "1.5")):
         val = character_eval_numeric(spec, tau, tol=mp.mpf("1e-20"), kind="chibar")
         assert abs(val.value - 1) <= val.err + mp.mpf("1e-20")
@@ -539,7 +539,7 @@ def test_trivial_theory_character_is_one():
 @pytest.mark.parametrize("p,q", [(3, 2), (5, 3)])
 def test_series_agrees_with_certified_evaluation(p, q):
     # two independent routes: exact q-expansion vs adaptive theta quotient
-    level = level_from_pq(p, q)
+    level = Level(p, q)
     bound = mp.mpf("1e-8")
     for w in enumerate_admissible(level):
         spec = CharacterSpec(w, Fraction(1, 2))
@@ -553,7 +553,7 @@ def test_series_agrees_with_certified_evaluation(p, q):
 
 
 def test_s_transform_variant_guards():
-    level = level_from_pq(2, 1)
+    level = Level(2, 1)
     with pytest.raises(InputError, match="variant must be"):
         s_transform_residual(level, Fraction(1, 2), mp.mpc(0, 1), variant="KW3")
     with pytest.raises(InputError, match="tolerance must be positive"):
@@ -565,7 +565,7 @@ def test_s_transform_variant_guards():
 @pytest.mark.parametrize("tau", [0, mp.mpf(2), mp.mpc(-1, 0)], ids=["0", "2", "-1"])
 def test_real_tau_is_rejected_up_front(tau):
     # at tau = 0 the S-transform's -1/tau would otherwise divide by zero
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     spec = CharacterSpec(AdmissibleWeight(level, 1, 0), Fraction(1, 2))
     with pytest.raises(InputError, match="requires Im"):
         theta_eval_numeric(ThetaSpec(1, 2, Fraction(1, 2)), tau, tol=mp.mpf("1e-10"))
@@ -582,7 +582,7 @@ def test_nan_input_is_refused_at_once(bad):
     # NaN fails every comparison, so a guard written as `tol <= 0` or
     # `Im(tau) <= 0` lets it through to the term cap or to an int conversion;
     # a non-finite Re(tau) passes `Im(tau) > 0` and must be refused as tau
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     spec = CharacterSpec(AdmissibleWeight(level, 1, 0), Fraction(1, 2))
     nan = mp.mpf("nan")
     tol, tau, named = mp.mpf("1e-10"), mp.mpc(0, 1), "nan"
@@ -612,7 +612,7 @@ def test_s_transform_trivial_theory():
     # one weight; S = (1), factor = 1 at ell = 0 ... ell = -1/2 here, so the
     # factor is a genuine phase yet the single residual still vanishes
     report = s_transform_residual(
-        level_from_pq(2, 1), Fraction(1, 2), mp.mpc(0, 1), variant="KW2"
+        Level(2, 1), Fraction(1, 2), mp.mpc(0, 1), variant="KW2"
     )
     assert len(report.weights) == 1
     with mp.workprec(192):
@@ -625,7 +625,7 @@ def test_s_transform_trivial_theory():
 
 def test_s_transform_classical_matrix_at_q_1():
     # q = 1 reduces to the su(2)_k matrix sqrt(2/p) sin(pi (n+1)(n'+1) / p)
-    level = level_from_pq(4, 1)
+    level = Level(4, 1)
     report = s_transform_residual(level, Fraction(1, 2), mp.mpc(0, 1), variant="KW2")
     with mp.workprec(192):
         for i, wi in enumerate(report.weights):
@@ -645,7 +645,7 @@ def test_s_transform_classical_matrix_at_q_1():
 
 
 def test_s_transform_fixture_3_2():
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     tau = mp.mpc(0, "1.5")
     tol = mp.mpf("1e-10")
     report = s_transform_residual(level, Fraction(1, 2), tau, variant="KW2", tol=tol)
@@ -681,7 +681,7 @@ def test_s_transform_fixture_3_2():
 
 
 def test_stransform_shares_thetas_and_phases(monkeypatch):
-    level = level_from_pq(5, 3)
+    level = Level(5, 3)
     n_w = len(enumerate_admissible(level))
     theta_calls = []
     quotient_calls = []
@@ -777,7 +777,7 @@ def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
     # e^{i pi N/a} is taken once per (|N| mod 2a, binade of |N|/a) class and
     # conjugated for N < 0; the direct formula takes expjpi of every N/a
     for p, q in _LEVELS_TO_12_8:
-        weights = enumerate_admissible(level_from_pq(p, q))
+        weights = enumerate_admissible(Level(p, q))
         a = p * q
         with mp.workprec(192):
             s_matrix, printed, s_abs, _ = numeric._s_matrices(weights)

@@ -219,11 +219,11 @@ def test_quadratic_factor_shift_and_product(alg, start):
 def test_factor_product_matches_direct_multiplication():
     alphas = [rat("1/2"), rat(-1)]
     tail = PBWElement.generator(SL2, "e") * PBWElement.generator(SL2, "f")
-    via_helper = factor_product(SL2, alphas, tail=tail)
+    via_helper = factor_product(SL2, alphas) * tail
     direct = quadratic_factor(SL2, alphas[0]) * (quadratic_factor(SL2, alphas[1]) * tail)
     assert via_helper == direct
-    # empty factor list with a tail is the tail itself
-    assert factor_product(SL2, [], tail=tail) == tail
+    # the empty factor list is the unit, so times a tail it is the tail itself
+    assert factor_product(SL2, []) * tail == tail
 
 
 def test_operator_identities_quick():

@@ -27,7 +27,7 @@ from admissible_sl2.report import (
     encode,
     render_text,
 )
-from admissible_sl2.weights import enumerate_admissible, level_from_pq
+from admissible_sl2.weights import Level, enumerate_admissible
 from test_golden_reports import ARGVS as GOLDEN_ARGVS
 
 
@@ -53,7 +53,7 @@ def test_encode_qseries_round_trip():
 
 
 def test_encode_level_and_weight_round_trip():
-    level = level_from_pq(3, 2)
+    level = Level(3, 2)
     assert encode(level) == {"p": 3, "q": 2, "ell": "-1/2", "t": "3/2"}
     for w in enumerate_admissible(level):
         assert encode(w) == {"n": w.n, "k": w.k, "j": rat_str(w.j)}

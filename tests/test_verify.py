@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from admissible_sl2 import verify
+from admissible_sl2 import characters, verify
 from admissible_sl2.characters import CharacterSpec, character_qseries
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InputError, InvariantError
@@ -17,11 +17,12 @@ from admissible_sl2.exact import UniPoly
 from admissible_sl2.verify import (
     SUITES,
     c2_expected_constant,
+    characters_suite,
     coprime_levels,
     run_suites,
     series_numeric_agreement,
 )
-from admissible_sl2.weights import AdmissibleWeight, enumerate_admissible, level_from_pq
+from admissible_sl2.weights import AdmissibleWeight, Level, enumerate_admissible
 
 
 def test_suite_names():
@@ -35,15 +36,15 @@ def test_coprime_levels():
 
 
 def test_c2_expected_constant_fixtures():
-    assert c2_expected_constant(level_from_pq(2, 1)) == Fraction(-1)
-    assert c2_expected_constant(level_from_pq(3, 1)) == Fraction(2)
-    assert c2_expected_constant(level_from_pq(3, 2)) == Fraction(3, 2)
+    assert c2_expected_constant(Level(2, 1)) == Fraction(-1)
+    assert c2_expected_constant(Level(3, 1)) == Fraction(2)
+    assert c2_expected_constant(Level(3, 2)) == Fraction(3, 2)
     for p in range(2, 7):
         for q in range(1, 6):
             from math import gcd
 
             if gcd(p, q) == 1:
-                assert c2_expected_constant(level_from_pq(p, q)) != 0
+                assert c2_expected_constant(Level(p, q)) != 0
 
 
 def test_run_suites_guards():
@@ -122,6 +123,23 @@ def test_failed_oracle_build_fails_both_suites_alike(monkeypatch):
     assert [c["name"] for c in checks] == [c["name"] for c in run_suites("all", 3, 2)[1]]
 
 
+def test_characters_suite_divides_each_character_twice(monkeypatch):
+    # one chibar division per (weight, z) serves all three checks, and the
+    # theta-ratio check divides only its right-hand side: 2 x 38 at (6, 4)
+    real = characters.qseries_div
+    calls = Counter()
+
+    def counted(num, den):
+        calls["div"] += 1
+        return real(num, den)
+
+    monkeypatch.setattr(characters, "qseries_div", counted)
+    results, checks = characters_suite(6, 4)
+    pairs = sum(row["weights"] for row in results["fixtures"])
+    assert pairs == 38 and all(c["status"] == "pass" for c in checks)
+    assert calls["div"] == 2 * pairs
+
+
 def test_mff_suite_builds_no_polynomial(monkeypatch):
     # the annihilation check compares root labels, and the C2 reduction and
     # the bimodule oracles never leave PBW terms and root labels
@@ -153,7 +171,7 @@ _AT_P3_Q2 = {
     "character_qseries": [
         f"{family}_p3_q2_{z}"
         for z in ("z1_3", "z1_2")
-        for family in ("character_coefficients", "series_numeric")
+        for family in ("theta_ratio", "character_coefficients", "series_numeric")
     ],
     "series_numeric_agreement": ["series_numeric_p3_q2_z1_3", "series_numeric_p3_q2_z1_2"],
 }
@@ -197,7 +215,7 @@ def test_every_check_family_survives_a_raise(monkeypatch, capsys, small_sweep_na
 def test_series_numeric_difference_is_taken_at_the_evaluators_precision():
     # ``character --tau`` prints the difference to 30 digits, so it is taken
     # at the 128 bits of the two values, not at the ambient 53
-    spec = CharacterSpec(AdmissibleWeight(level_from_pq(5, 3), 1, 1), Fraction(1, 3))
+    spec = CharacterSpec(AdmissibleWeight(Level(5, 3), 1, 1), Fraction(1, 3))
     series = character_qseries(spec, Fraction(30), kind="chibar")
     with mp.workprec(256):  # tau as ``--tau 0.1,1.2`` parses it
         tau = mp.mpc(mp.mpf(1) / 10, mp.mpf(12) / 10)
