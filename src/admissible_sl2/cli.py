@@ -1,16 +1,8 @@
 """Command-line front end (``admsl2``).
 
-Subcommands::
-
-    weights       enumerate admissible weights with conformal weights
-    zhu           vacuum Zhu algebra: dimension, relation, annihilation constant
-    bimodule      bimodule dimensions for one weight, presentation vs. projection oracle
-    fusion        fusion rule for one ordered pair, along any of three routes
-    fusion-table  full fusion table and ring axioms for one level
-    mff-verify    exact operator-calculus identity sweep
-    character     exact character q-expansion, optional numeric cross-check
-    stransform    certified residuals of the S-transformation law
-    verify        invariant suites (fusion / mff / characters) over a (p, q) box
+One table, ``_SUBCOMMANDS``, names the nine subcommands (``admsl2 --help``
+lists them), their handlers and their flags.  The one parser is built from it
+at import, and no call changes it after that.
 
 Weights are addressed as ``--n N --k K`` (or ``--j a/b``, resolved through
 the unique (n, k) box decomposition); the two-weight flags ``--j1/--j2``
@@ -23,15 +15,15 @@ could not complete (an :class:`~admissible_sl2.errors.InvariantError`; the
 report then carries one failed check); and 2 for usage or parameter errors
 (an :class:`~admissible_sl2.errors.InputError`, reported on stderr).
 
-One table defines the subcommands and their flags.  :func:`main` builds the
-parser of the subcommand that ``argv[0]`` names alone, which costs a fraction
-of building all nine; help, an empty argv and unknown names get the full
-parser, and either prints the same usage and error text.
+A value that starts with ``-`` and a digit or ``.`` (``--j -3/2``,
+``--tau -1/2,1``) parses as if written ``--j=-3/2``.  A numeral whose exponent
+is past Python's digit limit on int strings is refused before it is expanded.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -60,13 +52,22 @@ __all__ = ["main", "build_parser"]
 # -- argument helpers --------------------------------------------------------
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)$")
+
+
 def _rational(text: str, flag: str) -> Fraction:
+    text = text.strip()
+    # Fraction would spend seconds expanding 10**E; refuse an E past the digit
+    # limit on int strings first (0: no limit, as before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
-        return Fraction(text.strip())
+        if (exponent := _EXPONENT.search(text)) and 0 < limit < abs(int(exponent[1])):
+            raise InputError(f"{flag}: the exponent of {text!r} is past the {limit}-digit limit")
+        return Fraction(text)
     except ValueError as exc:
         raise InputError(f"{flag}: {exc}") from exc
     except ZeroDivisionError as exc:
-        raise InputError(f"{flag}: zero denominator in {text.strip()!r}") from exc
+        raise InputError(f"{flag}: zero denominator in {text!r}") from exc
 
 
 def _weight_from_flags(level, args) -> AdmissibleWeight:
@@ -104,13 +105,13 @@ def _tau(text: str) -> mp.mpc:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError('--tau expects "re,im"')
-    re, im = (_rational(part, "--tau") for part in parts)
-    if im <= 0:
+    real, imag = (_rational(part, "--tau") for part in parts)
+    if imag <= 0:
         raise InputError("--tau needs a positive imaginary part")
     with mp.workprec(256):
         return mp.mpc(
-            mp.mpf(re.numerator) / re.denominator,
-            mp.mpf(im.numerator) / im.denominator,
+            mp.mpf(real.numerator) / real.denominator,
+            mp.mpf(imag.numerator) / imag.denominator,
         )
 
 
@@ -430,32 +431,17 @@ _SUBCOMMANDS = (
     ("verify", cmd_verify, "invariant suites over a (p, q) box",
      False, _verify_flags),
 )
-_SUBCOMMAND_NAMES = tuple(entry[0] for entry in _SUBCOMMANDS)
 
 
-def build_parser(name: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given ``name``, of that one alone.
-
-    Both parse that subcommand's argv to the same namespace.  The narrow
-    parser shows the full subcommand list as its usage metavar, so that an
-    error the top level reports (an unrecognized flag) prints the same usage
-    line as the full parser.
-    """
-    if name is not None and name not in _SUBCOMMAND_NAMES:
-        raise ValueError(f"unknown subcommand {name!r}")
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="admsl2",
         description="Exact invariants of admissible-level sl2 vacuum vertex algebras.",
     )
-    sub = parser.add_subparsers(
-        dest="subcommand",
-        required=True,
-        metavar=None if name is None else "{" + ",".join(_SUBCOMMAND_NAMES) + "}",
-    )
-    for sub_name, handler, help_text, pq, add_flags in _SUBCOMMANDS:
-        if name is not None and sub_name != name:
-            continue
-        sp = sub.add_parser(sub_name, help=help_text, description=help_text)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, handler, help_text, pq, add_flags in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text, description=help_text)
         if pq:
             sp.add_argument("--p", type=int, required=True, help="numerator of t = p/q")
             sp.add_argument("--q", type=int, required=True, help="denominator of t = p/q")
@@ -466,13 +452,22 @@ def build_parser(name: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# argparse makes a new formatter, which reads COLUMNS, on each help or usage call
+_PARSER = build_parser()
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # one subparser when argv names a subcommand; the full parser for help,
-    # an empty argv and unknown names, so their text is the full one
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMAND_NAMES else None)
+    # every flag but --help takes a value, so a negative number after a flag
+    # with no "=" is its value, which argparse would read as a flag: join them
+    for i in range(len(argv) - 1, 0, -1):
+        flag = argv[i - 1]
+        if (_NEGATIVE.match(argv[i]) and flag.startswith("--") and "=" not in flag
+                and not "--help".startswith(flag)):
+            argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

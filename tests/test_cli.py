@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -15,11 +16,10 @@ import pytest
 from admissible_sl2 import cli, mff, verify
 from admissible_sl2 import fusion as fusion_module
 from admissible_sl2.cli import main
-from admissible_sl2.errors import InvariantError
+from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.exact import rat
 from admissible_sl2.pbw import HEIS, PBWElement
 from admissible_sl2.weights import vacuum_labels
-from test_golden_reports import CASES as GOLDEN_ARGVS
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +120,72 @@ def test_zero_denominator_names_the_flag_and_the_fault(capsys, flag, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag}: zero denominator in '1/0'\n"
+
+
+# a negative value given as its own argument, and the same value joined by "="
+NEGATIVE_VALUES = {
+    "j": ("bimodule", "--p", "3", "--q", "2", "--j", "-3/2"),
+    "j1": ("fusion", "--p", "3", "--q", "2", "--j1", "-3/2", "--j2", "0,0"),
+    "j2": ("fusion", "--p", "3", "--q", "2", "--j1", "1,0", "--j2", "-1/2"),
+    "z": ("character", "--p", "3", "--q", "2", "--j", "1", "--z", "-1/2"),
+    "trunc": ("character", "--p", "3", "--q", "2", "--n", "1", "--k", "1", "--z", "1/3",
+              "--trunc", "-1/100"),
+    "tau": ("stransform", "--p", "3", "--q", "2", "--z", "1/2", "--tau", "-1/2,1"),
+    "tol": ("stransform", "--p", "3", "--q", "2", "--z", "1/2", "--tau", "0,1",
+            "--tol", "-1e-8"),
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES.values(), ids=NEGATIVE_VALUES)
+def test_a_negative_value_parses_beside_its_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert (code, out, err) == run_cli(capsys, *joined)
+    # -1/2 is no z in (0, 1) and -1e-8 no tolerance; every other value is good
+    if argv[-2] in ("--z", "--tol"):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (code, err) == (0, "")
+
+
+def test_help_and_the_end_of_flags_take_no_negative_value(capsys):
+    assert run_cli(capsys, "weights", "--help", "-3")[0] == 0
+    code, _, err = run_cli(capsys, "weights", "--p", "3", "--q", "2", "--", "-3")
+    assert code == 2 and "unrecognized arguments: -- -3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stransform", "--p", "3", "--q", "2", "--z", "1/3", "--tau=1e1000000,1"),
+        ("character", "--p", "3", "--q", "2", "--n", "0", "--k", "0", "--z", "1/3",
+         "--trunc=1e-3000000"),
+        ("character", "--p", "3", "--q", "2", "--n", "0", "--k", "0", "--z", "1e-10000000"),
+        ("bimodule", "--p", "3", "--q", "2", "--j", "1E+1_000_000"),
+    ],
+    ids=["tau", "trunc", "z", "j"],
+)
+def test_an_exponent_past_the_digit_limit_exits_2_unexpanded(capsys, argv):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"is past the {sys.get_int_max_str_digits()}-digit limit\n")
+
+
+def test_the_exponent_limit_is_the_integer_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert cli._rational("1e-640", "--z") == Fraction(1, 10**640)
+        with pytest.raises(InputError, match="exponent of .1e-641. is past the 640-digit limit"):
+            cli._rational("1e-641", "--z")
+        sys.set_int_max_str_digits(0)
+        assert cli._rational("1e5000", "--z") == 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_theta_term_cap_exits_2_before_summing(capsys):
@@ -479,11 +545,10 @@ def test_text_format_renders_checks(capsys):
 
 # ------------------------------------------------------------------ parser
 #
-# ``main`` builds only the subparser that argv[0] names, and the full parser
-# for help, an empty argv and unknown names.  ``usage_golden.json`` holds what
-# the full parser alone printed for these argv, recorded under the Python it
-# names at COLUMNS=80 (argparse wraps to the terminal width, and its wording
-# moves between Python versions); the narrow parser must print the same.
+# ``main`` parses every argv with one parser, built at import.
+# ``usage_golden.json`` holds what it printed for these argv, recorded under
+# the Python it names at COLUMNS=80 (argparse wraps to the terminal width, and
+# its wording moves between Python versions).
 
 USAGE_GOLDEN = json.loads((Path(__file__).resolve().parent / "usage_golden.json").read_text())
 
@@ -498,21 +563,17 @@ def test_usage_and_errors_are_unchanged(capsys, monkeypatch):
         assert (code, out, err) == (case["code"], case["out"], case["err"]), case["argv"]
 
 
-@pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_narrow_parser_prints_what_the_full_one_prints(capsys, monkeypatch, columns):
-    monkeypatch.setenv("COLUMNS", columns)
-    for case in USAGE_GOLDEN["cases"]:
-        argv = case["argv"]
-        with pytest.raises(SystemExit) as full_exit:
-            cli.build_parser().parse_args(argv)
-        full = full_exit.value.code, capsys.readouterr()
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (full[0], full[1].out, full[1].err), argv
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run_cli(capsys, "weights", "--p", "3", "--q", "2")[0] == 0
 
 
-def test_narrow_and_full_parsers_parse_alike():
-    for argv in GOLDEN_ARGVS:
-        full = cli.build_parser().parse_args(list(argv))
-        assert cli.build_parser(argv[0]).parse_args(list(argv)) == full, argv
-    with pytest.raises(ValueError, match="unknown subcommand"):
-        cli.build_parser("bogus")
+def test_help_wraps_to_the_columns_of_each_call(capsys, monkeypatch):
+    widest = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        widest.append(max(map(len, run_cli(capsys, "character", "--help")[1].splitlines())))
+    assert widest[0] < widest[1]

@@ -1,11 +1,13 @@
 """The exit-status contract of ``admsl2`` under a derandomized argv fuzz.
 
-The grammar covers all nine subcommands with flags that argparse accepts
-(each value joined to its flag by ``=``, so a negative one is not read as a
-flag), so every argv reaches a handler.  Its values come from small ranges that hold
+The grammar covers all nine subcommands with flags that argparse accepts,
+so every argv reaches a handler.  Each value is joined to its flag by ``=``
+or given as the next argument, as likely, so a negative value stands beside
+its flag about half the time.  Its values come from small ranges that hold
 the bad values beside the good ones: non-coprime or out-of-range (p, q),
 n or k outside the box, z outside (0, 1), zero denominators, Im tau <= 0,
-tol <= 0 and a ``--trunc`` at or below the lowest exponent.  For every argv:
+tol <= 0, a ``--trunc`` at or below the lowest exponent, and exponents past
+the integer digit limit (``1e-99999``, ``1e99999``).  For every argv:
 
 - no exception escapes :func:`~admissible_sl2.cli.main`, and it returns 0, 1 or 2;
 - exit 2 leaves stdout empty and writes one stderr line starting ``error: ``,
@@ -37,17 +39,24 @@ _LEVELS = _mostly(
     [(4, 2), (6, 4), (3, 3), (1, 3), (0, 1), (3, 0), (2, -1)],
 )
 _BAD_NUMBERS = ["1/0", "-3/0", "1/2", "-7/3", "5", "-1"]
-_Z = _mostly(["1/2", "1/3", "2/5", "3/7", "2/3"], ["0", "1", "-1/2", "3/2", "1/0"])
+_HUGE = ["1e-99999", "1e99999"]
+_Z = _mostly(["1/2", "1/3", "2/5", "3/7", "2/3"], ["0", "1", "-1/2", "3/2", "1/0", *_HUGE])
 _TAU = st.builds(
     "{},{}".format,
-    _mostly(["0", "-1/2", "1/3", "1", "0.25"], ["1/0"]),
-    _mostly(["1", "3/2", "1/2", "2"], ["0", "-1", "-1/3", "1/0"]),
+    _mostly(["0", "-1/2", "1/3", "1", "0.25"], ["1/0", *_HUGE]),
+    _mostly(["1", "3/2", "1/2", "2"], ["0", "-1", "-1/3", "1/0", *_HUGE]),
 )
 _TOL = _mostly(["1e-8", "1e-12", "1e-20"], ["0", "-1e-8", "nan"])
-_TRUNC = _mostly(["1", "3", "6", "5/2"], ["-1", "0", "-1/4", "1/0"])
+_TRUNC = _mostly(["1", "3", "6", "5/2"], ["-1", "0", "-1/4", "1/0", *_HUGE])
 _FORMAT = st.lists(st.sampled_from(["json", "text"]), max_size=1).map(
     lambda f: ["--format", *f] if f else []
 )
+
+
+@st.composite
+def _flag(draw, name: str, value) -> list[str]:
+    """``--name=value`` or ``--name value``, each as likely."""
+    return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", str(value)]
 
 
 @st.composite
@@ -65,8 +74,8 @@ def _weight(draw, p: int, q: int) -> list[str]:
     n, k, j = draw(_box(p, q))
     form = draw(_mostly(["nk", "j"], ["bad"]))
     if form == "nk":
-        return [f"--n={n}", f"--k={k}"]
-    return [f"--j={j if form == 'j' else draw(st.sampled_from(_BAD_NUMBERS))}"]
+        return draw(_flag("n", n)) + draw(_flag("k", k))
+    return draw(_flag("j", j if form == "j" else draw(st.sampled_from(_BAD_NUMBERS))))
 
 
 @st.composite
@@ -85,28 +94,30 @@ def _argv(draw) -> list[str]:
     argv = [name]
     p, q = draw(_LEVELS)
     if name not in ("mff-verify", "verify"):
-        argv += [f"--p={p}", f"--q={q}"]
+        argv += draw(_flag("p", p)) + draw(_flag("q", q))
     if name == "bimodule":
         argv += draw(_weight(p, q))
     elif name == "fusion":
-        argv += [f"--j1={draw(_pair(p, q))}", f"--j2={draw(_pair(p, q))}"]
+        argv += draw(_flag("j1", draw(_pair(p, q)))) + draw(_flag("j2", draw(_pair(p, q))))
         argv += ["--oracle", draw(st.sampled_from(["closed", "bimodule", "mff", "all"]))]
     elif name == "fusion-table":
         argv += ["--oracle", draw(st.sampled_from(["closed", "all"]))]
     elif name == "mff-verify":
-        argv += [f"--mmax={draw(_mostly([1, 2, 3], [0, 9]))}"]
+        argv += draw(_flag("mmax", draw(_mostly([1, 2, 3], [0, 9]))))
     elif name == "character":
-        argv += draw(_weight(p, q)) + [f"--z={draw(_Z)}", f"--trunc={draw(_TRUNC)}"]
+        argv += draw(_weight(p, q)) + draw(_flag("z", draw(_Z)))
+        argv += draw(_flag("trunc", draw(_TRUNC)))
         argv += ["--kind", draw(st.sampled_from(["chi", "chibar"]))]
         if draw(st.booleans()):
-            argv += [f"--tau={draw(_TAU)}", f"--tol={draw(_TOL)}"]
+            argv += draw(_flag("tau", draw(_TAU))) + draw(_flag("tol", draw(_TOL)))
     elif name == "stransform":
-        argv += [f"--z={draw(_Z)}", f"--tau={draw(_TAU)}", f"--tol={draw(_TOL)}"]
+        argv += draw(_flag("z", draw(_Z))) + draw(_flag("tau", draw(_TAU)))
+        argv += draw(_flag("tol", draw(_TOL)))
         argv += ["--variant", draw(st.sampled_from(["KW1", "KW2"]))]
     elif name == "verify":
         argv += ["--suite", draw(st.sampled_from(["all", "fusion", "mff", "characters"]))]
-        argv += [f"--pmax={draw(_mostly([2, 3, 4], [1, 9]))}"]
-        argv += [f"--qmax={draw(_mostly([1, 2], [0, 7]))}"]
+        argv += draw(_flag("pmax", draw(_mostly([2, 3, 4], [1, 9]))))
+        argv += draw(_flag("qmax", draw(_mostly([1, 2], [0, 7]))))
     return argv + draw(_FORMAT)
 
 

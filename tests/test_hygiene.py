@@ -14,7 +14,8 @@ an ``AdmissibleWeight`` or its primed ints ``n_primed``/``k_primed``: a weight
 carries its level and its box check, and a second level could disagree with it.
 
 No package function mutates a module-level name, by item assignment or
-deletion, a mutating method or a ``global`` statement, save the one listed:
+deletion, a mutating method (argparse's ``add_argument`` and kin among them)
+or a ``global`` statement, save the one listed:
 state shared by every caller in the process lets one call, or one test,
 change the next.  A name the function binds itself, or a parameter, shadows
 the module's and is not counted.
@@ -126,6 +127,9 @@ def test_no_function_takes_a_level_beside_a_weight():
 _MUTATORS = frozenset({
     "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
     "remove", "reverse", "setdefault", "sort", "update",
+    # argparse's, so that no function reconfigures a parser built at import
+    "add_argument", "add_argument_group", "add_mutually_exclusive_group",
+    "add_parser", "add_subparsers", "set_defaults",
 })
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -192,6 +196,7 @@ def test_module_state_rule_catches_a_string_memo():
 _STRINGS = {}
 _LOG = []
 _COUNT = 0
+_P = object()
 
 def encode(x):
     if x not in _STRINGS:
@@ -209,9 +214,12 @@ class Tally:
 
 def nested():
     return lambda y: _LOG.append(y)
+
+def configure():
+    _P.set_defaults(x=1)
 """
-    assert _mutated_globals(ast.parse(source)) == {"_STRINGS", "_COUNT", "_LOG"}
+    assert _mutated_globals(ast.parse(source)) == {"_STRINGS", "_COUNT", "_LOG", "_P"}
     # the parameter _LOG of shadowed is its own
     without_lambda = source.replace("_LOG.append(y)", "y")
-    assert _mutated_globals(ast.parse(without_lambda)) == {"_STRINGS", "_COUNT"}
+    assert _mutated_globals(ast.parse(without_lambda)) == {"_STRINGS", "_COUNT", "_P"}
 
