@@ -94,10 +94,6 @@ class UniPoly:
     def constant(cls, c: RatLike) -> UniPoly:
         return cls({0: rat(c)})
 
-    @classmethod
-    def x(cls) -> UniPoly:
-        return cls({1: 1})
-
     @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
@@ -111,62 +107,25 @@ class UniPoly:
             return Fraction(0)
         return self.coeffs[max(self.coeffs)]
 
-    def coefficient(self, deg: int) -> Fraction:
-        return self.coeffs.get(deg, Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly({d: -c for d, c in self.coeffs.items()})
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            add_term(out, d, c)
+    def __mul__(self, other: UniPoly) -> UniPoly:
+        out: dict[int, Fraction] = {}
+        for d1, c1 in self.coeffs.items():
+            for d2, c2 in other.coeffs.items():
+                add_term(out, d1 + d2, c1 * c2)
         res = UniPoly.zero()
         res.coeffs = out
         return res
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
-
-    def __mul__(self, other: UniPoly | RatLike) -> UniPoly:
-        if isinstance(other, UniPoly):
-            out: dict[int, Fraction] = {}
-            for d1, c1 in self.coeffs.items():
-                for d2, c2 in other.coeffs.items():
-                    add_term(out, d1 + d2, c1 * c2)
-            res = UniPoly.zero()
-            res.coeffs = out
-            return res
-        return self.scale(rat(other))
-
-    def __rmul__(self, other: RatLike) -> UniPoly:
-        return self.scale(rat(other))
 
     def scale(self, c: RatLike) -> UniPoly:
         cf = rat(c)
         if not cf:
             return UniPoly.zero()
         return UniPoly({d: cf * v for d, v in self.coeffs.items()})
-
-    def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        out = UniPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, value: RatLike) -> Fraction:
         """Exact Horner evaluation over the sparse degree support."""

@@ -101,12 +101,12 @@ HEIS = LieAlgebra(
     factor_sign=0,
 )
 
-_GEN_CACHE: dict[tuple[str, Mono, int], tuple[tuple[Mono, Fraction], ...]] = {}
+_GEN_CACHE: dict[tuple[LieAlgebra, Mono, int], tuple[tuple[Mono, Fraction], ...]] = {}
 
 
 def _mono_times_gen(alg: LieAlgebra, mono: Mono, g: int) -> tuple[tuple[Mono, Fraction], ...]:
     """Normal form of (g0^a g1^b g2^c) * g_g, memoized."""
-    key = (alg.name, mono, g)
+    key = (alg, mono, g)
     hit = _GEN_CACHE.get(key)
     if hit is not None:
         return hit
@@ -168,11 +168,8 @@ class PBWElement:
         mono = tuple(1 if i == idx else 0 for i in range(3))
         return cls(algebra, {mono: 1})  # type: ignore[dict-item]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check_same(self, other: PBWElement) -> None:
-        if self.algebra.name != other.algebra.name:
+        if self.algebra is not other.algebra:
             raise InputError(
                 f"operands lie in {self.algebra.name} and {other.algebra.name}"
             )
@@ -180,10 +177,7 @@ class PBWElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PBWElement):
             return NotImplemented
-        return self.algebra.name == other.algebra.name and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.algebra.name, frozenset(self.terms.items())))
+        return self.algebra is other.algebra and self.terms == other.terms
 
     def __neg__(self) -> PBWElement:
         return PBWElement(self.algebra, {m: -c for m, c in self.terms.items()})
@@ -206,10 +200,8 @@ class PBWElement:
             return PBWElement(self.algebra)
         return PBWElement(self.algebra, {m: cf * v for m, v in self.terms.items()})
 
-    def __mul__(self, other: PBWElement | RatLike) -> PBWElement:
-        if isinstance(other, PBWElement):
-            return pbw_product(self, other)
-        return self.scale(other)
+    def __mul__(self, other: PBWElement) -> PBWElement:
+        return pbw_product(self, other)
 
     def __rmul__(self, other: RatLike) -> PBWElement:
         return self.scale(other)

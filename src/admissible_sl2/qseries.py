@@ -117,17 +117,6 @@ class QSeries:
         m = min(self.terms)
         return Fraction(m, self.denom), self.terms[m]
 
-    def coefficient(self, exponent) -> Fraction:
-        exponent = rat(exponent)
-        if exponent >= self.order:
-            raise InputError(
-                f"exponent {exponent} is not resolved below truncation order {self.order}"
-            )
-        if self.denom % exponent.denominator:
-            return Fraction(0)
-        m = exponent.numerator * (self.denom // exponent.denominator)
-        return self.terms.get(m, Fraction(0))
-
     def prefix(self, order=None) -> list[tuple[Fraction, Fraction]]:
         """Sorted (exponent, coefficient) pairs with exponent < order."""
         cap = self.order if order is None else min(self.order, rat(order))
@@ -137,9 +126,6 @@ class QSeries:
             for m in sorted(self.terms)
             if m < cap
         ]
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- arithmetic --------------------------------------------------------
 
@@ -163,12 +149,6 @@ class QSeries:
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.denom, {m: -c for m, c in self.terms.items()}, self.order)
-
-    def scale(self, factor) -> "QSeries":
-        factor = rat(factor)
-        return QSeries(
-            self.denom, {m: factor * c for m, c in self.terms.items()}, self.order
-        )
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         low_a = self.lowest()
@@ -219,9 +199,6 @@ class QSeries:
             and self.order == other.order
         )
 
-    def __hash__(self):
-        return hash((self.denom, tuple(sorted(self.terms.items())), self.order))
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"QSeries(0 + O(q^{self.order}))"
@@ -246,7 +223,9 @@ class ThetaSpec:
     z: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        if not isinstance(self.n, int):
+            raise InputError(f"theta index n must be an integer, got {self.n}")
+        if not isinstance(self.m, int) or self.m < 1:
             raise InputError(f"theta index m must be a positive integer, got {self.m}")
         try:
             object.__setattr__(self, "z", rat(self.z))

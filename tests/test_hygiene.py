@@ -9,6 +9,13 @@ an identifier or an attribute, somewhere outside its own definition.  An
 import or an ``__all__`` string is not a reference, so a wrapper that only
 the re-exports still name shows up here.
 
+Every non-dunder method or property of a package class is read as an
+attribute outside its own body in the package, the demos, the benchmark or a
+test referee (``tests/_*.py``): a member that only ``tests/test_*.py`` read is
+not shipped behaviour.  The rule matches by name alone, so a member sharing
+its name with a used one (``scale``, ``is_zero``) and a dunder operator are
+out of its reach.
+
 No package function takes a ``level`` beside a weight, whether the weight is
 an ``AdmissibleWeight`` or its primed ints ``n_primed``/``k_primed``: a weight
 carries its level and its box check, and a second level could disagree with it.
@@ -24,7 +31,7 @@ the module's and is not counted.
 from __future__ import annotations
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +114,33 @@ def _traced_names() -> frozenset[str]:
 def test_no_package_definition_is_named_only_by_tests():
     shipped = PACKAGE + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     assert _unreferenced(shipped, _traced_names()) == []
+
+
+def _attribute_reads(node: ast.AST) -> Counter[str]:
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_no_package_member_is_named_only_by_tests():
+    shipped = PACKAGE + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    shipped += sorted(ROOT.glob("tests/_*.py"))  # the referees
+    reads: Counter[str] = Counter()
+    for path in shipped:
+        reads += _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        f"{path.relative_to(ROOT)}: {cls.name}.{fn.name}"
+        for path in PACKAGE
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and reads[fn.name] <= _attribute_reads(fn)[fn.name]
+    ]
+    assert unread == []
 
 
 _WEIGHT_PARAMS = {"weight", "w", "w1", "w2", "n_primed", "k_primed"}

@@ -468,7 +468,8 @@ def test_series_walk_within_bounds_of_reference_and_per_term_sum(
     order = max(Fraction(trunc), chibar_lowest_exponent(spec) + spec.shift(kind) + 1)
     series = character_qseries(spec, order, kind=kind)
     if scale:
-        series = series.scale(scale)
+        terms = {m: scale * c for m, c in series.terms.items()}
+        series = QSeries(series.denom, terms, series.order)
     series = series.shift_exponents(shift)
     low = series.lowest()
     if low is None:

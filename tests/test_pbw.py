@@ -15,6 +15,7 @@ and several module parameters pins the product.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import admissible_sl2.pbw
+from admissible_sl2.errors import InputError
 from admissible_sl2.exact import rat
 from admissible_sl2.pbw import (
     HEIS,
@@ -166,6 +169,19 @@ def test_defining_relations():
     hb = PBWElement.generator(HEIS, "hb")
     assert eb * fb - fb * eb == hb
     assert hb * eb == eb * hb and hb * fb == fb * hb
+
+
+def test_algebras_are_told_apart_by_identity_not_by_name(monkeypatch):
+    # an algebra with sl2's name and generators but no brackets is abelian
+    monkeypatch.setattr(admissible_sl2.pbw, "_GEN_CACHE", {})
+    abelian = dataclasses.replace(SL2, brackets={})
+    e, f, h = (PBWElement.generator(SL2, g) for g in "efh")
+    assert e * f == f * e + h  # memoizes sl2's products first
+    ea, fa = (PBWElement.generator(abelian, g) for g in "ef")
+    assert ea * fa == fa * ea == PBWElement(abelian, {(1, 0, 1): 1})
+    assert PBWElement.unit(abelian) != PBWElement.unit(SL2)
+    with pytest.raises(InputError, match="operands lie in sl2 and sl2"):
+        e * fa
 
 
 def test_product_associativity_random():

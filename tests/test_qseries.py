@@ -45,9 +45,8 @@ def _brute_theta(n: int, m: int, z: Fraction, order: Fraction) -> QSeries:
 def test_qseries_construction_normalizes_lattice():
     s = QSeries(12, {6: Fraction(1), 9: Fraction(2)}, Fraction(3))
     assert s.denom == 4  # gcd(12, 6, 9) = 3 divides out
-    assert s.coefficient(Fraction(1, 2)) == 1
-    assert s.coefficient(Fraction(3, 4)) == 2
-    assert s.coefficient(Fraction(5, 4)) == 0
+    assert s.terms == {2: 1, 3: 2}
+    assert s.prefix() == [(Fraction(1, 2), 1), (Fraction(3, 4), 2)]
 
 
 def test_qseries_drops_terms_at_or_above_order():
@@ -56,19 +55,14 @@ def test_qseries_drops_terms_at_or_above_order():
     assert s.order == 2
 
 
-def test_qseries_coefficient_outside_resolution_raises():
-    s = QSeries(2, {1: Fraction(1)}, Fraction(2))
-    with pytest.raises(InputError, match="not resolved"):
-        s.coefficient(Fraction(5, 2))  # beyond the truncation order
-
-
 def test_qseries_addition_and_subtraction():
     a = QSeries.from_terms([(Fraction(1, 2), Fraction(1))], Fraction(4))
     b = QSeries.from_terms([(Fraction(1, 3), Fraction(2))], Fraction(3))
     c = a + b
     assert c.order == 3  # pessimistic: min of operand orders
-    assert c.coefficient(Fraction(1, 3)) == 2 and c.coefficient(Fraction(1, 2)) == 1
-    assert (c - b).prefix() == a.truncate(Fraction(3)).prefix()
+    assert c.prefix() == [(Fraction(1, 3), 2), (Fraction(1, 2), 1)]
+    assert c - b == a.truncate(Fraction(3))
+    assert -a == QSeries.from_terms([(Fraction(1, 2), Fraction(-1))], Fraction(4))
 
 
 def test_qseries_multiplication_against_convolution():
@@ -99,7 +93,6 @@ def test_qseries_exponent_maps():
     scaled = s.scale_exponents(Fraction(1, 2))
     assert scaled.lowest() == (Fraction(1, 4), Fraction(3))
     assert scaled.order == Fraction(2)
-    assert s.scale(Fraction(2)).lowest() == (Fraction(1, 2), Fraction(6))
 
 
 @pytest.mark.parametrize(
@@ -203,6 +196,16 @@ def test_theta_requires_rational_z():
 def test_theta_invalid_m():
     with pytest.raises(InputError, match="theta index m"):
         ThetaSpec(0, 0)
+
+
+@pytest.mark.parametrize(
+    "n,m,index",
+    [(1, 1.5, "m"), (0.5, 2, "n"), (Fraction(1, 2), 2, "n"), (1, Fraction(4, 2), "m")],
+)
+def test_theta_indices_must_be_ints(n, m, index):
+    # a non-integer index names no theta function, even one that would expand
+    with pytest.raises(InputError, match=f"theta index {index}"):
+        ThetaSpec(n, m, Fraction(1, 3))
 
 
 def test_qseries_div_inverts_multiplication():
