@@ -14,7 +14,7 @@ A theta's terms and their sum are taken at the working precision; its bound
 only certifies them, so it is kept in Python floats as natural logs: the log
 of each term modulus, evaluated directly, the tail test and the rounding sums,
 each raised by a stated relative margin (derivation in
-:func:`theta_eval_numeric`).  One ``mp.exp`` turns the final log into the
+:func:`_theta_walk`).  One ``mp.exp`` turns the final log into the
 bound.
 
 An exact q-series is evaluated by a walk along its sorted lattice keys:
@@ -25,14 +25,17 @@ exactly.  Its bound counts, per step, the rounding of each gap power (its
 argument included) and of the fixed-point product, in whole units of the
 scale (derivation in :func:`qseries_eval_numeric`).
 
-``s_transform_residual`` computes each distinct quantity once per call: one
-theta memo per side of the law (every weight's quotient shares the
-denominator pair theta_{+-1,2}); one e^{i pi N/a} per phase class of the
-integer numerators N = b b', the pair (|N| mod 2a, binade of |N|/a) on which
-``expjpi`` gives the same bits (proof in :func:`s_transform_residual`),
-conjugated for N < 0; one S entry, its conjugate (the conjugate-phase
-matrix) and its modulus per distinct pair of signed classes; and one product
-S_ij chibar_j per cell of the residual table.
+``s_transform_residual`` computes each distinct quantity once per call.
+Each side of the law is one pass (``_chibar_side``): per component
+tolerance, one walk (``_theta_walk``) over every numerator residue b+- of the
+level at m = a, and one over the denominator pair theta_{+-1,2}, which every
+weight's quotient shares.  Then one e^{i pi N/a} per phase class of the
+integer numerators N = b b', the pair (|N| mod a, binade of |N|/a) on which
+``expjpi`` gives the same bits up to a sign set by the parity of floor(|N|/a)
+(proof in :func:`s_transform_residual`), conjugated for N < 0; one S entry,
+its conjugate (the conjugate-phase matrix) and its modulus per distinct pair
+of signed classes; and one product S_ij chibar_j per cell of the residual
+table.
 
 The bounds that only certify, the theta quotient's and the residual
 table's, are kept in Python floats too.  Each mpf that enters is split
@@ -56,6 +59,7 @@ argument); there is no ambient global state -- evaluation happens inside
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,7 +181,26 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     The sum is taken outward from the vertex of the term-modulus parabola on
     each side until the certified geometric tail drops below tol/4; the
     rounding budget accounts for the remaining tol/4.  ``spec.z`` may be
-    complex.
+    complex.  This checks ``tol > 0`` and tau, then walks the one residue
+    ``spec.n`` (derivation in :func:`_theta_walk`).
+    """
+    tol = _positive_tol(tol)
+    with mp.workprec(prec):
+        tau_v = _upper_half_plane(tau, "theta series")
+        return _theta_walk([spec.n], spec.m, spec.z, tau_v, tol, prec)[0]
+
+
+def _theta_walk(
+    ns: list[int], m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int
+) -> list[ComplexVal]:
+    """theta_{n,m}(tau, z) for each n of ``ns``, at one (m, z, tau, tol, prec).
+
+    ``tau`` is an mpc with Im(tau) > 0 and ``tol`` a positive mpf, both
+    checked by the caller.  What depends only on (m, z, tau, tol, prec) is
+    set up once: z, B, the float copies, log(tol/4), the reach test, the
+    vertex -B/2A and log(7 U / eps).  Each residue then keeps its own offset
+    n/2m, start point, Y, two-sided walk, stop test, terms, summation order
+    and bound, so its value and bound are those of a walk over it alone.
 
     Two precisions.  Each term is a direct ``expjpi`` at the working
     precision, summed there in a fixed order; that is the value.  The bound
@@ -227,26 +250,20 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     the float margin, the ``InputError`` is raised at once; so it is when Y +
     2^-40 is at least twice 2 pi m (A (2 q + 1) + |B|), which bounds every
     slope up to the cap (|x| <= q there), as no s_lo can then be positive.
+    The residues are walked in order, and the first that fails raises.
     """
-    tol = _positive_tol(tol)
     with mp.workprec(prec):
-        tau_v = _upper_half_plane(tau, "theta series")
-        A = tau_v.imag
-        z = _as_mpc(spec.z)
-        m = spec.m
-        B = mp.im(tau_v * z)
-        off = mp.mpf(spec.n) / (2 * m)
+        A = tau.imag
+        z = _as_mpc(z)
+        B = mp.im(tau * z)
         a, b = float(A), float(B)
         if a == math.inf:
             raise InputError("theta series requires Im(tau) within the double range")
         two_pi_m = 2 * math.pi * m
-        tau_l1 = abs(float(tau_v.real)) + a
-        abs_off, abs_z = abs(float(off)), abs(float(z.real)) + abs(float(z.imag))
+        tau_l1 = abs(float(tau.real)) + a
+        abs_z = abs(float(z.real)) + abs(float(z.imag))
         log_eps = (1 - prec) * math.log(2)
         log_budget = float(mp.log(tol)) - math.log(4)
-
-        def term_at(x):
-            return mp.expjpi(2 * m * (x * x + x * z) * tau_v)
 
         reach = (b * b / (4 * a) - log_budget / two_pi_m) / a if a else math.inf
         if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2 * (1 + _FLOAT_MARGIN):
@@ -254,59 +271,64 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
                 f"{_TERM_CAP} (at least {int(math.sqrt(min(reach, 1e300)))} "
                 f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
             )
-
-        start = int(mp.ceil(-B / (2 * A) - off))  # the integer-coordinate vertex, rounded up
-        q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
-        y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
-        if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
-            raise InputError(_TERM_CAP)  # every s_lo up to the cap is negative
+        vertex = -B / (2 * A)
         log_c7 = math.log(7 * two_pi_m * tau_l1)  # log(7 U / eps)
-        total = mp.mpc(0)
-        count = 0
-        sides = []  # per side: its first l, sum e^{l - first}, sum e^{l - first} X (X + |z|)
-        tails = []
+        out = []
+        for n in ns:
+            off = mp.mpf(n) / (2 * m)
+            abs_off = abs(float(off))
+            start = int(mp.ceil(vertex - off))  # the integer-coordinate vertex, rounded up
+            q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
+            y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
+            if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
+                raise InputError(_TERM_CAP)  # every s_lo up to the cap is negative
+            total = mp.mpc(0)
+            count = 0
+            sides = []  # per side: its first l, sum e^{l - first}, sum e^{l - first} X (X + |z|)
+            tails = []
 
-        for direction in (+1, -1):
-            i = start if direction == +1 else start - 1
-            first = None
-            side_abs = side_arg = 0.0
-            steps = 0
-            while True:
-                x = i + off
-                xf = float(x)
-                p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
-                log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
-                if first is None:
-                    first = log_m
-                slope = two_pi_m * (a * (2 * direction * xf + 1) + direction * b)
-                slope_size = two_pi_m * (a * (2 * abs(xf) + 1) + abs(b))
-                s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y
-                if s_lo > 0:
-                    tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))
-                    if tail < log_budget:
-                        tails.append(tail)
-                        break
-                total += term_at(x)
-                weight = math.exp(log_m - first)
-                size = abs(xf) + abs_off
-                side_abs += weight
-                side_arg += weight * size * (size + abs_z)
-                count += 1
-                i += direction
-                steps += 1
-                if steps > _MAX_TERMS_PER_SIDE:
-                    raise InputError(_TERM_CAP)
-            sides.append((first, side_abs, side_arg))
+            for direction in (+1, -1):
+                i = start if direction == +1 else start - 1
+                first = None
+                side_abs = side_arg = 0.0
+                steps = 0
+                while True:
+                    x = i + off
+                    xf = float(x)
+                    p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
+                    log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
+                    if first is None:
+                        first = log_m
+                    slope = two_pi_m * (a * (2 * direction * xf + 1) + direction * b)
+                    slope_size = two_pi_m * (a * (2 * abs(xf) + 1) + abs(b))
+                    s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y
+                    if s_lo > 0:
+                        tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))
+                        if tail < log_budget:
+                            tails.append(tail)
+                            break
+                    total += mp.expjpi(2 * m * (x * x + x * z) * tau)
+                    weight = math.exp(log_m - first)
+                    size = abs(xf) + abs_off
+                    side_abs += weight
+                    side_arg += weight * size * (size + abs_z)
+                    count += 1
+                    i += direction
+                    steps += 1
+                    if steps > _MAX_TERMS_PER_SIDE:
+                        raise InputError(_TERM_CAP)
+                sides.append((first, side_abs, side_arg))
 
-        terms = [_up(log_eps, y, l0, math.log(count + 16), math.log(s)) for l0, s, _ in sides if s]
-        terms += [_up(log_eps, 2 * y, l0, log_c7, math.log(s)) for l0, _, s in sides if s]
-        log_round = _log_sum(terms) + _FLOAT_MARGIN * count
-        if log_round > log_budget:
-            raise InputError(
-                f"rounding budget {mpmath.nstr(mp.exp(log_round), 5)} exceeds tol/4 at {prec} bits"
-            )
-        err = mp.exp(_log_sum(terms + tails) + _FLOAT_MARGIN * count)
-        return ComplexVal(total, err, prec)
+            log_n = math.log(count + 16)
+            terms = [_up(log_eps, y, l0, log_n, math.log(s)) for l0, s, _ in sides if s]
+            terms += [_up(log_eps, 2 * y, l0, log_c7, math.log(s)) for l0, _, s in sides if s]
+            log_round = _log_sum(terms) + _FLOAT_MARGIN * count
+            if log_round > log_budget:
+                budget = mpmath.nstr(mp.exp(log_round), 5)
+                raise InputError(f"rounding budget {budget} exceeds tol/4 at {prec} bits")
+            err = mp.exp(_log_sum(terms + tails) + _FLOAT_MARGIN * count)
+            out.append(ComplexVal(total, err, prec))
+        return out
 
 
 def _q_power_error(e: Fraction, tau_l1, eps) -> mpmath.mpf:
@@ -432,80 +454,114 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
         return ComplexVal(lead * inner, err, prec)
 
 
+def _component_tolerances(tol: mpmath.mpf) -> Iterator[mpmath.mpf]:
+    """The component tolerance of each attempt at a quotient: tol/8, then /16 per retry."""
+    ctol = tol / 8
+    for _ in range(_QUOTIENT_RETRIES):
+        yield ctol
+        ctol = ctol / 16
+
+
+def _quotient(
+    thetas: tuple[ComplexVal, ComplexVal, ComplexVal, ComplexVal], tol: mpmath.mpf, prec: int
+) -> tuple[ComplexVal, mpmath.mpf] | None:
+    """(th_p - th_m) / (th_1 - th_m1) with its bound and the largest theta bound.
+
+    None when the quotient's bound misses ``tol``.
+
+    The bound (e_num + |quot| e_den) / (|den| - e_den) + 8 eps |quot|, e_num
+    and e_den the sums of the theta errors, is kept in floats.  The retry
+    test e_den < |den| / 2 is taken in mpf first, so rho = e_den / |den| <
+    1/2 and the bound is at most (X + Y + Z) / (1 - rho), X = e_num / |den|,
+    Y = |quot| rho, Z = 8 eps |quot|.  Each of X, Y, Z and rho is a product
+    or quotient of split values (``_split``), a double times a power of two;
+    X, Y and Z are aligned (``_aligned``) and summed.  The splits' truncation
+    (2^-52 each) and a dozen float roundings are far inside the margin
+    2^-40, and ``mp.ldexp`` scales the result back exactly.
+    """
+    th_p, th_m, th_1, th_m1 = thetas
+    num = th_p.value - th_m.value
+    den = th_1.value - th_m1.value
+    e_num = th_p.err + th_m.err
+    e_den = th_1.err + th_m1.err
+    abs_den = abs(den)
+    if abs_den < 10 * tol:
+        raise InputError(f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol")
+    if e_den >= abs_den / 2:
+        return None
+    quot = num / den
+    # (X + Y + Z) / (1 - rho), as the docstring derives
+    (f_n, k_n), (f_e, k_e), (f_d, k_d), (f_q, k_q) = map(_split, (e_num, e_den, abs_den, abs(quot)))
+    terms, g = _aligned(
+        [(f_n / f_d, k_n - k_d), (f_q * f_e / f_d, k_q + k_e - k_d), (f_q, k_q + 4 - prec)]
+    )
+    rho = math.ldexp(f_e / f_d, k_e - k_d)
+    e_quot = mp.ldexp(sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN), g)
+    if e_quot > tol:
+        return None
+    return ComplexVal(quot, e_quot, prec), max(th.err for th in thetas)
+
+
+_RETRIES_SPENT = "character quotient bound did not meet the tolerance after retries"
+
+
 def _chibar_numeric(
-    weight: AdmissibleWeight,
-    tau,
-    zval,
-    tol,
-    prec: int,
-    thetas: dict[tuple[ThetaSpec, mpmath.mpf], ComplexVal] | None = None,
+    weight: AdmissibleWeight, tau, zval, tol, prec: int
 ) -> tuple[ComplexVal, mpmath.mpf]:
     """Normalized character as a certified theta quotient; zval may be complex.
 
     Returns the quotient together with the largest component theta error
-    bound (for reporting).  Component tolerances tighten geometrically until
-    the propagated quotient bound meets ``tol``.
-
-    ``thetas``, when given, memoises the theta evaluations by ``(ThetaSpec,
-    component tolerance)``; the caller keeps one dict per (tau, prec), so
-    quotients at the same tau share their common denominator pair.  A retry
-    at a tighter tolerance misses the memo and evaluates afresh.
-
-    The quotient's bound (e_num + |quot| e_den) / (|den| - e_den) + 8 eps
-    |quot|, e_num and e_den the sums of the theta errors, is kept in floats.
-    The retry test e_den < |den| / 2 is taken in mpf first, so rho = e_den /
-    |den| < 1/2 and the bound is at most (X + Y + Z) / (1 - rho), X = e_num /
-    |den|, Y = |quot| rho, Z = 8 eps |quot|.  Each of X, Y, Z and rho is a
-    product or quotient of split values (``_split``), a double times a power
-    of two; X, Y and Z are aligned (``_aligned``) and summed.  The splits'
-    truncation (2^-52 each) and a dozen float roundings are far inside the
-    margin 2^-40, and ``mp.ldexp`` scales the result back exactly.
+    bound (for reporting).  Component tolerances tighten geometrically
+    (``_component_tolerances``) until the quotient's bound (``_quotient``)
+    meets ``tol``; each attempt evaluates the four thetas of
+    ``chibar_thetas`` afresh.
     """
     tol = mp.mpf(tol)
-    (num_p, num_m), (den_p, den_m) = chibar_thetas(weight, zval)
+    specs = [s for pair in chibar_thetas(weight, zval) for s in pair]
     with mp.workprec(prec):
-        ctol = tol / 8
-        theta_err = mp.mpf(0)
+        for ctol in _component_tolerances(tol):
+            thetas = tuple(theta_eval_numeric(spec, tau, ctol, prec) for spec in specs)
+            found = _quotient(thetas, tol, prec)
+            if found is not None:
+                return found
+        raise InputError(_RETRIES_SPENT)
 
-        def theta(spec):
-            if thetas is None:
-                return theta_eval_numeric(spec, tau, ctol, prec)
-            key = (spec, ctol)
-            if key not in thetas:
-                thetas[key] = theta_eval_numeric(spec, tau, ctol, prec)
-            return thetas[key]
 
-        for _ in range(_QUOTIENT_RETRIES):
-            th_p, th_m, th_1, th_m1 = map(theta, (num_p, num_m, den_p, den_m))
-            theta_err = max(th_p.err, th_m.err, th_1.err, th_m1.err)
-            num = th_p.value - th_m.value
-            den = th_1.value - th_m1.value
-            e_num = th_p.err + th_m.err
-            e_den = th_1.err + th_m1.err
-            abs_den = abs(den)
-            if abs_den < 10 * tol:
-                raise InputError(
-                    f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol"
-                )
-            if e_den >= abs_den / 2:
-                ctol = ctol / 16
-                continue
-            quot = num / den
-            # (X + Y + Z) / (1 - rho), as the docstring derives
-            (f_n, k_n), (f_e, k_e), (f_d, k_d), (f_q, k_q) = map(
-                _split, (e_num, e_den, abs_den, abs(quot))
-            )
-            terms, g = _aligned(
-                [(f_n / f_d, k_n - k_d), (f_q * f_e / f_d, k_q + k_e - k_d), (f_q, k_q + 4 - prec)]
-            )
-            rho = math.ldexp(f_e / f_d, k_e - k_d)
-            e_quot = mp.ldexp(sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN), g)
-            if e_quot <= tol:
-                return ComplexVal(quot, e_quot, prec), theta_err
-            ctol = ctol / 16
-        raise InputError(
-            "character quotient bound did not meet the tolerance after retries"
-        )
+def _chibar_side(
+    weights: list[AdmissibleWeight], tau: mpmath.mpc, zval, tol, prec: int
+) -> list[tuple[ComplexVal, mpmath.mpf]]:
+    """``_chibar_numeric`` of every weight at one (tau, zval, tol), bit for bit.
+
+    ``tau`` is an mpc with Im(tau) > 0 at ``prec``.  The thetas of every
+    weight come from ``chibar_thetas``: the numerators share m = a and the
+    second argument z/q, the denominator pair is common to all.  So each
+    attempt makes one ``_theta_walk`` over the numerator residues of the
+    weights still pending and one over the denominator pair; a theta's value
+    and bound depend only on its residue and the walk's (m, z, tau, tol,
+    prec), so each weight's quotient is the one its own attempts give.  A
+    weight whose bound misses goes on to the next tolerance.
+    """
+    tol = mp.mpf(tol)
+    pairs = [chibar_thetas(w, zval) for w in weights]
+    (num_p, _), (den_p, den_m) = pairs[0]
+    out: list = [None] * len(weights)
+    with mp.workprec(prec):
+        pending = range(len(weights))
+        for ctol in _component_tolerances(tol):
+            residues = [spec.n for i in pending for spec in pairs[i][0]]
+            nums = _theta_walk(residues, num_p.m, num_p.z, tau, ctol, prec)
+            dens = _theta_walk([den_p.n, den_m.n], den_p.m, den_p.z, tau, ctol, prec)
+            retry = []
+            for i, th_p, th_m in zip(pending, nums[::2], nums[1::2]):
+                found = _quotient((th_p, th_m, *dens), tol, prec)
+                if found is None:
+                    retry.append(i)
+                else:
+                    out[i] = found
+            if not retry:
+                return out
+            pending = retry
+        raise InputError(_RETRIES_SPENT)
 
 
 def character_eval_numeric(spec: CharacterSpec, tau, tol, kind: str = "chi") -> ComplexVal:
@@ -566,13 +622,18 @@ class STransformReport:
     alt_final_residuals: list[mpmath.mpf] | None
 
 
-def _phase_class(num: int, a: int) -> tuple[int, int]:
-    """(|N| mod 2a, floor(log2(|N|/a))), from integers; e^{i pi N/a} is alike across a class."""
+def _phase_class(num: int, a: int) -> tuple[int, int, int]:
+    """(|N| mod a, floor(log2(|N|/a)), floor(|N|/a) mod 2), from integers.
+
+    e^{i pi N/a} for N > 0 is alike across the first two, up to the sign
+    (-1)^(third); see ``s_transform_residual``.
+    """
     n = abs(num)
     e = n.bit_length() - a.bit_length()  # floor(log2(n/a)) is e or e - 1
     if (n << max(-e, 0)) < (a << max(e, 0)):
         e -= 1
-    return n % (2 * a), e
+    k, r = divmod(n, a)
+    return r, e, k & 1
 
 
 def _s_matrices(
@@ -580,18 +641,22 @@ def _s_matrices(
 ) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[float]], mpmath.mpf]:
     """Both S-matrix spellings, |S_ij| as floats, and the largest row sum of |S_ij|.
 
-    One ``expjpi`` per phase class (see ``s_transform_residual``), conjugated
-    for N < 0, and one entry, conjugate and modulus per distinct pair of
-    signed classes.  The row sums are taken in mpf, in column order.
+    One ``expjpi`` per phase class (see ``s_transform_residual``), negated
+    for the other parity of floor(|N|/a) and conjugated for N < 0, and one
+    entry, conjugate and modulus per distinct pair of signed classes.  The
+    row sums are taken in mpf, in column order.
     """
     a = weights[0].level.a
-    phases: dict[tuple[int, int], mpmath.mpc] = {}
+    phases: dict[tuple[int, int], tuple[mpmath.mpc, int]] = {}
 
     def phase(num: int) -> mpmath.mpc:
-        key = _phase_class(num, a)
-        if key not in phases:
-            phases[key] = mp.expjpi(mp.mpf(abs(num)) / a)
-        return mp.conj(phases[key]) if num < 0 else phases[key]
+        r, e, odd = _phase_class(num, a)
+        if (r, e) not in phases:
+            phases[r, e] = mp.expjpi(mp.mpf(abs(num)) / a), odd
+        value, first_odd = phases[r, e]
+        if odd != first_odd:
+            value = -value
+        return mp.conj(value) if num < 0 else value
 
     pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
     entries: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf, float]] = {}
@@ -645,21 +710,26 @@ def s_transform_residual(
     law fails on the complex-phase rows.
 
     Phase classes.  e^{i pi N/a} is ``expjpi`` of x = N/a rounded to the
-    working precision, and mpmath 1.3 (``mpf_cos_sin`` with pi=True)
-    computes it from the mantissa and exponent of |x| alone: it takes the
-    nearest half-integer n/2 off exactly, evaluates cos and sin of pi times
-    the remainder, rotates by n mod 4, and negates the sine when x < 0.  Let
-    N' = N + 2ak have the sign of N, with |N|/a and |N'|/a in one binade
-    [2^e, 2^(e+1)).  The rounding grid there has spacing 2^(e+1-prec), which
-    divides 2 (|N|/a is far below 2^prec), so |x'| = |x| + 2k exactly; N/a
+    working precision, and mpmath 1.3 (``mpf_cos_sin`` with pi=True, rounding
+    to nearest) computes it from the mantissa and exponent of |x| alone: a
+    multiple of 1/2 gets its exact value, and otherwise it takes the nearest
+    half-integer n/2 off exactly, evaluates cos and sin of pi times the
+    remainder, rotates by n mod 4 and negates the sine when x < 0, then
+    rounds each part to nearest, which commutes with negation.  Let N' = N +
+    ak have the sign of N, with |N|/a and |N'|/a in one binade [2^e,
+    2^(e+1)).  The rounding grid there has spacing 2^(e+1-prec), which
+    divides 1 (1/a <= |N|/a, both far inside 2^-prec..2^prec, so mpmath's
+    path for a tiny |x| is never taken), so |x'| = |x| + |k| exactly; N/a
     is never a rounding tie (it is exact when a is a power of two).  Where
-    |x| is not a multiple of 1/2, its exponent is below -1, so adding 2k
+    |x| is not a multiple of 1/2, its exponent is below -1, so adding |k|
     keeps the odd mantissa odd and the exponent, leaves the remainder alone
-    and moves n by 4k; a multiple of 1/2 stays one, with the same parity
-    and the same exact value.  So the class (|N| mod 2a, e), computed from
-    integers, keys one ``expjpi`` of |N|/a, and N < 0 takes ``mp.conj`` of
-    it, bit for bit.  An entry depends only on its two phases, so it is
-    keyed by their signed classes.
+    and moves n by 2|k|: the rotation turns by k half-turns, which negates
+    both parts when k is odd and changes nothing when k is even.  A multiple
+    of 1/2 stays one, and e^{i pi (x + k)} = (-1)^k e^{i pi x} exactly.  So
+    the class (|N| mod a, e), computed from integers, keys one ``expjpi`` of
+    |N|/a; a member whose floor(|N|/a) has the other parity takes its
+    negation, and N < 0 takes ``mp.conj``, bit for bit.  An entry depends
+    only on its two phases, so it is keyed by their signed classes.
 
     Bounds in floats.  The bound on cell (i, j) of ``residual_errors`` is
 
@@ -708,22 +778,12 @@ def s_transform_residual(
             alt_factor = None
         abs_factor = abs(factor)
 
-        theta_err_max = mp.mpf(0)
         rhs_tol = tol / (8 * max(mp.mpf(1), abs_factor) * max(mp.mpf(1), max_row_abs))
-        # one theta memo per side: the denominator pair is shared by every weight
-        rhs_thetas: dict = {}
-        chibar_vals: list[ComplexVal] = []
-        for w in weights:
-            val, terr = _chibar_numeric(w, tau_v, z, rhs_tol, prec, rhs_thetas)
-            chibar_vals.append(val)
-            theta_err_max = max(theta_err_max, terr)
-
-        lhs_thetas: dict = {}
-        lhs_vals: list[ComplexVal] = []
-        for w in weights:
-            val, terr = _chibar_numeric(w, tau2, z2, tol / 8, prec, lhs_thetas)
-            lhs_vals.append(val)
-            theta_err_max = max(theta_err_max, terr)
+        rhs = _chibar_side(weights, tau_v, z, rhs_tol, prec)
+        lhs = _chibar_side(weights, tau2, z2, tol / 8, prec)
+        chibar_vals = [val for val, _ in rhs]
+        lhs_vals = [val for val, _ in lhs]
+        theta_err_max = max([mp.mpf(0)] + [terr for _, terr in rhs + lhs])
 
         # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in floats, over one 2^g
         c_w = [v.err + 16 * eps * abs(v.value) for v in lhs_vals]

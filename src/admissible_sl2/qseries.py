@@ -213,9 +213,10 @@ class QSeries:
 class ThetaSpec:
     """Indexes theta_{n,m}(tau, z) with lattice Z + n/2m; z = 0 gives Theta.
 
-    ``z`` is normalized to a Fraction when possible; a non-rational (complex)
-    ``z`` is stored as given and is accepted only by the numeric evaluator,
-    not by the exact series expansion.
+    An int, ``Fraction`` or "a/b" string ``z`` is normalized to a Fraction,
+    and a string that is not a rational is refused; any other ``z`` (a float
+    or a complex value) is stored as given and is accepted only by the
+    numeric evaluator, not by the exact series expansion.
     """
 
     n: int
@@ -227,10 +228,11 @@ class ThetaSpec:
             raise InputError(f"theta index n must be an integer, got {self.n}")
         if not isinstance(self.m, int) or self.m < 1:
             raise InputError(f"theta index m must be a positive integer, got {self.m}")
-        try:
-            object.__setattr__(self, "z", rat(self.z))
-        except (TypeError, ValueError):
-            pass
+        if isinstance(self.z, (int, str, Fraction)):
+            try:
+                object.__setattr__(self, "z", rat(self.z))
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"theta argument z must be a rational, got {self.z!r}") from None
 
     @property
     def has_rational_z(self) -> bool:

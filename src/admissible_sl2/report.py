@@ -61,8 +61,8 @@ _VALUE_DIGITS = 30
 _ERR_DIGITS = 8
 
 
-def _real_str(x, digits: int, strings: dict) -> str:
-    """Decimal string of an mpmath real, deterministic for a given value.
+def _real_str(raw: tuple, digits: int, strings: dict) -> str:
+    """Decimal string of a raw mpmath real (``x._mpf_``), deterministic for a given value.
 
     The value is formatted as-is (no re-rounding to the ambient working
     precision, which would truncate high-precision certified bounds).
@@ -71,7 +71,6 @@ def _real_str(x, digits: int, strings: dict) -> str:
     Zero, the infinities and NaN are keyed whole, as their strings carry
     their own sign.
     """
-    raw = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
     sign, man, exp, bc = raw
     if man:
         raw, key = (0, man, exp, bc), (man, exp, digits)
@@ -83,19 +82,32 @@ def _real_str(x, digits: int, strings: dict) -> str:
     return "-" + text if sign else text
 
 
-def _complex_pair(x, strings: dict) -> list[str]:
-    xc = x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpc(x)
-    return [_real_str(part, _VALUE_DIGITS, strings) for part in (xc.real, xc.imag)]
+def _complex_pair(x: mp.mpc, strings: dict) -> list[str]:
+    re, im = x._mpc_
+    return [_real_str(re, _VALUE_DIGITS, strings), _real_str(im, _VALUE_DIGITS, strings)]
 
 
 def encode(value: Any, strings: dict | None = None) -> Any:
     """Rewrite ``value`` into JSON primitives; a float, which has no error bound, raises.
 
     ``strings`` memoises decimal strings (see ``_real_str``); ``document``
-    passes one dict for its whole document, and a call without one starts afresh.
+    passes one dict for its whole document, and a call without one starts
+    afresh.  The numeric values come first, and a list or tuple of only
+    ``mpc`` or only ``mpf`` values (a row of a report's tables) is encoded in
+    one step.
     """
     if strings is None:
         strings = {}
+    if isinstance(value, mp.mpc):
+        return _complex_pair(value, strings)
+    if isinstance(value, mp.mpf):
+        return _real_str(value._mpf_, _VALUE_DIGITS, strings)
+    if isinstance(value, (list, tuple)):
+        if value and all(isinstance(v, mp.mpc) for v in value):
+            return [_complex_pair(v, strings) for v in value]
+        if value and all(isinstance(v, mp.mpf) for v in value):
+            return [_real_str(v._mpf_, _VALUE_DIGITS, strings) for v in value]
+        return [encode(v, strings) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Fraction):
@@ -120,16 +132,10 @@ def encode(value: Any, strings: dict | None = None) -> Any:
     if isinstance(value, ComplexVal):
         return {
             "value": _complex_pair(value.value, strings),
-            "err": _real_str(value.err, _ERR_DIGITS, strings),
+            "err": _real_str(value.err._mpf_, _ERR_DIGITS, strings),
         }
-    if isinstance(value, mp.mpc):
-        return _complex_pair(value, strings)
-    if isinstance(value, mp.mpf):
-        return _real_str(value, _VALUE_DIGITS, strings)
     if isinstance(value, Mapping):
         return {_key_str(k): encode(v, strings) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(v, strings) for v in value]
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 

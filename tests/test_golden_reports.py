@@ -56,7 +56,10 @@ ARGVS = [
     ("bimodule", *AT_8_5, "--n", "3", "--k", "2"),
     ("stransform", *AT_8_5, "--z", "3/7", "--tau=1.2,0.2", "--tol", "1e-30"),
 ]
+# A quotient that misses its bound at the first component tolerance and retries
+RETRY = ("stransform", *AT_5_3, "--z", "1/3", "--tau=-0.03,0.05", "--tol", "1e-11")
 CASES = [(*argv, "--format", fmt) for argv in ARGVS for fmt in ("json", "text")]
+CASES.append((*RETRY, "--format", "json"))
 
 
 def _run(argv) -> dict:

@@ -9,16 +9,18 @@ evaluations at different working precisions.
 The theta evaluator, whose bound is kept in Python floats as logs, is checked
 against the all-mpf per-term evaluator kept in ``tests/_theta_oracle.py``:
 equal values bit for bit, and error bounds no smaller than the oracle's, which
-leaves out the rounding of each term's argument.  The interval enclosure of
+leaves out the rounding of each term's argument; so is each residue of a walk
+over several, which must also equal a walk over that residue alone.  The interval enclosure of
 ``tests/_interval_theta.py`` referees the bound itself: |value - center| +
 radius <= err on every draw, at edges of the double range too.  It referees
 the quotient bound of ``_chibar_numeric`` the same way, on quotients at tau
 with a rational z and at the law's left side (-1/tau, tau z), and the
 ``residual_errors`` of ``s_transform_residual``: each partial residual,
 enclosed from the quotient boxes and exact S entries, lies within its bound.
-``stransform``'s sharing of thetas, S-matrix phase classes and entries is
-checked against unshared evaluations and the direct phase formula, bit for
-bit, and its float-kept bounds against their mpf sums past the double range.
+``stransform``'s sharing of thetas (one walk per side and component
+tolerance, retries included), S-matrix phase classes and entries is checked
+against per-weight quotients and the direct phase formula, bit for bit, and
+its float-kept bounds against their mpf sums past the double range.
 
 The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
 character series by a 600-bit per-term sum and by the per-term evaluator kept
@@ -194,6 +196,38 @@ def test_theta_recurrence_matches_direct_evaluator(m, n, z, re_tau, im_tau, tol_
         assert abs(val.value - _brute_theta(spec, tau)) <= val.err
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    m=_THETA_DRAWS["m"],
+    ns=st.lists(_THETA_DRAWS["n"], min_size=1, max_size=6).map(lambda ns: ns + ns[:1]),
+    **{k: v for k, v in _THETA_DRAWS.items() if k not in ("m", "n")},
+)
+def test_each_residue_of_a_walk_is_the_direct_evaluator(m, ns, z, re_tau, im_tau, tol_exp, prec):
+    # one walk over residues of both signs, one of them repeated: each value
+    # is the oracle's bit for bit, and value and bound are a walk's over that
+    # residue alone
+    tol = mp.mpf(10) ** -tol_exp
+    tau = _tau_from(re_tau, im_tau, prec)
+    try:
+        oracles = [_theta_oracle.theta_eval_numeric(ThetaSpec(n, m, z), tau, tol, prec) for n in ns]
+    except InputError:
+        with pytest.raises(InputError, match="rounding budget"):
+            numeric._theta_walk(ns, m, z, tau, tol, prec)
+        event("a residue's rounding floor is above tol/4")
+        return
+    try:
+        vals = numeric._theta_walk(ns, m, z, tau, tol, prec)
+    except InputError as exc:
+        assert "rounding budget" in str(exc)
+        event("only the float-bookkeeping evaluator exceeds the rounding budget")
+        return
+    assert len(vals) == len(ns)
+    for n, val, oracle in zip(ns, vals, oracles):
+        assert val.value == oracle.value and val.prec == oracle.prec
+        assert val.err >= oracle.err
+        assert val == numeric._theta_walk([n], m, z, tau, tol, prec)[0]
+
+
 def test_theta_bound_covers_term_argument_rounding():
     # tails are ~1e-62 here, so the rounding term is the whole bound; without
     # the rounding of each term's argument the brute-force sum sat ~7x outside it
@@ -303,18 +337,23 @@ def test_residual_errors_enclose_interval_referee(level, z, re_tau, im_tau, tol_
 def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shift, errs_only):
     # each quotient scaled by a power of two past the double range: every
     # bound stays at least the mpf sum it stands for, and within 1e-9 of it
-    direct = numeric._chibar_numeric
+    direct = numeric._chibar_side
+    scaled_sides = []
 
-    def scaled(weight, tau, zval, tol, prec, thetas):
-        val, terr = direct(weight, tau, zval, tol, prec, thetas)
+    def scaled(weights, tau, zval, tol, prec):
         shift = rhs_shift if isinstance(zval, Fraction) else lhs_shift
-        value = val.value if errs_only else val.value * mp.mpf(2) ** shift
-        return ComplexVal(value, val.err * mp.mpf(2) ** shift, val.prec), terr
+        scaled_sides.append("rhs" if isinstance(zval, Fraction) else "lhs")
+        out = []
+        for val, terr in direct(weights, tau, zval, tol, prec):
+            value = val.value if errs_only else val.value * mp.mpf(2) ** shift
+            out.append((ComplexVal(value, val.err * mp.mpf(2) ** shift, val.prec), terr))
+        return out
 
-    monkeypatch.setattr(numeric, "_chibar_numeric", scaled)
+    monkeypatch.setattr(numeric, "_chibar_side", scaled)
     report = s_transform_residual(
         Level(5, 3), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
     )
+    assert scaled_sides == ["rhs", "lhs"]  # both sides' quotients went through the scaling
     with mp.workprec(400):
         eps, f = mp.mpf(2) ** -191, abs(report.factor)
         for lhs, s_row, err_row in zip(report.lhs, report.s_matrix, report.residual_errors):
@@ -681,21 +720,31 @@ def test_s_transform_fixture_3_2():
         assert finals[1] > mp.mpf("0.17") and finals[1] < mp.mpf("0.19")
 
 
+def _record(monkeypatch, name, calls):
+    """Patch ``numeric.<name>`` to append its arguments to ``calls`` before it runs."""
+    direct = getattr(numeric, name)
+
+    def recording(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(numeric, name, recording)
+
+
+def _unshared(side_calls):
+    """Every side's quotients again, one ``_chibar_numeric`` call per weight."""
+    with mp.workprec(192):  # a complex z is divided by q at the caller's precision
+        return [
+            numeric._chibar_numeric(w, tau, zval, tol, prec)
+            for weights, tau, zval, tol, prec in side_calls
+            for w in weights
+        ]
+
+
 def test_stransform_shares_thetas_and_phases(monkeypatch):
     level = Level(5, 3)
     n_w = len(enumerate_admissible(level))
-    theta_calls = []
-    quotient_calls = []
-    direct_theta = numeric.theta_eval_numeric
-    direct_quotient = numeric._chibar_numeric
-
-    def counting_theta(*args):
-        theta_calls.append(args)
-        return direct_theta(*args)
-
-    def recording_quotient(*args):
-        quotient_calls.append(args)
-        return direct_quotient(*args)
+    walks, sides, theta_calls = [], [], []
 
     class PhaseCountingMp:
         """``mp`` for ``numeric``, recording each real argument of ``expjpi``."""
@@ -709,27 +758,29 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
             return mp.expjpi(x)
 
     phase_args = []
-    monkeypatch.setattr(numeric, "theta_eval_numeric", counting_theta)
-    monkeypatch.setattr(numeric, "_chibar_numeric", recording_quotient)
+    _record(monkeypatch, "_theta_walk", walks)
+    _record(monkeypatch, "_chibar_side", sides)
+    _record(monkeypatch, "theta_eval_numeric", theta_calls)
     monkeypatch.setattr(numeric, "mp", PhaseCountingMp())
     report = s_transform_residual(
         level, Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
     )
     monkeypatch.undo()
-    # no quotient retried: two numerators per weight plus the shared
-    # denominator pair, on each side
-    assert len(quotient_calls) == 2 * n_w
-    assert len(theta_calls) == 2 * (2 * n_w + 2)
+    # no quotient retried: per side, one walk over the two numerator
+    # residues of every weight and one over the shared denominator pair
+    a = level.p * level.q
+    assert theta_calls == []
+    assert [(len(w[0]), w[1]) for w in walks] == [(2 * n_w, a), (2, 2)] * 2
+    assert [w[0] for w in walks[1::2]] == [[1, -1]] * 2
+    assert [len(side[0]) for side in sides] == [n_w, n_w]
 
-    # each quotient again without a memo, at the report's precision (a
-    # complex z is divided by q at the caller's precision): the same bits
-    with mp.workprec(192):
-        unshared = [direct_quotient(*args[:5])[0] for args in quotient_calls]
-    assert unshared == report.chibar + report.lhs
+    # each quotient again, per weight and without sharing: the same bits
+    unshared = _unshared(sides)
+    assert [val for val, _ in unshared] == report.chibar + report.lhs
+    assert report.theta_error_max == max(terr for _, terr in unshared)
 
     # both S-matrix spellings against the direct phase formula
     weights = report.weights
-    a = level.p * level.q
     with mp.workprec(192):
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
 
@@ -750,7 +801,7 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     assert report.s_matrix == s_matrix
     assert report.as_printed_s_matrix == printed
 
-    # one expjpi per class (|N| mod 2a, floor(log2(|N|/a))) of the products
+    # one expjpi per class (|N| mod a, floor(log2(|N|/a))) of the products
     # N = b+_i b+-_j, shared by both spellings, at |N|/a for one N of the class
     def phase_class(n):
         e = 0
@@ -758,7 +809,7 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
             e += 1
         while Fraction(abs(n), a) < Fraction(2) ** e:
             e -= 1
-        return abs(n) % (2 * a), e
+        return abs(n) % a, e
 
     products = {
         wi.b_plus * b for wi in weights for wj in weights for b in (wj.b_plus, wj.b_minus)
@@ -768,7 +819,28 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
         assert phase_args == [mp.mpf(n) / a for n in numerators]
     assert all(n > 0 for n in numerators)
     assert sorted(map(phase_class, numerators)) == sorted({phase_class(n) for n in products})
-    assert len(phase_args) < len(products)
+    assert (len(products), len(phase_args)) == (165, 61)  # 83 classes of (|N| mod 2a, binade)
+
+
+def test_a_retried_quotient_is_the_per_weight_one_bit_for_bit(monkeypatch):
+    # at tau = -0.03 + 0.05i quotients miss their bound at the first component
+    # tolerance; the weights that miss go on together, one walk per side and
+    # tolerance, and each lands on the bits of its own retry schedule
+    walks, sides = [], []
+    _record(monkeypatch, "_theta_walk", walks)
+    _record(monkeypatch, "_chibar_side", sides)
+    with mp.workprec(256):  # as the CLI reads --tau=-0.03,0.05
+        tau = mp.mpc(mp.mpf(-3) / 100, mp.mpf(5) / 100)
+    report = s_transform_residual(Level(5, 3), Fraction(1, 3), tau, tol=mp.mpf("1e-11"))
+    monkeypatch.undo()
+    n_w = len(report.weights)
+    # the right side takes all seven tolerances, the last for the 8 weights
+    # still pending, and the left side one
+    assert [len(w[0]) for w in walks[::2]] == [2 * n_w] * 6 + [16] + [2 * n_w]
+    assert [w[0] for w in walks[1::2]] == [[1, -1]] * 8
+    unshared = _unshared(sides)
+    assert [val for val, _ in unshared] == report.chibar + report.lhs
+    assert report.theta_error_max == max(terr for _, terr in unshared)
 
 
 _LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd(p, q) == 1]

@@ -22,6 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from admissible_sl2.errors import InputError
 from admissible_sl2.qseries import QSeries, ThetaSpec, qseries_div, theta_min_exponent, theta_qseries
@@ -206,6 +207,24 @@ def test_theta_indices_must_be_ints(n, m, index):
     # a non-integer index names no theta function, even one that would expand
     with pytest.raises(InputError, match=f"theta index {index}"):
         ThetaSpec(n, m, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("z", ["abc", "1/0", ""])
+def test_a_malformed_theta_argument_is_refused(z):
+    with pytest.raises(InputError, match="theta argument z must be a rational"):
+        ThetaSpec(1, 2, z)
+
+
+def test_a_float_or_complex_theta_argument_is_kept_unformatted():
+    class Unprintable(complex):
+        """A complex z whose repr fails: nothing may format it to throw the text away."""
+
+        def __repr__(self):
+            raise AssertionError("formatted")
+
+    for z in (0.25, 0.5j, mp.mpc("0.3", "0.2"), Unprintable(0.1, 0.2)):
+        assert ThetaSpec(1, 2, z).z is z
+    assert ThetaSpec(1, 2, "-2/6").z == Fraction(-1, 3)
 
 
 def test_qseries_div_inverts_multiplication():
