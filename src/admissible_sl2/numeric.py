@@ -34,8 +34,23 @@ integer numerators N = b b', the pair (|N| mod a, binade of |N|/a) on which
 ``expjpi`` gives the same bits up to a sign set by the parity of floor(|N|/a)
 (proof in :func:`s_transform_residual`), conjugated for N < 0; one S entry,
 its conjugate (the conjugate-phase matrix) and its modulus per distinct pair
-of signed classes; and one product S_ij chibar_j per cell of the residual
-table.
+of signed classes, the pair with both parities flipped taking them negated;
+and one product S_ij chibar_j per cell of the residual table.
+
+The arithmetic repeated most -- each theta term's argument and the walk's
+running sum, and ``stransform``'s S entries with their moduli and its
+residual table -- is written as the raw ``mpmath.libmp`` calls that mpmath's
+operators make, on the ``_mpf_`` and ``_mpc_`` tuples, at the working
+precision with round-to-nearest, the rounding every ``mp`` context here
+keeps.  A call rounds exactly as the operator it stands for, so every value
+keeps the operator's bits, and the objects a caller or a report needs are
+made once, at the end.  Each spelling follows the operator's dispatch,
+operand order included: ``i + off`` is ``mpf_add(off, from_int(i))``, by
+``__radd__``, and ``to_float`` is given ``round_nearest``, as ``float()``
+passes it (its default rounds otherwise).  ``tests/test_libmp_spellings.py``
+holds each spelling to its operator on random draws, so an mpmath that
+dispatches otherwise fails there by name.  The transcendental calls
+(``expjpi``, ``exp``, ``log``, ``sqrt``) stay on ``mp``.
 
 The bounds that only certify, the theta quotient's and the residual
 table's, are kept in Python floats too.  Each mpf that enters is split
@@ -65,7 +80,30 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed, to_float
+from mpmath.libmp import (
+    fzero,
+    from_float,
+    from_int,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_add,
+    mpf_gt,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+    mpf_sum,
+    round_ceiling,
+    round_nearest,
+    to_fixed,
+    to_float,
+    to_int,
+)
 
 from .characters import CharacterSpec, chibar_thetas
 from .errors import InputError
@@ -271,18 +309,20 @@ def _theta_walk(
                 f"{_TERM_CAP} (at least {int(math.sqrt(min(reach, 1e300)))} "
                 f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
             )
-        vertex = -B / (2 * A)
+        vertex = (-B / (2 * A))._mpf_
         log_c7 = math.log(7 * two_pi_m * tau_l1)  # log(7 U / eps)
+        z_raw, tau_raw, two_m, rnd = z._mpc_, tau._mpc_, 2 * m, round_nearest
         out = []
         for n in ns:
-            off = mp.mpf(n) / (2 * m)
-            abs_off = abs(float(off))
-            start = int(mp.ceil(vertex - off))  # the integer-coordinate vertex, rounded up
+            off = (mp.mpf(n) / (2 * m))._mpf_
+            abs_off = abs(to_float(off, rnd=rnd))
+            # the integer-coordinate vertex, rounded up
+            start = to_int(mpf_sub(vertex, off, prec, rnd), round_ceiling)
             q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
             y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
             if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
                 raise InputError(_TERM_CAP)  # every s_lo up to the cap is negative
-            total = mp.mpc(0)
+            total = (fzero, fzero)
             count = 0
             sides = []  # per side: its first l, sum e^{l - first}, sum e^{l - first} X (X + |z|)
             tails = []
@@ -293,8 +333,8 @@ def _theta_walk(
                 side_abs = side_arg = 0.0
                 steps = 0
                 while True:
-                    x = i + off
-                    xf = float(x)
+                    x = mpf_add(off, from_int(i), prec, rnd)  # i + off
+                    xf = to_float(x, rnd=rnd)
                     p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
                     log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
                     if first is None:
@@ -307,7 +347,11 @@ def _theta_walk(
                         if tail < log_budget:
                             tails.append(tail)
                             break
-                    total += mp.expjpi(2 * m * (x * x + x * z) * tau)
+                    # 2 * m * (x * x + x * z) * tau
+                    w = mpc_mul_mpf(z_raw, x, prec, rnd)
+                    w = mpc_add_mpf(w, mpf_mul(x, x, prec, rnd), prec, rnd)
+                    w = mpc_mul(mpc_mul_int(w, two_m, prec, rnd), tau_raw, prec, rnd)
+                    total = mpc_add(total, mp.expjpi(mp.make_mpc(w))._mpc_, prec, rnd)
                     weight = math.exp(log_m - first)
                     size = abs(xf) + abs_off
                     side_abs += weight
@@ -327,7 +371,7 @@ def _theta_walk(
                 budget = mpmath.nstr(mp.exp(log_round), 5)
                 raise InputError(f"rounding budget {budget} exceeds tol/4 at {prec} bits")
             err = mp.exp(_log_sum(terms + tails) + _FLOAT_MARGIN * count)
-            out.append(ComplexVal(total, err, prec))
+            out.append(ComplexVal(mp.make_mpc(total), err, prec))
         return out
 
 
@@ -636,6 +680,12 @@ def _phase_class(num: int, a: int) -> tuple[int, int, int]:
     return r, e, k & 1
 
 
+def _residual(lhs: tuple, factor: tuple, v: tuple, prec: int) -> tuple:
+    """``abs(lhs - factor * v)`` on raw mpc tuples, rounded as the operators round it."""
+    rnd = round_nearest
+    return mpc_abs(mpc_sub(lhs, mpc_mul(factor, v, prec, rnd), prec, rnd), prec, rnd)
+
+
 def _s_matrices(
     weights: list[AdmissibleWeight],
 ) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[float]], mpmath.mpf]:
@@ -643,46 +693,65 @@ def _s_matrices(
 
     One ``expjpi`` per phase class (see ``s_transform_residual``), negated
     for the other parity of floor(|N|/a) and conjugated for N < 0, and one
-    entry, conjugate and modulus per distinct pair of signed classes.  The
-    row sums are taken in mpf, in column order.
+    entry, conjugate and modulus per distinct pair of signed classes, which
+    the pair with both parities flipped takes negated.  The row sums are
+    taken in mpf, in column order.  The arithmetic is libmp's, as the
+    module docstring says.
     """
     a = weights[0].level.a
-    phases: dict[tuple[int, int], tuple[mpmath.mpc, int]] = {}
+    prec, rnd = mp.prec, round_nearest
+    phases: dict[tuple[int, int], tuple[tuple, int]] = {}
 
-    def phase(num: int) -> mpmath.mpc:
-        r, e, odd = _phase_class(num, a)
+    def phase(num: int, cls: tuple[int, int, int]) -> tuple:
+        r, e, odd = cls
         if (r, e) not in phases:
-            phases[r, e] = mp.expjpi(mp.mpf(abs(num)) / a), odd
-        value, first_odd = phases[r, e]
+            phases[r, e] = mp.expjpi(mp.mpf(abs(num)) / a)._mpc_, odd
+        (re, im), first_odd = phases[r, e]
         if odd != first_odd:
-            value = -value
-        return mp.conj(value) if num < 0 else value
+            re, im = mpf_neg(re), mpf_neg(im)
+        return (re, mpf_neg(im)) if num < 0 else (re, im)
 
-    pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
-    entries: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf, float]] = {}
+    # pref = (1/2i) sqrt(2/a) = -i h, its real part fzero: pref d is
+    # (h Im d, -(h Re d)), as mpc_mul rounds it
+    h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
+    b_plus = [w.b_plus for w in weights]
+    b_minus = [w.b_minus for w in weights]
+    cells: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, tuple, float]] = {}
     s_matrix, printed_matrix, s_abs = [], [], []
-    max_row_abs = mp.mpf(0)
-    for wi in weights:
+    max_row_abs = fzero
+    for bi in b_plus:
         row, printed_row, abs_row = [], [], []
-        row_abs = mp.mpf(0)
-        for wj in weights:
-            n_pp, n_pm = wi.b_plus * wj.b_plus, wi.b_plus * wj.b_minus
-            key = (_phase_class(n_pp, a), n_pp < 0, _phase_class(n_pm, a), n_pm < 0)
-            if key not in entries:
-                entry = pref * (phase(n_pp) - phase(n_pm))
-                # pref (conj(e_pm) - conj(e_pp)), bitwise: pref is -i times a positive real
-                size = abs(entry)
-                entries[key] = (entry, mp.conj(entry), size, float(size))
-            entry, printed, size, size_f = entries[key]
+        row_abs = fzero
+        for bj_p, bj_m in zip(b_plus, b_minus):
+            n_pp, n_pm = bi * bj_p, bi * bj_m
+            c_pp, c_pm = _phase_class(n_pp, a), _phase_class(n_pm, a)
+            pair = (c_pp[:2], n_pp < 0, c_pm[:2], n_pm < 0, c_pp[2] ^ c_pm[2])
+            cell = cells.get((pair, c_pp[2]))
+            if cell is None:
+                twin = cells.get((pair, 1 - c_pp[2]))
+                if twin is None:
+                    d_re, d_im = mpc_sub(phase(n_pp, c_pp), phase(n_pm, c_pm), prec, rnd)
+                    entry = (mpf_mul(h, d_im, prec, rnd), mpf_neg(mpf_mul(h, d_re, prec, rnd)))
+                    size = mpc_abs(entry, prec, rnd)
+                    size_f = to_float(size, rnd=rnd)
+                else:  # both phases negated: the entry negated, bit for bit
+                    twin_entry, _, size, size_f = twin
+                    entry = tuple(map(mpf_neg, twin_entry._mpc_))
+                # conj(entry): pref (conj(e_pm) - conj(e_pp)), bitwise
+                printed = (entry[0], mpf_neg(entry[1]))
+                cell = (mp.make_mpc(entry), mp.make_mpc(printed), size, size_f)
+                cells[pair, c_pp[2]] = cell
+            entry, printed, size, size_f = cell
             row.append(entry)
             printed_row.append(printed)
             abs_row.append(size_f)
-            row_abs += size
+            row_abs = mpf_add(row_abs, size, prec, rnd)
         s_matrix.append(row)
         printed_matrix.append(printed_row)
         s_abs.append(abs_row)
-        max_row_abs = max(max_row_abs, row_abs)
-    return s_matrix, printed_matrix, s_abs, max_row_abs
+        if mpf_gt(row_abs, max_row_abs):
+            max_row_abs = row_abs
+    return s_matrix, printed_matrix, s_abs, mp.make_mpf(max_row_abs)
 
 
 def s_transform_residual(
@@ -730,6 +799,17 @@ def s_transform_residual(
     |N|/a; a member whose floor(|N|/a) has the other parity takes its
     negation, and N < 0 takes ``mp.conj``, bit for bit.  An entry depends
     only on its two phases, so it is keyed by their signed classes.
+
+    Entries shared by negation.  Negation is exact and rounding to nearest
+    commutes with it, so mpc_sub(-u, -v) = -mpc_sub(u, v) bit for bit.  The
+    prefactor is pref = -i h, h = sqrt(2/a)/2, its real part exactly zero,
+    so each part of pref d is one rounded product, h Im d or -(h Re d), and
+    pref (-d) = -(pref d); |-e| = |e| and conj(-e) = -conj(e).  Two cells
+    whose phase classes and signs agree, and whose parities floor(|N|/a)
+    mod 2 are both flipped, have both phases negated, so the second entry is
+    the first negated.  So an entry is keyed by its pair of signed classes
+    and the xor of the two parities, and the cell with the other first
+    parity takes the stored entry negated, with its modulus and float.
 
     Bounds in floats.  The bound on cell (i, j) of ``residual_errors`` is
 
@@ -791,30 +871,32 @@ def s_transform_residual(
         scaled, g = _aligned([_split(v) for v in c_w])
         c_rows, w_cols = scaled[:n_w], scaled[n_w:]
         up = 1 + _FLOAT_MARGIN * (n_w + 2)
-        chi = [v.value for v in chibar_vals]
-
-        residuals: list[list[mpmath.mpf]] = []
-        residual_errors: list[list[mpmath.mpf]] = []
-        printed_residuals: list[mpmath.mpf] = []
-        alt_residuals: list[mpmath.mpf] | None = [] if variant == "KW2" else None
+        # the table in libmp calls, the operators' own (see the module docstring)
+        rnd = round_nearest
+        chi = [v.value._mpc_ for v in chibar_vals]
+        f = factor._mpc_
+        residuals, residual_errors, printed_residuals, alt_residuals = [], [], [], []
         for i in range(n_w):
-            lhs = lhs_vals[i].value
-            running = mp.mpc(0)
+            lhs = lhs_vals[i].value._mpc_
+            running = (fzero, fzero)
             bound = c_rows[i]
             row_res = []
             row_err = []
             for s_ij, s_ij_abs, chi_j, w_j in zip(s_matrix[i], s_abs[i], chi, w_cols):
-                running += s_ij * chi_j
+                running = mpc_add(running, mpc_mul(s_ij._mpc_, chi_j, prec, rnd), prec, rnd)
                 bound += s_ij_abs * w_j
-                row_res.append(abs(lhs - factor * running))
-                row_err.append(mp.ldexp(bound * up, g))
+                row_res.append(_residual(lhs, f, running, prec))
+                row_err.append(mpf_shift(from_float(bound * up), g))
             residuals.append(row_res)
             residual_errors.append(row_err)
-            if alt_residuals is not None:
-                alt_residuals.append(abs(lhs - alt_factor * running))
-            printed_sum = mp.fsum([p_ij * chi_j for p_ij, chi_j in zip(printed_matrix[i], chi)])
-            printed_residuals.append(abs(lhs - factor * printed_sum))
+            if alt_factor is not None:
+                alt_residuals.append(_residual(lhs, alt_factor._mpc_, running, prec))
+            # mp.fsum of the mpc products: one mpf_sum of the real, one of the imaginary parts
+            products = [mpc_mul(p._mpc_, c, prec, rnd) for p, c in zip(printed_matrix[i], chi)]
+            printed_sum = tuple(mpf_sum(part, prec, rnd) for part in zip(*products))
+            printed_residuals.append(_residual(lhs, f, printed_sum, prec))
 
+        partial_sums = [[mp.make_mpf(v) for v in row] for row in residuals]
         return STransformReport(
             level=level,
             z=z,
@@ -825,12 +907,14 @@ def s_transform_residual(
             s_matrix=s_matrix,
             chibar=chibar_vals,
             lhs=lhs_vals,
-            residual_partial_sums=residuals,
-            residual_errors=residual_errors,
-            final_residuals=[row[-1] for row in residuals],
+            residual_partial_sums=partial_sums,
+            residual_errors=[[mp.make_mpf(v) for v in row] for row in residual_errors],
+            final_residuals=[row[-1] for row in partial_sums],
             theta_error_max=theta_err_max,
             as_printed_s_matrix=printed_matrix,
-            as_printed_final_residuals=printed_residuals,
+            as_printed_final_residuals=[mp.make_mpf(v) for v in printed_residuals],
             alt_factor=alt_factor,
-            alt_final_residuals=alt_residuals,
+            alt_final_residuals=(
+                None if alt_factor is None else [mp.make_mpf(v) for v in alt_residuals]
+            ),
         )

@@ -19,8 +19,11 @@ with a rational z and at the law's left side (-1/tau, tau z), and the
 enclosed from the quotient boxes and exact S entries, lies within its bound.
 ``stransform``'s sharing of thetas (one walk per side and component
 tolerance, retries included), S-matrix phase classes and entries is checked
-against per-weight quotients and the direct phase formula, bit for bit, and
-its float-kept bounds against their mpf sums past the double range.
+against per-weight quotients and the direct phase formula, bit for bit (the
+moduli, their floats and the largest row sum too), its residual table
+against the operator loop kept in ``tests/_residual_table_oracle.py``, bit
+for bit, and its float-kept bounds against their mpf sums past the double
+range.
 
 The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
 character series by a 600-bit per-term sum and by the per-term evaluator kept
@@ -36,6 +39,7 @@ import time
 from fractions import Fraction
 
 import _interval_theta
+import _residual_table_oracle
 import _series_eval_oracle
 import _theta_oracle
 import pytest
@@ -848,12 +852,14 @@ _LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd
 
 def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
     # e^{i pi N/a} is taken once per (|N| mod 2a, binade of |N|/a) class and
-    # conjugated for N < 0; the direct formula takes expjpi of every N/a
+    # conjugated for N < 0, and an entry is shared by negation; the direct
+    # formula takes expjpi of every N/a, and |S_ij|, its float and the row
+    # sums come from the direct entries by the operators
     for p, q in _LEVELS_TO_12_8:
         weights = enumerate_admissible(Level(p, q))
         a = p * q
         with mp.workprec(192):
-            s_matrix, printed, s_abs, _ = numeric._s_matrices(weights)
+            s_matrix, printed, s_abs, max_row_abs = numeric._s_matrices(weights)
             # the float bound's premise: a nonzero |S_ij| keeps its products normal
             assert all(x == 0 or 2.0**-400 < x <= 1 for row in s_abs for x in row)
             pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
@@ -864,10 +870,81 @@ def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
                     direct[x] = mp.expjpi(mp.mpf(x.numerator) / x.denominator)
                 return direct[x]
 
-            for wi, s_row, printed_row in zip(weights, s_matrix, printed):
-                for wj, s_ij, printed_ij in zip(weights, s_row, printed_row):
+            row_sums = []
+            for wi, s_row, printed_row, abs_row in zip(weights, s_matrix, printed, s_abs):
+                row_sum = mp.mpf(0)
+                for wj, s_ij, printed_ij, abs_ij in zip(weights, s_row, printed_row, abs_row):
                     x_pp = Fraction(wi.b_plus * wj.b_plus, a)
                     x_pm = Fraction(wi.b_plus * wj.b_minus, a)
-                    assert s_ij == pref * (phase(x_pp) - phase(x_pm)), (p, q)
+                    entry = pref * (phase(x_pp) - phase(x_pm))
+                    assert s_ij == entry, (p, q)
                     assert printed_ij == pref * (phase(-x_pm) - phase(-x_pp)), (p, q)
+                    assert abs_ij == float(abs(entry)), (p, q)
+                    row_sum += abs(entry)
+                row_sums.append(row_sum)
+            assert max_row_abs == max(row_sums), (p, q)
+
+
+# The first modular-queries catalogue op of each of its 24 levels: p, q, z, tau, tol.
+_CATALOGUE_OPS = [
+    (2, 1, "1/4", "0.283,1.230", "1e-20"),
+    (2, 3, "1/2", "-1.143,1.976", "1e-13"),
+    (2, 5, "1/2", "1.486,1.061", "1e-29"),
+    (3, 1, "2/5", "-0.652,0.762", "1e-18"),
+    (3, 2, "3/4", "0.262,1.217", "1e-26"),
+    (3, 4, "1/6", "-0.228,1.687", "1e-15"),
+    (3, 5, "1/4", "-0.443,2.296", "1e-28"),
+    (4, 1, "2/5", "-0.192,1.914", "1e-29"),
+    (4, 3, "5/6", "1.353,1.162", "1e-28"),
+    (4, 5, "1/2", "-0.533,0.206", "1e-19"),
+    (5, 1, "1/6", "-0.055,2.389", "1e-26"),
+    (5, 2, "1/3", "0.509,2.661", "1e-21"),
+    (5, 3, "2/3", "-0.269,2.352", "1e-10"),
+    (5, 4, "5/7", "-0.242,0.404", "1e-14"),
+    (6, 1, "1/5", "0.435,0.198", "1e-19"),
+    (6, 5, "1/4", "-1.330,2.435", "1e-21"),
+    (7, 1, "1/3", "-0.297,2.756", "1e-10"),
+    (7, 2, "3/5", "-1.424,2.148", "1e-30"),
+    (7, 3, "5/6", "0.516,1.868", "1e-22"),
+    (7, 4, "2/5", "-0.982,2.691", "1e-13"),
+    (7, 5, "5/6", "-0.857,1.403", "1e-21"),
+    (8, 1, "1/5", "0.953,2.287", "1e-25"),
+    (8, 3, "1/3", "-0.357,1.086", "1e-20"),
+    (8, 5, "1/6", "0.342,1.783", "1e-30"),
+]
+
+
+def _cli_tau(text: str) -> mp.mpc:
+    """tau as the CLI reads ``--tau=re,im``: each part a rational, divided at 256 bits."""
+    re_part, im_part = (Fraction(part) for part in text.split(","))
+    with mp.workprec(256):
+        return mp.mpc(
+            mp.mpf(re_part.numerator) / re_part.denominator,
+            mp.mpf(im_part.numerator) / im_part.denominator,
+        )
+
+
+def test_the_residual_table_is_the_operator_loop_bit_for_bit():
+    # the table in libmp calls against the mpc-object loop it replaced, kept
+    # in tests/_residual_table_oracle.py, on the same S matrices, quotients
+    # and factors: one catalogue op per level, the golden retry op and a KW1 op
+    cases = [
+        (Level(p, q), Fraction(z), _cli_tau(tau), mp.mpf(tol), "KW2")
+        for p, q, z, tau, tol in _CATALOGUE_OPS
+    ]
+    cases.append((Level(5, 3), Fraction(1, 3), _cli_tau("-0.03,0.05"), mp.mpf("1e-11"), "KW2"))
+    cases.append((Level(5, 3), Fraction(2, 7), _cli_tau("0.3,0.8"), mp.mpf("1e-20"), "KW1"))
+
+    def bits(values):
+        return None if values is None else [v._mpf_ for v in values]
+
+    for level, z, tau, tol, variant in cases:
+        report = s_transform_residual(level, z, tau, variant=variant, tol=tol)
+        partial, errors, alt, printed = _residual_table_oracle.residual_table(report)
+        case = (level.p, level.q, variant)
+        assert list(map(bits, report.residual_partial_sums)) == list(map(bits, partial)), case
+        assert list(map(bits, report.residual_errors)) == list(map(bits, errors)), case
+        assert bits(report.alt_final_residuals) == bits(alt), case
+        assert bits(report.as_printed_final_residuals) == bits(printed), case
+        assert (alt is None) == (variant == "KW1"), case
 
