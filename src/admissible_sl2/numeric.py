@@ -38,19 +38,22 @@ of signed classes, the pair with both parities flipped taking them negated;
 and one product S_ij chibar_j per cell of the residual table.
 
 The arithmetic repeated most -- each theta term's argument and the walk's
-running sum, and ``stransform``'s S entries with their moduli and its
-residual table -- is written as the raw ``mpmath.libmp`` calls that mpmath's
-operators make, on the ``_mpf_`` and ``_mpc_`` tuples, at the working
-precision with round-to-nearest, the rounding every ``mp`` context here
-keeps.  A call rounds exactly as the operator it stands for, so every value
-keeps the operator's bits, and the objects a caller or a report needs are
-made once, at the end.  Each spelling follows the operator's dispatch,
-operand order included: ``i + off`` is ``mpf_add(off, from_int(i))``, by
-``__radd__``, and ``to_float`` is given ``round_nearest``, as ``float()``
-passes it (its default rounds otherwise).  ``tests/test_libmp_spellings.py``
-holds each spelling to its operator on random draws, so an mpmath that
-dispatches otherwise fails there by name.  The transcendental calls
-(``expjpi``, ``exp``, ``log``, ``sqrt``) stay on ``mp``.
+running sum, each side's quotients, and ``stransform``'s S entries, their
+moduli and its residual table -- is done on the ``_mpf_`` and ``_mpc_`` tuples
+at the working precision with round-to-nearest, the rounding every ``mp``
+context here keeps, by kernels on ``int.bit_length`` (``_round``,
+``_add``/``_sub``, ``_mul``/``_xmul``, ``_abs``).  Each forms the exact result
+on just the branches where ``mpf_add``, ``mpf_mul`` and ``mpf_sqrt`` form it
+and round it to nearest, and a value rounded half to even has one canonical
+tuple, so every value keeps the operators' bits; the objects a report needs
+are made at the end.  Left to mpmath: zero operands, sums whose exponents
+differ by more than 100 (``mpf_add`` adds a perturbed mantissa), x^2 + y^2 in
+a modulus (``mpf_hypot`` rounds it down), ``mpc_div`` and the transcendental
+calls on ``mp``.  Spellings follow the operators' dispatch: ``i + off`` adds
+``from_int(i)`` to ``off``, by ``__radd__``, and ``to_float`` is given
+``round_nearest``, as ``float()`` passes it.
+``tests/test_libmp_spellings.py`` holds each spelling to its operator and each
+kernel to its libmp call, by name.
 
 The bounds that only certify, the theta quotient's and the residual
 table's, are kept in Python floats too.  Each mpf that enters is split
@@ -85,18 +88,13 @@ from mpmath.libmp import (
     from_float,
     from_int,
     mpc_abs,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_mul,
-    mpc_mul_int,
-    mpc_mul_mpf,
-    mpc_sub,
+    mpc_div,
     mpf_add,
+    mpf_div,
     mpf_gt,
     mpf_mul,
     mpf_neg,
     mpf_shift,
-    mpf_sub,
     mpf_sum,
     round_ceiling,
     round_nearest,
@@ -191,13 +189,13 @@ def _log_sum(logs: list[float]) -> float:
     return _up(top, math.log(math.fsum(math.exp(v - top) for v in logs)))
 
 
-def _split(x: mpmath.mpf) -> tuple[float, int]:
+def _split(x: tuple) -> tuple[float, int]:
     """(f, k) with 0 <= x < 2^k and f = x 2^-k truncated to a double; (0.0, 0) for 0.
 
-    The scaling by 2^-k is exact, so f is within 2^-52 of x 2^-k, below it,
-    whatever the size of x: 1/2 <= f < 1.
+    ``x`` is a raw mpf tuple.  The scaling by 2^-k is exact, so f is within
+    2^-52 of x 2^-k, below it, whatever the size of x: 1/2 <= f < 1.
     """
-    _, man, exp, bc = x._mpf_
+    _, man, exp, bc = x
     if not man:
         return 0.0, 0
     return to_float((0, man, -bc, bc)), exp + bc
@@ -211,6 +209,100 @@ def _aligned(pairs: list[tuple[float, int]]) -> tuple[list[float], int]:
     """
     g = max((k for f, k in pairs if f), default=0)
     return [math.ldexp(f, max(k - g, _FLOAT_FLOOR)) for f, k in pairs], g
+
+
+def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
+    """The raw mpf (-1)^sign man 2^exp, man > 0, rounded half to even at ``prec`` bits.
+
+    mpmath's ``normalize`` with ``round_nearest``: a rounded value has one canonical
+    tuple (odd mantissa, exact bit count), so this is mpmath's for any exact value.
+    """
+    n = man.bit_length() - prec
+    if n > 0:
+        half = man >> (n - 1)
+        # up when the first dropped bit is set, and the kept part is odd or a later bit is set
+        if half & 1 and (half & 2 or (man & -man).bit_length() < n):
+            man = (half >> 1) + 1
+        else:
+            man = half >> 1
+        exp += n
+    if man & 1:
+        return sign, man, exp, man.bit_length()
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def _add(s: tuple, t: tuple, prec: int, neg: int = 0) -> tuple:
+    """``mpf_add(s, t, prec, round_nearest)``; s - t with ``neg`` = 1.
+
+    For nonzero operands whose exponents differ by at most 100, mpmath adds the
+    shifted mantissas exactly and rounds to nearest, as this does.  Past that it
+    may add a perturbed mantissa: a wider offset, and a zero, go to ``mpf_add``.
+    """
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    offset = sexp - texp
+    if not (sman and tman and -100 <= offset <= 100):
+        return mpf_add(s, t, prec, round_nearest, neg)
+    if offset > 0:
+        sman, exp = sman << offset, texp
+    else:
+        tman, exp = tman << -offset, sexp
+    if ssign == tsign ^ neg:
+        return _round(ssign, sman + tman, exp, prec)
+    man = sman - tman
+    if man > 0:
+        return _round(ssign, man, exp, prec)
+    return _round(ssign ^ 1, -man, exp, prec) if man else fzero
+
+
+def _sub(s: tuple, t: tuple, prec: int) -> tuple:
+    """``mpf_sub(s, t, prec, round_nearest)``, which is ``mpf_add`` with t negated."""
+    return _add(s, t, prec, 1)
+
+
+def _mul(s: tuple, t: tuple, prec: int) -> tuple:
+    """``mpf_mul(s, t, prec, round_nearest)``: the exact product of the mantissas, rounded."""
+    man = s[1] * t[1]
+    if not man:
+        return mpf_mul(s, t, prec, round_nearest)
+    return _round(s[0] ^ t[0], man, s[2] + t[2], prec)
+
+
+def _xmul(s: tuple, t: tuple) -> tuple:
+    """``mpf_mul(s, t)``, the exact product; a product of odd mantissas is odd."""
+    man = s[1] * t[1]
+    if not man:
+        return mpf_mul(s, t)
+    return s[0] ^ t[0], man, s[2] + t[2], man.bit_length()
+
+
+def _cmul(z: tuple, w: tuple, prec: int) -> tuple:
+    """``mpc_mul(z, w, prec, round_nearest)``: four exact products, then two roundings."""
+    (a, b), (c, d) = z, w
+    return _sub(_xmul(a, c), _xmul(b, d), prec), _add(_xmul(a, d), _xmul(b, c), prec)
+
+
+def _abs(z: tuple, prec: int) -> tuple:
+    """``mpc_abs(z, prec, round_nearest)``; a zero part goes to ``mpc_abs``.
+
+    x^2 + y^2 is ``mpf_hypot``'s, ``mpf_add`` at prec + 4 bits rounding down; the
+    root is ``mpf_sqrt``'s nearest branch, a low bit set for a nonzero remainder.
+    """
+    x, y = z
+    if not (x[1] and y[1]):
+        return mpc_abs(z, prec, round_nearest)
+    _, man, exp, bc = mpf_add(_xmul(x, x), _xmul(y, y), prec + 4)
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:
+        root, shift = (root << 1) + 1, shift + 2
+    return _round(0, root, (exp - shift) // 2, prec)
 
 
 def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> ComplexVal:
@@ -311,13 +403,13 @@ def _theta_walk(
             )
         vertex = (-B / (2 * A))._mpf_
         log_c7 = math.log(7 * two_pi_m * tau_l1)  # log(7 U / eps)
-        z_raw, tau_raw, two_m, rnd = z._mpc_, tau._mpc_, 2 * m, round_nearest
+        (z_re, z_im), tau_raw, two_m, rnd = z._mpc_, tau._mpc_, from_int(2 * m), round_nearest
         out = []
         for n in ns:
-            off = (mp.mpf(n) / (2 * m))._mpf_
+            off = mpf_div(from_int(n), two_m, prec, rnd)  # mp.mpf(n) / (2 * m)
             abs_off = abs(to_float(off, rnd=rnd))
             # the integer-coordinate vertex, rounded up
-            start = to_int(mpf_sub(vertex, off, prec, rnd), round_ceiling)
+            start = to_int(_sub(vertex, off, prec), round_ceiling)
             q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
             y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
             if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
@@ -333,7 +425,7 @@ def _theta_walk(
                 side_abs = side_arg = 0.0
                 steps = 0
                 while True:
-                    x = mpf_add(off, from_int(i), prec, rnd)  # i + off
+                    x = _add(off, from_int(i), prec)  # i + off
                     xf = to_float(x, rnd=rnd)
                     p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
                     log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
@@ -348,10 +440,10 @@ def _theta_walk(
                             tails.append(tail)
                             break
                     # 2 * m * (x * x + x * z) * tau
-                    w = mpc_mul_mpf(z_raw, x, prec, rnd)
-                    w = mpc_add_mpf(w, mpf_mul(x, x, prec, rnd), prec, rnd)
-                    w = mpc_mul(mpc_mul_int(w, two_m, prec, rnd), tau_raw, prec, rnd)
-                    total = mpc_add(total, mp.expjpi(mp.make_mpc(w))._mpc_, prec, rnd)
+                    w_re = _mul(_add(_mul(z_re, x, prec), _mul(x, x, prec), prec), two_m, prec)
+                    w = _cmul((w_re, _mul(_mul(z_im, x, prec), two_m, prec)), tau_raw, prec)
+                    term_re, term_im = mp.expjpi(mp.make_mpc(w))._mpc_
+                    total = (_add(total[0], term_re, prec), _add(total[1], term_im, prec))
                     weight = math.exp(log_m - first)
                     size = abs(xf) + abs_off
                     side_abs += weight
@@ -506,12 +598,31 @@ def _component_tolerances(tol: mpmath.mpf) -> Iterator[mpmath.mpf]:
         ctol = ctol / 16
 
 
-def _quotient(
-    thetas: tuple[ComplexVal, ComplexVal, ComplexVal, ComplexVal], tol: mpmath.mpf, prec: int
-) -> tuple[ComplexVal, mpmath.mpf] | None:
-    """(th_p - th_m) / (th_1 - th_m1) with its bound and the largest theta bound.
+def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int):
+    """What every quotient of one attempt shares: den = th_1 - th_m1, raw, and its bound.
 
-    None when the quotient's bound misses ``tol``.
+    (den, e_den split, |den| split, rho, the larger theta error), e_den their sum;
+    None when e_den >= |den| / 2.  |den| < 10 tol raises before any quotient.
+    """
+    (a, b), (c, d) = th_1.value._mpc_, th_m1.value._mpc_
+    den = (_sub(a, c, prec), _sub(b, d, prec))
+    e_den = _add(th_1.err._mpf_, th_m1.err._mpf_, prec)
+    abs_den = mp.make_mpf(_abs(den, prec))
+    if abs_den < 10 * tol:
+        raise InputError(f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol")
+    if mp.make_mpf(e_den) >= abs_den / 2:
+        return None
+    (f_e, k_e), (f_d, k_d) = _split(e_den), _split(abs_den._mpf_)
+    return den, (f_e, k_e), (f_d, k_d), math.ldexp(f_e / f_d, k_e - k_d), max(th_1.err, th_m1.err)
+
+
+def _quotient(
+    th_p: ComplexVal, th_m: ComplexVal, denominator: tuple, tol: mpmath.mpf, prec: int
+) -> tuple[ComplexVal, mpmath.mpf] | None:
+    """(th_p - th_m) / den with its bound and the largest of the four theta bounds.
+
+    ``denominator`` is ``_denominator``'s for the attempt.  None when the
+    quotient's bound misses ``tol``.
 
     The bound (e_num + |quot| e_den) / (|den| - e_den) + 8 eps |quot|, e_num
     and e_den the sums of the theta errors, is kept in floats.  The retry
@@ -521,29 +632,22 @@ def _quotient(
     or quotient of split values (``_split``), a double times a power of two;
     X, Y and Z are aligned (``_aligned``) and summed.  The splits' truncation
     (2^-52 each) and a dozen float roundings are far inside the margin
-    2^-40, and ``mp.ldexp`` scales the result back exactly.
+    2^-40, and ``mpf_shift`` scales the result back exactly.
     """
-    th_p, th_m, th_1, th_m1 = thetas
-    num = th_p.value - th_m.value
-    den = th_1.value - th_m1.value
-    e_num = th_p.err + th_m.err
-    e_den = th_1.err + th_m1.err
-    abs_den = abs(den)
-    if abs_den < 10 * tol:
-        raise InputError(f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol")
-    if e_den >= abs_den / 2:
-        return None
-    quot = num / den
+    den, (f_e, k_e), (f_d, k_d), rho, den_err = denominator
+    (a, b), (c, d) = th_p.value._mpc_, th_m.value._mpc_
+    quot = mpc_div((_sub(a, c, prec), _sub(b, d, prec)), den, prec, round_nearest)
+    e_num = _add(th_p.err._mpf_, th_m.err._mpf_, prec)
     # (X + Y + Z) / (1 - rho), as the docstring derives
-    (f_n, k_n), (f_e, k_e), (f_d, k_d), (f_q, k_q) = map(_split, (e_num, e_den, abs_den, abs(quot)))
+    (f_n, k_n), (f_q, k_q) = _split(e_num), _split(_abs(quot, prec))
     terms, g = _aligned(
         [(f_n / f_d, k_n - k_d), (f_q * f_e / f_d, k_q + k_e - k_d), (f_q, k_q + 4 - prec)]
     )
-    rho = math.ldexp(f_e / f_d, k_e - k_d)
-    e_quot = mp.ldexp(sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN), g)
-    if e_quot > tol:
+    e_quot = mpf_shift(from_float(sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN)), g)
+    if mpf_gt(e_quot, tol._mpf_):
         return None
-    return ComplexVal(quot, e_quot, prec), max(th.err for th in thetas)
+    value = ComplexVal(mp.make_mpc(quot), mp.make_mpf(e_quot), prec)
+    return value, max(th_p.err, th_m.err, den_err)
 
 
 _RETRIES_SPENT = "character quotient bound did not meet the tolerance after retries"
@@ -564,9 +668,10 @@ def _chibar_numeric(
     specs = [s for pair in chibar_thetas(weight, zval) for s in pair]
     with mp.workprec(prec):
         for ctol in _component_tolerances(tol):
-            thetas = tuple(theta_eval_numeric(spec, tau, ctol, prec) for spec in specs)
-            found = _quotient(thetas, tol, prec)
-            if found is not None:
+            th_p, th_m, th_1, th_m1 = (theta_eval_numeric(spec, tau, ctol, prec) for spec in specs)
+            den = _denominator(th_1, th_m1, tol, prec)
+            found = den and _quotient(th_p, th_m, den, tol, prec)
+            if found:
                 return found
         raise InputError(_RETRIES_SPENT)
 
@@ -595,13 +700,14 @@ def _chibar_side(
             residues = [spec.n for i in pending for spec in pairs[i][0]]
             nums = _theta_walk(residues, num_p.m, num_p.z, tau, ctol, prec)
             dens = _theta_walk([den_p.n, den_m.n], den_p.m, den_p.z, tau, ctol, prec)
+            den = _denominator(*dens, tol, prec)
             retry = []
             for i, th_p, th_m in zip(pending, nums[::2], nums[1::2]):
-                found = _quotient((th_p, th_m, *dens), tol, prec)
-                if found is None:
-                    retry.append(i)
-                else:
+                found = den and _quotient(th_p, th_m, den, tol, prec)
+                if found:
                     out[i] = found
+                else:
+                    retry.append(i)
             if not retry:
                 return out
             pending = retry
@@ -682,8 +788,8 @@ def _phase_class(num: int, a: int) -> tuple[int, int, int]:
 
 def _residual(lhs: tuple, factor: tuple, v: tuple, prec: int) -> tuple:
     """``abs(lhs - factor * v)`` on raw mpc tuples, rounded as the operators round it."""
-    rnd = round_nearest
-    return mpc_abs(mpc_sub(lhs, mpc_mul(factor, v, prec, rnd), prec, rnd), prec, rnd)
+    f_re, f_im = _cmul(factor, v, prec)
+    return _abs((_sub(lhs[0], f_re, prec), _sub(lhs[1], f_im, prec)), prec)
 
 
 def _s_matrices(
@@ -695,8 +801,8 @@ def _s_matrices(
     for the other parity of floor(|N|/a) and conjugated for N < 0, and one
     entry, conjugate and modulus per distinct pair of signed classes, which
     the pair with both parities flipped takes negated.  The row sums are
-    taken in mpf, in column order.  The arithmetic is libmp's, as the
-    module docstring says.
+    taken in mpf, in column order.  The arithmetic is on raw tuples, by the
+    kernels the module docstring describes.
     """
     a = weights[0].level.a
     prec, rnd = mp.prec, round_nearest
@@ -730,9 +836,10 @@ def _s_matrices(
             if cell is None:
                 twin = cells.get((pair, 1 - c_pp[2]))
                 if twin is None:
-                    d_re, d_im = mpc_sub(phase(n_pp, c_pp), phase(n_pm, c_pm), prec, rnd)
-                    entry = (mpf_mul(h, d_im, prec, rnd), mpf_neg(mpf_mul(h, d_re, prec, rnd)))
-                    size = mpc_abs(entry, prec, rnd)
+                    (u_re, u_im), (v_re, v_im) = phase(n_pp, c_pp), phase(n_pm, c_pm)
+                    d_re, d_im = _sub(u_re, v_re, prec), _sub(u_im, v_im, prec)
+                    entry = (_mul(h, d_im, prec), mpf_neg(_mul(h, d_re, prec)))
+                    size = _abs(entry, prec)
                     size_f = to_float(size, rnd=rnd)
                 else:  # both phases negated: the entry negated, bit for bit
                     twin_entry, _, size, size_f = twin
@@ -745,7 +852,7 @@ def _s_matrices(
             row.append(entry)
             printed_row.append(printed)
             abs_row.append(size_f)
-            row_abs = mpf_add(row_abs, size, prec, rnd)
+            row_abs = _add(row_abs, size, prec)
         s_matrix.append(row)
         printed_matrix.append(printed_row)
         s_abs.append(abs_row)
@@ -811,6 +918,12 @@ def s_transform_residual(
     and the xor of the two parities, and the cell with the other first
     parity takes the stored entry negated, with its modulus and float.
 
+    One set of products per cell.  ``mpc_mul`` forms S_ij chibar_j = (a +
+    bi)(c + di) from the exact products p = ac, q = bd, r = ad, s = bc as
+    (p - q, r + s), each part rounded once.  The conjugate-phase entry is
+    (a, -b) bit for bit, and negating an operand negates its exact product,
+    so its product is (p + q, r - s): four exact products serve both.
+
     Bounds in floats.  The bound on cell (i, j) of ``residual_errors`` is
 
         c_i + sum_{j' <= j} |S_ij'| w_j',
@@ -866,34 +979,38 @@ def s_transform_residual(
         theta_err_max = max([mp.mpf(0)] + [terr for _, terr in rhs + lhs])
 
         # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in floats, over one 2^g
-        c_w = [v.err + 16 * eps * abs(v.value) for v in lhs_vals]
-        c_w += [abs_factor * (v.err + 16 * eps * abs(v.value)) for v in chibar_vals]
+        eps16 = (16 * eps)._mpf_
+        c_w = [_add(v.err._mpf_, _mul(eps16, _abs(v.value._mpc_, prec), prec), prec)
+               for v in lhs_vals + chibar_vals]
+        c_w[n_w:] = [_mul(abs_factor._mpf_, v, prec) for v in c_w[n_w:]]
         scaled, g = _aligned([_split(v) for v in c_w])
         c_rows, w_cols = scaled[:n_w], scaled[n_w:]
         up = 1 + _FLOAT_MARGIN * (n_w + 2)
-        # the table in libmp calls, the operators' own (see the module docstring)
+        # the table on raw tuples, rounded as the operators round it (see the docstring)
         rnd = round_nearest
         chi = [v.value._mpc_ for v in chibar_vals]
         f = factor._mpc_
         residuals, residual_errors, printed_residuals, alt_residuals = [], [], [], []
         for i in range(n_w):
             lhs = lhs_vals[i].value._mpc_
-            running = (fzero, fzero)
+            run_re = run_im = fzero
             bound = c_rows[i]
-            row_res = []
-            row_err = []
-            for s_ij, s_ij_abs, chi_j, w_j in zip(s_matrix[i], s_abs[i], chi, w_cols):
-                running = mpc_add(running, mpc_mul(s_ij._mpc_, chi_j, prec, rnd), prec, rnd)
+            row_res, row_err, printed = [], [], []
+            for s_ij, s_ij_abs, (c, d), w_j in zip(s_matrix[i], s_abs[i], chi, w_cols):
+                a, b = s_ij._mpc_
+                p, q, r, t = _xmul(a, c), _xmul(b, d), _xmul(a, d), _xmul(b, c)
+                run_re = _add(run_re, _sub(p, q, prec), prec)
+                run_im = _add(run_im, _add(r, t, prec), prec)
+                printed.append((_add(p, q, prec), _sub(r, t, prec)))
                 bound += s_ij_abs * w_j
-                row_res.append(_residual(lhs, f, running, prec))
+                row_res.append(_residual(lhs, f, (run_re, run_im), prec))
                 row_err.append(mpf_shift(from_float(bound * up), g))
             residuals.append(row_res)
             residual_errors.append(row_err)
             if alt_factor is not None:
-                alt_residuals.append(_residual(lhs, alt_factor._mpc_, running, prec))
+                alt_residuals.append(_residual(lhs, alt_factor._mpc_, (run_re, run_im), prec))
             # mp.fsum of the mpc products: one mpf_sum of the real, one of the imaginary parts
-            products = [mpc_mul(p._mpc_, c, prec, rnd) for p, c in zip(printed_matrix[i], chi)]
-            printed_sum = tuple(mpf_sum(part, prec, rnd) for part in zip(*products))
+            printed_sum = tuple(mpf_sum(part, prec, rnd) for part in zip(*printed))
             printed_residuals.append(_residual(lhs, f, printed_sum, prec))
 
         partial_sums = [[mp.make_mpf(v) for v in row] for row in residuals]

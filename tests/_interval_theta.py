@@ -20,9 +20,12 @@ radius; ``tests/test_numeric.py`` requires |value - center| + radius <= err.
 ``quotient_enclosure`` does the same for the theta quotient of
 ``numeric._chibar_numeric``: it encloses its four thetas, takes each as the
 box center + [-radius, radius](1 + i), and divides the boxes in ``iv`` at
-prec + 64.  ``residual_enclosures`` encloses every partial residual of an
-``s_transform_residual`` report from those quotient boxes, the exact S entries
-and the exact factor q^(l z^2 / 4), so its ``residual_errors`` can be refereed.
+prec + 64.  ``chi_enclosure`` multiplies that box by the interval of the
+prefactor q^shift, from its exact exponent and tau, for the chi of
+``numeric.character_eval_numeric``.  ``residual_enclosures`` encloses every
+partial residual of an ``s_transform_residual`` report from those quotient
+boxes, the exact S entries and the exact factor q^(l z^2 / 4), so its
+``residual_errors`` can be refereed.
 ``iv`` has no ``expjpi``, so each term is ``iv.exp`` of 2 pi i m tau (j^2 + j
 z); ``iv.exp`` of a complex interval encloses its exponential.
 """
@@ -129,6 +132,15 @@ def quotient_enclosure(weight, tau, zval, prec: int) -> tuple[mpmath.mpc, mpmath
     thetas = {spec: theta_enclosure(spec, tau, prec) for spec in specs}
     with _wide(prec):
         return _center_radius(_quotient_box(specs, thetas))
+
+
+def chi_enclosure(spec: CharacterSpec, tau, prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """(center, radius) about chi = q^shift (theta_p - theta_m) / (theta_1 - theta_-1)."""
+    specs = _specs(spec.weight, spec.z)
+    thetas = {s: theta_enclosure(s, tau, prec) for s in specs}
+    with _wide(prec):
+        arg = 2 * iv.mpc(0, 1) * iv.pi * _interval(spec.shift("chi")) * _interval(tau)
+        return _center_radius(iv.exp(arg) * _quotient_box(specs, thetas))
 
 
 def residual_enclosures(report) -> list[list[tuple[mpmath.mpf, mpmath.mpf]]]:

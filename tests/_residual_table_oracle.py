@@ -3,10 +3,12 @@
 This is the residual table of ``numeric.s_transform_residual`` as it was
 first written: every cell an ``mpc`` or ``mpf`` operator, the printed sum an
 ``mp.fsum`` of ``mpc`` products, each error cell an ``mp.ldexp`` of a float.
-``numeric`` now makes the same roundings as raw ``mpmath.libmp`` calls, so
-given one report's S matrices, quotients and factors the two must give
-bitwise equal tables; ``tests/test_numeric.py`` checks that.  The moduli
-|S_ij| are taken here as ``float(abs(S_ij))``, their definition.
+``numeric`` now makes the same roundings on raw tuples, by its
+round-to-nearest kernels, with one set of exact products per cell for both
+S spellings, so given one report's S matrices, quotients and factors the two
+must give bitwise equal tables; ``tests/test_numeric.py`` checks that.  The
+moduli |S_ij| are taken here as ``float(abs(S_ij))``, their definition, and
+``numeric._split`` is given the raw tuple of each ``mpf`` here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def residual_table(
         # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in floats, over one 2^g
         c_w = [v.err + 16 * eps * abs(v.value) for v in lhs_vals]
         c_w += [abs_factor * (v.err + 16 * eps * abs(v.value)) for v in chibar_vals]
-        scaled, g = _aligned([_split(v) for v in c_w])
+        scaled, g = _aligned([_split(v._mpf_) for v in c_w])
         c_rows, w_cols = scaled[:n_w], scaled[n_w:]
         up = 1 + _FLOAT_MARGIN * (n_w + 2)
         chi = [v.value for v in chibar_vals]

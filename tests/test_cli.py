@@ -216,6 +216,13 @@ def test_theta_term_cap_exits_2_before_summing(capsys):
         assert time.process_time() - start < 0.5, argv
 
 
+def test_a_theta_denominator_below_ten_tol_exits_2(capsys):
+    # the side pass refuses before any quotient, for the whole level at once
+    assert run_cli(
+        capsys, "stransform", "--p", "3", "--q", "2", "--z", "1/2", "--tau=0,1", "--tol", "10"
+    ) == (2, "", "error: |theta denominator| = 2.0037 < 10*tol\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -14,7 +14,8 @@ over several, which must also equal a walk over that residue alone.  The interva
 ``tests/_interval_theta.py`` referees the bound itself: |value - center| +
 radius <= err on every draw, at edges of the double range too.  It referees
 the quotient bound of ``_chibar_numeric`` the same way, on quotients at tau
-with a rational z and at the law's left side (-1/tau, tau z), and the
+with a rational z and at the law's left side (-1/tau, tau z), the chi of
+``character_eval_numeric``, q^shift times the quotient, and the
 ``residual_errors`` of ``s_transform_residual``: each partial residual,
 enclosed from the quotient boxes and exact S entries, lies within its bound.
 ``stransform``'s sharing of thetas (one walk per side and component
@@ -55,6 +56,7 @@ from admissible_sl2.characters import (
 )
 from admissible_sl2.errors import InputError
 from admissible_sl2.numeric import (
+    DEFAULT_PREC,
     ComplexVal,
     character_eval_numeric,
     qseries_eval_numeric,
@@ -302,6 +304,30 @@ def test_quotient_bound_encloses_interval_referee(weight, z, lhs, re_tau, im_tau
             return
         center, radius = _interval_theta.quotient_enclosure(weight, tau, z, prec)
     with mp.workprec(prec + 64):
+        assert abs(val.value - center) + radius <= val.err
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    weight=_weights_to_7_4(),
+    z=st.integers(2, 7).flatmap(lambda u: st.integers(1, u - 1).map(lambda v: Fraction(v, u))),
+    re_tau=st.fractions(min_value=-3 / 2, max_value=3 / 2, max_denominator=1000),
+    im_tau=st.fractions(min_value=Fraction(1, 5), max_value=2, max_denominator=1000),
+    tol_exp=st.integers(min_value=10, max_value=30),
+)
+def test_chi_bound_encloses_interval_referee(weight, z, re_tau, im_tau, tol_exp):
+    # chi = q^shift times the quotient: the bound must cover the prefactor's
+    # error and the product's rounding as well as the quotient's
+    spec = CharacterSpec(weight, z)
+    tau = _tau_from(re_tau, im_tau, DEFAULT_PREC)
+    try:
+        val = character_eval_numeric(spec, tau, tol=mp.mpf(10) ** -tol_exp, kind="chi")
+    except InputError as exc:
+        assert "rounding budget" in str(exc)
+        event("rounding budget above tol/4")
+        return
+    center, radius = _interval_theta.chi_enclosure(spec, tau, DEFAULT_PREC)
+    with mp.workprec(DEFAULT_PREC + 64):
         assert abs(val.value - center) + radius <= val.err
 
 
