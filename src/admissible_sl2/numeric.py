@@ -14,46 +14,39 @@ A theta's terms and their sum are taken at the working precision; its bound
 only certifies them, so it is kept in Python floats as natural logs: the log
 of each term modulus, evaluated directly, the tail test and the rounding sums,
 each raised by a stated relative margin (derivation in
-:func:`_theta_walk`).  One ``mp.exp`` turns the final log into the
+:func:`theta_eval_numeric`).  One ``mp.exp`` turns the final log into the
 bound.
 
-An exact q-series is evaluated by a walk along its sorted lattice keys:
-q^{e_0} once for the lowest exponent, then one q^{g/D} per distinct gap g,
-with the inner sum carried in Python-int fixed point at prec + 8 +
-bitlength(sum_k (k + 1) |c_k|) fraction bits, so int coefficients multiply
-exactly.  Its bound counts, per step, the rounding of each gap power (its
-argument included) and of the fixed-point product, in whole units of the
-scale (derivation in :func:`qseries_eval_numeric`).
+Two walks carry their sums in Python-int fixed point, with bounds counted in
+whole units of the scale.  An exact q-series is evaluated along its sorted
+lattice keys: q^{e_0} once for the lowest exponent, then one q^{g/D} per
+distinct gap g, at prec + 8 + bitlength(sum_k (k + 1) |c_k|) fraction bits,
+so int coefficients multiply exactly (derivation in
+:func:`qseries_eval_numeric`).  ``stransform``'s side pass walks every theta
+of one (m, z, tau) at once, over N = 2m x with x on the lattice, by the
+ratios t_{N+1}/t_N; its fraction bits come from the tolerance and the top
+term modulus (derivation in :func:`_fixed_walk` and :func:`_theta_vector`).
 
 ``s_transform_residual`` computes each distinct quantity once per call.
-Each side of the law is one pass (``_chibar_side``): per component
-tolerance, one walk (``_theta_walk``) over every numerator residue b+- of the
-level at m = a, and one over the denominator pair theta_{+-1,2}, which every
-weight's quotient shares.  Then one e^{i pi N/a} per phase class of the
-integer numerators N = b b', the pair (|N| mod a, binade of |N|/a) on which
-``expjpi`` gives the same bits up to a sign set by the parity of floor(|N|/a)
-(proof in :func:`s_transform_residual`), conjugated for N < 0; one S entry,
-its conjugate (the conjugate-phase matrix) and its modulus per distinct pair
-of signed classes, the pair with both parities flipped taking them negated;
-and one product S_ij chibar_j per cell of the residual table.
+Each side of the law is one pass (``_chibar_side``): one theta vector of the
+denominator pair theta_{+-1,2}, which every weight's quotient shares, and one
+of every numerator residue b+- of the level at m = a.  Then one e^{i pi N/a}
+per phase class of the integer numerators N = b b', the pair (|N| mod a,
+binade of |N|/a) on which ``expjpi`` gives the same bits up to a sign set by
+the parity of floor(|N|/a) (proof in :func:`s_transform_residual`),
+conjugated for N < 0; one S entry, its conjugate (the conjugate-phase
+matrix) and its modulus per distinct pair of signed classes, the pair with
+both parities flipped taking them negated.  The residual table takes S and
+factor times chibar to fixed point once, and each cell is four int products
+and one ``math.isqrt``.
 
-The arithmetic repeated most -- each theta term's argument and the walk's
-running sum, each side's quotients, and ``stransform``'s S entries, their
-moduli and its residual table -- is done on the ``_mpf_`` and ``_mpc_`` tuples
-at the working precision with round-to-nearest, the rounding every ``mp``
-context here keeps, by kernels on ``int.bit_length`` (``_round``,
-``_add``/``_sub``, ``_mul``/``_xmul``, ``_abs``).  Each forms the exact result
-on just the branches where ``mpf_add``, ``mpf_mul`` and ``mpf_sqrt`` form it
-and round it to nearest, and a value rounded half to even has one canonical
-tuple, so every value keeps the operators' bits; the objects a report needs
-are made at the end.  Left to mpmath: zero operands, sums whose exponents
-differ by more than 100 (``mpf_add`` adds a perturbed mantissa), x^2 + y^2 in
-a modulus (``mpf_hypot`` rounds it down), ``mpc_div`` and the transcendental
-calls on ``mp``.  Spellings follow the operators' dispatch: ``i + off`` adds
-``from_int(i)`` to ``off``, by ``__radd__``, and ``to_float`` is given
-``round_nearest``, as ``float()`` passes it.
-``tests/test_libmp_spellings.py`` holds each spelling to its operator and each
-kernel to its libmp call, by name.
+Three computations keep mpmath's operator bits: ``theta_eval_numeric`` and
+the quotients of ``_chibar_numeric``, so ``character`` and ``verify``
+reports stay what they were, and the S build, whose bits ``STRANSFORM_EXACT``
+pins.  For speed they call, on the ``_mpf_`` and ``_mpc_`` tuples, the
+``mpmath.libmp`` functions the operators call, in the operators' operand
+order and rounding to nearest, as every ``mp`` context here does;
+``tests/test_libmp_spellings.py`` holds each spelling to its operator.
 
 The bounds that only certify, the theta quotient's and the residual
 table's, are kept in Python floats too.  Each mpf that enters is split
@@ -77,9 +70,9 @@ argument); there is no ambient global state -- evaluation happens inside
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 
 import mpmath
 from mpmath import mp
@@ -87,20 +80,29 @@ from mpmath.libmp import (
     fzero,
     from_float,
     from_int,
+    from_man_exp,
+    from_rational,
     mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
     mpc_div,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_mul_mpf,
+    mpc_sub,
     mpf_add,
     mpf_div,
     mpf_gt,
     mpf_mul,
     mpf_neg,
     mpf_shift,
-    mpf_sum,
+    mpf_sub,
     round_ceiling,
     round_nearest,
     to_fixed,
     to_float,
     to_int,
+    to_rational,
 )
 
 from .characters import CharacterSpec, chibar_thetas
@@ -211,98 +213,27 @@ def _aligned(pairs: list[tuple[float, int]]) -> tuple[list[float], int]:
     return [math.ldexp(f, max(k - g, _FLOAT_FLOOR)) for f, k in pairs], g
 
 
-def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
-    """The raw mpf (-1)^sign man 2^exp, man > 0, rounded half to even at ``prec`` bits.
+def _refuse_past_the_cap(a, b, two_pi_m, log_budget, tau_l1, abs_z, abs_off, prec: int) -> float:
+    """Y of a walk over one residue (see :func:`theta_eval_numeric`); raises at the term cap.
 
-    mpmath's ``normalize`` with ``round_nearest``: a rounded value has one canonical
-    tuple (odd mantissa, exact bit count), so this is mpmath's for any exact value.
+    An Im(tau) past the double range is refused, then the parabola's reach
+    is tested, then whether Y swamps every slope up to the cap.
+    ``_theta_vector`` applies all three with ``abs_off`` = 1, above every
+    residue's |n/2m|, so it evaluates only where its referee does.
     """
-    n = man.bit_length() - prec
-    if n > 0:
-        half = man >> (n - 1)
-        # up when the first dropped bit is set, and the kept part is odd or a later bit is set
-        if half & 1 and (half & 2 or (man & -man).bit_length() < n):
-            man = (half >> 1) + 1
-        else:
-            man = half >> 1
-        exp += n
-    if man & 1:
-        return sign, man, exp, man.bit_length()
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return sign, man, exp + zeros, man.bit_length()
-
-
-def _add(s: tuple, t: tuple, prec: int, neg: int = 0) -> tuple:
-    """``mpf_add(s, t, prec, round_nearest)``; s - t with ``neg`` = 1.
-
-    For nonzero operands whose exponents differ by at most 100, mpmath adds the
-    shifted mantissas exactly and rounds to nearest, as this does.  Past that it
-    may add a perturbed mantissa: a wider offset, and a zero, go to ``mpf_add``.
-    """
-    ssign, sman, sexp, _ = s
-    tsign, tman, texp, _ = t
-    offset = sexp - texp
-    if not (sman and tman and -100 <= offset <= 100):
-        return mpf_add(s, t, prec, round_nearest, neg)
-    if offset > 0:
-        sman, exp = sman << offset, texp
-    else:
-        tman, exp = tman << -offset, sexp
-    if ssign == tsign ^ neg:
-        return _round(ssign, sman + tman, exp, prec)
-    man = sman - tman
-    if man > 0:
-        return _round(ssign, man, exp, prec)
-    return _round(ssign ^ 1, -man, exp, prec) if man else fzero
-
-
-def _sub(s: tuple, t: tuple, prec: int) -> tuple:
-    """``mpf_sub(s, t, prec, round_nearest)``, which is ``mpf_add`` with t negated."""
-    return _add(s, t, prec, 1)
-
-
-def _mul(s: tuple, t: tuple, prec: int) -> tuple:
-    """``mpf_mul(s, t, prec, round_nearest)``: the exact product of the mantissas, rounded."""
-    man = s[1] * t[1]
-    if not man:
-        return mpf_mul(s, t, prec, round_nearest)
-    return _round(s[0] ^ t[0], man, s[2] + t[2], prec)
-
-
-def _xmul(s: tuple, t: tuple) -> tuple:
-    """``mpf_mul(s, t)``, the exact product; a product of odd mantissas is odd."""
-    man = s[1] * t[1]
-    if not man:
-        return mpf_mul(s, t)
-    return s[0] ^ t[0], man, s[2] + t[2], man.bit_length()
-
-
-def _cmul(z: tuple, w: tuple, prec: int) -> tuple:
-    """``mpc_mul(z, w, prec, round_nearest)``: four exact products, then two roundings."""
-    (a, b), (c, d) = z, w
-    return _sub(_xmul(a, c), _xmul(b, d), prec), _add(_xmul(a, d), _xmul(b, c), prec)
-
-
-def _abs(z: tuple, prec: int) -> tuple:
-    """``mpc_abs(z, prec, round_nearest)``; a zero part goes to ``mpc_abs``.
-
-    x^2 + y^2 is ``mpf_hypot``'s, ``mpf_add`` at prec + 4 bits rounding down; the
-    root is ``mpf_sqrt``'s nearest branch, a low bit set for a nonzero remainder.
-    """
-    x, y = z
-    if not (x[1] and y[1]):
-        return mpc_abs(z, prec, round_nearest)
-    _, man, exp, bc = mpf_add(_xmul(x, x), _xmul(y, y), prec + 4)
-    if exp & 1:
-        exp, man, bc = exp - 1, man << 1, bc + 1
-    shift = max(4, 2 * prec - bc + 4)
-    shift += shift & 1
-    man <<= shift
-    root = math.isqrt(man)
-    if root * root != man:
-        root, shift = (root << 1) + 1, shift + 2
-    return _round(0, root, (exp - shift) // 2, prec)
+    if a == math.inf:
+        raise InputError("theta series requires Im(tau) within the double range")
+    reach = (b * b / (4 * a) - log_budget / two_pi_m) / a if a else math.inf
+    if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2 * (1 + _FLOAT_MARGIN):
+        raise InputError(
+            f"{_TERM_CAP} (at least {int(math.sqrt(min(reach, 1e300)))} "
+            f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
+        )
+    q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
+    y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
+    if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
+        raise InputError(_TERM_CAP)  # every s_lo up to the cap is negative
+    return y
 
 
 def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> ComplexVal:
@@ -311,26 +242,8 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     The sum is taken outward from the vertex of the term-modulus parabola on
     each side until the certified geometric tail drops below tol/4; the
     rounding budget accounts for the remaining tol/4.  ``spec.z`` may be
-    complex.  This checks ``tol > 0`` and tau, then walks the one residue
-    ``spec.n`` (derivation in :func:`_theta_walk`).
-    """
-    tol = _positive_tol(tol)
-    with mp.workprec(prec):
-        tau_v = _upper_half_plane(tau, "theta series")
-        return _theta_walk([spec.n], spec.m, spec.z, tau_v, tol, prec)[0]
-
-
-def _theta_walk(
-    ns: list[int], m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int
-) -> list[ComplexVal]:
-    """theta_{n,m}(tau, z) for each n of ``ns``, at one (m, z, tau, tol, prec).
-
-    ``tau`` is an mpc with Im(tau) > 0 and ``tol`` a positive mpf, both
-    checked by the caller.  What depends only on (m, z, tau, tol, prec) is
-    set up once: z, B, the float copies, log(tol/4), the reach test, the
-    vertex -B/2A and log(7 U / eps).  Each residue then keeps its own offset
-    n/2m, start point, Y, two-sided walk, stop test, terms, summation order
-    and bound, so its value and bound are those of a walk over it alone.
+    complex.  This is the direct evaluator of ``character`` and ``verify``,
+    and the referee of ``stransform``'s side pass (``_theta_vector``).
 
     Two precisions.  Each term is a direct ``expjpi`` at the working
     precision, summed there in a fixed order; that is the value.  The bound
@@ -379,92 +292,80 @@ def _theta_walk(
     each side sums at least floor(R) terms.  Past the term cap, by more than
     the float margin, the ``InputError`` is raised at once; so it is when Y +
     2^-40 is at least twice 2 pi m (A (2 q + 1) + |B|), which bounds every
-    slope up to the cap (|x| <= q there), as no s_lo can then be positive.
-    The residues are walked in order, and the first that fails raises.
+    slope up to the cap (|x| <= q there), as no s_lo can then be positive
+    (``_refuse_past_the_cap``).
     """
+    tol = _positive_tol(tol)
+    n, m = spec.n, spec.m
     with mp.workprec(prec):
+        tau = _upper_half_plane(tau, "theta series")
         A = tau.imag
-        z = _as_mpc(z)
+        z = _as_mpc(spec.z)
         B = mp.im(tau * z)
         a, b = float(A), float(B)
-        if a == math.inf:
-            raise InputError("theta series requires Im(tau) within the double range")
         two_pi_m = 2 * math.pi * m
         tau_l1 = abs(float(tau.real)) + a
         abs_z = abs(float(z.real)) + abs(float(z.imag))
         log_eps = (1 - prec) * math.log(2)
         log_budget = float(mp.log(tol)) - math.log(4)
-
-        reach = (b * b / (4 * a) - log_budget / two_pi_m) / a if a else math.inf
-        if reach > (_MAX_TERMS_PER_SIDE + 1) ** 2 * (1 + _FLOAT_MARGIN):
-            raise InputError(
-                f"{_TERM_CAP} (at least {int(math.sqrt(min(reach, 1e300)))} "
-                f"terms per side, cap {_MAX_TERMS_PER_SIDE})"
-            )
+        z, tau_raw, two_m, rnd = z._mpc_, tau._mpc_, from_int(2 * m), round_nearest
+        off = mpf_div(from_int(n), two_m, prec, rnd)  # mp.mpf(n) / (2 * m)
+        abs_off = abs(to_float(off, rnd=rnd))
+        y = _refuse_past_the_cap(a, b, two_pi_m, log_budget, tau_l1, abs_z, abs_off, prec)
         vertex = (-B / (2 * A))._mpf_
         log_c7 = math.log(7 * two_pi_m * tau_l1)  # log(7 U / eps)
-        (z_re, z_im), tau_raw, two_m, rnd = z._mpc_, tau._mpc_, from_int(2 * m), round_nearest
-        out = []
-        for n in ns:
-            off = mpf_div(from_int(n), two_m, prec, rnd)  # mp.mpf(n) / (2 * m)
-            abs_off = abs(to_float(off, rnd=rnd))
-            # the integer-coordinate vertex, rounded up
-            start = to_int(_sub(vertex, off, prec), round_ceiling)
-            q_cap = abs(b) / (2 * a) + abs_off + _MAX_TERMS_PER_SIDE + 2
-            y = math.ldexp(9 * two_pi_m * tau_l1 * q_cap * (q_cap + abs_z), 1 - prec)  # Y
-            if y + _FLOAT_MARGIN >= 2 * two_pi_m * (a * (2 * q_cap + 1) + abs(b)):
-                raise InputError(_TERM_CAP)  # every s_lo up to the cap is negative
-            total = (fzero, fzero)
-            count = 0
-            sides = []  # per side: its first l, sum e^{l - first}, sum e^{l - first} X (X + |z|)
-            tails = []
+        # the integer-coordinate vertex, rounded up
+        start = to_int(mpf_sub(vertex, off, prec, rnd), round_ceiling)
+        total = (fzero, fzero)
+        count = 0
+        sides = []  # per side: its first l, sum e^{l - first}, sum e^{l - first} X (X + |z|)
+        tails = []
 
-            for direction in (+1, -1):
-                i = start if direction == +1 else start - 1
-                first = None
-                side_abs = side_arg = 0.0
-                steps = 0
-                while True:
-                    x = _add(off, from_int(i), prec)  # i + off
-                    xf = to_float(x, rnd=rnd)
-                    p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
-                    log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
-                    if first is None:
-                        first = log_m
-                    slope = two_pi_m * (a * (2 * direction * xf + 1) + direction * b)
-                    slope_size = two_pi_m * (a * (2 * abs(xf) + 1) + abs(b))
-                    s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y
-                    if s_lo > 0:
-                        tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))
-                        if tail < log_budget:
-                            tails.append(tail)
-                            break
-                    # 2 * m * (x * x + x * z) * tau
-                    w_re = _mul(_add(_mul(z_re, x, prec), _mul(x, x, prec), prec), two_m, prec)
-                    w = _cmul((w_re, _mul(_mul(z_im, x, prec), two_m, prec)), tau_raw, prec)
-                    term_re, term_im = mp.expjpi(mp.make_mpc(w))._mpc_
-                    total = (_add(total[0], term_re, prec), _add(total[1], term_im, prec))
-                    weight = math.exp(log_m - first)
-                    size = abs(xf) + abs_off
-                    side_abs += weight
-                    side_arg += weight * size * (size + abs_z)
-                    count += 1
-                    i += direction
-                    steps += 1
-                    if steps > _MAX_TERMS_PER_SIDE:
-                        raise InputError(_TERM_CAP)
-                sides.append((first, side_abs, side_arg))
+        for direction in (+1, -1):
+            i = start if direction == +1 else start - 1
+            first = None
+            side_abs = side_arg = 0.0
+            steps = 0
+            while True:
+                x = mpf_add(off, from_int(i), prec, rnd)  # i + off
+                xf = to_float(x, rnd=rnd)
+                p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
+                log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
+                if first is None:
+                    first = log_m
+                slope = two_pi_m * (a * (2 * direction * xf + 1) + direction * b)
+                slope_size = two_pi_m * (a * (2 * abs(xf) + 1) + abs(b))
+                s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y
+                if s_lo > 0:
+                    tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))
+                    if tail < log_budget:
+                        tails.append(tail)
+                        break
+                # 2 * m * (x * x + x * z) * tau
+                w = mpc_add_mpf(mpc_mul_mpf(z, x, prec, rnd), mpf_mul(x, x, prec, rnd), prec, rnd)
+                w = mpc_mul_int(w, 2 * m, prec, rnd)
+                term = mp.expjpi(mp.make_mpc(mpc_mul(w, tau_raw, prec, rnd)))._mpc_
+                total = mpc_add(total, term, prec, rnd)
+                weight = math.exp(log_m - first)
+                size = abs(xf) + abs_off
+                side_abs += weight
+                side_arg += weight * size * (size + abs_z)
+                count += 1
+                i += direction
+                steps += 1
+                if steps > _MAX_TERMS_PER_SIDE:
+                    raise InputError(_TERM_CAP)
+            sides.append((first, side_abs, side_arg))
 
-            log_n = math.log(count + 16)
-            terms = [_up(log_eps, y, l0, log_n, math.log(s)) for l0, s, _ in sides if s]
-            terms += [_up(log_eps, 2 * y, l0, log_c7, math.log(s)) for l0, _, s in sides if s]
-            log_round = _log_sum(terms) + _FLOAT_MARGIN * count
-            if log_round > log_budget:
-                budget = mpmath.nstr(mp.exp(log_round), 5)
-                raise InputError(f"rounding budget {budget} exceeds tol/4 at {prec} bits")
-            err = mp.exp(_log_sum(terms + tails) + _FLOAT_MARGIN * count)
-            out.append(ComplexVal(mp.make_mpc(total), err, prec))
-        return out
+        log_n = math.log(count + 16)
+        terms = [_up(log_eps, y, l0, log_n, math.log(s)) for l0, s, _ in sides if s]
+        terms += [_up(log_eps, 2 * y, l0, log_c7, math.log(s)) for l0, _, s in sides if s]
+        log_round = _log_sum(terms) + _FLOAT_MARGIN * count
+        if log_round > log_budget:
+            budget = mpmath.nstr(mp.exp(log_round), 5)
+            raise InputError(f"rounding budget {budget} exceeds tol/4 at {prec} bits")
+        err = mp.exp(_log_sum(terms + tails) + _FLOAT_MARGIN * count)
+        return ComplexVal(mp.make_mpc(total), err, prec)
 
 
 def _q_power_error(e: Fraction, tau_l1, eps) -> mpmath.mpf:
@@ -590,24 +491,15 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
         return ComplexVal(lead * inner, err, prec)
 
 
-def _component_tolerances(tol: mpmath.mpf) -> Iterator[mpmath.mpf]:
-    """The component tolerance of each attempt at a quotient: tol/8, then /16 per retry."""
-    ctol = tol / 8
-    for _ in range(_QUOTIENT_RETRIES):
-        yield ctol
-        ctol = ctol / 16
-
-
 def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int):
     """What every quotient of one attempt shares: den = th_1 - th_m1, raw, and its bound.
 
     (den, e_den split, |den| split, rho, the larger theta error), e_den their sum;
     None when e_den >= |den| / 2.  |den| < 10 tol raises before any quotient.
     """
-    (a, b), (c, d) = th_1.value._mpc_, th_m1.value._mpc_
-    den = (_sub(a, c, prec), _sub(b, d, prec))
-    e_den = _add(th_1.err._mpf_, th_m1.err._mpf_, prec)
-    abs_den = mp.make_mpf(_abs(den, prec))
+    den = mpc_sub(th_1.value._mpc_, th_m1.value._mpc_, prec, round_nearest)
+    e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, prec, round_nearest)
+    abs_den = mp.make_mpf(mpc_abs(den, prec, round_nearest))
     if abs_den < 10 * tol:
         raise InputError(f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol")
     if mp.make_mpf(e_den) >= abs_den / 2:
@@ -635,11 +527,11 @@ def _quotient(
     2^-40, and ``mpf_shift`` scales the result back exactly.
     """
     den, (f_e, k_e), (f_d, k_d), rho, den_err = denominator
-    (a, b), (c, d) = th_p.value._mpc_, th_m.value._mpc_
-    quot = mpc_div((_sub(a, c, prec), _sub(b, d, prec)), den, prec, round_nearest)
-    e_num = _add(th_p.err._mpf_, th_m.err._mpf_, prec)
+    num = mpc_sub(th_p.value._mpc_, th_m.value._mpc_, prec, round_nearest)
+    quot = mpc_div(num, den, prec, round_nearest)
+    e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, prec, round_nearest)
     # (X + Y + Z) / (1 - rho), as the docstring derives
-    (f_n, k_n), (f_q, k_q) = _split(e_num), _split(_abs(quot, prec))
+    (f_n, k_n), (f_q, k_q) = _split(e_num), _split(mpc_abs(quot, prec, round_nearest))
     terms, g = _aligned(
         [(f_n / f_d, k_n - k_d), (f_q * f_e / f_d, k_q + k_e - k_d), (f_q, k_q + 4 - prec)]
     )
@@ -659,58 +551,247 @@ def _chibar_numeric(
     """Normalized character as a certified theta quotient; zval may be complex.
 
     Returns the quotient together with the largest component theta error
-    bound (for reporting).  Component tolerances tighten geometrically
-    (``_component_tolerances``) until the quotient's bound (``_quotient``)
-    meets ``tol``; each attempt evaluates the four thetas of
-    ``chibar_thetas`` afresh.
+    bound (for reporting).  Component tolerances tighten geometrically, tol/8
+    and then /16 per retry, until the quotient's bound (``_quotient``) meets
+    ``tol``; each attempt evaluates the four thetas of ``chibar_thetas``
+    afresh.
     """
     tol = mp.mpf(tol)
     specs = [s for pair in chibar_thetas(weight, zval) for s in pair]
     with mp.workprec(prec):
-        for ctol in _component_tolerances(tol):
+        ctol = tol / 8
+        for _ in range(_QUOTIENT_RETRIES):
             th_p, th_m, th_1, th_m1 = (theta_eval_numeric(spec, tau, ctol, prec) for spec in specs)
             den = _denominator(th_1, th_m1, tol, prec)
             found = den and _quotient(th_p, th_m, den, tol, prec)
             if found:
                 return found
+            ctol = ctol / 16
         raise InputError(_RETRIES_SPENT)
+
+
+def _exact(x) -> tuple[Fraction, Fraction]:
+    """A rational, or an mpf or mpc at any precision, as its exact parts (Re, Im)."""
+    if isinstance(x, Fraction):
+        return x, Fraction(0)
+    raw = x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_, fzero)
+    return Fraction(*to_rational(raw[0])), Fraction(*to_rational(raw[1]))
+
+
+def _tail_log(pi_a: float, pi_b: float, n: int, d: int) -> tuple[float, float]:
+    """(t, s): e^t bounds sum_{k >= 0} e^{-f(n + d k)}, f(N) = pi_a N^2 + pi_b N, when s > 0.
+
+    s is a lower bound on the slope f(n + d) - f(n), which grows by 2 pi_a per
+    step outward, so the sum is at most e^{-f(n)} / (1 - e^{-s}).  The float
+    margins are those of :func:`theta_eval_numeric`: 2^-40 (P + |Q| + 1) on
+    -f(n) = -(P + Q), 2^-40 (S + 1) off the slope, S its size, and ``_up``.
+    t is inf where s <= 0.
+    """
+    p, q = pi_a * n * n, pi_b * n
+    s = pi_a * (2 * d * n + 1) + d * pi_b
+    s -= _FLOAT_MARGIN * (pi_a * (2 * abs(n) + 1) + abs(pi_b) + 1)
+    if s <= 0:
+        return math.inf, s
+    return _up(_FLOAT_MARGIN * (p + abs(q) + 1) - p - q, -math.log(-math.expm1(-s))), s
+
+
+def _fixed_walk(
+    m: int, z: tuple[Fraction, Fraction], tau: mpmath.mpc, n0: int, k_up: int, k_dn: int,
+    frac_bits: int, seed_prec: int,
+) -> list[tuple[int, int, int]]:
+    """Sums of t_N = e^{i pi tau (N^2/2m + N z)} over n0 - k_dn < N < n0 + k_up, by N mod 2m.
+
+    Each sum is (Re, Im, count) in units 2^-F, F = ``frac_bits``: the count
+    bounds the sum's distance from the exact sum of its terms.  ``n0`` is
+    within 1/2 of the vertex -m B/A of the term moduli (A = Im tau, B = Im(tau
+    z)); ``z`` is exact, and ``tau`` is taken as the exact value of its parts.
+
+    The walk.  With c = e^{i pi tau/m}, r_N = t_{N+1}/t_N = e^{i pi tau ((2N +
+    1)/2m + z)} and s_N = t_{N-1}/t_N, t_{N+1} = t_N r_N, r_{N+1} = r_N c,
+    t_{N-1} = t_N s_N and s_{N-1} = s_N c.  Four seeds, t, r and s at n0 and
+    c, are ``expjpi`` of x tau at ``seed_prec`` bits, x exact and rounded
+    once per part, as ``_q_power`` forms its argument: so each lies within
+    |seed| r of exact, r = ``_q_power_error`` of x/2 for the largest |x| of
+    the four, |x| taken as |Re x| + |Im x|, which bounds a complex x's
+    argument error as it bounds a real x's (r grows with |x|).  Each seed is
+    floored to units, then every step forms two complex products of ints,
+    floored back to units: an error under 1 unit per part, so under 2 in
+    modulus.  Since |n0 - vertex| <= 1/2, every exact ratio outward has
+    modulus at most 1: |r_N| <= 1 for N >= n0, |s_N| <= 1 for N <= n0, and
+    |c| < 1.
+
+    The bound, carried per step in whole units.  A seed is within delta =
+    ceil(|seed| r 2^F) + 2 of exact.  With the ratio (r or s) of step j
+    within D_j of exact and the term within E_j, and |v|_1 = |Re v| + |Im v|
+    of a computed value in units, at least its modulus,
+
+        D_{j+1} <= D_j |c| + |ratio_j| delta_c 2^-F + 2
+                <= D_j + floor(|ratio_j|_1 delta_c 2^-F) + 3,
+        E_{j+1} <= E_j |exact ratio_j| + |t_j| D_j 2^-F + 2
+                <= floor((E_j min(|ratio_j|_1 + D_j, 2^F) + |t_j|_1 D_j) 2^-F) + 3,
+
+    the exact ratio's modulus being at most 1 and at most |ratio_j| + D_j
+    2^-F, and one unit covering each floor of a shift.  E_0 = delta_t, D_0 =
+    delta_r or delta_s.  Each term's E is added to the count of its residue.
+    """
+    two_m, f, one = 2 * m, frac_bits, 1 << frac_bits
+    (zr, zi), tau_raw, rnd = z, tau._mpc_, round_nearest
+    with mp.workprec(seed_prec):
+        xs = [
+            (Fraction(n0 * n0, two_m) + n0 * zr, n0 * zi),  # t
+            (Fraction(2 * n0 + 1, two_m) + zr, zi),  # r
+            (-Fraction(2 * n0 - 1, two_m) - zr, -zi),  # s
+            (Fraction(1, m), Fraction(0)),  # c
+        ]
+        # r grows with |x|, so the largest |x| of the four serves all
+        x_max = max(abs(xr) + abs(xi) for xr, xi in xs)
+        r = _q_power_error(x_max / 2, abs(tau.real) + tau.imag, mp.mpf(2) ** (1 - seed_prec))
+        seeds = []
+        for xr, xi in xs:
+            x = tuple(from_rational(v.numerator, v.denominator, seed_prec, rnd) for v in (xr, xi))
+            value = mp.expjpi(mp.make_mpc(mpc_mul(x, tau_raw, seed_prec, rnd)))
+            delta = int(mp.ceil(mp.ldexp(abs(value) * r, f))) + 2
+            seeds.append((to_fixed(value.real._mpf_, f), to_fixed(value.imag._mpf_, f), delta))
+    (t_re, t_im, e_0), (r_re, r_im, d_up), (s_re, s_im, d_dn), (c_re, c_im, d_c) = seeds
+
+    sums_re, sums_im, counts = [0] * two_m, [0] * two_m, [0] * two_m
+    start = n0 % two_m
+    up = list(range(start, two_m)) + list(range(start))
+    down = up[:1] + up[:0:-1]
+    sides = ((up, k_up, r_re, r_im, d_up), (down, k_dn, s_re, s_im, d_dn))
+    for order, count, q_re, q_im, d in sides:
+        x_re, x_im, e = t_re, t_im, e_0
+        for k in islice(cycle(order), count):
+            sums_re[k] += x_re
+            sums_im[k] += x_im
+            counts[k] += e
+            ratio = abs(q_re) + abs(q_im)
+            e = ((e * min(ratio + d, one) + (abs(x_re) + abs(x_im)) * d) >> f) + 3
+            d += ((ratio * d_c) >> f) + 3
+            x_re, x_im = (x_re * q_re - x_im * q_im) >> f, (x_re * q_im + x_im * q_re) >> f
+            q_re, q_im = (q_re * c_re - q_im * c_im) >> f, (q_re * c_im + q_im * c_re) >> f
+    sums_re[start] -= t_re  # both sides summed the term at n0
+    sums_im[start] -= t_im
+    counts[start] -= e_0
+    return list(zip(sums_re, sums_im, counts))
+
+
+def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
+    """Every theta_{n,m}(tau, z), n mod 2m, from one walk over N: (sums, F, tail).
+
+    ``sums[n]`` is (Re, Im, count) of ``_fixed_walk``: theta_{n,m} is (Re + i
+    Im) 2^-F within count 2^-F + ``tail`` <= 3 tol/4.  ``tau`` is an mpc with Im(tau)
+    > 0 and ``z`` a rational or an mpc, each taken as exact; ``tol`` > 0.
+    (Kac-Peterson's theta vector, Adv. Math. 53, 1984: with x = N/2m, every
+    term of every residue is one t_N of ``_fixed_walk``.)
+
+    The window.  The term moduli are e^{-f(N)}, f(N) = pi (A N^2/2m + B N),
+    largest at the vertex -m B/A, where log |t| = pi m B^2/2A; n0 is the
+    integer nearest the vertex, found exactly.  Each side runs outward to the
+    first N whose certified tail (``_tail_log``) is below tol/4, so the two
+    tails add at most tol/2 to every residue.  The first candidate is where
+    the parabola alone reaches tol/4, and each miss moves on by the miss over
+    the slope, as the slope only grows outward.  The term-cap refusals are
+    those of the per-residue walk (``_refuse_past_the_cap``), and a side
+    needing more than 2m cap steps is refused too.
+
+    Fixed point.  With T = the bits of the top modulus, K the longer side and
+    F = T + max(0, ceil(-log2(tol/4))) + 3 bitlength(K) + 8, and seeds taken
+    at F + T + bitlength(4 X |tau|_1 + 2) + 4 bits (X above every seed's
+    |x|), each seed's delta is at most 3.  Then |ratio|_1 delta_c 2^-F adds
+    at most 5 units a step, so D < 11K; |t|_1 D 2^-F adds at most 16 K 2^T,
+    so E < 17 K^2 2^T; and the count of ``_fixed_walk`` over at most 2K
+    terms is under 2^(6 + 3 bitlength(K) + T) units, at most tol/16: F
+    comes from tol and the top modulus, so this pass has no rounding budget
+    to exceed.  ``tail`` bounds the two tails together.
+    """
+    (zr, zi), (tr, ti) = _exact(z), _exact(tau)
+    big_b = tr * zi + ti * zr
+    a, b = float(ti), float(big_b)
+    two_pi_m, log_side = 2 * math.pi * m, float(mp.log(tol)) - math.log(4)
+    tau_l1, abs_z = abs(float(tr)) + a, abs(float(zr)) + abs(float(zi))
+    _refuse_past_the_cap(a, b, two_pi_m, log_side, tau_l1, abs_z, 1.0, prec)
+
+    vertex = -m * big_b / ti
+    n0 = math.floor(vertex + Fraction(1, 2))
+    pi_a, pi_b, v = math.pi * a / (2 * m), math.pi * b, float(vertex)
+    log_top = pi_b * pi_b / (4 * pi_a)
+    reach = math.sqrt(max(0.0, (log_top - log_side) / pi_a))
+    sides, tails = [], []
+    for d in (+1, -1):
+        k = max(1.0, d * (v - n0) + reach)
+        while True:
+            if not k <= 2 * m * _MAX_TERMS_PER_SIDE:
+                raise InputError(_TERM_CAP)
+            tail, slope = _tail_log(pi_a, pi_b, n0 + d * int(k), d)
+            if tail < log_side:
+                break
+            k = int(k) + (max(1.0, (tail - log_side) / slope) if slope > 0 else k)
+        sides.append(int(k))
+        tails.append(tail)
+
+    top_bits = int(_up(log_top) / math.log(2)) + 1
+    frac_bits = top_bits + max(0, math.ceil(-log_side / math.log(2)))
+    frac_bits += 3 * max(sides).bit_length() + 8
+    x_max = (abs(n0) + 1) ** 2 / m + (abs(n0) + 1) * abs_z + 1
+    seed_prec = frac_bits + top_bits + int(4 * x_max * tau_l1 + 2).bit_length() + 4
+    sums = _fixed_walk(m, (zr, zi), tau, n0, *sides, frac_bits, seed_prec)
+    with mp.workprec(prec):
+        return sums, frac_bits, mp.exp(_log_sum(tails) + _FLOAT_MARGIN)
 
 
 def _chibar_side(
     weights: list[AdmissibleWeight], tau: mpmath.mpc, zval, tol, prec: int
 ) -> list[tuple[ComplexVal, mpmath.mpf]]:
-    """``_chibar_numeric`` of every weight at one (tau, zval, tol), bit for bit.
+    """Each weight's chibar at one (tau, zval) within ``tol``, as ``_chibar_numeric`` bounds it.
 
-    ``tau`` is an mpc with Im(tau) > 0 at ``prec``.  The thetas of every
-    weight come from ``chibar_thetas``: the numerators share m = a and the
-    second argument z/q, the denominator pair is common to all.  So each
-    attempt makes one ``_theta_walk`` over the numerator residues of the
-    weights still pending and one over the denominator pair; a theta's value
-    and bound depend only on its residue and the walk's (m, z, tau, tol,
-    prec), so each weight's quotient is the one its own attempts give.  A
-    weight whose bound misses goes on to the next tolerance.
+    ``tau`` is an mpc with Im(tau) > 0 at ``prec``.  The thetas come from
+    ``chibar_thetas``: the numerators share m = a and the argument z/q, the
+    denominator pair theta_{+-1,2} is common to all.  So a side is one
+    ``_theta_vector`` of the denominators and one of the numerators, and
+    each quotient is ``_quotient`` of its residues over ``_denominator``,
+    with the largest theta bound it used.
+
+    The denominator is walked first, to tol 2^-20: its bound e_den must be
+    below |den|/2 (else it is walked again 2^16 times deeper), and |den| <
+    10 tol is refused.  The numerators are then walked once, to tol |den| /
+    32, so that e_num / (|den| - e_den) stays below tol/10.  A quotient
+    whose bound still misses does so by |quot| e_den: the denominator is
+    walked again, to tol |den| / (4 |quot|) over the largest such |quot|
+    (at most a sixteenth of the last), and every quotient is formed again
+    over it.  After ``_QUOTIENT_RETRIES`` denominator walks the side fails.
     """
     tol = mp.mpf(tol)
-    pairs = [chibar_thetas(w, zval) for w in weights]
-    (num_p, _), (den_p, den_m) = pairs[0]
-    out: list = [None] * len(weights)
+
+    def thetas(walk, specs):
+        sums, frac_bits, tail = walk
+        for spec in specs:
+            re, im, count = (from_man_exp(v, -frac_bits) for v in sums[spec.n % len(sums)])
+            err = mpf_add(count, tail._mpf_, prec, round_ceiling)
+            yield ComplexVal(mp.make_mpc((re, im)), mp.make_mpf(err), prec)
+
     with mp.workprec(prec):
-        pending = range(len(weights))
-        for ctol in _component_tolerances(tol):
-            residues = [spec.n for i in pending for spec in pairs[i][0]]
-            nums = _theta_walk(residues, num_p.m, num_p.z, tau, ctol, prec)
-            dens = _theta_walk([den_p.n, den_m.n], den_p.m, den_p.z, tau, ctol, prec)
-            den = _denominator(*dens, tol, prec)
-            retry = []
-            for i, th_p, th_m in zip(pending, nums[::2], nums[1::2]):
-                found = den and _quotient(th_p, th_m, den, tol, prec)
-                if found:
-                    out[i] = found
-                else:
-                    retry.append(i)
-            if not retry:
-                return out
-            pending = retry
+        pairs = [chibar_thetas(w, zval) for w in weights]  # a complex z / q rounds at prec
+        (num_p, _), (den_p, den_m) = pairs[0]
+        dtol, nums = tol * 2.0**-20, None
+        for _ in range(_QUOTIENT_RETRIES):
+            den_walk = _theta_vector(den_p.m, den_p.z, tau, dtol, prec)
+            den = _denominator(*thetas(den_walk, (den_p, den_m)), tol, prec)
+            if den is None:
+                dtol = dtol / 2**16
+                continue
+            abs_den = mp.ldexp(den[2][0], den[2][1])  # at most |den|
+            if nums is None:
+                nums = _theta_vector(num_p.m, num_p.z, tau, tol * abs_den / 32, prec)
+            found, missed = [], mp.mpf(1)
+            for (num, _) in pairs:
+                th_p, th_m = thetas(nums, num)
+                found.append(_quotient(th_p, th_m, den, tol, prec))
+                if found[-1] is None:
+                    missed = max(missed, abs(th_p.value - th_m.value) / abs_den)
+            if all(found):
+                return found
+            dtol = min(dtol / 16, tol * abs_den / (4 * missed))
         raise InputError(_RETRIES_SPENT)
 
 
@@ -786,12 +867,6 @@ def _phase_class(num: int, a: int) -> tuple[int, int, int]:
     return r, e, k & 1
 
 
-def _residual(lhs: tuple, factor: tuple, v: tuple, prec: int) -> tuple:
-    """``abs(lhs - factor * v)`` on raw mpc tuples, rounded as the operators round it."""
-    f_re, f_im = _cmul(factor, v, prec)
-    return _abs((_sub(lhs[0], f_re, prec), _sub(lhs[1], f_im, prec)), prec)
-
-
 def _s_matrices(
     weights: list[AdmissibleWeight],
 ) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[float]], mpmath.mpf]:
@@ -801,8 +876,8 @@ def _s_matrices(
     for the other parity of floor(|N|/a) and conjugated for N < 0, and one
     entry, conjugate and modulus per distinct pair of signed classes, which
     the pair with both parities flipped takes negated.  The row sums are
-    taken in mpf, in column order.  The arithmetic is on raw tuples, by the
-    kernels the module docstring describes.
+    taken in mpf, in column order, on raw tuples by the operators' libmp
+    calls.
     """
     a = weights[0].level.a
     prec, rnd = mp.prec, round_nearest
@@ -837,9 +912,9 @@ def _s_matrices(
                 twin = cells.get((pair, 1 - c_pp[2]))
                 if twin is None:
                     (u_re, u_im), (v_re, v_im) = phase(n_pp, c_pp), phase(n_pm, c_pm)
-                    d_re, d_im = _sub(u_re, v_re, prec), _sub(u_im, v_im, prec)
-                    entry = (_mul(h, d_im, prec), mpf_neg(_mul(h, d_re, prec)))
-                    size = _abs(entry, prec)
+                    d_re, d_im = mpc_sub((u_re, u_im), (v_re, v_im), prec, rnd)
+                    entry = (mpf_mul(h, d_im, prec, rnd), mpf_neg(mpf_mul(h, d_re, prec, rnd)))
+                    size = mpc_abs(entry, prec, rnd)
                     size_f = to_float(size, rnd=rnd)
                 else:  # both phases negated: the entry negated, bit for bit
                     twin_entry, _, size, size_f = twin
@@ -852,7 +927,7 @@ def _s_matrices(
             row.append(entry)
             printed_row.append(printed)
             abs_row.append(size_f)
-            row_abs = _add(row_abs, size, prec)
+            row_abs = mpf_add(row_abs, size, prec, rnd)
         s_matrix.append(row)
         printed_matrix.append(printed_row)
         s_abs.append(abs_row)
@@ -918,21 +993,45 @@ def s_transform_residual(
     and the xor of the two parities, and the cell with the other first
     parity takes the stored entry negated, with its modulus and float.
 
-    One set of products per cell.  ``mpc_mul`` forms S_ij chibar_j = (a +
-    bi)(c + di) from the exact products p = ac, q = bd, r = ad, s = bc as
-    (p - q, r + s), each part rounded once.  The conjugate-phase entry is
-    (a, -b) bit for bit, and negating an operand negates its exact product,
-    so its product is (p + q, r - s): four exact products serve both.
+    The table in fixed point.  Each y_j = factor chibar_j is formed exactly
+    and floored to units 2^-gy, each S_ij to units 2^-gs, and each lhs_i to
+    units 2^-(gs + gy), gs = prec + 8 and 2^(gs - gy) above every |y_j| and
+    |lhs_i|.  With S_ij = (a, b) and y_j = (c, d), the four products p = ac,
+    q = bd, r = ad, t = bc give S_ij y_j = (p - q, r + t) and, for the
+    conjugate-phase entry (a, -b), (p + q, r - t); the running sums are
+    exact, and each partial residual is the floor of the root of an exact
+    sum of squares, ``math.isqrt``.  The other factor's final residual is
+    |lhs_i - (alt factor / factor) sum_j S_ij y_j|, in mpf.
 
-    Bounds in floats.  The bound on cell (i, j) of ``residual_errors`` is
+    The bound.  Cell (i, j) of ``residual_errors`` is
 
         c_i + sum_{j' <= j} |S_ij'| w_j',
-        c_i = err(lhs_i) + 16 eps |lhs_i|,
-        w_j = |factor| (err(chibar_j) + 16 eps |chibar_j|),
+        c_i = err(lhs_i) + count,
+        w_j = |factor| ((1 + r_f) err(chibar_j) + r_f |chibar_j|),
 
-    the left side's error, the propagated quotient errors and the rounding
-    allowance 16 eps (|lhs_i| + |factor| sum |S_ij'| |chibar_j'|), eps =
-    2^(1 - prec).  The 2n values c_i and w_j are formed in mpf, split and
+    r_f the factor's relative error (``_q_power_error``; 0 for KW1, whose
+    factor is 1), so that w_j bounds |factor chibar_j - y_j| against the
+    exact factor and quotient.  ``count`` is the rest, in three parts:
+
+    - the S entries.  x = N/a is rounded once (pi u |x| moves the phase,
+      u = 2^-prec), ``expjpi`` is within eps of each phase, e1 - e2 and
+      sqrt(2/a) round to within 3u of their moduli, and each part of the
+      entry once more, so |S_ij - exact| <= h eps (2 X + 8) <= eps (X + 4),
+      h = sqrt(2/a)/2 <= 1/2 and X = (|N| + |N'|)/a over the cell's pair;
+      with |exact S| <= |S_ij| + that, it adds eps (X + 4) sum_j (|y_j| +
+      w_j), X the largest over the table;
+    - the floors.  |S_ij| <= 1, each part of S and y floored once, so each
+      product is within 2 2^-gs |y_j| + 2 2^-gy of (S_ij y_j), and lhs_i and
+      the root add under 3 units of 2^-(gs + gy): over a row at most 2^(1 -
+      gs) sum_j |y_j| + (2n + 4) 2^-gy, sum_j |y_j| taken from the ints;
+    - nothing else: the sums are exact.
+
+    So count is of order 2^-prec (X + 4) sum |y_j|, far below the quotients'
+    own bounds, and ``perfbench/reference.py``, which recomputes err(lhs_i)
+    + |factor| sum |S_ij'| err(chibar_j') to within 1e-6, sees only that.
+    Each partial residual is within its cell of the exact one.
+
+    Bounds in floats.  The 2n values c_i and w_j are formed in mpf, split and
     aligned onto one 2^g: each is then within 2^-52 of its float (a value
     more than 2^600 below the largest is raised to 2^-600 of it, which only
     raises the bound and keeps it nonzero).  |S_ij| <= 1 is rounded to a
@@ -978,40 +1077,57 @@ def s_transform_residual(
         lhs_vals = [val for val, _ in lhs]
         theta_err_max = max([mp.mpf(0)] + [terr for _, terr in rhs + lhs])
 
+        # the table in fixed point: S in units 2^-gs, y_j = factor chibar_j (exact)
+        # in units 2^-gy, lhs and every sum of products in units 2^-(gs + gy)
+        fa, fb = factor._mpc_
+        y_raw = [
+            (mpf_sub(mpf_mul(fa, c), mpf_mul(fb, d)), mpf_add(mpf_mul(fa, d), mpf_mul(fb, c)))
+            for c, d in (v.value._mpc_ for v in chibar_vals)
+        ]
+        lhs_raw = [v.value._mpc_ for v in lhs_vals]
+        top = max(x[2] + x[3] for pair in y_raw + lhs_raw for x in pair)
+        gs, gy = prec + 8, prec + 8 - top
+        g_all = gs + gy
+        ys = [(to_fixed(c, gy), to_fixed(d, gy)) for c, d in y_raw]
+        ls = [(to_fixed(c, g_all), to_fixed(d, g_all)) for c, d in lhs_raw]
+
         # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in floats, over one 2^g
-        eps16 = (16 * eps)._mpf_
-        c_w = [_add(v.err._mpf_, _mul(eps16, _abs(v.value._mpc_, prec), prec), prec)
-               for v in lhs_vals + chibar_vals]
-        c_w[n_w:] = [_mul(abs_factor._mpf_, v, prec) for v in c_w[n_w:]]
-        scaled, g = _aligned([_split(v) for v in c_w])
+        y_units = sum(abs(c) + abs(d) + 2 for c, d in ys)  # at least sum |y_j| 2^gy
+        top_n = max(abs(w.b_plus) for w in weights)
+        top_n *= max(abs(w.b_plus) + abs(w.b_minus) for w in weights)
+        delta_s = eps * (mp.mpf(top_n) / level.a + 4)
+        r_f = _q_power_error(anomaly, abs(tau_v.real) + tau_v.imag, eps) if variant == "KW2" else 0
+        w_cols = [abs_factor * ((1 + r_f) * v.err + r_f * abs(v.value)) for v in chibar_vals]
+        count = delta_s * (mp.ldexp(y_units, -gy) + mp.fsum(w_cols))
+        count += mp.ldexp(y_units, 1 - g_all) + mp.ldexp(2 * n_w + 4, -gy)
+        scaled, g = _aligned([_split(v._mpf_) for v in [v.err + count for v in lhs_vals] + w_cols])
         c_rows, w_cols = scaled[:n_w], scaled[n_w:]
         up = 1 + _FLOAT_MARGIN * (n_w + 2)
-        # the table on raw tuples, rounded as the operators round it (see the docstring)
-        rnd = round_nearest
-        chi = [v.value._mpc_ for v in chibar_vals]
-        f = factor._mpc_
+        ratio = None if alt_factor is None else alt_factor / factor
         residuals, residual_errors, printed_residuals, alt_residuals = [], [], [], []
         for i in range(n_w):
-            lhs = lhs_vals[i].value._mpc_
-            run_re = run_im = fzero
+            l_re, l_im = ls[i]
+            run_re = run_im = printed_re = printed_im = 0
             bound = c_rows[i]
-            row_res, row_err, printed = [], [], []
-            for s_ij, s_ij_abs, (c, d), w_j in zip(s_matrix[i], s_abs[i], chi, w_cols):
-                a, b = s_ij._mpc_
-                p, q, r, t = _xmul(a, c), _xmul(b, d), _xmul(a, d), _xmul(b, c)
-                run_re = _add(run_re, _sub(p, q, prec), prec)
-                run_im = _add(run_im, _add(r, t, prec), prec)
-                printed.append((_add(p, q, prec), _sub(r, t, prec)))
+            row_res, row_err = [], []
+            for s_ij, s_ij_abs, (c, d), w_j in zip(s_matrix[i], s_abs[i], ys, w_cols):
+                a, b = (to_fixed(x, gs) for x in s_ij._mpc_)
+                p, q, r, t = a * c, b * d, a * d, b * c
+                run_re += p - q
+                run_im += r + t
+                printed_re += p + q  # conj(S_ij) y_j
+                printed_im += r - t
+                d_re, d_im = l_re - run_re, l_im - run_im
+                row_res.append(from_man_exp(math.isqrt(d_re * d_re + d_im * d_im), -g_all))
                 bound += s_ij_abs * w_j
-                row_res.append(_residual(lhs, f, (run_re, run_im), prec))
                 row_err.append(mpf_shift(from_float(bound * up), g))
             residuals.append(row_res)
             residual_errors.append(row_err)
-            if alt_factor is not None:
-                alt_residuals.append(_residual(lhs, alt_factor._mpc_, (run_re, run_im), prec))
-            # mp.fsum of the mpc products: one mpf_sum of the real, one of the imaginary parts
-            printed_sum = tuple(mpf_sum(part, prec, rnd) for part in zip(*printed))
-            printed_residuals.append(_residual(lhs, f, printed_sum, prec))
+            d_re, d_im = l_re - printed_re, l_im - printed_im
+            printed_residuals.append(from_man_exp(math.isqrt(d_re * d_re + d_im * d_im), -g_all))
+            if ratio is not None:
+                running = mp.make_mpc((from_man_exp(run_re, -g_all), from_man_exp(run_im, -g_all)))
+                alt_residuals.append(abs(lhs_vals[i].value - ratio * running)._mpf_)
 
         partial_sums = [[mp.make_mpf(v) for v in row] for row in residuals]
         return STransformReport(

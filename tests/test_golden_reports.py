@@ -11,12 +11,19 @@ be right::
 Regeneration prints each argv whose exit status or stdout hash differs from
 the file it replaces, with the fields that moved, so a change can show that
 only the entries it meant to move did.
+
+Each ``stransform`` report among them in ``--format json`` is also held to
+the benchmark's own check of its derived fields,
+``perfbench/reference.py``'s ``stransform_derived_failures``, imported by
+path and unchanged: every residual, error bound and final follows from the
+report's own quotients, factors and S matrices.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -62,17 +69,48 @@ CASES = [(*argv, "--format", fmt) for argv in ARGVS for fmt in ("json", "text")]
 CASES.append((*RETRY, "--format", "json"))
 
 
-def _run(argv) -> dict:
+def _stdout(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
-    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return code, out.getvalue()
+
+
+def _run(argv) -> dict:
+    code, out = _stdout(argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_report_bytes_match_golden(argv):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert _run(argv) == golden[" ".join(argv)]
+
+
+def _benchmark_reference():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the stransform reports among the cases; --tol 0 is refused, so it has none
+STRANSFORM_REPORTS = [
+    argv for argv in CASES
+    if argv[0] == "stransform" and argv[-1] == "json" and "0" not in argv
+]
+
+
+@pytest.mark.parametrize("argv", STRANSFORM_REPORTS, ids=" ".join)
+def test_stransform_reports_pass_the_benchmarks_derived_field_check(argv):
+    code, out = _stdout(argv)
+    if "--tol" not in argv:
+        argv = (*argv, "--tol", "1e-10")  # the CLI's default, as the check reads it
+    failures = _benchmark_reference().stransform_derived_failures(list(argv), json.loads(out)["results"])
+    # KW1 omits the factor, so its law fails by design (exit 1); every derived
+    # field still follows from the report's own values
+    assert (code, failures) == ((1, ["transformation_law"]) if "KW1" in argv else (0, []))
 
 
 if __name__ == "__main__":

@@ -26,11 +26,17 @@ or a ``global`` statement, save the one listed:
 state shared by every caller in the process lets one call, or one test,
 change the next.  A name the function binds itself, or a parameter, shadows
 the module's and is not counted.
+
+Each mutant listed in ``tests/mutants.py`` names a string that occurs exactly
+once in the package, in the module the mutant names, so the mutation check
+cannot go stale.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -257,3 +263,16 @@ def configure():
     without_lambda = source.replace("_LOG.append(y)", "y")
     assert _mutated_globals(ast.parse(without_lambda)) == {"_STRINGS", "_COUNT", "_P"}
 
+
+def test_each_mutants_old_string_occurs_once_in_the_package(monkeypatch):
+    # tests/mutants.py applies each mutant by exact replacement; a string that
+    # moved or was reworded would leave its margin undefended unnoticed
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "mutants", mutants)  # its dataclass looks itself up
+    spec.loader.exec_module(mutants)
+    texts = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    for mutant in mutants.MUTANTS:
+        assert sum(text.count(mutant.old) for text in texts.values()) == 1, mutant.name
+        assert texts[mutant.module].count(mutant.old) == 1, mutant.name
+        assert mutant.expect in ("killed", "survived") and (mutant.expect == "killed") != bool(mutant.why)

@@ -9,8 +9,7 @@ evaluations at different working precisions.
 The theta evaluator, whose bound is kept in Python floats as logs, is checked
 against the all-mpf per-term evaluator kept in ``tests/_theta_oracle.py``:
 equal values bit for bit, and error bounds no smaller than the oracle's, which
-leaves out the rounding of each term's argument; so is each residue of a walk
-over several, which must also equal a walk over that residue alone.  The interval enclosure of
+leaves out the rounding of each term's argument.  The interval enclosure of
 ``tests/_interval_theta.py`` referees the bound itself: |value - center| +
 radius <= err on every draw, at edges of the double range too.  It referees
 the quotient bound of ``_chibar_numeric`` the same way, on quotients at tau
@@ -18,13 +17,14 @@ with a rational z and at the law's left side (-1/tau, tau z), the chi of
 ``character_eval_numeric``, q^shift times the quotient, and the
 ``residual_errors`` of ``s_transform_residual``: each partial residual,
 enclosed from the quotient boxes and exact S entries, lies within its bound.
-``stransform``'s sharing of thetas (one walk per side and component
-tolerance, retries included), S-matrix phase classes and entries is checked
-against per-weight quotients and the direct phase formula, bit for bit (the
-moduli, their floats and the largest row sum too), its residual table
-against the operator loop kept in ``tests/_residual_table_oracle.py``, bit
-for bit, and its float-kept bounds against their mpf sums past the double
-range.
+``stransform``'s sharing of thetas (one walk of the denominators and one of
+the numerators per side, and on a retry only the denominators again) is
+checked by its walks and against per-weight quotients within both bounds,
+its S-matrix phase classes and entries against the direct phase formula, bit
+for bit (the moduli, their floats and the largest row sum too), and its
+float-kept bounds against their error sums past the double range.
+``tests/test_side_pass.py`` referees the side pass and the residual table
+further.
 
 The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
 character series by a 600-bit per-term sum and by the per-term evaluator kept
@@ -40,7 +40,6 @@ import time
 from fractions import Fraction
 
 import _interval_theta
-import _residual_table_oracle
 import _series_eval_oracle
 import _theta_oracle
 import pytest
@@ -202,38 +201,6 @@ def test_theta_recurrence_matches_direct_evaluator(m, n, z, re_tau, im_tau, tol_
         assert abs(val.value - _brute_theta(spec, tau)) <= val.err
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(
-    m=_THETA_DRAWS["m"],
-    ns=st.lists(_THETA_DRAWS["n"], min_size=1, max_size=6).map(lambda ns: ns + ns[:1]),
-    **{k: v for k, v in _THETA_DRAWS.items() if k not in ("m", "n")},
-)
-def test_each_residue_of_a_walk_is_the_direct_evaluator(m, ns, z, re_tau, im_tau, tol_exp, prec):
-    # one walk over residues of both signs, one of them repeated: each value
-    # is the oracle's bit for bit, and value and bound are a walk's over that
-    # residue alone
-    tol = mp.mpf(10) ** -tol_exp
-    tau = _tau_from(re_tau, im_tau, prec)
-    try:
-        oracles = [_theta_oracle.theta_eval_numeric(ThetaSpec(n, m, z), tau, tol, prec) for n in ns]
-    except InputError:
-        with pytest.raises(InputError, match="rounding budget"):
-            numeric._theta_walk(ns, m, z, tau, tol, prec)
-        event("a residue's rounding floor is above tol/4")
-        return
-    try:
-        vals = numeric._theta_walk(ns, m, z, tau, tol, prec)
-    except InputError as exc:
-        assert "rounding budget" in str(exc)
-        event("only the float-bookkeeping evaluator exceeds the rounding budget")
-        return
-    assert len(vals) == len(ns)
-    for n, val, oracle in zip(ns, vals, oracles):
-        assert val.value == oracle.value and val.prec == oracle.prec
-        assert val.err >= oracle.err
-        assert val == numeric._theta_walk([n], m, z, tau, tol, prec)[0]
-
-
 def test_theta_bound_covers_term_argument_rounding():
     # tails are ~1e-62 here, so the rounding term is the whole bound; without
     # the rounding of each term's argument the brute-force sum sat ~7x outside it
@@ -384,15 +351,18 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
         Level(5, 3), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
     )
     assert scaled_sides == ["rhs", "lhs"]  # both sides' quotients went through the scaling
+    # the rounding count above the error sum is of order 2^-185 of the largest
+    # |lhs_i| or |factor chibar_j|, and no more
     with mp.workprec(400):
-        eps, f = mp.mpf(2) ** -191, abs(report.factor)
+        f = abs(report.factor)
+        top = max([abs(v.value) for v in report.lhs] + [f * abs(v.value) for v in report.chibar])
+        count = top * len(report.weights) * mp.mpf(2) ** -170
         for lhs, s_row, err_row in zip(report.lhs, report.s_matrix, report.residual_errors):
-            r_err = r_abs = mp.mpf(0)
+            r_err = mp.mpf(0)
             for chi, s_ij, got in zip(report.chibar, s_row, err_row):
                 r_err += abs(s_ij) * chi.err
-                r_abs += abs(s_ij) * abs(chi.value)
-                want = lhs.err + f * r_err + 16 * eps * (abs(lhs.value) + f * r_abs)
-                assert want <= got <= want * (1 + mp.mpf("1e-9"))
+                want = lhs.err + f * r_err
+                assert want <= got <= want * (1 + mp.mpf("1e-9")) + count
 
 
 def test_quotient_bound_below_the_double_range():
@@ -761,14 +731,18 @@ def _record(monkeypatch, name, calls):
     monkeypatch.setattr(numeric, name, recording)
 
 
-def _unshared(side_calls):
-    """Every side's quotients again, one ``_chibar_numeric`` call per weight."""
+def _assert_within_direct_bounds(report, side_calls):
+    """Each chibar and lhs of ``report`` is ``_chibar_numeric``'s within the sum of both bounds."""
     with mp.workprec(192):  # a complex z is divided by q at the caller's precision
-        return [
-            numeric._chibar_numeric(w, tau, zval, tol, prec)
+        direct = [
+            numeric._chibar_numeric(w, tau, zval, tol, prec)[0]
             for weights, tau, zval, tol, prec in side_calls
             for w in weights
         ]
+    assert len(direct) == 2 * len(report.weights)
+    with mp.workprec(256):
+        for val, ref in zip(report.chibar + report.lhs, direct):
+            assert abs(val.value - ref.value) <= val.err + ref.err
 
 
 def test_stransform_shares_thetas_and_phases(monkeypatch):
@@ -788,26 +762,24 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
             return mp.expjpi(x)
 
     phase_args = []
-    _record(monkeypatch, "_theta_walk", walks)
+    _record(monkeypatch, "_theta_vector", walks)
     _record(monkeypatch, "_chibar_side", sides)
     _record(monkeypatch, "theta_eval_numeric", theta_calls)
     monkeypatch.setattr(numeric, "mp", PhaseCountingMp())
-    report = s_transform_residual(
-        level, Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
-    )
+    tol = mp.mpf("1e-20")
+    report = s_transform_residual(level, Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=tol)
     monkeypatch.undo()
-    # no quotient retried: per side, one walk over the two numerator
-    # residues of every weight and one over the shared denominator pair
+    # no quotient retried: per side, one walk of the shared denominator pair
+    # (m = 2), then one of every numerator residue (m = a)
     a = level.p * level.q
     assert theta_calls == []
-    assert [(len(w[0]), w[1]) for w in walks] == [(2 * n_w, a), (2, 2)] * 2
-    assert [w[0] for w in walks[1::2]] == [[1, -1]] * 2
+    assert [w[0] for w in walks] == [2, a] * 2
     assert [len(side[0]) for side in sides] == [n_w, n_w]
 
-    # each quotient again, per weight and without sharing: the same bits
-    unshared = _unshared(sides)
-    assert [val for val, _ in unshared] == report.chibar + report.lhs
-    assert report.theta_error_max == max(terr for _, terr in unshared)
+    # each quotient against the direct evaluator, per weight and without
+    # sharing: within the sum of the two bounds
+    _assert_within_direct_bounds(report, sides)
+    assert 0 < report.theta_error_max <= tol
 
     # both S-matrix spellings against the direct phase formula
     weights = report.weights
@@ -852,25 +824,24 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     assert (len(products), len(phase_args)) == (165, 61)  # 83 classes of (|N| mod 2a, binade)
 
 
-def test_a_retried_quotient_is_the_per_weight_one_bit_for_bit(monkeypatch):
-    # at tau = -0.03 + 0.05i quotients miss their bound at the first component
-    # tolerance; the weights that miss go on together, one walk per side and
-    # tolerance, and each lands on the bits of its own retry schedule
-    walks, sides = [], []
-    _record(monkeypatch, "_theta_walk", walks)
-    _record(monkeypatch, "_chibar_side", sides)
+def test_a_retried_quotient_walks_only_the_denominator_again(monkeypatch):
+    # at tau = -0.03 + 0.05i quotients miss their bound over the first
+    # denominator walk; the denominator is walked once more, to the depth the
+    # largest missed |quot| asks, and the numerators are not walked again
+    events = []
+    _record(monkeypatch, "_theta_vector", events)
+    _record(monkeypatch, "_chibar_side", events)
     with mp.workprec(256):  # as the CLI reads --tau=-0.03,0.05
         tau = mp.mpc(mp.mpf(-3) / 100, mp.mpf(5) / 100)
     report = s_transform_residual(Level(5, 3), Fraction(1, 3), tau, tol=mp.mpf("1e-11"))
     monkeypatch.undo()
-    n_w = len(report.weights)
-    # the right side takes all seven tolerances, the last for the 8 weights
-    # still pending, and the left side one
-    assert [len(w[0]) for w in walks[::2]] == [2 * n_w] * 6 + [16] + [2 * n_w]
-    assert [w[0] for w in walks[1::2]] == [[1, -1]] * 8
-    unshared = _unshared(sides)
-    assert [val for val, _ in unshared] == report.chibar + report.lhs
-    assert report.theta_error_max == max(terr for _, terr in unshared)
+    sides = [i for i, args in enumerate(events) if isinstance(args[0], list)]
+    assert len(sides) == 2
+    right = [args[0] for args in events[sides[0] + 1:sides[1]]]
+    left = [args[0] for args in events[sides[1] + 1:]]
+    assert right == [2, 15, 2]
+    assert left.count(15) == 1 and 1 <= left.count(2) <= 2 and left[:2] == [2, 15]
+    _assert_within_direct_bounds(report, [events[i] for i in sides])
 
 
 _LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd(p, q) == 1]
@@ -948,29 +919,3 @@ def _cli_tau(text: str) -> mp.mpc:
             mp.mpf(re_part.numerator) / re_part.denominator,
             mp.mpf(im_part.numerator) / im_part.denominator,
         )
-
-
-def test_the_residual_table_is_the_operator_loop_bit_for_bit():
-    # the table in libmp calls against the mpc-object loop it replaced, kept
-    # in tests/_residual_table_oracle.py, on the same S matrices, quotients
-    # and factors: one catalogue op per level, the golden retry op and a KW1 op
-    cases = [
-        (Level(p, q), Fraction(z), _cli_tau(tau), mp.mpf(tol), "KW2")
-        for p, q, z, tau, tol in _CATALOGUE_OPS
-    ]
-    cases.append((Level(5, 3), Fraction(1, 3), _cli_tau("-0.03,0.05"), mp.mpf("1e-11"), "KW2"))
-    cases.append((Level(5, 3), Fraction(2, 7), _cli_tau("0.3,0.8"), mp.mpf("1e-20"), "KW1"))
-
-    def bits(values):
-        return None if values is None else [v._mpf_ for v in values]
-
-    for level, z, tau, tol, variant in cases:
-        report = s_transform_residual(level, z, tau, variant=variant, tol=tol)
-        partial, errors, alt, printed = _residual_table_oracle.residual_table(report)
-        case = (level.p, level.q, variant)
-        assert list(map(bits, report.residual_partial_sums)) == list(map(bits, partial)), case
-        assert list(map(bits, report.residual_errors)) == list(map(bits, errors)), case
-        assert bits(report.alt_final_residuals) == bits(alt), case
-        assert bits(report.as_printed_final_residuals) == bits(printed), case
-        assert (alt is None) == (variant == "KW1"), case
-
