@@ -48,12 +48,10 @@ pins.  For speed they call, on the ``_mpf_`` and ``_mpc_`` tuples, the
 order and rounding to nearest, as every ``mp`` context here does;
 ``tests/test_libmp_spellings.py`` holds each spelling to its operator.
 
-The bounds that only certify, the theta quotient's and the residual
-table's, are kept in Python floats too.  Each mpf that enters is split
-exactly into a double and a power of two (``_split``), and a set of them is
-shifted onto one power of two (``_aligned``), so no magnitude over- or
-underflows a double; a stated relative margin covers the float roundings
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3-4).
+The other bounds are mpf or int, never float: the theta quotient's by
+libmp calls at 64 bits, each rounded away from the bound (:func:`_quotient`),
+the residual table's in whole units of a power of two, each value floored
+and raised by 2 units (:func:`s_transform_residual`).
 
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
@@ -78,7 +76,6 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (
     fzero,
-    from_float,
     from_int,
     from_man_exp,
     from_rational,
@@ -96,8 +93,10 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_shift,
+    mpf_sqrt,
     mpf_sub,
     round_ceiling,
+    round_floor,
     round_nearest,
     to_fixed,
     to_float,
@@ -125,12 +124,9 @@ _S_TRANSFORM_PREC = 192
 
 _MAX_TERMS_PER_SIDE = 200_000
 _QUOTIENT_RETRIES = 7
-# Relative allowance of the float bookkeeping of a bound (theta, quotient and
-# residual table): 2^13 times the unit roundoff 2^-53 of a double.
+# Relative allowance of the float bookkeeping of a theta tail bound: 2^13 times
+# the unit roundoff 2^-53 of a double.
 _FLOAT_MARGIN = 2.0**-40
-# A split value more than 2^600 below the largest of its set is raised to that:
-# floats and their products then stay far inside the normal double range.
-_FLOAT_FLOOR = -600
 _TERM_CAP = "theta tail bound not reached within the term cap; tolerance too small for this tau"
 
 
@@ -191,26 +187,10 @@ def _log_sum(logs: list[float]) -> float:
     return _up(top, math.log(math.fsum(math.exp(v - top) for v in logs)))
 
 
-def _split(x: tuple) -> tuple[float, int]:
-    """(f, k) with 0 <= x < 2^k and f = x 2^-k truncated to a double; (0.0, 0) for 0.
-
-    ``x`` is a raw mpf tuple.  The scaling by 2^-k is exact, so f is within
-    2^-52 of x 2^-k, below it, whatever the size of x: 1/2 <= f < 1.
-    """
-    _, man, exp, bc = x
-    if not man:
-        return 0.0, 0
-    return to_float((0, man, -bc, bc)), exp + bc
-
-
-def _aligned(pairs: list[tuple[float, int]]) -> tuple[list[float], int]:
-    """Values f 2^k as floats f 2^(k - g) over one exponent g, the largest k.
-
-    The shift is exact; a value whose k - g is below -600 is raised to f
-    2^-600, which only raises a bound built from it and keeps it nonzero.
-    """
-    g = max((k for f, k in pairs if f), default=0)
-    return [math.ldexp(f, max(k - g, _FLOAT_FLOOR)) for f, k in pairs], g
+def _modulus(z: tuple, rnd: str) -> tuple:
+    """|z| of a raw mpc at 64 bits, rounded by ``rnd``: exact squares, one directed root."""
+    x, y = z
+    return mpf_sqrt(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), 64, rnd)
 
 
 def _refuse_past_the_cap(a, b, two_pi_m, log_budget, tau_l1, abs_z, abs_off, prec: int) -> float:
@@ -494,18 +474,17 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
 def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int):
     """What every quotient of one attempt shares: den = th_1 - th_m1, raw, and its bound.
 
-    (den, e_den split, |den| split, rho, the larger theta error), e_den their sum;
-    None when e_den >= |den| / 2.  |den| < 10 tol raises before any quotient.
+    (den, e_den rounded up, |den| rounded down, the larger theta error); None
+    when e_den >= |den| / 2.  |den| < 10 tol raises before any quotient.
     """
     den = mpc_sub(th_1.value._mpc_, th_m1.value._mpc_, prec, round_nearest)
-    e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, prec, round_nearest)
-    abs_den = mp.make_mpf(mpc_abs(den, prec, round_nearest))
+    e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, 64, round_ceiling)
+    abs_den = mp.make_mpf(_modulus(den, round_floor))
     if abs_den < 10 * tol:
         raise InputError(f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol")
     if mp.make_mpf(e_den) >= abs_den / 2:
         return None
-    (f_e, k_e), (f_d, k_d) = _split(e_den), _split(abs_den._mpf_)
-    return den, (f_e, k_e), (f_d, k_d), math.ldexp(f_e / f_d, k_e - k_d), max(th_1.err, th_m1.err)
+    return den, e_den, abs_den._mpf_, max(th_1.err, th_m1.err)
 
 
 def _quotient(
@@ -516,26 +495,24 @@ def _quotient(
     ``denominator`` is ``_denominator``'s for the attempt.  None when the
     quotient's bound misses ``tol``.
 
-    The bound (e_num + |quot| e_den) / (|den| - e_den) + 8 eps |quot|, e_num
-    and e_den the sums of the theta errors, is kept in floats.  The retry
-    test e_den < |den| / 2 is taken in mpf first, so rho = e_den / |den| <
-    1/2 and the bound is at most (X + Y + Z) / (1 - rho), X = e_num / |den|,
-    Y = |quot| rho, Z = 8 eps |quot|.  Each of X, Y, Z and rho is a product
-    or quotient of split values (``_split``), a double times a power of two;
-    X, Y and Z are aligned (``_aligned``) and summed.  The splits' truncation
-    (2^-52 each) and a dozen float roundings are far inside the margin
-    2^-40, and ``mpf_shift`` scales the result back exactly.
+    The bound is M + 8 eps (|quot| + M), M = (e_num + |quot| e_den) / (|den|
+    - e_den), e_num and e_den the sums of the theta errors: over every N and
+    D within them of the exact differences, N/D is within M of num/den (at
+    worst den shrinks along itself and num grows along itself).  Rounding
+    num, den and the quotient to nearest moves each by eps/2 of its modulus;
+    with e_den < |den|/2 that adds under 4 eps (|quot| + M).  Each libmp call
+    of the bound, at 64 bits, rounds away from it: up for e_num, e_den,
+    |quot|, the numerator and each sum, down for |den| and |den| - e_den.
     """
-    den, (f_e, k_e), (f_d, k_d), rho, den_err = denominator
+    den, e_den, abs_den, den_err = denominator
     num = mpc_sub(th_p.value._mpc_, th_m.value._mpc_, prec, round_nearest)
     quot = mpc_div(num, den, prec, round_nearest)
-    e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, prec, round_nearest)
-    # (X + Y + Z) / (1 - rho), as the docstring derives
-    (f_n, k_n), (f_q, k_q) = _split(e_num), _split(mpc_abs(quot, prec, round_nearest))
-    terms, g = _aligned(
-        [(f_n / f_d, k_n - k_d), (f_q * f_e / f_d, k_q + k_e - k_d), (f_q, k_q + 4 - prec)]
-    )
-    e_quot = mpf_shift(from_float(sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN)), g)
+    e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, 64, round_ceiling)
+    abs_quot = _modulus(quot, round_ceiling)
+    top = mpf_add(e_num, mpf_mul(abs_quot, e_den, 64, round_ceiling), 64, round_ceiling)
+    main = mpf_div(top, mpf_sub(abs_den, e_den, 64, round_floor), 64, round_ceiling)
+    slack = mpf_shift(mpf_add(abs_quot, main, 64, round_ceiling), 4 - prec)  # 8 eps (|quot| + M)
+    e_quot = mpf_add(main, slack, 64, round_ceiling)
     if mpf_gt(e_quot, tol._mpf_):
         return None
     value = ComplexVal(mp.make_mpc(quot), mp.make_mpf(e_quot), prec)
@@ -701,9 +678,10 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
     |x|), each seed's delta is at most 3.  Then |ratio|_1 delta_c 2^-F adds
     at most 5 units a step, so D < 11K; |t|_1 D 2^-F adds at most 16 K 2^T,
     so E < 17 K^2 2^T; and the count of ``_fixed_walk`` over at most 2K
-    terms is under 2^(6 + 3 bitlength(K) + T) units, at most tol/16: F
-    comes from tol and the top modulus, so this pass has no rounding budget
-    to exceed.  ``tail`` bounds the two tails together.
+    terms is under 2^(6 + 3 bitlength(K) + T) units, at most tol/16.  A
+    pass whose T + ceil(log2(4/tol)) exceeds the working precision is
+    refused at once, as its referee refuses it on its rounding budget, so F
+    stays bounded.  ``tail`` bounds the two tails together.
     """
     (zr, zi), (tr, ti) = _exact(z), _exact(tau)
     big_b = tr * zi + ti * zr
@@ -716,6 +694,10 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
     n0 = math.floor(vertex + Fraction(1, 2))
     pi_a, pi_b, v = math.pi * a / (2 * m), math.pi * b, float(vertex)
     log_top = pi_b * pi_b / (4 * pi_a)
+    top, tol_bits = _up(log_top) / math.log(2), math.ceil(-log_side / math.log(2))
+    if top + tol_bits >= prec:  # T + tol_bits > prec, T = floor(top) + 1
+        raise InputError(f"rounding budget: a top term of 2^{top:.0f} needs "
+                         f"{top + tol_bits:.0f} bits for tol/4, over the {prec}-bit precision")
     reach = math.sqrt(max(0.0, (log_top - log_side) / pi_a))
     sides, tails = [], []
     for d in (+1, -1):
@@ -730,9 +712,8 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
         sides.append(int(k))
         tails.append(tail)
 
-    top_bits = int(_up(log_top) / math.log(2)) + 1
-    frac_bits = top_bits + max(0, math.ceil(-log_side / math.log(2)))
-    frac_bits += 3 * max(sides).bit_length() + 8
+    top_bits = int(top) + 1
+    frac_bits = top_bits + max(0, tol_bits) + 3 * max(sides).bit_length() + 8
     x_max = (abs(n0) + 1) ** 2 / m + (abs(n0) + 1) * abs_z + 1
     seed_prec = frac_bits + top_bits + int(4 * x_max * tau_l1 + 2).bit_length() + 4
     sums = _fixed_walk(m, (zr, zi), tau, n0, *sides, frac_bits, seed_prec)
@@ -754,12 +735,12 @@ def _chibar_side(
 
     The denominator is walked first, to tol 2^-20: its bound e_den must be
     below |den|/2 (else it is walked again 2^16 times deeper), and |den| <
-    10 tol is refused.  The numerators are then walked once, to tol |den| /
-    32, so that e_num / (|den| - e_den) stays below tol/10.  A quotient
-    whose bound still misses does so by |quot| e_den: the denominator is
-    walked again, to tol |den| / (4 |quot|) over the largest such |quot|
-    (at most a sixteenth of the last), and every quotient is formed again
-    over it.  After ``_QUOTIENT_RETRIES`` denominator walks the side fails.
+    10 tol is refused.  The numerators are then walked once, to tol min(1,
+    |den| / 32), so that e_num / (|den| - e_den) stays below tol/10 and
+    each theta bound below tol.  A quotient whose bound still misses does
+    so by |quot| e_den: the denominator is walked again, to tol |den| / (4
+    |quot|) over the largest such |quot| (at most a sixteenth of the last),
+    and every quotient is formed again over it.  After ``_QUOTIENT_RETRIES`` denominator walks the side fails.
     """
     tol = mp.mpf(tol)
 
@@ -780,9 +761,9 @@ def _chibar_side(
             if den is None:
                 dtol = dtol / 2**16
                 continue
-            abs_den = mp.ldexp(den[2][0], den[2][1])  # at most |den|
+            abs_den = mp.make_mpf(den[2])  # at most |den|
             if nums is None:
-                nums = _theta_vector(num_p.m, num_p.z, tau, tol * abs_den / 32, prec)
+                nums = _theta_vector(num_p.m, num_p.z, tau, tol * min(1, abs_den / 32), prec)
             found, missed = [], mp.mpf(1)
             for (num, _) in pairs:
                 th_p, th_m = thetas(nums, num)
@@ -869,15 +850,15 @@ def _phase_class(num: int, a: int) -> tuple[int, int, int]:
 
 def _s_matrices(
     weights: list[AdmissibleWeight],
-) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[float]], mpmath.mpf]:
-    """Both S-matrix spellings, |S_ij| as floats, and the largest row sum of |S_ij|.
+) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[tuple]], mpmath.mpf]:
+    """Both S-matrix spellings, the table's ints, and the largest row sum of |S_ij|.
 
     One ``expjpi`` per phase class (see ``s_transform_residual``), negated
     for the other parity of floor(|N|/a) and conjugated for N < 0, and one
-    entry, conjugate and modulus per distinct pair of signed classes, which
+    entry, conjugate, modulus and ints (its parts floored to 2^-(prec + 8),
+    its modulus to 2^-62, plus 2) per distinct pair of signed classes, which
     the pair with both parities flipped takes negated.  The row sums are
-    taken in mpf, in column order, on raw tuples by the operators' libmp
-    calls.
+    taken in mpf, in column order, on raw tuples by the operators' calls.
     """
     a = weights[0].level.a
     prec, rnd = mp.prec, round_nearest
@@ -897,11 +878,11 @@ def _s_matrices(
     h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
     b_plus = [w.b_plus for w in weights]
     b_minus = [w.b_minus for w in weights]
-    cells: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, tuple, float]] = {}
-    s_matrix, printed_matrix, s_abs = [], [], []
+    cells: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, tuple, tuple]] = {}
+    s_matrix, printed_matrix, s_fixed = [], [], []
     max_row_abs = fzero
     for bi in b_plus:
-        row, printed_row, abs_row = [], [], []
+        row, printed_row, fixed_row = [], [], []
         row_abs = fzero
         for bj_p, bj_m in zip(b_plus, b_minus):
             n_pp, n_pm = bi * bj_p, bi * bj_m
@@ -915,25 +896,25 @@ def _s_matrices(
                     d_re, d_im = mpc_sub((u_re, u_im), (v_re, v_im), prec, rnd)
                     entry = (mpf_mul(h, d_im, prec, rnd), mpf_neg(mpf_mul(h, d_re, prec, rnd)))
                     size = mpc_abs(entry, prec, rnd)
-                    size_f = to_float(size, rnd=rnd)
                 else:  # both phases negated: the entry negated, bit for bit
-                    twin_entry, _, size, size_f = twin
+                    twin_entry, _, size, _ = twin
                     entry = tuple(map(mpf_neg, twin_entry._mpc_))
                 # conj(entry): pref (conj(e_pm) - conj(e_pp)), bitwise
                 printed = (entry[0], mpf_neg(entry[1]))
-                cell = (mp.make_mpc(entry), mp.make_mpc(printed), size, size_f)
+                fixed = (*(to_fixed(x, prec + 8) for x in entry), to_fixed(size, 62) + 2)
+                cell = (mp.make_mpc(entry), mp.make_mpc(printed), size, fixed)
                 cells[pair, c_pp[2]] = cell
-            entry, printed, size, size_f = cell
+            entry, printed, size, fixed = cell
             row.append(entry)
             printed_row.append(printed)
-            abs_row.append(size_f)
+            fixed_row.append(fixed)
             row_abs = mpf_add(row_abs, size, prec, rnd)
         s_matrix.append(row)
         printed_matrix.append(printed_row)
-        s_abs.append(abs_row)
+        s_fixed.append(fixed_row)
         if mpf_gt(row_abs, max_row_abs):
             max_row_abs = row_abs
-    return s_matrix, printed_matrix, s_abs, mp.make_mpf(max_row_abs)
+    return s_matrix, printed_matrix, s_fixed, mp.make_mpf(max_row_abs)
 
 
 def s_transform_residual(
@@ -991,12 +972,12 @@ def s_transform_residual(
     mod 2 are both flipped, have both phases negated, so the second entry is
     the first negated.  So an entry is keyed by its pair of signed classes
     and the xor of the two parities, and the cell with the other first
-    parity takes the stored entry negated, with its modulus and float.
+    parity takes the stored entry negated, with its modulus and ints.
 
     The table in fixed point.  Each y_j = factor chibar_j is formed exactly
-    and floored to units 2^-gy, each S_ij to units 2^-gs, and each lhs_i to
-    units 2^-(gs + gy), gs = prec + 8 and 2^(gs - gy) above every |y_j| and
-    |lhs_i|.  With S_ij = (a, b) and y_j = (c, d), the four products p = ac,
+    and floored to units 2^-gy, each S_ij to units 2^-gs (``_s_matrices``,
+    once per distinct entry), and each lhs_i to units 2^-(gs + gy), gs =
+    prec + 8 and 2^(gs - gy) above every |y_j| and |lhs_i|.  With S_ij = (a, b) and y_j = (c, d), the four products p = ac,
     q = bd, r = ad, t = bc give S_ij y_j = (p - q, r + t) and, for the
     conjugate-phase entry (a, -b), (p + q, r - t); the running sums are
     exact, and each partial residual is the floor of the root of an exact
@@ -1031,19 +1012,14 @@ def s_transform_residual(
     + |factor| sum |S_ij'| err(chibar_j') to within 1e-6, sees only that.
     Each partial residual is within its cell of the exact one.
 
-    Bounds in floats.  The 2n values c_i and w_j are formed in mpf, split and
-    aligned onto one 2^g: each is then within 2^-52 of its float (a value
-    more than 2^600 below the largest is raised to 2^-600 of it, which only
-    raises the bound and keeps it nonzero).  |S_ij| <= 1 is rounded to a
-    double, and a nonzero one is far above 2^-400, so every product stays
-    normal.  Each row's running bound is a float sum of at most n + 1
-    nonnegative products, within gamma_(2n+2) of the exact sum of its
-    inputs; with the 2^-52 of each input and the mpf roundings of c_i and
-    w_j, all of it is far inside (n + 2) 2^-40, by which each cell is raised
-    before ``mp.ldexp`` scales it back, exactly.  The referee in the tests
-    encloses every partial residual in intervals and holds each bound to it.
-    ``max_row_abs``, which sets the quotients' tolerance, stays a sum of mpf
-    moduli in column order.
+    Bounds in integers.  The 2n values c_i and w_j, formed in mpf within a
+    few roundings 2^-prec of themselves, are floored to units 2^-g, g giving
+    the largest 62 bits, and |S_ij| to units 2^-62; each takes 2 units more,
+    for its floor and its roundings, so it bounds its value.  Each row's
+    running bound is an exact int sum, each cell one exact mpf.  The tests'
+    referee encloses every partial residual in intervals and holds each
+    bound to it.  ``max_row_abs``, which sets the quotients' tolerance,
+    stays a sum of mpf moduli in column order.
     """
     if variant not in ("KW1", "KW2"):
         raise InputError(f"variant must be 'KW1' or 'KW2', got {variant!r}")
@@ -1060,7 +1036,7 @@ def s_transform_residual(
         z2 = tau_v * _frac_mpf(z)
         eps = mp.mpf(2) ** (1 - prec)
 
-        s_matrix, printed_matrix, s_abs, max_row_abs = _s_matrices(weights)
+        s_matrix, printed_matrix, s_fixed, max_row_abs = _s_matrices(weights)
 
         if variant == "KW2":
             factor = _q_power(anomaly, tau_v)
@@ -1086,12 +1062,11 @@ def s_transform_residual(
         ]
         lhs_raw = [v.value._mpc_ for v in lhs_vals]
         top = max(x[2] + x[3] for pair in y_raw + lhs_raw for x in pair)
-        gs, gy = prec + 8, prec + 8 - top
-        g_all = gs + gy
+        gy, g_all = prec + 8 - top, 2 * (prec + 8) - top
         ys = [(to_fixed(c, gy), to_fixed(d, gy)) for c, d in y_raw]
         ls = [(to_fixed(c, g_all), to_fixed(d, g_all)) for c, d in lhs_raw]
 
-        # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in floats, over one 2^g
+        # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in units 2^-(g + 62)
         y_units = sum(abs(c) + abs(d) + 2 for c, d in ys)  # at least sum |y_j| 2^gy
         top_n = max(abs(w.b_plus) for w in weights)
         top_n *= max(abs(w.b_plus) + abs(w.b_minus) for w in weights)
@@ -1100,18 +1075,17 @@ def s_transform_residual(
         w_cols = [abs_factor * ((1 + r_f) * v.err + r_f * abs(v.value)) for v in chibar_vals]
         count = delta_s * (mp.ldexp(y_units, -gy) + mp.fsum(w_cols))
         count += mp.ldexp(y_units, 1 - g_all) + mp.ldexp(2 * n_w + 4, -gy)
-        scaled, g = _aligned([_split(v._mpf_) for v in [v.err + count for v in lhs_vals] + w_cols])
-        c_rows, w_cols = scaled[:n_w], scaled[n_w:]
-        up = 1 + _FLOAT_MARGIN * (n_w + 2)
+        c_rows = [v.err + count for v in lhs_vals]
+        g = 62 - max(x[2] + x[3] for x in (v._mpf_ for v in c_rows + w_cols) if x[1])
+        c_rows, w_cols = ([to_fixed(v._mpf_, g) + 2 for v in vs] for vs in (c_rows, w_cols))
         ratio = None if alt_factor is None else alt_factor / factor
         residuals, residual_errors, printed_residuals, alt_residuals = [], [], [], []
         for i in range(n_w):
             l_re, l_im = ls[i]
             run_re = run_im = printed_re = printed_im = 0
-            bound = c_rows[i]
+            bound = c_rows[i] << 62
             row_res, row_err = [], []
-            for s_ij, s_ij_abs, (c, d), w_j in zip(s_matrix[i], s_abs[i], ys, w_cols):
-                a, b = (to_fixed(x, gs) for x in s_ij._mpc_)
+            for (a, b, s_units), (c, d), w_j in zip(s_fixed[i], ys, w_cols):
                 p, q, r, t = a * c, b * d, a * d, b * c
                 run_re += p - q
                 run_im += r + t
@@ -1119,8 +1093,8 @@ def s_transform_residual(
                 printed_im += r - t
                 d_re, d_im = l_re - run_re, l_im - run_im
                 row_res.append(from_man_exp(math.isqrt(d_re * d_re + d_im * d_im), -g_all))
-                bound += s_ij_abs * w_j
-                row_err.append(mpf_shift(from_float(bound * up), g))
+                bound += s_units * w_j
+                row_err.append(from_man_exp(bound, -g - 62))
             residuals.append(row_res)
             residual_errors.append(row_err)
             d_re, d_im = l_re - printed_re, l_im - printed_im

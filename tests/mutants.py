@@ -37,6 +37,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_TESTS = "tests/test_numeric.py::"
 SIDE_PASS_TESTS = "tests/test_side_pass.py::"
+WORST_POINT = "test_quotient_bound_covers_the_worst_point_of_the_error_disks"
+ROUNDING_64 = (
+    "one 64-bit rounding the wrong way lowers the bound by under 2^-64 of itself, and the "
+    "final sum, rounded up past the rounding term, raises it by about that much; the worst "
+    "point's closest draw leaves 2^-62"
+)
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,18 @@ MUTANTS = [
         "r_f |y_j| wherever the draws reach",
     ),
     Mutant(
-        "table: the float margin",
+        "table: the 2 units on c_i and w_j",
         "numeric.py",
-        "up = 1 + _FLOAT_MARGIN * (n_w + 2)",
-        "up = 1",
+        "[to_fixed(v._mpf_, g) + 2 for v in vs]",
+        "[to_fixed(v._mpf_, g) for v in vs]",
         NUMERIC_TESTS + "test_residual_bound_outside_the_double_range",
+    ),
+    Mutant(
+        "table: the 2 units on |S_ij|",
+        "numeric.py",
+        "to_fixed(size, 62) + 2",
+        "to_fixed(size, 62)",
+        SIDE_PASS_TESTS + "test_each_table_bound_is_the_error_sum_the_benchmark_recomputes",
     ),
     # -- the direct evaluators and the series walk (ROADMAP item 15) --
     Mutant(
@@ -149,18 +162,89 @@ MUTANTS = [
     Mutant(
         "quotient: the numerators' errors summed",
         "numeric.py",
-        "e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, prec, round_nearest)",
+        "e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, 64, round_ceiling)",
         "e_num = max(th_p.err, th_m.err)._mpf_",
         NUMERIC_TESTS + "test_quotient_bound_encloses_interval_referee",
     ),
     Mutant(
         "quotient: the factor 1/(1 - rho)",
         "numeric.py",
-        "sum(terms) / (1 - rho) * (1 + _FLOAT_MARGIN)",
-        "sum(terms) * (1 + _FLOAT_MARGIN)",
-        NUMERIC_TESTS + "test_quotient_bound_encloses_interval_referee",
+        "mpf_sub(abs_den, e_den, 64, round_floor)",
+        "abs_den",
+        NUMERIC_TESTS + WORST_POINT,
+    ),
+    Mutant(
+        "quotient: e_den rounded up",
+        "numeric.py",
+        "e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, 64, round_ceiling)",
+        "e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, 64, round_floor)",
+        NUMERIC_TESTS + WORST_POINT,
         "survived",
-        "rho = e_den/|den| is far below the draws' other slack; only the golden byte pins see it",
+        ROUNDING_64,
+    ),
+    Mutant(
+        "quotient: |den| rounded down",
+        "numeric.py",
+        "abs_den = mp.make_mpf(_modulus(den, round_floor))",
+        "abs_den = mp.make_mpf(_modulus(den, round_ceiling))",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        ROUNDING_64,
+    ),
+    Mutant(
+        "quotient: |quot| rounded up",
+        "numeric.py",
+        "abs_quot = _modulus(quot, round_ceiling)",
+        "abs_quot = _modulus(quot, round_floor)",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        ROUNDING_64,
+    ),
+    Mutant(
+        "quotient: e_num + |quot| e_den rounded up",
+        "numeric.py",
+        "top = mpf_add(e_num, mpf_mul(abs_quot, e_den, 64, round_ceiling), 64, round_ceiling)",
+        "top = mpf_add(e_num, mpf_mul(abs_quot, e_den, 64, round_floor), 64, round_floor)",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        ROUNDING_64,
+    ),
+    Mutant(
+        "quotient: |den| - e_den rounded down",
+        "numeric.py",
+        "mpf_sub(abs_den, e_den, 64, round_floor)",
+        "mpf_sub(abs_den, e_den, 64, round_ceiling)",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        ROUNDING_64,
+    ),
+    Mutant(
+        "quotient: M rounded up",
+        "numeric.py",
+        "e_den, 64, round_floor), 64, round_ceiling)",
+        "e_den, 64, round_floor), 64, round_floor)",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        ROUNDING_64,
+    ),
+    Mutant(
+        "quotient: the rounding term 8 eps (|quot| + M)",
+        "numeric.py",
+        "e_quot = mpf_add(main, slack, 64, round_ceiling)",
+        "e_quot = main",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        "8 eps (|quot| + M) is at most 2^-60 of one 64-bit step of the bound, which the outward "
+        "roundings add on all but exact draws, and the quotient's own rounding is smaller still",
+    ),
+    Mutant(
+        "quotient: the bound rounded up",
+        "numeric.py",
+        "e_quot = mpf_add(main, slack, 64, round_ceiling)",
+        "e_quot = mpf_add(main, slack, 64, round_floor)",
+        NUMERIC_TESTS + WORST_POINT,
+        "survived",
+        ROUNDING_64,
     ),
     Mutant(
         "chi: the product's rounding",

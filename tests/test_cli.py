@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import time
@@ -221,6 +222,34 @@ def test_a_theta_denominator_below_ten_tol_exits_2(capsys):
     assert run_cli(
         capsys, "stransform", "--p", "3", "--q", "2", "--z", "1/2", "--tau=0,1", "--tol", "10"
     ) == (2, "", "error: |theta denominator| = 2.0037 < 10*tol\n")
+
+
+@pytest.mark.parametrize("im_tau", ["1e5", "1e6", "1e10", "1e16", "1e20", "1e30"])
+def test_a_top_term_past_the_working_precision_exits_2_at_once(capsys, im_tau):
+    # the side pass's fraction bits grow with the top term 2^T; past T +
+    # log2(4/tol) > 192 the direct evaluator refuses on its rounding budget,
+    # and so does the pass, before any seed
+    start = time.process_time()
+    code, out, err = run_cli(
+        capsys, "stransform", "--p", "3", "--q", "2", "--z", "1/3", f"--tau=0,{im_tau}"
+    )
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: rounding budget: a top term of 2\^\d+ needs \d+ bits for tol/4, "
+        r"over the 192-bit precision\n", err
+    ), err
+    assert time.process_time() - start < 1, im_tau
+
+
+def test_each_theta_bound_meets_tol_where_the_denominator_is_large(capsys):
+    # at Im(tau) = 100 the right side's |den| is far above 32, and the
+    # numerators are walked to tol, not to tol |den| / 32
+    code, doc, _ = run_json(capsys, "stransform", "--p", "3", "--q", "2", "--z", "1/3",
+                            "--tau=0,100")
+    assert code == 0
+    assert {c["name"]: c["status"] for c in doc["checks"]} == {
+        "transformation_law": "pass", "theta_error_bounds": "pass",
+    }
 
 
 def test_unknown_subcommand_exits_2(capsys):

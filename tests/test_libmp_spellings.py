@@ -19,7 +19,6 @@ import random
 import pytest
 from mpmath import mp
 from mpmath.libmp import (
-    from_float,
     from_int,
     mpc_abs,
     mpc_add,
@@ -77,7 +76,6 @@ def _spellings(rng: random.Random, prec: int) -> list[tuple[str, object, object]
     h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
     d, entry = _complex(rng), _complex(rng)
     row_abs = abs(_real(rng))
-    bound, g = rng.random() * 4, rng.randint(-1100, 1100)
     return [
         # theta terms (``theta_eval_numeric``)
         ("n / (2*m)", off._mpf_, mpf_div(from_int(n), from_int(2 * m), prec, rnd)),
@@ -111,14 +109,11 @@ def _spellings(rng: random.Random, prec: int) -> list[tuple[str, object, object]
         ("-e", (-entry)._mpc_, tuple(map(mpf_neg, entry._mpc_))),
         ("mp.conj(e)", mp.conj(entry)._mpc_, (entry._mpc_[0], mpf_neg(entry._mpc_[1]))),
         ("abs(e)", abs(entry)._mpf_, mpc_abs(entry._mpc_, prec, rnd)),
-        ("float(abs(e))", float(abs(entry)), to_float(mpc_abs(entry._mpc_, prec, rnd), rnd=rnd)),
         (
             "row_abs + abs(e)",
             (row_abs + abs(entry))._mpf_,
             mpf_add(row_abs._mpf_, abs(entry)._mpf_, prec, rnd),
         ),
-        # the residual table's bounds (``s_transform_residual``)
-        ("mp.ldexp(bound, g)", mp.ldexp(bound, g)._mpf_, mpf_shift(from_float(bound), g)),
     ]
 
 

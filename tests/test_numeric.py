@@ -21,10 +21,12 @@ enclosed from the quotient boxes and exact S entries, lies within its bound.
 the numerators per side, and on a retry only the denominators again) is
 checked by its walks and against per-weight quotients within both bounds,
 its S-matrix phase classes and entries against the direct phase formula, bit
-for bit (the moduli, their floats and the largest row sum too), and its
-float-kept bounds against their error sums past the double range.
-``tests/test_side_pass.py`` referees the side pass and the residual table
-further.
+for bit (the table's integer parts and moduli and the largest row sum too),
+and its integer-unit table bounds against their error sums past the double
+range.  The quotient bound is also held to the worst point of its four
+error disks, with errors up to half of |den|, where the interval referees'
+real thetas leave it slack.  ``tests/test_side_pass.py`` referees the side
+pass and the residual table further.
 
 The fixed-point walk of ``qseries_eval_numeric`` is refereed on random
 character series by a 600-bit per-term sum and by the per-term evaluator kept
@@ -43,7 +45,7 @@ import _interval_theta
 import _series_eval_oracle
 import _theta_oracle
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -363,6 +365,43 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
                 r_err += abs(s_ij) * chi.err
                 want = lhs.err + f * r_err
                 assert want <= got <= want * (1 + mp.mpf("1e-9")) + count
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    parts=st.lists(st.integers(-(2**40), 2**40), min_size=8, max_size=8),
+    rho=st.floats(min_value=0.05, max_value=0.49),
+    share=st.floats(min_value=0, max_value=0.3),
+    den_split=st.floats(min_value=0, max_value=1),
+    num_split=st.floats(min_value=0, max_value=1),
+    scale=st.integers(-600, 600),
+    prec=st.sampled_from([128, 192]),
+)
+def test_quotient_bound_covers_the_worst_point_of_the_error_disks(
+    parts, rho, share, den_split, num_split, scale, prec
+):
+    # the interval referees see real thetas, whose errors are tiny beside
+    # |den|; here e_den is up to half of |den| and e_num up to 0.3 |num|.  At
+    # the worst point den shrinks along itself by e_den and num grows along
+    # itself by e_num, so N/D moves along the quotient by exactly M
+    with mp.workprec(prec):
+        th_p, th_m, th_1, th_m1 = (
+            mp.mpc(mp.ldexp(re_part, scale - 40), mp.ldexp(im_part, scale - 40))
+            for re_part, im_part in zip(parts[::2], parts[1::2])
+        )
+    with mp.workprec(prec + 64):  # every difference is exact
+        num, den = th_p - th_m, th_1 - th_m1
+        assume(num != 0 and den != 0)
+        e_den, e_num = rho * abs(den), share * abs(num)
+        errs = [e_num * num_split, e_num * (1 - num_split), e_den * den_split, e_den * (1 - den_split)]
+    with mp.workprec(prec):
+        thetas = [ComplexVal(v, +e, prec) for v, e in zip((th_p, th_m, th_1, th_m1), errs)]
+        denominator = numeric._denominator(*thetas[2:], mp.mpf(0), prec)
+        got, _ = numeric._quotient(*thetas[:2], denominator, mp.inf, prec)
+    with mp.workprec(prec + 64):
+        e_num, e_den = thetas[0].err + thetas[1].err, thetas[2].err + thetas[3].err
+        worst = num * (1 + e_num / abs(num)) / (den * (1 - e_den / abs(den)))
+        assert abs(got.value - worst) <= got.err
 
 
 def test_quotient_bound_below_the_double_range():
@@ -850,15 +889,14 @@ _LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd
 def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
     # e^{i pi N/a} is taken once per (|N| mod 2a, binade of |N|/a) class and
     # conjugated for N < 0, and an entry is shared by negation; the direct
-    # formula takes expjpi of every N/a, and |S_ij|, its float and the row
-    # sums come from the direct entries by the operators
+    # formula takes expjpi of every N/a, and the table's ints (the parts
+    # floored to 2^-200, |S_ij| floored to 2^-62 plus 2) and the row sums
+    # come from the direct entries
     for p, q in _LEVELS_TO_12_8:
         weights = enumerate_admissible(Level(p, q))
         a = p * q
         with mp.workprec(192):
-            s_matrix, printed, s_abs, max_row_abs = numeric._s_matrices(weights)
-            # the float bound's premise: a nonzero |S_ij| keeps its products normal
-            assert all(x == 0 or 2.0**-400 < x <= 1 for row in s_abs for x in row)
+            s_matrix, printed, s_fixed, max_row_abs = numeric._s_matrices(weights)
             pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
             direct: dict[Fraction, mp.mpc] = {}
 
@@ -868,15 +906,17 @@ def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
                 return direct[x]
 
             row_sums = []
-            for wi, s_row, printed_row, abs_row in zip(weights, s_matrix, printed, s_abs):
+            for wi, s_row, printed_row, fixed_row in zip(weights, s_matrix, printed, s_fixed):
                 row_sum = mp.mpf(0)
-                for wj, s_ij, printed_ij, abs_ij in zip(weights, s_row, printed_row, abs_row):
+                for wj, s_ij, printed_ij, fixed_ij in zip(weights, s_row, printed_row, fixed_row):
                     x_pp = Fraction(wi.b_plus * wj.b_plus, a)
                     x_pm = Fraction(wi.b_plus * wj.b_minus, a)
                     entry = pref * (phase(x_pp) - phase(x_pm))
                     assert s_ij == entry, (p, q)
                     assert printed_ij == pref * (phase(-x_pm) - phase(-x_pp)), (p, q)
-                    assert abs_ij == float(abs(entry)), (p, q)
+                    parts = [int(mp.floor(mp.ldexp(x, 200))) for x in (entry.real, entry.imag)]
+                    units = int(mp.floor(mp.ldexp(abs(entry), 62))) + 2
+                    assert fixed_ij == (*parts, units), (p, q)
                     row_sum += abs(entry)
                 row_sums.append(row_sum)
             assert max_row_abs == max(row_sums), (p, q)

@@ -272,8 +272,8 @@ def test_the_residual_table_is_exact_arithmetic_within_its_count(monkeypatch):
 def test_each_table_bound_is_the_error_sum_the_benchmark_recomputes():
     # c_i + sum |S_ij'| w_j' against err(lhs_i) + |factor| sum |S_ij'|
     # err(chibar_j'): never below it, and above it by the rounding count and
-    # the float margin only, far inside the 1e-6 that perfbench/reference.py
-    # allows
+    # the 2 units of each floored value only, far inside the 1e-6 that
+    # perfbench/reference.py allows
     for level, z, tau, tol, variant in _table_cases():
         report = s_transform_residual(level, z, tau, variant=variant, tol=tol)
         with mp.workprec(256):
