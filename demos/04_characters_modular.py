@@ -58,12 +58,12 @@ print(f"difference:           {nstr(abs(direct.value - via_series.value), 3)}")
 tau = mp.mpc(0, "1.5")
 for variant in ("KW2", "KW1"):
     rep = s_transform_residual(level, z, tau, variant=variant)
-    finals = [nstr(rep.residual_partial_sums[i][-1], 3) for i in range(len(rep.weights))]
+    finals = [nstr(rep["residual_partial_sums"][i][-1], 3) for i in range(len(rep["weights"]))]
     print(f"\n{variant} final residuals per weight: {finals}")
 print("(the anomaly factor is what makes the law close)")
 
 # the residual report also tabulates the conjugate-phase S-matrix spelling;
 # on rows whose phases are complex the conjugate spelling breaks the law
 rep = s_transform_residual(level, z, tau, variant="KW2")
-for w, r in zip(rep.weights, rep.as_printed_final_residuals):
+for w, r in zip(rep["weights"], rep["as_printed_final_residuals"]):
     print(f"conjugate-phase residual at j = {str(w.j):>4}: {nstr(r, 3)}")

@@ -39,7 +39,6 @@ from .mff import (
 )
 from .numeric import (
     ComplexVal,
-    STransformReport,
     character_eval_numeric,
     qseries_eval_numeric,
     s_transform_residual,
@@ -88,7 +87,6 @@ __all__ = [
     "PBWElement",
     "QSeries",
     "SL2",
-    "STransformReport",
     "ThetaSpec",
     "UniPoly",
     "VirasoroData",

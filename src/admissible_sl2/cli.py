@@ -338,25 +338,8 @@ def cmd_stransform(args) -> tuple[dict, list[dict]]:
     z = _rational(args.z, "--z")
     tau = _tau(args.tau)
     tol = _tolerance(args.tol)
-    rep = s_transform_residual(level, z, tau, variant=args.variant, tol=tol)
-    # the fields in report order, copied shallowly: dataclasses.asdict would
-    # turn the Level and the weights into dicts
-    results = dict(vars(rep))
-    finals = rep.final_residuals
-    final_errors = [row[-1] for row in rep.residual_errors]
-    checks = [
-        report.check(
-            "theta_error_bounds",
-            rep.theta_error_max <= tol,
-            f"max certified theta error {mp.nstr(rep.theta_error_max, 6)}",
-        ),
-        report.check(
-            "transformation_law",
-            all(f <= tol + e for f, e in zip(finals, final_errors)),
-            f"max residual {mp.nstr(max(finals), 6)} at tolerance {args.tol}",
-        ),
-    ]
-    return results, checks
+    results = s_transform_residual(level, z, tau, variant=args.variant, tol=tol)
+    return results, verify.transformation_law_checks(results, tol, args.tol)
 
 
 def cmd_verify(args) -> tuple[dict, list[dict]]:

@@ -27,18 +27,20 @@ of one (m, z, tau) at once, over N = 2m x with x on the lattice, by the
 ratios t_{N+1}/t_N; its fraction bits come from the tolerance and the top
 term modulus (derivation in :func:`_fixed_walk` and :func:`_theta_vector`).
 
-``s_transform_residual`` computes each distinct quantity once per call.
-Each side of the law is one pass (``_chibar_side``): one theta vector of the
-denominator pair theta_{+-1,2}, which every weight's quotient shares, and one
-of every numerator residue b+- of the level at m = a.  Then one e^{i pi N/a}
-per phase class of the integer numerators N = b b', the pair (|N| mod a,
-binade of |N|/a) on which ``expjpi`` gives the same bits up to a sign set by
-the parity of floor(|N|/a) (proof in :func:`s_transform_residual`),
-conjugated for N < 0; one S entry, its conjugate (the conjugate-phase
-matrix) and its modulus per distinct pair of signed classes, the pair with
-both parities flipped taking them negated.  The residual table takes S and
-factor times chibar to fixed point once, and each cell is four int products
-and one ``math.isqrt``.
+``s_transform_residual`` computes each distinct quantity once per call and
+returns the ``stransform`` results as a plain mapping, in report order; it
+judges nothing, and ``verify.transformation_law_checks`` judges the S-law on
+those results.  Each side of the law is one pass (``_chibar_side``): one
+theta vector of the denominator pair theta_{+-1,2}, which every weight's
+quotient shares, and one of every numerator residue b+- of the level at m =
+a, each theta a ``ComplexVal``.  Then one e^{i pi N/a} per phase class of
+the integer numerators N = b b', the pair (|N| mod a, binade of |N|/a) on
+which ``expjpi`` gives the same bits up to a sign set by the parity of
+floor(|N|/a) (proof in :func:`s_transform_residual`), conjugated for N < 0;
+one S entry, its conjugate (the conjugate-phase matrix) and its modulus per
+distinct pair of signed classes, the pair with both parities flipped taking
+them negated.  The residual table takes S and factor times chibar to fixed
+point once, and each cell is four int products and one ``math.isqrt``.
 
 Three computations keep mpmath's operator bits: ``theta_eval_numeric`` and
 the quotients of ``_chibar_numeric``, so ``character`` and ``verify``
@@ -112,7 +114,6 @@ from .weights import AdmissibleWeight, Level, enumerate_admissible
 
 __all__ = [
     "ComplexVal",
-    "STransformReport",
     "character_eval_numeric",
     "qseries_eval_numeric",
     "s_transform_residual",
@@ -474,8 +475,8 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
 def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int):
     """What every quotient of one attempt shares: den = th_1 - th_m1, raw, and its bound.
 
-    (den, e_den rounded up, |den| rounded down, the larger theta error); None
-    when e_den >= |den| / 2.  |den| < 10 tol raises before any quotient.
+    (den, e_den rounded up, |den| rounded down); None when e_den >= |den| /
+    2.  |den| < 10 tol raises before any quotient.
     """
     den = mpc_sub(th_1.value._mpc_, th_m1.value._mpc_, prec, round_nearest)
     e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, 64, round_ceiling)
@@ -484,16 +485,15 @@ def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int
         raise InputError(f"|theta denominator| = {mpmath.nstr(abs_den, 5)} < 10*tol")
     if mp.make_mpf(e_den) >= abs_den / 2:
         return None
-    return den, e_den, abs_den._mpf_, max(th_1.err, th_m1.err)
+    return den, e_den, abs_den._mpf_
 
 
 def _quotient(
     th_p: ComplexVal, th_m: ComplexVal, denominator: tuple, tol: mpmath.mpf, prec: int
-) -> tuple[ComplexVal, mpmath.mpf] | None:
-    """(th_p - th_m) / den with its bound and the largest of the four theta bounds.
+) -> ComplexVal | None:
+    """(th_p - th_m) / den with its bound; None when the bound misses ``tol``.
 
-    ``denominator`` is ``_denominator``'s for the attempt.  None when the
-    quotient's bound misses ``tol``.
+    ``denominator`` is ``_denominator``'s for the attempt.
 
     The bound is M + 8 eps (|quot| + M), M = (e_num + |quot| e_den) / (|den|
     - e_den), e_num and e_den the sums of the theta errors: over every N and
@@ -504,7 +504,7 @@ def _quotient(
     of the bound, at 64 bits, rounds away from it: up for e_num, e_den,
     |quot|, the numerator and each sum, down for |den| and |den| - e_den.
     """
-    den, e_den, abs_den, den_err = denominator
+    den, e_den, abs_den = denominator
     num = mpc_sub(th_p.value._mpc_, th_m.value._mpc_, prec, round_nearest)
     quot = mpc_div(num, den, prec, round_nearest)
     e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, 64, round_ceiling)
@@ -515,27 +515,24 @@ def _quotient(
     e_quot = mpf_add(main, slack, 64, round_ceiling)
     if mpf_gt(e_quot, tol._mpf_):
         return None
-    value = ComplexVal(mp.make_mpc(quot), mp.make_mpf(e_quot), prec)
-    return value, max(th_p.err, th_m.err, den_err)
+    return ComplexVal(mp.make_mpc(quot), mp.make_mpf(e_quot), prec)
 
 
 _RETRIES_SPENT = "character quotient bound did not meet the tolerance after retries"
 
 
-def _chibar_numeric(
-    weight: AdmissibleWeight, tau, zval, tol, prec: int
-) -> tuple[ComplexVal, mpmath.mpf]:
+def _chibar_numeric(weight: AdmissibleWeight, tau, zval, tol, prec: int) -> ComplexVal:
     """Normalized character as a certified theta quotient; zval may be complex.
 
-    Returns the quotient together with the largest component theta error
-    bound (for reporting).  Component tolerances tighten geometrically, tol/8
-    and then /16 per retry, until the quotient's bound (``_quotient``) meets
-    ``tol``; each attempt evaluates the four thetas of ``chibar_thetas``
-    afresh.
+    Component tolerances tighten geometrically, tol/8 and then /16 per retry,
+    until the quotient's bound (``_quotient``) meets ``tol``; each attempt
+    evaluates the four thetas of ``chibar_thetas`` afresh.  A complex zval is
+    divided by q at ``prec``, whatever the caller's precision, as
+    ``_chibar_side`` divides it.
     """
     tol = mp.mpf(tol)
-    specs = [s for pair in chibar_thetas(weight, zval) for s in pair]
     with mp.workprec(prec):
+        specs = [s for pair in chibar_thetas(weight, zval) for s in pair]
         ctol = tol / 8
         for _ in range(_QUOTIENT_RETRIES):
             th_p, th_m, th_1, th_m1 = (theta_eval_numeric(spec, tau, ctol, prec) for spec in specs)
@@ -653,12 +650,13 @@ def _fixed_walk(
     return list(zip(sums_re, sums_im, counts))
 
 
-def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
-    """Every theta_{n,m}(tau, z), n mod 2m, from one walk over N: (sums, F, tail).
+def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int) -> list[ComplexVal]:
+    """Every theta_{n,m}(tau, z), n mod 2m, from one walk over N, at index n.
 
-    ``sums[n]`` is (Re, Im, count) of ``_fixed_walk``: theta_{n,m} is (Re + i
-    Im) 2^-F within count 2^-F + ``tail`` <= 3 tol/4.  ``tau`` is an mpc with Im(tau)
-    > 0 and ``z`` a rational or an mpc, each taken as exact; ``tol`` > 0.
+    With (Re, Im, count) the sums of ``_fixed_walk`` at residue n, theta_{n,m}
+    is (Re + i Im) 2^-F, exact, within its bound count 2^-F + tail <= 3 tol/4
+    (tail below), rounded up at ``prec``.  ``tau`` is an mpc with Im(tau) > 0
+    and ``z`` a rational or an mpc, each taken as exact; ``tol`` > 0.
     (Kac-Peterson's theta vector, Adv. Math. 53, 1984: with x = N/2m, every
     term of every residue is one t_N of ``_fixed_walk``.)
 
@@ -681,7 +679,9 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
     terms is under 2^(6 + 3 bitlength(K) + T) units, at most tol/16.  A
     pass whose T + ceil(log2(4/tol)) exceeds the working precision is
     refused at once, as its referee refuses it on its rounding budget, so F
-    stays bounded.  ``tail`` bounds the two tails together.
+    stays bounded; where pi^2 B^2 is past the double range, T is formed in an
+    order that does not overflow, so the refusal quotes it.  ``tail`` bounds
+    the two tails together.
     """
     (zr, zi), (tr, ti) = _exact(z), _exact(tau)
     big_b = tr * zi + ti * zr
@@ -694,6 +694,8 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
     n0 = math.floor(vertex + Fraction(1, 2))
     pi_a, pi_b, v = math.pi * a / (2 * m), math.pi * b, float(vertex)
     log_top = pi_b * pi_b / (4 * pi_a)
+    if log_top == math.inf:  # only pi_b^2 overflowed
+        log_top = pi_b * (pi_b / (4 * pi_a))
     top, tol_bits = _up(log_top) / math.log(2), math.ceil(-log_side / math.log(2))
     if top + tol_bits >= prec:  # T + tol_bits > prec, T = floor(top) + 1
         raise InputError(f"rounding budget: a top term of 2^{top:.0f} needs "
@@ -718,20 +720,26 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int):
     seed_prec = frac_bits + top_bits + int(4 * x_max * tau_l1 + 2).bit_length() + 4
     sums = _fixed_walk(m, (zr, zi), tau, n0, *sides, frac_bits, seed_prec)
     with mp.workprec(prec):
-        return sums, frac_bits, mp.exp(_log_sum(tails) + _FLOAT_MARGIN)
+        tail = mp.exp(_log_sum(tails) + _FLOAT_MARGIN)._mpf_
+    thetas = []
+    for v in sums:
+        re, im, count = (from_man_exp(x, -frac_bits) for x in v)
+        err = mp.make_mpf(mpf_add(count, tail, prec, round_ceiling))
+        thetas.append(ComplexVal(mp.make_mpc((re, im)), err, prec))
+    return thetas
 
 
 def _chibar_side(
     weights: list[AdmissibleWeight], tau: mpmath.mpc, zval, tol, prec: int
-) -> list[tuple[ComplexVal, mpmath.mpf]]:
+) -> tuple[list[ComplexVal], mpmath.mpf]:
     """Each weight's chibar at one (tau, zval) within ``tol``, as ``_chibar_numeric`` bounds it.
 
-    ``tau`` is an mpc with Im(tau) > 0 at ``prec``.  The thetas come from
-    ``chibar_thetas``: the numerators share m = a and the argument z/q, the
-    denominator pair theta_{+-1,2} is common to all.  So a side is one
+    Returns the chibars and the largest bound of the thetas they were formed
+    from.  ``tau`` is an mpc with Im(tau) > 0 at ``prec``.  The thetas come
+    from ``chibar_thetas``: the numerators share m = a and the argument z/q,
+    the denominator pair theta_{+-1,2} is common to all.  So a side is one
     ``_theta_vector`` of the denominators and one of the numerators, and
-    each quotient is ``_quotient`` of its residues over ``_denominator``,
-    with the largest theta bound it used.
+    each quotient is ``_quotient`` of its residues over ``_denominator``.
 
     The denominator is walked first, to tol 2^-20: its bound e_den must be
     below |den|/2 (else it is walked again 2^16 times deeper), and |den| <
@@ -743,35 +751,29 @@ def _chibar_side(
     and every quotient is formed again over it.  After ``_QUOTIENT_RETRIES`` denominator walks the side fails.
     """
     tol = mp.mpf(tol)
-
-    def thetas(walk, specs):
-        sums, frac_bits, tail = walk
-        for spec in specs:
-            re, im, count = (from_man_exp(v, -frac_bits) for v in sums[spec.n % len(sums)])
-            err = mpf_add(count, tail._mpf_, prec, round_ceiling)
-            yield ComplexVal(mp.make_mpc((re, im)), mp.make_mpf(err), prec)
-
     with mp.workprec(prec):
         pairs = [chibar_thetas(w, zval) for w in weights]  # a complex z / q rounds at prec
         (num_p, _), (den_p, den_m) = pairs[0]
         dtol, nums = tol * 2.0**-20, None
         for _ in range(_QUOTIENT_RETRIES):
-            den_walk = _theta_vector(den_p.m, den_p.z, tau, dtol, prec)
-            den = _denominator(*thetas(den_walk, (den_p, den_m)), tol, prec)
+            dens = _theta_vector(den_p.m, den_p.z, tau, dtol, prec)
+            den_pair = dens[den_p.n % 4], dens[den_m.n % 4]
+            den = _denominator(*den_pair, tol, prec)
             if den is None:
                 dtol = dtol / 2**16
                 continue
             abs_den = mp.make_mpf(den[2])  # at most |den|
             if nums is None:
-                nums = _theta_vector(num_p.m, num_p.z, tau, tol * min(1, abs_den / 32), prec)
+                vec = _theta_vector(num_p.m, num_p.z, tau, tol * min(1, abs_den / 32), prec)
+                two_m = len(vec)
+                nums = [(vec[plus.n % two_m], vec[minus.n % two_m]) for (plus, minus), _ in pairs]
             found, missed = [], mp.mpf(1)
-            for (num, _) in pairs:
-                th_p, th_m = thetas(nums, num)
+            for th_p, th_m in nums:
                 found.append(_quotient(th_p, th_m, den, tol, prec))
                 if found[-1] is None:
                     missed = max(missed, abs(th_p.value - th_m.value) / abs_den)
             if all(found):
-                return found
+                return found, max(th.err for pair in [den_pair, *nums] for th in pair)
             dtol = min(dtol / 16, tol * abs_den / (4 * missed))
         raise InputError(_RETRIES_SPENT)
 
@@ -789,49 +791,14 @@ def character_eval_numeric(spec: CharacterSpec, tau, tol, kind: str = "chi") -> 
         tau_v = _upper_half_plane(tau, "character evaluation")
         eps = mp.mpf(2) ** (1 - prec)
         if kind == "chibar":
-            val, _ = _chibar_numeric(spec.weight, tau_v, spec.z, tol, prec)
-            return val
+            return _chibar_numeric(spec.weight, tau_v, spec.z, tol, prec)
         pref = _q_power(shift, tau_v)
         abs_pref = abs(pref)
         quot_tol = tol / (2 * max(abs_pref, mp.mpf(1)))
-        quot, _ = _chibar_numeric(spec.weight, tau_v, spec.z, quot_tol, prec)
+        quot = _chibar_numeric(spec.weight, tau_v, spec.z, quot_tol, prec)
         value = pref * quot.value
         err = abs_pref * quot.err + 8 * eps * abs(value)
         return ComplexVal(value, err, prec)
-
-
-@dataclass
-class STransformReport:
-    """Certified residuals of the S-transformation law for one (level, z, tau).
-
-    The fields are the ``stransform`` report's results, in report order.
-    ``residual_partial_sums[i][m]`` is |chibar_i(-1/tau, tau z) - factor *
-    sum_{j <= m} S[i][j] chibar_j(tau, z)|: partial sums across the row, so
-    the last column, ``final_residuals[i]``, holds the residual of the full
-    law.  ``alt_final_residuals`` (present for the factor-bearing variant)
-    re-tests the full sum under the other plausible reading of the factor's
-    exponent, with tau replaced by -1/tau.  ``as_printed_final_residuals``
-    re-tests it with the conjugate-phase S-matrix variant (see
-    ``s_transform_residual``).
-    """
-
-    level: Level
-    z: Fraction
-    tau: mpmath.mpc
-    variant: str
-    weights: list[AdmissibleWeight]
-    factor: mpmath.mpc
-    s_matrix: list[list[mpmath.mpc]]
-    chibar: list[ComplexVal]
-    lhs: list[ComplexVal]
-    residual_partial_sums: list[list[mpmath.mpf]]
-    residual_errors: list[list[mpmath.mpf]]
-    final_residuals: list[mpmath.mpf]
-    theta_error_max: mpmath.mpf
-    as_printed_s_matrix: list[list[mpmath.mpc]]
-    as_printed_final_residuals: list[mpmath.mpf]
-    alt_factor: mpmath.mpc | None
-    alt_final_residuals: list[mpmath.mpf] | None
 
 
 def _phase_class(num: int, a: int) -> tuple[int, int, int]:
@@ -923,8 +890,20 @@ def s_transform_residual(
     tau,
     variant: str = "KW2",
     tol=mp.mpf("1e-10"),
-) -> STransformReport:
-    """Residuals of chibar_j(-1/tau, tau z) against the S-matrix sum.
+) -> dict:
+    """Residuals of chibar_j(-1/tau, tau z) against the S-matrix sum: the ``stransform`` results.
+
+    The mapping's keys are the report's, in report order.
+    ``residual_partial_sums[i][m]`` is |chibar_i(-1/tau, tau z) - factor *
+    sum_{j <= m} S[i][j] chibar_j(tau, z)|: partial sums across the row, so
+    the last column, ``final_residuals[i]``, holds the residual of the full
+    law, and ``residual_errors`` bounds each cell.  ``theta_error_max`` is the
+    largest bound of the thetas the quotients ``chibar`` and ``lhs`` were
+    formed from.  ``alt_final_residuals`` (None for KW1) re-tests the full
+    sum under the other plausible reading of the factor's exponent, with tau
+    replaced by -1/tau, and ``as_printed_final_residuals`` with the
+    conjugate-phase S-matrix ``as_printed_s_matrix`` (below).  The S-law is
+    judged on them by ``verify.transformation_law_checks``.
 
     variant KW1 omits, and KW2 includes, the factor q^(l z^2 / 4) -- the
     character's anomaly -- multiplying the right-hand side.  The left side is
@@ -1047,11 +1026,8 @@ def s_transform_residual(
         abs_factor = abs(factor)
 
         rhs_tol = tol / (8 * max(mp.mpf(1), abs_factor) * max(mp.mpf(1), max_row_abs))
-        rhs = _chibar_side(weights, tau_v, z, rhs_tol, prec)
-        lhs = _chibar_side(weights, tau2, z2, tol / 8, prec)
-        chibar_vals = [val for val, _ in rhs]
-        lhs_vals = [val for val, _ in lhs]
-        theta_err_max = max([mp.mpf(0)] + [terr for _, terr in rhs + lhs])
+        chibar_vals, rhs_theta_max = _chibar_side(weights, tau_v, z, rhs_tol, prec)
+        lhs_vals, lhs_theta_max = _chibar_side(weights, tau2, z2, tol / 8, prec)
 
         # the table in fixed point: S in units 2^-gs, y_j = factor chibar_j (exact)
         # in units 2^-gy, lhs and every sum of products in units 2^-(gs + gy)
@@ -1104,24 +1080,24 @@ def s_transform_residual(
                 alt_residuals.append(abs(lhs_vals[i].value - ratio * running)._mpf_)
 
         partial_sums = [[mp.make_mpf(v) for v in row] for row in residuals]
-        return STransformReport(
-            level=level,
-            z=z,
-            tau=tau_v,
-            variant=variant,
-            weights=weights,
-            factor=factor,
-            s_matrix=s_matrix,
-            chibar=chibar_vals,
-            lhs=lhs_vals,
-            residual_partial_sums=partial_sums,
-            residual_errors=[[mp.make_mpf(v) for v in row] for row in residual_errors],
-            final_residuals=[row[-1] for row in partial_sums],
-            theta_error_max=theta_err_max,
-            as_printed_s_matrix=printed_matrix,
-            as_printed_final_residuals=[mp.make_mpf(v) for v in printed_residuals],
-            alt_factor=alt_factor,
-            alt_final_residuals=(
+        return {
+            "level": level,
+            "z": z,
+            "tau": tau_v,
+            "variant": variant,
+            "weights": weights,
+            "factor": factor,
+            "s_matrix": s_matrix,
+            "chibar": chibar_vals,
+            "lhs": lhs_vals,
+            "residual_partial_sums": partial_sums,
+            "residual_errors": [[mp.make_mpf(v) for v in row] for row in residual_errors],
+            "final_residuals": [row[-1] for row in partial_sums],
+            "theta_error_max": max(rhs_theta_max, lhs_theta_max),
+            "as_printed_s_matrix": printed_matrix,
+            "as_printed_final_residuals": [mp.make_mpf(v) for v in printed_residuals],
+            "alt_factor": alt_factor,
+            "alt_final_residuals": (
                 None if alt_factor is None else [mp.make_mpf(v) for v in alt_residuals]
             ),
-        )
+        }

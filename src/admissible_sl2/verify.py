@@ -28,7 +28,10 @@ The fusion and mff suites each build a level's bimodule oracles once with
 figure the benchmark's traced verify run still asserts.  The fusion suite
 also builds each weight's bimodule presentation once per level.  The predicates
 below that judge one level, one weight or one series are the ones the
-``admsl2`` subcommands report, so the CLI and the sweeps check alike.
+``admsl2`` subcommands report, so the CLI and the sweeps check alike.  One
+of them, ``transformation_law_checks``, judges the S-law on the results of
+``numeric.s_transform_residual``; ``stransform`` reports it, and no suite
+runs it yet.
 
 Every check goes through one guard, ``_judge``, the ring-axiom,
 classical-limit and operator-identity checks included: a computation that
@@ -78,6 +81,7 @@ __all__ = [
     "bimodule_oracle_checks",
     "character_series_checks",
     "series_numeric_agreement",
+    "transformation_law_checks",
     "fusion_suite",
     "mff_suite",
     "characters_suite",
@@ -223,6 +227,30 @@ def series_numeric_agreement(spec: CharacterSpec, series, tau, bound, kind: str 
     with mp.workprec(numeric.prec):
         diff = abs(numeric.value - series_value.value)
     return numeric, series_value, diff, diff <= bound + numeric.err + series_value.err
+
+
+def transformation_law_checks(results: dict, tol, tol_text: str) -> list[dict]:
+    """The S-law judged on ``numeric.s_transform_residual``'s results at ``tol``.
+
+    Every theta bound meets ``tol``, and each final residual of the primary
+    S-matrix is within ``tol`` plus its certified bound of 0.  ``tol_text``
+    is ``tol`` as the detail quotes it.
+    """
+    theta_max = results["theta_error_max"]
+    finals = results["final_residuals"]
+    final_errors = [row[-1] for row in results["residual_errors"]]
+    return [
+        check(
+            "theta_error_bounds",
+            theta_max <= tol,
+            f"max certified theta error {mp.nstr(theta_max, 6)}",
+        ),
+        check(
+            "transformation_law",
+            all(f <= tol + e for f, e in zip(finals, final_errors)),
+            f"max residual {mp.nstr(max(finals), 6)} at tolerance {tol_text}",
+        ),
+    ]
 
 
 # -- the sweeps ---------------------------------------------------------------

@@ -126,9 +126,10 @@ def quotient_enclosure(weight, tau, zval, prec: int) -> tuple[mpmath.mpc, mpmath
     """(center, radius) about (theta_p - theta_m) / (theta_1 - theta_-1) of ``chibar_thetas``.
 
     ``zval`` is taken as ``_chibar_numeric`` takes it: a complex z is divided
-    by q at the caller's precision.
+    by q at ``prec`` bits.
     """
-    specs = _specs(weight, zval)
+    with mp.workprec(prec):
+        specs = _specs(weight, zval)
     thetas = {spec: theta_enclosure(spec, tau, prec) for spec in specs}
     with _wide(prec):
         return _center_radius(_quotient_box(specs, thetas))
@@ -154,10 +155,10 @@ def residual_enclosures(report) -> list[list[tuple[mpmath.mpf, mpmath.mpf]]]:
     enclosed from their exact arguments.  Every theta is enclosed once.
     """
     prec = 192
-    weights, z = report.weights, report.z
-    a = report.level.a
+    weights, z = report["weights"], report["z"]
+    a = report["level"].a
     with mp.workprec(prec):
-        tau = report.tau
+        tau = report["tau"]
         tau2, z2 = -1 / tau, tau * (mp.mpf(z.numerator) / z.denominator)
         rhs_specs = [_specs(w, z) for w in weights]
         lhs_specs = [_specs(w, z2) for w in weights]
@@ -167,7 +168,7 @@ def residual_enclosures(report) -> list[list[tuple[mpmath.mpf, mpmath.mpf]]]:
         chibar = [_quotient_box(specs, rhs_thetas) for specs in rhs_specs]
         lhs = [_quotient_box(specs, lhs_thetas) for specs in lhs_specs]
         i_pi = iv.mpc(0, 1) * iv.pi
-        if report.variant == "KW2":
+        if report["variant"] == "KW2":
             anomaly = CharacterSpec(weights[0], z).anomaly
             factor = iv.exp(2 * i_pi * _interval(anomaly) * _interval(tau))
         else:

@@ -282,6 +282,15 @@ MUTANTS = [
         "survived",
         "the walk's unit counts exceed the close's two roundings on every draw",
     ),
+    # -- the S-law predicate (verify.transformation_law_checks) --
+    Mutant(
+        "S-law: the conjugate-phase S taken as the primary",
+        "verify.py",
+        'finals = results["final_residuals"]',
+        'finals = results["as_printed_final_residuals"]',
+        "tests/test_verify.py::"
+        "test_the_s_law_fails_when_the_conjugate_phase_s_is_taken_as_the_primary",
+    ),
     # -- fusion --
     Mutant(
         "fusion: the gate k1' + k2' <= q + 1",

@@ -284,16 +284,16 @@ def test_primary_10_s_transform_report():
     tau = mp.mpc(0, "1.5")
     kw2 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW2", tol=mp.mpf("1e-10"))
     kw1 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW1", tol=mp.mpf("1e-10"))
-    partial = kw2.residual_partial_sums
+    partial = kw2["residual_partial_sums"]
     if len(partial) != 4 or any(len(row) != 4 for row in partial):
         failures.append("residual matrix is not 4x4")
-    if kw2.theta_error_max > mp.mpf("1e-9"):
-        failures.append(f"theta error {mp.nstr(kw2.theta_error_max, 3)} > 1e-9")
+    if kw2["theta_error_max"] > mp.mpf("1e-9"):
+        failures.append(f"theta error {mp.nstr(kw2['theta_error_max'], 3)} > 1e-9")
     # recorded fixtures: KW2 should satisfy the law; KW1 is the contrast run
-    kw2_final = [mp.nstr(kw2.residual_partial_sums[i][-1], 3) for i in range(4)]
-    kw1_final = [mp.nstr(kw1.residual_partial_sums[i][-1], 3) for i in range(4)]
+    kw2_final = [mp.nstr(kw2["residual_partial_sums"][i][-1], 3) for i in range(4)]
+    kw1_final = [mp.nstr(kw1["residual_partial_sums"][i][-1], 3) for i in range(4)]
     for i in range(4):
-        if kw2.residual_partial_sums[i][-1] > mp.mpf("1e-10") + kw2.residual_errors[i][-1]:
+        if kw2["residual_partial_sums"][i][-1] > mp.mpf("1e-10") + kw2["residual_errors"][i][-1]:
             failures.append(f"KW2 residual row {i}: {kw2_final[i]}")
     _report(
         10,

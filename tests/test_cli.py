@@ -224,11 +224,12 @@ def test_a_theta_denominator_below_ten_tol_exits_2(capsys):
     ) == (2, "", "error: |theta denominator| = 2.0037 < 10*tol\n")
 
 
-@pytest.mark.parametrize("im_tau", ["1e5", "1e6", "1e10", "1e16", "1e20", "1e30"])
+@pytest.mark.parametrize("im_tau", ["1e5", "1e6", "1e10", "1e16", "1e20", "1e30", "2e154"])
 def test_a_top_term_past_the_working_precision_exits_2_at_once(capsys, im_tau):
     # the side pass's fraction bits grow with the top term 2^T; past T +
     # log2(4/tol) > 192 the direct evaluator refuses on its rounding budget,
-    # and so does the pass, before any seed
+    # and so does the pass, before any seed.  At 2e154, (pi B)^2 is past the
+    # double range while T is not, and the message still quotes T
     start = time.process_time()
     code, out, err = run_cli(
         capsys, "stransform", "--p", "3", "--q", "2", "--z", "1/3", f"--tau=0,{im_tau}"

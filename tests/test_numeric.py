@@ -266,7 +266,7 @@ def test_quotient_bound_encloses_interval_referee(weight, z, lhs, re_tau, im_tau
         if lhs:
             tau, z = -1 / tau, tau * mp.mpf(z.numerator) / z.denominator
         try:
-            val, _ = numeric._chibar_numeric(weight, tau, z, mp.mpf(10) ** -tol_exp, prec)
+            val = numeric._chibar_numeric(weight, tau, z, mp.mpf(10) ** -tol_exp, prec)
         except InputError as exc:
             assert "rounding budget" in str(exc)
             event("rounding budget above tol/4")
@@ -317,9 +317,9 @@ def test_residual_errors_enclose_interval_referee(level, z, re_tau, im_tau, tol_
     enclosures = _interval_theta.residual_enclosures(report)
     with mp.workprec(256):
         for i, row in enumerate(enclosures):
-            assert report.final_residuals[i] <= report.residual_errors[i][-1]
+            assert report["final_residuals"][i] <= report["residual_errors"][i][-1]
             for m, (lo, hi) in enumerate(row):
-                res, err = report.residual_partial_sums[i][m], report.residual_errors[i][m]
+                res, err = report["residual_partial_sums"][i][m], report["residual_errors"][i][m]
                 assert res - err <= lo and hi <= res + err, (i, m)
 
 
@@ -342,11 +342,12 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
     def scaled(weights, tau, zval, tol, prec):
         shift = rhs_shift if isinstance(zval, Fraction) else lhs_shift
         scaled_sides.append("rhs" if isinstance(zval, Fraction) else "lhs")
+        vals, theta_max = direct(weights, tau, zval, tol, prec)
         out = []
-        for val, terr in direct(weights, tau, zval, tol, prec):
+        for val in vals:
             value = val.value if errs_only else val.value * mp.mpf(2) ** shift
-            out.append((ComplexVal(value, val.err * mp.mpf(2) ** shift, val.prec), terr))
-        return out
+            out.append(ComplexVal(value, val.err * mp.mpf(2) ** shift, val.prec))
+        return out, theta_max
 
     monkeypatch.setattr(numeric, "_chibar_side", scaled)
     report = s_transform_residual(
@@ -356,12 +357,12 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
     # the rounding count above the error sum is of order 2^-185 of the largest
     # |lhs_i| or |factor chibar_j|, and no more
     with mp.workprec(400):
-        f = abs(report.factor)
-        top = max([abs(v.value) for v in report.lhs] + [f * abs(v.value) for v in report.chibar])
-        count = top * len(report.weights) * mp.mpf(2) ** -170
-        for lhs, s_row, err_row in zip(report.lhs, report.s_matrix, report.residual_errors):
+        f = abs(report["factor"])
+        top = max([abs(v.value) for v in report["lhs"]] + [f * abs(v.value) for v in report["chibar"]])
+        count = top * len(report["weights"]) * mp.mpf(2) ** -170
+        for lhs, s_row, err_row in zip(report["lhs"], report["s_matrix"], report["residual_errors"]):
             r_err = mp.mpf(0)
-            for chi, s_ij, got in zip(report.chibar, s_row, err_row):
+            for chi, s_ij, got in zip(report["chibar"], s_row, err_row):
                 r_err += abs(s_ij) * chi.err
                 want = lhs.err + f * r_err
                 assert want <= got <= want * (1 + mp.mpf("1e-9")) + count
@@ -397,7 +398,7 @@ def test_quotient_bound_covers_the_worst_point_of_the_error_disks(
     with mp.workprec(prec):
         thetas = [ComplexVal(v, +e, prec) for v, e in zip((th_p, th_m, th_1, th_m1), errs)]
         denominator = numeric._denominator(*thetas[2:], mp.mpf(0), prec)
-        got, _ = numeric._quotient(*thetas[:2], denominator, mp.inf, prec)
+        got = numeric._quotient(*thetas[:2], denominator, mp.inf, prec)
     with mp.workprec(prec + 64):
         e_num, e_den = thetas[0].err + thetas[1].err, thetas[2].err + thetas[3].err
         worst = num * (1 + e_num / abs(num)) / (den * (1 - e_den / abs(den)))
@@ -409,11 +410,26 @@ def test_quotient_bound_below_the_double_range():
     weight = AdmissibleWeight(Level(3, 2), 1, 1)
     tau = mp.mpc("0.125", "0.75")
     tol = mp.mpf("1e-320")
-    val, _ = numeric._chibar_numeric(weight, tau, Fraction(1, 3), tol, 1200)
+    val = numeric._chibar_numeric(weight, tau, Fraction(1, 3), tol, 1200)
     assert 0 < val.err <= tol
     center, radius = _interval_theta.quotient_enclosure(weight, tau, Fraction(1, 3), 1200)
     with mp.workprec(1264):
         assert abs(val.value - center) + radius <= val.err
+
+
+def test_a_complex_z_is_divided_at_the_quotients_own_precision():
+    # the law's left side at (5,3): z = tau/3 is divided by q = 3 at the
+    # quotient's 192 bits whatever the caller's precision, so the ambient 53
+    # bits and workprec(192) give the same value and bound, bit for bit
+    weight = enumerate_admissible(Level(5, 3))[4]
+    with mp.workprec(192):
+        tau = mp.mpc("0.3", "0.8")
+        tau2, z2 = -1 / tau, tau * (mp.mpf(1) / 3)
+    tol = mp.mpf("1e-25")
+    ambient = numeric._chibar_numeric(weight, tau2, z2, tol, 192)
+    with mp.workprec(192):
+        at_prec = numeric._chibar_numeric(weight, tau2, z2, tol, 192)
+    assert (ambient.value._mpc_, ambient.err._mpf_) == (at_prec.value._mpc_, at_prec.err._mpf_)
 
 
 def test_theta_bound_below_the_double_range():
@@ -693,12 +709,12 @@ def test_s_transform_trivial_theory():
     report = s_transform_residual(
         Level(2, 1), Fraction(1, 2), mp.mpc(0, 1), variant="KW2"
     )
-    assert len(report.weights) == 1
+    assert len(report["weights"]) == 1
     with mp.workprec(192):
-        assert abs(report.s_matrix[0][0] - 1) < mp.mpf("1e-40")
+        assert abs(report["s_matrix"][0][0] - 1) < mp.mpf("1e-40")
         assert (
-            report.residual_partial_sums[0][-1]
-            <= mp.mpf("1e-10") + report.residual_errors[0][-1]
+            report["residual_partial_sums"][0][-1]
+            <= mp.mpf("1e-10") + report["residual_errors"][0][-1]
         )
 
 
@@ -707,19 +723,19 @@ def test_s_transform_classical_matrix_at_q_1():
     level = Level(4, 1)
     report = s_transform_residual(level, Fraction(1, 2), mp.mpc(0, 1), variant="KW2")
     with mp.workprec(192):
-        for i, wi in enumerate(report.weights):
-            for j, wj in enumerate(report.weights):
+        for i, wi in enumerate(report["weights"]):
+            for j, wj in enumerate(report["weights"]):
                 classical = mp.sqrt(mp.mpf(2) / 4) * mp.sin(
                     mp.pi * (wi.n + 1) * (wj.n + 1) / 4
                 )
-                assert abs(report.s_matrix[i][j] - classical) < mp.mpf("1e-40")
+                assert abs(report["s_matrix"][i][j] - classical) < mp.mpf("1e-40")
         for i in range(3):
             assert (
-                report.residual_partial_sums[i][-1]
-                <= mp.mpf("1e-10") + report.residual_errors[i][-1]
+                report["residual_partial_sums"][i][-1]
+                <= mp.mpf("1e-10") + report["residual_errors"][i][-1]
             )
         # conjugation is invisible at q = 1: both spellings give the same law
-        for r in report.as_printed_final_residuals:
+        for r in report["as_printed_final_residuals"]:
             assert r <= mp.mpf("1e-9")
 
 
@@ -728,33 +744,33 @@ def test_s_transform_fixture_3_2():
     tau = mp.mpc(0, "1.5")
     tol = mp.mpf("1e-10")
     report = s_transform_residual(level, Fraction(1, 2), tau, variant="KW2", tol=tol)
-    n_w = len(report.weights)
+    n_w = len(report["weights"])
     assert n_w == 4
-    assert report.theta_error_max <= mp.mpf("1e-9")
+    assert report["theta_error_max"] <= mp.mpf("1e-9")
     with mp.workprec(192):
         # the law holds with the Poisson-summation matrix and the tau factor
         for i in range(n_w):
-            assert report.residual_partial_sums[i][-1] <= tol + report.residual_errors[i][-1], i
+            assert report["residual_partial_sums"][i][-1] <= tol + report["residual_errors"][i][-1], i
         # S is symmetric
         for i in range(n_w):
             for j in range(n_w):
-                assert abs(report.s_matrix[i][j] - report.s_matrix[j][i]) < mp.mpf("1e-30")
+                assert abs(report["s_matrix"][i][j] - report["s_matrix"][j][i]) < mp.mpf("1e-30")
         # rows with k = 0 have real phases: conjugation changes nothing there
-        for i, w in enumerate(report.weights):
+        for i, w in enumerate(report["weights"]):
             if w.k == 0:
-                assert report.as_printed_final_residuals[i] <= tol + report.residual_errors[i][-1]
+                assert report["as_printed_final_residuals"][i] <= tol + report["residual_errors"][i][-1]
             else:
                 # conjugate-phase spelling breaks the law on k != 0 rows
-                assert report.as_printed_final_residuals[i] > mp.mpf("0.5")
+                assert report["as_printed_final_residuals"][i] > mp.mpf("0.5")
         # moving the factor to -1/tau breaks the law outright
-        assert report.alt_factor is not None
-        assert max(report.alt_final_residuals) > mp.mpf("0.05")
+        assert report["alt_factor"] is not None
+        assert max(report["alt_final_residuals"]) > mp.mpf("0.05")
 
     kw1 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW1", tol=tol)
-    assert kw1.alt_final_residuals is None
+    assert kw1["alt_final_residuals"] is None
     with mp.workprec(192):
         # without the factor the law fails on every row with nonvanishing lhs
-        finals = [kw1.residual_partial_sums[i][-1] for i in range(n_w)]
+        finals = [kw1["residual_partial_sums"][i][-1] for i in range(n_w)]
         assert finals[0] > mp.mpf("0.2") and finals[0] < mp.mpf("0.22")
         assert finals[1] > mp.mpf("0.17") and finals[1] < mp.mpf("0.19")
 
@@ -772,15 +788,14 @@ def _record(monkeypatch, name, calls):
 
 def _assert_within_direct_bounds(report, side_calls):
     """Each chibar and lhs of ``report`` is ``_chibar_numeric``'s within the sum of both bounds."""
-    with mp.workprec(192):  # a complex z is divided by q at the caller's precision
-        direct = [
-            numeric._chibar_numeric(w, tau, zval, tol, prec)[0]
-            for weights, tau, zval, tol, prec in side_calls
-            for w in weights
-        ]
-    assert len(direct) == 2 * len(report.weights)
+    direct = [
+        numeric._chibar_numeric(w, tau, zval, tol, prec)
+        for weights, tau, zval, tol, prec in side_calls
+        for w in weights
+    ]
+    assert len(direct) == 2 * len(report["weights"])
     with mp.workprec(256):
-        for val, ref in zip(report.chibar + report.lhs, direct):
+        for val, ref in zip(report["chibar"] + report["lhs"], direct):
             assert abs(val.value - ref.value) <= val.err + ref.err
 
 
@@ -818,10 +833,10 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     # each quotient against the direct evaluator, per weight and without
     # sharing: within the sum of the two bounds
     _assert_within_direct_bounds(report, sides)
-    assert 0 < report.theta_error_max <= tol
+    assert 0 < report["theta_error_max"] <= tol
 
     # both S-matrix spellings against the direct phase formula
-    weights = report.weights
+    weights = report["weights"]
     with mp.workprec(192):
         pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
 
@@ -839,8 +854,8 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
              for wj in weights]
             for wi in weights
         ]
-    assert report.s_matrix == s_matrix
-    assert report.as_printed_s_matrix == printed
+    assert report["s_matrix"] == s_matrix
+    assert report["as_printed_s_matrix"] == printed
 
     # one expjpi per class (|N| mod a, floor(log2(|N|/a))) of the products
     # N = b+_i b+-_j, shared by both spellings, at |N|/a for one N of the class

@@ -177,17 +177,17 @@ def test_each_side_pass_quotient_is_the_direct_one_within_both_bounds(
     weights = enumerate_admissible(Level(*level))
     tau, zval = _side_args(z, lhs, re_tau, im_tau)
     tol = mp.mpf(10) ** -tol_exp
-    side = numeric._chibar_side(weights, tau, zval, tol, 192)
+    side, theta_max = numeric._chibar_side(weights, tau, zval, tol, 192)
     assert len(side) == len(weights)
-    for weight, (val, theta_err) in zip(weights, side):
-        assert 0 < val.err <= tol and 0 < theta_err <= tol
-        with mp.workprec(192):  # a complex z is divided by q at the caller's precision
-            try:
-                direct, _ = numeric._chibar_numeric(weight, tau, zval, tol, 192)
-            except InputError as exc:
-                assert "rounding budget" in str(exc)
-                event("the direct evaluator's rounding budget is above tol/4")
-                continue
+    assert 0 < theta_max <= tol
+    for weight, val in zip(weights, side):
+        assert 0 < val.err <= tol
+        try:
+            direct = numeric._chibar_numeric(weight, tau, zval, tol, 192)
+        except InputError as exc:
+            assert "rounding budget" in str(exc)
+            event("the direct evaluator's rounding budget is above tol/4")
+            continue
         with mp.workprec(256):
             assert abs(val.value - direct.value) <= val.err + direct.err
 
@@ -209,23 +209,23 @@ def _table_cases():
 def _exact_residuals(report, prec=600):
     """Each partial residual, the as-printed and the alternative finals, from the report's
     quotients, with S entries and factors exact at ``prec`` bits."""
-    weights, a = report.weights, report.level.a
+    weights, a = report["weights"], report["level"].a
     with mp.workprec(prec):
         pref = mp.mpc(0, -1) * mp.sqrt(mp.mpf(2) / a) / 2
 
         def phase(num):
             return mp.expjpi(mp.mpf(num) / a)
 
-        anomaly = numeric.CharacterSpec(weights[0], report.z).anomaly
-        tau = mp.mpc(report.tau)
-        if report.variant == "KW2":
+        anomaly = numeric.CharacterSpec(weights[0], report["z"]).anomaly
+        tau = mp.mpc(report["tau"])
+        if report["variant"] == "KW2":
             factor = mp.expjpi(2 * mp.mpf(anomaly.numerator) / anomaly.denominator * tau)
             alt = mp.expjpi(2 * mp.mpf(anomaly.numerator) / anomaly.denominator * (-1 / tau))
         else:
             factor, alt = mp.mpc(1), None
-        chi = [v.value for v in report.chibar]
+        chi = [v.value for v in report["chibar"]]
         rows, printed, alts = [], [], []
-        for wi, lhs in zip(weights, report.lhs):
+        for wi, lhs in zip(weights, report["lhs"]):
             running, printed_sum, row = mp.mpc(0), mp.mpc(0), []
             for wj, chi_j in zip(weights, chi):
                 p_pp, p_pm = phase(wi.b_plus * wj.b_plus), phase(wi.b_plus * wj.b_minus)
@@ -245,8 +245,8 @@ def test_the_residual_table_is_exact_arithmetic_within_its_count(monkeypatch):
     direct = numeric._chibar_side
 
     def exact_inputs(weights, tau, zval, tol, prec):
-        return [(ComplexVal(v.value, mp.mpf(0), v.prec), t)
-                for v, t in direct(weights, tau, zval, tol, prec)]
+        vals, theta_max = direct(weights, tau, zval, tol, prec)
+        return [ComplexVal(v.value, mp.mpf(0), v.prec) for v in vals], theta_max
 
     monkeypatch.setattr(numeric, "_chibar_side", exact_inputs)
     for level, z, tau, tol, variant in _table_cases():
@@ -255,18 +255,18 @@ def test_the_residual_table_is_exact_arithmetic_within_its_count(monkeypatch):
         case = (level.p, level.q, variant)
         with mp.workprec(600):
             for got_row, err_row, want_row in zip(
-                report.residual_partial_sums, report.residual_errors, rows
+                report["residual_partial_sums"], report["residual_errors"], rows
             ):
                 for got, err, want in zip(got_row, err_row, want_row):
                     assert abs(got - want) <= err, case
-            scale = max(abs(v.value) for v in report.lhs + report.chibar) * 2 ** -150
-            for got, want in zip(report.as_printed_final_residuals, printed):
+            scale = max(abs(v.value) for v in report["lhs"] + report["chibar"]) * 2 ** -150
+            for got, want in zip(report["as_printed_final_residuals"], printed):
                 assert abs(got - want) <= scale, case
             if variant == "KW1":
-                assert report.alt_final_residuals is None
+                assert report["alt_final_residuals"] is None
                 continue
-            for got, want in zip(report.alt_final_residuals, alts):
-                assert abs(got - want) <= scale * max(1, abs(report.alt_factor)), case
+            for got, want in zip(report["alt_final_residuals"], alts):
+                assert abs(got - want) <= scale * max(1, abs(report["alt_factor"])), case
 
 
 def test_each_table_bound_is_the_error_sum_the_benchmark_recomputes():
@@ -277,10 +277,10 @@ def test_each_table_bound_is_the_error_sum_the_benchmark_recomputes():
     for level, z, tau, tol, variant in _table_cases():
         report = s_transform_residual(level, z, tau, variant=variant, tol=tol)
         with mp.workprec(256):
-            f = abs(report.factor)
-            for lhs, s_row, err_row in zip(report.lhs, report.s_matrix, report.residual_errors):
+            f = abs(report["factor"])
+            for lhs, s_row, err_row in zip(report["lhs"], report["s_matrix"], report["residual_errors"]):
                 acc = mp.mpf(0)
-                for chi, s_ij, got in zip(report.chibar, s_row, err_row):
+                for chi, s_ij, got in zip(report["chibar"], s_row, err_row):
                     acc += abs(s_ij) * chi.err
                     want = lhs.err + f * acc
                     assert want <= got <= want * (1 + mp.mpf("1e-9")), (level.p, level.q)
@@ -293,11 +293,11 @@ def test_rows_past_28_products_enclose_the_interval_referee(level):
         Level(*level), Fraction(2, 7), _tau_from(Fraction(3, 10), Fraction(4, 5), 192),
         tol=mp.mpf("1e-25"),
     )
-    assert len(report.weights) > 28
+    assert len(report["weights"]) > 28
     enclosures = _interval_theta.residual_enclosures(report)
     with mp.workprec(256):
         for i, row in enumerate(enclosures):
-            assert report.final_residuals[i] <= report.residual_errors[i][-1]
+            assert report["final_residuals"][i] <= report["residual_errors"][i][-1]
             for m, (lo, hi) in enumerate(row):
-                res, err = report.residual_partial_sums[i][m], report.residual_errors[i][m]
+                res, err = report["residual_partial_sums"][i][m], report["residual_errors"][i][m]
                 assert res - err <= lo and hi <= res + err, (i, m)

@@ -14,6 +14,7 @@ from admissible_sl2.characters import CharacterSpec, character_qseries
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.exact import UniPoly
+from admissible_sl2.numeric import s_transform_residual
 from admissible_sl2.verify import (
     SUITES,
     c2_expected_constant,
@@ -21,6 +22,7 @@ from admissible_sl2.verify import (
     coprime_levels,
     run_suites,
     series_numeric_agreement,
+    transformation_law_checks,
 )
 from admissible_sl2.weights import AdmissibleWeight, Level, enumerate_admissible
 
@@ -226,3 +228,28 @@ def test_series_numeric_difference_is_taken_at_the_evaluators_precision():
     with mp.workprec(128):
         assert diff == abs(numeric.value - series_value.value)
         assert mp.nstr(diff, 30) == "9.33422610726173402116657831539e-14"
+
+
+def test_the_s_law_fails_when_the_conjugate_phase_s_is_taken_as_the_primary():
+    # the S-law predicate that ``stransform`` reports, fed the conjugate-phase
+    # spelling's finals in place of the primary's: at q > 1 the complex-phase
+    # rows (k != 0) read 1.6 against bounds near 1e-14, so the law fails; at
+    # q = 1 every phase is real, the two spellings agree and it passes
+    tol = mp.mpf("1e-10")
+    with mp.workprec(256):  # tau as ``--tau=-0.5,0.8`` parses it
+        tau = mp.mpc(mp.mpf(-5) / 10, mp.mpf(8) / 10)
+
+    def statuses(results):
+        return {c["name"]: c["status"] for c in transformation_law_checks(results, tol, "1e-10")}
+
+    passing = {"theta_error_bounds": "pass", "transformation_law": "pass"}
+    for (p, q), conjugate_law in (((3, 2), "fail"), ((5, 1), "pass")):
+        results = s_transform_residual(Level(p, q), Fraction(1, 3), tau, tol=tol)
+        assert statuses(results) == passing, (p, q)
+        printed = results["as_printed_final_residuals"]
+        swapped = dict(results, final_residuals=printed)
+        assert statuses(swapped) == dict(passing, transformation_law=conjugate_law), (p, q)
+        if q > 1:
+            bounds = [row[-1] for row in results["residual_errors"]]
+            assert [r > 1 for r in printed] == [w.k != 0 for w in results["weights"]]
+            assert max(bounds) < mp.mpf("1e-13")
