@@ -37,7 +37,8 @@ a, each theta a ``ComplexVal``.  Then one e^{i pi N/a} per phase class of
 the integer numerators N = b b', the pair (|N| mod a, binade of |N|/a) on
 which ``expjpi`` gives the same bits up to a sign set by the parity of
 floor(|N|/a) (proof in :func:`s_transform_residual`), conjugated for N < 0;
-one S entry, its conjugate (the conjugate-phase matrix) and its modulus per
+one S entry, its conjugate (the conjugate-phase matrix) and its ints (its
+parts in fixed point, its modulus bounded by one ``math.isqrt`` of them) per
 distinct pair of signed classes, the pair with both parities flipped taking
 them negated.  The residual table takes S and factor times chibar to fixed
 point once, and each cell is four int products and one ``math.isqrt``.
@@ -53,7 +54,7 @@ order and rounding to nearest, as every ``mp`` context here does;
 The other bounds are mpf or int, never float: the theta quotient's by
 libmp calls at 64 bits, each rounded away from the bound (:func:`_quotient`),
 the residual table's in whole units of a power of two, each value floored
-and raised by 2 units (:func:`s_transform_residual`).
+and raised (:func:`s_transform_residual`).
 
 This module evaluates what ``characters`` describes: the four thetas of the
 quotient come from :func:`~admissible_sl2.characters.chibar_thetas` and the
@@ -81,7 +82,6 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_rational,
-    mpc_abs,
     mpc_add,
     mpc_add_mpf,
     mpc_div,
@@ -818,17 +818,19 @@ def _phase_class(num: int, a: int) -> tuple[int, int, int]:
 def _s_matrices(
     weights: list[AdmissibleWeight],
 ) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[tuple]], mpmath.mpf]:
-    """Both S-matrix spellings, the table's ints, and the largest row sum of |S_ij|.
+    """Both S-matrix spellings, the table's ints, and a bound on the largest row sum of |S_ij|.
 
     One ``expjpi`` per phase class (see ``s_transform_residual``), negated
     for the other parity of floor(|N|/a) and conjugated for N < 0, and one
-    entry, conjugate, modulus and ints (its parts floored to 2^-(prec + 8),
-    its modulus to 2^-62, plus 2) per distinct pair of signed classes, which
-    the pair with both parities flipped takes negated.  The row sums are
-    taken in mpf, in column order, on raw tuples by the operators' calls.
+    entry, conjugate and ints per distinct pair of signed classes, which the
+    pair with both parities flipped takes negated.  The ints are the parts
+    floored to 2^-(prec + 8) and |S_ij| bounded in units 2^-62 (derivation
+    in ``s_transform_residual``); the largest row sum of the units bounds
+    every row's sum of moduli.
     """
     a = weights[0].level.a
     prec, rnd = mp.prec, round_nearest
+    g, cut = prec + 8, prec - 54
     phases: dict[tuple[int, int], tuple[tuple, int]] = {}
 
     def phase(num: int, cls: tuple[int, int, int]) -> tuple:
@@ -845,12 +847,11 @@ def _s_matrices(
     h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
     b_plus = [w.b_plus for w in weights]
     b_minus = [w.b_minus for w in weights]
-    cells: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, tuple, tuple]] = {}
+    cells: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, tuple]] = {}
     s_matrix, printed_matrix, s_fixed = [], [], []
-    max_row_abs = fzero
+    max_row_units = 0
     for bi in b_plus:
         row, printed_row, fixed_row = [], [], []
-        row_abs = fzero
         for bj_p, bj_m in zip(b_plus, b_minus):
             n_pp, n_pm = bi * bj_p, bi * bj_m
             c_pp, c_pm = _phase_class(n_pp, a), _phase_class(n_pm, a)
@@ -862,26 +863,24 @@ def _s_matrices(
                     (u_re, u_im), (v_re, v_im) = phase(n_pp, c_pp), phase(n_pm, c_pm)
                     d_re, d_im = mpc_sub((u_re, u_im), (v_re, v_im), prec, rnd)
                     entry = (mpf_mul(h, d_im, prec, rnd), mpf_neg(mpf_mul(h, d_re, prec, rnd)))
-                    size = mpc_abs(entry, prec, rnd)
                 else:  # both phases negated: the entry negated, bit for bit
-                    twin_entry, _, size, _ = twin
-                    entry = tuple(map(mpf_neg, twin_entry._mpc_))
+                    entry = tuple(map(mpf_neg, twin[0]._mpc_))
                 # conj(entry): pref (conj(e_pm) - conj(e_pp)), bitwise
                 printed = (entry[0], mpf_neg(entry[1]))
-                fixed = (*(to_fixed(x, prec + 8) for x in entry), to_fixed(size, 62) + 2)
-                cell = (mp.make_mpc(entry), mp.make_mpc(printed), size, fixed)
+                re_units, im_units = to_fixed(entry[0], g), to_fixed(entry[1], g)
+                root = math.isqrt((abs(re_units) + 1) ** 2 + (abs(im_units) + 1) ** 2)
+                fixed = (re_units, im_units, ((root + 1) >> cut) + 1)
+                cell = (mp.make_mpc(entry), mp.make_mpc(printed), fixed)
                 cells[pair, c_pp[2]] = cell
-            entry, printed, size, fixed = cell
+            entry, printed, fixed = cell
             row.append(entry)
             printed_row.append(printed)
             fixed_row.append(fixed)
-            row_abs = mpf_add(row_abs, size, prec, rnd)
         s_matrix.append(row)
         printed_matrix.append(printed_row)
         s_fixed.append(fixed_row)
-        if mpf_gt(row_abs, max_row_abs):
-            max_row_abs = row_abs
-    return s_matrix, printed_matrix, s_fixed, mp.make_mpf(max_row_abs)
+        max_row_units = max(max_row_units, sum(f[2] for f in fixed_row))
+    return s_matrix, printed_matrix, s_fixed, mp.make_mpf(from_man_exp(max_row_units, -62))
 
 
 def s_transform_residual(
@@ -993,12 +992,16 @@ def s_transform_residual(
 
     Bounds in integers.  The 2n values c_i and w_j, formed in mpf within a
     few roundings 2^-prec of themselves, are floored to units 2^-g, g giving
-    the largest 62 bits, and |S_ij| to units 2^-62; each takes 2 units more,
-    for its floor and its roundings, so it bounds its value.  Each row's
-    running bound is an exact int sum, each cell one exact mpf.  The tests'
-    referee encloses every partial residual in intervals and holds each
-    bound to it.  ``max_row_abs``, which sets the quotients' tolerance,
-    stays a sum of mpf moduli in column order.
+    the largest 62 bits, and each takes 2 units more, for its floor and its
+    roundings, so it bounds its value.  |S_ij| in units 2^-62 comes from the
+    entry's parts A and B floored to 2^-gs: each part is below |A| + 1 (|B|
+    + 1) units, so |S_ij| 2^gs is below isqrt((|A| + 1)^2 + (|B| + 1)^2) + 1,
+    and that shifted down to units 2^-62, plus 1, bounds |S_ij| 2^62 and
+    exceeds its floor by at most 2.  Each row's running bound is an exact int
+    sum, each cell one exact mpf.  The tests' referee encloses every partial
+    residual in intervals and holds each bound to it.  ``max_row_abs``,
+    which sets the quotients' tolerance, is the largest row sum of those
+    units, so it bounds every row's sum of moduli.
     """
     if variant not in ("KW1", "KW2"):
         raise InputError(f"variant must be 'KW1' or 'KW2', got {variant!r}")

@@ -21,17 +21,20 @@ byte-identical.
 passes ``encode`` one dict of decimal strings for the whole document, and
 ``mpmath``'s ``to_str`` formats |x| and then prefixes "-", so a negation,
 the conjugate-phase S-matrix and every repeated entry cost a lookup.  The
-dict lives for that one call; no state outlives it.
+dict lives for that one call; no state outlives it.  ``_decimal`` makes each
+string by ``to_str``'s own steps on the value's ints (``to_str`` past 2^3500).
 
 ``dumps`` writes the indented JSON itself: ``json.dumps`` with an indent
 falls back to the standard library's pure-Python encoder, which took longer
-than the rest of a short report.  Its output is held to be exactly
+than the rest of a short report.  A table row of strings, a complex value and
+a q-series term are each written in one append.  Its output is held to be exactly
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a newline; the tests
 compare the two on random documents and on every golden report.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Any, Mapping
@@ -59,6 +62,7 @@ SCHEMA_VERSION = "1"
 
 _VALUE_DIGITS = 30
 _ERR_DIGITS = 8
+_LOG2_10 = math.log(10, 2)
 
 
 def _real_str(raw: tuple, digits: int, strings: dict) -> str:
@@ -69,7 +73,7 @@ def _real_str(raw: tuple, digits: int, strings: dict) -> str:
     ``strings`` holds one string per unsigned value and digit count:
     ``to_str`` formats |x| and prefixes "-", so x and -x share an entry.
     Zero, the infinities and NaN are keyed whole, as their strings carry
-    their own sign.
+    their own sign.  ``_decimal`` formats the others within 2^3500 of 1.
     """
     sign, man, exp, bc = raw
     if man:
@@ -78,8 +82,34 @@ def _real_str(raw: tuple, digits: int, strings: dict) -> str:
         sign, key = 0, (raw, digits)
     text = strings.get(key)
     if text is None:
-        text = strings[key] = to_str(raw, digits)
+        near_one = man and abs(exp + bc) <= 3500
+        text = strings[key] = _decimal(man, exp, bc, digits) if near_one else to_str(raw, digits)
     return "-" + text if sign else text
+
+
+def _decimal(man: int, exp: int, bc: int, dps: int) -> str:
+    """``to_str((0, man, exp, bc), dps)`` for dps >= 1 and |exp + bc| <= 3500.
+
+    mpmath 1.3's steps on the ints: ``to_digits_exp`` at dps + 3 digits (the
+    value floored to 2^-fixprec, times 10^fixdps, floored, ``str``), then
+    ``to_str``'s half-up carry at digit dps and its layout.
+    """
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    text = str(((man << shift) if shift >= 0 else (man >> -shift)) * 10**fixdps >> fixprec)
+    point = len(text) - fixdps - 1  # the exponent of the leading digit
+    if len(text) > dps and text[dps] in "56789":
+        text = str(int(text[:dps]) + 1)
+        if len(text) > dps:  # 9...9 carried to the next power of ten
+            text, point = text[:dps], point + 1
+    else:
+        text = text[:dps]
+    if min(-(dps // 3), -5) < point < dps:  # to_str's fixed-point window
+        text, split, suffix = "0" * -point + text, max(point, 0) + 1, ""
+    else:
+        split, suffix = 1, f"e{point:+d}"
+    return text[:split] + "." + (text[split:].rstrip("0") or "0") + suffix
 
 
 def _complex_pair(x: mp.mpc, strings: dict) -> list[str]:
@@ -203,6 +233,15 @@ def _write(value: Any, out: list[str], pad: str) -> None:
             out.append("[]")
             return
         inner = pad + "  "
+        if len(value) == 2:  # a complex value ["re", "im"] or a q-series term [m, "c"]
+            first, second = value
+            if type(second) is str and type(first) in (str, int):
+                first = encode_basestring(first) if type(first) is str else int.__repr__(first)
+                out.append(f"[{inner}{first},{inner}{encode_basestring(second)}{pad}]")
+                return
+        if all(type(v) is str for v in value):  # a table row of decimal strings
+            out.append(f"[{inner}{(',' + inner).join(map(encode_basestring, value))}{pad}]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

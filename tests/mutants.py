@@ -38,6 +38,11 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_TESTS = "tests/test_numeric.py::"
 SIDE_PASS_TESTS = "tests/test_side_pass.py::"
 WORST_POINT = "test_quotient_bound_covers_the_worst_point_of_the_error_disks"
+S_UNITS = "test_phase_classes_give_the_direct_s_matrices_bit_for_bit"
+S_UNITS_WINDOW = (
+    "a unit of 2^-(prec + 8) inside the root moves |S_ij| 2^62 by 2^-138, so it only counts "
+    "where |S_ij| 2^62 lies that close above an integer, and no entry of the (12,8) box does"
+)
 ROUNDING_64 = (
     "one 64-bit rounding the wrong way lowers the bound by under 2^-64 of itself, and the "
     "final sum, rounded up past the rounding term, raises it by about that much; the worst "
@@ -126,12 +131,31 @@ MUTANTS = [
         "[to_fixed(v._mpf_, g) for v in vs]",
         NUMERIC_TESTS + "test_residual_bound_outside_the_double_range",
     ),
+    # -- the |S_ij| units of the S build (numeric._s_matrices) --
     Mutant(
-        "table: the 2 units on |S_ij|",
+        "S units: the parts' floor units",
         "numeric.py",
-        "to_fixed(size, 62) + 2",
-        "to_fixed(size, 62)",
-        SIDE_PASS_TESTS + "test_each_table_bound_is_the_error_sum_the_benchmark_recomputes",
+        "(abs(re_units) + 1) ** 2 + (abs(im_units) + 1) ** 2",
+        "abs(re_units) ** 2 + abs(im_units) ** 2",
+        NUMERIC_TESTS + S_UNITS,
+        "survived",
+        S_UNITS_WINDOW,
+    ),
+    Mutant(
+        "S units: the root's floor unit",
+        "numeric.py",
+        "((root + 1) >> cut) + 1",
+        "(root >> cut) + 1",
+        NUMERIC_TESTS + S_UNITS,
+        "survived",
+        S_UNITS_WINDOW,
+    ),
+    Mutant(
+        "S units: the unit of the shift's floor",
+        "numeric.py",
+        "((root + 1) >> cut) + 1",
+        "(root + 1) >> cut",
+        NUMERIC_TESTS + S_UNITS,
     ),
     # -- the direct evaluators and the series walk (ROADMAP item 15) --
     Mutant(
@@ -290,6 +314,14 @@ MUTANTS = [
         'finals = results["as_printed_final_residuals"]',
         "tests/test_verify.py::"
         "test_the_s_law_fails_when_the_conjugate_phase_s_is_taken_as_the_primary",
+    ),
+    # -- the report's decimal kernel (report._decimal) --
+    Mutant(
+        "decimal: the half-up carry digit 5",
+        "report.py",
+        'text[dps] in "56789"',
+        'text[dps] in "6789"',
+        "tests/test_report.py::test_decimal_kernel_is_to_str",
     ),
     # -- fusion --
     Mutant(

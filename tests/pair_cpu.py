@@ -15,7 +15,10 @@ op's lowest latency over its passes.
 
 Printed: each side's sum of per-op minima, the first 16 hex digits of the
 SHA-256 of each side's concatenated stdout (the same in every round, or the
-script fails), and the number of ops on which B's minimum is the lower.
+script fails), the number of ops on which B's minimum is the lower, and
+both sides' sums and their ratio B/A over the top decile: the tenth of the
+ops (rounded up) with the largest A minima, the ops that set perfbench's
+``op_p90_ms``.
 Tier-1 does not collect this file; ``perfbench`` is imported, not changed.
 """
 
@@ -85,6 +88,10 @@ def main(argv: list[str]) -> int:
     for label, tree, side in (("A", tree_a, 0), ("B", tree_b, 1)):
         print(f"{label} {tree}: cpu_s {sum(best[side]):.3f}  stdout_sha256 {digests[side].pop()}")
     print(f"B lower on {b_lower} of {len(ops)} ops ({workload}, seed {SEED}, {rounds} rounds)")
+    decile = -(-len(ops) // 10)  # a tenth of the ops, rounded up
+    top = sorted(range(len(ops)), key=best[0].__getitem__)[-decile:]
+    top_a, top_b = (sum(side[k] for k in top) for side in best)
+    print(f"top decile ({len(top)} ops by A): A {top_a:.3f}  B {top_b:.3f}  B/A {top_b / top_a:.3f}")
     return 0
 
 

@@ -904,9 +904,11 @@ _LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd
 def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
     # e^{i pi N/a} is taken once per (|N| mod 2a, binade of |N|/a) class and
     # conjugated for N < 0, and an entry is shared by negation; the direct
-    # formula takes expjpi of every N/a, and the table's ints (the parts
-    # floored to 2^-200, |S_ij| floored to 2^-62 plus 2) and the row sums
-    # come from the direct entries
+    # formula takes expjpi of every N/a, and the table's ints (the parts A, B
+    # floored to 2^-200, |S_ij| in units 2^-62 from one isqrt of the parts)
+    # come from the direct entries.  The units bound |S_ij| 2^62, exceed its
+    # floor by at most 2, and their largest row sum is max_row_abs, at least
+    # each row's sum of moduli.
     for p, q in _LEVELS_TO_12_8:
         weights = enumerate_admissible(Level(p, q))
         a = p * q
@@ -920,9 +922,9 @@ def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
                     direct[x] = mp.expjpi(mp.mpf(x.numerator) / x.denominator)
                 return direct[x]
 
-            row_sums = []
+            row_sums, row_units = [], []
             for wi, s_row, printed_row, fixed_row in zip(weights, s_matrix, printed, s_fixed):
-                row_sum = mp.mpf(0)
+                row_sum, units_sum = mp.mpf(0), 0
                 for wj, s_ij, printed_ij, fixed_ij in zip(weights, s_row, printed_row, fixed_row):
                     x_pp = Fraction(wi.b_plus * wj.b_plus, a)
                     x_pm = Fraction(wi.b_plus * wj.b_minus, a)
@@ -930,11 +932,18 @@ def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
                     assert s_ij == entry, (p, q)
                     assert printed_ij == pref * (phase(-x_pm) - phase(-x_pp)), (p, q)
                     parts = [int(mp.floor(mp.ldexp(x, 200))) for x in (entry.real, entry.imag)]
-                    units = int(mp.floor(mp.ldexp(abs(entry), 62))) + 2
+                    root = math.isqrt((abs(parts[0]) + 1) ** 2 + (abs(parts[1]) + 1) ** 2)
+                    units = ((root + 1) >> 138) + 1
                     assert fixed_ij == (*parts, units), (p, q)
+                    with mp.workprec(400):
+                        scaled = mp.ldexp(abs(entry), 62)
+                    assert scaled <= units <= int(mp.floor(scaled)) + 2, (p, q)
                     row_sum += abs(entry)
+                    units_sum += units
                 row_sums.append(row_sum)
-            assert max_row_abs == max(row_sums), (p, q)
+                row_units.append(units_sum)
+            assert max_row_abs == mp.ldexp(max(row_units), -62), (p, q)
+            assert all(max_row_abs >= row_sum for row_sum in row_sums), (p, q)
 
 
 # The first modular-queries catalogue op of each of its 24 levels: p, q, z, tau, tol.

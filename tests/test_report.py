@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_str
+from mpmath.libmp import from_man_exp, mpf_neg, to_str
 
 from admissible_sl2 import report
 from admissible_sl2.cli import main
@@ -124,6 +124,40 @@ def test_memoised_strings_equal_fresh_to_str(x, y, err):
         assert encode(x) == fresh(x) and encode(-x) == fresh(-x)
 
 
+_MANTISSAS = st.integers(1, 400).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(man=_MANTISSAS, lead=st.integers(-3600, 3600), digits=st.sampled_from([30, 8]))
+def test_decimal_kernel_is_to_str(man, lead, digits):
+    # the integer kernel inside |exp + bc| <= 3500 and to_str past it give
+    # to_str's own string, for a value and its negation
+    raw = from_man_exp(man, lead - man.bit_length())  # exp + bc = lead
+    for x in (raw, mpf_neg(raw)):
+        assert report._real_str(x, digits, {}) == to_str(x, digits)
+
+
+@pytest.mark.parametrize("digits", [30, 8])
+def test_decimal_kernel_carries_and_switches_layout_where_to_str_does(digits):
+    # 9.99...955 carried to the next power of ten, and leading digits at
+    # both edges of the fixed-point window: min(-(digits // 3), -5) and
+    # digits themselves print with an exponent, the ones just inside do not
+    min_fixed = min(-(digits // 3), -5)
+    with mp.workprec(400):
+        carry = 10 - mp.mpf("4.5") * mp.mpf(10) ** -digits  # 9.99...955: digit 5 carries
+        assert report._real_str(carry._mpf_, digits, {}) == "10.0"
+        cases = [carry, 1 - mp.ldexp(1, -140), mp.mpf(1)]
+        for point in (min_fixed - 1, min_fixed, min_fixed + 1, digits - 1, digits, digits + 1):
+            scale = mp.mpf(10) ** point
+            cases += [scale, scale * mp.mpf("1.25"), scale * carry / 10, scale * mp.pi]
+        for v in cases:
+            assert report._real_str(v._mpf_, digits, {}) == to_str(v._mpf_, digits), v
+        assert "e" in report._real_str((mp.mpf(10) ** min_fixed)._mpf_, digits, {})
+        assert "e" not in report._real_str((3 * mp.mpf(10) ** (min_fixed + 1))._mpf_, digits, {})
+        assert "e" not in report._real_str((mp.mpf(10) ** (digits - 1))._mpf_, digits, {})
+        assert "e" in report._real_str((mp.mpf(10) ** digits)._mpf_, digits, {})
+
+
 def test_encode_mappings_with_fraction_keys():
     obj = encode({Fraction(-1, 2): 1, Fraction(3): 0})
     assert obj == {"-1/2": 1, "3": 0}
@@ -180,8 +214,12 @@ def _nest(value, shape: list[bool]):
     return value
 
 
+_str_lists = st.lists(_strings, min_size=1, max_size=6)
+_two_leaf_lists = st.one_of(
+    st.tuples(_strings, _strings).map(list), st.tuples(st.booleans(), _strings).map(list)
+)
 _trees = st.recursive(
-    st.one_of(_scalars, _pairs, st.just([]), st.just({})),
+    st.one_of(_scalars, _pairs, _str_lists, _two_leaf_lists, st.just([]), st.just({})),
     lambda kids: st.one_of(
         st.lists(kids, max_size=5),
         st.dictionaries(_strings, kids, max_size=5),
