@@ -15,7 +15,10 @@ only certifies them, so it is kept in Python floats as natural logs: the log
 of each term modulus, evaluated directly, the tail test and the rounding sums,
 each raised by a stated relative margin (derivation in
 :func:`theta_eval_numeric`).  One ``mp.exp`` turns the final log into the
-bound.
+bound.  The log-modulus, slope and tail at one lattice point are written
+once, in :func:`_point_bound`, for the direct evaluator and the side pass's
+window alike; so is q^e times a certified value, in :func:`_times_q_power`,
+for the series close and chi.
 
 Two walks carry their sums in Python-int fixed point, with bounds counted in
 whole units of the scale.  An exact q-series is evaluated along its sorted
@@ -63,8 +66,12 @@ every power of q is built by :func:`_q_power`.  Every evaluator checks for a
 finite tau with ``Im(tau) > 0`` up front, and those with a tolerance check
 ``tol > 0``, with one helper each.
 
-Precision is fixed per evaluator (``theta_eval_numeric`` alone takes it as an
-argument); there is no ambient global state -- evaluation happens inside
+Precision is fixed per evaluator.  ``theta_eval_numeric`` and
+``_chibar_numeric`` take it as an argument, since ``character`` runs at
+``DEFAULT_PREC`` and the tests' referees at 192 and 1200 bits; the side pass
+(``_chibar_side``, ``_theta_vector``) runs at ``_S_TRANSFORM_PREC``;
+``_denominator`` and ``_quotient`` read it off the thetas they are handed.
+There is no ambient global state -- evaluation happens inside
 ``mp.workprec``.
 """
 
@@ -194,6 +201,23 @@ def _modulus(z: tuple, rnd: str) -> tuple:
     return mpf_sqrt(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), 64, rnd)
 
 
+def _point_bound(c, a, b, x, d, y) -> tuple[float, float, float]:
+    """(l, s, t) at x going outward (d = +-1), for term moduli e^{-f}, f = c (a x^2 + b x).
+
+    l = -f(x) + 2^-40 (P + |Q| + 1), P = c a x^2 and Q = c b x, raises the
+    log-modulus past its float rounding; s = f(x + d) - f(x) - 2^-40 (S + 1)
+    - y, S = c (a (2|x| + 1) + |b|), lowers the slope past its rounding and
+    past y, the caller's argument rounding.  Where s > 0, e^t bounds the tail
+    e^{l + y} / (1 - e^{-s}) from x outward, as the slope only grows; t is
+    inf otherwise.  Derivation in :func:`theta_eval_numeric`.
+    """
+    p, q = c * a * x * x, c * b * x
+    l = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
+    size = c * (a * (2 * abs(x) + 1) + abs(b))
+    s = c * (a * (2 * d * x + 1) + d * b) - _FLOAT_MARGIN * (size + 1) - y
+    return l, s, _up(l, y, -math.log(-math.expm1(-s))) if s > 0 else math.inf
+
+
 def _refuse_past_the_cap(a, b, two_pi_m, log_budget, tau_l1, abs_z, abs_off, prec: int) -> float:
     """Y of a walk over one residue (see :func:`theta_eval_numeric`); raises at the term cap.
 
@@ -242,12 +266,13 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     e^{-s(x)}).
 
     Float rounding.  L and s are evaluated directly at every step from A, B
-    and x rounded to doubles: about ten roundings of u = 2^-53 in the
-    magnitudes P + |Q| (P = 2 pi m A x^2, Q = 2 pi m B x) and S = 2 pi m (A
-    (2|x| + 1) + |B|), far inside the margins 2^-40 (P + |Q| + 1) added to L
-    and 2^-40 (S + 1) taken off s.  ``_up`` and ``_log_sum`` raise every
-    later float sum of logs by 2^-40 (1 + its addends' magnitudes), again
-    past its rounding, and the sums of moduli are raised by 2^-40 count.
+    and x rounded to doubles, by ``_point_bound`` with c = 2 pi m: about ten
+    roundings of u = 2^-53 in the magnitudes P + |Q| (P = 2 pi m A x^2, Q = 2
+    pi m B x) and S = 2 pi m (A (2|x| + 1) + |B|), far inside the margins
+    2^-40 (P + |Q| + 1) added to L and 2^-40 (S + 1) taken off s.  ``_up``
+    and ``_log_sum`` raise every later float sum of logs by 2^-40 (1 + its
+    addends' magnitudes), again past its rounding, and the sums of moduli
+    are raised by 2^-40 count.
 
     Rounding of the arguments, at the working precision: x, B, n/2m and a
     rational z are rounded.  With X = |x| + |n/2m| and U = 2 pi m |tau| eps,
@@ -258,8 +283,8 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
     every X up to the term cap; |Re| + |Im| stands in for |z| and |tau|.
 
     So with l = L + 2^-40 (P + |Q| + 1), e^{l + Y} bounds each exact
-    modulus, and s_lo = s - 2^-40 (S + 1) - Y each exact slope.  A side
-    stops at the first x with s_lo > 0 and
+    modulus, and s_lo = s - 2^-40 (S + 1) - Y each exact slope (``_point_bound``
+    at y = Y).  A side stops at the first x with s_lo > 0 and
 
         l + Y - log(-expm1(-s_lo)) < log(tol/4),
 
@@ -310,18 +335,11 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
             while True:
                 x = mpf_add(off, from_int(i), prec, rnd)  # i + off
                 xf = to_float(x, rnd=rnd)
-                p, q = two_pi_m * a * xf * xf, two_pi_m * b * xf  # L = -(p + q)
-                log_m = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q
-                if first is None:
-                    first = log_m
-                slope = two_pi_m * (a * (2 * direction * xf + 1) + direction * b)
-                slope_size = two_pi_m * (a * (2 * abs(xf) + 1) + abs(b))
-                s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y
-                if s_lo > 0:
-                    tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))
-                    if tail < log_budget:
-                        tails.append(tail)
-                        break
+                log_m, _, tail = _point_bound(two_pi_m, a, b, xf, direction, y)
+                first = log_m if first is None else first
+                if tail < log_budget:
+                    tails.append(tail)
+                    break
                 # 2 * m * (x * x + x * z) * tau
                 w = mpc_add_mpf(mpc_mul_mpf(z, x, prec, rnd), mpf_mul(x, x, prec, rnd), prec, rnd)
                 w = mpc_mul_int(w, 2 * m, prec, rnd)
@@ -365,6 +383,22 @@ def _q_power_error(e: Fraction, tau_l1, eps) -> mpmath.mpf:
     return (y * mp.exp(y) + eps) * (1 + 8 * eps)
 
 
+def _times_q_power(x: ComplexVal, lead: mpmath.mpc, r, eps) -> ComplexVal:
+    """lead x, ``lead`` a computed q^e within r |lead| of exact, and its bound.
+
+    The product rounds once per component, eps |x| each, so the error is at
+    most
+
+        |lead| (err(x) + r (|x| + err(x)) + 4 eps |x|) (1 + 8 eps),
+
+    the last factor covering the roundings of the bound itself and of |x|
+    and |lead|.
+    """
+    abs_x = abs(x.value)
+    err = abs(lead) * (x.err + r * (abs_x + x.err) + 4 * eps * abs_x) * (1 + 8 * eps)
+    return ComplexVal(lead * x.value, err, x.prec)
+
+
 def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
     """Evaluate a truncated exact series at q = e^{2 pi i tau}, Im(tau) > 0.
 
@@ -399,15 +433,10 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
     nothing underflows.  The inner sum S is then within E = sum_k |c_k| E_k
     (plus 2 units per ``Fraction``) of exact.
 
-    The close.  S becomes an ``mpc`` I with one rounding per component, and
-    the value is L I with one more, eps |I| each, L being within r_L |L| of
-    q^{m_0/D}.  So the error is at most
-
-        |L| (E + r_L (|I| + E) + 4 eps |I|) (1 + 8 eps),
-
-    the last factor covering the roundings of the bound itself and of |I|
-    and |L|.  A one-term series with coefficient 1 walks nothing: I is
-    exactly 1 and the value is exactly L.
+    The close.  S becomes an ``mpc`` I with one rounding per component, so I
+    is within E of the exact sum, and the value is L I (``_times_q_power``),
+    L being within r_L |L| of q^{m_0/D}.  A one-term series with coefficient
+    1 walks nothing: I is exactly 1 and the value is exactly L.
     """
     prec = DEFAULT_PREC
     with mp.workprec(prec):
@@ -463,22 +492,19 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
                 err_units += -(-abs(n) * drift // d) + 2
 
         inner = mp.mpc(mp.ldexp(sr, -frac_bits), mp.ldexp(si, -frac_bits))
-        walk_err = mp.ldexp(err_units, -frac_bits)
-        abs_inner = abs(inner)
+        walk = ComplexVal(inner, mp.ldexp(err_units, -frac_bits), prec)
         lead_err = _q_power_error(Fraction(keys[0], denom), tau_l1, eps)
-        err = abs(lead) * (
-            walk_err + lead_err * (abs_inner + walk_err) + 4 * eps * abs_inner
-        ) * (1 + 8 * eps)
-        return ComplexVal(lead * inner, err, prec)
+        return _times_q_power(walk, lead, lead_err, eps)
 
 
-def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int):
+def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf):
     """What every quotient of one attempt shares: den = th_1 - th_m1, raw, and its bound.
 
     (den, e_den rounded up, |den| rounded down); None when e_den >= |den| /
-    2.  |den| < 10 tol raises before any quotient.
+    2.  |den| < 10 tol raises before any quotient.  den is rounded at the
+    thetas' precision.
     """
-    den = mpc_sub(th_1.value._mpc_, th_m1.value._mpc_, prec, round_nearest)
+    den = mpc_sub(th_1.value._mpc_, th_m1.value._mpc_, th_1.prec, round_nearest)
     e_den = mpf_add(th_1.err._mpf_, th_m1.err._mpf_, 64, round_ceiling)
     abs_den = mp.make_mpf(_modulus(den, round_floor))
     if abs_den < 10 * tol:
@@ -489,11 +515,12 @@ def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf, prec: int
 
 
 def _quotient(
-    th_p: ComplexVal, th_m: ComplexVal, denominator: tuple, tol: mpmath.mpf, prec: int
+    th_p: ComplexVal, th_m: ComplexVal, denominator: tuple, tol: mpmath.mpf
 ) -> ComplexVal | None:
     """(th_p - th_m) / den with its bound; None when the bound misses ``tol``.
 
-    ``denominator`` is ``_denominator``'s for the attempt.
+    ``denominator`` is ``_denominator``'s for the attempt, and the quotient
+    is taken at the thetas' precision, eps = 2^(1 - prec).
 
     The bound is M + 8 eps (|quot| + M), M = (e_num + |quot| e_den) / (|den|
     - e_den), e_num and e_den the sums of the theta errors: over every N and
@@ -505,6 +532,7 @@ def _quotient(
     |quot|, the numerator and each sum, down for |den| and |den| - e_den.
     """
     den, e_den, abs_den = denominator
+    prec = th_p.prec
     num = mpc_sub(th_p.value._mpc_, th_m.value._mpc_, prec, round_nearest)
     quot = mpc_div(num, den, prec, round_nearest)
     e_num = mpf_add(th_p.err._mpf_, th_m.err._mpf_, 64, round_ceiling)
@@ -536,8 +564,8 @@ def _chibar_numeric(weight: AdmissibleWeight, tau, zval, tol, prec: int) -> Comp
         ctol = tol / 8
         for _ in range(_QUOTIENT_RETRIES):
             th_p, th_m, th_1, th_m1 = (theta_eval_numeric(spec, tau, ctol, prec) for spec in specs)
-            den = _denominator(th_1, th_m1, tol, prec)
-            found = den and _quotient(th_p, th_m, den, tol, prec)
+            den = _denominator(th_1, th_m1, tol)
+            found = den and _quotient(th_p, th_m, den, tol)
             if found:
                 return found
             ctol = ctol / 16
@@ -550,23 +578,6 @@ def _exact(x) -> tuple[Fraction, Fraction]:
         return x, Fraction(0)
     raw = x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_, fzero)
     return Fraction(*to_rational(raw[0])), Fraction(*to_rational(raw[1]))
-
-
-def _tail_log(pi_a: float, pi_b: float, n: int, d: int) -> tuple[float, float]:
-    """(t, s): e^t bounds sum_{k >= 0} e^{-f(n + d k)}, f(N) = pi_a N^2 + pi_b N, when s > 0.
-
-    s is a lower bound on the slope f(n + d) - f(n), which grows by 2 pi_a per
-    step outward, so the sum is at most e^{-f(n)} / (1 - e^{-s}).  The float
-    margins are those of :func:`theta_eval_numeric`: 2^-40 (P + |Q| + 1) on
-    -f(n) = -(P + Q), 2^-40 (S + 1) off the slope, S its size, and ``_up``.
-    t is inf where s <= 0.
-    """
-    p, q = pi_a * n * n, pi_b * n
-    s = pi_a * (2 * d * n + 1) + d * pi_b
-    s -= _FLOAT_MARGIN * (pi_a * (2 * abs(n) + 1) + abs(pi_b) + 1)
-    if s <= 0:
-        return math.inf, s
-    return _up(_FLOAT_MARGIN * (p + abs(q) + 1) - p - q, -math.log(-math.expm1(-s))), s
 
 
 def _fixed_walk(
@@ -650,23 +661,26 @@ def _fixed_walk(
     return list(zip(sums_re, sums_im, counts))
 
 
-def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int) -> list[ComplexVal]:
+def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf) -> list[ComplexVal]:
     """Every theta_{n,m}(tau, z), n mod 2m, from one walk over N, at index n.
 
     With (Re, Im, count) the sums of ``_fixed_walk`` at residue n, theta_{n,m}
     is (Re + i Im) 2^-F, exact, within its bound count 2^-F + tail <= 3 tol/4
-    (tail below), rounded up at ``prec``.  ``tau`` is an mpc with Im(tau) > 0
-    and ``z`` a rational or an mpc, each taken as exact; ``tol`` > 0.
+    (tail below), rounded up at ``_S_TRANSFORM_PREC``, the side pass's
+    precision.  ``tau`` is an mpc with Im(tau) > 0 and ``z`` a rational or
+    an mpc, each taken as exact; ``tol`` > 0.
     (Kac-Peterson's theta vector, Adv. Math. 53, 1984: with x = N/2m, every
     term of every residue is one t_N of ``_fixed_walk``.)
 
     The window.  The term moduli are e^{-f(N)}, f(N) = pi (A N^2/2m + B N),
     largest at the vertex -m B/A, where log |t| = pi m B^2/2A; n0 is the
     integer nearest the vertex, found exactly.  Each side runs outward to the
-    first N whose certified tail (``_tail_log``) is below tol/4, so the two
-    tails add at most tol/2 to every residue.  The first candidate is where
-    the parabola alone reaches tol/4, and each miss moves on by the miss over
-    the slope, as the slope only grows outward.  The term-cap refusals are
+    first N whose certified tail is below tol/4 (``_point_bound`` with c =
+    1, a = pi A/2m, b = pi B and y = 0, as the walk's seeds carry their own
+    argument rounding), so the two tails add at most tol/2 to every
+    residue.  The first candidate is where the parabola alone reaches tol/4,
+    and each miss moves on by the miss over the slope, as the slope only
+    grows outward.  The term-cap refusals are
     those of the per-residue walk (``_refuse_past_the_cap``), and a side
     needing more than 2m cap steps is refused too.
 
@@ -683,6 +697,7 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int) -> lis
     order that does not overflow, so the refusal quotes it.  ``tail`` bounds
     the two tails together.
     """
+    prec = _S_TRANSFORM_PREC
     (zr, zi), (tr, ti) = _exact(z), _exact(tau)
     big_b = tr * zi + ti * zr
     a, b = float(ti), float(big_b)
@@ -707,7 +722,7 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int) -> lis
         while True:
             if not k <= 2 * m * _MAX_TERMS_PER_SIDE:
                 raise InputError(_TERM_CAP)
-            tail, slope = _tail_log(pi_a, pi_b, n0 + d * int(k), d)
+            _, slope, tail = _point_bound(1.0, pi_a, pi_b, n0 + d * int(k), d, 0.0)
             if tail < log_side:
                 break
             k = int(k) + (max(1.0, (tail - log_side) / slope) if slope > 0 else k)
@@ -730,16 +745,17 @@ def _theta_vector(m: int, z, tau: mpmath.mpc, tol: mpmath.mpf, prec: int) -> lis
 
 
 def _chibar_side(
-    weights: list[AdmissibleWeight], tau: mpmath.mpc, zval, tol, prec: int
+    weights: list[AdmissibleWeight], tau: mpmath.mpc, zval, tol
 ) -> tuple[list[ComplexVal], mpmath.mpf]:
     """Each weight's chibar at one (tau, zval) within ``tol``, as ``_chibar_numeric`` bounds it.
 
     Returns the chibars and the largest bound of the thetas they were formed
-    from.  ``tau`` is an mpc with Im(tau) > 0 at ``prec``.  The thetas come
-    from ``chibar_thetas``: the numerators share m = a and the argument z/q,
-    the denominator pair theta_{+-1,2} is common to all.  So a side is one
-    ``_theta_vector`` of the denominators and one of the numerators, and
-    each quotient is ``_quotient`` of its residues over ``_denominator``.
+    from.  ``tau`` is an mpc with Im(tau) > 0 at ``_S_TRANSFORM_PREC``, the
+    side's precision.  The thetas come from ``chibar_thetas``: the
+    numerators share m = a and the argument z/q, the denominator pair
+    theta_{+-1,2} is common to all.  So a side is one ``_theta_vector`` of
+    the denominators and one of the numerators, and each quotient is
+    ``_quotient`` of its residues over ``_denominator``.
 
     The denominator is walked first, to tol 2^-20: its bound e_den must be
     below |den|/2 (else it is walked again 2^16 times deeper), and |den| <
@@ -751,25 +767,25 @@ def _chibar_side(
     and every quotient is formed again over it.  After ``_QUOTIENT_RETRIES`` denominator walks the side fails.
     """
     tol = mp.mpf(tol)
-    with mp.workprec(prec):
-        pairs = [chibar_thetas(w, zval) for w in weights]  # a complex z / q rounds at prec
+    with mp.workprec(_S_TRANSFORM_PREC):
+        pairs = [chibar_thetas(w, zval) for w in weights]  # a complex z / q rounds here
         (num_p, _), (den_p, den_m) = pairs[0]
         dtol, nums = tol * 2.0**-20, None
         for _ in range(_QUOTIENT_RETRIES):
-            dens = _theta_vector(den_p.m, den_p.z, tau, dtol, prec)
+            dens = _theta_vector(den_p.m, den_p.z, tau, dtol)
             den_pair = dens[den_p.n % 4], dens[den_m.n % 4]
-            den = _denominator(*den_pair, tol, prec)
+            den = _denominator(*den_pair, tol)
             if den is None:
                 dtol = dtol / 2**16
                 continue
             abs_den = mp.make_mpf(den[2])  # at most |den|
             if nums is None:
-                vec = _theta_vector(num_p.m, num_p.z, tau, tol * min(1, abs_den / 32), prec)
+                vec = _theta_vector(num_p.m, num_p.z, tau, tol * min(1, abs_den / 32))
                 two_m = len(vec)
                 nums = [(vec[plus.n % two_m], vec[minus.n % two_m]) for (plus, minus), _ in pairs]
             found, missed = [], mp.mpf(1)
             for th_p, th_m in nums:
-                found.append(_quotient(th_p, th_m, den, tol, prec))
+                found.append(_quotient(th_p, th_m, den, tol))
                 if found[-1] is None:
                     missed = max(missed, abs(th_p.value - th_m.value) / abs_den)
             if all(found):
@@ -782,23 +798,22 @@ def character_eval_numeric(spec: CharacterSpec, tau, tol, kind: str = "chi") -> 
     """Numeric character value with certified bound; kind selects chi vs chibar.
 
     chi carries the anomaly prefactor q^(l z^2 / 4) on top of the theta
-    quotient.
+    quotient: the product and its bound are ``_times_q_power``'s, with the
+    prefactor's relative error from ``_q_power_error``, as the series close
+    counts its lead's.
     """
     shift = spec.shift(kind)
     tol = _positive_tol(tol)
     prec = DEFAULT_PREC
     with mp.workprec(prec):
         tau_v = _upper_half_plane(tau, "character evaluation")
-        eps = mp.mpf(2) ** (1 - prec)
         if kind == "chibar":
             return _chibar_numeric(spec.weight, tau_v, spec.z, tol, prec)
         pref = _q_power(shift, tau_v)
-        abs_pref = abs(pref)
-        quot_tol = tol / (2 * max(abs_pref, mp.mpf(1)))
-        quot = _chibar_numeric(spec.weight, tau_v, spec.z, quot_tol, prec)
-        value = pref * quot.value
-        err = abs_pref * quot.err + 8 * eps * abs(value)
-        return ComplexVal(value, err, prec)
+        quot = _chibar_numeric(spec.weight, tau_v, spec.z, tol / (2 * max(abs(pref), 1)), prec)
+        eps = mp.mpf(2) ** (1 - prec)
+        r = _q_power_error(shift, abs(tau_v.real) + tau_v.imag, eps)
+        return _times_q_power(quot, pref, r, eps)
 
 
 def _phase_class(num: int, a: int) -> tuple[int, int, int]:
@@ -1029,8 +1044,8 @@ def s_transform_residual(
         abs_factor = abs(factor)
 
         rhs_tol = tol / (8 * max(mp.mpf(1), abs_factor) * max(mp.mpf(1), max_row_abs))
-        chibar_vals, rhs_theta_max = _chibar_side(weights, tau_v, z, rhs_tol, prec)
-        lhs_vals, lhs_theta_max = _chibar_side(weights, tau2, z2, tol / 8, prec)
+        chibar_vals, rhs_theta_max = _chibar_side(weights, tau_v, z, rhs_tol)
+        lhs_vals, lhs_theta_max = _chibar_side(weights, tau2, z2, tol / 8)
 
         # the table in fixed point: S in units 2^-gs, y_j = factor chibar_j (exact)
         # in units 2^-gy, lhs and every sum of products in units 2^-(gs + gy)
@@ -1058,6 +1073,11 @@ def s_transform_residual(
         g = 62 - max(x[2] + x[3] for x in (v._mpf_ for v in c_rows + w_cols) if x[1])
         c_rows, w_cols = ([to_fixed(v._mpf_, g) + 2 for v in vs] for vs in (c_rows, w_cols))
         ratio = None if alt_factor is None else alt_factor / factor
+
+        def modulus(d_re: int, d_im: int) -> mpmath.mpf:
+            """|d_re + i d_im| 2^-g_all, floored by one ``math.isqrt``."""
+            return mp.make_mpf(from_man_exp(math.isqrt(d_re * d_re + d_im * d_im), -g_all))
+
         residuals, residual_errors, printed_residuals, alt_residuals = [], [], [], []
         for i in range(n_w):
             l_re, l_im = ls[i]
@@ -1070,19 +1090,16 @@ def s_transform_residual(
                 run_im += r + t
                 printed_re += p + q  # conj(S_ij) y_j
                 printed_im += r - t
-                d_re, d_im = l_re - run_re, l_im - run_im
-                row_res.append(from_man_exp(math.isqrt(d_re * d_re + d_im * d_im), -g_all))
+                row_res.append(modulus(l_re - run_re, l_im - run_im))
                 bound += s_units * w_j
-                row_err.append(from_man_exp(bound, -g - 62))
+                row_err.append(mp.make_mpf(from_man_exp(bound, -g - 62)))
             residuals.append(row_res)
             residual_errors.append(row_err)
-            d_re, d_im = l_re - printed_re, l_im - printed_im
-            printed_residuals.append(from_man_exp(math.isqrt(d_re * d_re + d_im * d_im), -g_all))
+            printed_residuals.append(modulus(l_re - printed_re, l_im - printed_im))
             if ratio is not None:
                 running = mp.make_mpc((from_man_exp(run_re, -g_all), from_man_exp(run_im, -g_all)))
-                alt_residuals.append(abs(lhs_vals[i].value - ratio * running)._mpf_)
+                alt_residuals.append(abs(lhs_vals[i].value - ratio * running))
 
-        partial_sums = [[mp.make_mpf(v) for v in row] for row in residuals]
         return {
             "level": level,
             "z": z,
@@ -1093,14 +1110,12 @@ def s_transform_residual(
             "s_matrix": s_matrix,
             "chibar": chibar_vals,
             "lhs": lhs_vals,
-            "residual_partial_sums": partial_sums,
-            "residual_errors": [[mp.make_mpf(v) for v in row] for row in residual_errors],
-            "final_residuals": [row[-1] for row in partial_sums],
+            "residual_partial_sums": residuals,
+            "residual_errors": residual_errors,
+            "final_residuals": [row[-1] for row in residuals],
             "theta_error_max": max(rhs_theta_max, lhs_theta_max),
             "as_printed_s_matrix": printed_matrix,
-            "as_printed_final_residuals": [mp.make_mpf(v) for v in printed_residuals],
+            "as_printed_final_residuals": printed_residuals,
             "alt_factor": alt_factor,
-            "alt_final_residuals": (
-                None if alt_factor is None else [mp.make_mpf(v) for v in alt_residuals]
-            ),
+            "alt_final_residuals": None if ratio is None else alt_residuals,
         }

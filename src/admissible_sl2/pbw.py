@@ -24,6 +24,7 @@ such g_k the product is a plain append.  Products are memoized per algebra.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -329,7 +330,7 @@ def verify_operator_identities(m_max: int = 5) -> IdentityReport:
 
     for alg in (SL2, L0):
         kind = alg.factor
-        fac = lambda a: quadratic_factor(alg, a)  # noqa: E731
+        fac = functools.cache(lambda a: quadratic_factor(alg, a))  # a memo local to this call
         up = PBWElement.generator(alg, alg.raising)
         down = PBWElement.generator(alg, alg.lowering)
         for a in _ALPHAS:

@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_TESTS = "tests/test_numeric.py::"
 SIDE_PASS_TESTS = "tests/test_side_pass.py::"
+POINT_BOUND = SIDE_PASS_TESTS + "test_point_bound_bounds_the_exact_geometric_tail"
 WORST_POINT = "test_quotient_bound_covers_the_worst_point_of_the_error_disks"
 S_UNITS = "test_phase_classes_give_the_direct_s_matrices_bit_for_bit"
 S_UNITS_WINDOW = (
@@ -62,8 +63,7 @@ class Mutant:
 
 
 MUTANTS = [
-    # -- the side pass's fixed-point walk and its window (numeric._fixed_walk,
-    #    numeric._tail_log) --
+    # -- the side pass's fixed-point walk (numeric._fixed_walk) --
     Mutant(
         "walk: the ratios' per-step drift",
         "numeric.py",
@@ -85,19 +85,28 @@ MUTANTS = [
         "e = (e * min(ratio + d, one) + (abs(x_re) + abs(x_im)) * d) >> f",
         SIDE_PASS_TESTS + "test_fixed_walk_is_the_brute_force_sum_within_its_count",
     ),
+    # -- the float bound at one lattice point, of the direct evaluator and of
+    #    the side pass's window (numeric._point_bound) --
     Mutant(
-        "tail: the float margin on the log modulus",
+        "point bound: the float margin on the log modulus",
         "numeric.py",
-        "return _up(_FLOAT_MARGIN * (p + abs(q) + 1) - p - q, -math.log(-math.expm1(-s)))",
-        "return _up(-p - q, -math.log(-math.expm1(-s)))",
-        SIDE_PASS_TESTS + "test_tail_log_bounds_the_exact_geometric_tail",
+        "l = _FLOAT_MARGIN * (p + abs(q) + 1) - p - q",
+        "l = -p - q",
+        POINT_BOUND,
     ),
     Mutant(
-        "tail: the float margin on the slope",
+        "point bound: the float margin on the slope",
         "numeric.py",
-        "s -= _FLOAT_MARGIN * (pi_a * (2 * abs(n) + 1) + abs(pi_b) + 1)",
-        "s -= 0",
-        SIDE_PASS_TESTS + "test_tail_log_bounds_the_exact_geometric_tail",
+        " - _FLOAT_MARGIN * (size + 1) - y",
+        " - y",
+        POINT_BOUND,
+    ),
+    Mutant(
+        "point bound: the argument rounding y in the tail",
+        "numeric.py",
+        "_up(l, y, -math.log(-math.expm1(-s)))",
+        "_up(l, -math.log(-math.expm1(-s)))",
+        POINT_BOUND,
     ),
     # -- the residual table (numeric.s_transform_residual) --
     Mutant(
@@ -157,31 +166,13 @@ MUTANTS = [
         "(root + 1) >> cut",
         NUMERIC_TESTS + S_UNITS,
     ),
-    # -- the direct evaluators and the series walk (ROADMAP item 15) --
+    # -- the direct evaluators (ROADMAP item 15) --
     Mutant(
         "theta: the per-term rounding count",
         "numeric.py",
         "log_n = math.log(count + 16)",
         "log_n = math.log(count + 1)",
         NUMERIC_TESTS + "test_theta_recurrence_matches_direct_evaluator",
-    ),
-    Mutant(
-        "theta: the argument rounding Y in the tail",
-        "numeric.py",
-        "tail = _up(log_m, y, -math.log(-math.expm1(-s_lo)))",
-        "tail = _up(log_m, -math.log(-math.expm1(-s_lo)))",
-        NUMERIC_TESTS + "test_theta_bound_encloses_interval_referee",
-        "survived",
-        "Y is of order 2^-prec times the squared reach, far below every tail the draws reach",
-    ),
-    Mutant(
-        "theta: the float margin on the slope",
-        "numeric.py",
-        "s_lo = slope - _FLOAT_MARGIN * (slope_size + 1) - y",
-        "s_lo = slope - y",
-        NUMERIC_TESTS + "test_theta_bound_encloses_interval_referee",
-        "survived",
-        "a 2^-40 relative slope margin moves the tail bound far less than its geometric slack",
     ),
     Mutant(
         "quotient: the numerators' errors summed",
@@ -270,15 +261,26 @@ MUTANTS = [
         "survived",
         ROUNDING_64,
     ),
+    # -- q^e times a certified value: the series close and chi
+    #    (numeric._times_q_power) --
     Mutant(
-        "chi: the product's rounding",
+        "q^e product: the lead's relative error",
         "numeric.py",
-        "err = abs_pref * quot.err + 8 * eps * abs(value)",
-        "err = abs_pref * quot.err",
+        "r * (abs_x + x.err)",
+        "0",
+        NUMERIC_TESTS + "test_chi_bound_counts_its_prefactors_error",
+    ),
+    Mutant(
+        "q^e product: the product's rounding",
+        "numeric.py",
+        " + 4 * eps * abs_x",
+        "",
         NUMERIC_TESTS + "test_chi_bound_encloses_interval_referee",
         "survived",
-        "|q^shift| times the quotient's bound, with its own 8 eps |quot|, exceeds the product's error",
+        "chi's bound carries q^shift's own error r |quot|, r >= eps, and the quotient's "
+        "8 eps |quot|, each beyond the product's actual rounding",
     ),
+    # -- the series walk's units (numeric.qseries_eval_numeric) --
     Mutant(
         "series walk: the floor units per step",
         "numeric.py",
@@ -296,15 +298,6 @@ MUTANTS = [
         NUMERIC_TESTS + "test_series_walk_within_bounds_of_reference_and_per_term_sum",
         "survived",
         "as for the floor units per step",
-    ),
-    Mutant(
-        "series walk: the close's rounding",
-        "numeric.py",
-        "walk_err + lead_err * (abs_inner + walk_err) + 4 * eps * abs_inner",
-        "walk_err + lead_err * (abs_inner + walk_err)",
-        NUMERIC_TESTS + "test_series_walk_within_bounds_of_reference_and_per_term_sum",
-        "survived",
-        "the walk's unit counts exceed the close's two roundings on every draw",
     ),
     # -- the S-law predicate (verify.transformation_law_checks) --
     Mutant(

@@ -19,6 +19,8 @@ out of its reach.
 No package function takes a ``level`` beside a weight, whether the weight is
 an ``AdmissibleWeight`` or its primed ints ``n_primed``/``k_primed``: a weight
 carries its level and its box check, and a second level could disagree with it.
+Likewise no package function takes a ``prec`` beside a parameter annotated
+``ComplexVal``: a ``ComplexVal`` carries the precision it was computed at.
 
 No package function mutates a module-level name, by item assignment or
 deletion, a mutating method (argparse's ``add_argument`` and kin among them)
@@ -160,6 +162,19 @@ def test_no_function_takes_a_level_beside_a_weight():
                 args = node.args
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 if "level" in names and names & _WEIGHT_PARAMS:
+                    doubled.append(f"{path.relative_to(ROOT)}: {node.name}")
+    assert doubled == []
+
+
+def test_no_function_takes_a_prec_beside_a_complex_val():
+    doubled = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                annotated = {ast.unparse(a.annotation) for a in params if a.annotation}
+                if "prec" in {a.arg for a in params} and "ComplexVal" in annotated:
                     doubled.append(f"{path.relative_to(ROOT)}: {node.name}")
     assert doubled == []
 

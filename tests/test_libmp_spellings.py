@@ -20,7 +20,6 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import (
     from_int,
-    mpc_abs,
     mpc_add,
     mpc_add_mpf,
     mpc_mul,
@@ -75,7 +74,6 @@ def _spellings(rng: random.Random, prec: int) -> list[tuple[str, object, object]
     pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
     h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
     d, entry = _complex(rng), _complex(rng)
-    row_abs = abs(_real(rng))
     return [
         # theta terms (``theta_eval_numeric``)
         ("n / (2*m)", off._mpf_, mpf_div(from_int(n), from_int(2 * m), prec, rnd)),
@@ -108,12 +106,6 @@ def _spellings(rng: random.Random, prec: int) -> list[tuple[str, object, object]
         ),
         ("-e", (-entry)._mpc_, tuple(map(mpf_neg, entry._mpc_))),
         ("mp.conj(e)", mp.conj(entry)._mpc_, (entry._mpc_[0], mpf_neg(entry._mpc_[1]))),
-        ("abs(e)", abs(entry)._mpf_, mpc_abs(entry._mpc_, prec, rnd)),
-        (
-            "row_abs + abs(e)",
-            (row_abs + abs(entry))._mpf_,
-            mpf_add(row_abs._mpf_, abs(entry)._mpf_, prec, rnd),
-        ),
     ]
 
 

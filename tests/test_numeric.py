@@ -14,9 +14,11 @@ leaves out the rounding of each term's argument.  The interval enclosure of
 radius <= err on every draw, at edges of the double range too.  It referees
 the quotient bound of ``_chibar_numeric`` the same way, on quotients at tau
 with a rational z and at the law's left side (-1/tau, tau z), the chi of
-``character_eval_numeric``, q^shift times the quotient, and the
-``residual_errors`` of ``s_transform_residual``: each partial residual,
-enclosed from the quotient boxes and exact S entries, lies within its bound.
+``character_eval_numeric``, q^shift times the quotient (whose bound is also
+held, at one op where q^shift's own error passes the product's rounding, to
+count that error), and the ``residual_errors`` of ``s_transform_residual``:
+each partial residual, enclosed from the quotient boxes and exact S entries,
+lies within its bound.
 ``stransform``'s sharing of thetas (one walk of the denominators and one of
 the numerators per side, and on a retry only the denominators again) is
 checked by its walks and against per-weight quotients within both bounds,
@@ -300,6 +302,26 @@ def test_chi_bound_encloses_interval_referee(weight, z, re_tau, im_tau, tol_exp)
         assert abs(val.value - center) + radius <= val.err
 
 
+def test_chi_bound_counts_its_prefactors_error():
+    # character --p 8 --q 1 --n 3 --k 0 --z 9/10 --tau=1.4,0.6 --tol 1e-26:
+    # there |shift| |tau|_1 is past 0.7, and q^shift's relative error r,
+    # about 18 eps, is more than the 8 eps of the product's rounding, so the
+    # bound must count |pref| r (|quot| + err(quot)) besides |pref| err(quot)
+    spec = CharacterSpec(AdmissibleWeight(Level(8, 1), 3, 0), Fraction(9, 10))
+    tol = mp.mpf("1e-26") / 100  # as verify.series_numeric_agreement asks it
+    val = character_eval_numeric(spec, _cli_tau("1.4,0.6"), tol=tol, kind="chi")
+    shift = spec.shift("chi")
+    with mp.workprec(DEFAULT_PREC):
+        tau = mp.mpc(_cli_tau("1.4,0.6"))
+        eps = mp.mpf(2) ** (1 - DEFAULT_PREC)
+        pref = numeric._q_power(shift, tau)
+        r = numeric._q_power_error(shift, abs(tau.real) + tau.imag, eps)
+        quot_tol = tol / (2 * max(abs(pref), 1))
+        quot = numeric._chibar_numeric(spec.weight, tau, spec.z, quot_tol, DEFAULT_PREC)
+        assert 18 * eps < r < 19 * eps
+        assert val.err >= abs(pref) * (quot.err + r * (abs(quot.value) + quot.err))
+
+
 @settings(max_examples=24, derandomize=True, database=None, deadline=None)
 @given(
     level=st.sampled_from(_LEVELS_TO_7_4),
@@ -339,10 +361,10 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
     direct = numeric._chibar_side
     scaled_sides = []
 
-    def scaled(weights, tau, zval, tol, prec):
+    def scaled(weights, tau, zval, tol):
         shift = rhs_shift if isinstance(zval, Fraction) else lhs_shift
         scaled_sides.append("rhs" if isinstance(zval, Fraction) else "lhs")
-        vals, theta_max = direct(weights, tau, zval, tol, prec)
+        vals, theta_max = direct(weights, tau, zval, tol)
         out = []
         for val in vals:
             value = val.value if errs_only else val.value * mp.mpf(2) ** shift
@@ -397,8 +419,8 @@ def test_quotient_bound_covers_the_worst_point_of_the_error_disks(
         errs = [e_num * num_split, e_num * (1 - num_split), e_den * den_split, e_den * (1 - den_split)]
     with mp.workprec(prec):
         thetas = [ComplexVal(v, +e, prec) for v, e in zip((th_p, th_m, th_1, th_m1), errs)]
-        denominator = numeric._denominator(*thetas[2:], mp.mpf(0), prec)
-        got = numeric._quotient(*thetas[:2], denominator, mp.inf, prec)
+        denominator = numeric._denominator(*thetas[2:], mp.mpf(0))
+        got = numeric._quotient(*thetas[:2], denominator, mp.inf)
     with mp.workprec(prec + 64):
         e_num, e_den = thetas[0].err + thetas[1].err, thetas[2].err + thetas[3].err
         worst = num * (1 + e_num / abs(num)) / (den * (1 - e_den / abs(den)))
@@ -789,8 +811,8 @@ def _record(monkeypatch, name, calls):
 def _assert_within_direct_bounds(report, side_calls):
     """Each chibar and lhs of ``report`` is ``_chibar_numeric``'s within the sum of both bounds."""
     direct = [
-        numeric._chibar_numeric(w, tau, zval, tol, prec)
-        for weights, tau, zval, tol, prec in side_calls
+        numeric._chibar_numeric(w, tau, zval, tol, numeric._S_TRANSFORM_PREC)
+        for weights, tau, zval, tol in side_calls
         for w in weights
     ]
     assert len(direct) == 2 * len(report["weights"])

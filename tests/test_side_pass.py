@@ -9,8 +9,9 @@ at once in Python-int fixed point (``numeric._theta_vector`` and
   with fraction bits and seed precisions below the ones the pass picks, so
   that the per-step drift and the seeds' errors are what the count must
   cover;
-- the float tail bound (``numeric._tail_log``) against the exact geometric
-  bound it stands for, evaluated at 200 bits;
+- the float bound at one lattice point (``numeric._point_bound``, shared
+  with the direct evaluator) against the exact geometric bound it stands
+  for, with an argument rounding y drawn in [0, 1], evaluated at 200 bits;
 - every side-pass quotient against the direct evaluator
   (``numeric._chibar_numeric``, whose four thetas are walked one residue at a
   time, term by term): within the sum of the two bounds, on derandomized
@@ -131,28 +132,33 @@ def test_fixed_walk_is_the_brute_force_sum_within_its_count(
     offset=st.integers(-3, 300),
     d=st.sampled_from([1, -1]),
     mirror=st.booleans(),
+    y=st.floats(min_value=0, max_value=1),
 )
-def test_tail_log_bounds_the_exact_geometric_tail(m, a, b, offset, d, mirror):
-    # f(N) = pi (A N^2/2m + B N); from N = n outward the tail is at most
-    # e^{-f(n)} / (1 - e^{-(f(n + d) - f(n))}): the float bound must not fall
-    # below it.  A mirrored draw takes n near 2 v, where f(n) is near 0 and
-    # its two parts cancel
+def test_point_bound_bounds_the_exact_geometric_tail(m, a, b, offset, d, mirror, y):
+    # f(N) = pi (A N^2/2m + B N); from N = n outward, with every log-modulus
+    # raised by y and every slope lowered by y, the tail is at most
+    # e^{y - f(n)} / (1 - e^{-(f(n + d) - f(n) - y)}): the float bound must
+    # not fall below it.  A mirrored draw takes n near 2 v, where f(n) is
+    # near 0 and its two parts cancel
     vertex = -m * b / a
     n = math.floor(vertex) + d * offset if not mirror else math.floor(2 * vertex) + d * offset
     if d * (n - vertex) < Fraction(1, 2):
         return
     pi_a, pi_b = math.pi * float(a) / (2 * m), math.pi * float(b)
-    tail, slope = numeric._tail_log(pi_a, pi_b, n, d)
+    log_m, slope, tail = numeric._point_bound(1.0, pi_a, pi_b, n, d, y)
     with mp.workprec(200):
         big_a, big_b = mp.mpf(a.numerator) / a.denominator, mp.mpf(b.numerator) / b.denominator
 
         def f(k):
             return mp.pi * (big_a * k * k / (2 * m) + big_b * k)
 
-        exact_slope = f(n + d) - f(n)
+        exact_slope = f(n + d) - f(n) - y
+        assert log_m >= -f(n)
         assert slope <= exact_slope
         if slope > 0:
-            assert tail >= -f(n) - mp.log(1 - mp.exp(-exact_slope))
+            assert tail >= y - f(n) - mp.log(1 - mp.exp(-exact_slope))
+        else:
+            assert tail == math.inf
 
 
 # -- the side pass against the direct evaluator --------------------------------
@@ -177,7 +183,7 @@ def test_each_side_pass_quotient_is_the_direct_one_within_both_bounds(
     weights = enumerate_admissible(Level(*level))
     tau, zval = _side_args(z, lhs, re_tau, im_tau)
     tol = mp.mpf(10) ** -tol_exp
-    side, theta_max = numeric._chibar_side(weights, tau, zval, tol, 192)
+    side, theta_max = numeric._chibar_side(weights, tau, zval, tol)
     assert len(side) == len(weights)
     assert 0 < theta_max <= tol
     for weight, val in zip(weights, side):
@@ -244,8 +250,8 @@ def test_the_residual_table_is_exact_arithmetic_within_its_count(monkeypatch):
     # lie within it of exact arithmetic on the same quotients
     direct = numeric._chibar_side
 
-    def exact_inputs(weights, tau, zval, tol, prec):
-        vals, theta_max = direct(weights, tau, zval, tol, prec)
+    def exact_inputs(weights, tau, zval, tol):
+        vals, theta_max = direct(weights, tau, zval, tol)
         return [ComplexVal(v.value, mp.mpf(0), v.prec) for v in vals], theta_max
 
     monkeypatch.setattr(numeric, "_chibar_side", exact_inputs)
