@@ -20,6 +20,7 @@ from admissible_sl2 import (
     character_eval_numeric,
     character_qseries,
     chibar_lowest_exponent,
+    modular_data,
     qseries_eval_numeric,
     s_transform_residual,
     theta_ratio_identity_check,
@@ -55,15 +56,17 @@ print(f"difference:           {nstr(abs(direct.value - via_series.value), 3)}")
 
 # the S-transformation: chibar(-1/tau, tau z) against the S-matrix sum.
 # KW2 includes the anomaly factor e^{(1/2) ell z^2 pi i tau}; KW1 omits it.
+# The S-matrices are data of the level alone, built once for all three calls.
+data = modular_data(level)
 tau = mp.mpc(0, "1.5")
 for variant in ("KW2", "KW1"):
-    rep = s_transform_residual(level, z, tau, variant=variant)
+    rep = s_transform_residual(data, z, tau, variant=variant)
     finals = [nstr(rep["residual_partial_sums"][i][-1], 3) for i in range(len(rep["weights"]))]
     print(f"\n{variant} final residuals per weight: {finals}")
 print("(the anomaly factor is what makes the law close)")
 
 # the residual report also tabulates the conjugate-phase S-matrix spelling;
 # on rows whose phases are complex the conjugate spelling breaks the law
-rep = s_transform_residual(level, z, tau, variant="KW2")
+rep = s_transform_residual(data, z, tau, variant="KW2")
 for w, r in zip(rep["weights"], rep["as_printed_final_residuals"]):
     print(f"conjugate-phase residual at j = {str(w.j):>4}: {nstr(r, 3)}")

@@ -40,6 +40,7 @@ from .mff import (
 from .numeric import (
     ComplexVal,
     character_eval_numeric,
+    modular_data,
     qseries_eval_numeric,
     s_transform_residual,
     theta_eval_numeric,
@@ -104,6 +105,7 @@ __all__ = [
     "fusion_degrees",
     "hw_annihilation_polynomial",
     "kac_kazhdan_witness",
+    "modular_data",
     "pbw_product",
     "poly_gcd",
     "qseries_div",

@@ -35,7 +35,7 @@ from .errors import InputError, InvariantError
 from .exact import poly_gcd, rat_str
 from .fusion import FusionRing, bimodule_presentation, fusion
 from .mff import bimodule_from_mff, hw_annihilation_polynomial
-from .numeric import s_transform_residual
+from .numeric import modular_data, s_transform_residual
 from .pbw import verify_operator_identities
 from .weights import (
     AdmissibleWeight,
@@ -338,7 +338,8 @@ def cmd_stransform(args) -> tuple[dict, list[dict]]:
     z = _rational(args.z, "--z")
     tau = _tau(args.tau)
     tol = _tolerance(args.tol)
-    results = s_transform_residual(level, z, tau, variant=args.variant, tol=tol)
+    CharacterSpec(AdmissibleWeight(level, 0, 0), z)  # z's (0, 1) refusal, before the S build
+    results = s_transform_residual(modular_data(level), z, tau, variant=args.variant, tol=tol)
     return results, verify.transformation_law_checks(results, tol, args.tol)
 
 

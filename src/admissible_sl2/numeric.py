@@ -30,20 +30,24 @@ of one (m, z, tau) at once, over N = 2m x with x on the lattice, by the
 ratios t_{N+1}/t_N; its fraction bits come from the tolerance and the top
 term modulus (derivation in :func:`_fixed_walk` and :func:`_theta_vector`).
 
-``s_transform_residual`` computes each distinct quantity once per call and
-returns the ``stransform`` results as a plain mapping, in report order; it
-judges nothing, and ``verify.transformation_law_checks`` judges the S-law on
-those results.  Each side of the law is one pass (``_chibar_side``): one
-theta vector of the denominator pair theta_{+-1,2}, which every weight's
-quotient shares, and one of every numerator residue b+- of the level at m =
-a, each theta a ``ComplexVal``.  Then one e^{i pi N/a} per phase class of
-the integer numerators N = b b', the pair (|N| mod a, binade of |N|/a) on
-which ``expjpi`` gives the same bits up to a sign set by the parity of
-floor(|N|/a) (proof in :func:`s_transform_residual`), conjugated for N < 0;
-one S entry, its conjugate (the conjugate-phase matrix) and its ints (its
-parts in fixed point, its modulus bounded by one ``math.isqrt`` of them) per
-distinct pair of signed classes, the pair with both parities flipped taking
-them negated.  The residual table takes S and factor times chibar to fixed
+What the S-law takes from the level alone is one plain value,
+:class:`ModularData`, built by :func:`modular_data` once per level: the
+weights, both S spellings, their ints and bounds.  It takes one e^{i pi
+N/a} per phase class of the integer numerators N = b b', the pair (|N| mod
+a, binade of |N|/a) on which ``expjpi`` gives the same bits up to a sign
+set by the parity of floor(|N|/a) (proof in :func:`s_transform_residual`),
+conjugated for N < 0; and one S entry, its conjugate (the conjugate-phase
+matrix) and its ints (its parts in fixed point, its modulus bounded by one
+``math.isqrt`` of them) per distinct pair of signed classes.  The caller
+builds the value (``stransform`` once per op) and passes it to
+``s_transform_residual``, which does the (tau, z) part, each distinct
+quantity once per call, and returns the ``stransform`` results as a plain
+mapping, in report order; it judges nothing, and
+``verify.transformation_law_checks`` judges the S-law on those results.
+Each side of the law is one pass (``_chibar_side``): one theta vector of
+the denominator pair theta_{+-1,2}, which every weight's quotient shares,
+and one of every numerator residue b+- of the level at m = a, each theta a
+``ComplexVal``.  The residual table takes S and factor times chibar to fixed
 point once, and each cell is four int products and one ``math.isqrt``.
 
 Three computations keep mpmath's operator bits: ``theta_eval_numeric`` and
@@ -69,8 +73,11 @@ finite tau with ``Im(tau) > 0`` up front, and those with a tolerance check
 Precision is fixed per evaluator.  ``theta_eval_numeric`` and
 ``_chibar_numeric`` take it as an argument, since ``character`` runs at
 ``DEFAULT_PREC`` and the tests' referees at 192 and 1200 bits; the side pass
-(``_chibar_side``, ``_theta_vector``) runs at ``_S_TRANSFORM_PREC``;
-``_denominator`` and ``_quotient`` read it off the thetas they are handed.
+(``_chibar_side``, ``_theta_vector``) and ``modular_data`` run at
+``_S_TRANSFORM_PREC``; ``_denominator`` and ``_quotient`` read it off the
+thetas they are handed, ``_times_q_power`` off the value it multiplies, and
+``_q_power_error`` takes the working precision at which ``_q_power`` formed
+q^e.
 There is no ambient global state -- evaluation happens inside
 ``mp.workprec``.
 """
@@ -123,6 +130,7 @@ __all__ = [
     "ComplexVal",
     "character_eval_numeric",
     "qseries_eval_numeric",
+    "modular_data",
     "s_transform_residual",
     "theta_eval_numeric",
 ]
@@ -367,34 +375,36 @@ def theta_eval_numeric(spec: ThetaSpec, tau, tol, prec: int = DEFAULT_PREC) -> C
         return ComplexVal(mp.make_mpc(total), err, prec)
 
 
-def _q_power_error(e: Fraction, tau_l1, eps) -> mpmath.mpf:
-    """Relative error r of ``_q_power(e, tau)`` against the exact q^e.
+def _q_power_error(e: Fraction, tau) -> mpmath.mpf:
+    """Relative error r of ``_q_power(e, tau)`` against the exact q^e, at its precision.
 
-    The argument x tau, x = 2e, is formed with one rounding of x and one of
-    each component of the product, so it lies within 2u |x| |tau|_1 (1 + u)
-    of exact, |tau|_1 = |Re tau| + Im tau; 9 eps / 8 |x| |tau|_1 covers that
-    and the rounding of this bound.  An argument off by dw moves e^{i pi w}
-    by at most pi dw e^{pi dw} of its modulus, and the exponential itself is
-    within 1 ulp <= eps, so |q^e - computed| <= r |computed| with r = (y e^y
-    + eps) (1 + 8 eps), y = pi dw: the factor covers 1/(1 - eps) and the
-    roundings of r itself.
+    eps = 2^(1 - prec) at the working precision, where ``_q_power`` formed
+    q^e.  The argument x tau, x = 2e, is formed with one rounding of x and
+    one of each component of the product, so it lies within 2u |x| |tau|_1
+    (1 + u) of exact, |tau|_1 = |Re tau| + Im tau; 9 eps / 8 |x| |tau|_1
+    covers that and the rounding of this bound.  An argument off by dw moves
+    e^{i pi w} by at most pi dw e^{pi dw} of its modulus, and the exponential
+    itself is within 1 ulp <= eps, so |q^e - computed| <= r |computed| with
+    r = (y e^y + eps) (1 + 8 eps), y = pi dw: the factor covers 1/(1 - eps)
+    and the roundings of r itself.
     """
-    y = mp.pi * (9 * eps / 8) * abs(_frac_mpf(2 * e)) * tau_l1
+    eps = mp.ldexp(1, 1 - mp.prec)
+    y = mp.pi * (9 * eps / 8) * abs(_frac_mpf(2 * e)) * (abs(tau.real) + tau.imag)
     return (y * mp.exp(y) + eps) * (1 + 8 * eps)
 
 
-def _times_q_power(x: ComplexVal, lead: mpmath.mpc, r, eps) -> ComplexVal:
+def _times_q_power(x: ComplexVal, lead: mpmath.mpc, r) -> ComplexVal:
     """lead x, ``lead`` a computed q^e within r |lead| of exact, and its bound.
 
-    The product rounds once per component, eps |x| each, so the error is at
-    most
+    The product rounds once per component at x's precision, eps |x| each,
+    eps = 2^(1 - x.prec), so the error is at most
 
         |lead| (err(x) + r (|x| + err(x)) + 4 eps |x|) (1 + 8 eps),
 
     the last factor covering the roundings of the bound itself and of |x|
     and |lead|.
     """
-    abs_x = abs(x.value)
+    eps, abs_x = mp.ldexp(1, 1 - x.prec), abs(x.value)
     err = abs(lead) * (x.err + r * (abs_x + x.err) + 4 * eps * abs_x) * (1 + 8 * eps)
     return ComplexVal(lead * x.value, err, x.prec)
 
@@ -445,8 +455,6 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
         keys = sorted(terms)
         if not keys:
             return ComplexVal(mp.mpc(0), mp.mpf(0), prec)
-        eps = mp.mpf(2) ** (1 - prec)
-        tau_l1 = abs(tau_v.real) + tau_v.imag
         weight = sum(
             (k + 1) * -(-abs(terms[m].numerator) // terms[m].denominator)
             for k, m in enumerate(keys)
@@ -462,7 +470,7 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
             zr = to_fixed(z.real._mpf_, frac_bits)
             zi = to_fixed(z.imag._mpf_, frac_bits)
             z_abs = math.isqrt(zr * zr + zi * zi) + 1
-            delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_l1, eps))) + 3
+            delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_v))) + 3
             return zr, zi, min(one, z_abs + delta), delta
 
         lead = _q_power(Fraction(keys[0], denom), tau_v)
@@ -493,8 +501,7 @@ def qseries_eval_numeric(series: QSeries, tau) -> ComplexVal:
 
         inner = mp.mpc(mp.ldexp(sr, -frac_bits), mp.ldexp(si, -frac_bits))
         walk = ComplexVal(inner, mp.ldexp(err_units, -frac_bits), prec)
-        lead_err = _q_power_error(Fraction(keys[0], denom), tau_l1, eps)
-        return _times_q_power(walk, lead, lead_err, eps)
+        return _times_q_power(walk, lead, _q_power_error(Fraction(keys[0], denom), tau_v))
 
 
 def _denominator(th_1: ComplexVal, th_m1: ComplexVal, tol: mpmath.mpf):
@@ -630,7 +637,7 @@ def _fixed_walk(
         ]
         # r grows with |x|, so the largest |x| of the four serves all
         x_max = max(abs(xr) + abs(xi) for xr, xi in xs)
-        r = _q_power_error(x_max / 2, abs(tau.real) + tau.imag, mp.mpf(2) ** (1 - seed_prec))
+        r = _q_power_error(x_max / 2, tau)
         seeds = []
         for xr, xi in xs:
             x = tuple(from_rational(v.numerator, v.denominator, seed_prec, rnd) for v in (xr, xi))
@@ -811,9 +818,7 @@ def character_eval_numeric(spec: CharacterSpec, tau, tol, kind: str = "chi") -> 
             return _chibar_numeric(spec.weight, tau_v, spec.z, tol, prec)
         pref = _q_power(shift, tau_v)
         quot = _chibar_numeric(spec.weight, tau_v, spec.z, tol / (2 * max(abs(pref), 1)), prec)
-        eps = mp.mpf(2) ** (1 - prec)
-        r = _q_power_error(shift, abs(tau_v.real) + tau_v.imag, eps)
-        return _times_q_power(quot, pref, r, eps)
+        return _times_q_power(quot, pref, _q_power_error(shift, tau_v))
 
 
 def _phase_class(num: int, a: int) -> tuple[int, int, int]:
@@ -830,21 +835,34 @@ def _phase_class(num: int, a: int) -> tuple[int, int, int]:
     return r, e, k & 1
 
 
-def _s_matrices(
-    weights: list[AdmissibleWeight],
-) -> tuple[list[list[mpmath.mpc]], list[list[mpmath.mpc]], list[list[tuple]], mpmath.mpf]:
-    """Both S-matrix spellings, the table's ints, and a bound on the largest row sum of |S_ij|.
+@dataclass(frozen=True)
+class ModularData:
+    """What the S-law takes from its level alone; :func:`modular_data` builds it.
 
-    One ``expjpi`` per phase class (see ``s_transform_residual``), negated
-    for the other parity of floor(|N|/a) and conjugated for N < 0, and one
-    entry, conjugate and ints per distinct pair of signed classes, which the
-    pair with both parities flipped takes negated.  The ints are the parts
-    floored to 2^-(prec + 8) and |S_ij| bounded in units 2^-62 (derivation
-    in ``s_transform_residual``); the largest row sum of the units bounds
-    every row's sum of moduli.
+    The primary and conjugate-phase S; ``s_fixed[i][j]``, S_ij's parts
+    floored to 2^-(prec + 8) and |S_ij| bounded in units 2^-62;
+    ``max_row_abs``, their largest row sum times 2^-62; and ``phase_reach``,
+    max |b+| max(|b+| + |b-|), at least |N| + |N'| over any entry's phases.
     """
-    a = weights[0].level.a
-    prec, rnd = mp.prec, round_nearest
+
+    level: Level
+    weights: list[AdmissibleWeight]
+    s_matrix: list[list[mpmath.mpc]]
+    printed_matrix: list[list[mpmath.mpc]]
+    s_fixed: list[list[tuple[int, int, int]]]
+    max_row_abs: mpmath.mpf
+    phase_reach: int
+
+
+def modular_data(level: Level) -> ModularData:
+    """The level's :class:`ModularData` at ``_S_TRANSFORM_PREC``, for every S-law call there.
+
+    One ``expjpi`` per phase class and one entry, conjugate and ints per
+    pair of signed classes, parities included (proofs in
+    ``s_transform_residual``).  ``stransform`` builds it once per op.
+    """
+    weights = enumerate_admissible(level)
+    a, prec, rnd = level.a, _S_TRANSFORM_PREC, round_nearest
     g, cut = prec + 8, prec - 54
     phases: dict[tuple[int, int], tuple[tuple, int]] = {}
 
@@ -857,49 +875,38 @@ def _s_matrices(
             re, im = mpf_neg(re), mpf_neg(im)
         return (re, mpf_neg(im)) if num < 0 else (re, im)
 
-    # pref = (1/2i) sqrt(2/a) = -i h, its real part fzero: pref d is
-    # (h Im d, -(h Re d)), as mpc_mul rounds it
-    h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
     b_plus = [w.b_plus for w in weights]
     b_minus = [w.b_minus for w in weights]
     cells: dict[tuple, tuple[mpmath.mpc, mpmath.mpc, tuple]] = {}
-    s_matrix, printed_matrix, s_fixed = [], [], []
-    max_row_units = 0
-    for bi in b_plus:
-        row, printed_row, fixed_row = [], [], []
-        for bj_p, bj_m in zip(b_plus, b_minus):
-            n_pp, n_pm = bi * bj_p, bi * bj_m
-            c_pp, c_pm = _phase_class(n_pp, a), _phase_class(n_pm, a)
-            pair = (c_pp[:2], n_pp < 0, c_pm[:2], n_pm < 0, c_pp[2] ^ c_pm[2])
-            cell = cells.get((pair, c_pp[2]))
-            if cell is None:
-                twin = cells.get((pair, 1 - c_pp[2]))
-                if twin is None:
-                    (u_re, u_im), (v_re, v_im) = phase(n_pp, c_pp), phase(n_pm, c_pm)
-                    d_re, d_im = mpc_sub((u_re, u_im), (v_re, v_im), prec, rnd)
+    rows = []
+    with mp.workprec(prec):
+        # pref = (1/2i) sqrt(2/a) = -i h, its real part fzero: pref d is
+        # (h Im d, -(h Re d)), as mpc_mul rounds it
+        h = mpf_shift(mp.sqrt(mp.mpf(2) / a)._mpf_, -1)
+        for bi in b_plus:
+            row = []
+            for bj_p, bj_m in zip(b_plus, b_minus):
+                n_pp, n_pm = bi * bj_p, bi * bj_m
+                key = (_phase_class(n_pp, a), n_pp < 0, _phase_class(n_pm, a), n_pm < 0)
+                if key not in cells:
+                    d_re, d_im = mpc_sub(phase(n_pp, key[0]), phase(n_pm, key[2]), prec, rnd)
                     entry = (mpf_mul(h, d_im, prec, rnd), mpf_neg(mpf_mul(h, d_re, prec, rnd)))
-                else:  # both phases negated: the entry negated, bit for bit
-                    entry = tuple(map(mpf_neg, twin[0]._mpc_))
-                # conj(entry): pref (conj(e_pm) - conj(e_pp)), bitwise
-                printed = (entry[0], mpf_neg(entry[1]))
-                re_units, im_units = to_fixed(entry[0], g), to_fixed(entry[1], g)
-                root = math.isqrt((abs(re_units) + 1) ** 2 + (abs(im_units) + 1) ** 2)
-                fixed = (re_units, im_units, ((root + 1) >> cut) + 1)
-                cell = (mp.make_mpc(entry), mp.make_mpc(printed), fixed)
-                cells[pair, c_pp[2]] = cell
-            entry, printed, fixed = cell
-            row.append(entry)
-            printed_row.append(printed)
-            fixed_row.append(fixed)
-        s_matrix.append(row)
-        printed_matrix.append(printed_row)
-        s_fixed.append(fixed_row)
-        max_row_units = max(max_row_units, sum(f[2] for f in fixed_row))
-    return s_matrix, printed_matrix, s_fixed, mp.make_mpf(from_man_exp(max_row_units, -62))
+                    re_units, im_units = to_fixed(entry[0], g), to_fixed(entry[1], g)
+                    root = math.isqrt((abs(re_units) + 1) ** 2 + (abs(im_units) + 1) ** 2)
+                    # conj(entry): pref (conj(e_pm) - conj(e_pp)), bitwise
+                    printed = mp.make_mpc((entry[0], mpf_neg(entry[1])))
+                    cells[key] = mp.make_mpc(entry), printed, (re_units, im_units, (root >> cut) + 1)
+                row.append(cells[key])
+            rows.append(row)
+    s_matrix, printed_matrix, s_fixed = ([[cell[k] for cell in row] for row in rows] for k in range(3))
+    max_row_units = max(sum(f[2] for f in row) for row in s_fixed)
+    reach = max(map(abs, b_plus)) * max(abs(bp) + abs(bm) for bp, bm in zip(b_plus, b_minus))
+    return ModularData(level, weights, s_matrix, printed_matrix, s_fixed,
+                       mp.make_mpf(from_man_exp(max_row_units, -62)), reach)
 
 
 def s_transform_residual(
-    level: Level,
+    data: ModularData,
     z,
     tau,
     variant: str = "KW2",
@@ -907,7 +914,9 @@ def s_transform_residual(
 ) -> dict:
     """Residuals of chibar_j(-1/tau, tau z) against the S-matrix sum: the ``stransform`` results.
 
-    The mapping's keys are the report's, in report order.
+    ``data`` is the level's :func:`modular_data`, built by the caller; no
+    part of it is built here.  The mapping's keys are the report's, in
+    report order; ``weights`` and both S matrices are ``data``'s own lists.
     ``residual_partial_sums[i][m]`` is |chibar_i(-1/tau, tau z) - factor *
     sum_{j <= m} S[i][j] chibar_j(tau, z)|: partial sums across the row, so
     the last column, ``final_residuals[i]``, holds the residual of the full
@@ -954,21 +963,13 @@ def s_transform_residual(
     the class (|N| mod a, e), computed from integers, keys one ``expjpi`` of
     |N|/a; a member whose floor(|N|/a) has the other parity takes its
     negation, and N < 0 takes ``mp.conj``, bit for bit.  An entry depends
-    only on its two phases, so it is keyed by their signed classes.
-
-    Entries shared by negation.  Negation is exact and rounding to nearest
-    commutes with it, so mpc_sub(-u, -v) = -mpc_sub(u, v) bit for bit.  The
-    prefactor is pref = -i h, h = sqrt(2/a)/2, its real part exactly zero,
-    so each part of pref d is one rounded product, h Im d or -(h Re d), and
-    pref (-d) = -(pref d); |-e| = |e| and conj(-e) = -conj(e).  Two cells
-    whose phase classes and signs agree, and whose parities floor(|N|/a)
-    mod 2 are both flipped, have both phases negated, so the second entry is
-    the first negated.  So an entry is keyed by its pair of signed classes
-    and the xor of the two parities, and the cell with the other first
-    parity takes the stored entry negated, with its modulus and ints.
+    only on its two phases, so it is keyed by their signed classes, each
+    (|N| mod a, e, parity, N < 0), and formed once per key.  The prefactor
+    is pref = -i h, h = sqrt(2/a)/2, its real part exactly zero, so each
+    part of pref d is one rounded product, h Im d or -(h Re d).
 
     The table in fixed point.  Each y_j = factor chibar_j is formed exactly
-    and floored to units 2^-gy, each S_ij to units 2^-gs (``_s_matrices``,
+    and floored to units 2^-gy, each S_ij to units 2^-gs (``modular_data``,
     once per distinct entry), and each lhs_i to units 2^-(gs + gy), gs =
     prec + 8 and 2^(gs - gy) above every |y_j| and |lhs_i|.  With S_ij = (a, b) and y_j = (c, d), the four products p = ac,
     q = bd, r = ad, t = bc give S_ij y_j = (p - q, r + t) and, for the
@@ -1010,9 +1011,11 @@ def s_transform_residual(
     the largest 62 bits, and each takes 2 units more, for its floor and its
     roundings, so it bounds its value.  |S_ij| in units 2^-62 comes from the
     entry's parts A and B floored to 2^-gs: each part is below |A| + 1 (|B|
-    + 1) units, so |S_ij| 2^gs is below isqrt((|A| + 1)^2 + (|B| + 1)^2) + 1,
-    and that shifted down to units 2^-62, plus 1, bounds |S_ij| 2^62 and
-    exceeds its floor by at most 2.  Each row's running bound is an exact int
+    + 1) units, so |S_ij| 2^gs < sqrt(x), x = (|A| + 1)^2 + (|B| + 1)^2.
+    With root = isqrt(x), sqrt(x) < root + 1 <= ((root >> c) + 1) 2^c, c =
+    gs - 62, so units = (root >> c) + 1 bound |S_ij| 2^62; and as each part
+    is above |A| - 1 (|B| - 1) units, sqrt(x) < |S_ij| 2^gs + 3, so units
+    exceed floor(|S_ij| 2^62) by at most 2.  Each row's running bound is an exact int
     sum, each cell one exact mpf.  The tests' referee encloses every partial
     residual in intervals and holds each bound to it.  ``max_row_abs``,
     which sets the quotients' tolerance, is the largest row sum of those
@@ -1021,7 +1024,7 @@ def s_transform_residual(
     if variant not in ("KW1", "KW2"):
         raise InputError(f"variant must be 'KW1' or 'KW2', got {variant!r}")
     z = rat(z)
-    weights = enumerate_admissible(level)
+    level, weights = data.level, data.weights
     anomaly = CharacterSpec(weights[0], z).anomaly  # validates 0 < z < 1
     tol = _positive_tol(tol)
     n_w = len(weights)
@@ -1031,10 +1034,6 @@ def s_transform_residual(
         tau_v = _upper_half_plane(tau, "S-transform")
         tau2 = -1 / tau_v
         z2 = tau_v * _frac_mpf(z)
-        eps = mp.mpf(2) ** (1 - prec)
-
-        s_matrix, printed_matrix, s_fixed, max_row_abs = _s_matrices(weights)
-
         if variant == "KW2":
             factor = _q_power(anomaly, tau_v)
             alt_factor = _q_power(anomaly, tau2)
@@ -1043,7 +1042,7 @@ def s_transform_residual(
             alt_factor = None
         abs_factor = abs(factor)
 
-        rhs_tol = tol / (8 * max(mp.mpf(1), abs_factor) * max(mp.mpf(1), max_row_abs))
+        rhs_tol = tol / (8 * max(mp.mpf(1), abs_factor) * max(mp.mpf(1), data.max_row_abs))
         chibar_vals, rhs_theta_max = _chibar_side(weights, tau_v, z, rhs_tol)
         lhs_vals, lhs_theta_max = _chibar_side(weights, tau2, z2, tol / 8)
 
@@ -1062,10 +1061,8 @@ def s_transform_residual(
 
         # bound (i, j) = c_i + sum_{j' <= j} |S_ij'| w_j' in units 2^-(g + 62)
         y_units = sum(abs(c) + abs(d) + 2 for c, d in ys)  # at least sum |y_j| 2^gy
-        top_n = max(abs(w.b_plus) for w in weights)
-        top_n *= max(abs(w.b_plus) + abs(w.b_minus) for w in weights)
-        delta_s = eps * (mp.mpf(top_n) / level.a + 4)
-        r_f = _q_power_error(anomaly, abs(tau_v.real) + tau_v.imag, eps) if variant == "KW2" else 0
+        delta_s = mp.ldexp(mp.mpf(data.phase_reach) / level.a + 4, 1 - prec)  # eps (X + 4)
+        r_f = _q_power_error(anomaly, tau_v) if variant == "KW2" else 0
         w_cols = [abs_factor * ((1 + r_f) * v.err + r_f * abs(v.value)) for v in chibar_vals]
         count = delta_s * (mp.ldexp(y_units, -gy) + mp.fsum(w_cols))
         count += mp.ldexp(y_units, 1 - g_all) + mp.ldexp(2 * n_w + 4, -gy)
@@ -1084,7 +1081,7 @@ def s_transform_residual(
             run_re = run_im = printed_re = printed_im = 0
             bound = c_rows[i] << 62
             row_res, row_err = [], []
-            for (a, b, s_units), (c, d), w_j in zip(s_fixed[i], ys, w_cols):
+            for (a, b, s_units), (c, d), w_j in zip(data.s_fixed[i], ys, w_cols):
                 p, q, r, t = a * c, b * d, a * d, b * c
                 run_re += p - q
                 run_im += r + t
@@ -1107,14 +1104,14 @@ def s_transform_residual(
             "variant": variant,
             "weights": weights,
             "factor": factor,
-            "s_matrix": s_matrix,
+            "s_matrix": data.s_matrix,
             "chibar": chibar_vals,
             "lhs": lhs_vals,
             "residual_partial_sums": residuals,
             "residual_errors": residual_errors,
             "final_residuals": [row[-1] for row in residuals],
             "theta_error_max": max(rhs_theta_max, lhs_theta_max),
-            "as_printed_s_matrix": printed_matrix,
+            "as_printed_s_matrix": data.printed_matrix,
             "as_printed_final_residuals": printed_residuals,
             "alt_factor": alt_factor,
             "alt_final_residuals": None if ratio is None else alt_residuals,

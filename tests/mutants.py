@@ -40,10 +40,6 @@ SIDE_PASS_TESTS = "tests/test_side_pass.py::"
 POINT_BOUND = SIDE_PASS_TESTS + "test_point_bound_bounds_the_exact_geometric_tail"
 WORST_POINT = "test_quotient_bound_covers_the_worst_point_of_the_error_disks"
 S_UNITS = "test_phase_classes_give_the_direct_s_matrices_bit_for_bit"
-S_UNITS_WINDOW = (
-    "a unit of 2^-(prec + 8) inside the root moves |S_ij| 2^62 by 2^-138, so it only counts "
-    "where |S_ij| 2^62 lies that close above an integer, and no entry of the (12,8) box does"
-)
 ROUNDING_64 = (
     "one 64-bit rounding the wrong way lowers the bound by under 2^-64 of itself, and the "
     "final sum, rounded up past the rounding term, raises it by about that much; the worst "
@@ -119,14 +115,14 @@ MUTANTS = [
     Mutant(
         "table: the S entries' error",
         "numeric.py",
-        "delta_s = eps * (mp.mpf(top_n) / level.a + 4)",
+        "delta_s = mp.ldexp(mp.mpf(data.phase_reach) / level.a + 4, 1 - prec)",
         "delta_s = 0",
         SIDE_PASS_TESTS + "test_the_residual_table_is_exact_arithmetic_within_its_count",
     ),
     Mutant(
         "table: the factor's error",
         "numeric.py",
-        'r_f = _q_power_error(anomaly, abs(tau_v.real) + tau_v.imag, eps) if variant == "KW2" else 0',
+        'r_f = _q_power_error(anomaly, tau_v) if variant == "KW2" else 0',
         "r_f = 0",
         SIDE_PASS_TESTS + "test_the_residual_table_is_exact_arithmetic_within_its_count",
         "survived",
@@ -140,7 +136,7 @@ MUTANTS = [
         "[to_fixed(v._mpf_, g) for v in vs]",
         NUMERIC_TESTS + "test_residual_bound_outside_the_double_range",
     ),
-    # -- the |S_ij| units of the S build (numeric._s_matrices) --
+    # -- the |S_ij| units of the S build (numeric.modular_data) --
     Mutant(
         "S units: the parts' floor units",
         "numeric.py",
@@ -148,22 +144,14 @@ MUTANTS = [
         "abs(re_units) ** 2 + abs(im_units) ** 2",
         NUMERIC_TESTS + S_UNITS,
         "survived",
-        S_UNITS_WINDOW,
-    ),
-    Mutant(
-        "S units: the root's floor unit",
-        "numeric.py",
-        "((root + 1) >> cut) + 1",
-        "(root >> cut) + 1",
-        NUMERIC_TESTS + S_UNITS,
-        "survived",
-        S_UNITS_WINDOW,
+        "a unit of 2^-(prec + 8) inside the root moves |S_ij| 2^62 by 2^-138, so it only counts "
+        "where |S_ij| 2^62 lies that close above an integer, and no entry of the (12,8) box does",
     ),
     Mutant(
         "S units: the unit of the shift's floor",
         "numeric.py",
-        "((root + 1) >> cut) + 1",
-        "(root + 1) >> cut",
+        "(root >> cut) + 1",
+        "root >> cut",
         NUMERIC_TESTS + S_UNITS,
     ),
     # -- the direct evaluators (ROADMAP item 15) --
@@ -293,8 +281,8 @@ MUTANTS = [
     Mutant(
         "series walk: the gap power's floor units",
         "numeric.py",
-        "delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_l1, eps))) + 3",
-        "delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_l1, eps))) + 0",
+        "delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_v))) + 3",
+        "delta = int(mp.ceil((z_abs + 2) * _q_power_error(e, tau_v))) + 0",
         NUMERIC_TESTS + "test_series_walk_within_bounds_of_reference_and_per_term_sum",
         "survived",
         "as for the floor units per step",

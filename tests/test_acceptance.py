@@ -31,6 +31,7 @@ from admissible_sl2 import (
     conformal_weight,
     enumerate_admissible,
     hw_annihilation_polynomial,
+    modular_data,
     poly_gcd,
     qseries_eval_numeric,
     s_transform_residual,
@@ -280,10 +281,10 @@ def test_primary_09_series_numeric_agreement():
 
 def test_primary_10_s_transform_report():
     failures: list[str] = []
-    level = Level(3, 2)
+    data = modular_data(Level(3, 2))
     tau = mp.mpc(0, "1.5")
-    kw2 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW2", tol=mp.mpf("1e-10"))
-    kw1 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW1", tol=mp.mpf("1e-10"))
+    kw2 = s_transform_residual(data, Fraction(1, 2), tau, variant="KW2", tol=mp.mpf("1e-10"))
+    kw1 = s_transform_residual(data, Fraction(1, 2), tau, variant="KW1", tol=mp.mpf("1e-10"))
     partial = kw2["residual_partial_sums"]
     if len(partial) != 4 or any(len(row) != 4 for row in partial):
         failures.append("residual matrix is not 4x4")

@@ -242,6 +242,17 @@ def test_a_top_term_past_the_working_precision_exits_2_at_once(capsys, im_tau):
     assert time.process_time() - start < 1, im_tau
 
 
+@pytest.mark.parametrize("z", ["3/2", "0", "1"])
+def test_a_z_outside_the_unit_interval_exits_2_before_the_s_build(capsys, z):
+    # the (20,19) S build alone takes most of a second of CPU; z's (0, 1)
+    # refusal comes ahead of it
+    start = time.process_time()
+    argv = ("stransform", "--p", "20", "--q", "19", "--z", z, "--tau=0,1")
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5, z
+    assert (code, out, err) == (2, "", f"error: z must satisfy 0 < z < 1, got {Fraction(z)}\n")
+
+
 def test_each_theta_bound_meets_tol_where_the_denominator_is_large(capsys):
     # at Im(tau) = 100 the right side's |den| is far above 32, and the
     # numerators are walked to tol, not to tol |den| / 32

@@ -1,21 +1,40 @@
-"""The raw ``mpmath.libmp`` spellings in ``numeric`` against the operators they stand for.
+"""The mpmath internals the package's bits rest on, each with the test that checks it.
 
-``numeric`` writes the theta walk of ``theta_eval_numeric``, its quotients
-and the S build on raw tuples, by the libmp calls the operators make, so that
-every value keeps the operators' bits (see its module docstring); the side
-pass and the residual table of ``stransform`` are in fixed point and
-refereed in ``tests/test_side_pass.py``.  The package asks only for
-``mpmath>=1.3``, so each spelling is held here to its operator on random
-draws, at 128 and 192 bits, the working precisions of the theta walks and of
-the S-law.  An mpmath that dispatches an operator to other calls, in another
-operand order, or rounds otherwise, fails here by the spelling's name before
-any golden report moves.
+This docstring is the one list of them.  ``pyproject.toml`` asks for
+``mpmath>=1.3,<1.4``, the range these assumptions were proved and tested
+on, and only the pure-Python backend (``mpmath.libmp.BACKEND ==
+"python"``) has run them; each test below prints ``MPMATH``, the version
+and backend that ran, when it fails, so a moved bit names its mpmath before
+any golden report does.
+
+- ``expjpi``'s reduction in ``mpf_cos_sin`` (pi=True, rounding to nearest):
+  e^{i pi x} from the mantissa and exponent of |x| alone, so one value per
+  phase class of the S build, negated for the other parity and conjugated
+  for x < 0 (proof in ``numeric.s_transform_residual``); and ``to_fixed``
+  flooring an entry's parts.  Checked by
+  ``tests/test_numeric.py::test_phase_classes_give_the_direct_s_matrices_bit_for_bit``
+  against the direct formula over the (12,8) box.
+- ``to_digits_exp``/``to_str``'s steps, which ``report._decimal`` does on a
+  value's ints.  Checked by ``tests/test_report.py::test_decimal_kernel_is_to_str``
+  and ``test_decimal_kernel_carries_and_switches_layout_where_to_str_does``.
+- The libmp calls each operator makes, in its operand order and rounding,
+  which ``numeric`` spells out on raw tuples in the theta walk of
+  ``theta_eval_numeric`` and in the S build (``modular_data``), so that
+  every value keeps the operators' bits.  Checked here, one row per
+  spelling, on random draws at 128 and 192 bits, the working precisions of
+  the theta walks and of the S-law: an mpmath that dispatches an operator
+  to other calls, in another operand order, or rounds otherwise, fails by
+  the spelling's name.
+
+The side pass and the residual table of ``stransform`` are in fixed point
+and rest on none of these; ``tests/test_side_pass.py`` referees them.
 """
 
 from __future__ import annotations
 
 import random
 
+import mpmath
 import pytest
 from mpmath import mp
 from mpmath.libmp import (
@@ -39,6 +58,7 @@ from mpmath.libmp import (
 )
 
 DRAWS = 300
+MPMATH = f"mpmath {mpmath.__version__}, {mpmath.libmp.BACKEND} backend"
 
 
 def _real(rng: random.Random) -> mp.mpf:
@@ -96,7 +116,7 @@ def _spellings(rng: random.Random, prec: int) -> list[tuple[str, object, object]
         ("2*m*w", (2 * m * w)._mpc_, mpc_mul_int(w._mpc_, 2 * m, prec, rnd)),
         ("w*tau", (w * tau)._mpc_, mpc_mul(w._mpc_, tau._mpc_, prec, rnd)),
         ("total + term", (total + term)._mpc_, mpc_add(total._mpc_, term._mpc_, prec, rnd)),
-        # S entries (``_s_matrices``)
+        # S entries (``modular_data``)
         ("pref = -i h", pref._mpc_, (mp.mpf(0)._mpf_, mpf_neg(h))),
         ("u - v", (entry - d)._mpc_, mpc_sub(entry._mpc_, d._mpc_, prec, rnd)),
         (
@@ -115,4 +135,4 @@ def test_each_raw_spelling_is_its_operator_bit_for_bit(prec):
     with mp.workprec(prec):
         for _ in range(DRAWS):
             for name, by_operator, by_libmp in _spellings(rng, prec):
-                assert by_libmp == by_operator, (name, prec)
+                assert by_libmp == by_operator, (name, prec, MPMATH)

@@ -50,6 +50,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from test_libmp_spellings import MPMATH
 
 from admissible_sl2 import numeric
 from admissible_sl2.characters import (
@@ -62,6 +63,7 @@ from admissible_sl2.numeric import (
     DEFAULT_PREC,
     ComplexVal,
     character_eval_numeric,
+    modular_data,
     qseries_eval_numeric,
     s_transform_residual,
     theta_eval_numeric,
@@ -315,7 +317,7 @@ def test_chi_bound_counts_its_prefactors_error():
         tau = mp.mpc(_cli_tau("1.4,0.6"))
         eps = mp.mpf(2) ** (1 - DEFAULT_PREC)
         pref = numeric._q_power(shift, tau)
-        r = numeric._q_power_error(shift, abs(tau.real) + tau.imag, eps)
+        r = numeric._q_power_error(shift, tau)
         quot_tol = tol / (2 * max(abs(pref), 1))
         quot = numeric._chibar_numeric(spec.weight, tau, spec.z, quot_tol, DEFAULT_PREC)
         assert 18 * eps < r < 19 * eps
@@ -334,7 +336,7 @@ def test_residual_errors_enclose_interval_referee(level, z, re_tau, im_tau, tol_
     # the law is a theorem, so each final residual is within its bound of 0;
     # each partial residual lies within its bound of the exact one
     report = s_transform_residual(
-        Level(*level), z, _tau_from(re_tau, im_tau, 192), tol=mp.mpf(10) ** -tol_exp
+        modular_data(Level(*level)), z, _tau_from(re_tau, im_tau, 192), tol=mp.mpf(10) ** -tol_exp
     )
     enclosures = _interval_theta.residual_enclosures(report)
     with mp.workprec(256):
@@ -373,7 +375,7 @@ def test_residual_bound_outside_the_double_range(monkeypatch, rhs_shift, lhs_shi
 
     monkeypatch.setattr(numeric, "_chibar_side", scaled)
     report = s_transform_residual(
-        Level(5, 3), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
+        modular_data(Level(5, 3)), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=mp.mpf("1e-20")
     )
     assert scaled_sides == ["rhs", "lhs"]  # both sides' quotients went through the scaling
     # the rounding count above the error sum is of order 2^-185 of the largest
@@ -670,13 +672,13 @@ def test_series_agrees_with_certified_evaluation(p, q):
 
 
 def test_s_transform_variant_guards():
-    level = Level(2, 1)
+    data = modular_data(Level(2, 1))
     with pytest.raises(InputError, match="variant must be"):
-        s_transform_residual(level, Fraction(1, 2), mp.mpc(0, 1), variant="KW3")
+        s_transform_residual(data, Fraction(1, 2), mp.mpc(0, 1), variant="KW3")
     with pytest.raises(InputError, match="tolerance must be positive"):
-        s_transform_residual(level, Fraction(1, 2), mp.mpc(0, 1), tol=0)
+        s_transform_residual(data, Fraction(1, 2), mp.mpc(0, 1), tol=0)
     with pytest.raises(InputError, match="requires Im"):
-        s_transform_residual(level, Fraction(1, 2), mp.mpc(0, -1))
+        s_transform_residual(data, Fraction(1, 2), mp.mpc(0, -1))
 
 
 @pytest.mark.parametrize("tau", [0, mp.mpf(2), mp.mpc(-1, 0)], ids=["0", "2", "-1"])
@@ -691,7 +693,7 @@ def test_real_tau_is_rejected_up_front(tau):
     with pytest.raises(InputError, match="requires Im"):
         qseries_eval_numeric(character_qseries(spec, Fraction(10)), tau)
     with pytest.raises(InputError, match="requires Im"):
-        s_transform_residual(level, Fraction(1, 2), tau)
+        s_transform_residual(modular_data(level), Fraction(1, 2), tau)
 
 
 @pytest.mark.parametrize("bad", ["tol", "im_tau", "re_tau=nan", "re_tau=inf", "re_tau=-inf"])
@@ -714,7 +716,7 @@ def test_nan_input_is_refused_at_once(bad):
     evaluators = {
         "theta": lambda: theta_eval_numeric(ThetaSpec(1, 2, Fraction(1, 2)), tau, tol=tol),
         "character": lambda: character_eval_numeric(spec, tau, tol=tol),
-        "stransform": lambda: s_transform_residual(level, Fraction(1, 2), tau, tol=tol),
+        "stransform": lambda: s_transform_residual(modular_data(level), Fraction(1, 2), tau, tol=tol),
     }
     if bad != "tol":  # the series walk takes no tolerance
         evaluators["series"] = lambda: qseries_eval_numeric(series, tau)
@@ -725,11 +727,30 @@ def test_nan_input_is_refused_at_once(bad):
         assert time.process_time() - start < 0.5, name
 
 
+def test_s_transform_residual_takes_the_levels_value_and_builds_no_s(monkeypatch):
+    # the level's part is built once by modular_data; each (tau, z) after it
+    # enumerates no weight and forms no phase class, and its results hold
+    # the value's own lists
+    data = modular_data(Level(5, 3))
+
+    def refuse(*args):
+        raise AssertionError("s_transform_residual rebuilt what modular_data holds")
+
+    monkeypatch.setattr(numeric, "_phase_class", refuse)
+    monkeypatch.setattr(numeric, "enumerate_admissible", refuse)
+    for tau, z in ((mp.mpc("0.3", "0.8"), Fraction(2, 7)), (mp.mpc(0, "1.5"), Fraction(1, 3))):
+        for variant in ("KW1", "KW2"):
+            results = s_transform_residual(data, z, tau, variant=variant, tol=mp.mpf("1e-12"))
+            assert results["s_matrix"] is data.s_matrix
+            assert results["as_printed_s_matrix"] is data.printed_matrix
+            assert results["weights"] is data.weights
+
+
 def test_s_transform_trivial_theory():
     # one weight; S = (1), factor = 1 at ell = 0 ... ell = -1/2 here, so the
     # factor is a genuine phase yet the single residual still vanishes
     report = s_transform_residual(
-        Level(2, 1), Fraction(1, 2), mp.mpc(0, 1), variant="KW2"
+        modular_data(Level(2, 1)), Fraction(1, 2), mp.mpc(0, 1), variant="KW2"
     )
     assert len(report["weights"]) == 1
     with mp.workprec(192):
@@ -743,7 +764,7 @@ def test_s_transform_trivial_theory():
 def test_s_transform_classical_matrix_at_q_1():
     # q = 1 reduces to the su(2)_k matrix sqrt(2/p) sin(pi (n+1)(n'+1) / p)
     level = Level(4, 1)
-    report = s_transform_residual(level, Fraction(1, 2), mp.mpc(0, 1), variant="KW2")
+    report = s_transform_residual(modular_data(level), Fraction(1, 2), mp.mpc(0, 1), variant="KW2")
     with mp.workprec(192):
         for i, wi in enumerate(report["weights"]):
             for j, wj in enumerate(report["weights"]):
@@ -762,10 +783,10 @@ def test_s_transform_classical_matrix_at_q_1():
 
 
 def test_s_transform_fixture_3_2():
-    level = Level(3, 2)
+    data = modular_data(Level(3, 2))
     tau = mp.mpc(0, "1.5")
     tol = mp.mpf("1e-10")
-    report = s_transform_residual(level, Fraction(1, 2), tau, variant="KW2", tol=tol)
+    report = s_transform_residual(data, Fraction(1, 2), tau, variant="KW2", tol=tol)
     n_w = len(report["weights"])
     assert n_w == 4
     assert report["theta_error_max"] <= mp.mpf("1e-9")
@@ -788,7 +809,7 @@ def test_s_transform_fixture_3_2():
         assert report["alt_factor"] is not None
         assert max(report["alt_final_residuals"]) > mp.mpf("0.05")
 
-    kw1 = s_transform_residual(level, Fraction(1, 2), tau, variant="KW1", tol=tol)
+    kw1 = s_transform_residual(data, Fraction(1, 2), tau, variant="KW1", tol=tol)
     assert kw1["alt_final_residuals"] is None
     with mp.workprec(192):
         # without the factor the law fails on every row with nonvanishing lhs
@@ -843,7 +864,7 @@ def test_stransform_shares_thetas_and_phases(monkeypatch):
     _record(monkeypatch, "theta_eval_numeric", theta_calls)
     monkeypatch.setattr(numeric, "mp", PhaseCountingMp())
     tol = mp.mpf("1e-20")
-    report = s_transform_residual(level, Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=tol)
+    report = s_transform_residual(modular_data(level), Fraction(2, 7), mp.mpc("0.3", "0.8"), tol=tol)
     monkeypatch.undo()
     # no quotient retried: per side, one walk of the shared denominator pair
     # (m = 2), then one of every numerator residue (m = a)
@@ -909,7 +930,7 @@ def test_a_retried_quotient_walks_only_the_denominator_again(monkeypatch):
     _record(monkeypatch, "_chibar_side", events)
     with mp.workprec(256):  # as the CLI reads --tau=-0.03,0.05
         tau = mp.mpc(mp.mpf(-3) / 100, mp.mpf(5) / 100)
-    report = s_transform_residual(Level(5, 3), Fraction(1, 3), tau, tol=mp.mpf("1e-11"))
+    report = s_transform_residual(modular_data(Level(5, 3)), Fraction(1, 3), tau, tol=mp.mpf("1e-11"))
     monkeypatch.undo()
     sides = [i for i, args in enumerate(events) if isinstance(args[0], list)]
     assert len(sides) == 2
@@ -925,17 +946,21 @@ _LEVELS_TO_12_8 = [(p, q) for p in range(2, 13) for q in range(1, 9) if math.gcd
 
 def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
     # e^{i pi N/a} is taken once per (|N| mod 2a, binade of |N|/a) class and
-    # conjugated for N < 0, and an entry is shared by negation; the direct
-    # formula takes expjpi of every N/a, and the table's ints (the parts A, B
-    # floored to 2^-200, |S_ij| in units 2^-62 from one isqrt of the parts)
-    # come from the direct entries.  The units bound |S_ij| 2^62, exceed its
-    # floor by at most 2, and their largest row sum is max_row_abs, at least
-    # each row's sum of moduli.
+    # conjugated for N < 0, and an entry once per pair of signed classes; the
+    # direct formula takes expjpi of every N/a, and the table's ints (the
+    # parts A, B floored to 2^-200, |S_ij| in units 2^-62 from one isqrt of
+    # the parts) come from the direct entries.  The units bound |S_ij| 2^62,
+    # exceed its floor by at most 2, and their largest row sum is
+    # max_row_abs, at least each row's sum of moduli.  The phase classes rest
+    # on mpmath 1.3's expjpi, so a failure names the mpmath that ran.
     for p, q in _LEVELS_TO_12_8:
-        weights = enumerate_admissible(Level(p, q))
+        data = numeric.modular_data(Level(p, q))
+        weights, s_fixed, max_row_abs = data.weights, data.s_fixed, data.max_row_abs
+        where = (p, q, MPMATH)
+        assert weights == enumerate_admissible(Level(p, q)), where
         a = p * q
         with mp.workprec(192):
-            s_matrix, printed, s_fixed, max_row_abs = numeric._s_matrices(weights)
+            s_matrix, printed = data.s_matrix, data.printed_matrix
             pref = mp.mpc(0, -mp.mpf(1) / 2) * mp.sqrt(mp.mpf(2) / a)
             direct: dict[Fraction, mp.mpc] = {}
 
@@ -951,21 +976,22 @@ def test_phase_classes_give_the_direct_s_matrices_bit_for_bit():
                     x_pp = Fraction(wi.b_plus * wj.b_plus, a)
                     x_pm = Fraction(wi.b_plus * wj.b_minus, a)
                     entry = pref * (phase(x_pp) - phase(x_pm))
-                    assert s_ij == entry, (p, q)
-                    assert printed_ij == pref * (phase(-x_pm) - phase(-x_pp)), (p, q)
+                    assert s_ij == entry, where
+                    assert printed_ij == pref * (phase(-x_pm) - phase(-x_pp)), where
+                    assert abs(x_pp * a) + abs(x_pm * a) <= data.phase_reach, where
                     parts = [int(mp.floor(mp.ldexp(x, 200))) for x in (entry.real, entry.imag)]
                     root = math.isqrt((abs(parts[0]) + 1) ** 2 + (abs(parts[1]) + 1) ** 2)
-                    units = ((root + 1) >> 138) + 1
-                    assert fixed_ij == (*parts, units), (p, q)
+                    units = (root >> 138) + 1
+                    assert fixed_ij == (*parts, units), where
                     with mp.workprec(400):
                         scaled = mp.ldexp(abs(entry), 62)
-                    assert scaled <= units <= int(mp.floor(scaled)) + 2, (p, q)
+                    assert scaled <= units <= int(mp.floor(scaled)) + 2, where
                     row_sum += abs(entry)
                     units_sum += units
                 row_sums.append(row_sum)
                 row_units.append(units_sum)
-            assert max_row_abs == mp.ldexp(max(row_units), -62), (p, q)
-            assert all(max_row_abs >= row_sum for row_sum in row_sums), (p, q)
+            assert max_row_abs == mp.ldexp(max(row_units), -62), where
+            assert all(max_row_abs >= row_sum for row_sum in row_sums), where
 
 
 # The first modular-queries catalogue op of each of its 24 levels: p, q, z, tau, tol.

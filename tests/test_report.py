@@ -29,6 +29,7 @@ from admissible_sl2.report import (
 )
 from admissible_sl2.weights import Level, enumerate_admissible
 from test_golden_reports import ARGVS as GOLDEN_ARGVS
+from test_libmp_spellings import MPMATH
 
 
 def test_encode_scalars():
@@ -134,7 +135,7 @@ def test_decimal_kernel_is_to_str(man, lead, digits):
     # to_str's own string, for a value and its negation
     raw = from_man_exp(man, lead - man.bit_length())  # exp + bc = lead
     for x in (raw, mpf_neg(raw)):
-        assert report._real_str(x, digits, {}) == to_str(x, digits)
+        assert report._real_str(x, digits, {}) == to_str(x, digits), MPMATH
 
 
 @pytest.mark.parametrize("digits", [30, 8])
@@ -151,7 +152,7 @@ def test_decimal_kernel_carries_and_switches_layout_where_to_str_does(digits):
             scale = mp.mpf(10) ** point
             cases += [scale, scale * mp.mpf("1.25"), scale * carry / 10, scale * mp.pi]
         for v in cases:
-            assert report._real_str(v._mpf_, digits, {}) == to_str(v._mpf_, digits), v
+            assert report._real_str(v._mpf_, digits, {}) == to_str(v._mpf_, digits), (v, MPMATH)
         assert "e" in report._real_str((mp.mpf(10) ** min_fixed)._mpf_, digits, {})
         assert "e" not in report._real_str((3 * mp.mpf(10) ** (min_fixed + 1))._mpf_, digits, {})
         assert "e" not in report._real_str((mp.mpf(10) ** (digits - 1))._mpf_, digits, {})

@@ -42,7 +42,7 @@ from test_numeric import _CATALOGUE_OPS, LEVELS_TO_8_5, _cli_tau, _tau_from
 
 from admissible_sl2 import numeric
 from admissible_sl2.errors import InputError
-from admissible_sl2.numeric import ComplexVal, s_transform_residual
+from admissible_sl2.numeric import ComplexVal, modular_data, s_transform_residual
 from admissible_sl2.weights import Level, enumerate_admissible
 
 _Z = st.integers(2, 7).flatmap(lambda u: st.integers(1, u - 1).map(lambda v: Fraction(v, u)))
@@ -256,7 +256,7 @@ def test_the_residual_table_is_exact_arithmetic_within_its_count(monkeypatch):
 
     monkeypatch.setattr(numeric, "_chibar_side", exact_inputs)
     for level, z, tau, tol, variant in _table_cases():
-        report = s_transform_residual(level, z, tau, variant=variant, tol=tol)
+        report = s_transform_residual(modular_data(level), z, tau, variant=variant, tol=tol)
         rows, printed, alts = _exact_residuals(report)
         case = (level.p, level.q, variant)
         with mp.workprec(600):
@@ -281,7 +281,7 @@ def test_each_table_bound_is_the_error_sum_the_benchmark_recomputes():
     # the 2 units of each floored value only, far inside the 1e-6 that
     # perfbench/reference.py allows
     for level, z, tau, tol, variant in _table_cases():
-        report = s_transform_residual(level, z, tau, variant=variant, tol=tol)
+        report = s_transform_residual(modular_data(level), z, tau, variant=variant, tol=tol)
         with mp.workprec(256):
             f = abs(report["factor"])
             for lhs, s_row, err_row in zip(report["lhs"], report["s_matrix"], report["residual_errors"]):
@@ -296,7 +296,7 @@ def test_each_table_bound_is_the_error_sum_the_benchmark_recomputes():
 def test_rows_past_28_products_enclose_the_interval_referee(level):
     # n = 30 and 35: the rounding count is derived for any row length
     report = s_transform_residual(
-        Level(*level), Fraction(2, 7), _tau_from(Fraction(3, 10), Fraction(4, 5), 192),
+        modular_data(Level(*level)), Fraction(2, 7), _tau_from(Fraction(3, 10), Fraction(4, 5), 192),
         tol=mp.mpf("1e-25"),
     )
     assert len(report["weights"]) > 28

@@ -14,7 +14,7 @@ from admissible_sl2.characters import CharacterSpec, character_qseries
 from admissible_sl2.cli import main
 from admissible_sl2.errors import InputError, InvariantError
 from admissible_sl2.exact import UniPoly
-from admissible_sl2.numeric import s_transform_residual
+from admissible_sl2.numeric import modular_data, s_transform_residual
 from admissible_sl2.verify import (
     SUITES,
     c2_expected_constant,
@@ -244,7 +244,7 @@ def test_the_s_law_fails_when_the_conjugate_phase_s_is_taken_as_the_primary():
 
     passing = {"theta_error_bounds": "pass", "transformation_law": "pass"}
     for (p, q), conjugate_law in (((3, 2), "fail"), ((5, 1), "pass")):
-        results = s_transform_residual(Level(p, q), Fraction(1, 3), tau, tol=tol)
+        results = s_transform_residual(modular_data(Level(p, q)), Fraction(1, 3), tau, tol=tol)
         assert statuses(results) == passing, (p, q)
         printed = results["as_printed_final_residuals"]
         swapped = dict(results, final_residuals=printed)
